@@ -116,6 +116,10 @@ class CellGeometry:
     def torus_shape(self):
         return (self.n_side,) * self.d
 
+    def torus_k(self):
+        """Quasimomenta of the stored torus grid, shape ``torus_shape + (d,)``."""
+        return np.moveaxis(np.indices(self.torus_shape), 0, -1) / self.n_side
+
     def torus_wrap(self, g):
         """Torus representative and the lattice shift absorbed by wrapping."""
         n = self.n_side

@@ -203,26 +203,26 @@ def input_frame(family, geometry, region="effective-cell"):
     """
     d, n, m = family.d, family.n, family.m
     fld = FrameField.empty(geometry, n, m, region=region)
-    h = geometry.h
-
-    def k_of(g):
-        return np.asarray(g, dtype=float) * h
-
-    def proj(g):
-        return family.projector(k_of(g))
-
-    seed_frame, _ = family.spectral_frame(np.zeros(d))
-    seed_frame = lowdin(_fix_column_phases(seed_frame))
-    step_sup = 0.0
 
     if region == "full-torus":
         axis_ranges = [range(0, geometry.n_side)] * d
-        origin = (0,) * d
     else:
         axis_ranges = [range(0, geometry.grid_n + 1)] + [
             range(-geometry.grid_n, geometry.grid_n + 1)
         ] * (d - 1)
-        origin = (0,) * d
+    origin = (0,) * d
+
+    # the sweep visits every point of the box spanned by the axis ranges
+    box = np.stack(np.meshgrid(*axis_ranges, indexing="ij"), axis=-1)
+    projectors = family.projector(geometry.k_of(box))
+    corner = np.array([rng.start for rng in axis_ranges])
+
+    def proj(g):
+        return projectors[tuple(np.subtract(g, corner))]
+
+    seed_frame, _ = family.spectral_frame(np.zeros(d))
+    seed_frame = lowdin(_fix_column_phases(seed_frame))
+    step_sup = 0.0
 
     fld.set(origin, seed_frame)
 

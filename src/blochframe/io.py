@@ -94,12 +94,22 @@ def _payload_bytes(data):
 def _payload_array(raw, shape):
     """Inverse of :func:`_payload_bytes` for a known logical shape."""
     swapped_shape = shape[:-2] + (shape[-1], shape[-2])
-    flat = np.frombuffer(raw, dtype="<c16")
-    if flat.size != int(np.prod(swapped_shape)):
+    if len(raw) != 16 * int(np.prod(swapped_shape)):
         raise UsageError("artifact payload size does not match its header")
+    flat = np.frombuffer(raw, dtype="<c16")
     return np.ascontiguousarray(
         np.swapaxes(flat.reshape(swapped_shape), -1, -2)
     )
+
+
+def _read_struct(fh, fmt, path):
+    """Unpack ``fmt`` from the next bytes of ``fh``; a short read means the
+    file was cut inside its header."""
+    size = struct.calcsize(fmt)
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise UsageError(f"{path} is truncated inside its header")
+    return struct.unpack(fmt, raw)
 
 
 def save_frames(path, field, metrics=None):
@@ -143,14 +153,13 @@ def save_frames(path, field, metrics=None):
 def load_frames(path):
     """Read a ``BLF1`` file back into a frame field."""
     with open(path, "rb") as fh:
-        head = fh.read(struct.calcsize("<4sIIIIII"))
-        magic, version, d, grid_n, n, m, region_code = struct.unpack(
-            "<4sIIIIII", head
+        magic, version, d, grid_n, n, m, region_code = _read_struct(
+            fh, "<4sIIIIII", path
         )
         if magic != b"BLF1" or version != 1:
             raise UsageError(f"{path} is not a BLF1 version 1 file")
-        (ndim,) = struct.unpack("<I", fh.read(4))
-        shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+        (ndim,) = _read_struct(fh, "<I", path)
+        shape = _read_struct(fh, f"<{ndim}I", path)
         raw = fh.read()
     geometry = CellGeometry(d, grid_n)
     data = _payload_array(raw, tuple(shape))
@@ -178,12 +187,11 @@ def save_wannier(path, wset):
 
 def load_wannier(path):
     with open(path, "rb") as fh:
-        head = fh.read(struct.calcsize("<4sIII"))
-        magic, version, d, grid_n = struct.unpack("<4sIII", head)
-        n, m, offset = struct.unpack("<IIi", fh.read(12))
-        raw = fh.read()
+        magic, version, d, grid_n = _read_struct(fh, "<4sIII", path)
         if magic != b"WAN1" or version != 1:
             raise UsageError(f"{path} is not a WAN1 version 1 file")
+        n, m, offset = _read_struct(fh, "<IIi", path)
+        raw = fh.read()
     geometry = CellGeometry(d, grid_n)
     shape = (geometry.n_side,) * d + (n, m)
     data = _payload_array(raw, shape)

@@ -33,6 +33,11 @@ __all__ = [
 TWO_PI_I = 2j * np.pi
 
 
+def _dagger(a):
+    """Conjugate transpose of the last two axes."""
+    return np.swapaxes(a.conj(), -1, -2)
+
+
 def _as_matrix(x, n, what):
     a = np.asarray(x, dtype=complex)
     if a.shape != (n, n):
@@ -106,8 +111,15 @@ class ProjectorFamily:
         if self.gap_tolerance <= 0:
             errors.append("gap_tolerance must be positive")
         hop = {}
-        for r, mat in self.hoppings.items():
-            r = tuple(_canon_coord(x) for x in np.atleast_1d(r))
+        raw_keys = {}
+        for raw, mat in self.hoppings.items():
+            r = tuple(_canon_coord(x) for x in np.atleast_1d(raw))
+            if r in raw_keys:
+                errors.append(
+                    f"hopping vectors {raw_keys[r]} and {raw} both round to {r}"
+                )
+                continue
+            raw_keys[r] = raw
             if len(r) != self.d:
                 errors.append(f"hopping vector {r} has wrong dimension")
                 continue
@@ -163,36 +175,46 @@ class ProjectorFamily:
     # Bloch data
     # ------------------------------------------------------------------
     def hamiltonian(self, k):
-        """Bloch Hamiltonian at quasimomentum ``k`` (adapted coordinates)."""
+        """Bloch Hamiltonians at quasimomenta ``k`` of shape ``(..., d)``
+        (adapted coordinates), stacked as ``(..., n, n)``."""
         k = np.asarray(k, dtype=float)
-        h = np.zeros((self.n, self.n), dtype=complex)
-        for r, mat in self.hoppings.items():
-            h += mat * np.exp(TWO_PI_I * float(np.dot(k, r)))
-        return h
+        vectors = np.array(list(self.hoppings), dtype=float).reshape(-1, self.d)
+        blocks = np.array(list(self.hoppings.values()), dtype=complex)
+        blocks = blocks.reshape(len(vectors), self.n * self.n)
+        phases = np.exp(TWO_PI_I * (k @ vectors.T))
+        return (phases @ blocks).reshape(k.shape[:-1] + (self.n, self.n))
 
     def eigensystem(self, k):
-        """Eigenvalues (ascending) and eigenvectors of ``H(k)``."""
+        """Eigenvalues (ascending) and eigenvectors of ``H(k)``, stacked over
+        the leading axes of ``k``; one ``eigh`` call for the whole stack."""
         h = self.hamiltonian(k)
-        h = 0.5 * (h + h.conj().T)
-        return np.linalg.eigh(h)
+        return np.linalg.eigh(0.5 * (h + _dagger(h)))
 
     def spectral_frame(self, k, gap_tol=None):
-        """Orthonormal eigenbasis of the lowest ``m`` bands plus the gap."""
+        """Orthonormal eigenbases ``(..., n, m)`` of the lowest ``m`` bands
+        and the gaps ``(...)`` at quasimomenta ``k`` of shape ``(..., d)``.
+
+        Raises :class:`GapClosed` at the point of the smallest gap when it
+        falls below tolerance.
+        """
         tol = self.gap_tolerance if gap_tol is None else gap_tol
         evals, evecs = self.eigensystem(k)
-        gap = float(evals[self.m] - evals[self.m - 1])
-        if gap < tol:
+        below, above = evals[..., self.m - 1], evals[..., self.m]
+        gap = above - below
+        worst = np.unravel_index(np.argmin(gap), gap.shape)
+        if gap[worst] < tol:
             raise GapClosed(
-                f"spectral gap {gap:.3e} below tolerance {tol:.3e}",
-                k=tuple(np.asarray(k, dtype=float)),
-                below=float(evals[self.m - 1]),
-                above=float(evals[self.m]),
+                f"spectral gap {gap[worst]:.3e} below tolerance {tol:.3e}",
+                k=tuple(np.asarray(k, dtype=float)[worst].tolist()),
+                below=float(below[worst]),
+                above=float(above[worst]),
             )
-        return evecs[:, : self.m], gap
+        return evecs[..., : self.m], gap
 
     def projector(self, k, gap_tol=None):
+        """Spectral projectors ``(..., n, n)`` at ``k`` of shape ``(..., d)``."""
         frame, _ = self.spectral_frame(k, gap_tol)
-        return frame @ frame.conj().T
+        return frame @ _dagger(frame)
 
     # ------------------------------------------------------------------
     # symmetry actions
@@ -290,70 +312,54 @@ class AssumptionReport:
         }
 
 
-def _grid_axes(grid_n):
-    n = 2 * grid_n
-    return np.arange(n) / n
+def _samples(d, grid_n, coarse_step):
+    """Verification grid ``(i / 2 grid_n)``, every ``coarse_step``-th point per
+    axis in d = 3, as a ``(points, d)`` array in row-major order."""
+    pts = np.arange(2 * grid_n) / (2 * grid_n)
+    if d == 3:
+        pts = pts[::coarse_step]
+    return np.stack(np.meshgrid(*[pts] * d, indexing="ij"), axis=-1).reshape(-1, d)
+
+
+def _max_norm2(stack):
+    """Largest spectral norm over a stack of matrices."""
+    return float(np.max(np.linalg.norm(stack, 2, axis=(-2, -1))))
 
 
 def _smoothness_proxy(family, grid_n):
     """max ||second difference of P|| * grid_n**2 over a coarse grid."""
-    pts = _grid_axes(grid_n)
     h = 1.0 / (2 * grid_n)
+    samples = _samples(family.d, grid_n, max(1, grid_n // 4))
+    p = family.projector(samples)
     worst = 0.0
-    if family.d == 1:
-        samples = [(x,) for x in pts]
-    elif family.d == 2:
-        samples = [(x, y) for x in pts for y in pts]
-    else:
-        step = max(1, grid_n // 4)
-        coarse = pts[::step]
-        samples = [(x, y, z) for x in coarse for y in coarse for z in coarse]
-    for k in samples:
-        k = np.asarray(k)
-        for j in range(family.d):
-            e = np.zeros(family.d)
-            e[j] = h
-            d2 = family.projector(k + e) - 2 * family.projector(k) + family.projector(k - e)
-            worst = max(worst, float(np.linalg.norm(d2, 2)))
+    for e in h * np.eye(family.d):
+        d2 = family.projector(samples + e) - 2 * p + family.projector(samples - e)
+        worst = max(worst, _max_norm2(d2))
     return worst * grid_n**2
 
 
 def verify_assumptions(family, grid_n=16, tol=1e-8):
     """Check periodicity, time reversal, compatibility and the gap on a grid.
 
-    Returns an :class:`AssumptionReport`; ``passed`` is False when any
-    residual exceeds ``tol`` or the measured gap floor drops below the
-    family's gap tolerance.
+    ``P(k + e_j)`` and ``P(-k)`` are sampled from their own Hamiltonians, so
+    a model that breaks either symmetry shows it in the residuals.  Returns
+    an :class:`AssumptionReport`; ``passed`` is False when any residual
+    exceeds ``tol`` or the measured gap floor drops below the family's gap
+    tolerance.
     """
-    d = family.d
-    n_side = 2 * grid_n
-    pts = _grid_axes(grid_n)
-    if d == 1:
-        samples = [(x,) for x in pts]
-    elif d == 2:
-        samples = [(x, y) for x in pts for y in pts]
-    else:
-        step = max(1, grid_n // 8)
-        coarse = pts[::step]
-        samples = [(x, y, z) for x in coarse for y in coarse for z in coarse]
-
+    d, m = family.d, family.m
+    samples = _samples(d, grid_n, max(1, grid_n // 8))
     c = family.theta_matrix()
-    gap_floor = np.inf
+    evals, evecs = family.eigensystem(samples)
+    gap_floor = float(np.min(evals[:, m] - evals[:, m - 1]))
+    frames = evecs[..., :m]
+    p = frames @ _dagger(frames)
     res_p2 = 0.0
-    res_p3 = 0.0
-    for k in samples:
-        k = np.asarray(k)
-        evals, evecs = family.eigensystem(k)
-        gap_floor = min(gap_floor, float(evals[family.m] - evals[family.m - 1]))
-        p = evecs[:, : family.m] @ evecs[:, : family.m].conj().T
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = 1.0
-            tau_j = family.tau_power(tuple(int(x) for x in e))
-            shifted = family.projector(k + e)
-            res_p2 = max(res_p2, float(np.linalg.norm(shifted - tau_j @ p @ tau_j.conj().T, 2)))
-        rev = family.projector(-k)
-        res_p3 = max(res_p3, float(np.linalg.norm(rev - c @ p.conj() @ c.conj().T, 2)))
+    for e in np.eye(d):
+        tau_j = family.tau_power(tuple(int(x) for x in e))
+        shifted = family.projector(samples + e)
+        res_p2 = max(res_p2, _max_norm2(shifted - tau_j @ p @ tau_j.conj().T))
+    res_p3 = _max_norm2(family.projector(-samples) - c @ p.conj() @ c.conj().T)
 
     res_p4 = 0.0
     if family.tau is not None:
@@ -370,9 +376,9 @@ def verify_assumptions(family, grid_n=16, tol=1e-8):
         and res_p4 <= tol
         and gap_floor >= family.gap_tolerance
     )
-    family.gap_floor = float(gap_floor)
+    family.gap_floor = gap_floor
     return AssumptionReport(
-        gap_floor=float(gap_floor),
+        gap_floor=gap_floor,
         periodicity=res_p2,
         time_reversal=res_p3,
         compatibility=res_p4,
@@ -507,6 +513,8 @@ def builtin_model(name, **params):
         return _haldane(**mapped)
     if name == "ssh":
         return _ssh(**params)
+    if "range" in params:
+        params["hop_range"] = params.pop("range")
     return _random_trs(**params)
 
 
@@ -567,6 +575,10 @@ def load_model(source, params=None):
     hoppings = {}
     for item in cfg.get("hoppings", []):
         r = tuple(_canon_coord(x) for x in item["R"])
+        if r in hoppings:
+            raise ModelConfigError(
+                f"hopping R={item['R']} collides with an earlier entry: both round to {r}"
+            )
         hoppings[r] = _matrix_from_json(item, n, f"hopping {r}")
     theta_cfg = cfg.get("theta", "conjugation")
     if theta_cfg == "conjugation":

@@ -7,6 +7,7 @@ memory.  All randomness flows from the single configured seed, so repeated
 runs produce byte-identical artifacts.
 """
 
+import json
 import os
 import time
 from dataclasses import dataclass, field as dataclass_field
@@ -82,6 +83,39 @@ def load_family(config):
     return family
 
 
+def _config_record(config):
+    """The configuration as the manifest stores it."""
+    return {
+        "model": config.model,
+        "params": config.params,
+        "grid_n": config.grid_n,
+        "tol": config.tol,
+        "gap_tol": config.gap_tol,
+        "epsilon": config.epsilon,
+        "seed": config.seed,
+    }
+
+
+def _check_reusable(config, manifest, phi_sm_path):
+    """Refuse stored artifacts that another configuration wrote, or that
+    changed since their manifest recorded them."""
+    current = json.loads(json.dumps(io_mod.jsonable(_config_record(config))))
+    stored = manifest.get("config")
+    if stored != current:
+        raise UsageError(
+            f"artifacts in {config.out!r} were built with another configuration; "
+            "rerun the construct subcommand or choose another --out",
+            stored=stored,
+            current=current,
+        )
+    recorded = manifest.get("artifacts", {}).get("phi_sm.blf1")
+    if recorded != io_mod.file_sha256(phi_sm_path):
+        raise UsageError(
+            f"{phi_sm_path} does not match the sha256 its manifest records",
+            recorded=recorded,
+        )
+
+
 def _outpath(config, name):
     if config.out is None:
         return None
@@ -119,11 +153,9 @@ def final_residuals(field, family):
     """
     geometry = field.geometry
     big = geometry.n_side
-    proj_worst = 0.0
-    for g in np.ndindex(*geometry.torus_shape):
-        frame = field.get(g)
-        p = family.projector(np.asarray(g) / big)
-        proj_worst = max(proj_worst, float(np.linalg.norm(p @ frame - frame)))
+    frames = field.data
+    moved = family.projector(geometry.torus_k()) @ frames - frames
+    proj_worst = float(np.max(np.linalg.norm(moved, axis=(-2, -1))))
     periodicity = 0.0
     for g in np.ndindex(*geometry.torus_shape):
         if not any(c == 0 for c in g):
@@ -170,15 +202,7 @@ def run_construct(config):
 
     manifest = {
         "model": family.describe(),
-        "config": {
-            "model": config.model,
-            "params": config.params,
-            "grid_n": config.grid_n,
-            "tol": config.tol,
-            "gap_tol": config.gap_tol,
-            "epsilon": config.epsilon,
-            "seed": config.seed,
-        },
+        "config": _config_record(config),
         "assumptions": report.as_dict(),
         "obstruction_symmetry_defects": obstructions,
         "construction": io_mod.jsonable(diag),
@@ -220,9 +244,10 @@ def run_wannierize(config):
         and os.path.exists(manifest_path)
         and os.path.exists(phi_sm_path)
     ):
+        manifest = io_mod.read_json(manifest_path)
+        _check_reusable(config, manifest, phi_sm_path)
         family = load_family(config)
         phi_sm = io_mod.load_frames(phi_sm_path)
-        manifest = io_mod.read_json(manifest_path)
         geometry = phi_sm.geometry
     else:
         built = run_construct(config)

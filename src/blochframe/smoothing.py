@@ -358,9 +358,7 @@ def periodic_smooth(
     coeffs = np.fft.fftn(data, axes=axes)
     freqs = np.abs(np.fft.fftfreq(big, d=1.0 / big)).astype(int)
 
-    projectors = np.empty(geometry.torus_shape + (family.n, family.n), dtype=complex)
-    for g in np.ndindex(*geometry.torus_shape):
-        projectors[g] = family.projector(np.asarray(g) / big)
+    projectors = family.projector(geometry.torus_k())
 
     shells_before = _spectral_shells(coeffs, d)
     diff_before = _second_difference(data, d)

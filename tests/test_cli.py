@@ -89,6 +89,19 @@ def test_construct_wannierize_report_round(tmp_path, capsys):
     assert "wannier:" in text
 
 
+def test_wannierize_refuses_artifacts_of_another_model(tmp_path, capsys):
+    out = str(tmp_path)
+    argv = ["construct", "--model", "haldane", "--grid-n", "8", "--out", out]
+    assert main(argv) == 0
+    capsys.readouterr()
+    argv = ["wannierize", "--model", "random-trs", "--grid-n", "16", "--out", out]
+    assert main(argv) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "usage"
+    assert payload["details"]["stored"]["model"] == "haldane"
+    assert not os.path.exists(os.path.join(out, "wannier.wan1"))
+
+
 def test_report_without_a_run_is_a_usage_error(tmp_path, capsys):
     code = main(["report", "--model", "ssh", "--out", str(tmp_path / "nope")])
     assert code == 2

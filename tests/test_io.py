@@ -91,6 +91,24 @@ def test_frames_loader_rejects_truncated_payload(tmp_path, rng):
         load_frames(path)
 
 
+@pytest.mark.parametrize("kind", ["blf1", "wan1"])
+@pytest.mark.parametrize("cut", ["10 bytes", "30 bytes", "8 bytes short"])
+def test_loaders_reject_cut_files(tmp_path, rng, kind, cut):
+    fld = _random_field(rng)
+    path = tmp_path / f"cut.{kind}"
+    if kind == "blf1":
+        save_frames(path, fld)
+        load = load_frames
+    else:
+        save_wannier(path, wannier_transform(fld))
+        load = load_wannier
+    raw = path.read_bytes()
+    keep = {"10 bytes": 10, "30 bytes": 30, "8 bytes short": len(raw) - 8}[cut]
+    path.write_bytes(raw[:keep])
+    with pytest.raises(UsageError):
+        load(path)
+
+
 def test_wannier_roundtrip(tmp_path, rng):
     fld = _random_field(rng)
     wset = wannier_transform(fld)

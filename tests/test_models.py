@@ -13,6 +13,7 @@ import pytest
 
 from blochframe.errors import AssumptionsFailed, GapClosed, ModelConfigError
 from blochframe.models import (
+    ProjectorFamily,
     builtin_model,
     evaluate_projector,
     load_model,
@@ -130,6 +131,13 @@ def test_random_trs_real_hoppings_and_reversal(rng):
     assert report.gap_floor > 1.39  # amplitude 0.3 leaves a gap of 2 - 0.6
 
 
+def test_random_trs_range_parameter():
+    fam = builtin_model("random-trs", range=2)
+    assert fam.params["range"] == 2
+    assert set(fam.hoppings) == {(a, b) for a in range(-2, 3) for b in range(-2, 3)}
+    assert verify_assumptions(fam, grid_n=4).passed
+
+
 def test_random_trs_rejects_bad_rank():
     with pytest.raises(ModelConfigError):
         builtin_model("random-trs", n=2, m=2)
@@ -231,6 +239,64 @@ def test_load_model_error_reporting(tmp_path):
         load_model(str(notjson))
     with pytest.raises(ModelConfigError):
         load_model(_demo_config(), params={"v": 2.0})
+
+
+def test_colliding_hopping_vectors_are_reported():
+    cfg = _demo_config()
+    cfg["hoppings"].append({"R": [0.0], "re": [[0.0, 0.0], [0.0, 0.0]]})
+    with pytest.raises(ModelConfigError, match="collides"):
+        load_model(cfg)
+    hop = {(0,): np.eye(2), (1e-12,): np.eye(2)}
+    with pytest.raises(ModelConfigError, match="both round to"):
+        ProjectorFamily(d=1, n=2, m=1, hoppings=hop)
+
+
+def _loop_hamiltonian(family, k):
+    """Reference: sum_R H_R exp(2 pi i k . R), one hopping at a time."""
+    h = np.zeros((family.n, family.n), dtype=complex)
+    for r, mat in family.hoppings.items():
+        h += mat * np.exp(2j * np.pi * float(np.dot(k, r)))
+    return h
+
+
+@pytest.mark.parametrize("make", [
+    lambda: builtin_model("haldane"),
+    lambda: builtin_model("random-trs", n=4, m=2, d=3, seed=1),
+    shifted_haldane,
+], ids=["haldane", "random-trs-3d", "shifted-haldane"])
+def test_stacked_sampling_matches_per_point(make, rng):
+    fam = make()
+    ks = rng.uniform(-1, 1, size=(3, 4, fam.d))
+    h = fam.hamiltonian(ks)
+    p = fam.projector(ks)
+    frames, gaps = fam.spectral_frame(ks)
+    assert h.shape == (3, 4, fam.n, fam.n)
+    assert p.shape == (3, 4, fam.n, fam.n)
+    assert frames.shape == (3, 4, fam.n, fam.m) and gaps.shape == (3, 4)
+    for idx in np.ndindex(3, 4):
+        k = ks[idx]
+        assert np.linalg.norm(h[idx] - fam.hamiltonian(k)) < 1e-13
+        assert np.linalg.norm(h[idx] - _loop_hamiltonian(fam, k)) < 1e-13
+        assert np.linalg.norm(p[idx] - fam.projector(k)) < 1e-12
+
+
+def test_batched_gap_closure_names_the_dirac_point():
+    fam = builtin_model("haldane", M=0.0, t2=0.0)
+    offsets = np.arange(-1, 2) / 12
+    ks = np.stack(np.meshgrid(1 / 3 + offsets, 2 / 3 + offsets, indexing="ij"), axis=-1)
+    with pytest.raises(GapClosed) as exc:
+        fam.spectral_frame(ks)
+    assert exc.value.details["k"] == pytest.approx((1 / 3, 2 / 3), abs=1e-15)
+
+
+def test_fractional_hoppings_without_tau_fail_periodicity():
+    """Negative control: P(k + e_j) has to be sampled, not assumed periodic."""
+    twisted = shifted_haldane()
+    fam = ProjectorFamily(d=2, n=2, m=1, hoppings=dict(twisted.hoppings))
+    report = verify_assumptions(fam, grid_n=8)
+    assert not report.passed
+    assert report.periodicity > 0.1
+    assert report.time_reversal < 1e-12
 
 
 def test_gap_closed_raises_at_dirac_point():

@@ -1,6 +1,7 @@
 """Unit tests for the end-to-end pipeline stages."""
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -143,6 +144,23 @@ def test_run_wannierize_reuses_artifacts(ssh_run):
     # 1D chain it happens to come out real, so only check the wiring here
     assert report["control_reality"]["defect"] >= 0.0
     assert report["control_reality"]["mode"] == report["reality"]["mode"]
+
+
+def test_run_wannierize_refuses_foreign_artifacts(ssh_run, tmp_path):
+    config, _ = ssh_run
+    out = tmp_path / "copy"
+    shutil.copytree(config.out, out)
+    other = RunConfig(model="ssh", grid_n=8, epsilon=0.05, out=str(out))
+    with pytest.raises(UsageError) as exc:
+        run_wannierize(other)
+    assert exc.value.details["stored"]["epsilon"] == config.epsilon
+    same = RunConfig(model="ssh", grid_n=8, out=str(out))
+    phi_sm = out / "phi_sm.blf1"
+    raw = bytearray(phi_sm.read_bytes())
+    raw[-1] ^= 1
+    phi_sm.write_bytes(bytes(raw))
+    with pytest.raises(UsageError, match="sha256"):
+        run_wannierize(same)
 
 
 def test_run_wannierize_in_memory():
