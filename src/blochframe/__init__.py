@@ -41,7 +41,6 @@ from .models import (
     AssumptionReport,
     ProjectorFamily,
     builtin_model,
-    evaluate_projector,
     load_model,
     require_assumptions,
     verify_assumptions,
@@ -133,7 +132,6 @@ __all__ = [
     "construct_2d",
     "construct_3d",
     "evaluate",
-    "evaluate_projector",
     "extend_symmetric",
     "extend_unitary_cone",
     "final_residuals",

@@ -83,13 +83,13 @@ class CellGeometry:
     # effective cell membership and indexing
     # ------------------------------------------------------------------
     def in_effective_cell(self, g):
-        g = tuple(int(x) for x in g)
-        if len(g) != self.d:
+        """Whether the grid points ``g`` of shape ``(..., d)`` lie in the
+        effective cell."""
+        g = np.asarray(g)
+        if g.shape[-1] != self.d:
             return False
         n = self.grid_n
-        if not 0 <= g[0] <= n:
-            return False
-        return all(-n <= gj <= n for gj in g[1:])
+        return (0 <= g[..., 0]) & (g[..., 0] <= n) & np.all(np.abs(g[..., 1:]) <= n, axis=-1)
 
     @property
     def cell_shape(self):
@@ -97,12 +97,12 @@ class CellGeometry:
         return (self.grid_n + 1,) + (self.n_side + 1,) * (self.d - 1)
 
     def cell_index(self, g):
-        """Array index of an effective-cell grid point."""
-        g = tuple(int(x) for x in g)
-        return (g[0],) + tuple(gj + self.grid_n for gj in g[1:])
+        """Array index of the effective-cell grid points ``g`` of shape ``(..., d)``."""
+        g = np.asarray(g)
+        return (g[..., 0],) + tuple(g[..., j] + self.grid_n for j in range(1, self.d))
 
     def cell_point(self, idx):
-        """Inverse of :meth:`cell_index`."""
+        """Inverse of :meth:`cell_index` for one point."""
         return (int(idx[0]),) + tuple(int(i) - self.grid_n for i in idx[1:])
 
     def cell_points(self):
@@ -116,9 +116,13 @@ class CellGeometry:
     def torus_shape(self):
         return (self.n_side,) * self.d
 
+    def torus_points(self):
+        """Grid points of the stored torus, shape ``torus_shape + (d,)``."""
+        return np.moveaxis(np.indices(self.torus_shape), 0, -1)
+
     def torus_k(self):
         """Quasimomenta of the stored torus grid, shape ``torus_shape + (d,)``."""
-        return np.moveaxis(np.indices(self.torus_shape), 0, -1) / self.n_side
+        return self.torus_points() / self.n_side
 
     def torus_wrap(self, g):
         """Torus representative and the lattice shift absorbed by wrapping."""
@@ -128,41 +132,48 @@ class CellGeometry:
         lam = tuple((gj - rj) // n for gj, rj in zip(g, rep))
         return rep, lam
 
+    def reflection_map(self):
+        """Partner of every stored torus point under ``k -> -k``.
+
+        Returns ``(partner, lam)``, both of shape ``torus_shape + (d,)``, with
+        ``-g = partner + N lam``: ``partner = (-g) mod N`` and ``lam_j = -1``
+        exactly where ``g_j > 0``.
+        """
+        g = self.torus_points()
+        return (-g) % self.n_side, -(g > 0).astype(int)
+
     # ------------------------------------------------------------------
     # reduction to the effective cell
     # ------------------------------------------------------------------
-    def _reduction_candidates(self, g):
-        n = self.n_side
-        g = tuple(int(x) for x in g)
-        found = []
-        for s in (0, 1):
-            ranges = []
-            for gj in g:
-                base = round(gj / n)
-                ranges.append(range(base - 1, base + 2))
-            for lam in product(*ranges):
-                gp = tuple((gj - n * lj) * (-1) ** s for gj, lj in zip(g, lam))
-                if self.in_effective_cell(gp):
-                    found.append(ReducedPoint(gp, lam, s))
-        return found
+    def reductions(self, g):
+        """Every candidate reduction of the grid points ``g`` of shape ``(..., d)``.
 
-    def reduce(self, g):
-        """Canonical reduction of an arbitrary grid point to the effective cell.
-
-        Ties on the boundary are broken deterministically: prefer ``s = 0``,
-        then the lexicographically smallest ``lam``.
+        Returns the ``2 * 2**d`` candidates ``(s, lam, k_prime, valid)`` in
+        canonical order, ``s`` first and then ``lam`` lexicographically;
+        ``lam`` and ``k_prime = (-1)**s * (g - N lam)`` have the shape of
+        ``g`` and ``valid`` marks the points whose ``k_prime`` lies in the
+        effective cell.  No other candidate can be valid: every coordinate
+        of ``k_prime`` has modulus at most ``N / 2``, which leaves
+        ``lam_j`` in ``{floor(g_j / N), floor(g_j / N) + 1}``.
         """
-        cands = self._reduction_candidates(g)
-        if not cands:
-            raise ValueError(f"no effective-cell reduction found for {g}")
-        cands.sort(key=lambda rp: (rp.s, rp.lam))
-        return cands[0]
+        g = np.asarray(g)
+        base = g // self.n_side
+        out = []
+        for s in (0, 1):
+            for step in product((0, 1), repeat=self.d):
+                lam = base + np.asarray(step)
+                k_prime = (-1) ** s * (g - self.n_side * lam)
+                out.append((s, lam, k_prime, self.in_effective_cell(k_prime)))
+        return out
 
     def all_reductions(self, g):
-        """Every valid decomposition of ``g`` (used for consistency checks)."""
-        cands = self._reduction_candidates(g)
-        cands.sort(key=lambda rp: (rp.s, rp.lam))
-        return cands
+        """Every valid decomposition of one grid point ``g``, in canonical
+        order (used for consistency checks)."""
+        return [
+            ReducedPoint(tuple(k_prime[0].tolist()), tuple(lam[0].tolist()), s)
+            for s, lam, k_prime, valid in self.reductions(np.reshape(g, (1, self.d)))
+            if valid[0]
+        ]
 
     # ------------------------------------------------------------------
     # high-symmetry points
@@ -189,19 +200,12 @@ class CellGeometry:
     # ------------------------------------------------------------------
     # d = 2 boundary structure
     # ------------------------------------------------------------------
-    def vertices_2d(self):
-        """The six half-integer points on the boundary of the effective cell,
-        in traversal order v1, ..., v6."""
-        if self.d != 2:
-            raise ValueError("vertices_2d requires d = 2")
-        n = self.grid_n
-        return [(0, 0), (0, -n), (n, -n), (n, 0), (n, n), (0, n)]
-
     def edges_2d(self):
         """Ordered grid points of the six boundary edges, keyed 'E1'...'E6'.
 
-        Edge ``Ei`` runs from vertex ``v_i`` to ``v_{i+1}`` (cyclically); each
-        list contains both endpoints.
+        Edge ``Ei`` runs from vertex ``v_i`` to ``v_{i+1}`` (cyclically) of
+        the six half-integer boundary points ``(0, 0), (0, -n), (n, -n),
+        (n, 0), (n, n), (0, n)``; each list contains both endpoints.
         """
         if self.d != 2:
             raise ValueError("edges_2d requires d = 2")
@@ -227,10 +231,6 @@ class CellGeometry:
         for name in ("E1", "E2", "E3", "E4", "E5", "E6"):
             loop.extend(edges[name][:-1])
         return loop
-
-    def boundary_points_2d(self):
-        """Set of all boundary grid points of the effective cell (d = 2)."""
-        return set(self.boundary_loop_2d())
 
     # ------------------------------------------------------------------
     # d = 3 face structure
@@ -264,13 +264,3 @@ class CellGeometry:
         for face in self.faces_3d().values():
             pts.update(face)
         return pts
-
-    def door_points_3d(self, sign):
-        """Half of the face k_1 = 1/2 with ``sign * k_2 >= 0`` (d = 3)."""
-        if self.d != 3:
-            raise ValueError("door_points_3d requires d = 3")
-        n = self.grid_n
-        rng = range(-n, n + 1)
-        if sign > 0:
-            return [(n, b, c) for b in range(0, n + 1) for c in rng]
-        return [(n, b, c) for b in range(-n, 1) for c in rng]

@@ -4,10 +4,9 @@ A frame is a plain ``(n, m)`` complex ndarray whose columns are orthonormal
 and span ``Ran P(k)``.  Unitaries act on the right, ``(frame <| u)_b =
 sum_a frame_a u_ab``, i.e. ordinary matrix multiplication ``frame @ u``.
 
-A :class:`FrameField` stores one frame per grid point over one of three
-regions: the effective cell, its boundary, or the full torus.  Boundary
-fields reuse the effective-cell array shape with NaN padding off the
-boundary, which keeps indexing uniform.
+A :class:`FrameField` stores one frame per grid point over one of two
+regions: the effective cell or the full torus.  Points not yet filled hold
+NaN.
 """
 
 from dataclasses import dataclass, field
@@ -67,10 +66,10 @@ def unitary_between(a, b, tol=1e-8):
 class FrameField:
     """Frames attached to grid points of a :class:`~blochframe.cells.CellGeometry`.
 
-    ``region`` is one of ``"effective-cell"``, ``"boundary"`` or
-    ``"full-torus"``; ``data`` has shape ``geometry.cell_shape + (n, m)`` for
-    the first two and ``geometry.torus_shape + (n, m)`` for the torus.
-    Boundary fields carry NaN at off-boundary points.
+    ``region`` is ``"effective-cell"`` or ``"full-torus"``; ``data`` has
+    shape ``geometry.cell_shape + (n, m)`` for the first and
+    ``geometry.torus_shape + (n, m)`` for the torus.  Unfilled points carry
+    NaN.
     """
 
     geometry: object
@@ -78,7 +77,7 @@ class FrameField:
     data: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    REGIONS = ("effective-cell", "boundary", "full-torus")
+    REGIONS = ("effective-cell", "full-torus")
 
     def __post_init__(self):
         if self.region not in self.REGIONS:
@@ -137,12 +136,10 @@ class FrameField:
     # -- diagnostics ----------------------------------------------------
     def orthonormality_defect(self):
         """Largest ``||frame^H frame - 1||`` over stored points."""
-        eye = np.eye(self.m)
-        worst = 0.0
-        for g in self.points():
-            f = self.get(g)
-            worst = max(worst, float(np.linalg.norm(f.conj().T @ f - eye)))
-        return worst
+        f = self.data
+        gram = np.swapaxes(f.conj(), -1, -2) @ f - np.eye(self.m)
+        defects = np.linalg.norm(gram, axis=(-2, -1))
+        return float(np.max(defects[~np.isnan(defects)], initial=0.0))
 
 
 # ----------------------------------------------------------------------

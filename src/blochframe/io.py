@@ -4,7 +4,7 @@ Two small self-describing binary containers are defined:
 
 ``BLF1`` (frame fields)
     magic ``BLF1``; little-endian u32 fields version, d, grid_n, n, m,
-    region code (0 effective-cell, 1 boundary, 2 full-torus), ndim; then
+    region code (0 effective-cell, 2 full-torus), ndim; then
     ``ndim`` u32 array dimensions; then the payload: for each grid point in
     row-major order, the n x m frame in column-major order, each entry as a
     float64 (re, im) pair.
@@ -42,7 +42,7 @@ __all__ = [
     "jsonable",
 ]
 
-_REGION_CODES = {"effective-cell": 0, "boundary": 1, "full-torus": 2}
+_REGION_CODES = {"effective-cell": 0, "full-torus": 2}
 _REGION_NAMES = {v: k for k, v in _REGION_CODES.items()}
 
 
@@ -112,6 +112,15 @@ def _read_struct(fh, fmt, path):
     return struct.unpack(fmt, raw)
 
 
+def _geometry(d, grid_n, path):
+    """Grid geometry named by a file header; a header that no geometry
+    accepts means the file is corrupt."""
+    try:
+        return CellGeometry(d, grid_n)
+    except ValueError as exc:
+        raise UsageError(f"{path} has an invalid header: {exc}") from None
+
+
 def save_frames(path, field, metrics=None):
     """Write a frame field as a ``BLF1`` file plus a JSON sidecar.
 
@@ -161,7 +170,7 @@ def load_frames(path):
         (ndim,) = _read_struct(fh, "<I", path)
         shape = _read_struct(fh, f"<{ndim}I", path)
         raw = fh.read()
-    geometry = CellGeometry(d, grid_n)
+    geometry = _geometry(d, grid_n, path)
     data = _payload_array(raw, tuple(shape))
     region = _REGION_NAMES.get(region_code)
     if region is None:
@@ -192,7 +201,7 @@ def load_wannier(path):
             raise UsageError(f"{path} is not a WAN1 version 1 file")
         n, m, offset = _read_struct(fh, "<IIi", path)
         raw = fh.read()
-    geometry = CellGeometry(d, grid_n)
+    geometry = _geometry(d, grid_n, path)
     shape = (geometry.n_side,) * d + (n, m)
     data = _payload_array(raw, shape)
     return WannierSet(geometry, data, offset, {})

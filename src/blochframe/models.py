@@ -24,7 +24,6 @@ from .errors import AssumptionsFailed, GapClosed, ModelConfigError
 __all__ = [
     "ProjectorFamily",
     "AssumptionReport",
-    "evaluate_projector",
     "verify_assumptions",
     "load_model",
     "builtin_model",
@@ -219,18 +218,8 @@ class ProjectorFamily:
     # ------------------------------------------------------------------
     # symmetry actions
     # ------------------------------------------------------------------
-    @property
-    def theta_is_conjugation(self):
-        return self.theta is None
-
     def theta_matrix(self):
         return np.eye(self.n, dtype=complex) if self.theta is None else self.theta
-
-    def theta_apply(self, frame):
-        """Apply time reversal to a frame (or any stack of column vectors)."""
-        if self.theta is None:
-            return np.conj(frame)
-        return self.theta @ np.conj(frame)
 
     def tau_power(self, lam):
         """Unitary representing the lattice vector ``lam``."""
@@ -245,11 +234,6 @@ class ProjectorFamily:
                     mat = gen @ mat
             self._tau_cache[lam] = mat
         return self._tau_cache[lam]
-
-    def tau_apply(self, lam, frame):
-        if self.tau is None:
-            return np.asarray(frame)
-        return self.tau_power(lam) @ frame
 
     def antiunitary_matrix(self, lam):
         """Matrix ``A`` of the antiunitary ``tau_lam o theta``; acts as
@@ -274,15 +258,6 @@ class ProjectorFamily:
         }
 
 
-def evaluate_projector(family, k, gap_tol=None):
-    """Spectral projector ``P(k)`` with a protected gap.
-
-    Raises :class:`GapClosed` when the gap between bands ``m`` and ``m + 1``
-    falls below tolerance.
-    """
-    return family.projector(k, gap_tol)
-
-
 # ----------------------------------------------------------------------
 # model assumptions
 # ----------------------------------------------------------------------
@@ -295,7 +270,6 @@ class AssumptionReport:
     time_reversal: float
     compatibility: float
     smoothness_proxy: float
-    smoothness_flagged: bool
     tolerance: float
     passed: bool
 
@@ -306,7 +280,6 @@ class AssumptionReport:
             "time_reversal_residual": self.time_reversal,
             "compatibility_residual": self.compatibility,
             "smoothness_proxy": self.smoothness_proxy,
-            "smoothness_flagged": self.smoothness_flagged,
             "tolerance": self.tolerance,
             "passed": self.passed,
         }
@@ -326,14 +299,22 @@ def _max_norm2(stack):
     return float(np.max(np.linalg.norm(stack, 2, axis=(-2, -1))))
 
 
+def _projectors(family, k):
+    """Spectral projectors at ``k`` without the gap gate: a closed gap shows
+    in the report's ``gap_floor`` instead of raising."""
+    _, evecs = family.eigensystem(k)
+    frames = evecs[..., : family.m]
+    return frames @ _dagger(frames)
+
+
 def _smoothness_proxy(family, grid_n):
     """max ||second difference of P|| * grid_n**2 over a coarse grid."""
     h = 1.0 / (2 * grid_n)
     samples = _samples(family.d, grid_n, max(1, grid_n // 4))
-    p = family.projector(samples)
+    p = _projectors(family, samples)
     worst = 0.0
     for e in h * np.eye(family.d):
-        d2 = family.projector(samples + e) - 2 * p + family.projector(samples - e)
+        d2 = _projectors(family, samples + e) - 2 * p + _projectors(family, samples - e)
         worst = max(worst, _max_norm2(d2))
     return worst * grid_n**2
 
@@ -345,7 +326,7 @@ def verify_assumptions(family, grid_n=16, tol=1e-8):
     a model that breaks either symmetry shows it in the residuals.  Returns
     an :class:`AssumptionReport`; ``passed`` is False when any residual
     exceeds ``tol`` or the measured gap floor drops below the family's gap
-    tolerance.
+    tolerance.  A closed gap is reported that way, never raised.
     """
     d, m = family.d, family.m
     samples = _samples(d, grid_n, max(1, grid_n // 8))
@@ -357,18 +338,14 @@ def verify_assumptions(family, grid_n=16, tol=1e-8):
     res_p2 = 0.0
     for e in np.eye(d):
         tau_j = family.tau_power(tuple(int(x) for x in e))
-        shifted = family.projector(samples + e)
+        shifted = _projectors(family, samples + e)
         res_p2 = max(res_p2, _max_norm2(shifted - tau_j @ p @ tau_j.conj().T))
-    res_p3 = _max_norm2(family.projector(-samples) - c @ p.conj() @ c.conj().T)
+    res_p3 = _max_norm2(_projectors(family, -samples) - c @ p.conj() @ c.conj().T)
 
     res_p4 = 0.0
     if family.tau is not None:
         for t in family.tau:
             res_p4 = max(res_p4, float(np.linalg.norm(c @ t.conj() - t.conj().T @ c, 2)))
-
-    proxy_fine = _smoothness_proxy(family, grid_n)
-    proxy_coarse = _smoothness_proxy(family, max(2, grid_n // 2))
-    flagged = proxy_coarse > 1e-12 and proxy_fine / max(proxy_coarse, 1e-300) > 6.0
 
     passed = (
         res_p2 <= tol
@@ -382,8 +359,7 @@ def verify_assumptions(family, grid_n=16, tol=1e-8):
         periodicity=res_p2,
         time_reversal=res_p3,
         compatibility=res_p4,
-        smoothness_proxy=proxy_fine,
-        smoothness_flagged=bool(flagged),
+        smoothness_proxy=_smoothness_proxy(family, grid_n),
         tolerance=tol,
         passed=bool(passed),
     )

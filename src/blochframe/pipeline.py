@@ -96,9 +96,8 @@ def _config_record(config):
     }
 
 
-def _check_reusable(config, manifest, phi_sm_path):
-    """Refuse stored artifacts that another configuration wrote, or that
-    changed since their manifest recorded them."""
+def _check_config(config, manifest):
+    """Refuse a manifest that another configuration wrote."""
     current = json.loads(json.dumps(io_mod.jsonable(_config_record(config))))
     stored = manifest.get("config")
     if stored != current:
@@ -108,6 +107,12 @@ def _check_reusable(config, manifest, phi_sm_path):
             stored=stored,
             current=current,
         )
+
+
+def _check_reusable(config, manifest, phi_sm_path):
+    """Refuse stored artifacts that another configuration wrote, or that
+    changed since their manifest recorded them."""
+    _check_config(config, manifest)
     recorded = manifest.get("artifacts", {}).get("phi_sm.blf1")
     if recorded != io_mod.file_sha256(phi_sm_path):
         raise UsageError(
@@ -308,6 +313,7 @@ def run_report(config):
             "subcommand first"
         )
     manifest = io_mod.read_json(manifest_path)
+    _check_config(config, manifest)
     lines = []
     model = manifest.get("model", {})
     lines.append(f"model: {model.get('name')} (d={model.get('dimension')}, "

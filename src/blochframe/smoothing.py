@@ -25,6 +25,8 @@ stays bounded by a small constant, and the reprojection step removes
 whatever orthonormality drift the averaging introduces.
 """
 
+from itertools import product
+
 import numpy as np
 
 from .errors import (
@@ -46,6 +48,7 @@ __all__ = [
     "reflection_defect",
     "symmetrize",
     "twist_gauge",
+    "apply_twist",
     "periodic_smooth",
     "smooth_symmetric",
 ]
@@ -117,33 +120,27 @@ def frame_midpoint(a, b, delta=DELTA_DEFAULT):
 # reflection pairs on the torus grid
 
 
-def _reflection_pairs(geometry):
-    """Owner-ordered pairs ``(g, partner, lam)`` with ``-g = partner + N lam``."""
-    big = geometry.n_side
-    pairs = []
-    for g in np.ndindex(*geometry.torus_shape):
-        partner = tuple((-c) % big for c in g)
-        if g > partner:
-            continue
-        lam = tuple((-a - b) // big for a, b in zip(g, partner))
-        pairs.append((g, partner, lam))
-    return pairs
-
-
-def _reflected(family, lam, frame):
-    """Value of ``tau^(-lam) theta`` applied to a stored frame."""
+def _reflected(family, lam, frames):
+    """Value of ``tau^(-lam) theta`` applied to stored frames."""
     minus = tuple(-x for x in lam)
-    return family.antiunitary_matrix(minus) @ np.conj(frame)
+    return family.antiunitary_matrix(minus) @ np.conj(frames)
 
 
 def reflection_defect(field, family):
-    """Largest violation of ``Phi(-k) = theta Phi(k)`` over the torus grid."""
+    """Largest violation of ``Phi(-k) = theta Phi(k)`` over the torus grid.
+
+    The partner ``(-g) mod N`` of each point ``g`` must carry
+    ``tau^(-lam) theta Phi(g)``; the points are grouped by their ``2**d``
+    distinct shifts ``lam``.
+    """
+    geometry = field.geometry
+    partner, lam = geometry.reflection_map()
     worst = 0.0
-    for g, partner, lam in _reflection_pairs(field.geometry):
-        worst = max(
-            worst,
-            frame_distance(field.get(partner), _reflected(family, lam, field.get(g))),
-        )
+    for shift in product((0, -1), repeat=geometry.d):
+        at = np.all(lam == shift, axis=-1)
+        target = field.data[tuple(np.moveaxis(partner[at], -1, 0))]
+        image = _reflected(family, shift, field.data[at])
+        worst = max(worst, float(np.max(np.linalg.norm(target - image, axis=(-2, -1)))))
     return worst
 
 
@@ -166,7 +163,17 @@ def symmetrize(field, family, delta=DELTA_DEFAULT):
     before = 0.0
     shift = 0.0
     failures = []
-    for g, partner, lam in _reflection_pairs(field.geometry):
+    geometry = field.geometry
+    partners, lams = geometry.reflection_map()
+    pairs = zip(
+        np.ndindex(geometry.torus_shape),
+        partners.reshape(-1, geometry.d).tolist(),
+        lams.reshape(-1, geometry.d).tolist(),
+    )
+    for g, partner, lam in pairs:
+        partner = tuple(partner)
+        if g > partner:
+            continue
         a = out.get(g)
         image = _reflected(family, lam, out.get(partner))
         defect = frame_distance(a, image)
@@ -179,7 +186,7 @@ def symmetrize(field, family, delta=DELTA_DEFAULT):
         out.set(g, mid)
         shift = max(shift, defect / 2.0)
         if partner != g:
-            out.set(partner, _reflected(family, tuple(-x for x in lam), mid))
+            out.set(partner, _reflected(family, lam, mid))
     if failures:
         raise TooFarApart(
             f"{len(failures)} grid pair(s) too far apart to midpoint",
@@ -244,6 +251,18 @@ def twist_gauge(geometry, family):
         return None
     v, ells = _joint_log_eigenbasis([np.asarray(t) for t in family.tau])
     return v, _twist_phases(geometry, v, ells)
+
+
+def apply_twist(twist, data, inverse=False):
+    """Multiply a torus field by the gauge ``D(k)`` of :func:`twist_gauge`,
+    or by ``D(k)^{-1}`` with ``inverse`` (which yields periodic samples);
+    a trivial twist (``None``) leaves the data as it is."""
+    if twist is None:
+        return data
+    v, phases = twist
+    if inverse:
+        phases = np.conj(phases)
+    return np.einsum("ab,...b,bc,...cm->...am", v, phases, v.conj().T, data)
 
 
 def _twist_phases(geometry, v, ells):
@@ -346,13 +365,8 @@ def periodic_smooth(
             f"(orthonormality {ortho:.2e}, reflection {refl:.2e})"
         )
 
-    data = np.asarray(field.data)
-    untwist = twist_gauge(geometry, family)
-    if untwist is not None:
-        v, phases = untwist
-        data = np.einsum(
-            "ab,...b,bc,...cm->...am", v, np.conj(phases), v.conj().T, data
-        )
+    twist = twist_gauge(geometry, family)
+    data = apply_twist(twist, np.asarray(field.data), inverse=True)
 
     axes = tuple(range(d))
     coeffs = np.fft.fftn(data, axes=axes)
@@ -375,11 +389,7 @@ def periodic_smooth(
         smoothed = np.fft.ifftn(
             coeffs * mult.reshape(geometry.torus_shape + (1, 1)), axes=axes
         )
-        if untwist is not None:
-            v, phases = untwist
-            smoothed = np.einsum(
-                "ab,...b,bc,...cm->...am", v, phases, v.conj().T, smoothed
-            )
+        smoothed = apply_twist(twist, smoothed)
         candidate = np.einsum("...ab,...bm->...am", projectors, smoothed)
         sing = np.linalg.svd(candidate, compute_uv=False)
         worst_sing = float(np.min(sing))
@@ -416,33 +426,9 @@ def periodic_smooth(
                 ortho_frames,
                 dict(field.meta, smoothing_cutoff=k),
             )
-            diff_after = _second_difference(
-                ortho_frames
-                if untwist is None
-                else np.einsum(
-                    "ab,...b,bc,...cm->...am",
-                    untwist[0],
-                    np.conj(untwist[1]),
-                    untwist[0].conj().T,
-                    ortho_frames,
-                ),
-                d,
-            )
-            shells_after = _spectral_shells(
-                np.fft.fftn(
-                    ortho_frames
-                    if untwist is None
-                    else np.einsum(
-                        "ab,...b,bc,...cm->...am",
-                        untwist[0],
-                        np.conj(untwist[1]),
-                        untwist[0].conj().T,
-                        ortho_frames,
-                    ),
-                    axes=axes,
-                ),
-                d,
-            )
+            after = apply_twist(twist, ortho_frames, inverse=True)
+            diff_after = _second_difference(after, d)
+            shells_after = _spectral_shells(np.fft.fftn(after, axes=axes), d)
             report = {
                 "cutoff": k,
                 "sup_distance": dist,

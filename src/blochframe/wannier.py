@@ -17,7 +17,8 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import BoundaryRelationViolated, UsageError
-from .frames import FrameField, frame_distance
+from .frames import FrameField
+from .smoothing import apply_twist, twist_gauge
 
 __all__ = [
     "extend_symmetric",
@@ -29,54 +30,61 @@ __all__ = [
 ]
 
 
-def _candidate(field, family, reduction):
-    """Frame value produced by one reduction of a torus point."""
-    value = field.get(reduction.k_prime)
-    if reduction.s:
-        value = family.theta_matrix() @ np.conj(value)
-    if any(reduction.lam):
-        value = family.tau_power(reduction.lam) @ value
-    return value
-
-
 def extend_symmetric(field, family, tol=1e-10):
     """Extend an effective-cell frame field to the full torus grid.
 
-    Every torus point is populated through its canonical reduction; at
-    points with several reductions (boundary identifications and their
-    time-reversed partners) all candidate values must agree within ``tol``,
-    otherwise :class:`BoundaryRelationViolated` reports the grid point, its
-    quasimomentum and the two disagreeing reductions.  Returns the
-    full-torus field together with the largest observed mismatch.
+    Every torus point takes the value of its first reduction in canonical
+    order; at points with several reductions (boundary identifications and
+    their time-reversed partners) all candidate values must agree within
+    ``tol``, otherwise :class:`BoundaryRelationViolated` reports the first
+    such grid point in row-major order, its quasimomentum and the two
+    disagreeing reductions.  Returns the full-torus field together with the
+    largest observed mismatch.
     """
     if field.region != "effective-cell":
         raise UsageError("extend_symmetric needs an effective-cell field")
     geometry = field.geometry
     out = FrameField.empty(geometry, field.n, field.m, region="full-torus")
     out.meta = dict(field.meta)
-    worst = 0.0
-    for g in np.ndindex(*geometry.torus_shape):
-        reductions = geometry.all_reductions(g)
-        ref = _candidate(field, family, reductions[0])
-        for other in reductions[1:]:
-            value = _candidate(field, family, other)
-            mism = frame_distance(ref, value)
-            worst = max(worst, mism)
-            if mism > tol:
-                k = tuple(c / geometry.n_side for c in g)
-                first = (reductions[0].s, reductions[0].lam, reductions[0].k_prime)
-                second = (other.s, other.lam, other.k_prime)
-                raise BoundaryRelationViolated(
-                    f"symmetry relations disagree at grid point {tuple(g)} "
-                    f"(k = {k}): reductions (s, lam, rep) {first} and "
-                    f"{second} differ by {mism:.3e}",
-                    point=tuple(g),
-                    k=k,
-                    reductions=(first, second),
-                    mismatch=mism,
-                )
-        out.set(g, ref)
-    out.meta["extension_mismatch"] = float(worst)
+    candidates = geometry.reductions(geometry.torus_points())
+    first = np.full(geometry.torus_shape, -1)
+    mismatch = np.zeros(geometry.torus_shape + (len(candidates),))
+    for c, (s, lam, k_prime, valid) in enumerate(candidates):
+        value = field.data[geometry.cell_index(k_prime[valid])]
+        if s:
+            value = family.theta_matrix() @ np.conj(value)
+        for shift in np.unique(lam[valid], axis=0):
+            at = np.all(lam[valid] == shift, axis=-1)
+            value[at] = family.tau_power(shift) @ value[at]
+        fresh = valid & (first < 0)
+        held = valid & ~fresh
+        taken = fresh[valid]
+        mismatch[held, c] = np.linalg.norm(value[~taken] - out.data[held], axis=(-2, -1))
+        out.data[fresh] = value[taken]
+        first[fresh] = c
+    over = mismatch > tol
+    if over.any():
+        g = np.unravel_index(int(np.argmax(over.any(axis=-1))), geometry.torus_shape)
+        g = tuple(int(x) for x in g)
+        k = tuple(x / geometry.n_side for x in g)
+        second = int(np.argmax(over[g]))
+
+        def described(c):
+            s, lam, k_prime, _ = candidates[c]
+            return (s, tuple(lam[g].tolist()), tuple(k_prime[g].tolist()))
+
+        first_red, second_red = described(first[g]), described(second)
+        mism = float(mismatch[g][second])
+        raise BoundaryRelationViolated(
+            f"symmetry relations disagree at grid point {g} "
+            f"(k = {k}): reductions (s, lam, rep) {first_red} and "
+            f"{second_red} differ by {mism:.3e}",
+            point=g,
+            k=k,
+            reductions=(first_red, second_red),
+            mismatch=mism,
+        )
+    out.meta["extension_mismatch"] = float(np.max(mismatch))
     return out
 
 
@@ -157,14 +165,9 @@ def reality_check(wset, family):
     data = wset.data
     untwisted = False
     if family.tau is not None:
-        from .smoothing import twist_gauge
-
-        v, phases = twist_gauge(wset.geometry, family)
         axes = tuple(range(wset.geometry.d))
         stored = np.fft.fftn(np.fft.ifftshift(data, axes=axes), axes=axes)
-        periodic = np.einsum(
-            "ab,...b,bc,...cm->...am", v, np.conj(phases), v.conj().T, stored
-        )
+        periodic = apply_twist(twist_gauge(wset.geometry, family), stored, inverse=True)
         data = np.fft.fftshift(np.fft.ifftn(periodic, axes=axes), axes=axes)
         untwisted = True
     if family.theta is None:

@@ -72,16 +72,17 @@ def trig_deg0_field(m, rng, d, order=1, scale=0.35, terms=4):
     return at
 
 
-def shifted_haldane():
-    """Haldane model with the second orbital moved to (1/2, 1/2).
+def shifted_haldane(r2=(0.5, 0.5)):
+    """Haldane model with the second orbital moved to ``r2``.
 
     The fractional position turns the Bloch Hamiltonian quasi-periodic;
-    the unit shifts are carried by diagonal tau generators.  Exercises
-    every nontrivial-tau code path on a model that stays gapped and
-    time-reversal symmetric.
+    the unit shifts are carried by diagonal tau generators
+    ``diag(1, exp(2 pi i r2_j))``.  Exercises every nontrivial-tau code path
+    on a model that stays gapped and time-reversal symmetric; at the default
+    offset ``tau_j**2 = 1``, at a quarter offset ``tau_lam != tau_{-lam}``.
     """
     base = bf.builtin_model("haldane")
-    r2 = np.array([0.5, 0.5])
+    r2 = np.asarray(r2, dtype=float)
     hop = {}
     for vec, mat in base.hoppings.items():
         vec = np.asarray(vec, dtype=float)

@@ -39,7 +39,7 @@ def test_reduction_matches_brute_force(d, rng):
         got = [(r.s, r.lam, r.k_prime) for r in geo.all_reductions(g)]
         assert sorted(got) == expected
         # canonical pick is the (s, lam)-smallest
-        first = geo.reduce(g)
+        first = geo.all_reductions(g)[0]
         assert (first.s, first.lam, first.k_prime) == min(
             got, key=lambda t: (t[0], t[1])
         )
@@ -51,7 +51,7 @@ def test_reduction_reconstructs_the_point(d, rng):
     big = geo.n_side
     for _ in range(100):
         g = tuple(int(x) for x in rng.integers(-2 * big, 2 * big + 1, size=d))
-        r = geo.reduce(g)
+        r = geo.all_reductions(g)[0]
         rebuilt = tuple(
             (-1) ** r.s * gp + big * li for gp, li in zip(r.k_prime, r.lam)
         )
@@ -72,7 +72,7 @@ def test_reduction_property(d, grid_n, seed):
         int(x)
         for x in np.random.default_rng(seed).integers(-3 * big, 3 * big, size=d)
     )
-    r = geo.reduce(g)
+    r = geo.all_reductions(g)[0]
     assert in_cell(geo, r.k_prime)
     assert g == tuple(
         (-1) ** r.s * gp + big * li for gp, li in zip(r.k_prime, r.lam)

@@ -122,3 +122,26 @@ def test_malformed_param_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit):
         main(["verify-model", "--model", "haldane", "--param", "oops"])
     capsys.readouterr()
+
+
+def test_verify_model_reports_a_closed_gap(capsys):
+    code = main(["verify-model", "--model", "haldane", "--param", "M=0",
+                 "--param", "t2=0", "--grid-n", "6"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "gap_floor:" in captured.out
+    assert "passed: False" in captured.out
+    assert captured.err == ""
+
+
+def test_report_refuses_artifacts_of_another_configuration(tmp_path, capsys):
+    out = str(tmp_path)
+    assert main(["construct", "--model", "ssh", "--grid-n", "8", "--out", out]) == 0
+    capsys.readouterr()
+    code = main(["report", "--model", "haldane", "--grid-n", "32", "--out", out])
+    captured = capsys.readouterr()
+    assert code == 2
+    payload = json.loads(captured.err)
+    assert payload["error"] == "usage"
+    assert payload["details"]["stored"]["model"] == "ssh"
+    assert captured.out == ""

@@ -1,6 +1,7 @@
 """Unit tests for the binary containers and text artifacts."""
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -106,6 +107,24 @@ def test_loaders_reject_cut_files(tmp_path, rng, kind, cut):
     keep = {"10 bytes": 10, "30 bytes": 30, "8 bytes short": len(raw) - 8}[cut]
     path.write_bytes(raw[:keep])
     with pytest.raises(UsageError):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", ["blf1", "wan1"])
+@pytest.mark.parametrize("offset, value", [(8, 7), (12, 5)], ids=["d=7", "odd grid_n"])
+def test_loaders_reject_headers_no_geometry_accepts(tmp_path, rng, kind, offset, value):
+    fld = _random_field(rng)
+    path = tmp_path / f"bad.{kind}"
+    if kind == "blf1":
+        save_frames(path, fld)
+        load = load_frames
+    else:
+        save_wannier(path, wannier_transform(fld))
+        load = load_wannier
+    raw = bytearray(path.read_bytes())
+    raw[offset : offset + 4] = struct.pack("<I", value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(UsageError, match="invalid header"):
         load(path)
 
 

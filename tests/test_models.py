@@ -15,7 +15,6 @@ from blochframe.errors import AssumptionsFailed, GapClosed, ModelConfigError
 from blochframe.models import (
     ProjectorFamily,
     builtin_model,
-    evaluate_projector,
     load_model,
     require_assumptions,
     verify_assumptions,
@@ -73,7 +72,7 @@ def test_haldane_projector_matches_bloch_vector_oracle(rng):
     fam = builtin_model("haldane")
     for _ in range(30):
         k = rng.uniform(0, 1, size=2)
-        p = evaluate_projector(fam, k)
+        p = fam.projector(k)
         assert np.linalg.norm(p - haldane_projector_oracle(k)) < 1e-11
 
 
@@ -180,7 +179,7 @@ def test_fractional_hoppings_give_twisted_periodicity(rng):
 
 def test_unitary_theta_family_verifies():
     fam = rotated_ssh()
-    assert not fam.theta_is_conjugation
+    assert fam.theta is not None
     report = verify_assumptions(fam, grid_n=8)
     assert report.passed
     c = fam.theta_matrix()
@@ -302,10 +301,10 @@ def test_fractional_hoppings_without_tau_fail_periodicity():
 def test_gap_closed_raises_at_dirac_point():
     fam = builtin_model("haldane", M=0.0, t2=0.0)
     with pytest.raises(GapClosed) as exc:
-        evaluate_projector(fam, (1.0 / 3.0, 2.0 / 3.0))
+        fam.projector((1.0 / 3.0, 2.0 / 3.0))
     assert exc.value.details["below"] == pytest.approx(exc.value.details["above"], abs=1e-6)
     # away from the cone the projector is fine
-    evaluate_projector(fam, (0.0, 0.0))
+    fam.projector((0.0, 0.0))
 
 
 def test_describe_is_json_safe():

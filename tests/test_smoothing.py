@@ -12,6 +12,7 @@ from blochframe.errors import (
 )
 from blochframe.face2d import construct_2d
 from blochframe.frames import frame_distance, input_frame
+from blochframe.pipeline import final_residuals
 from blochframe.smoothing import (
     frame_midpoint,
     geodesic_distance,
@@ -216,3 +217,17 @@ def test_smooth_symmetric_combines_both_stages(haldane, haldane_torus):
     assert report["symmetrization"]["reflection_after"] < 1e-12
     assert reflection_defect(final, haldane) < 1e-12
     assert final.orthonormality_defect() < 1e-12
+
+
+def test_symmetrize_keeps_a_field_whose_translations_square_to_minus_one():
+    """At a quarter orbital offset ``tau = diag(1, i)``, so ``tau_lam``
+    and ``tau_{-lam}`` differ: each partner has to be written with the
+    shift the reflection defect measures."""
+    fam = shifted_haldane(r2=(0.25, 0.25))
+    geo = CellGeometry(2, 8)
+    torus, _ = construct_2d(input_frame(fam, geo), fam)
+    assert reflection_defect(torus, fam) <= 1e-12
+    fixed, report = symmetrize(torus, fam)
+    assert report["reflection_after"] <= 1e-12
+    assert reflection_defect(fixed, fam) <= 1e-12
+    assert final_residuals(fixed, fam)["projector"] <= 1e-12
