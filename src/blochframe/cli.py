@@ -72,7 +72,7 @@ def build_parser():
 def _apply_thread_cap(threads):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, str(max(1, threads)))
+        os.environ[var] = str(max(1, threads))
 
 
 def main(argv=None):

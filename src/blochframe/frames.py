@@ -21,6 +21,7 @@ __all__ = [
     "act",
     "frame_distance",
     "unitary_between",
+    "check_same_span",
     "evaluate",
     "input_frame",
 ]
@@ -44,22 +45,31 @@ def frame_distance(a, b):
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
 
-def unitary_between(a, b, tol=1e-8):
-    """Unitary ``u`` with ``a @ u ~= b`` for frames spanning the same subspace.
+def check_same_span(a, b, tol=1e-8):
+    """Raise :class:`SpanMismatch` unless ``a`` and ``b`` span the same subspace.
 
-    The span agreement is checked through ``||b b^H a - a|| <= tol``; a
-    violation raises :class:`SpanMismatch`.  The returned matrix is polished
-    to exact unitarity.
+    Takes frames or stacks ``(..., n, m)`` of them; the agreement is checked
+    through ``||b b^H a - a|| <= tol`` at every stack entry.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    defect = float(np.linalg.norm(b @ (b.conj().T @ a) - a))
+    moved = b @ (np.swapaxes(b.conj(), -1, -2) @ a) - a
+    defect = float(np.max(np.linalg.norm(moved, axis=(-2, -1)), initial=0.0))
     if defect > tol:
         raise SpanMismatch(
             f"frames do not span the same subspace (defect {defect:.3e} > {tol:.1e})",
             defect=defect,
         )
-    return polish_unitary(a.conj().T @ b)
+
+
+def unitary_between(a, b, tol=1e-8):
+    """Unitary ``u`` with ``a @ u ~= b`` for frames spanning the same subspace.
+
+    The span agreement is checked by :func:`check_same_span`.  The returned
+    matrix is polished to exact unitarity.
+    """
+    check_same_span(a, b, tol=tol)
+    return polish_unitary(np.asarray(a).conj().T @ np.asarray(b))
 
 
 @dataclass
@@ -172,83 +182,59 @@ def _fix_column_phases(frame):
     return frame
 
 
-def _transport(projector, frame, rank_tol=0.1):
-    """One step of projected transport followed by symmetric orthonormalization."""
-    moved = projector @ frame
-    try:
-        return lowdin(moved, rank_tol=rank_tol)
-    except ValueError as exc:
-        raise RuntimeError(
-            "parallel transport lost rank; grid too coarse for this family"
-        ) from exc
-
-
 def input_frame(family, geometry, region="effective-cell"):
     """Continuous-in-practice input frame by projected parallel transport.
 
     Seeds a phase-fixed spectral eigenbasis at ``k = 0`` and transports it
     along the first axis, then fans out along the remaining axes, one grid
     step at a time (each step projects the previous frame and reorthonormalizes
-    symmetrically).  No symmetry is imposed; the result is the raw gauge the
-    construction refines.  With ``region="full-torus"`` the sweep covers the
-    whole fundamental domain instead (used as a control; the seam at the wrap
-    is then deliberately left discontinuous).
+    symmetrically).  The sweep along axis ``j`` moves the whole slab the
+    earlier axes cover in lockstep, so every point sees the same steps as a
+    point-by-point walk.  No symmetry is imposed; the result is the raw gauge
+    the construction refines.  With ``region="full-torus"`` the sweep covers
+    the whole fundamental domain instead (used as a control; the seam at the
+    wrap is then deliberately left discontinuous).
 
     Returns the field; ``field.meta["transport_step_sup"]`` records the
     largest frame distance between adjacent transported points, a continuity
     proxy proportional to the grid step for smooth families.
     """
-    d, n, m = family.d, family.n, family.m
-    fld = FrameField.empty(geometry, n, m, region=region)
+    d = family.d
+    fld = FrameField.empty(geometry, family.n, family.m, region=region)
 
+    # the stored array is the sweep box: axis j runs over lo_j + range(shape_j)
     if region == "full-torus":
-        axis_ranges = [range(0, geometry.n_side)] * d
+        lo = np.zeros(d, dtype=int)
     else:
-        axis_ranges = [range(0, geometry.grid_n + 1)] + [
-            range(-geometry.grid_n, geometry.grid_n + 1)
-        ] * (d - 1)
-    origin = (0,) * d
-
-    # the sweep visits every point of the box spanned by the axis ranges
-    box = np.stack(np.meshgrid(*axis_ranges, indexing="ij"), axis=-1)
+        lo = np.array([0] + [-geometry.grid_n] * (d - 1))
+    shape = fld.data.shape[:d]
+    box = np.moveaxis(np.indices(shape), 0, -1) + lo
     projectors = family.projector(geometry.k_of(box))
-    corner = np.array([rng.start for rng in axis_ranges])
-
-    def proj(g):
-        return projectors[tuple(np.subtract(g, corner))]
+    origin = tuple(-lo)
 
     seed_frame, _ = family.spectral_frame(np.zeros(d))
-    seed_frame = lowdin(_fix_column_phases(seed_frame))
+    fld.data[origin] = lowdin(_fix_column_phases(seed_frame))
     step_sup = 0.0
 
-    fld.set(origin, seed_frame)
-
-    def sweep_axis(base_points, axis):
-        """Transport outward along ``axis`` from every point in ``base_points``."""
-        nonlocal step_sup
-        new_points = []
-        rng = axis_ranges[axis]
-        lo, hi = rng.start, rng.stop - 1
-        for base in base_points:
-            for direction in (+1, -1):
-                g = list(base)
-                prev = fld.get(base)
-                while True:
-                    nxt = g.copy()
-                    nxt[axis] += direction
-                    if not lo <= nxt[axis] <= hi:
-                        break
-                    cur = _transport(proj(tuple(nxt)), prev)
-                    fld.set(tuple(nxt), cur)
-                    step_sup = max(step_sup, frame_distance(cur, prev))
-                    new_points.append(tuple(nxt))
-                    prev = cur
-                    g = nxt
-        return new_points
-
-    covered = [origin]
     for axis in range(d):
-        covered = covered + sweep_axis(covered, axis)
+        # slab i: every point the earlier axes cover, with x_axis = lo + i
+        # and the later coordinates at the origin
+        head, tail = (slice(None),) * axis, origin[axis + 1:]
+        for direction in (+1, -1):
+            i = origin[axis]
+            while 0 <= i + direction < shape[axis]:
+                prev = fld.data[head + (i,) + tail]
+                i += direction
+                at = head + (i,) + tail
+                try:
+                    cur = lowdin(projectors[at] @ prev, rank_tol=0.1)
+                except ValueError as exc:
+                    raise RuntimeError(
+                        "parallel transport lost rank; grid too coarse for this family"
+                    ) from exc
+                fld.data[at] = cur
+                step = np.linalg.norm(cur - prev, axis=(-2, -1))
+                step_sup = max(step_sup, float(np.max(step)))
 
     fld.meta["transport_step_sup"] = step_sup
     return fld

@@ -171,10 +171,16 @@ def load_frames(path):
         shape = _read_struct(fh, f"<{ndim}I", path)
         raw = fh.read()
     geometry = _geometry(d, grid_n, path)
-    data = _payload_array(raw, tuple(shape))
     region = _REGION_NAMES.get(region_code)
     if region is None:
         raise UsageError(f"unknown region code {region_code} in {path}")
+    grid = geometry.torus_shape if region == "full-torus" else geometry.cell_shape
+    if tuple(shape) != grid + (n, m):
+        raise UsageError(
+            f"{path} holds an array of shape {tuple(shape)}; its header "
+            f"(d={d}, grid_n={grid_n}, n={n}, m={m}, {region}) needs {grid + (n, m)}"
+        )
+    data = _payload_array(raw, tuple(shape))
     return FrameField(geometry, region, data, {})
 
 

@@ -29,13 +29,15 @@ def wrap_to_pi(x):
 def lowdin(mat, rank_tol=0.0):
     """Closest matrix with orthonormal columns (symmetric orthonormalization).
 
-    Computed through the polar factor of the SVD.  If ``rank_tol`` is positive
-    and the smallest singular value falls below it, a ``ValueError`` is raised
-    so callers can map the failure onto their own error type.
+    Computed through the polar factor of the SVD, for one matrix or a stack
+    ``(..., n, m)``.  If ``rank_tol`` is positive and the smallest singular
+    value in the stack falls below it, a ``ValueError`` is raised so callers
+    can map the failure onto their own error type.
     """
     u, s, vh = np.linalg.svd(np.asarray(mat), full_matrices=False)
-    if rank_tol > 0.0 and s[-1] < rank_tol:
-        raise ValueError(f"rank-deficient input, smallest singular value {s[-1]:.3e}")
+    worst = float(np.min(s[..., -1], initial=np.inf))
+    if rank_tol > 0.0 and worst < rank_tol:
+        raise ValueError(f"rank-deficient input, smallest singular value {worst:.3e}")
     return u @ vh
 
 

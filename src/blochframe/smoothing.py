@@ -5,8 +5,12 @@ extensions have sector kinks), which would spoil the localization of its
 Wannier images.  This module provides the three tools that repair that
 without losing the symmetries:
 
-* geodesic midpoints on the unitary group (principal logarithms,
-  ``exp(A/2)``), used to average a frame with a symmetry image of itself;
+* geodesic midpoints on the unitary group, used to average a frame with a
+  symmetry image of itself.  For frames ``a`` and ``b = a u`` spanning the
+  same subspace the midpoint ``a exp(log(u)/2)`` is the polar factor of
+  ``a + b``, because ``polar(1 + u) = u^(1/2)`` whenever ``u`` has no
+  eigenvalue ``-1``; no principal logarithm is taken, and stacks of frames
+  are midpointed in one call;
 * a band-limiting smoother: the frame entries are made genuinely periodic
   by untwisting the translation cocycle, damped with a flat-top Fourier
   multiplier (weight one up to half the cutoff, linear taper to zero at the
@@ -36,11 +40,11 @@ from .errors import (
     TooFarApart,
     UsageError,
 )
-from .frames import FrameField, act, frame_distance, unitary_between
-from .linalg import cluster_phases, polish_unitary, unitary_eigensystem
+from .frames import FrameField, check_same_span
+from .linalg import cluster_phases, lowdin, unitary_eigensystem
 
 __all__ = [
-    "DELTA_DEFAULT",
+    "MIDPOINT_LIMIT",
     "unitary_log",
     "midpoint_unitary",
     "geodesic_distance",
@@ -53,9 +57,9 @@ __all__ = [
     "smooth_symmetric",
 ]
 
-# Radius of the ball on which the principal logarithm is used.  Everything
-# this module midpoints is far closer to the identity than this.
-DELTA_DEFAULT = 0.5 * np.pi
+# Frames at least this far apart (Hilbert-Schmidt) are not midpointed.
+# Everything this module midpoints is far closer than this.
+MIDPOINT_LIMIT = 0.25 * np.pi
 
 
 def _log_eigensystem(u, margin=1e-8):
@@ -85,9 +89,22 @@ def unitary_log(u, margin=1e-8):
 
 
 def midpoint_unitary(u, margin=1e-8):
-    """Geodesic midpoint between the identity and ``u``: ``exp(log(u)/2)``."""
-    phases, q = _log_eigensystem(u, margin=margin)
-    return polish_unitary((q * np.exp(0.5j * phases)) @ q.conj().T)
+    """Geodesic midpoint between the identity and ``u``: ``exp(log(u)/2)``.
+
+    Computed as the polar factor of ``1 + u`` for one unitary or a stack.
+    The singular values of ``1 + u`` are ``2 cos(phase / 2)``, so the
+    smallest one tells how close an eigenphase comes to the branch cut at
+    ``pi``; within ``margin`` raises :class:`EigenphaseNearPi`.
+    """
+    plus = np.eye(np.shape(u)[-1]) + np.asarray(u)
+    sing = np.linalg.svd(plus, compute_uv=False)[..., -1]
+    worst = 2.0 * float(np.arcsin(min(1.0, 0.5 * np.min(sing))))
+    if worst <= margin:
+        raise EigenphaseNearPi(
+            f"eigenphase within {worst:.2e} of the branch cut at pi",
+            margin=worst,
+        )
+    return lowdin(plus)
 
 
 def geodesic_distance(u):
@@ -96,109 +113,101 @@ def geodesic_distance(u):
     return float(np.sqrt(np.sum(phases**2)))
 
 
-def frame_midpoint(a, b, delta=DELTA_DEFAULT):
-    """Midpoint of two frames spanning the same subspace.
+def frame_midpoint(a, b):
+    """Midpoint of two frames, or two stacks ``(..., n, m)`` of frames, that
+    span the same subspace (:class:`SpanMismatch` otherwise).
 
-    The frames must be closer than ``delta / 2`` in frame distance
+    The frames must be closer than :data:`MIDPOINT_LIMIT` in frame distance
     (:class:`TooFarApart` otherwise); the result is ``a`` acted on by the
-    geodesic midpoint of the unitary carrying ``a`` to ``b``.  Commutative in
-    its arguments and equivariant under unitary and antiunitary maps of the
-    ambient space, up to roundoff.
+    geodesic midpoint of the unitary carrying ``a`` to ``b``, computed as the
+    polar factor of ``a + b``.  Commutative in its arguments and equivariant
+    under unitary and antiunitary maps of the ambient space, up to roundoff.
     """
-    u = unitary_between(a, b)
-    sep = float(np.linalg.norm(u - np.eye(u.shape[0])))
-    if sep >= 0.5 * delta:
+    a = np.asarray(a)
+    b = np.asarray(b)
+    check_same_span(a, b)
+    sep = float(np.max(np.linalg.norm(b - a, axis=(-2, -1)), initial=0.0))
+    if sep >= MIDPOINT_LIMIT:
         raise TooFarApart(
-            f"frames at distance {sep:.3f}, limit {0.5 * delta:.3f}",
+            f"frames at distance {sep:.3f}, limit {MIDPOINT_LIMIT:.3f}",
             distance=sep,
-            limit=0.5 * delta,
+            limit=MIDPOINT_LIMIT,
         )
-    return act(a, midpoint_unitary(u), check=False)
+    return lowdin(a + b)
 
 
 # ---------------------------------------------------------------------------
 # reflection pairs on the torus grid
 
 
-def _reflected(family, lam, frames):
-    """Value of ``tau^(-lam) theta`` applied to stored frames."""
-    minus = tuple(-x for x in lam)
-    return family.antiunitary_matrix(minus) @ np.conj(frames)
+def _reflected_partners(field, family):
+    """``tau^(-lam) theta Phi(partner(g))`` at every stored point ``g``.
 
-
-def reflection_defect(field, family):
-    """Largest violation of ``Phi(-k) = theta Phi(k)`` over the torus grid.
-
-    The partner ``(-g) mod N`` of each point ``g`` must carry
-    ``tau^(-lam) theta Phi(g)``; the points are grouped by their ``2**d``
+    With ``-g = partner + N lam`` the reflection property reads ``Phi(g) =
+    tau^(-lam) theta Phi(partner)``; the points are grouped by their ``2**d``
     distinct shifts ``lam``.
     """
     geometry = field.geometry
     partner, lam = geometry.reflection_map()
-    worst = 0.0
+    conj_partner = np.conj(field.data[tuple(np.moveaxis(partner, -1, 0))])
+    out = np.empty_like(conj_partner)
     for shift in product((0, -1), repeat=geometry.d):
         at = np.all(lam == shift, axis=-1)
-        target = field.data[tuple(np.moveaxis(partner[at], -1, 0))]
-        image = _reflected(family, shift, field.data[at])
-        worst = max(worst, float(np.max(np.linalg.norm(target - image, axis=(-2, -1)))))
-    return worst
+        minus = tuple(-x for x in shift)
+        out[at] = family.antiunitary_matrix(minus) @ conj_partner[at]
+    return out
 
 
-def symmetrize(field, family, delta=DELTA_DEFAULT):
+def reflection_defect(field, family):
+    """Largest violation of ``Phi(-k) = theta Phi(k)`` over the torus grid."""
+    image = _reflected_partners(field, family)
+    return float(np.max(np.linalg.norm(field.data - image, axis=(-2, -1))))
+
+
+def symmetrize(field, family):
     """Restore the reflection property exactly by pairwise midpointing.
 
-    For each grid pair ``(k, -k)`` the owner frame is replaced by its
-    midpoint with the time-reversed partner frame and the partner is set to
-    the exact time-reversed image of the result; self-paired points (where
-    ``-k = k`` on the torus) are midpointed with their own image, which is a
-    fixed point of the involution.  Frames farther apart than ``delta / 2``
-    are collected and reported in a single :class:`TooFarApart`.
+    For each grid pair ``(k, -k)`` the owner frame (the row-major first point
+    of the pair) is replaced by its midpoint with the time-reversed partner
+    frame, and the partner is set to the exact time-reversed image of the
+    result; self-paired points (where ``-k = k`` on the torus) are
+    midpointed with their own image, which is a fixed point of the
+    involution.  Owners at least :data:`MIDPOINT_LIMIT` from their image are
+    collected and reported in a single :class:`TooFarApart`.
 
     Returns ``(field, report)`` with the worst defect before and after and
     the largest pointwise shift.
     """
     if field.region != "full-torus":
         raise UsageError("symmetrize needs a full-torus field")
-    out = field.copy()
-    before = 0.0
-    shift = 0.0
-    failures = []
     geometry = field.geometry
-    partners, lams = geometry.reflection_map()
-    pairs = zip(
-        np.ndindex(geometry.torus_shape),
-        partners.reshape(-1, geometry.d).tolist(),
-        lams.reshape(-1, geometry.d).tolist(),
+    partner, _ = geometry.reflection_map()
+    flat = np.ravel_multi_index(
+        tuple(np.moveaxis(partner, -1, 0)), geometry.torus_shape
     )
-    for g, partner, lam in pairs:
-        partner = tuple(partner)
-        if g > partner:
-            continue
-        a = out.get(g)
-        image = _reflected(family, lam, out.get(partner))
-        defect = frame_distance(a, image)
-        before = max(before, defect)
-        try:
-            mid = frame_midpoint(a, image, delta=delta)
-        except TooFarApart:
-            failures.append({"point": g, "distance": defect})
-            continue
-        out.set(g, mid)
-        shift = max(shift, defect / 2.0)
-        if partner != g:
-            out.set(partner, _reflected(family, lam, mid))
-    if failures:
+    owner = np.arange(flat.size).reshape(flat.shape) <= flat
+    image = _reflected_partners(field, family)
+    defect = np.linalg.norm(field.data - image, axis=(-2, -1))
+    far = owner & (defect >= MIDPOINT_LIMIT)
+    if np.any(far):
+        failures = [
+            {"point": tuple(int(x) for x in g), "distance": float(defect[tuple(g)])}
+            for g in np.argwhere(far)
+        ]
         raise TooFarApart(
             f"{len(failures)} grid pair(s) too far apart to midpoint",
             points=failures,
         )
+    out = field.copy()
+    out.data[owner] = frame_midpoint(field.data[owner], image[owner])
+    out.data[~owner] = _reflected_partners(out, family)[~owner]
+    before = float(np.max(defect[owner]))
     after = reflection_defect(out, family)
-    out.meta = dict(out.meta)
     out.meta["reflection_defect"] = after
     report = {
-        "reflection_before": float(before),
-        "reflection_after": float(after),
-        "max_shift": float(shift),
+        "reflection_before": before,
+        "reflection_after": after,
+        "max_shift": 0.5 * before,
     }
     return out, report
 

@@ -34,6 +34,17 @@ def test_verify_model_fails_on_broken_reversal(capsys):
     assert "passed: False" in out
 
 
+def test_threads_flag_overrides_the_environment(monkeypatch, capsys):
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS")
+    for var in names:
+        monkeypatch.setenv(var, "2")
+    code = main(["verify-model", "--model", "ssh", "--grid-n", "2", "--threads", "1"])
+    capsys.readouterr()
+    assert code == 0
+    assert [os.environ[var] for var in names] == ["1"] * 4
+
+
 def test_usage_errors_exit_2_with_json(capsys):
     code = main(["verify-model", "--model", "haldane", "--grid-n", "7"])
     captured = capsys.readouterr()

@@ -6,12 +6,15 @@ from blochframe.cells import CellGeometry
 from blochframe.errors import SpanMismatch
 from blochframe.frames import (
     FrameField,
+    _fix_column_phases,
     act,
     evaluate,
     frame_distance,
     input_frame,
     unitary_between,
 )
+from blochframe.linalg import lowdin
+from blochframe.models import builtin_model
 
 from conftest import random_unitary, shifted_haldane
 
@@ -136,3 +139,55 @@ def test_input_frame_full_torus_region(haldane):
     assert fld.region == "full-torus"
     assert len(fld.points()) == geo.n_side**2
     assert fld.orthonormality_defect() < 1e-12
+
+
+def _pointwise_input_frame(family, geometry, region):
+    """The transport of ``input_frame`` walked one grid point at a time:
+    out from the origin along the first axis, then from every covered point
+    along each further axis in turn."""
+    d = family.d
+    if region == "full-torus":
+        ranges = [range(geometry.n_side)] * d
+    else:
+        ranges = [range(geometry.grid_n + 1)] + [
+            range(-geometry.grid_n, geometry.grid_n + 1)
+        ] * (d - 1)
+    corner = np.array([r.start for r in ranges])
+    box = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1)
+    projectors = family.projector(geometry.k_of(box))
+    seed, _ = family.spectral_frame(np.zeros(d))
+    origin = (0,) * d
+    frames = {origin: lowdin(_fix_column_phases(seed))}
+    step_sup = 0.0
+    covered = [origin]
+    for axis in range(d):
+        reached = []
+        for base in covered:
+            for direction in (1, -1):
+                g, prev = list(base), frames[base]
+                while g[axis] + direction in ranges[axis]:
+                    g[axis] += direction
+                    cur = lowdin(projectors[tuple(np.subtract(g, corner))] @ prev)
+                    step_sup = max(step_sup, frame_distance(cur, prev))
+                    frames[tuple(g)] = cur
+                    reached.append(tuple(g))
+                    prev = cur
+        covered += reached
+    return frames, step_sup
+
+
+@pytest.mark.parametrize("region", ["effective-cell", "full-torus"])
+@pytest.mark.parametrize("name, params, grid_n", [
+    ("ssh", {}, 4),
+    ("haldane", {}, 4),
+    ("random-trs", {"d": 3, "n": 4, "m": 2, "seed": 0}, 2),
+])
+def test_input_frame_matches_pointwise_transport(name, params, grid_n, region):
+    fam = builtin_model(name, **params)
+    geo = CellGeometry(fam.d, grid_n)
+    fld = input_frame(fam, geo, region=region)
+    frames, step_sup = _pointwise_input_frame(fam, geo, region)
+    assert len(frames) == len(fld.points())
+    for g, frame in frames.items():
+        assert np.array_equal(fld.get(g), frame)
+    assert fld.meta["transport_step_sup"] == pytest.approx(step_sup, abs=1e-15)

@@ -128,6 +128,18 @@ def test_loaders_reject_headers_no_geometry_accepts(tmp_path, rng, kind, offset,
         load(path)
 
 
+@pytest.mark.parametrize("offset, value", [(12, 2), (24, 0)],
+                         ids=["grid_n 4 as 2", "full-torus as effective-cell"])
+def test_frames_loader_rejects_dims_the_header_does_not_name(tmp_path, rng, offset, value):
+    path = tmp_path / "frames.blf1"
+    save_frames(path, _random_field(rng))
+    raw = bytearray(path.read_bytes())
+    raw[offset : offset + 4] = struct.pack("<I", value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(UsageError, match="needs"):
+        load_frames(path)
+
+
 def test_wannier_roundtrip(tmp_path, rng):
     fld = _random_field(rng)
     wset = wannier_transform(fld)

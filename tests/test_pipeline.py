@@ -117,8 +117,22 @@ def test_run_construct_refuses_failing_model():
 def test_final_residuals_of_a_construct(ssh_run):
     _, result = ssh_run
     res = final_residuals(result["phi_sm"], result["family"])
-    assert set(res) == {"projector", "orthonormality", "periodicity", "reflection"}
+    assert set(res) == {"projector", "orthonormality", "reflection"}
     assert all(v < 1e-8 for v in res.values())
+
+
+@pytest.mark.parametrize("residual, plant", [
+    # the complement of the fiber: orthonormal but off the projector
+    ("projector", lambda f: np.linalg.svd(f)[0][:, -f.shape[1]:]),
+    ("orthonormality", lambda f: 1.1 * f),
+    # a phase keeps the fiber and the norm but breaks Phi(-k) = theta Phi(k)
+    ("reflection", lambda f: np.exp(0.1j) * f),
+])
+def test_final_residuals_catch_a_planted_defect(ssh_run, residual, plant):
+    _, result = ssh_run
+    field = result["phi_sm"].copy()
+    field.set((1,), plant(field.get((1,))))
+    assert final_residuals(field, result["family"])[residual] > 1e-8
 
 
 def test_run_wannierize_reuses_artifacts(ssh_run):

@@ -7,6 +7,7 @@ from blochframe.cells import CellGeometry
 from blochframe.errors import (
     EigenphaseNearPi,
     EpsilonInfeasible,
+    SpanMismatch,
     TooFarApart,
     UsageError,
 )
@@ -61,6 +62,20 @@ def test_midpoint_unitary_is_a_square_root(rng):
     assert np.linalg.norm(midpoint_unitary(np.eye(4)) - np.eye(4)) < 1e-13
 
 
+def test_midpoint_unitary_matches_the_principal_logarithm(rng):
+    for spread in (0.5, 2.0, 3.0):
+        for _ in range(20):
+            u, _, _ = _bounded_unitary(rng, 3, spread=spread)
+            ref = scipy.linalg.expm(unitary_log(u) / 2)
+            assert np.linalg.norm(midpoint_unitary(u) - ref) < 1e-12
+
+
+def test_midpoint_unitary_guards_the_branch_cut():
+    u = np.diag([np.exp(1j * (np.pi - 1e-10)), 1.0])
+    with pytest.raises(EigenphaseNearPi):
+        midpoint_unitary(u)
+
+
 def _frame_pair(rng, n=4, m=2, size=0.2):
     a = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     a, _ = np.linalg.qr(a)
@@ -81,6 +96,24 @@ def test_frame_midpoint_commutes_and_is_equivariant(rng):
         assert frame_distance(a, mid) == pytest.approx(
             frame_distance(b, mid), abs=1e-9
         )
+
+
+def test_frame_midpoint_of_a_stack_matches_the_schur_path(rng):
+    pairs = [_frame_pair(rng) for _ in range(24)]
+    a = np.stack([p[0] for p in pairs]).reshape(2, 3, 4, 4, 2)
+    b = np.stack([p[1] for p in pairs]).reshape(2, 3, 4, 4, 2)
+    mid = frame_midpoint(a, b)
+    assert mid.shape == a.shape
+    for idx in np.ndindex(2, 3, 4):
+        ref = a[idx] @ scipy.linalg.expm(unitary_log(a[idx].conj().T @ b[idx]) / 2)
+        assert np.linalg.norm(mid[idx] - ref) < 1e-12
+
+
+def test_frame_midpoint_rejects_a_stack_with_one_span_mismatch(rng):
+    a, b = _frame_pair(rng)
+    other, _ = _frame_pair(rng)
+    with pytest.raises(SpanMismatch):
+        frame_midpoint(np.stack([a, a]), np.stack([b, other]))
 
 
 def test_frame_midpoint_rejects_distant_frames(rng):
