@@ -5,6 +5,7 @@ import pytest
 from blochframe.cells import CellGeometry
 from blochframe.cell3d import construct_3d, restricted_family, _chart_units
 from blochframe.cell3d import _node_to_global
+from blochframe.errors import BoundaryRelationViolated
 from blochframe.frames import input_frame
 from blochframe.models import builtin_model
 
@@ -110,3 +111,25 @@ def test_construct_3d_rejects_wrong_dimension(haldane):
     psi = input_frame(haldane, CellGeometry(2, 4))
     with pytest.raises(ValueError):
         construct_3d(psi, haldane)
+
+
+def test_construct_3d_refuses_disagreeing_faces(fam3, monkeypatch):
+    """A face that disagrees with another on their shared edge is refused
+    at the first such point, with its residual."""
+    from blochframe import cell3d
+
+    real = cell3d.macro2
+
+    def broken(ctx, left, bottom, **kwargs):
+        field, diag = real(ctx, left, bottom, **kwargs)
+        if ctx.label == "face k3=+1/2":
+            # local (0, 1) is the global point (0, 1, n) of the face k1 = 0
+            field.data[field.geometry.cell_index((0, 1))] *= np.exp(0.3j)
+        return field, diag
+
+    monkeypatch.setattr(cell3d, "macro2", broken)
+    geo = CellGeometry(3, 4)
+    with pytest.raises(BoundaryRelationViolated) as err:
+        construct_3d(input_frame(fam3, geo), fam3)
+    assert err.value.details["point"] == (0, 1, geo.grid_n)
+    assert err.value.details["residual"] > 0.1

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from blochframe.cells import CellGeometry
-from blochframe.errors import GridTooCoarse
+from blochframe.errors import BoundaryRelationViolated, GridTooCoarse
 from blochframe.face2d import construct_2d, winding_degree
 from blochframe.frames import input_frame
 
@@ -104,3 +104,58 @@ def test_construct_2d_rejects_wrong_dimension(ssh):
     psi = input_frame(ssh, geo)
     with pytest.raises(ValueError):
         construct_2d(psi, ssh)
+
+
+def _plant(defect):
+    """Phase-rotated copies of the ``macro2`` inputs that break one condition.
+
+    ``left`` is indexed by ``g_2 + n`` and ``bottom`` by ``g_1``; a phase
+    keeps every frame in its span but breaks ``Phi = tau theta Phi``.
+    """
+    turn = np.exp(0.3j)
+
+    def plant(left, bottom, n, anti00):
+        left, bottom = left.copy(), bottom.copy()
+        if defect == "corner":
+            bottom[0] = bottom[0] * turn
+        elif defect == "reflection":
+            left[n + 1] = left[n + 1] * turn
+        elif defect == "origin":
+            left[n] = left[n] * turn
+        elif defect == "top":
+            # keeps the reflection relation and the corner agreement
+            left[2 * n] = left[2 * n] * turn
+            left[0] = anti00(left[2 * n])
+            bottom[0] = left[0]
+        else:
+            bottom[n] = bottom[n] * turn
+        return left, bottom
+
+    return plant
+
+
+@pytest.mark.parametrize(
+    "defect,point",
+    [("corner", (0, -4)), ("reflection", (0, 1)), ("origin", (0, 0)),
+     ("top", (0, 4)), ("far-corner", (4, -4))],
+)
+def test_macro2_names_each_broken_input_condition(haldane, monkeypatch, defect, point):
+    """Every input condition of ``macro2`` is checked; a planted defect is
+    refused at its point (``"*"`` stands for somewhere on the left edge)."""
+    from blochframe import face2d
+
+    plant = _plant(defect)
+    real = face2d.macro2
+
+    def broken(ctx, left, bottom, **kwargs):
+        left, bottom = plant(left, bottom, ctx.geometry.grid_n,
+                             lambda f: ctx.apply_anti((0, 0), f))
+        return real(ctx, left, bottom, **kwargs)
+
+    monkeypatch.setattr(face2d, "macro2", broken)
+    with pytest.raises(BoundaryRelationViolated) as err:
+        construct_2d(input_frame(haldane, CellGeometry(2, 4)), haldane)
+    got = err.value.details["point"]
+    assert got[0] == point[0]
+    assert got[1] in (point[1], "*")
+    assert err.value.details["residual"] > 0.1
