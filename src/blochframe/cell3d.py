@@ -15,11 +15,16 @@ boundary frame is assembled face by face:
   square-cell problem in mirrored coordinates, and the other half follows
   from the residual symmetry of that face.
 
+Each face's input frames are a plain slice of the cell's ``psi.data`` (the
+mirrored half face ``k_1 = 1/2`` a reversed one), and the faces are glued
+into one cell-shaped array whose overlapping writes are compared as arrays.
+
 The assembled boundary map is then extended into the interior by the cone
-construction.  The boundary of the half cube is unfolded onto a T-shaped
-planar chart; a continuous argument lift for determinant phases is computed
-directly on the boundary surface graph, so the unfolding seams are coherent
-by construction and are verified explicitly.
+construction.  The boundary of the half cube is a mask over the cell array
+and is unfolded onto a T-shaped planar chart whose node ids are computed
+arithmetically; a continuous argument lift for determinant phases is
+computed directly on the boundary surface graph, so the unfolding seams are
+coherent by construction and are verified explicitly.
 """
 
 import numpy as np
@@ -28,7 +33,7 @@ from .cells import CellGeometry
 from .errors import BoundaryRelationViolated, ChartSeamMismatch, GridTooCoarse
 from .extension import extend_unitary_cone
 from .face2d import FaceContext, build_face, macro2
-from .frames import FrameField, act, evaluate, unitary_between
+from .frames import FrameField, evaluate, unitary_between
 from .models import ProjectorFamily
 from .vertex import macro1
 
@@ -80,51 +85,28 @@ def restricted_family(family):
 #     t in [2, 5/2]:   (k) = (5/2 - t, s, -1/2)         face k3 = -1/2
 #
 # Node coordinates are kept in grid units S = s * 2 grid_n, T = t * 2 grid_n,
-# which are integers exactly on the face grids.
+# which are integers exactly on the face grids.  Nodes are numbered row by
+# row in s, the horizontal bar (T <= n) first.
 
 
 def _node_to_global(n, s_u, t_u):
-    """Global face grid point of a chart node (integer chart units)."""
-    if t_u <= n and abs(s_u) <= 2 * n and abs(t_u) <= n:
-        if s_u < -n:
-            return (-s_u - n, -n, t_u)
-        if s_u <= n:
-            return (0, s_u, t_u)
-        return (s_u - n, n, t_u)
-    if t_u <= 2 * n:
-        return (t_u - n, s_u, n)
-    if t_u <= 4 * n:
-        return (n, s_u, 3 * n - t_u)
-    return (5 * n - t_u, s_u, -n)
+    """Global face grid points of chart nodes (integer chart units), shape
+    ``s_u.shape + (3,)``."""
+    s, t = np.broadcast_arrays(s_u, t_u)
+    bar = t <= n
+    cases = [bar & (s < -n), bar & (s <= n), bar, t <= 2 * n, t <= 4 * n]
+    choices = [(-s - n, -n, t), (0, s, t), (s - n, n, t), (t - n, s, n), (n, s, 3 * n - t)]
+    last = (5 * n - t, s, -n)
+    return np.stack(
+        [np.select(cases, [c[j] for c in choices], last[j]) for j in range(3)], axis=-1
+    )
 
 
-def _chart_nodes(geo):
-    """All chart nodes (integer units) with their global face points."""
-    n = geo.grid_n
-    nodes = []
-    for s_u in range(-2 * n, 2 * n + 1):
-        for t_u in range(-n, n + 1):
-            nodes.append((s_u, t_u))
-    for s_u in range(-n, n + 1):
-        for t_u in range(n + 1, 5 * n + 1):
-            nodes.append((s_u, t_u))
-    globals_ = [_node_to_global(n, s, t) for s, t in nodes]
-    return nodes, globals_
-
-
-def _boundary_graph(geo):
-    """Boundary grid points of the cell and their surface adjacency."""
-    pts = sorted(geo.boundary_points_3d())
-    index = {p: i for i, p in enumerate(pts)}
-    edges = []
-    for p in pts:
-        for axis in range(3):
-            q = list(p)
-            q[axis] += 1
-            q = tuple(q)
-            if q in index:
-                edges.append((index[p], index[q]))
-    return pts, index, edges
+def _node_ids(n, s_u, t_u):
+    """Position of the chart nodes ``(s_u, t_u)`` in :attr:`DiskDomain.nodes`."""
+    horizontal = (s_u + 2 * n) * (2 * n + 1) + t_u + n
+    vertical = (4 * n + 1) * (2 * n + 1) + (s_u + n) * 4 * n + t_u - n - 1
+    return np.where(t_u <= n, horizontal, vertical)
 
 
 class DiskDomain:
@@ -135,86 +117,90 @@ class DiskDomain:
     nodes identified by the unfolding automatically receive equal lift
     values; the identification of nodal data across seams is still verified
     and a disagreement raises :class:`ChartSeamMismatch`.
+
+    Attributes: ``nodes`` ``(K, 2)`` chart nodes, ``node_globals`` ``(K, 3)``
+    their grid points, ``points`` ``(P, 3)`` the boundary grid points in
+    row-major order, ``node_of_point`` ``(K,)`` the boundary point of each
+    node and ``surface_edges`` ``(E, 2)`` the surface adjacency.
     """
 
     def __init__(self, geo):
         self.geo = geo
-        self.nodes, self.node_globals = _chart_nodes(geo)
-        self.node_id = {st: i for i, st in enumerate(self.nodes)}
-        self.points, self.point_index, self.surface_edges = _boundary_graph(geo)
-        self.node_of_point = np.array(
-            [self.point_index[g] for g in self.node_globals]
+        n = geo.grid_n
+        bar = np.meshgrid(np.arange(-2 * n, 2 * n + 1), np.arange(-n, n + 1), indexing="ij")
+        stem = np.meshgrid(np.arange(-n, n + 1), np.arange(n + 1, 5 * n + 1), indexing="ij")
+        self.nodes = np.stack(
+            [np.concatenate([bar[j].ravel(), stem[j].ravel()]) for j in range(2)], axis=-1
         )
-        groups = [[] for _ in self.points]
-        for i, pid in enumerate(self.node_of_point):
-            groups[pid].append(i)
-        self.point_nodes = groups
-        order = [self.point_index[(0, 0, 0)]]
-        parent = {order[0]: None}
-        adj = [[] for _ in self.points]
-        for a, b in self.surface_edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        head = 0
-        while head < len(order):
-            cur = order[head]
-            head += 1
-            for nxt in adj[cur]:
-                if nxt not in parent:
+        self.node_globals = _node_to_global(n, self.nodes[:, 0], self.nodes[:, 1])
+        mask = geo.boundary_mask()
+        self.points = geo.cell_points()[mask]
+        point_id = np.full(geo.cell_shape, -1)
+        point_id[mask] = np.arange(len(self.points))
+        self.node_of_point = point_id[geo.cell_index(self.node_globals)]
+        self._first_node = np.unique(self.node_of_point, return_index=True)[1]
+
+        # neighbours of each boundary point along -e1, -e2, -e3, +e1, +e2, +e3
+        padded = np.pad(point_id, 1, constant_values=-1)
+        steps = [(axis, step) for step in (-1, 1) for axis in range(3)]
+        nbr = np.stack(
+            [np.roll(padded, -step, axis=axis)[1:-1, 1:-1, 1:-1][mask] for axis, step in steps],
+            axis=-1,
+        )
+        low, axis = np.nonzero(nbr[:, 3:] >= 0)
+        self.surface_edges = np.stack([low, nbr[low, 3 + axis]], axis=-1)
+
+        # breadth-first spanning tree from the origin; the neighbour order
+        # fixes which parent each point's lift is continued from
+        start = int(point_id[geo.cell_index((0, 0, 0))])
+        parent = np.full(len(self.points), -1)
+        depth = np.full(len(self.points), -1)
+        depth[start] = 0
+        order = [start]
+        table = nbr.tolist()
+        for cur in order:
+            for nxt in table[cur]:
+                if nxt >= 0 and depth[nxt] < 0:
                     parent[nxt] = cur
+                    depth[nxt] = depth[cur] + 1
                     order.append(nxt)
         if len(order) != len(self.points):
             raise RuntimeError("boundary surface graph is not connected")
-        self._bfs_order = order
-        self._bfs_parent = parent
+        self._root = start
+        self._parent = parent
+        self._levels = [np.array(order)[depth[order] == k] for k in range(1, depth.max() + 1)]
         self._corner_ids = None
         self._weights = None
 
     # -- queries --------------------------------------------------------
     def set_queries(self, coords):
-        """Attach query chart coordinates: sequence of (region, s_units,
-        t_units) triples, region 0 for the horizontal bar, 1 for the
-        vertical one."""
+        """Attach query chart coordinates: ``(Q, 3)`` rows (region, s_units,
+        t_units), region 0 for the horizontal bar, 1 for the vertical one."""
         n = self.geo.grid_n
-        q = len(coords)
-        ids = np.zeros((q, 4), dtype=int)
-        wts = np.zeros((q, 4))
-        for i, (region, s_f, t_f) in enumerate(coords):
-            if region == 0:
-                s_lo, s_hi, t_lo, t_hi = -2 * n, 2 * n, -n, n
-            else:
-                s_lo, s_hi, t_lo, t_hi = -n, n, n, 5 * n
-            s_f = min(max(s_f, s_lo), s_hi)
-            t_f = min(max(t_f, t_lo), t_hi)
-            s0 = int(np.floor(s_f))
-            if s0 >= s_hi:
-                s0 = s_hi - 1
-            t0 = int(np.floor(t_f))
-            if t0 >= t_hi:
-                t0 = t_hi - 1
-            fs = s_f - s0
-            ft = t_f - t0
-            ids[i] = (
-                self.node_id[(s0, t0)],
-                self.node_id[(s0 + 1, t0)],
-                self.node_id[(s0, t0 + 1)],
-                self.node_id[(s0 + 1, t0 + 1)],
-            )
-            wts[i] = ((1 - fs) * (1 - ft), fs * (1 - ft), (1 - fs) * ft, fs * ft)
-        self._corner_ids = ids
-        self._weights = wts
+        region, s_f, t_f = np.asarray(coords, dtype=float).T
+        bar = region == 0
+        s_hi = np.where(bar, 2 * n, n)
+        t_lo = np.where(bar, -n, n)
+        t_hi = np.where(bar, n, 5 * n)
+        s_f = np.clip(s_f, -s_hi, s_hi)
+        t_f = np.clip(t_f, t_lo, t_hi)
+        s0 = np.minimum(np.floor(s_f).astype(int), s_hi - 1)
+        t0 = np.minimum(np.floor(t_f).astype(int), t_hi - 1)
+        fs = s_f - s0
+        ft = t_f - t0
+        self._corner_ids = np.stack(
+            [_node_ids(n, s0 + ds, t0 + dt) for dt in (0, 1) for ds in (0, 1)], axis=-1
+        )
+        self._weights = np.stack(
+            [(1 - fs) * (1 - ft), fs * (1 - ft), (1 - fs) * ft, fs * ft], axis=-1
+        )
 
     # -- adapter interface ---------------------------------------------
     def collapse(self, values, tol=1e-10):
         """Per-surface-point value of chart-node data; seams must agree."""
         values = np.asarray(values)
-        out = np.empty((len(self.points),) + values.shape[1:], dtype=values.dtype)
-        worst = 0.0
-        for pid, group in enumerate(self.point_nodes):
-            ref = values[group[0]]
-            out[pid] = ref
-            for other in group[1:]:
-                worst = max(worst, float(np.max(np.abs(values[other] - ref))))
+        out = values[self._first_node]
+        worst = float(np.max(np.abs(values - out[self.node_of_point]), initial=0.0))
         if worst > tol:
             raise ChartSeamMismatch(
                 f"chart nodes identified by the unfolding disagree by {worst:.3e}",
@@ -226,30 +212,28 @@ class DiskDomain:
         """Continuous argument lift of nodal scalars across the surface."""
         by_point, seam = self.collapse(values)
         theta = np.empty(len(self.points))
-        theta[self._bfs_order[0]] = np.angle(by_point[self._bfs_order[0]])
-        for pid in self._bfs_order[1:]:
-            par = self._bfs_parent[pid]
-            theta[pid] = theta[par] + np.angle(by_point[pid] / by_point[par])
-        worst_step = 0.0
-        worst_defect = 0.0
-        for a, b in self.surface_edges:
-            step = np.angle(by_point[b] / by_point[a])
-            worst_step = max(worst_step, abs(step))
-            worst_defect = max(worst_defect, abs(theta[b] - theta[a] - step))
+        theta[self._root] = np.angle(by_point[self._root])
+        for level in self._levels:
+            par = self._parent[level]
+            theta[level] = theta[par] + np.angle(by_point[level] / by_point[par])
+        low, high = self.surface_edges.T
+        step = np.angle(by_point[high] / by_point[low])
+        worst_step = float(np.max(np.abs(step)))
+        worst_defect = float(np.max(np.abs(theta[high] - theta[low] - step)))
         if worst_step >= max_step:
             raise GridTooCoarse(
                 f"boundary phase step {worst_step:.3f} rad exceeds "
                 f"{max_step:.3f}; refine the grid",
-                step=float(worst_step),
+                step=worst_step,
             )
         if worst_defect > 1e-8:
             raise ChartSeamMismatch(
                 f"argument lift inconsistent around the boundary surface "
                 f"(defect {worst_defect:.3e})",
-                defect=float(worst_defect),
+                defect=worst_defect,
             )
-        info = {"seam_defect": seam, "max_step": float(worst_step),
-                "lift_defect": float(worst_defect)}
+        info = {"seam_defect": seam, "max_step": worst_step,
+                "lift_defect": worst_defect}
         return theta[self.node_of_point], info
 
     def interp(self, nodal):
@@ -260,101 +244,86 @@ class DiskDomain:
 
 
 def _chart_units(geo, g):
-    """Cone coordinates of a 3d cell grid point.
+    """Cone coordinates of 3d cell grid points ``g`` of shape ``(..., 3)``.
 
     Returns ``(sigma, region, s_units, t_units)`` with ``sigma`` in [0, 1]
-    (0 at the apex ``(1/4, 0, 0)``) and chart coordinates of the radial
-    projection of ``g`` onto the boundary, in node units.
+    (0 at the apex ``(1/4, 0, 0)``, where the chart coordinates are 0) and
+    chart coordinates of the radial projection of ``g`` onto the boundary,
+    in node units.
     """
     n = geo.grid_n
     big = geo.n_side
-    a1 = 4 * g[0] - big
-    a2 = 2 * g[1]
-    a3 = 2 * g[2]
-    sig = max(abs(a1), abs(a2), abs(a3))
-    if sig == 0:
-        return 0.0, 0, 0.0, 0.0
-    scale = big / sig
-    b1 = n / 2.0 + (g[0] - n / 2.0) * scale
-    b2 = g[1] * scale
-    b3 = g[2] * scale
-    if abs(a1) == sig and a1 < 0:
-        region, s_f, t_f = 0, b2, b3
-    elif abs(a2) == sig:
-        if g[1] < 0:
-            region, s_f, t_f = 0, -b1 - n, b3
-        else:
-            region, s_f, t_f = 0, b1 + n, b3
-    elif abs(a3) == sig:
-        if g[2] > 0:
-            region, s_f, t_f = 1, b2, b1 + n
-        else:
-            region, s_f, t_f = 1, b2, 5 * n - b1
-    else:
-        region, s_f, t_f = 1, b2, 3 * n - b3
-    return sig / big, region, s_f, t_f
+    g1, g2, g3 = np.moveaxis(g, -1, 0)
+    a = np.abs(np.stack([4 * g1 - big, 2 * g2, 2 * g3]))
+    sig = np.max(a, axis=0)
+    scale = big / np.maximum(sig, 1)
+    b1 = n / 2.0 + (g1 - n / 2.0) * scale
+    b2 = g2 * scale
+    b3 = g3 * scale
+    on_k1_0 = (a[0] == sig) & (4 * g1 < big)
+    on_k2 = ~on_k1_0 & (a[1] == sig)
+    on_k3 = ~on_k1_0 & ~on_k2 & (a[2] == sig)
+    region = np.where(on_k1_0 | on_k2, 0, 1)
+    s_f = np.where(on_k2, np.where(g2 < 0, -b1 - n, b1 + n), b2)
+    t_f = np.select(
+        [on_k1_0 | on_k2, on_k3 & (g3 > 0), on_k3], [b3, b1 + n, 5 * n - b1], 3 * n - b3
+    )
+    apex = sig == 0
+    return (sig / big, np.where(apex, 0, region), np.where(apex, 0.0, s_f),
+            np.where(apex, 0.0, t_f))
 
 
 # ---------------------------------------------------------------------------
 # boundary assembly
 
 
-class _BoundaryWriter:
-    """Accumulates face values, checking duplicate writes for agreement."""
-
-    def __init__(self, tol):
-        self.values = {}
-        self.tol = tol
-        self.worst = 0.0
-        self.worst_point = None
-
-    def write(self, g, value):
-        if g in self.values:
-            diff = float(np.linalg.norm(self.values[g] - value))
-            if diff > self.worst:
-                self.worst = diff
-                self.worst_point = g
-            if diff > self.tol:
-                raise BoundaryRelationViolated(
-                    f"face values disagree at grid point {g} "
-                    f"(residual {diff:.3e} > {self.tol:.1e})",
-                    point=g,
-                    residual=diff,
-                )
-        else:
-            self.values[g] = value
-
-
 def _assemble_boundary(geo, family, face10, field2p, field3p, door, tol):
-    """Glue the six face constructions into one boundary value map."""
+    """Glue the six face constructions into one cell-shaped array.
+
+    Faces are written in a fixed order.  A point that a face shares with an
+    earlier one keeps the earlier value, and the two must agree to ``tol``
+    (:class:`BoundaryRelationViolated` names the first point that does not).
+    Interior points stay NaN.
+    """
     n = geo.grid_n
     t2_inv = family.tau_power((0, -1, 0))
     t3_inv = family.tau_power((0, 0, -1))
     a_door = family.antiunitary_matrix((1, 0, 0))
-    w = _BoundaryWriter(tol)
-    for b in range(-n, n + 1):
-        for c in range(-n, n + 1):
-            w.write((0, b, c), face10(b, c))
-    for a in range(0, n + 1):
-        for c in range(-n, n + 1):
-            val = field2p.get((a, c))
-            w.write((a, n, c), val)
-            w.write((a, -n, c), t2_inv @ val)
-    for a in range(0, n + 1):
-        for b in range(-n, n + 1):
-            val = field3p.get((a, b))
-            w.write((a, b, n), val)
-            w.write((a, b, -n), t3_inv @ val)
-    for at in range(0, n + 1):
-        for c in range(-n, n + 1):
-            w.write((n, n - at, c), door.get((at, c)))
-    for b in range(-n, 0):
-        for c in range(-n, n + 1):
-            w.write((n, b, c), a_door @ np.conj(w.values[(n, -b, -c)]))
-    missing = geo.boundary_points_3d() - set(w.values)
+    points = geo.cell_points()
+    out = np.full(geo.cell_shape + face10.shape[-2:], np.nan, dtype=complex)
+    glue = {"glue_residual": 0.0, "glue_point": None}
+
+    def write(at, values):
+        view = out[at]
+        unset = np.isnan(view[..., 0, 0])
+        diff = np.where(unset, 0.0, np.linalg.norm(view - values, axis=(-2, -1)))
+        worst = np.unravel_index(np.argmax(diff), diff.shape)
+        if diff[worst] > glue["glue_residual"]:
+            glue["glue_residual"] = float(diff[worst])
+            glue["glue_point"] = tuple(int(x) for x in points[at][worst])
+        if np.any(diff > tol):
+            first = np.unravel_index(np.argmax(diff > tol), diff.shape)
+            g = tuple(int(x) for x in points[at][first])
+            raise BoundaryRelationViolated(
+                f"face values disagree at grid point {g} "
+                f"(residual {diff[first]:.3e} > {tol:.1e})",
+                point=g,
+                residual=float(diff[first]),
+            )
+        view[unset] = values[unset]
+
+    write(np.s_[0], face10)
+    write(np.s_[:, 2 * n], field2p)
+    write(np.s_[:, 0], t2_inv @ field2p)
+    write(np.s_[:, :, 2 * n], field3p)
+    write(np.s_[:, :, 0], t3_inv @ field3p)
+    write(np.s_[n, 2 * n:n - 1:-1], door)
+    # the rest of the face k1 = 1/2: Phi(n, b, c) = tau theta Phi(n, -b, -c)
+    write(np.s_[n, :n], a_door @ np.conj(out[n, 2 * n:n:-1, ::-1]))
+    missing = np.count_nonzero(np.isnan(out[geo.boundary_mask()][:, 0, 0]))
     if missing:
-        raise RuntimeError(f"boundary assembly left {len(missing)} points unset")
-    return w.values, {"glue_residual": w.worst, "glue_point": w.worst_point}
+        raise RuntimeError(f"boundary assembly left {missing} points unset")
+    return out, glue
 
 
 def construct_3d(psi_field, family, tol=1e-8, seed=0, extend=True):
@@ -369,115 +338,78 @@ def construct_3d(psi_field, family, tol=1e-8, seed=0, extend=True):
     if geo.d != 3:
         raise ValueError("construct_3d needs a three-dimensional field")
     n = geo.grid_n
+    psi = psi_field.data
+    tau = family.tau_power
+    theta = family.theta_matrix()
+    geo2 = CellGeometry(2, n)
     diag = {}
 
-    # face k1 = 0: full two-dimensional construction of the frozen family
+    # face k1 = 0: full two-dimensional construction of the frozen family,
+    # then its values on the whole face (b, c) in [-n, n]^2
     fam2 = restricted_family(family)
-    geo2 = CellGeometry(2, n)
-    psi2 = FrameField.empty(geo2, family.n, family.m)
-    for b in range(0, n + 1):
-        for c in range(-n, n + 1):
-            psi2.set((b, c), psi_field.get((0, b, c)))
     ctx10 = FaceContext(
         geo2,
-        psi2.get,
+        psi[0, n:],
         fam2.tau_power((1, 0)),
         fam2.tau_power((0, 1)),
         fam2.theta_matrix(),
         label="face k1=0",
     )
-    face10_half, diag10 = build_face(ctx10, tol=tol, seed=seed)
-    face10_torus = extend_symmetric(face10_half, fam2)
-
-    def face10(b, c):
-        return evaluate(face10_torus, fam2, (b, c))
-
-    diag["face_k1_0"] = diag10
+    face10_half, diag["face_k1_0"] = build_face(ctx10, tol=tol, seed=seed)
+    span = np.arange(-n, n + 1)
+    face10 = evaluate(
+        extend_symmetric(face10_half, fam2),
+        fam2,
+        np.stack(np.meshgrid(span, span, indexing="ij"), axis=-1),
+    )
 
     # edge k2 = k3 = 1/2 and its translated copies
-    edge_points = [(i, n, n) for i in range(0, n + 1)]
-    edge_frames, vstar = macro1(
-        psi_field.get,
-        edge_points,
-        face10(n, n),
-        family.antiunitary_matrix((1, 1, 1)),
+    edge, vstar = macro1(
+        psi[:, 2 * n, 2 * n], face10[2 * n, 2 * n], family.antiunitary_matrix((1, 1, 1)),
         (1, 1, 1),
     )
     diag["corner_residual"] = vstar.residual
 
-    t2_inv = family.tau_power((0, -1, 0))
-    t3_inv = family.tau_power((0, 0, -1))
-
     # faces k2 = 1/2 and k3 = 1/2
     ctx2p = FaceContext(
-        geo2,
-        lambda g: psi_field.get((g[0], n, g[1])),
-        family.tau_power((1, 0, 0)),
-        family.tau_power((0, 0, 1)),
-        family.tau_power((0, 1, 0)) @ family.theta_matrix(),
+        geo2, psi[:, 2 * n], tau((1, 0, 0)), tau((0, 0, 1)), tau((0, 1, 0)) @ theta,
         label="face k2=+1/2",
     )
-    left2p = np.stack([face10(n, c) for c in range(-n, n + 1)])
-    bottom2p = np.stack([t3_inv @ f for f in edge_frames])
-    field2p, diag2p = macro2(ctx2p, left2p, bottom2p, tol=tol, seed=seed)
-    diag["face_k2_plus"] = diag2p
-
+    field2p, diag["face_k2_plus"] = macro2(
+        ctx2p, face10[2 * n], tau((0, 0, -1)) @ edge, tol=tol, seed=seed
+    )
     ctx3p = FaceContext(
-        geo2,
-        lambda g: psi_field.get((g[0], g[1], n)),
-        family.tau_power((1, 0, 0)),
-        family.tau_power((0, 1, 0)),
-        family.tau_power((0, 0, 1)) @ family.theta_matrix(),
+        geo2, psi[:, :, 2 * n], tau((1, 0, 0)), tau((0, 1, 0)), tau((0, 0, 1)) @ theta,
         label="face k3=+1/2",
     )
-    left3p = np.stack([face10(b, n) for b in range(-n, n + 1)])
-    bottom3p = np.stack([t2_inv @ f for f in edge_frames])
-    field3p, diag3p = macro2(ctx3p, left3p, bottom3p, tol=tol, seed=seed)
-    diag["face_k3_plus"] = diag3p
+    field3p, diag["face_k3_plus"] = macro2(
+        ctx3p, face10[:, 2 * n], tau((0, -1, 0)) @ edge, tol=tol, seed=seed
+    )
 
-    # half of the face k1 = 1/2, in mirrored coordinates
+    # half of the face k1 = 1/2, in mirrored coordinates (a, c) -> (n, n - a, c)
     ctx_door = FaceContext(
-        geo2,
-        lambda g: psi_field.get((n, n - g[0], g[1])),
-        family.tau_power((0, -1, 0)),
-        family.tau_power((0, 0, 1)),
-        family.tau_power((1, 1, 0)) @ family.theta_matrix(),
-        label="face k1=1/2 (mirrored)",
+        geo2, psi[n, 2 * n:n - 1:-1], tau((0, -1, 0)), tau((0, 0, 1)),
+        tau((1, 1, 0)) @ theta, label="face k1=1/2 (mirrored)",
     )
-    left_door = np.stack([field2p.get((n, c)) for c in range(-n, n + 1)])
-    bottom_door = np.stack(
-        [t3_inv @ field3p.get((n, n - at)) for at in range(0, n + 1)]
+    door, diag["face_k1_plus"] = macro2(
+        ctx_door, field2p.data[n], tau((0, 0, -1)) @ field3p.data[n, 2 * n:n - 1:-1],
+        tol=tol, seed=seed,
     )
-    door, diag_door = macro2(ctx_door, left_door, bottom_door, tol=tol, seed=seed)
-    diag["face_k1_plus"] = diag_door
 
-    boundary, glue_diag = _assemble_boundary(
-        geo, family, face10, field2p, field3p, door, max(100 * tol, 1e-6)
+    boundary, diag["assembly"] = _assemble_boundary(
+        geo, family, face10, field2p.data, field3p.data, door.data, max(100 * tol, 1e-6)
     )
-    diag["assembly"] = glue_diag
 
     # cone extension into the interior
     dom = DiskDomain(geo)
-    u_by_point = np.stack(
-        [unitary_between(psi_field.get(g), boundary[g]) for g in dom.points]
-    )
-    u_nodes = u_by_point[dom.node_of_point]
-    cell_pts = geo.cell_points()
-    sigma = np.empty(len(cell_pts))
-    coords = []
-    for i, g in enumerate(cell_pts):
-        sig, region, s_f, t_f = _chart_units(geo, g)
-        sigma[i] = sig
-        coords.append((region, s_f, t_f))
-    dom.set_queries(coords)
-    u_cell, ext_diag = extend_unitary_cone(u_nodes, dom, sigma, seed=seed)
-    diag["extension"] = ext_diag
-
-    field = FrameField.empty(geo, family.n, family.m)
-    for i, g in enumerate(cell_pts):
-        field.set(g, act(psi_field.get(g), u_cell[i], check=False))
-    for g, val in boundary.items():
-        field.set(g, val)
+    on_boundary = geo.cell_index(dom.points)
+    u_nodes = unitary_between(psi[on_boundary], boundary[on_boundary])[dom.node_of_point]
+    sigma, region, s_f, t_f = _chart_units(geo, geo.cell_points().reshape(-1, 3))
+    dom.set_queries(np.stack([region, s_f, t_f], axis=-1))
+    u_cell, diag["extension"] = extend_unitary_cone(u_nodes, dom, sigma, seed=seed)
+    frames = psi @ u_cell.reshape(geo.cell_shape + u_cell.shape[-2:])
+    frames[on_boundary] = boundary[on_boundary]
+    field = FrameField(geo, "effective-cell", frames)
 
     if not extend:
         return field, diag

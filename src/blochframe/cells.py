@@ -106,8 +106,14 @@ class CellGeometry:
         return (int(idx[0]),) + tuple(int(i) - self.grid_n for i in idx[1:])
 
     def cell_points(self):
-        """All effective-cell grid points in array order."""
-        return [self.cell_point(idx) for idx in np.ndindex(self.cell_shape)]
+        """Effective-cell grid points, shape ``cell_shape + (d,)``."""
+        offset = np.array([0] + [self.grid_n] * (self.d - 1))
+        return np.moveaxis(np.indices(self.cell_shape), 0, -1) - offset
+
+    def boundary_mask(self):
+        """Mask over ``cell_shape`` of the grid points on the cell boundary."""
+        g = self.cell_points()
+        return (g[..., 0] % self.grid_n == 0) | np.any(np.abs(g[..., 1:]) == self.grid_n, axis=-1)
 
     # ------------------------------------------------------------------
     # torus indexing: stored fundamental domain is {0, ..., 2 grid_n - 1}^d
@@ -198,69 +204,20 @@ class CellGeometry:
         return tuple(2 * gj // self.n_side for gj in g)
 
     # ------------------------------------------------------------------
-    # d = 2 boundary structure
+    # d = 2 boundary loop
     # ------------------------------------------------------------------
-    def edges_2d(self):
-        """Ordered grid points of the six boundary edges, keyed 'E1'...'E6'.
+    def boundary_loop_2d(self):
+        """Boundary grid points in loop order, shape ``(6 grid_n, 2)``.
 
-        Edge ``Ei`` runs from vertex ``v_i`` to ``v_{i+1}`` (cyclically) of
-        the six half-integer boundary points ``(0, 0), (0, -n), (n, -n),
-        (n, 0), (n, n), (0, n)``; each list contains both endpoints.
+        The loop runs from ``(0, 0)`` through the six half-integer boundary
+        points ``(0, 0), (0, -n), (n, -n), (n, 0), (n, n), (0, n)`` and back;
+        the closing point is not repeated.
         """
         if self.d != 2:
-            raise ValueError("edges_2d requires d = 2")
+            raise ValueError("boundary_loop_2d requires d = 2")
         n = self.grid_n
-        edges = {
-            "E1": [(0, -j) for j in range(0, n + 1)],
-            "E2": [(i, -n) for i in range(0, n + 1)],
-            "E3": [(n, -n + j) for j in range(0, n + 1)],
-            "E4": [(n, j) for j in range(0, n + 1)],
-            "E5": [(n - i, n) for i in range(0, n + 1)],
-            "E6": [(0, n - j) for j in range(0, n + 1)],
-        }
-        return edges
-
-    def boundary_loop_2d(self):
-        """Boundary grid points, ordered v1 -> v2 -> ... -> v6 -> v1.
-
-        The closing point is not repeated; the list has ``6 * grid_n``
-        entries.
-        """
-        edges = self.edges_2d()
-        loop = []
-        for name in ("E1", "E2", "E3", "E4", "E5", "E6"):
-            loop.extend(edges[name][:-1])
-        return loop
-
-    # ------------------------------------------------------------------
-    # d = 3 face structure
-    # ------------------------------------------------------------------
-    def faces_3d(self):
-        """Grid points of the six faces of the effective cell, d = 3.
-
-        Keys are ``(axis, side)`` with ``axis`` in {1, 2, 3} and ``side`` in
-        {'0', '+', '-'}: ``(1, '0')`` is the face ``k_1 = 0``, ``(1, '+')``
-        the face ``k_1 = 1/2``, and ``(j, '+'/'-')`` the faces
-        ``k_j = +-1/2`` for j in {2, 3}.
-        """
-        if self.d != 3:
-            raise ValueError("faces_3d requires d = 3")
-        n = self.grid_n
-        rng1 = range(0, n + 1)
-        rng = range(-n, n + 1)
-        faces = {
-            (1, "0"): [(0, b, c) for b in rng for c in rng],
-            (1, "+"): [(n, b, c) for b in rng for c in rng],
-            (2, "+"): [(a, n, c) for a in rng1 for c in rng],
-            (2, "-"): [(a, -n, c) for a in rng1 for c in rng],
-            (3, "+"): [(a, b, n) for a in rng1 for b in rng],
-            (3, "-"): [(a, b, -n) for a in rng1 for b in rng],
-        }
-        return faces
-
-    def boundary_points_3d(self):
-        """Set of all grid points on the boundary of the effective cell."""
-        pts = set()
-        for face in self.faces_3d().values():
-            pts.update(face)
-        return pts
+        j = np.arange(n)
+        edge = np.full(n, n)
+        g1 = np.concatenate([0 * j, j, edge, edge, n - j, 0 * j])
+        g2 = np.concatenate([-j, -edge, j - n, j, edge, n - j])
+        return np.stack([g1, g2], axis=-1)

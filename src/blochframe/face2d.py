@@ -11,16 +11,17 @@ which the cone extension fills the interior.
 The same construction runs on any square face of a higher-dimensional cell
 once the face's own translation and time-reversal operations are supplied;
 :class:`FaceContext` packages those, so the routines here never look at the
-ambient dimension.
+ambient dimension.  A face's input frames are one cell-shaped array (for a
+face of the 3d cell, a slice of its ``psi.data``); the boundary loop is an
+index array and every fill is one batched product.
 """
 
 import numpy as np
 
-from .cells import CellGeometry
 from .errors import BoundaryRelationViolated
 from .extension import LoopDomain, extend_unitary_cone, phase_lift_cyclic
-from .frames import FrameField, act, unitary_between
-from .vertex import interpolate_unitaries, macro1, vertex_solution
+from .frames import FrameField, unitary_between
+from .vertex import macro1, vertex_solution
 
 __all__ = [
     "FaceContext",
@@ -47,9 +48,9 @@ class FaceContext:
     ----------
     geometry : CellGeometry
         Local two-dimensional grid geometry of the face.
-    psi : callable
-        Maps a local grid tuple to the input frame at the corresponding
-        global point.
+    psi : (grid_n + 1, 2 grid_n + 1, n, m) array
+        Input frames at the local grid points, indexed like
+        ``geometry.cell_shape`` (``psi[g_1, g_2 + grid_n]``).
     t1, t2 : (n, n) arrays
         Unitaries of the two local translations.
     theta : (n, n) array
@@ -96,29 +97,28 @@ def winding_degree(unitaries):
 
 
 def _loop_units(geo, g):
-    """Cone coordinates of a cell grid point: (sigma, loop node units).
+    """Cone coordinates of cell grid points ``g`` of shape ``(..., 2)``.
 
-    ``sigma`` is 1 on the boundary and 0 at the apex ``(1/4, 0)``; the loop
-    coordinate matches the node ordering of ``boundary_loop_2d`` (starting at
-    the origin, running down the left edge first).
+    Returns ``(sigma, units)``: ``sigma`` is 1 on the boundary and 0 at the
+    apex ``(1/4, 0)``; the loop coordinate matches the node ordering of
+    ``boundary_loop_2d`` (starting at the origin, running down the left edge
+    first), and is 0 at the apex.
     """
     n = geo.grid_n
     big = geo.n_side
-    a1 = 4 * g[0] - big
-    a2 = 2 * g[1]
-    sig = max(abs(a1), abs(a2))
-    if sig == 0:
-        return 0.0, 0.0
-    scale = big / sig
-    b1 = n / 2.0 + (g[0] - n / 2.0) * scale
-    b2 = g[1] * scale
-    if abs(a2) >= abs(a1):
-        units = n + b1 if g[1] < 0 else 5 * n - b1
-    elif a1 > 0:
-        units = 3 * n + b2
-    else:
-        units = -b2 if g[1] <= 0 else 6 * n - b2
-    return sig / big, units
+    g1, g2 = g[..., 0], g[..., 1]
+    a1 = 4 * g1 - big
+    a2 = 2 * g2
+    sig = np.maximum(np.abs(a1), np.abs(a2))
+    scale = big / np.maximum(sig, 1)
+    b1 = n / 2.0 + (g1 - n / 2.0) * scale
+    b2 = g2 * scale
+    units = np.where(
+        np.abs(a2) >= np.abs(a1),
+        np.where(g2 < 0, n + b1, 5 * n - b1),
+        np.where(a1 > 0, 3 * n + b2, np.where(g2 <= 0, -b2, 6 * n - b2)),
+    )
+    return sig / big, np.where(sig == 0, 0.0, units)
 
 
 def _check(cond_value, tol, what, point, label):
@@ -154,78 +154,56 @@ def macro2(ctx, left_edge, bottom_edge, tol=1e-8, seed=0):
     """
     geo = ctx.geometry
     n = geo.grid_n
-
-    def left(g2):
-        return left_edge[g2 + n]
+    psi = ctx.psi
 
     # --- input conditions -------------------------------------------------
-    _check(
-        float(np.linalg.norm(left(-n) - bottom_edge[0])),
-        tol, "corner agreement", (0, -n), ctx.label,
-    )
-    worst = 0.0
-    for g2 in range(0, n + 1):
-        worst = max(
-            worst,
-            float(np.linalg.norm(left(-g2) - ctx.apply_anti((0, 0), left(g2)))),
-        )
-    _check(worst, tol, "left edge reflection relation", (0, "*"), ctx.label)
-    for g2, lam in (((0), (0, 0)), ((n), (0, 1))):
-        res = float(np.linalg.norm(left(g2) - ctx.apply_anti((0, lam[1]), left(g2))))
-        _check(res, tol, "vertex condition", (0, g2), ctx.label)
     corner = bottom_edge[n]
-    res = float(np.linalg.norm(corner - ctx.apply_anti((1, -1), corner)))
-    _check(res, tol, "vertex condition", (n, -n), ctx.label)
+    for what, point, defect in (
+        ("corner agreement", (0, -n), left_edge[0] - bottom_edge[0]),
+        ("vertex condition", (0, 0), left_edge[n] - ctx.apply_anti((0, 0), left_edge[n])),
+        ("vertex condition", (0, n),
+         left_edge[2 * n] - ctx.apply_anti((0, 1), left_edge[2 * n])),
+        ("vertex condition", (n, -n), corner - ctx.apply_anti((1, -1), corner)),
+    ):
+        _check(float(np.linalg.norm(defect)), tol, what, point, ctx.label)
+    # Phi(0, -g_2) against theta Phi(0, g_2) for g_2 = 0 .. n
+    mirror = np.linalg.norm(
+        left_edge[n::-1] - ctx.apply_anti((0, 0), left_edge[n:]), axis=(-2, -1)
+    )
+    worst = int(np.argmax(mirror))
+    _check(float(mirror[worst]), tol, "left edge reflection relation", (0, worst),
+           ctx.label)
 
-    # --- right edge: interpolate into the vertex solution at (1/2, 0) -----
-    u3 = unitary_between(ctx.psi((n, -n)), corner)
-    sol4 = vertex_solution((n, 0), ctx.psi((n, 0)), ctx.antiunitary((1, 0)), (1, 0))
-    ts = 0.5 * np.arange(n + 1) / n
-    path = interpolate_unitaries(u3, sol4.u, ts)
-
-    skel = {}
-    for g2 in range(-n, n + 1):
-        skel[(0, g2)] = left(g2)
-    for g1 in range(0, n + 1):
-        skel[(g1, -n)] = bottom_edge[g1]
-    for j in range(n + 1):
-        skel[(n, -n + j)] = act(ctx.psi((n, -n + j)), path[j], check=False)
-    for g2 in range(1, n + 1):
-        skel[(n, g2)] = ctx.apply_anti((1, 0), skel[(n, -g2)])
-    for g1 in range(1, n):
-        skel[(g1, n)] = ctx.t2 @ skel[(g1, -n)]
-    skel[(n, n)] = ctx.apply_anti((1, 0), skel[(n, -n)])
+    # --- boundary skeleton: the right edge interpolates into the vertex
+    # solution at (1/2, 0), the rest follows by symmetry --------------------
+    skel = np.full(psi.shape, np.nan, dtype=complex)
+    skel[0] = left_edge
+    skel[:, 0] = bottom_edge
+    skel[n, :n + 1], sol4 = macro1(psi[n, :n + 1], corner, ctx.antiunitary((1, 0)), (1, 0))
+    skel[n, n + 1:] = ctx.apply_anti((1, 0), skel[n, n - 1::-1])
+    skel[1:n, 2 * n] = ctx.t2 @ skel[1:n, 0]
 
     # --- winding of the correction loop and its removal -------------------
     loop = geo.boundary_loop_2d()
-    u_nodes = np.stack([unitary_between(ctx.psi(g), skel[g]) for g in loop])
+    at = geo.cell_index(loop)
+    u_nodes = unitary_between(psi[at], skel[at])
     r, wind_diag = winding_degree(u_nodes)
     r_after = r
     if r != 0:
-        m = u_nodes.shape[-1]
-        for idx, g in enumerate(loop):
-            if g[0] == n and -n < g[1] < n:
-                xi = np.exp(-2j * np.pi * r * (g[1] + n) / geo.n_side)
-                x = np.eye(m, dtype=complex)
-                x[0, 0] = xi
-                skel[g] = skel[g] @ x
-                u_nodes[idx] = u_nodes[idx] @ x
+        right = (loop[:, 0] == n) & (np.abs(loop[:, 1]) < n)
+        x = np.tile(np.eye(u_nodes.shape[-1], dtype=complex), (np.count_nonzero(right), 1, 1))
+        x[:, 0, 0] = np.exp(-2j * np.pi * r * (loop[right, 1] + n) / geo.n_side)
+        on_right = geo.cell_index(loop[right])
+        skel[on_right] = skel[on_right] @ x
+        u_nodes[right] = u_nodes[right] @ x
         r_after, _ = winding_degree(u_nodes)
 
     # --- cone extension into the cell -------------------------------------
-    points = geo.cell_points()
-    sigma = np.empty(len(points))
-    units = np.empty(len(points))
-    for i, g in enumerate(points):
-        sigma[i], units[i] = _loop_units(geo, g)
+    sigma, units = _loop_units(geo, geo.cell_points().reshape(-1, 2))
     dom = LoopDomain(len(loop), units)
     u_cell, ext_diag = extend_unitary_cone(u_nodes, dom, sigma, seed=seed)
-
-    field = FrameField.empty(geo, ctx.psi((0, 0)).shape[0], u_nodes.shape[-1])
-    for i, g in enumerate(points):
-        field.set(g, act(ctx.psi(g), u_cell[i], check=False))
-    for g in loop:
-        field.set(g, skel[g])
+    frames = psi @ u_cell.reshape(psi.shape[:2] + u_cell.shape[-2:])
+    frames[at] = skel[at]
 
     diag = {
         "winding": int(r),
@@ -235,20 +213,18 @@ def macro2(ctx, left_edge, bottom_edge, tol=1e-8, seed=0):
         "det_closure": wind_diag["closure_defect"],
         "extension": ext_diag,
     }
-    return field, diag
+    return FrameField(geo, "effective-cell", frames), diag
 
 
 def _left_edge_frames(ctx):
     """Symmetric frames on the edge ``k_1 = 0`` of a face context."""
     n = ctx.geometry.grid_n
-    origin = vertex_solution((0, 0), ctx.psi((0, 0)), ctx.antiunitary((0, 0)), (0, 0))
-    start = act(ctx.psi((0, 0)), origin.u, check=False)
-    points = [(0, j) for j in range(n + 1)]
-    upper, top_sol = macro1(ctx.psi, points, start, ctx.antiunitary((0, 1)), (0, 1))
-    edge = np.empty((2 * n + 1,) + upper[0].shape, dtype=complex)
-    for j in range(n + 1):
-        edge[n + j] = upper[j]
-        edge[n - j] = ctx.apply_anti((0, 0), upper[j])
+    psi = ctx.psi[0]
+    origin = vertex_solution((0, 0), psi[n], ctx.antiunitary((0, 0)), (0, 0))
+    upper, top_sol = macro1(psi[n:], psi[n] @ origin.u, ctx.antiunitary((0, 1)), (0, 1))
+    edge = np.empty_like(psi)
+    edge[n:] = upper
+    edge[n::-1] = ctx.apply_anti((0, 0), upper)
     diag = {
         "origin_residual": origin.residual,
         "top_residual": top_sol.residual,
@@ -259,11 +235,9 @@ def _left_edge_frames(ctx):
 
 def _bottom_edge_frames(ctx, start):
     """Symmetric frames on the edge ``k_2 = -1/2``, continuing ``start``."""
-    n = ctx.geometry.grid_n
-    points = [(i, -n) for i in range(n + 1)]
-    frames, end_sol = macro1(ctx.psi, points, start, ctx.antiunitary((1, -1)), (1, -1))
-    return np.stack(frames), {"corner_residual": end_sol.residual,
-                              "branch_snap": bool(end_sol.branch_snap)}
+    frames, end_sol = macro1(ctx.psi[:, 0], start, ctx.antiunitary((1, -1)), (1, -1))
+    return frames, {"corner_residual": end_sol.residual,
+                    "branch_snap": bool(end_sol.branch_snap)}
 
 
 def build_face(ctx, tol=1e-8, seed=0):
@@ -289,7 +263,7 @@ def construct_2d(psi_field, family, tol=1e-8, seed=0, extend=True):
         raise ValueError("construct_2d needs a two-dimensional field")
     ctx = FaceContext(
         geo,
-        psi_field.get,
+        psi_field.data,
         family.tau_power((1, 0)),
         family.tau_power((0, 1)),
         family.theta_matrix(),

@@ -14,30 +14,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SpanMismatch
-from .linalg import lowdin, polish_unitary
+from .linalg import lowdin
 
 __all__ = [
     "FrameField",
-    "act",
     "frame_distance",
     "unitary_between",
     "check_same_span",
     "evaluate",
     "input_frame",
 ]
-
-
-def act(frame, u, check=True):
-    """Right action of a unitary on a frame.
-
-    With ``check`` (default) the unitarity of ``u`` is verified to 1e-10.
-    """
-    u = np.asarray(u)
-    if check:
-        defect = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1]))
-        if defect > 1e-10:
-            raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
-    return np.asarray(frame) @ u
 
 
 def frame_distance(a, b):
@@ -65,11 +51,13 @@ def check_same_span(a, b, tol=1e-8):
 def unitary_between(a, b, tol=1e-8):
     """Unitary ``u`` with ``a @ u ~= b`` for frames spanning the same subspace.
 
-    The span agreement is checked by :func:`check_same_span`.  The returned
-    matrix is polished to exact unitarity.
+    Takes frames or stacks ``(..., n, m)`` of them.  The span agreement is
+    checked by :func:`check_same_span`.  The returned matrix is polished to
+    exact unitarity.
     """
+    a = np.asarray(a)
     check_same_span(a, b, tol=tol)
-    return polish_unitary(np.asarray(a).conj().T @ np.asarray(b))
+    return lowdin(np.swapaxes(a.conj(), -1, -2) @ np.asarray(b))
 
 
 @dataclass
@@ -156,17 +144,21 @@ class FrameField:
 # deterministic input frame by discrete parallel transport
 # ----------------------------------------------------------------------
 def evaluate(field, family, g):
-    """Value of a full-torus frame field at an arbitrary grid point.
+    """Values of a full-torus frame field at grid points ``g`` of shape ``(..., d)``.
 
     Points outside the stored fundamental domain are reached through the
     lattice equivariance ``Phi(k + lam) = tau_lam Phi(k)``.
     """
     if field.region != "full-torus":
         raise ValueError("evaluate needs a full-torus field")
-    rep, lam = field.geometry.torus_wrap(g)
-    val = field.get(rep)
-    if any(lam):
-        val = family.tau_power(lam) @ val
+    g = np.asarray(g)
+    big = field.geometry.n_side
+    lam = g // big
+    val = field.data[tuple(np.moveaxis(g - big * lam, -1, 0))].copy()
+    for shift in np.unique(lam.reshape(-1, g.shape[-1]), axis=0):
+        if np.any(shift):
+            at = np.all(lam == shift, axis=-1)
+            val[at] = family.tau_power(tuple(shift)) @ val[at]
     return val
 
 

@@ -13,7 +13,6 @@ import scipy.linalg
 
 __all__ = [
     "lowdin",
-    "polish_unitary",
     "unitary_eigensystem",
     "wrap_to_pi",
 ]
@@ -39,11 +38,6 @@ def lowdin(mat, rank_tol=0.0):
     if rank_tol > 0.0 and worst < rank_tol:
         raise ValueError(f"rank-deficient input, smallest singular value {worst:.3e}")
     return u @ vh
-
-
-def polish_unitary(u):
-    """Project a nearly-unitary square matrix onto the unitary group."""
-    return lowdin(u)
 
 
 def _cluster_labels(values, tol):

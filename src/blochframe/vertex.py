@@ -14,6 +14,9 @@ with all eigenphases taken in ``[0, 2 pi)`` on a synchronized branch.
 
 Between two such points a geodesic interpolation of unitaries transports one
 frame correction into the other, which settles the construction in d = 1.
+A segment's input frames arrive as one ``(steps + 1, n, m)`` array (a slice
+of the cell's ``psi.data``), and the whole segment is corrected by one
+batched product.
 """
 
 from dataclasses import dataclass
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ObstructionAsymmetric
-from .frames import FrameField, act, unitary_between
-from .linalg import cluster_phases, polish_unitary, unitary_eigensystem, wrap_to_pi
+from .frames import FrameField, unitary_between
+from .linalg import cluster_phases, lowdin, unitary_eigensystem, wrap_to_pi
 
 __all__ = [
     "VertexSolution",
@@ -53,7 +56,7 @@ def obstruction_unitary(frame, antiunitary, sym_tol=1e-10):
     """
     frame = np.asarray(frame)
     image = np.asarray(antiunitary) @ np.conj(frame)
-    v = polish_unitary(frame.conj().T @ image)
+    v = lowdin(frame.conj().T @ image)
     asym = float(np.linalg.norm(v - v.T))
     if asym > sym_tol:
         raise ObstructionAsymmetric(
@@ -94,7 +97,7 @@ def symmetric_sqrt(v, cluster_tol=1e-8, snap_tol=1e-12, check_tol=1e-10):
 
     phases = cluster_phases(w, labels, to_positive_branch)
     u = q @ (np.exp(0.5j * phases)[:, None] * q.conj().T)
-    u = polish_unitary(u)
+    u = lowdin(u)
     residual = float(np.linalg.norm(u @ u.T - v))
     if residual > check_tol:
         raise ValueError(
@@ -123,7 +126,7 @@ def vertex_solution(point, frame, antiunitary, lam):
     """
     v = obstruction_unitary(frame, antiunitary)
     u, info = symmetric_sqrt(v)
-    phi = act(frame, u, check=False)
+    phi = frame @ u
     image = np.asarray(antiunitary) @ np.conj(phi)
     res = float(np.linalg.norm(phi - image))
     return VertexSolution(
@@ -142,7 +145,7 @@ def interpolate_unitaries(u1, u2, t):
     """
     u1 = np.asarray(u1, dtype=complex)
     u2 = np.asarray(u2, dtype=complex)
-    ustar = polish_unitary(u1.conj().T @ u2)
+    ustar = lowdin(u1.conj().T @ u2)
     w, q, labels = unitary_eigensystem(ustar)
 
     def principal(angle):
@@ -153,43 +156,36 @@ def interpolate_unitaries(u1, u2, t):
         return float(a)
 
     phases = cluster_phases(w, labels, principal)
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_flat = np.atleast_1d(t_arr)
-    out = np.empty(t_flat.shape + u1.shape, dtype=complex)
-    for i, ti in enumerate(t_flat):
-        out[i] = u1 @ (q @ (np.exp(2j * ti * phases)[:, None] * q.conj().T))
-    return out[0] if scalar else out.reshape(t_arr.shape + u1.shape)
+    t = np.asarray(t, dtype=float)[..., None]
+    return u1 @ (q @ (np.exp(2j * t * phases)[..., :, None] * q.conj().T))
 
 
-def macro1(psi, points, start_frame, end_antiunitary, end_lam):
+def macro1(frames, start_frame, end_antiunitary, end_lam):
     """Transport a symmetric frame along a straight high-symmetry segment.
 
     Parameters
     ----------
-    psi : callable
-        Maps a grid tuple to the input frame there (must cover ``points``).
-    points : list of grid tuples
-        Ordered segment; the first point carries ``start_frame`` (already
-        invariant under its own vertex operation) and the last point is a
-        high-symmetry point with antiunitary matrix ``end_antiunitary``.
+    frames : (steps + 1, n, m) array
+        Input frames along the segment, in order; the first point carries
+        ``start_frame`` (already invariant under its own vertex operation)
+        and the last point is a high-symmetry point with antiunitary matrix
+        ``end_antiunitary``.
     start_frame : (n, m) array
-        Value prescribed at ``points[0]``; reproduced exactly.
+        Value prescribed at the first point; reproduced exactly.
     end_antiunitary : (n, n) array
         Matrix of ``tau_lam o theta`` at the end point.
     end_lam : tuple
         Lattice vector of the end point condition (for diagnostics).
 
-    Returns ``(frames, end_solution)`` where ``frames`` is the list of
-    corrected frames along the segment.
+    Returns ``(corrected, end_solution)``: the corrected frames along the
+    segment, shaped like ``frames``, and the vertex solution at the end,
+    whose ``point`` is the end's index ``(steps,)`` along the segment.
     """
-    steps = len(points) - 1
-    u_start = unitary_between(psi(points[0]), start_frame)
-    sol = vertex_solution(points[-1], psi(points[-1]), end_antiunitary, end_lam)
+    steps = len(frames) - 1
+    u_start = unitary_between(frames[0], start_frame)
+    sol = vertex_solution((steps,), frames[-1], end_antiunitary, end_lam)
     ts = 0.5 * np.arange(steps + 1) / steps
-    path = interpolate_unitaries(u_start, sol.u, ts)
-    frames = [act(psi(g), path[i], check=False) for i, g in enumerate(points)]
-    return frames, sol
+    return frames @ interpolate_unitaries(u_start, sol.u, ts), sol
 
 
 def construct_1d(psi_field, family, extend=True):
@@ -204,24 +200,16 @@ def construct_1d(psi_field, family, extend=True):
     from .wannier import extend_symmetric
 
     geo = psi_field.geometry
-    n_pts = geo.grid_n
-    points = [(i,) for i in range(0, n_pts + 1)]
-
-    origin_sol = vertex_solution(
-        points[0], psi_field.get(points[0]), family.antiunitary_matrix((0,)), (0,)
-    )
-    start_frame = act(psi_field.get(points[0]), origin_sol.u, check=False)
+    psi = psi_field.data
+    origin_sol = vertex_solution((0,), psi[0], family.antiunitary_matrix((0,)), (0,))
     frames, end_sol = macro1(
-        psi_field.get, points, start_frame, family.antiunitary_matrix((1,)), (1,)
+        psi, psi[0] @ origin_sol.u, family.antiunitary_matrix((1,)), (1,)
     )
-
-    fld = FrameField.empty(geo, family.n, family.m, region="effective-cell")
-    for g, f in zip(points, frames):
-        fld.set(g, f)
+    fld = FrameField(geo, "effective-cell", frames)
     diagnostics = {
         "vertex_residuals": {
-            str(points[0]): origin_sol.residual,
-            str(points[-1]): end_sol.residual,
+            str((0,)): origin_sol.residual,
+            str((geo.grid_n,)): end_sol.residual,
         },
         "branch_snaps": bool(origin_sol.branch_snap or end_sol.branch_snap),
     }

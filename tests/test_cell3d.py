@@ -30,10 +30,12 @@ def test_restricted_family_matches_frozen_slice(rng, fam3):
 def test_chart_units_cover_the_cell():
     geo = CellGeometry(3, 4)
     n, big = geo.grid_n, geo.n_side
-    boundary = set(geo.boundary_points_3d())
+    boundary = geo.boundary_mask()
     apex = (n // 2, 0, 0)
-    for g in geo.cell_points():
-        sig, region, s_f, t_f = _chart_units(geo, g)
+    sigma, regions, s_units, t_units = _chart_units(geo, geo.cell_points())
+    for idx in np.ndindex(geo.cell_shape):
+        g = geo.cell_point(idx)
+        sig, region, s_f, t_f = sigma[idx], regions[idx], s_units[idx], t_units[idx]
         assert 0.0 <= sig <= 1.0 + 1e-12
         assert region in (0, 1)
         if region == 0:
@@ -44,7 +46,7 @@ def test_chart_units_cover_the_cell():
             assert n - 1e-9 <= t_f <= 5 * n + 1e-9
         if g == apex:
             assert sig == 0.0
-        if g in boundary:
+        if boundary[idx]:
             assert sig == pytest.approx(1.0, abs=1e-12)
         else:
             assert sig < 1.0
@@ -54,12 +56,12 @@ def test_chart_units_fix_boundary_points():
     """On the boundary the chart projection is the identity."""
     geo = CellGeometry(3, 4)
     n = geo.grid_n
-    for g in sorted(geo.boundary_points_3d()):
-        sig, region, s_f, t_f = _chart_units(geo, g)
-        assert sig == pytest.approx(1.0, abs=1e-12)
-        s_u, t_u = int(round(s_f)), int(round(t_f))
-        assert abs(s_f - s_u) < 1e-9 and abs(t_f - t_u) < 1e-9
-        assert _node_to_global(n, s_u, t_u) == g
+    boundary = geo.cell_points()[geo.boundary_mask()]
+    sig, region, s_f, t_f = _chart_units(geo, boundary)
+    assert np.max(np.abs(sig - 1.0)) <= 1e-12
+    s_u, t_u = np.rint(s_f).astype(int), np.rint(t_f).astype(int)
+    assert np.max(np.abs(s_f - s_u)) < 1e-9 and np.max(np.abs(t_f - t_u)) < 1e-9
+    assert np.array_equal(_node_to_global(n, s_u, t_u), boundary)
 
 
 @pytest.fixture(scope="module")
@@ -133,3 +135,11 @@ def test_construct_3d_refuses_disagreeing_faces(fam3, monkeypatch):
         construct_3d(input_frame(fam3, geo), fam3)
     assert err.value.details["point"] == (0, 1, geo.grid_n)
     assert err.value.details["residual"] > 0.1
+
+
+def test_chart_node_ids_follow_the_node_order():
+    from blochframe.cell3d import DiskDomain, _node_ids
+
+    for n in (2, 4):
+        nodes = DiskDomain(CellGeometry(3, n)).nodes
+        assert np.array_equal(_node_ids(n, nodes[:, 0], nodes[:, 1]), np.arange(len(nodes)))

@@ -103,7 +103,7 @@ def test_non_trims_rejected():
 def test_boundary_loop_shape():
     geo = CellGeometry(2, 4)
     n = geo.grid_n
-    loop = geo.boundary_loop_2d()
+    loop = [tuple(g) for g in geo.boundary_loop_2d().tolist()]
     assert len(loop) == 6 * n
     assert loop[0] == (0, 0)
     assert len(set(loop)) == len(loop)
@@ -121,6 +121,8 @@ def test_cell_point_index_roundtrip():
     for d in (1, 2, 3):
         geo = CellGeometry(d, 2)
         pts = geo.cell_points()
+        assert pts.shape == geo.cell_shape + (d,)
+        pts = [tuple(g) for g in pts.reshape(-1, d).tolist()]
         expected = (geo.grid_n + 1) * (geo.n_side + 1) ** (d - 1)
         assert len(pts) == expected
         for i, g in enumerate(pts):

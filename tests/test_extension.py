@@ -197,8 +197,8 @@ def test_disk_domain_detects_seam_corruption():
     values = np.array(
         [np.exp(1j * _surface_phase(g, geo.n_side)) for g in dom.node_globals]
     )
-    shared = next(i for i, grp in enumerate(dom.point_nodes) if len(grp) > 1)
-    values[dom.point_nodes[shared][1]] *= np.exp(0.5j)
+    shared = np.flatnonzero(np.bincount(dom.node_of_point) > 1)[0]
+    values[np.flatnonzero(dom.node_of_point == shared)[1]] *= np.exp(0.5j)
     with pytest.raises(ChartSeamMismatch):
         dom.lift(values)
 

@@ -7,7 +7,6 @@ from blochframe.errors import SpanMismatch
 from blochframe.frames import (
     FrameField,
     _fix_column_phases,
-    act,
     evaluate,
     frame_distance,
     input_frame,
@@ -23,16 +22,6 @@ def _random_frame(rng, n, m):
     a = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     q, _ = np.linalg.qr(a)
     return q[:, :m]
-
-
-def test_act_is_right_multiplication(rng):
-    f = _random_frame(rng, 4, 2)
-    u = random_unitary(rng, 2)
-    assert np.allclose(act(f, u), f @ u)
-    with pytest.raises(ValueError):
-        act(f, u + 0.1)
-    # the check can be disabled for hot loops
-    act(f, u + 0.1, check=False)
 
 
 def test_frame_distance_is_frobenius(rng):

@@ -29,7 +29,7 @@ def _random_field(rng, region="full-torus", d=2, grid_n=4, n=3, m=2):
     if region == "full-torus":
         targets = fld.points()
     else:
-        targets = geo.cell_points()
+        targets = geo.cell_points().reshape(-1, d)
     for g in targets:
         raw = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
         fld.set(g, np.linalg.qr(raw)[0][:, :m])

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from blochframe.linalg import (
     cluster_phases,
     lowdin,
-    polish_unitary,
     unitary_eigensystem,
     wrap_to_pi,
 )
@@ -77,14 +76,6 @@ def test_lowdin_rank_tolerance(rng):
     # without a tolerance the output is still orthonormal
     q = lowdin(mat)
     assert np.linalg.norm(q.conj().T @ q - np.eye(2)) < 1e-12
-
-
-def test_polish_unitary_restores_unitarity(rng):
-    u = random_unitary(rng, 6)
-    noisy = u + 1e-6 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
-    polished = polish_unitary(noisy)
-    assert np.linalg.norm(polished.conj().T @ polished - np.eye(6)) < 1e-13
-    assert np.linalg.norm(polished - u) < 1e-5
 
 
 @pytest.mark.parametrize("m", [1, 2, 5])

@@ -136,11 +136,10 @@ def test_macro1_reproduces_start_and_fixes_end(rng):
         rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     )
     points = [(i,) for i in range(9)]
-    frames_in = {g: r @ scipy.linalg.expm(1j * g[0] / 8 * h) for g in points}
-    psi = frames_in.get
-    start_sol = vertex_solution(points[0], psi(points[0]), np.eye(4), (0,))
-    start = psi(points[0]) @ start_sol.u
-    frames, end_sol = macro1(psi, points, start, np.eye(4), (1,))
+    frames_in = np.stack([r @ scipy.linalg.expm(1j * g[0] / 8 * h) for g in points])
+    start_sol = vertex_solution(points[0], frames_in[0], np.eye(4), (0,))
+    start = frames_in[0] @ start_sol.u
+    frames, end_sol = macro1(frames_in, start, np.eye(4), (1,))
     assert np.linalg.norm(frames[0] - start) < 1e-12
     phi_end = frames[-1]
     assert np.linalg.norm(phi_end - np.conj(phi_end)) < 1e-10
