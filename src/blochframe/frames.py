@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SpanMismatch
+from .errors import GridTooCoarse, SpanMismatch
 from .linalg import lowdin
 
 __all__ = [
@@ -218,12 +218,19 @@ def input_frame(family, geometry, region="effective-cell"):
                 prev = fld.data[head + (i,) + tail]
                 i += direction
                 at = head + (i,) + tail
+                moved = projectors[at] @ prev
                 try:
-                    cur = lowdin(projectors[at] @ prev, rank_tol=0.1)
-                except ValueError as exc:
-                    raise RuntimeError(
-                        "parallel transport lost rank; grid too coarse for this family"
-                    ) from exc
+                    cur = lowdin(moved, rank_tol=0.1)
+                except ValueError:
+                    sing = np.linalg.svd(moved, compute_uv=False)[..., -1]
+                    worst = np.unravel_index(np.argmin(sing), sing.shape)
+                    point = tuple(int(x) for x in box[at][worst])
+                    raise GridTooCoarse(
+                        f"parallel transport lost rank at grid point {point} "
+                        f"(singular value {sing[worst]:.3e}); refine the grid",
+                        point=point,
+                        singular_value=float(sing[worst]),
+                    ) from None
                 fld.data[at] = cur
                 step = np.linalg.norm(cur - prev, axis=(-2, -1))
                 step_sup = max(step_sup, float(np.max(step)))

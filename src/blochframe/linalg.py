@@ -40,7 +40,7 @@ def lowdin(mat, rank_tol=0.0):
     return u @ vh
 
 
-def _cluster_labels(values, tol):
+def cluster_labels(values, tol):
     """Union-find clustering of complex numbers by pairwise distance <= tol."""
     k = len(values)
     parent = list(range(k))
@@ -91,7 +91,7 @@ def unitary_eigensystem(u, cluster_tol=1e-8):
     t, q = scipy.linalg.schur(u, output="complex")
     w = np.diag(t).copy()
     w = w / np.abs(w)
-    labels = _cluster_labels(w, cluster_tol)
+    labels = cluster_labels(w, cluster_tol)
     return w, q, labels
 
 

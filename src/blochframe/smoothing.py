@@ -400,7 +400,7 @@ def periodic_smooth(
         )
         smoothed = apply_twist(twist, smoothed)
         candidate = np.einsum("...ab,...bm->...am", projectors, smoothed)
-        sing = np.linalg.svd(candidate, compute_uv=False)
+        u, sing, vh = np.linalg.svd(candidate, full_matrices=False)
         worst_sing = float(np.min(sing))
         if worst_sing < rank_floor:
             bad = np.unravel_index(
@@ -415,7 +415,6 @@ def periodic_smooth(
             tried.append({"cutoff": k, "rank_loss": worst_sing})
             k = max(k + 1, int(np.ceil(1.25 * k)))
             continue
-        u, _, vh = np.linalg.svd(candidate, full_matrices=False)
         ortho_frames = np.einsum("...ab,...bm->...am", u, vh)
         dist = float(
             np.max(

@@ -8,9 +8,11 @@ any input frame ``psi`` there is an obstruction unitary ``V`` with
 
 Structural symmetry of the family forces ``V`` to be complex symmetric,
 ``V = V^T``, and any factorization ``V = U U^T`` turns ``psi <| U`` into a
-frame invariant under ``tau_lam o theta``.  The factorization used here is
-``U = W exp(i M / 2) W^H`` from an eigendecomposition ``V = W exp(i M) W^H``
-with all eigenphases taken in ``[0, 2 pi)`` on a synchronized branch.
+frame invariant under ``tau_lam o theta``.  The factorization used here
+diagonalizes ``V`` by a real orthogonal ``O`` (its real and imaginary parts
+are commuting real symmetric matrices), ``V = O exp(i M) O^T``, and takes
+``U = O exp(i M / 2) O^T`` with all eigenphases in ``[0, 2 pi)`` on a
+synchronized branch; ``U`` is symmetric by construction.
 
 Between two such points a geodesic interpolation of unitaries transports one
 frame correction into the other, which settles the construction in d = 1.
@@ -23,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ObstructionAsymmetric
+from .errors import BlochFrameError, ObstructionAsymmetric
 from .frames import FrameField, unitary_between
-from .linalg import cluster_phases, lowdin, unitary_eigensystem, wrap_to_pi
+from .linalg import cluster_labels, cluster_phases, lowdin, unitary_eigensystem, wrap_to_pi
 
 __all__ = [
     "VertexSolution",
@@ -70,6 +72,15 @@ def obstruction_unitary(frame, antiunitary, sym_tol=1e-10):
 def symmetric_sqrt(v, cluster_tol=1e-8, snap_tol=1e-12, check_tol=1e-10):
     """Factor a complex symmetric unitary as ``v = u @ u.T``.
 
+    ``Re v`` and ``Im v`` are commuting real symmetric matrices (``v`` is
+    symmetric and ``v conj(v) = 1``), so one real orthogonal ``o``
+    diagonalizes both, ``v = o diag(exp(i mu)) o^T``, and ``u = o
+    diag(exp(i mu / 2)) o^T`` is symmetric with ``u u^T = v`` to roundoff,
+    however close two eigenphases are.  ``o`` comes from ``eigh(Re v + c Im
+    v)`` with a random ``c`` (fixed seed), which splits the joint
+    eigenspaces generically; a factorization residual above ``check_tol`` is
+    retried with a fresh ``c``.
+
     Eigenphases are synchronized to a common branch ``[0, 2 pi)``; clusters of
     numerically repeated eigenvalues share one representative phase so that a
     degeneracy split across the branch point cannot desynchronize the square
@@ -77,15 +88,16 @@ def symmetric_sqrt(v, cluster_tol=1e-8, snap_tol=1e-12, check_tol=1e-10):
     returned diagnostics flag records whether the snap fired.
 
     Returns ``(u, info)`` with ``info`` containing the factorization residual
-    and the snap flag.  Residuals above ``check_tol`` raise ``ValueError``.
+    and the snap flag.  An asymmetric ``v`` raises
+    :class:`ObstructionAsymmetric`, and a residual above ``check_tol`` on
+    every try raises :class:`BlochFrameError`.
     """
     v = np.asarray(v, dtype=complex)
     sym_defect = float(np.linalg.norm(v - v.T))
     if sym_defect > check_tol:
-        raise ValueError(f"input is not symmetric (defect {sym_defect:.3e})")
-    w, q, labels = unitary_eigensystem(v, cluster_tol=cluster_tol)
-
-    snapped = False
+        raise ObstructionAsymmetric(
+            f"input is not symmetric (defect {sym_defect:.3e})", defect=sym_defect
+        )
 
     def to_positive_branch(angle):
         nonlocal snapped
@@ -95,15 +107,21 @@ def symmetric_sqrt(v, cluster_tol=1e-8, snap_tol=1e-12, check_tol=1e-10):
             snapped = True
         return mu
 
-    phases = cluster_phases(w, labels, to_positive_branch)
-    u = q @ (np.exp(0.5j * phases)[:, None] * q.conj().T)
-    u = lowdin(u)
-    residual = float(np.linalg.norm(u @ u.T - v))
-    if residual > check_tol:
-        raise ValueError(
-            f"symmetric square root residual {residual:.3e} exceeds {check_tol:.1e}"
-        )
-    return u, {"residual": residual, "branch_snap": snapped}
+    rng = np.random.default_rng(1234)
+    for _ in range(8):
+        _, o = np.linalg.eigh(v.real + rng.standard_normal() * v.imag)
+        w = np.diag(o.T @ v @ o)
+        w = w / np.abs(w)
+        snapped = False
+        phases = cluster_phases(w, cluster_labels(w, cluster_tol), to_positive_branch)
+        u = lowdin(o @ (np.exp(0.5j * phases)[:, None] * o.T))
+        residual = float(np.linalg.norm(u @ u.T - v))
+        if residual <= check_tol:
+            return u, {"residual": residual, "branch_snap": snapped}
+    raise BlochFrameError(
+        f"symmetric square root residual {residual:.3e} exceeds {check_tol:.1e}",
+        residual=residual,
+    )
 
 
 @dataclass

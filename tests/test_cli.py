@@ -156,3 +156,27 @@ def test_report_refuses_artifacts_of_another_configuration(tmp_path, capsys):
     assert payload["error"] == "usage"
     assert payload["details"]["stored"]["model"] == "ssh"
     assert captured.out == ""
+
+
+def test_input_frame_rank_loss_exits_1_with_payload(tmp_path, capsys):
+    """``H(k) = cos(4 pi k) sx + sin(4 pi k) sy`` turns its occupied line by
+    a right angle between neighbours of a grid_n 2 transport, so the
+    projected frame loses its rank there."""
+    model = {
+        "dimension": 1, "orbitals": 2, "rank": 1,
+        "hoppings": [{"R": [2], "re": [[0, 0], [1, 0]]},
+                     {"R": [-2], "re": [[0, 1], [0, 0]]}],
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert main(["verify-model", "--model", str(path), "--grid-n", "2"]) == 0
+    capsys.readouterr()
+    code = main(["construct", "--model", str(path), "--grid-n", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    payload = json.loads(captured.err)
+    assert payload["error"] == "grid-too-coarse"
+    assert payload["details"]["point"] == [1]
+    assert payload["details"]["singular_value"] < 0.1
+    assert main(["construct", "--model", str(path), "--grid-n", "4"]) == 0

@@ -40,7 +40,7 @@ def test_symmetric_sqrt_rejects_asymmetric(rng):
     u = random_unitary(rng, 3)
     if np.linalg.norm(u - u.T) < 1e-3:  # essentially impossible, but be safe
         u = u @ np.diag([1, 1j, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ObstructionAsymmetric):
         symmetric_sqrt(u)
 
 
@@ -62,6 +62,21 @@ def test_symmetric_sqrt_keeps_split_degeneracy_together(rng):
     # both members of the cluster took the branch near zero phase
     w = np.linalg.eigvals(u)
     assert sorted(np.abs(np.angle(w)))[1] < 1e-6
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_symmetric_sqrt_of_phases_straddling_the_branch_point(seed):
+    """Eigenphases just below and above 0 put the square roots near -1 and
+    +1; the root must still factor ``v`` to roundoff."""
+    rng = np.random.default_rng(seed)
+    o = scipy.linalg.qr(rng.standard_normal((3, 3)))[0]
+    mu = np.array([-1.05e-5, 3.0e-7, 1.5e-3]) * rng.uniform(0.5, 2.0, size=3)
+    v = o @ np.diag(np.exp(1j * mu)) @ o.T
+    v = 0.5 * (v + v.T)
+    u, info = symmetric_sqrt(v)
+    assert np.linalg.norm(u @ u.T - v) <= 1e-12
+    assert info["residual"] <= 1e-12
+    assert np.linalg.norm(u - u.T) <= 1e-12
 
 
 def test_obstruction_unitary_closed_form(rng):
