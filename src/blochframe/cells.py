@@ -113,7 +113,8 @@ class CellGeometry:
     def boundary_mask(self):
         """Mask over ``cell_shape`` of the grid points on the cell boundary."""
         g = self.cell_points()
-        return (g[..., 0] % self.grid_n == 0) | np.any(np.abs(g[..., 1:]) == self.grid_n, axis=-1)
+        n = self.grid_n
+        return (g[..., 0] % n == 0) | np.any(np.abs(g[..., 1:]) == n, axis=-1)
 
     # ------------------------------------------------------------------
     # torus indexing: stored fundamental domain is {0, ..., 2 grid_n - 1}^d

@@ -179,7 +179,8 @@ def macro2(ctx, left_edge, bottom_edge, tol=1e-8, seed=0):
     skel = np.full(psi.shape, np.nan, dtype=complex)
     skel[0] = left_edge
     skel[:, 0] = bottom_edge
-    skel[n, :n + 1], sol4 = macro1(psi[n, :n + 1], corner, ctx.antiunitary((1, 0)), (1, 0))
+    lower_right, sol4 = macro1(psi[n, :n + 1], corner, ctx.antiunitary((1, 0)), (1, 0))
+    skel[n, :n + 1] = lower_right
     skel[n, n + 1:] = ctx.apply_anti((1, 0), skel[n, n - 1::-1])
     skel[1:n, 2 * n] = ctx.t2 @ skel[1:n, 0]
 
