@@ -11,6 +11,14 @@ Time reversal acts as ``theta = C o conj`` with a unitary ``C`` satisfying
 ``C conj(C) = 1`` (plain conjugation when ``C = 1``); the lattice may act
 through a unitary representation ``tau`` (identity for all built-in models,
 the general interface is kept for user-supplied configurations).
+
+:func:`require_assumptions` samples the eigensystem on the stored torus grid
+once: :func:`verify_assumptions` slices its base sample from it, and the
+projectors built from it are what a construction smooths against and
+certifies with.  The shifted samples ``P(k + e_j)``, ``P(-k)`` and those of
+the smoothness proxy keep their own Hamiltonians.  The residuals are exact
+maxima of spectral norms, but the SVD runs only on the entries whose
+Frobenius norm can hold the maximum.
 """
 
 import json
@@ -19,6 +27,7 @@ from itertools import product
 
 import numpy as np
 
+from .cells import CellGeometry
 from .errors import AssumptionsFailed, GapClosed, ModelConfigError
 
 __all__ = [
@@ -189,15 +198,18 @@ class ProjectorFamily:
         h = self.hamiltonian(k)
         return np.linalg.eigh(0.5 * (h + _dagger(h)))
 
-    def spectral_frame(self, k, gap_tol=None):
+    def spectral_frame(self, k, gap_tol=None, eigensystem=None):
         """Orthonormal eigenbases ``(..., n, m)`` of the lowest ``m`` bands
         and the gaps ``(...)`` at quasimomenta ``k`` of shape ``(..., d)``.
 
-        Raises :class:`GapClosed` at the point of the smallest gap when it
-        falls below tolerance.
+        ``eigensystem`` is ``self.eigensystem(k)`` when the caller has
+        already sampled it.  Raises :class:`GapClosed` at the point of the
+        smallest gap when it falls below tolerance.
         """
         tol = self.gap_tolerance if gap_tol is None else gap_tol
-        evals, evecs = self.eigensystem(k)
+        if eigensystem is None:
+            eigensystem = self.eigensystem(k)
+        evals, evecs = eigensystem
         below, above = evals[..., self.m - 1], evals[..., self.m]
         gap = above - below
         worst = np.unravel_index(np.argmin(gap), gap.shape)
@@ -210,9 +222,10 @@ class ProjectorFamily:
             )
         return evecs[..., : self.m], gap
 
-    def projector(self, k, gap_tol=None):
-        """Spectral projectors ``(..., n, n)`` at ``k`` of shape ``(..., d)``."""
-        frame, _ = self.spectral_frame(k, gap_tol)
+    def projector(self, k, gap_tol=None, eigensystem=None):
+        """Spectral projectors ``(..., n, n)`` at ``k`` of shape ``(..., d)``;
+        ``eigensystem`` as in :meth:`spectral_frame`."""
+        frame, _ = self.spectral_frame(k, gap_tol, eigensystem)
         return frame @ _dagger(frame)
 
     # ------------------------------------------------------------------
@@ -294,24 +307,53 @@ def _samples(d, grid_n, coarse_step):
     return np.stack(np.meshgrid(*[pts] * d, indexing="ij"), axis=-1).reshape(-1, d)
 
 
+def _sampled(family, grid_n, coarse_step, torus):
+    """The grid of :func:`_samples` and its eigensystem, sliced from
+    ``torus`` (the eigensystem on ``CellGeometry(d, grid_n).torus_k()``)
+    when given: both grids are the points ``i / 2 grid_n``."""
+    d, n = family.d, family.n
+    samples = _samples(d, grid_n, coarse_step)
+    if torus is None:
+        return samples, family.eigensystem(samples)
+    at = (slice(None, None, coarse_step if d == 3 else 1),) * d
+    evals, evecs = torus
+    return samples, (evals[at].reshape(-1, n), evecs[at].reshape(-1, n, n))
+
+
 def _max_norm2(stack):
-    """Largest spectral norm over a stack of matrices."""
-    return float(np.max(np.linalg.norm(stack, 2, axis=(-2, -1))))
+    """Largest spectral norm over a stack of matrices, exactly.
+
+    ``||D||_2 <= ||D||_F <= sqrt(r) ||D||_2`` with ``r`` the smaller matrix
+    dimension, so the maximum sits at an entry whose Frobenius norm reaches
+    ``max_F / sqrt(r)``; the SVD norm runs on those entries alone (the
+    ``1e-12`` slack covers roundoff, and entries that are not finite are
+    kept).  An all-zero stack gives 0.0.
+    """
+    fro = np.linalg.norm(stack, axis=(-2, -1))
+    top = float(np.max(fro))
+    if top == 0.0:
+        return 0.0
+    bound = (1.0 - 1e-12) * top / np.sqrt(min(stack.shape[-2:]))
+    keep = stack[~(fro < bound)]
+    return float(np.max(np.linalg.norm(keep, 2, axis=(-2, -1))))
 
 
 def _projectors(family, k):
     """Spectral projectors at ``k`` without the gap gate: a closed gap shows
     in the report's ``gap_floor`` instead of raising."""
-    _, evecs = family.eigensystem(k)
+    return _frames_projector(family, family.eigensystem(k)[1])
+
+
+def _frames_projector(family, evecs):
     frames = evecs[..., : family.m]
     return frames @ _dagger(frames)
 
 
-def _smoothness_proxy(family, grid_n):
+def _smoothness_proxy(family, grid_n, torus):
     """max ||second difference of P|| * grid_n**2 over a coarse grid."""
     h = 1.0 / (2 * grid_n)
-    samples = _samples(family.d, grid_n, max(1, grid_n // 4))
-    p = _projectors(family, samples)
+    samples, (_, evecs) = _sampled(family, grid_n, max(1, grid_n // 4), torus)
+    p = _frames_projector(family, evecs)
     worst = 0.0
     for e in h * np.eye(family.d):
         d2 = _projectors(family, samples + e) - 2 * p + _projectors(family, samples - e)
@@ -319,22 +361,23 @@ def _smoothness_proxy(family, grid_n):
     return worst * grid_n**2
 
 
-def verify_assumptions(family, grid_n=16, tol=1e-8):
+def verify_assumptions(family, grid_n=16, tol=1e-8, torus=None):
     """Check periodicity, time reversal, compatibility and the gap on a grid.
 
     ``P(k + e_j)`` and ``P(-k)`` are sampled from their own Hamiltonians, so
-    a model that breaks either symmetry shows it in the residuals.  Returns
-    an :class:`AssumptionReport`; ``passed`` is False when any residual
-    exceeds ``tol`` or the measured gap floor drops below the family's gap
-    tolerance.  A closed gap is reported that way, never raised.
+    a model that breaks either symmetry shows it in the residuals.  The
+    base sample ``P(k)`` is sliced from ``torus``, the eigensystem on
+    ``CellGeometry(d, grid_n).torus_k()``, when the caller has taken it.
+    Returns an :class:`AssumptionReport`; ``passed`` is False when any
+    residual exceeds ``tol`` or the measured gap floor drops below the
+    family's gap tolerance.  A closed gap is reported that way, never
+    raised.
     """
     d, m = family.d, family.m
-    samples = _samples(d, grid_n, max(1, grid_n // 8))
+    samples, (evals, evecs) = _sampled(family, grid_n, max(1, grid_n // 8), torus)
     c = family.theta_matrix()
-    evals, evecs = family.eigensystem(samples)
     gap_floor = float(np.min(evals[:, m] - evals[:, m - 1]))
-    frames = evecs[..., :m]
-    p = frames @ _dagger(frames)
+    p = _frames_projector(family, evecs)
     res_p2 = 0.0
     for e in np.eye(d):
         tau_j = family.tau_power(tuple(int(x) for x in e))
@@ -359,15 +402,24 @@ def verify_assumptions(family, grid_n=16, tol=1e-8):
         periodicity=res_p2,
         time_reversal=res_p3,
         compatibility=res_p4,
-        smoothness_proxy=_smoothness_proxy(family, grid_n),
+        smoothness_proxy=_smoothness_proxy(family, grid_n, torus),
         tolerance=tol,
         passed=bool(passed),
     )
 
 
 def require_assumptions(family, grid_n=16, tol=1e-8):
-    """Raise :class:`AssumptionsFailed` unless :func:`verify_assumptions` passes."""
-    report = verify_assumptions(family, grid_n=grid_n, tol=tol)
+    """Sample the torus once and raise :class:`AssumptionsFailed` unless
+    :func:`verify_assumptions` passes on that sample.
+
+    Returns ``(report, projectors)``: the spectral projectors on
+    ``CellGeometry(d, grid_n).torus_k()``, built from the same sample with
+    the gap gate of :meth:`ProjectorFamily.projector`.  They are the one
+    torus sample a construction needs.
+    """
+    torus_k = CellGeometry(family.d, grid_n).torus_k()
+    torus = family.eigensystem(torus_k)
+    report = verify_assumptions(family, grid_n=grid_n, tol=tol, torus=torus)
     if not report.passed:
         raise AssumptionsFailed(
             "model violates the structural assumptions",
@@ -377,7 +429,7 @@ def require_assumptions(family, grid_n=16, tol=1e-8):
             gap_floor=report.gap_floor,
             tolerance=tol,
         )
-    return report
+    return report, family.projector(torus_k, eigensystem=torus)
 
 
 # ----------------------------------------------------------------------

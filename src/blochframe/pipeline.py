@@ -149,18 +149,21 @@ def _trim_obstruction_defects(psi_field, family, geometry):
     return out
 
 
-def final_residuals(field, family):
+def final_residuals(field, family, projectors=None):
     """The certificate residuals of a full-torus frame field.
 
     The projector and orthonormality defects are pointwise; reflection
-    compares every grid pair ``(k, -k)``.  Lattice periodicity needs no
-    residual here: the stored field covers one fundamental domain and every
-    other point is reached through ``tau``, and the manifest's
-    ``extension_mismatch`` certifies that every boundary identification of
-    the constructed frame agrees.
+    compares every grid pair ``(k, -k)``.  ``projectors`` are the spectral
+    projectors on the torus grid when the caller has sampled them.  Lattice
+    periodicity needs no residual here: the stored field covers one
+    fundamental domain and every other point is reached through ``tau``,
+    and the manifest's ``extension_mismatch`` certifies that every boundary
+    identification of the constructed frame agrees.
     """
+    if projectors is None:
+        projectors = family.projector(field.geometry.torus_k())
     frames = field.data
-    moved = family.projector(field.geometry.torus_k()) @ frames - frames
+    moved = projectors @ frames - frames
     return {
         "projector": float(np.max(np.linalg.norm(moved, axis=(-2, -1)))),
         "orthonormality": field.orthonormality_defect(),
@@ -172,7 +175,9 @@ def run_construct(config):
     """Full frame construction; returns a dict of fields and the manifest."""
     t0 = time.monotonic()
     family = load_family(config)
-    report = require_assumptions(family, grid_n=config.grid_n, tol=config.tol)
+    report, projectors = require_assumptions(
+        family, grid_n=config.grid_n, tol=config.tol
+    )
     geometry = CellGeometry(family.d, config.grid_n)
     psi = input_frame(family, geometry)
     obstructions = _trim_obstruction_defects(psi, family, geometry)
@@ -184,8 +189,10 @@ def run_construct(config):
     else:
         phi, diag = construct_3d(psi, family, tol=config.tol, seed=config.seed)
 
-    phi_sm, smooth_report = smooth_symmetric(phi, family, config.epsilon)
-    residuals = final_residuals(phi_sm, family)
+    phi_sm, smooth_report = smooth_symmetric(
+        phi, family, config.epsilon, projectors=projectors
+    )
+    residuals = final_residuals(phi_sm, family, projectors)
     elapsed = time.monotonic() - t0
 
     manifest = {

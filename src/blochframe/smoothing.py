@@ -15,8 +15,11 @@ without losing the symmetries:
   by untwisting the translation cocycle, damped with a flat-top Fourier
   multiplier (weight one up to half the cutoff, linear taper to zero at the
   cutoff), twisted back, re-projected onto the fibers and
-  re-orthonormalized; the cutoff is raised until the result is within the
-  requested distance of the input;
+  re-orthonormalized; the cutoff is raised, up to ``n_side - 1``, until the
+  result is within the requested distance of the input.  Each rung is first
+  screened through ``eigh`` of its ``m x m`` Gram matrix, and only a rung
+  the screen cannot reject takes the full SVD, so the ladder costs one
+  small ``eigh`` per rung and one SVD per decision;
 * an exact re-symmetrization that restores the reflection property at
   every grid point by midpointing each frame with the time-reversed image
   of its partner.
@@ -41,13 +44,11 @@ from .errors import (
     UsageError,
 )
 from .frames import FrameField, check_same_span
-from .linalg import cluster_phases, lowdin, unitary_eigensystem
+from .linalg import lowdin
 
 __all__ = [
     "MIDPOINT_LIMIT",
-    "unitary_log",
     "midpoint_unitary",
-    "geodesic_distance",
     "frame_midpoint",
     "reflection_defect",
     "symmetrize",
@@ -61,31 +62,10 @@ __all__ = [
 # Everything this module midpoints is far closer than this.
 MIDPOINT_LIMIT = 0.25 * np.pi
 
-
-def _log_eigensystem(u, margin=1e-8):
-    """Clustered eigenphases in (-pi, pi) and the unitary eigenbasis."""
-    w, q, labels = unitary_eigensystem(u)
-    phases = cluster_phases(w, labels, lambda a: a)
-    worst = float(np.pi - np.max(np.abs(phases))) if len(phases) else np.pi
-    if worst <= margin:
-        raise EigenphaseNearPi(
-            f"eigenphase within {worst:.2e} of the branch cut at pi",
-            margin=worst,
-        )
-    return phases, q
-
-
-def unitary_log(u, margin=1e-8):
-    """Principal logarithm of a unitary matrix.
-
-    Returns the skew-Hermitian ``A`` with ``exp(A) = u`` and all eigenvalues
-    of ``A/i`` in ``(-pi, pi)``.  An eigenphase within ``margin`` of the
-    branch cut raises :class:`EigenphaseNearPi`; the Hilbert-Schmidt norm of
-    the result is the geodesic distance from the identity to ``u``.
-    """
-    phases, q = _log_eigensystem(u, margin=margin)
-    a = (q * (1j * phases)) @ q.conj().T
-    return 0.5 * (a - a.conj().T)
+# A smoothing rung is decided on its Gram screen only when it clears the
+# rank floor or the distance target by more than this times its condition
+# number squared; otherwise the full SVD decides.
+SCREEN_MARGIN = 1e-12
 
 
 def midpoint_unitary(u, margin=1e-8):
@@ -105,12 +85,6 @@ def midpoint_unitary(u, margin=1e-8):
             margin=worst,
         )
     return lowdin(plus)
-
-
-def geodesic_distance(u):
-    """Geodesic distance from the identity, ``(sum of eigenphases^2)^(1/2)``."""
-    phases, _ = _log_eigensystem(u, margin=0.0)
-    return float(np.sqrt(np.sum(phases**2)))
 
 
 def frame_midpoint(a, b):
@@ -328,6 +302,46 @@ def _decay_slope(shells):
     return float(coeff[0])
 
 
+def _gram_screen(candidate, data, rank_floor, target):
+    """Reject a ladder rung from its ``m x m`` Gram matrix when that is safe.
+
+    ``eigh(c^H c) = (w, V)`` gives the singular values ``sqrt(w)`` of the
+    projected frames ``c`` and their polar factor ``c V w^(-1/2) V^H``.
+    That route loses accuracy like the condition number ``kappa`` squared,
+    so it decides only when the smallest singular value lies below
+    ``rank_floor`` or the sup distance to ``data`` above ``target`` by more
+    than ``SCREEN_MARGIN * kappa**2``.  Returns the rung's ``tried`` entry
+    then, and ``None`` when the rung needs the SVD.
+    """
+    w, v = np.linalg.eigh(np.swapaxes(candidate.conj(), -1, -2) @ candidate)
+    w_min = float(np.min(w))
+    if not w_min > 0.0:
+        return None
+    low = float(np.sqrt(w_min))
+    margin = SCREEN_MARGIN * float(np.max(w)) / w_min
+    if low < rank_floor - margin:
+        return {"rank_loss": low}
+    if low < rank_floor + margin:
+        return None
+    polar = (candidate @ (v / np.sqrt(w)[..., None, :])) @ np.swapaxes(v.conj(), -1, -2)
+    dist = _sup_distance(polar, data)
+    return {"sup_distance": dist} if dist > target + margin else None
+
+
+def _svd_rung(candidate, data, rank_floor):
+    """The exact rung: rank test and polar factor from one full SVD.
+
+    Returns the rung's ``tried`` entry and its polar factor (``None`` on a
+    rank loss).
+    """
+    u, sing, vh = np.linalg.svd(candidate, full_matrices=False)
+    worst_sing = float(np.min(sing))
+    if worst_sing < rank_floor:
+        return {"rank_loss": worst_sing}, None
+    ortho_frames = np.einsum("...ab,...bm->...am", u, vh)
+    return {"sup_distance": _sup_distance(ortho_frames, data)}, ortho_frames
+
+
 def periodic_smooth(
     field,
     family,
@@ -336,6 +350,7 @@ def periodic_smooth(
     k_max=None,
     rank_floor=0.1,
     precondition_tol=1e-6,
+    projectors=None,
 ):
     """Band-limit a symmetric torus field to within ``0.9 * epsilon``.
 
@@ -344,13 +359,25 @@ def periodic_smooth(
     ``prod_j min(1, max(0, 2 - 2 |q_j| / K))`` (untouched harmonics up to
     ``K/2``, linear taper to zero at ``K``), and the result is twisted
     back, projected onto ``Ran P(k)`` and symmetrically re-orthonormalized.
+    ``projectors`` are the spectral projectors on the torus grid when the
+    caller has sampled them.
+
     The cutoff ``K`` climbs a geometric ladder until the sup frame distance
     to the input drops below ``0.9 * epsilon``; the smallest workable
     cutoff is kept, since every extra harmonic slows the Wannier decay.
-    Exhausting ``k_max`` raises :class:`EpsilonInfeasible`.  A projection losing rank (smallest singular
-    value below ``rank_floor``) marks the cutoff as infeasible and the
-    search continues upward; if no cutoff succeeds the last rank failure is
-    re-raised as :class:`ProjectionRankLoss`.
+    The ladder ends at ``k_max``, which is clamped to ``n_side - 1``: from
+    ``K = n_side`` on the multiplier is one on every grid harmonic, so such
+    a rung smooths nothing.  A step that would pass ``k_max`` tries
+    ``k_max`` itself, and exhausting the ladder raises
+    :class:`EpsilonInfeasible`.  A projection losing rank (smallest
+    singular value below ``rank_floor``) marks the cutoff as infeasible and
+    the search continues upward; if no cutoff succeeds the last rank
+    failure is raised as :class:`ProjectionRankLoss`.
+
+    Each rung is screened by :func:`_gram_screen`; the rung it cannot
+    reject, and so the accepted one, is decided by the full SVD, which
+    makes the chosen cutoff and the returned frames those of an all-SVD
+    ladder.  Screened rungs record their Gram values in ``tried``.
 
     Returns ``(field, report)``; the report records the chosen cutoff, the
     measured distance, the attempted cutoffs, second-difference and spectral
@@ -363,8 +390,7 @@ def periodic_smooth(
     geometry = field.geometry
     d = geometry.d
     big = geometry.n_side
-    if k_max is None:
-        k_max = 64 * big
+    k_max = big - 1 if k_max is None else min(int(k_max), big - 1)
 
     ortho = field.orthonormality_defect()
     refl = reflection_defect(field, family)
@@ -381,15 +407,11 @@ def periodic_smooth(
     coeffs = np.fft.fftn(data, axes=axes)
     freqs = np.abs(np.fft.fftfreq(big, d=1.0 / big)).astype(int)
 
-    projectors = family.projector(geometry.torus_k())
+    if projectors is None:
+        projectors = family.projector(geometry.torus_k())
 
-    shells_before = _spectral_shells(coeffs, d)
-    diff_before = _second_difference(data, d)
-
-    tried = []
-    k = int(k_start)
-    last_rank_error = None
-    while k <= k_max:
+    def candidate_at(k):
+        """The field smoothed at cutoff ``k`` and projected onto the fibers."""
         mult = np.ones(geometry.torus_shape)
         for j in range(d):
             shape = [1] * d
@@ -399,35 +421,22 @@ def periodic_smooth(
             coeffs * mult.reshape(geometry.torus_shape + (1, 1)), axes=axes
         )
         smoothed = apply_twist(twist, smoothed)
-        candidate = np.einsum("...ab,...bm->...am", projectors, smoothed)
-        u, sing, vh = np.linalg.svd(candidate, full_matrices=False)
-        worst_sing = float(np.min(sing))
-        if worst_sing < rank_floor:
-            bad = np.unravel_index(
-                int(np.argmin(sing[..., -1])), geometry.torus_shape
-            )
-            last_rank_error = ProjectionRankLoss(
-                f"smoothed frame falls out of the fibers at grid point {bad} "
-                f"(singular value {worst_sing:.3e} < {rank_floor})",
-                point=bad,
-                singular_value=worst_sing,
-            )
-            tried.append({"cutoff": k, "rank_loss": worst_sing})
-            k = max(k + 1, int(np.ceil(1.25 * k)))
-            continue
-        ortho_frames = np.einsum("...ab,...bm->...am", u, vh)
-        dist = float(
-            np.max(
-                np.sqrt(
-                    np.sum(
-                        np.abs(ortho_frames - field.data) ** 2,
-                        axis=(-2, -1),
-                    )
-                )
-            )
-        )
-        tried.append({"cutoff": k, "sup_distance": dist})
-        if dist < 0.9 * epsilon:
+        return np.einsum("...ab,...bm->...am", projectors, smoothed)
+
+    shells_before = _spectral_shells(coeffs, d)
+    diff_before = _second_difference(data, d)
+
+    target = 0.9 * epsilon
+    tried = []
+    k = int(k_start)
+    while k <= k_max:
+        candidate = candidate_at(k)
+        entry = _gram_screen(candidate, field.data, rank_floor, target)
+        if entry is None:
+            entry, ortho_frames = _svd_rung(candidate, field.data, rank_floor)
+        tried.append({"cutoff": k, **entry})
+        # the screen only rejects, so an accepted rung went through the SVD
+        if entry.get("sup_distance", target) < target:
             out = FrameField(
                 geometry,
                 "full-torus",
@@ -439,8 +448,8 @@ def periodic_smooth(
             shells_after = _spectral_shells(np.fft.fftn(after, axes=axes), d)
             report = {
                 "cutoff": k,
-                "sup_distance": dist,
-                "target": 0.9 * epsilon,
+                "sup_distance": entry["sup_distance"],
+                "target": target,
                 "tried": tried,
                 "second_difference_before": diff_before,
                 "second_difference_after": diff_after,
@@ -448,12 +457,25 @@ def periodic_smooth(
                 "spectral_slope_after": _decay_slope(shells_after),
             }
             return out, report
-        k = max(k + 1, int(np.ceil(1.25 * k)))
-    if last_rank_error is not None and all("rank_loss" in t for t in tried):
-        raise last_rank_error
+        if k == k_max:
+            break
+        k = min(k_max, max(k + 1, int(np.ceil(1.25 * k))))
+    if tried and all("rank_loss" in t for t in tried):
+        _, sing, _ = np.linalg.svd(
+            candidate_at(tried[-1]["cutoff"]), full_matrices=False
+        )
+        worst_sing = float(np.min(sing))
+        flat = int(np.argmin(sing[..., -1]))
+        bad = tuple(int(x) for x in np.unravel_index(flat, geometry.torus_shape))
+        raise ProjectionRankLoss(
+            f"smoothed frame falls out of the fibers at grid point {bad} "
+            f"(singular value {worst_sing:.3e} < {rank_floor})",
+            point=bad,
+            singular_value=worst_sing,
+        )
     raise EpsilonInfeasible(
         f"no cutoff up to {k_max} brings the smoothed field within "
-        f"{0.9 * epsilon:.3e} of the input",
+        f"{target:.3e} of the input",
         tried=tried,
     )
 
@@ -468,14 +490,14 @@ def smooth_symmetric(field, family, epsilon, **kwargs):
     """
     smoothed, sm_report = periodic_smooth(field, family, epsilon, **kwargs)
     final, sym_report = symmetrize(smoothed, family)
-    dist = _sup_distance(final, field)
+    dist = _sup_distance(final.data, field.data)
     if dist >= epsilon:
         kwargs.pop("k_start", None)
         smoothed, sm_report = periodic_smooth(
             field, family, 0.5 * epsilon, k_start=sm_report["cutoff"], **kwargs
         )
         final, sym_report = symmetrize(smoothed, family)
-        dist = _sup_distance(final, field)
+        dist = _sup_distance(final.data, field.data)
         if dist >= epsilon:
             raise EpsilonInfeasible(
                 f"smoothing plus symmetrization moved the field by {dist:.3e}, "
@@ -492,10 +514,5 @@ def smooth_symmetric(field, family, epsilon, **kwargs):
 
 
 def _sup_distance(a, b):
-    """Sup over the grid of the frame distance between two fields."""
-    return float(
-        np.max(
-            np.sqrt(np.sum(np.abs(np.asarray(a.data) - np.asarray(b.data)) ** 2,
-                           axis=(-2, -1)))
-        )
-    )
+    """Sup over the grid of the frame distance between two stacks of frames."""
+    return float(np.max(np.sqrt(np.sum(np.abs(a - b) ** 2, axis=(-2, -1)))))

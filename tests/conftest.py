@@ -4,7 +4,41 @@ import numpy as np
 import pytest
 
 import blochframe as bf
+from blochframe.errors import EigenphaseNearPi
+from blochframe.linalg import cluster_phases, unitary_eigensystem
 from blochframe.models import ProjectorFamily
+
+
+def _log_eigensystem(u, margin=1e-8):
+    """Clustered eigenphases in (-pi, pi) and the unitary eigenbasis."""
+    w, q, labels = unitary_eigensystem(u)
+    phases = cluster_phases(w, labels, lambda a: a)
+    worst = float(np.pi - np.max(np.abs(phases))) if len(phases) else np.pi
+    if worst <= margin:
+        raise EigenphaseNearPi(
+            f"eigenphase within {worst:.2e} of the branch cut at pi",
+            margin=worst,
+        )
+    return phases, q
+
+
+def unitary_log(u, margin=1e-8):
+    """Principal logarithm of a unitary matrix (reference for the tests).
+
+    Returns the skew-Hermitian ``A`` with ``exp(A) = u`` and all eigenvalues
+    of ``A/i`` in ``(-pi, pi)``.  An eigenphase within ``margin`` of the
+    branch cut raises :class:`EigenphaseNearPi`; the Hilbert-Schmidt norm of
+    the result is the geodesic distance from the identity to ``u``.
+    """
+    phases, q = _log_eigensystem(u, margin=margin)
+    a = (q * (1j * phases)) @ q.conj().T
+    return 0.5 * (a - a.conj().T)
+
+
+def geodesic_distance(u):
+    """Geodesic distance from the identity, ``(sum of eigenphases^2)^(1/2)``."""
+    phases, _ = _log_eigensystem(u, margin=0.0)
+    return float(np.sqrt(np.sum(phases**2)))
 
 
 def random_unitary(rng, m):

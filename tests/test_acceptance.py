@@ -17,11 +17,11 @@ from blochframe.extension import LoopDomain, extend_unitary_cone
 from blochframe.face2d import construct_2d, winding_degree
 from blochframe.frames import input_frame
 from blochframe.pipeline import RunConfig, run_construct, run_verify, run_wannierize
-from blochframe.smoothing import geodesic_distance, midpoint_unitary, symmetrize
+from blochframe.smoothing import midpoint_unitary, symmetrize
 from blochframe.vertex import symmetric_sqrt
 from blochframe.wannier import extend_symmetric, localization_report
 
-from conftest import planted_loop, random_symmetric_unitary
+from conftest import geodesic_distance, planted_loop, random_symmetric_unitary
 
 HALF_PI = float(np.pi / 2)
 

@@ -180,3 +180,17 @@ def test_input_frame_rank_loss_exits_1_with_payload(tmp_path, capsys):
     assert payload["details"]["point"] == [1]
     assert payload["details"]["singular_value"] < 0.1
     assert main(["construct", "--model", str(path), "--grid-n", "4"]) == 0
+
+
+def test_construct_refuses_an_epsilon_only_a_no_op_cutoff_meets(tmp_path, capsys):
+    """Negative control: at grid_n 8 (``n_side`` 16) only the cutoff 19, which
+    keeps every grid harmonic, came within ``0.9e-6``; it is never tried."""
+    code = main(["construct", "--model", "haldane", "--grid-n", "8",
+                 "--epsilon", "1e-6", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    payload = json.loads(captured.err)
+    assert payload["error"] == "epsilon-infeasible"
+    cutoffs = [t["cutoff"] for t in payload["details"]["tried"]]
+    assert cutoffs[-1] == 15
+    assert not (tmp_path / "manifest.json").exists()

@@ -11,9 +11,11 @@ import json
 import numpy as np
 import pytest
 
+from blochframe.cells import CellGeometry
 from blochframe.errors import AssumptionsFailed, GapClosed, ModelConfigError
 from blochframe.models import (
     ProjectorFamily,
+    _max_norm2,
     builtin_model,
     load_model,
     require_assumptions,
@@ -316,3 +318,51 @@ def test_describe_is_json_safe():
     assert desc["rank"] == 1
     assert desc["theta"] == "conjugation"
     assert desc["params"]["phi"] == 0.25
+
+
+def _stack_max_norm2(stack):
+    return float(np.max(np.linalg.norm(stack, 2, axis=(-2, -1))))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pruned_max_norm2_equals_the_full_svd_max(rng, n):
+    assert _max_norm2(np.zeros((7, n, n), dtype=complex)) == 0.0
+    background = 1e-3 * (rng.standard_normal((50, n, n))
+                         + 1j * rng.standard_normal((50, n, n)))
+    spike = background.copy()
+    spike[17] += rng.standard_normal((n, n))
+    # 0.7 * identity has the largest Frobenius norm (0.7 sqrt(n)); a rank-one
+    # entry with spectral norm 0.9 holds the spectral maximum
+    split = background.copy()
+    split[3] = 0.7 * np.eye(n)
+    split[41, 0, 0] = 0.9
+    fro = np.linalg.norm(split, axis=(-2, -1))
+    assert np.argmax(fro) == 3
+    assert np.argmax(np.linalg.norm(split, 2, axis=(-2, -1))) == 41
+    for stack in (background, spike, split, rng.standard_normal((5, 9, n, n))):
+        assert _max_norm2(stack) == _stack_max_norm2(stack)
+
+
+@pytest.mark.parametrize("family, grid_n", [
+    (builtin_model("haldane"), 8),
+    (shifted_haldane(), 4),
+    (builtin_model("random-trs", d=3, n=2, m=1), 16),
+])
+def test_the_torus_sample_gives_the_same_report(family, grid_n):
+    """``require_assumptions`` samples the torus once and slices the
+    verification grids (every second point at d=3 grid_n 16) from it."""
+    alone = verify_assumptions(family, grid_n=grid_n).as_dict()
+    report, projectors = require_assumptions(family, grid_n=grid_n)
+    assert report.as_dict() == alone
+    torus_k = CellGeometry(family.d, grid_n).torus_k()
+    assert np.array_equal(projectors, family.projector(torus_k))
+
+
+def test_fractional_hoppings_without_tau_fail_on_the_torus_sample():
+    """The identity-tau control of above, through the shared torus sample."""
+    twisted = shifted_haldane()
+    fam = ProjectorFamily(d=2, n=2, m=1, hoppings=dict(twisted.hoppings))
+    with pytest.raises(AssumptionsFailed) as exc:
+        require_assumptions(fam, grid_n=8)
+    assert exc.value.details["periodicity"] > 0.1
+    assert exc.value.details["time_reversal"] < 1e-12

@@ -6,8 +6,10 @@ import shutil
 import numpy as np
 import pytest
 
+from blochframe.cells import CellGeometry
 from blochframe.errors import AssumptionsFailed, UsageError
 from blochframe.io import file_sha256, load_frames, read_json
+from blochframe.models import ProjectorFamily
 from blochframe.pipeline import (
     RunConfig,
     final_residuals,
@@ -199,3 +201,24 @@ def test_run_report_needs_artifacts(tmp_path):
         run_report(RunConfig(model="ssh"))
     with pytest.raises(UsageError):
         run_report(RunConfig(model="ssh", out=str(tmp_path / "empty")))
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(model="haldane", grid_n=8),
+    RunConfig(model="random-trs", params={"d": 3, "n": 4, "m": 1, "seed": 9},
+              grid_n=2),
+])
+def test_construct_samples_the_torus_once(config, monkeypatch):
+    torus_shape = CellGeometry(
+        load_family(config).d, config.grid_n
+    ).torus_shape
+    shapes = []
+    real = ProjectorFamily.eigensystem
+
+    def spy(self, k):
+        shapes.append(np.shape(k)[:-1])
+        return real(self, k)
+
+    monkeypatch.setattr(ProjectorFamily, "eigensystem", spy)
+    run_construct(config)
+    assert shapes.count(torus_shape) == 1

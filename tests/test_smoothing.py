@@ -1,4 +1,6 @@
 """Unit tests for midpoints, symmetrization and band-limit smoothing."""
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,26 +9,33 @@ from blochframe.cells import CellGeometry
 from blochframe.errors import (
     EigenphaseNearPi,
     EpsilonInfeasible,
+    ProjectionRankLoss,
     SpanMismatch,
     TooFarApart,
     UsageError,
 )
 from blochframe.face2d import construct_2d
 from blochframe.frames import frame_distance, input_frame
-from blochframe.pipeline import final_residuals
+from blochframe import smoothing
+from blochframe.pipeline import RunConfig, final_residuals, run_construct
 from blochframe.smoothing import (
+    apply_twist,
     frame_midpoint,
-    geodesic_distance,
     midpoint_unitary,
     periodic_smooth,
     reflection_defect,
     smooth_symmetric,
     symmetrize,
     twist_gauge,
-    unitary_log,
 )
 
-from conftest import random_unitary, shifted_haldane, skew_hermitian
+from conftest import (
+    geodesic_distance,
+    random_unitary,
+    shifted_haldane,
+    skew_hermitian,
+    unitary_log,
+)
 
 
 def _bounded_unitary(rng, m, spread=2.5):
@@ -264,3 +273,157 @@ def test_symmetrize_keeps_a_field_whose_translations_square_to_minus_one():
     assert report["reflection_after"] <= 1e-12
     assert reflection_defect(fixed, fam) <= 1e-12
     assert final_residuals(fixed, fam)["projector"] <= 1e-12
+
+
+def _all_svd_ladder(field, family, epsilon, rank_floor=0.1):
+    """Reference ladder: every rung decided by the full SVD polar factor.
+
+    Returns ``(cutoff, frames, tried)`` of the first rung within ``0.9
+    epsilon``, or the ``ProjectionRankLoss`` payload ``(None, point,
+    singular_value)`` when every rung loses rank.  Climbs to
+    ``n_side - 1``, and tries it, like :func:`periodic_smooth`.
+    """
+    geo = field.geometry
+    big, d = geo.n_side, geo.d
+    twist = twist_gauge(geo, family)
+    axes = tuple(range(d))
+    coeffs = np.fft.fftn(apply_twist(twist, field.data, inverse=True), axes=axes)
+    freqs = np.abs(np.fft.fftfreq(big, d=1.0 / big)).astype(int)
+    projectors = family.projector(geo.torus_k())
+    tried, k = [], 2
+    while k <= big - 1:
+        mult = np.ones(geo.torus_shape)
+        for j in range(d):
+            shape = [1] * d
+            shape[j] = big
+            mult = mult * np.clip(2.0 - 2.0 * freqs / k, 0.0, 1.0).reshape(shape)
+        smoothed = np.fft.ifftn(
+            coeffs * mult.reshape(geo.torus_shape + (1, 1)), axes=axes
+        )
+        candidate = np.einsum(
+            "...ab,...bm->...am", projectors, apply_twist(twist, smoothed)
+        )
+        u, sing, vh = np.linalg.svd(candidate, full_matrices=False)
+        if np.min(sing) < rank_floor:
+            point = np.unravel_index(int(np.argmin(sing[..., -1])), geo.torus_shape)
+            payload = (None, tuple(int(x) for x in point), float(np.min(sing)))
+            tried.append({"cutoff": k, "rank_loss": float(np.min(sing))})
+        else:
+            frames = np.einsum("...ab,...bm->...am", u, vh)
+            dist = float(np.max(np.linalg.norm(frames - field.data, axis=(-2, -1))))
+            tried.append({"cutoff": k, "sup_distance": dist})
+            if dist < 0.9 * epsilon:
+                return k, frames, tried
+        if k == big - 1:
+            break
+        k = min(big - 1, max(k + 1, int(np.ceil(1.25 * k))))
+    return payload if all("rank_loss" in t for t in tried) else (None, None, tried)
+
+
+def _random_trs_phi(d, n, m, seed, grid_n):
+    config = RunConfig(
+        model="random-trs", params=dict(d=d, n=n, m=m, seed=seed), grid_n=grid_n
+    )
+    built = run_construct(config)
+    return built["family"], built["phi"]
+
+
+@pytest.fixture(scope="module")
+def smoothing_cases(haldane, haldane_torus):
+    """Constructed fields before smoothing: haldane grid_n 8, random-trs
+    d=3 grid_n 2 (m = 1) and random-trs d=2 grid_n 4 (m = 2)."""
+    return {
+        "haldane": (haldane, haldane_torus),
+        "random-trs-3d": _random_trs_phi(3, 4, 1, 9, 2),
+        "random-trs-2d": _random_trs_phi(2, 4, 2, 3, 4),
+    }
+
+
+def _same_ladder(report, ref_tried):
+    assert [t["cutoff"] for t in report["tried"]] == [t["cutoff"] for t in ref_tried]
+    for got, ref in zip(report["tried"], ref_tried):
+        assert got.keys() == ref.keys()
+        key = "sup_distance" if "sup_distance" in ref else "rank_loss"
+        assert got[key] == pytest.approx(ref[key], abs=1e-14)
+
+
+@pytest.mark.parametrize("case", ["haldane", "random-trs-3d", "random-trs-2d"])
+def test_gram_screened_ladder_matches_the_all_svd_ladder(smoothing_cases, case):
+    family, field = smoothing_cases[case]
+    _, _, every_rung = _all_svd_ladder(field, family, 1e-12)
+    # one epsilon per rung of the reference ladder, each just above it
+    epsilons = [1e-12, 0.1, 0.5] + [
+        (t["sup_distance"] + 1e-6) / 0.9 for t in every_rung
+    ]
+    for epsilon in epsilons:
+        cutoff, frames, tried = _all_svd_ladder(field, family, epsilon)
+        if cutoff is None:
+            with pytest.raises(EpsilonInfeasible):
+                periodic_smooth(field, family, epsilon)
+            continue
+        smoothed, report = periodic_smooth(field, family, epsilon)
+        assert report["cutoff"] == cutoff
+        assert np.array_equal(smoothed.data, frames)
+        _same_ladder(report, tried)
+
+
+def test_a_rung_near_the_target_is_decided_by_the_svd(haldane, haldane_torus, monkeypatch):
+    ref_tried = _all_svd_ladder(haldane_torus, haldane, 1e-9)[2]
+    near = ref_tried[2]["sup_distance"]
+    epsilon = (near - 5e-14) / 0.9
+    assert near - 1e-13 < 0.9 * epsilon < near
+    svd_calls = []
+    real = smoothing._svd_rung
+
+    def spy(candidate, data, rank_floor):
+        svd_calls.append(candidate.shape)
+        return real(candidate, data, rank_floor)
+
+    monkeypatch.setattr(smoothing, "_svd_rung", spy)
+    # a target between two rungs: only the accepted rung needs the SVD
+    between = 0.5 * (ref_tried[2]["sup_distance"] + ref_tried[3]["sup_distance"])
+    _, report = periodic_smooth(haldane_torus, haldane, between / 0.9)
+    assert report["cutoff"] == ref_tried[3]["cutoff"]
+    assert len(svd_calls) == 1
+    # a target 5e-14 below rung 2: that rung and the accepted one take the SVD
+    svd_calls.clear()
+    smoothed, report = periodic_smooth(haldane_torus, haldane, epsilon)
+    assert len(svd_calls) == 2
+    cutoff, frames, tried = _all_svd_ladder(haldane_torus, haldane, epsilon)
+    assert report["cutoff"] == cutoff == ref_tried[3]["cutoff"]
+    assert np.array_equal(smoothed.data, frames)
+    _same_ladder(report, tried)
+
+
+def test_the_ladder_stops_below_n_side(haldane, haldane_torus):
+    """From ``K = n_side`` on the multiplier is one on every grid harmonic:
+    such a rung smooths nothing and must not certify."""
+    big = haldane_torus.geometry.n_side
+    for k_max in (None, 64 * big):
+        with pytest.raises(EpsilonInfeasible) as exc:
+            periodic_smooth(haldane_torus, haldane, epsilon=1e-6, k_max=k_max)
+        cutoffs = [t["cutoff"] for t in exc.value.details["tried"]]
+        assert max(cutoffs) == cutoffs[-1] == big - 1
+
+
+def test_the_ladder_tries_n_side_minus_one_when_a_step_passes_it(haldane, haldane_torus):
+    """At ``n_side`` 16 the ladder 2, 3, 4, 5, 7, 9 would step to 12; with
+    ``k_max`` 10 its last rung is 10."""
+    with pytest.raises(EpsilonInfeasible) as exc:
+        periodic_smooth(haldane_torus, haldane, epsilon=1e-6, k_max=10)
+    assert [t["cutoff"] for t in exc.value.details["tried"]] == [2, 3, 4, 5, 7, 9, 10]
+
+
+def test_rank_loss_payload_is_json_safe(haldane, haldane_torus):
+    with pytest.raises(ProjectionRankLoss) as exc:
+        periodic_smooth(haldane_torus, haldane, epsilon=0.1, rank_floor=1.5)
+    details = exc.value.details
+    assert json.loads(json.dumps(details)) == {
+        "point": list(details["point"]),
+        "singular_value": details["singular_value"],
+    }
+    assert all(type(x) is int for x in details["point"])
+    _, point, singular_value = _all_svd_ladder(
+        haldane_torus, haldane, 0.1, rank_floor=1.5
+    )
+    assert details == {"point": point, "singular_value": singular_value}
