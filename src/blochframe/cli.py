@@ -136,7 +136,7 @@ def main(argv=None):
 def _emit_error(err):
     payload = {
         "error": err.code,
-        "message": str(err),
+        "message": err.args[0],
         "details": _safe_details(err.details),
     }
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)

@@ -333,6 +333,8 @@ def run_report(config):
     sm = smoothing.get("smoothing", {})
     lines.append("smoothing:")
     lines.append(f"  cutoff: {sm.get('cutoff')}")
+    lines.append(f"  cutoff fraction: {_fmt(sm.get('cutoff_fraction'))}")
+    lines.append(f"  nyquist resolved: {_fmt(sm.get('nyquist_resolved'))}")
     lines.append(f"  sup distance: {_fmt(sm.get('sup_distance'))}")
     lines.append(
         f"  total move (with symmetrization): "

@@ -379,9 +379,10 @@ def periodic_smooth(
     makes the chosen cutoff and the returned frames those of an all-SVD
     ladder.  Screened rungs record their Gram values in ``tried``.
 
-    Returns ``(field, report)``; the report records the chosen cutoff, the
-    measured distance, the attempted cutoffs, second-difference and spectral
-    shell summaries.
+    Returns ``(field, report)``; the report records the chosen cutoff, its
+    fraction of ``n_side`` and whether it zeroes the grid's Nyquist shell
+    (``K <= n_side // 2``; reported, not gated), the measured distance, the
+    attempted cutoffs, second-difference and spectral shell summaries.
     """
     if field.region != "full-torus":
         raise UsageError("periodic_smooth needs a full-torus field")
@@ -448,6 +449,8 @@ def periodic_smooth(
             shells_after = _spectral_shells(np.fft.fftn(after, axes=axes), d)
             report = {
                 "cutoff": k,
+                "cutoff_fraction": k / big,
+                "nyquist_resolved": k <= big // 2,
                 "sup_distance": entry["sup_distance"],
                 "target": target,
                 "tried": tried,

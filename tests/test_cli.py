@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, output texture, error payloads."""
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import blochframe
 from blochframe.cli import main
+from blochframe.errors import EpsilonInfeasible
 
 HALF_PI = "1.5707963267948966"
 
@@ -194,3 +198,55 @@ def test_construct_refuses_an_epsilon_only_a_no_op_cutoff_meets(tmp_path, capsys
     cutoffs = [t["cutoff"] for t in payload["details"]["tried"]]
     assert cutoffs[-1] == 15
     assert not (tmp_path / "manifest.json").exists()
+
+
+def test_error_message_does_not_repeat_its_details(tmp_path, capsys):
+    code = main(["construct", "--model", "haldane", "--grid-n", "8",
+                 "--epsilon", "1e-6", "--out", str(tmp_path)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert "tried" not in payload["message"]
+    assert payload["details"]["tried"]
+    # the library's own text keeps every detail
+    assert "tried=[1]" in str(EpsilonInfeasible("no cutoff", tried=[1]))
+
+
+_NO_SCIPY_SCRIPT = """
+import json, sys
+from blochframe.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+seen = [["import", 0, scipy_modules()]]
+runs = [("haldane", [], sys.argv[1]),
+        ("random-trs", ["--param", "n=4", "--param", "m=2", "--param", "d=2",
+                        "--grid-n", "4"], sys.argv[2])]
+for model, extra, out in runs:
+    for command in ("verify-model", "construct", "wannierize", "report"):
+        argv = [command, "--model", model, "--grid-n", "8", *extra, "--out", out]
+        seen.append([command, main(argv), scipy_modules()])
+print(json.dumps(seen))
+"""
+
+
+def test_the_pipeline_never_loads_scipy(tmp_path):
+    """Every subcommand runs in a fresh interpreter without importing scipy,
+    on haldane (``m = 1``) and on a ``m = 2`` model whose vertex corrections
+    take the full unitary eigensystem."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blochframe.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT,
+         str(tmp_path / "haldane"), str(tmp_path / "trs")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert len(seen) == 9
+    assert all(code == 0 for _, code, _ in seen)
+    assert [mods for _, _, mods in seen] == [[]] * 9

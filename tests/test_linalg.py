@@ -3,12 +3,17 @@
 The Lowdin orthonormalization is cross-checked against an independent
 oracle built from the Gram matrix: the closest orthonormal-column matrix
 to M is M (M^H M)^{-1/2}, computed here by eigendecomposition rather than
-the SVD route the library uses.
+the SVD route the library uses.  The unitary eigensystem is cross-checked
+against scipy's complex Schur factorization.
 """
+from itertools import permutations
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from blochframe.errors import BlochFrameError
 from blochframe.linalg import (
     cluster_phases,
     lowdin,
@@ -62,8 +67,6 @@ def test_lowdin_is_nearest_projection(rng):
         a = 0.1 * rng.standard_normal((2, 2))
         skew = a - a.T + 1j * (a + a.T)
         skew -= np.trace(skew) / 2 * np.eye(2)
-        import scipy.linalg
-
         rival = best @ scipy.linalg.expm(skew - skew.conj().T)
         assert np.linalg.norm(mat - rival) >= base - 1e-12
 
@@ -78,7 +81,15 @@ def test_lowdin_rank_tolerance(rng):
     assert np.linalg.norm(q.conj().T @ q - np.eye(2)) < 1e-12
 
 
-@pytest.mark.parametrize("m", [1, 2, 5])
+
+
+def _multiset_distance(a, b):
+    """Largest gap between two eigenvalue lists under their best pairing."""
+    b = np.asarray(b)
+    return min(np.max(np.abs(a - b[list(p)])) for p in permutations(range(len(b))))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_unitary_eigensystem_reconstructs(rng, m):
     u = random_unitary(rng, m)
     w, q, labels = unitary_eigensystem(u)
@@ -86,6 +97,8 @@ def test_unitary_eigensystem_reconstructs(rng, m):
     assert np.linalg.norm(q.conj().T @ q - np.eye(m)) < 1e-13
     assert np.linalg.norm(u - q @ np.diag(w) @ q.conj().T) < 1e-12
     assert labels.shape == (m,)
+    t = scipy.linalg.schur(u, output="complex")[0]
+    assert _multiset_distance(w, np.diag(t) / np.abs(np.diag(t))) < 1e-12
 
 
 def test_unitary_eigensystem_orthonormal_on_degenerate_spectrum(rng):
@@ -106,6 +119,44 @@ def test_unitary_eigensystem_splits_separated_eigenvalues(rng):
     u = v @ np.diag(np.exp(1j * np.array([0.1, 0.8, 2.4]))) @ v.conj().T
     _, _, labels = unitary_eigensystem(u, cluster_tol=1e-8)
     assert len(np.unique(labels)) == 3
+
+
+def test_unitary_eigensystem_retries_a_mixing_draw_that_merges_eigenvalues(
+    rng, monkeypatch
+):
+    """``H + c K`` has the eigenvalue ``cos(phi - a) / cos(a)`` with ``c =
+    tan(a)``, so the generator's first ``c`` merges ``a + 0.9`` and ``a -
+    0.9`` into one eigenspace of ``H + c K``; only a fresh draw separates
+    them."""
+    first = np.random.default_rng(1234).standard_normal()
+    a = np.arctan(first)
+    v = random_unitary(rng, 3)
+    phases = np.array([a + 0.9, a - 0.9, a + 2.5])
+    u = v @ np.diag(np.exp(1j * phases)) @ v.conj().T
+    calls = []
+    real = np.linalg.eigh
+
+    def spy(mat):
+        calls.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    w, q, labels = unitary_eigensystem(u)
+    herm, skew = 0.5 * (u + u.conj().T), -0.5j * (u - u.conj().T)
+    assert np.linalg.norm(calls[0] - (herm + first * skew)) < 1e-14
+    assert len(calls) >= 2
+    assert np.linalg.norm(q.conj().T @ q - np.eye(3)) < 1e-13
+    assert np.linalg.norm(u - q @ np.diag(w) @ q.conj().T) < 1e-12
+    assert _multiset_distance(w, np.exp(1j * phases)) < 1e-12
+    assert len(np.unique(labels)) == 3
+
+
+def test_unitary_eigensystem_refuses_a_non_normal_matrix():
+    """Negative control: a Jordan block has no orthonormal eigenbasis."""
+    with pytest.raises(BlochFrameError) as info:
+        unitary_eigensystem(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    assert info.value.code == "error"
+    assert info.value.details["residual"] > 0.1
 
 
 def test_cluster_phases_no_branch_split_inside_cluster():

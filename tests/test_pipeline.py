@@ -222,3 +222,19 @@ def test_construct_samples_the_torus_once(config, monkeypatch):
     monkeypatch.setattr(ProjectorFamily, "eigensystem", spy)
     run_construct(config)
     assert shapes.count(torus_shape) == 1
+
+
+@pytest.mark.parametrize("grid_n, cutoff, resolved", [(8, 9, False), (32, 12, True)])
+def test_the_cutoff_is_reported_against_the_grid(tmp_path, grid_n, cutoff, resolved):
+    """Haldane's accepted cutoff leaves the Nyquist shell of ``n_side = 16``
+    untouched at grid_n 8 and zeroes it at grid_n 32 (``n_side = 64``)."""
+    config = RunConfig(model="haldane", grid_n=grid_n, out=str(tmp_path))
+    sm = run_construct(config)["manifest"]["smoothing"]["smoothing"]
+    assert sm["cutoff"] == cutoff
+    assert sm["cutoff_fraction"] == cutoff / (2 * grid_n)
+    assert sm["nyquist_resolved"] is resolved
+    stored = read_json(os.path.join(config.out, "manifest.json"))["smoothing"]
+    assert stored["smoothing"]["nyquist_resolved"] is resolved
+    text = run_report(config)
+    assert f"cutoff fraction: {cutoff / (2 * grid_n):.3e}" in text
+    assert f"nyquist resolved: {resolved}" in text

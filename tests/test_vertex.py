@@ -12,6 +12,7 @@ import scipy.linalg
 from blochframe.cells import CellGeometry
 from blochframe.errors import ObstructionAsymmetric
 from blochframe.frames import input_frame, unitary_between
+from blochframe.linalg import cluster_labels, cluster_phases, lowdin
 from blochframe.vertex import (
     construct_1d,
     interpolate_unitaries,
@@ -143,6 +144,46 @@ def test_interpolate_conjugate_pair_near_minus_one():
     u2 = np.diag(np.exp(1j * np.array([np.pi - delta, -(np.pi - delta)])))
     w = interpolate_unitaries(np.eye(2), u2, 0.5)
     assert np.linalg.norm(w - u2) < 1e-7
+
+
+def schur_interpolation(u1, u2, t):
+    """Reference geodesic from scipy's complex Schur factor of ``u1^H u2``."""
+    tri, q = scipy.linalg.schur(lowdin(u1.conj().T @ u2), output="complex")
+    w = np.diag(tri) / np.abs(np.diag(tri))
+
+    def principal(angle):
+        a = float(np.angle(np.exp(1j * angle)))
+        return np.pi if a <= -np.pi + 1e-15 else a
+
+    phases = cluster_phases(w, cluster_labels(w, 1e-8), principal)
+    return np.stack(
+        [u1 @ q @ np.diag(np.exp(2j * s * phases)) @ q.conj().T for s in t]
+    )
+
+
+def _first_mixing_angle():
+    return float(np.arctan(np.random.default_rng(1234).standard_normal()))
+
+
+@pytest.mark.parametrize("phases", [
+    None,
+    [0.7, 0.7, 0.7, 2.0],
+    [1.1, -1.1, 0.3],
+    [np.pi - 4e-10, -(np.pi - 4e-10), 0.5],
+    # ``c = tan((phi1 + phi2) / 2)`` merges the first two in ``H + c K``
+    [_first_mixing_angle() + 0.9, _first_mixing_angle() - 0.9, 2.0],
+], ids=["random", "triple", "conjugate-pair", "pair-near-minus-one", "retry"])
+def test_interpolate_matches_a_schur_reference(rng, phases):
+    m = 3 if phases is None else len(phases)
+    u1 = random_unitary(rng, m)
+    if phases is None:
+        u2 = random_unitary(rng, m)
+    else:
+        v = random_unitary(rng, m)
+        u2 = u1 @ v @ np.diag(np.exp(1j * np.asarray(phases))) @ v.conj().T
+    ts = np.linspace(0.0, 0.5, 6)
+    got = interpolate_unitaries(u1, u2, ts)
+    assert np.max(np.abs(got - schur_interpolation(u1, u2, ts))) < 1e-12
 
 
 def test_macro1_reproduces_start_and_fixes_end(rng):
