@@ -16,6 +16,10 @@ Two small self-describing binary containers are defined:
 
 Writers are deterministic (no timestamps, fixed key order in JSON), so
 identical inputs produce byte-identical artifacts.
+
+:func:`write_wannier_csv` is an export only: no pipeline stage writes it,
+and ``WAN1`` is the one stored form of the amplitudes.  Call it on demand,
+e.g. ``write_wannier_csv("w.csv", load_wannier("run/wannier.wan1"))``.
 """
 
 import csv
@@ -214,7 +218,11 @@ def load_wannier(path):
 
 
 def write_wannier_csv(path, wset):
-    """Write amplitudes as CSV rows (gamma per axis, orbital, band, re, im)."""
+    """Export amplitudes as CSV rows (gamma per axis, orbital, band, re, im).
+
+    Values are written with ``%.17g``, so they parse back to the same
+    float64 numbers.
+    """
     d = wset.geometry.d
     gamma = wset.gamma_axis()
     with open(path, "w", newline="") as fh:

@@ -367,7 +367,9 @@ def verify_assumptions(family, grid_n=16, tol=1e-8, torus=None):
     ``P(k + e_j)`` and ``P(-k)`` are sampled from their own Hamiltonians, so
     a model that breaks either symmetry shows it in the residuals.  The
     base sample ``P(k)`` is sliced from ``torus``, the eigensystem on
-    ``CellGeometry(d, grid_n).torus_k()``, when the caller has taken it.
+    ``CellGeometry(d, grid_n).torus_k()``, when the caller has taken it;
+    the gap floor is then the minimum over that whole sample, also where a
+    d=3 grid thins the base sample of the residuals.
     Returns an :class:`AssumptionReport`; ``passed`` is False when any
     residual exceeds ``tol`` or the measured gap floor drops below the
     family's gap tolerance.  A closed gap is reported that way, never
@@ -376,7 +378,8 @@ def verify_assumptions(family, grid_n=16, tol=1e-8, torus=None):
     d, m = family.d, family.m
     samples, (evals, evecs) = _sampled(family, grid_n, max(1, grid_n // 8), torus)
     c = family.theta_matrix()
-    gap_floor = float(np.min(evals[:, m] - evals[:, m - 1]))
+    gap_evals = evals if torus is None else torus[0]
+    gap_floor = float(np.min(gap_evals[..., m] - gap_evals[..., m - 1]))
     p = _frames_projector(family, evecs)
     res_p2 = 0.0
     for e in np.eye(d):

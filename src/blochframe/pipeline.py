@@ -121,6 +121,31 @@ def _check_reusable(config, manifest, phi_sm_path):
         )
 
 
+def _check_wannier_report(config, manifest, report):
+    """Refuse a Wannier report whose ``wannier.wan1`` changed since it was
+    written, or that was built from another ``phi_sm.blf1`` than the one the
+    manifest records."""
+    recorded = report.get("artifacts", {})
+    built_from = recorded.get("phi_sm.blf1")
+    current = manifest.get("artifacts", {}).get("phi_sm.blf1")
+    if built_from != current:
+        raise UsageError(
+            f"wannier_report.json in {config.out!r} was built from another "
+            "phi_sm.blf1 than the manifest records; rerun wannierize",
+            recorded=built_from,
+            current=current,
+        )
+    wan1_path = os.path.join(config.out, "wannier.wan1")
+    found = io_mod.file_sha256(wan1_path) if os.path.exists(wan1_path) else None
+    if found != recorded.get("wannier.wan1"):
+        raise UsageError(
+            f"{wan1_path} does not match the sha256 its Wannier report "
+            "records; rerun wannierize",
+            recorded=recorded.get("wannier.wan1"),
+            found=found,
+        )
+
+
 def _outpath(config, name):
     if config.out is None:
         return None
@@ -230,7 +255,12 @@ def run_construct(config):
 
 
 def run_wannierize(config):
-    """Wannier transform plus certificates; reuses construct artifacts if present."""
+    """Wannier transform plus certificates; reuses construct artifacts if present.
+
+    With an output directory it writes ``wannier.wan1`` and
+    ``wannier_report.json``; the report records the sha256 of the one and
+    of the ``phi_sm.blf1`` it was built from, which ``run_report`` checks.
+    """
     manifest_path = _outpath(config, "manifest.json")
     phi_sm_path = _outpath(config, "phi_sm.blf1")
     family = None
@@ -272,8 +302,12 @@ def run_wannierize(config):
     }
 
     if config.out is not None:
-        io_mod.save_wannier(_outpath(config, "wannier.wan1"), wset)
-        io_mod.write_wannier_csv(_outpath(config, "wannier.csv"), wset)
+        wan1_path = _outpath(config, "wannier.wan1")
+        io_mod.save_wannier(wan1_path, wset)
+        wannier_report["artifacts"] = {
+            "wannier.wan1": io_mod.file_sha256(wan1_path),
+            "phi_sm.blf1": manifest["artifacts"]["phi_sm.blf1"],
+        }
         io_mod.write_json(_outpath(config, "wannier_report.json"), wannier_report)
 
     return {
@@ -348,6 +382,7 @@ def run_report(config):
     wannier_path = os.path.join(config.out, "wannier_report.json")
     if os.path.exists(wannier_path):
         wr = io_mod.read_json(wannier_path)
+        _check_wannier_report(config, manifest, wr)
         reality = wr.get("reality", {})
         lines.append("wannier:")
         lines.append(

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output texture, error payloads."""
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 import blochframe
 from blochframe.cli import main
 from blochframe.errors import EpsilonInfeasible
+from blochframe.io import file_sha256, read_json
 
 HALF_PI = "1.5707963267948966"
 
@@ -160,6 +162,69 @@ def test_report_refuses_artifacts_of_another_configuration(tmp_path, capsys):
     assert payload["error"] == "usage"
     assert payload["details"]["stored"]["model"] == "ssh"
     assert captured.out == ""
+
+
+def _haldane(command, out, *params):
+    argv = [command, "--model", "haldane", "--grid-n", "8", "--out", str(out)]
+    for param in params:
+        argv += ["--param", param]
+    return main(argv)
+
+
+def _refused_report(out, capsys, *params):
+    """Run ``report`` and return its error payload; it must print nothing
+    and write no ``report.txt``."""
+    code = _haldane("report", out, *params)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert not (out / "report.txt").exists()
+    payload = json.loads(captured.err)
+    assert payload["error"] == "usage"
+    assert "rerun wannierize" in payload["message"]
+    return payload
+
+
+def test_report_refuses_a_swapped_wannier_set(tmp_path, capsys):
+    """Negative control: another run's ``wannier.wan1`` (same format, same
+    grid) under a report that did not measure it.  Right after
+    ``wannierize`` the same ``report`` passes."""
+    ours, other = tmp_path / "ours", tmp_path / "other"
+    for out, params in ((ours, ()), (other, ("t2=0.15",))):
+        assert _haldane("construct", out, *params) == 0
+        assert _haldane("wannierize", out, *params) == 0
+    capsys.readouterr()
+    assert _haldane("report", ours) == 0
+    assert "reality defect (imag):" in capsys.readouterr().out
+    (ours / "report.txt").unlink()
+    recorded = read_json(ours / "wannier_report.json")["artifacts"]["wannier.wan1"]
+    shutil.copyfile(other / "wannier.wan1", ours / "wannier.wan1")
+    payload = _refused_report(ours, capsys)
+    assert payload["details"] == {
+        "recorded": recorded,
+        "found": file_sha256(ours / "wannier.wan1"),
+    }
+
+
+def test_report_refuses_a_wannier_report_of_an_earlier_construct(tmp_path, capsys):
+    """Negative control: ``construct`` with another parameter overwrites the
+    frame but leaves the old Wannier files; ``report`` used to print their
+    reality defect (2.949e-17 against a fresh run's 3.990e-17)."""
+    assert _haldane("construct", tmp_path) == 0
+    assert _haldane("wannierize", tmp_path) == 0
+    built_from = read_json(tmp_path / "wannier_report.json")["artifacts"]["phi_sm.blf1"]
+    assert _haldane("construct", tmp_path, "t2=0.15") == 0
+    capsys.readouterr()
+    payload = _refused_report(tmp_path, capsys, "t2=0.15")
+    assert payload["details"] == {
+        "recorded": built_from,
+        "current": read_json(tmp_path / "manifest.json")["artifacts"]["phi_sm.blf1"],
+    }
+    assert payload["details"]["recorded"] != payload["details"]["current"]
+    assert _haldane("wannierize", tmp_path, "t2=0.15") == 0
+    capsys.readouterr()
+    assert _haldane("report", tmp_path, "t2=0.15") == 0
+    assert "wannier:" in capsys.readouterr().out
 
 
 def test_input_frame_rank_loss_exits_1_with_payload(tmp_path, capsys):

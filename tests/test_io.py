@@ -167,6 +167,25 @@ def test_wannier_csv_layout(tmp_path, rng):
     assert float(rows[1][4]) == data[0, 0, 0].imag
 
 
+def test_wannier_csv_export_roundtrips_the_binary_set(tmp_path, rng):
+    """``%.17g`` keeps every float64, so the on-demand CSV export of a
+    loaded ``WAN1`` file parses back to the amplitudes bit for bit."""
+    wset = wannier_transform(_random_field(rng))
+    wan1, path = tmp_path / "w.wan1", tmp_path / "w.csv"
+    save_wannier(wan1, wset)
+    write_wannier_csv(path, load_wannier(wan1))
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    d = wset.geometry.d
+    back = np.full(wset.data.shape, np.nan, dtype=complex)
+    for row in rows:
+        site = tuple(int(g) - wset.offset for g in row[:d])
+        orb, band = int(row[d]), int(row[d + 1])
+        back[site + (orb, band)] = complex(float(row[d + 2]), float(row[d + 3]))
+    assert len(rows) == wset.data.size
+    assert np.array_equal(back, wset.data)
+
+
 def test_write_json_sorted_and_stable(tmp_path):
     path = tmp_path / "doc.json"
     write_json(path, {"b": np.float64(2.0), "a": np.arange(3)})

@@ -366,3 +366,16 @@ def test_fractional_hoppings_without_tau_fail_on_the_torus_sample():
         require_assumptions(fam, grid_n=8)
     assert exc.value.details["periodicity"] > 0.1
     assert exc.value.details["time_reversal"] < 1e-12
+
+
+def test_the_gap_floor_is_the_minimum_over_the_whole_torus_sample():
+    """At d=3 grid_n 16 the residuals run on every second point per axis,
+    but the gap floor of a construct covers every torus point: the coarse
+    slice alone gives 1.882556 for this model."""
+    family = builtin_model("random-trs", d=3, n=4, m=2, seed=0)
+    report, _ = require_assumptions(family, grid_n=16)
+    evals = np.linalg.eigvalsh(family.hamiltonian(CellGeometry(3, 16).torus_k()))
+    assert report.gap_floor == pytest.approx(np.min(evals[..., 2] - evals[..., 1]),
+                                             abs=1e-12)
+    assert report.gap_floor == pytest.approx(1.881906, abs=5e-7)
+    assert family.gap_floor == report.gap_floor

@@ -154,8 +154,16 @@ def test_run_wannierize_reuses_artifacts(ssh_run):
     assert sup[0] > sup[1] > sup[2] > sup[3]
     cutoff = result["manifest"]["smoothing"]["smoothing"]["cutoff"]
     assert report["fit_max"] == min(config.grid_n // 2, cutoff)
-    for name in ("wannier.wan1", "wannier.csv", "wannier_report.json"):
+    for name in ("wannier.wan1", "wannier_report.json"):
         assert os.path.exists(os.path.join(config.out, name))
+    # the binary set is the only amplitude artifact; CSV is an export
+    assert not os.path.exists(os.path.join(config.out, "wannier.csv"))
+    assert report["artifacts"] == {
+        "wannier.wan1": file_sha256(os.path.join(config.out, "wannier.wan1")),
+        "phi_sm.blf1": file_sha256(os.path.join(config.out, "phi_sm.blf1")),
+    }
+    on_disk = read_json(os.path.join(config.out, "wannier_report.json"))
+    assert on_disk["artifacts"] == report["artifacts"]
     # the raw transported frame is reported as a control point; for the
     # 1D chain it happens to come out real, so only check the wiring here
     assert report["control_reality"]["defect"] >= 0.0

@@ -1,0 +1,33 @@
+"""The benchmark's tracer wraps package names from outside the package.
+
+``perfbench/tracing.py`` replaces each ``(module, attr)`` of its stage table
+through ``blochframe.<module>.__dict__[attr]``, so renaming or deleting one
+of those names stops every traced benchmark run with ``KeyError``.  This
+test loads the tracer read-only and fails first.
+"""
+import importlib.util
+import os
+import sys
+
+import blochframe
+
+TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "perfbench", "tracing.py")
+
+
+def _load_tracing(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_stage_name_exists_where_the_tracer_looks(monkeypatch):
+    spans = _load_tracing(monkeypatch)._STAGE_SPANS
+    assert spans
+    missing = [
+        (module, attr) for module, attr, _ in spans
+        if not callable(vars(getattr(blochframe, module)).get(attr))
+    ]
+    assert missing == []
