@@ -23,7 +23,6 @@ from .errors import (
     AssumptionsFailed,
     BlochFrameError,
     BoundaryRelationViolated,
-    ChartSeamMismatch,
     EigenphaseNearPi,
     EpsilonInfeasible,
     GapClosed,
@@ -72,7 +71,6 @@ __all__ = [
     "BlochFrameError",
     "BoundaryRelationViolated",
     "CellGeometry",
-    "ChartSeamMismatch",
     "EigenphaseNearPi",
     "EpsilonInfeasible",
     "FrameField",

@@ -74,12 +74,6 @@ class NoStereographicPoint(BlochFrameError):
     code = "no-stereographic-point"
 
 
-class ChartSeamMismatch(BlochFrameError):
-    """Phase lift disagrees between chart pieces mapping to the same point."""
-
-    code = "chart-seam-mismatch"
-
-
 class EigenphaseNearPi(BlochFrameError):
     """Principal logarithm requested for a unitary with eigenphase near pi."""
 

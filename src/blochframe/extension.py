@@ -16,11 +16,13 @@ completes the column to a unitary, and the stripped (m-1) x (m-1) remainder
 recurses.  For m = 2 the first column determines the whole matrix, so the
 recursion bottoms out there.
 
-The domain geometry (how boundary nodes are indexed, how a continuous
-argument lift is produced, how nodal data is interpolated at the query
-points) is supplied by a small domain adapter, so the same recursion serves
-square cells in 2d and cube boundaries in 3d.
+One domain adapter, :class:`BoundaryDomain`, serves the square cell in 2d
+and the half cube in 3d.  It lifts arguments along a spanning tree of the
+boundary grid graph and reads nodal data at the radial projection of each
+cell grid point onto the boundary.
 """
+
+from itertools import product
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .errors import GridTooCoarse, NonzeroDegree, NoStereographicPoint
 
 __all__ = [
     "phase_lift_cyclic",
-    "LoopDomain",
+    "BoundaryDomain",
     "select_stereographic_point",
     "chart_forward",
     "chart_backward",
@@ -41,7 +43,7 @@ TWO_PI = 2.0 * np.pi
 
 
 # ---------------------------------------------------------------------------
-# phase lifts and interpolation along a closed loop
+# phase lifts and the boundary domain
 
 
 def phase_lift_cyclic(values, max_step=0.5 * np.pi, close_tol=1e-8):
@@ -79,49 +81,132 @@ def phase_lift_cyclic(values, max_step=0.5 * np.pi, close_tol=1e-8):
     return lift, winding, defect
 
 
-class LoopDomain:
-    """Boundary adapter for a cell whose boundary is one closed loop.
+class BoundaryDomain:
+    """Boundary adapter of the cone extension on a 2d or 3d effective cell.
 
-    Parameters
-    ----------
-    n_nodes : int
-        Number of nodes along the loop (node ``n_nodes`` is node ``0``).
-    t_units : (Q,) array
-        Loop coordinate of each query point, in node units in ``[0, n_nodes]``.
+    The nodes are the cell's boundary grid points, each listed once in
+    row-major order: ``mask`` marks them in the cell array, ``points``
+    ``(K, d)`` lists them and ``node_id`` (cell-shaped, -1 off the boundary)
+    numbers them.  The queries are every cell grid point, row-major.  Their
+    cone coordinate ``sigma`` is 0 at the apex ``(grid_n / 2, 0, ...)`` and
+    1 on the boundary; nodal data is read at the radial projection of a
+    query onto the boundary, by multilinear interpolation on a face that
+    holds the projection.
     """
 
-    def __init__(self, n_nodes, t_units):
-        self.n_nodes = int(n_nodes)
-        t = np.mod(np.asarray(t_units, dtype=float), self.n_nodes)
-        self._i0 = np.floor(t).astype(int) % self.n_nodes
-        self._i1 = (self._i0 + 1) % self.n_nodes
-        self._frac = t - np.floor(t)
+    def __init__(self, geo):
+        if geo.d not in (2, 3):
+            raise ValueError("BoundaryDomain needs a two- or three-dimensional cell")
+        d, n = geo.d, geo.grid_n
+        self.geo = geo
+        self.mask = geo.boundary_mask()
+        self.points = geo.cell_points()[self.mask]
+        self.node_id = np.full(geo.cell_shape, -1)
+        self.node_id[self.mask] = np.arange(len(self.points))
+
+        # neighbours of each node along -e_1 .. -e_d, then +e_1 .. +e_d
+        padded = np.pad(self.node_id, 1, constant_values=-1)
+        inner = (slice(1, -1),) * d
+        nbr = np.stack(
+            [np.roll(padded, -step, axis=axis)[inner][self.mask]
+             for step in (-1, 1) for axis in range(d)],
+            axis=-1,
+        )
+        low, axis = np.nonzero(nbr[:, d:] >= 0)
+        self._edges = np.stack([low, nbr[low, d + axis]], axis=-1)
+
+        # breadth-first spanning tree from the origin; the neighbour order
+        # fixes which parent each node's lift is continued from
+        root = int(self.node_id[geo.cell_index((0,) * d)])
+        parent = [-1] * len(self.points)
+        parent[root] = root
+        order = [root]
+        for cur in order:
+            for nxt in nbr[cur].tolist():
+                if nxt >= 0 and parent[nxt] < 0:
+                    parent[nxt] = cur
+                    order.append(nxt)
+        if len(order) != len(self.points):
+            raise RuntimeError("boundary grid graph is not connected")
+        self._order = order
+        self._parent = parent
+
+        # cone coordinate and radial projection (b) of every cell point g:
+        # in units where the cell is [-n, n]^d about the apex, g sits at
+        # radius max |rel| and projects to n / radius times itself
+        g = geo.cell_points().reshape(-1, d)
+        rel = np.concatenate([2 * g[:, :1] - n, g[:, 1:]], axis=1)
+        radius = np.max(np.abs(rel), axis=1)
+        self.sigma = radius / n
+        apex = np.array([n / 2] + [0] * (d - 1))
+        b = apex + (g - apex) * (n / np.maximum(radius, 1))[:, None]
+        lo = np.array([0] + [-n] * (d - 1))
+        hi = np.array([n] * d)
+        # b lies on the face normal to an axis where |rel| reaches the
+        # radius (the apex reads at the origin); interpolate along the others
+        face = np.argmax(np.abs(rel), axis=1)
+        rows = np.arange(len(g))
+        base = np.clip(np.floor(b).astype(int), lo, hi - 1)
+        base[rows, face] = np.where(rel[rows, face] > 0, hi[face], lo[face])
+        free = np.array([[j for j in range(d) if j != k] for k in range(d)])[face]
+        frac = np.take_along_axis(b - base, free, axis=1)
+        ids, weights = [], []
+        for bits in product((0, 1), repeat=d - 1):
+            offset = np.zeros_like(base)
+            np.put_along_axis(offset, free, np.broadcast_to(bits, free.shape), axis=1)
+            ids.append(self.node_id[geo.cell_index(base + offset)])
+            weights.append(np.prod(np.where(bits, frac, 1.0 - frac), axis=1))
+        self._corner_ids = np.stack(ids, axis=-1)
+        self._weights = np.stack(weights, axis=-1)
 
     def lift(self, values):
-        """Closed argument lift of nodal values; degree must vanish.
+        """Continuous argument lift of nodal scalars along the spanning tree.
 
-        Returns one lift value per node; across the seam (interpolating
-        between the last node and node 0) the lift values differ from true
-        continuation only by the closure defect, reported in the info dict.
+        Any step between neighbouring nodes at or above ``pi / 2`` raises
+        :class:`GridTooCoarse`.  Around the cycle that each edge off the
+        tree closes, the steps add up to whole turns; a nonzero count raises
+        :class:`NonzeroDegree`.  On the 2d loop that count is the degree,
+        signed along :meth:`CellGeometry.boundary_loop_2d` (counterclockwise
+        about the apex); on the closed 3d surface steps below ``pi / 2``
+        leave every cycle at zero turns.
         """
-        lift, winding, defect = phase_lift_cyclic(values)
-        if winding != 0:
-            raise NonzeroDegree(
-                f"boundary determinant winds {winding} times; correct the "
-                "degree before extending",
-                degree=winding,
+        values = np.asarray(values)
+        tree_step = np.angle(values / values[self._parent]).tolist()
+        root = self._order[0]
+        theta = [0.0] * len(tree_step)
+        theta[root] = float(np.angle(values[root]))
+        for node in self._order[1:]:
+            theta[node] = theta[self._parent[node]] + tree_step[node]
+        theta = np.array(theta)
+        low, high = self._edges.T
+        step = np.angle(values[high] / values[low])
+        worst_step = float(np.max(np.abs(step)))
+        if worst_step >= 0.5 * np.pi:
+            raise GridTooCoarse(
+                f"boundary phase step {worst_step:.3f} rad exceeds pi/2; refine the grid",
+                step=worst_step,
             )
-        return lift[:-1], {"closure_defect": defect}
+        closure = theta[low] + step - theta[high]
+        turns = np.rint(closure / TWO_PI)
+        if np.any(turns):
+            e = int(np.flatnonzero(turns)[0])
+            # +1 where the edge runs counterclockwise about the apex
+            x, y = 2 * self.points[low[e], :2] - (self.geo.grid_n, 0)
+            dx, dy = self.points[high[e], :2] - self.points[low[e], :2]
+            degree = int(turns[e] * np.sign(x * dy - y * dx))
+            raise NonzeroDegree(
+                f"boundary determinant winds {degree} times; correct the "
+                "degree before extending",
+                degree=degree,
+            )
+        return theta, {"max_step": worst_step,
+                       "lift_defect": float(np.max(np.abs(closure)))}
 
     def interp(self, nodal):
-        """Linear interpolation of nodal data at the query points.
-
-        ``nodal`` may have length ``n_nodes`` (cyclic data) or ``n_nodes + 1``
-        (a lift with its closing entry); both are interpolated consistently.
-        """
+        """Nodal data (leading axis over nodes) at every query point."""
         nodal = np.asarray(nodal)
-        frac = self._frac.reshape((-1,) + (1,) * (nodal.ndim - 1))
-        return (1.0 - frac) * nodal[self._i0] + frac * nodal[self._i1]
+        w = self._weights.reshape(self._weights.shape + (1,) * (nodal.ndim - 1))
+        return np.sum(w * nodal[self._corner_ids], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -288,72 +373,62 @@ def _interp_columns(dom, c_nodes):
     return c / norms[..., None]
 
 
-def _cone_columns(p, c_nodes, dom, sigma):
+def _cone_columns(p, c_nodes, dom):
     """Cone the nodal sphere points toward the chart base point ``p``."""
     c_q = _interp_columns(dom, c_nodes)
     w = chart_forward(p, c_q)
-    return chart_backward(p, sigma[..., None] * w)
+    return chart_backward(p, dom.sigma[..., None] * w)
 
 
-def _extend_su(nodes, dom, sigma, seed, diag):
+def _extend_su(nodes, dom, seed, diag):
     """Extend SU(m)-valued boundary nodes; recursion on m."""
     m = nodes.shape[-1]
-    if m == 1:
-        return np.ones(sigma.shape + (1, 1), dtype=complex)
     if m == 2:
         c_nodes = _su2_column_nodes(nodes)
         p, info = select_stereographic_point(c_nodes, seed=seed)
         diag.append({"m": 2, **info})
-        return su2_from_column(_cone_columns(p, c_nodes, dom, sigma))
+        return su2_from_column(_cone_columns(p, c_nodes, dom))
     c_nodes = nodes[..., :, 0]
     p, info = select_stereographic_point(c_nodes, need_line_margin=True, seed=seed)
     diag.append({"m": m, **info})
     u = -p
-    c_cone = _cone_columns(p, c_nodes, dom, sigma)
+    c_cone = _cone_columns(p, c_nodes, dom)
     base = rotation_to(np.eye(m, dtype=complex)[0], u)
     q_nodes = rotation_to(u, c_nodes) @ base
     q_query = rotation_to(u, c_cone) @ base
     g_nodes = np.einsum("qji,qjk->qik", np.conj(q_nodes), nodes)[..., 1:, 1:]
-    g_ext = _extend_su(g_nodes, dom, sigma, seed, diag)
-    full = np.zeros(sigma.shape + (m, m), dtype=complex)
+    g_ext = _extend_su(g_nodes, dom, seed, diag)
+    full = np.zeros(dom.sigma.shape + (m, m), dtype=complex)
     full[..., 0, 0] = 1.0
     full[..., 1:, 1:] = g_ext
     return np.einsum("qij,qjk->qik", q_query, full)
 
 
-def extend_unitary_cone(nodes, dom, sigma, seed=0):
+def extend_unitary_cone(nodes, dom, seed=0):
     """Extend a degree-zero unitary boundary map into the cell.
 
     Parameters
     ----------
-    nodes : (L, m, m) array
-        Unitary values at the boundary nodes, ordered as the domain expects.
-    dom : domain adapter
-        Provides ``lift`` (continuous argument lift of nodal scalars) and
-        ``interp`` (nodal data at the query points); see :class:`LoopDomain`.
-    sigma : (Q,) array
-        Cone coordinate of each query point, 1 on the boundary, 0 at the apex.
+    nodes : (K, m, m) array
+        Unitary values at the boundary nodes, in the order of ``dom``.
+    dom : BoundaryDomain
+        The cell's boundary nodes, argument lift and query points.
     seed : int
         Seed for the randomized chart-point fallback; fixed for determinism.
 
-    Returns ``(values, diag)``: unitary values at the query points and a
-    diagnostics dict (chart choices per recursion level, determinant lift
-    closure).  The boundary determinant must have winding zero; otherwise
-    :class:`NonzeroDegree` is raised.
+    Returns ``(values, diag)``: unitary values at the query points (every
+    cell grid point, row-major) and a diagnostics dict (chart choices per
+    recursion level, determinant lift).  The boundary determinant must have
+    degree zero; otherwise :class:`NonzeroDegree` is raised.
     """
     nodes = np.asarray(nodes, dtype=complex)
-    sigma = np.asarray(sigma, dtype=float)
     m = nodes.shape[-1]
-    dets = np.linalg.det(nodes)
-    lift, lift_info = dom.lift(dets)
+    lift, lift_info = dom.lift(np.linalg.det(nodes))
     diag_levels = []
-    theta_q = dom.interp(lift)
-    scalar = np.exp(1j * sigma * theta_q / m)
+    scalar = np.exp(1j * dom.sigma * dom.interp(lift) / m)
     if m == 1:
         values = scalar[..., None, None]
     else:
         f_nodes = nodes * np.exp(-1j * lift / m)[..., None, None]
-        f_ext = _extend_su(f_nodes, dom, sigma, seed, diag_levels)
-        values = scalar[..., None, None] * f_ext
-    diag = {"det_lift": lift_info, "levels": diag_levels}
-    return values, diag
+        values = scalar[..., None, None] * _extend_su(f_nodes, dom, seed, diag_levels)
+    return values, {"det_lift": lift_info, "levels": diag_levels}

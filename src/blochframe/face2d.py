@@ -6,7 +6,8 @@ points; a frame satisfying the invariance conditions there is transported
 along the left and bottom edges, completed along the right edge by geodesic
 interpolation, and mirrored onto the remaining edges by the symmetries.  A
 winding correction makes the resulting boundary loop contractible, after
-which the cone extension fills the interior.
+which the cone extension fills the interior through the cell's
+:class:`~blochframe.extension.BoundaryDomain`, built once per geometry.
 
 The same construction runs on any square face of a higher-dimensional cell
 once the face's own translation and time-reversal operations are supplied;
@@ -16,10 +17,12 @@ face of the 3d cell, a slice of its ``psi.data``); the boundary loop is an
 index array and every fill is one batched product.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import BoundaryRelationViolated
-from .extension import LoopDomain, extend_unitary_cone, phase_lift_cyclic
+from .extension import BoundaryDomain, extend_unitary_cone, phase_lift_cyclic
 from .frames import FrameField, unitary_between
 from .vertex import macro1, vertex_solution
 
@@ -96,29 +99,11 @@ def winding_degree(unitaries):
     return winding, {"lift": lift, "closure_defect": defect}
 
 
-def _loop_units(geo, g):
-    """Cone coordinates of cell grid points ``g`` of shape ``(..., 2)``.
-
-    Returns ``(sigma, units)``: ``sigma`` is 1 on the boundary and 0 at the
-    apex ``(1/4, 0)``; the loop coordinate matches the node ordering of
-    ``boundary_loop_2d`` (starting at the origin, running down the left edge
-    first), and is 0 at the apex.
-    """
-    n = geo.grid_n
-    big = geo.n_side
-    g1, g2 = g[..., 0], g[..., 1]
-    a1 = 4 * g1 - big
-    a2 = 2 * g2
-    sig = np.maximum(np.abs(a1), np.abs(a2))
-    scale = big / np.maximum(sig, 1)
-    b1 = n / 2.0 + (g1 - n / 2.0) * scale
-    b2 = g2 * scale
-    units = np.where(
-        np.abs(a2) >= np.abs(a1),
-        np.where(g2 < 0, n + b1, 5 * n - b1),
-        np.where(a1 > 0, 3 * n + b2, np.where(g2 <= 0, -b2, 6 * n - b2)),
-    )
-    return sig / big, np.where(sig == 0, 0.0, units)
+@lru_cache(maxsize=4)
+def _boundary_domain(geo):
+    """One cone-extension domain per face geometry; the faces of a 3d cell
+    share theirs."""
+    return BoundaryDomain(geo)
 
 
 def _check(cond_value, tol, what, point, label):
@@ -187,22 +172,23 @@ def macro2(ctx, left_edge, bottom_edge, tol=1e-8, seed=0):
     # --- winding of the correction loop and its removal -------------------
     loop = geo.boundary_loop_2d()
     at = geo.cell_index(loop)
-    u_nodes = unitary_between(psi[at], skel[at])
-    r, wind_diag = winding_degree(u_nodes)
+    u_loop = unitary_between(psi[at], skel[at])
+    r, wind_diag = winding_degree(u_loop)
     r_after = r
     if r != 0:
         right = (loop[:, 0] == n) & (np.abs(loop[:, 1]) < n)
-        x = np.tile(np.eye(u_nodes.shape[-1], dtype=complex), (np.count_nonzero(right), 1, 1))
+        x = np.tile(np.eye(u_loop.shape[-1], dtype=complex), (np.count_nonzero(right), 1, 1))
         x[:, 0, 0] = np.exp(-2j * np.pi * r * (loop[right, 1] + n) / geo.n_side)
         on_right = geo.cell_index(loop[right])
         skel[on_right] = skel[on_right] @ x
-        u_nodes[right] = u_nodes[right] @ x
-        r_after, _ = winding_degree(u_nodes)
+        u_loop[right] = u_loop[right] @ x
+        r_after, _ = winding_degree(u_loop)
 
     # --- cone extension into the cell -------------------------------------
-    sigma, units = _loop_units(geo, geo.cell_points().reshape(-1, 2))
-    dom = LoopDomain(len(loop), units)
-    u_cell, ext_diag = extend_unitary_cone(u_nodes, dom, sigma, seed=seed)
+    dom = _boundary_domain(geo)
+    u_nodes = np.empty_like(u_loop)
+    u_nodes[dom.node_id[at]] = u_loop
+    u_cell, ext_diag = extend_unitary_cone(u_nodes, dom, seed=seed)
     frames = psi @ u_cell.reshape(psi.shape[:2] + u_cell.shape[-2:])
     frames[at] = skel[at]
 

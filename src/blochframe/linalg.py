@@ -15,6 +15,7 @@ import numpy as np
 from .errors import BlochFrameError
 
 __all__ = [
+    "joint_eigenbasis",
     "lowdin",
     "unitary_eigensystem",
     "wrap_to_pi",
@@ -63,6 +64,42 @@ def cluster_labels(values, tol):
     return np.array([find(i) for i in range(k)])
 
 
+def joint_eigenbasis(unitaries, bound):
+    """Orthonormal eigenbasis shared by commuting normal matrices.
+
+    The Hermitian parts ``H_j = (u_j + u_j^H) / 2`` and ``K_j = (u_j -
+    u_j^H) / 2i`` of all ``unitaries`` commute, so the orthonormal
+    eigenbasis ``q`` of ``eigh(H_1 + c K_1 + c' H_2 + ...)`` for random real
+    ``c, c', ...`` (drawn from a fixed-seed generator) diagonalizes every
+    one of them, however close two eigenvalues are, without the loss of
+    orthogonality that plain ``eig`` suffers on repeated spectra.  A draw
+    that merges two distinct joint eigenvalues leaves an off-diagonal
+    residual ``||q^H u_j q - diag||`` (Frobenius) above ``bound`` and is
+    retried with fresh draws; a residual above it on all 8 tries (a
+    non-normal or non-commuting input) raises :class:`BlochFrameError`.
+
+    Returns ``(q, diags)`` with ``diags[j]`` the diagonal of ``q^H u_j q``.
+    """
+    parts = []
+    for u in unitaries:
+        parts += [0.5 * (u + u.conj().T), -0.5j * (u - u.conj().T)]
+    rng = np.random.default_rng(1234)
+    for _ in range(8):
+        mix = parts[0]
+        for part in parts[1:]:
+            mix = mix + rng.standard_normal() * part
+        _, q = np.linalg.eigh(mix)
+        blocks = [q.conj().T @ u @ q for u in unitaries]
+        diags = [np.diag(t) for t in blocks]
+        residual = max(float(np.linalg.norm(t - np.diag(w))) for t, w in zip(blocks, diags))
+        if residual <= bound:
+            return q, diags
+    raise BlochFrameError(
+        f"joint eigenbasis residual {residual:.3e} exceeds {bound:.1e}",
+        residual=residual,
+    )
+
+
 def unitary_eigensystem(u, cluster_tol=1e-8):
     """Eigendecomposition of a unitary matrix.
 
@@ -83,36 +120,16 @@ def unitary_eigensystem(u, cluster_tol=1e-8):
     labels : (m,) int array
         Cluster label per eigenvalue; equal labels mark a degenerate cluster.
 
-    ``H = (u + u^H) / 2`` and ``K = (u - u^H) / 2i`` are commuting Hermitian
-    matrices (``u`` is normal), so the orthonormal eigenbasis of ``eigh(H +
-    c K)`` for a random real ``c`` (fixed seed) diagonalizes ``u``, however
-    close two eigenvalues are, without the loss of orthogonality that plain
-    ``eig`` suffers on repeated spectra.  A ``c`` that merges two distinct
-    eigenvalues leaves an off-diagonal residual ``||q^H u q - diag||``
-    above the roundoff bound ``5e-14 m`` and is retried with a fresh draw;
-    a residual above it on every try (a non-normal input) raises
-    :class:`BlochFrameError`.
+    ``q`` is the :func:`joint_eigenbasis` of ``u`` alone, one ``eigh(H + c
+    K)`` per try, accepted at the roundoff bound ``5e-14 m``.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape == (1, 1):
         w = u[0, 0] / abs(u[0, 0])
         return np.array([w]), np.eye(1, dtype=complex), np.array([0])
-    bound = 5e-14 * len(u)
-    herm = 0.5 * (u + u.conj().T)
-    skew = -0.5j * (u - u.conj().T)
-    rng = np.random.default_rng(1234)
-    for _ in range(8):
-        _, q = np.linalg.eigh(herm + rng.standard_normal() * skew)
-        t = q.conj().T @ u @ q
-        w = np.diag(t)
-        residual = float(np.linalg.norm(t - np.diag(w)))
-        if residual <= bound:
-            w = w / np.abs(w)
-            return w, q, cluster_labels(w, cluster_tol)
-    raise BlochFrameError(
-        f"unitary eigensystem residual {residual:.3e} exceeds {bound:.1e}",
-        residual=residual,
-    )
+    q, (w,) = joint_eigenbasis([u], 5e-14 * len(u))
+    w = w / np.abs(w)
+    return w, q, cluster_labels(w, cluster_tol)
 
 
 def cluster_phases(w, labels, center):

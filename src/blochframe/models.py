@@ -309,15 +309,13 @@ def _samples(d, grid_n, coarse_step):
 
 def _sampled(family, grid_n, coarse_step, torus):
     """The grid of :func:`_samples` and its eigensystem, sliced from
-    ``torus`` (the eigensystem on ``CellGeometry(d, grid_n).torus_k()``)
-    when given: both grids are the points ``i / 2 grid_n``."""
+    ``torus`` (the eigensystem on ``CellGeometry(d, grid_n).torus_k()``):
+    both grids are the points ``i / 2 grid_n``."""
     d, n = family.d, family.n
-    samples = _samples(d, grid_n, coarse_step)
-    if torus is None:
-        return samples, family.eigensystem(samples)
     at = (slice(None, None, coarse_step if d == 3 else 1),) * d
     evals, evecs = torus
-    return samples, (evals[at].reshape(-1, n), evecs[at].reshape(-1, n, n))
+    return _samples(d, grid_n, coarse_step), (evals[at].reshape(-1, n),
+                                              evecs[at].reshape(-1, n, n))
 
 
 def _max_norm2(stack):
@@ -367,19 +365,20 @@ def verify_assumptions(family, grid_n=16, tol=1e-8, torus=None):
     ``P(k + e_j)`` and ``P(-k)`` are sampled from their own Hamiltonians, so
     a model that breaks either symmetry shows it in the residuals.  The
     base sample ``P(k)`` is sliced from ``torus``, the eigensystem on
-    ``CellGeometry(d, grid_n).torus_k()``, when the caller has taken it;
-    the gap floor is then the minimum over that whole sample, also where a
-    d=3 grid thins the base sample of the residuals.
+    ``CellGeometry(d, grid_n).torus_k()``, taken here unless the caller
+    passes it; the gap floor is the minimum over that whole sample, also
+    where a d=3 grid thins the base sample of the residuals.
     Returns an :class:`AssumptionReport`; ``passed`` is False when any
     residual exceeds ``tol`` or the measured gap floor drops below the
     family's gap tolerance.  A closed gap is reported that way, never
     raised.
     """
     d, m = family.d, family.m
-    samples, (evals, evecs) = _sampled(family, grid_n, max(1, grid_n // 8), torus)
+    if torus is None:
+        torus = family.eigensystem(CellGeometry(d, grid_n).torus_k())
+    samples, (_, evecs) = _sampled(family, grid_n, max(1, grid_n // 8), torus)
     c = family.theta_matrix()
-    gap_evals = evals if torus is None else torus[0]
-    gap_floor = float(np.min(gap_evals[..., m] - gap_evals[..., m - 1]))
+    gap_floor = float(np.min(torus[0][..., m] - torus[0][..., m - 1]))
     p = _frames_projector(family, evecs)
     res_p2 = 0.0
     for e in np.eye(d):

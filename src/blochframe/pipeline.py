@@ -330,6 +330,10 @@ def run_report(config):
     """Consolidated text certificate assembled from existing artifacts."""
     if config.out is None:
         raise UsageError("report needs --out pointing at an artifact directory")
+    # a refused report must not leave an earlier certificate standing
+    report_path = os.path.join(config.out, "report.txt")
+    if os.path.exists(report_path):
+        os.remove(report_path)
     manifest_path = os.path.join(config.out, "manifest.json")
     if not os.path.exists(manifest_path):
         raise UsageError(
@@ -402,9 +406,8 @@ def run_report(config):
             vals = ", ".join(_fmt(v) for v in moments[r])
             lines.append(f"  moment r={r}: {vals}")
     text = "\n".join(lines)
-    if config.out is not None:
-        with open(os.path.join(config.out, "report.txt"), "w") as fh:
-            fh.write(text + "\n")
+    with open(report_path, "w") as fh:
+        fh.write(text + "\n")
     return text
 
 

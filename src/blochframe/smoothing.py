@@ -44,7 +44,7 @@ from .errors import (
     UsageError,
 )
 from .frames import FrameField, check_same_span
-from .linalg import lowdin
+from .linalg import joint_eigenbasis, lowdin
 
 __all__ = [
     "MIDPOINT_LIMIT",
@@ -190,36 +190,15 @@ def symmetrize(field, family):
 # Fejer smoothing
 
 
-def _joint_log_eigenbasis(generators, attempts=8, tol=1e-10):
+def _joint_log_eigenbasis(generators):
     """Joint eigenbasis of commuting unitaries and their phase exponents.
 
     Returns ``(v, ell)`` with ``generators[j] = v diag(exp(2 pi i ell[j])) v*``
-    and ``ell[j]`` real in ``[0, 1)``.  Obtained from one Hermitian random
-    linear combination, which splits all joint eigenspaces generically;
-    failure to diagonalize every generator is retried with fresh weights.
+    and ``ell[j]`` real in ``[0, 1)``; ``v`` is their
+    :func:`~blochframe.linalg.joint_eigenbasis`.
     """
-    dim = generators[0].shape[0]
-    rng = np.random.default_rng(1234)
-    for _ in range(attempts):
-        h = np.zeros((dim, dim), dtype=complex)
-        for gen in generators:
-            c = rng.standard_normal() + 1j * rng.standard_normal()
-            h += c * gen + np.conj(c) * gen.conj().T
-        _, v = np.linalg.eigh(h)
-        ells = []
-        ok = True
-        for gen in generators:
-            d = v.conj().T @ gen @ v
-            off = float(np.max(np.abs(d - np.diag(np.diag(d)))))
-            if off > tol:
-                ok = False
-                break
-            ells.append(np.mod(np.angle(np.diag(d)) / (2.0 * np.pi), 1.0))
-        if ok:
-            return v, np.asarray(ells)
-    raise UsageError(
-        "translation generators could not be simultaneously diagonalized"
-    )
+    v, diags = joint_eigenbasis(generators, 1e-10)
+    return v, np.mod(np.angle(np.asarray(diags)) / (2.0 * np.pi), 1.0)
 
 
 def twist_gauge(geometry, family):

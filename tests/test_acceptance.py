@@ -10,10 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from blochframe.cell3d import DiskDomain
 from blochframe.cells import CellGeometry
 from blochframe.errors import AssumptionsFailed, BoundaryRelationViolated
-from blochframe.extension import LoopDomain, extend_unitary_cone
+from blochframe.extension import BoundaryDomain, extend_unitary_cone
 from blochframe.face2d import construct_2d, winding_degree
 from blochframe.frames import input_frame
 from blochframe.pipeline import RunConfig, run_construct, run_verify, run_wannierize
@@ -171,51 +170,32 @@ def test_criterion_3_extension_fidelity():
     worst_unitarity = 0.0
 
     # planar cells: the boundary of a grid-64 cell is one loop of 384 nodes
-    loop_len = 6 * 64
-    ts = np.arange(loop_len) / loop_len
-    n_interior = 200
-    t_units = np.concatenate(
-        [np.arange(loop_len, dtype=float), rng.uniform(0, loop_len, n_interior)]
-    )
-    sigma = np.concatenate(
-        [np.ones(loop_len), rng.uniform(0.0, 1.0, n_interior)]
-    )
-    sigma[loop_len] = 0.0
-    dom2 = LoopDomain(loop_len, t_units)
+    geo2 = CellGeometry(2, 64)
+    dom2 = BoundaryDomain(geo2)
+    loop = geo2.boundary_loop_2d()
+    ts = np.arange(len(loop)) / len(loop)
+    loop_ids = dom2.node_id[geo2.cell_index(loop)]
     for i in range(50):
         m = 1 + i % 3
-        nodes = planted_loop(ts, m, 0, rng, scale=0.3, order=2)
-        values, _ = extend_unitary_cone(nodes, dom2, sigma, seed=0)
+        nodes = np.empty((len(loop), m, m), dtype=complex)
+        nodes[loop_ids] = planted_loop(ts, m, 0, rng, scale=0.3, order=2)
+        values, _ = extend_unitary_cone(nodes, dom2, seed=0)
         worst_boundary = max(
             worst_boundary,
-            float(np.max(np.abs(values[:loop_len] - nodes))),
+            float(np.max(np.abs(values[dom2.mask.ravel()] - nodes))),
         )
         worst_unitarity = max(worst_unitarity, _unitarity(values))
 
     # solid cells at grid 16: boundary values live on the half-cube surface
-    geo = CellGeometry(3, 16)
-    dom3 = DiskDomain(geo)
-    n = geo.grid_n
-    coords = [
-        (0 if t <= n else 1, float(s), float(t)) for s, t in dom3.nodes
-    ]
-    for _ in range(n_interior):
-        if rng.random() < 0.5:
-            coords.append((0, rng.uniform(-2 * n, 2 * n), rng.uniform(-n, n)))
-        else:
-            coords.append((1, rng.uniform(-n, n), rng.uniform(n, 5 * n)))
-    dom3.set_queries(coords)
-    sigma3 = np.concatenate(
-        [np.ones(len(dom3.nodes)), rng.uniform(0.0, 1.0, n_interior)]
-    )
-    globals_ = np.asarray(dom3.node_globals)
+    geo3 = CellGeometry(3, 16)
+    dom3 = BoundaryDomain(geo3)
     for i in range(50):
         m = 1 + i % 3
-        nodes = _smooth_surface_map(rng, m, geo.n_side)(globals_)
-        values, _ = extend_unitary_cone(nodes, dom3, sigma3, seed=0)
+        nodes = _smooth_surface_map(rng, m, geo3.n_side)(dom3.points)
+        values, _ = extend_unitary_cone(nodes, dom3, seed=0)
         worst_boundary = max(
             worst_boundary,
-            float(np.max(np.abs(values[: len(dom3.nodes)] - nodes))),
+            float(np.max(np.abs(values[dom3.mask.ravel()] - nodes))),
         )
         worst_unitarity = max(worst_unitarity, _unitarity(values))
 

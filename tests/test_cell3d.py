@@ -3,8 +3,7 @@ import numpy as np
 import pytest
 
 from blochframe.cells import CellGeometry
-from blochframe.cell3d import construct_3d, restricted_family, _chart_units
-from blochframe.cell3d import _node_to_global
+from blochframe.cell3d import construct_3d, restricted_family
 from blochframe.errors import BoundaryRelationViolated
 from blochframe.frames import input_frame
 from blochframe.models import builtin_model
@@ -25,43 +24,6 @@ def test_restricted_family_matches_frozen_slice(rng, fam3):
         assert np.linalg.norm(fam2.hamiltonian(k) - want) < 1e-12
     with pytest.raises(ValueError):
         restricted_family(fam2)
-
-
-def test_chart_units_cover_the_cell():
-    geo = CellGeometry(3, 4)
-    n, big = geo.grid_n, geo.n_side
-    boundary = geo.boundary_mask()
-    apex = (n // 2, 0, 0)
-    sigma, regions, s_units, t_units = _chart_units(geo, geo.cell_points())
-    for idx in np.ndindex(geo.cell_shape):
-        g = geo.cell_point(idx)
-        sig, region, s_f, t_f = sigma[idx], regions[idx], s_units[idx], t_units[idx]
-        assert 0.0 <= sig <= 1.0 + 1e-12
-        assert region in (0, 1)
-        if region == 0:
-            assert -2 * n - 1e-9 <= s_f <= 2 * n + 1e-9
-            assert -n - 1e-9 <= t_f <= n + 1e-9
-        else:
-            assert -n - 1e-9 <= s_f <= n + 1e-9
-            assert n - 1e-9 <= t_f <= 5 * n + 1e-9
-        if g == apex:
-            assert sig == 0.0
-        if boundary[idx]:
-            assert sig == pytest.approx(1.0, abs=1e-12)
-        else:
-            assert sig < 1.0
-
-
-def test_chart_units_fix_boundary_points():
-    """On the boundary the chart projection is the identity."""
-    geo = CellGeometry(3, 4)
-    n = geo.grid_n
-    boundary = geo.cell_points()[geo.boundary_mask()]
-    sig, region, s_f, t_f = _chart_units(geo, boundary)
-    assert np.max(np.abs(sig - 1.0)) <= 1e-12
-    s_u, t_u = np.rint(s_f).astype(int), np.rint(t_f).astype(int)
-    assert np.max(np.abs(s_f - s_u)) < 1e-9 and np.max(np.abs(t_f - t_u)) < 1e-9
-    assert np.array_equal(_node_to_global(n, s_u, t_u), boundary)
 
 
 @pytest.fixture(scope="module")
@@ -135,11 +97,3 @@ def test_construct_3d_refuses_disagreeing_faces(fam3, monkeypatch):
         construct_3d(input_frame(fam3, geo), fam3)
     assert err.value.details["point"] == (0, 1, geo.grid_n)
     assert err.value.details["residual"] > 0.1
-
-
-def test_chart_node_ids_follow_the_node_order():
-    from blochframe.cell3d import DiskDomain, _node_ids
-
-    for n in (2, 4):
-        nodes = DiskDomain(CellGeometry(3, n)).nodes
-        assert np.array_equal(_node_ids(n, nodes[:, 0], nodes[:, 1]), np.arange(len(nodes)))

@@ -188,7 +188,8 @@ def _refused_report(out, capsys, *params):
 def test_report_refuses_a_swapped_wannier_set(tmp_path, capsys):
     """Negative control: another run's ``wannier.wan1`` (same format, same
     grid) under a report that did not measure it.  Right after
-    ``wannierize`` the same ``report`` passes."""
+    ``wannierize`` the same ``report`` passes; once refused, it leaves no
+    ``report.txt`` of that passing run behind."""
     ours, other = tmp_path / "ours", tmp_path / "other"
     for out, params in ((ours, ()), (other, ("t2=0.15",))):
         assert _haldane("construct", out, *params) == 0
@@ -196,7 +197,6 @@ def test_report_refuses_a_swapped_wannier_set(tmp_path, capsys):
     capsys.readouterr()
     assert _haldane("report", ours) == 0
     assert "reality defect (imag):" in capsys.readouterr().out
-    (ours / "report.txt").unlink()
     recorded = read_json(ours / "wannier_report.json")["artifacts"]["wannier.wan1"]
     shutil.copyfile(other / "wannier.wan1", ours / "wannier.wan1")
     payload = _refused_report(ours, capsys)

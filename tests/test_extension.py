@@ -3,10 +3,9 @@ import numpy as np
 import pytest
 
 from blochframe.cells import CellGeometry
-from blochframe.cell3d import DiskDomain
-from blochframe.errors import ChartSeamMismatch, GridTooCoarse, NonzeroDegree
+from blochframe.errors import GridTooCoarse, NonzeroDegree
 from blochframe.extension import (
-    LoopDomain,
+    BoundaryDomain,
     chart_backward,
     chart_forward,
     extend_unitary_cone,
@@ -15,6 +14,7 @@ from blochframe.extension import (
     select_stereographic_point,
     su2_from_column,
 )
+from blochframe.face2d import winding_degree
 
 from conftest import planted_loop
 
@@ -44,22 +44,6 @@ def test_phase_lift_cyclic_refuses_fast_loops():
     assert exc.value.details["step"] >= 0.5 * np.pi
     with pytest.raises(ValueError):
         phase_lift_cyclic(np.array([1.0, 0.0, 1.0], dtype=complex))
-
-
-def test_loop_domain_rejects_winding_determinant():
-    ts = np.arange(24) / 24
-    dom = LoopDomain(24, np.array([0.0]))
-    with pytest.raises(NonzeroDegree) as exc:
-        dom.lift(np.exp(2j * np.pi * ts))
-    assert exc.value.details["degree"] == 1
-
-
-def test_loop_domain_interpolates_cyclically():
-    nodal = np.arange(8.0)
-    dom = LoopDomain(8, np.array([2.0, 2.25, 7.5, 8.0]))
-    got = dom.interp(nodal)
-    # across the seam the neighbours are node 7 and node 0
-    assert np.allclose(got, [2.0, 2.25, 3.5, 0.0])
 
 
 def test_chart_roundtrip(rng):
@@ -128,92 +112,142 @@ def test_su2_from_column(rng):
     assert np.allclose(gs[:, :, 0], batch)
 
 
+def _loop_nodes(dom, loop_values):
+    """Values given in ``boundary_loop_2d`` order, in the node order of ``dom``."""
+    out = np.empty_like(loop_values)
+    out[dom.node_id[dom.geo.cell_index(dom.geo.boundary_loop_2d())]] = loop_values
+    return out
+
+
+def _planted_nodes(dom, m, winding, rng, **kw):
+    """A planted loop (see conftest) on the boundary of a 2d domain."""
+    ln = 6 * dom.geo.grid_n
+    return _loop_nodes(dom, planted_loop(np.arange(ln) / ln, m, winding, rng, **kw))
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_extend_unitary_cone_boundary_and_apex(rng, m):
-    ln = 64
-    ts = np.arange(ln) / ln
-    nodes = planted_loop(ts, m, 0, rng, scale=0.3, order=2)
-    # queries: all nodes at sigma = 1, plus apex copies at three loop spots
-    t_units = np.concatenate([np.arange(ln, dtype=float), [3.0, 17.0, 40.0]])
-    sigma = np.concatenate([np.ones(ln), np.zeros(3)])
-    dom = LoopDomain(ln, t_units)
-    values, diag = extend_unitary_cone(nodes, dom, sigma, seed=0)
-    assert values.shape == (ln + 3, m, m)
+    dom = BoundaryDomain(CellGeometry(2, 12))
+    nodes = _planted_nodes(dom, m, 0, rng, scale=0.3, order=2)
+    values, diag = extend_unitary_cone(nodes, dom, seed=0)
+    assert values.shape == (dom.mask.size, m, m)
     eye = np.eye(m)
     for v in values:
         assert np.linalg.norm(v.conj().T @ v - eye) < 1e-12
-    for j in range(ln):
-        assert np.linalg.norm(values[j] - nodes[j]) < 1e-10
-    # the apex value cannot depend on the loop coordinate
-    assert np.linalg.norm(values[ln] - values[ln + 1]) < 1e-12
-    assert np.linalg.norm(values[ln] - values[ln + 2]) < 1e-12
-    assert abs(diag["det_lift"]["closure_defect"]) < 1e-10
+    assert np.max(np.linalg.norm(values[dom.mask.ravel()] - nodes, axis=(1, 2))) < 1e-10
+    # the apex value cannot depend on where the apex reads the boundary
+    apex = int(np.flatnonzero(dom.sigma == 0)[0])
+    for node in (3, 17, 40):
+        dom._corner_ids[apex] = node
+        moved, _ = extend_unitary_cone(nodes, dom, seed=0)
+        assert np.linalg.norm(moved[apex] - values[apex]) < 1e-12
+    assert diag["det_lift"]["lift_defect"] < 1e-10
 
 
 def test_extend_unitary_cone_interior_continuity(rng):
-    ln = 48
-    ts = np.arange(ln) / ln
-    nodes = planted_loop(ts, 2, 0, rng, scale=0.3, order=2)
-    t_fine = np.linspace(0.0, ln, 200)
-    for s in (0.25, 0.6, 0.9):
-        dom = LoopDomain(ln, t_fine)
-        vals, _ = extend_unitary_cone(nodes, dom, np.full(200, s))
-        steps = np.linalg.norm(np.diff(vals, axis=0), axis=(1, 2))
+    geo = CellGeometry(2, 8)
+    dom = BoundaryDomain(geo)
+    nodes = _planted_nodes(dom, 2, 0, rng, scale=0.3, order=2)
+    vals, _ = extend_unitary_cone(nodes, dom)
+    vals = vals.reshape(geo.cell_shape + (2, 2))
+    for axis in (0, 1):
+        steps = np.linalg.norm(np.diff(vals, axis=axis), axis=(-2, -1))
         assert np.max(steps) < 0.5
 
 
 def test_extend_unitary_cone_refuses_nonzero_degree(rng):
-    ln = 64
-    ts = np.arange(ln) / ln
-    nodes = planted_loop(ts, 2, 1, rng, scale=0.2, order=1)
-    dom = LoopDomain(ln, np.array([0.0]))
-    with pytest.raises(NonzeroDegree):
-        extend_unitary_cone(nodes, dom, np.array([0.5]))
+    dom = BoundaryDomain(CellGeometry(2, 12))
+    nodes = _planted_nodes(dom, 2, 1, rng, scale=0.2, order=1)
+    with pytest.raises(NonzeroDegree) as exc:
+        extend_unitary_cone(nodes, dom)
+    assert exc.value.details["degree"] == 1
 
 
 # ---------------------------------------------------------------------------
-# half-cube surface domain used by the 3d construction
+# the boundary domain of the 2d square cell and the 3d half cube
 
 
 def _surface_phase(g, n_side):
-    x = 2 * np.pi * np.asarray(g, dtype=float) / n_side
-    return 0.4 * np.sin(x[0]) + 0.3 * np.cos(x[1]) + 0.2 * np.sin(x[2])
+    x = 2 * np.pi * np.asarray(g, dtype=float).T / n_side
+    return 0.4 * np.sin(x[0]) + 0.3 * np.cos(x[1]) + 0.2 * np.sin(x[-1])
 
 
-def test_disk_domain_lifts_single_valued_phases():
-    geo = CellGeometry(3, 4)
-    dom = DiskDomain(geo)
-    phases = np.array([_surface_phase(g, geo.n_side) for g in dom.node_globals])
-    values = np.exp(1j * phases)
-    theta, info = dom.lift(values)
-    assert info["seam_defect"] < 1e-12
+@pytest.mark.parametrize("d", [2, 3])
+def test_boundary_domain_lifts_single_valued_phases(d):
+    geo = CellGeometry(d, 8)
+    dom = BoundaryDomain(geo)
+    # zero at the origin and past pi at every other boundary point where
+    # k_1 or k_2 is 1/2: the lift starts at the origin's principal value
+    x = 2 * np.pi * dom.points.T / geo.n_side
+    phases = 2.5 * (1 - np.cos(x[0])) + 2.0 * (1 - np.cos(x[1])) + 0.4 * np.sin(x[-1])
+    theta, info = dom.lift(np.exp(1j * phases))
     assert info["lift_defect"] < 1e-10
+    assert info["max_step"] < 0.5 * np.pi
     assert np.max(np.abs(theta - phases)) < 1e-9
 
 
-def test_disk_domain_detects_seam_corruption():
-    geo = CellGeometry(3, 4)
-    dom = DiskDomain(geo)
-    values = np.array(
-        [np.exp(1j * _surface_phase(g, geo.n_side)) for g in dom.node_globals]
-    )
-    shared = np.flatnonzero(np.bincount(dom.node_of_point) > 1)[0]
-    values[np.flatnonzero(dom.node_of_point == shared)[1]] *= np.exp(0.5j)
-    with pytest.raises(ChartSeamMismatch):
-        dom.lift(values)
-
-
-def test_disk_domain_refuses_undersampled_phases():
-    geo = CellGeometry(3, 4)
-    dom = DiskDomain(geo)
-    phases = np.array(
-        [10.0 * _surface_phase(g, geo.n_side) for g in dom.node_globals]
-    )
+@pytest.mark.parametrize("d", [2, 3])
+def test_boundary_domain_refuses_undersampled_phases(d):
+    geo = CellGeometry(d, 4)
+    dom = BoundaryDomain(geo)
+    phases = 10.0 * _surface_phase(dom.points, geo.n_side)
     with pytest.raises(GridTooCoarse):
         dom.lift(np.exp(1j * phases))
 
 
-def test_disk_domain_covers_every_surface_point():
-    geo = CellGeometry(3, 4)
-    dom = DiskDomain(geo)
-    assert sorted(set(dom.node_of_point)) == list(range(len(dom.points)))
+@pytest.mark.parametrize("r", [-2, 1, 3])
+def test_boundary_domain_counts_the_degree_along_the_loop(r):
+    geo = CellGeometry(2, 8)
+    dom = BoundaryDomain(geo)
+    ln = 6 * geo.grid_n
+    ts = np.arange(ln) / ln
+    loop = np.exp(2j * np.pi * r * ts) * np.exp(0.3j * np.sin(2 * np.pi * ts))
+    assert winding_degree(loop[:, None, None])[0] == r
+    with pytest.raises(NonzeroDegree) as exc:
+        dom.lift(_loop_nodes(dom, loop))
+    assert exc.value.details["degree"] == r
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_boundary_domain_interpolates_at_the_radial_projection(rng, d):
+    geo = CellGeometry(d, 4)
+    dom = BoundaryDomain(geo)
+    n = geo.grid_n
+    # boundary points read their own node, bit for bit
+    nodal = rng.standard_normal((len(dom.points), 2))
+    assert np.array_equal(dom.interp(nodal)[dom.mask.ravel()], nodal)
+    # affine nodal data is reproduced at the projection of every other point
+    coef, shift = rng.standard_normal((d, 2)), rng.standard_normal(2)
+    g = geo.cell_points().reshape(-1, d)
+    apex = np.array([n / 2] + [0] * (d - 1))
+    away = dom.sigma > 0
+    proj = apex + (g[away] - apex) / dom.sigma[away, None]
+    got = dom.interp(dom.points @ coef + shift)[away]
+    assert np.max(np.abs(got - (proj @ coef + shift))) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_boundary_domain_covers_every_boundary_point_once(d):
+    geo = CellGeometry(d, 4)
+    dom = BoundaryDomain(geo)
+    ids = dom.node_id[geo.cell_index(dom.points)]
+    assert np.array_equal(ids, np.arange(len(dom.points)))
+    assert np.array_equal(dom.node_id >= 0, geo.boundary_mask())
+    if d == 2:
+        on_loop = dom.node_id[geo.cell_index(geo.boundary_loop_2d())]
+        assert np.array_equal(np.sort(on_loop), np.arange(len(dom.points)))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_boundary_domain_cone_coordinate_covers_the_cell(d):
+    geo = CellGeometry(d, 4)
+    dom = BoundaryDomain(geo)
+    sigma = dom.sigma.reshape(geo.cell_shape)
+    assert np.all((0.0 <= sigma) & (sigma <= 1.0))
+    assert np.array_equal(sigma == 1.0, geo.boundary_mask())
+    assert np.flatnonzero(sigma == 0.0).tolist() == [
+        np.ravel_multi_index(geo.cell_index((geo.grid_n // 2,) + (0,) * (d - 1)),
+                             geo.cell_shape)
+    ]
+    with pytest.raises(ValueError):
+        BoundaryDomain(CellGeometry(1, 4))

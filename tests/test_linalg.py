@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from blochframe.errors import BlochFrameError
 from blochframe.linalg import (
     cluster_phases,
+    joint_eigenbasis,
     lowdin,
     unitary_eigensystem,
     wrap_to_pi,
@@ -189,3 +190,20 @@ def test_lowdin_idempotent_and_right_equivariant(seed, rows, cols):
     assert np.linalg.norm(lowdin(q) - q) < 1e-12
     u = random_unitary(gen, cols)
     assert np.linalg.norm(lowdin(mat @ u) - q @ u) < 1e-10
+
+
+def test_joint_eigenbasis_diagonalizes_commuting_unitaries(rng):
+    """One basis for two unitaries that share eigenvectors but not their
+    degeneracies; a pair that does not commute is refused."""
+    v = random_unitary(rng, 4)
+    phases = (np.array([0.3, 0.3, -1.2, 2.0]), np.array([1.0, -0.5, -0.5, 1.0]))
+    pair = [v @ np.diag(np.exp(1j * p)) @ v.conj().T for p in phases]
+    q, diags = joint_eigenbasis(pair, 1e-12)
+    assert np.linalg.norm(q.conj().T @ q - np.eye(4)) < 1e-13
+    for u, w in zip(pair, diags):
+        assert np.linalg.norm(u - q @ np.diag(w) @ q.conj().T) < 1e-12
+    # the joint eigenvalue pairs are all distinct, so q splits every one
+    assert _multiset_distance(diags[0] + 3 * diags[1],
+                              np.exp(1j * phases[0]) + 3 * np.exp(1j * phases[1])) < 1e-12
+    with pytest.raises(BlochFrameError):
+        joint_eigenbasis([pair[0], random_unitary(rng, 4)], 1e-12)

@@ -56,6 +56,17 @@ def test_run_verify_writes_the_report(tmp_path):
     assert on_disk["gap_floor"] == pytest.approx(report.gap_floor)
 
 
+def test_run_verify_reports_the_gap_floor_of_a_construct():
+    """Without a torus sample ``verify-model`` used to take the d=3 gap floor
+    from the coarse slice of its residuals (1.882556165242136 here);
+    ``construct`` records the minimum over the whole torus, 1.8819059769208948
+    (see test_models)."""
+    config = RunConfig(model="random-trs", params={"d": 3, "n": 4, "m": 2, "seed": 0},
+                       grid_n=16)
+    _, report = run_verify(config)
+    assert report.gap_floor == pytest.approx(1.8819059769208948, abs=1e-12)
+
+
 def test_run_verify_flags_broken_reversal():
     config = RunConfig(
         model="haldane", params={"phi": float(np.pi / 2)}, grid_n=8
