@@ -22,7 +22,7 @@ boundary grid graph and reads nodal data at the radial projection of each
 cell grid point onto the boundary.
 """
 
-from itertools import product
+from itertools import product, zip_longest
 
 import numpy as np
 
@@ -118,18 +118,43 @@ class BoundaryDomain:
         # breadth-first spanning tree from the origin; the neighbour order
         # fixes which parent each node's lift is continued from
         root = int(self.node_id[geo.cell_index((0,) * d)])
-        parent = [-1] * len(self.points)
+        count = len(self.points)
+        parent = [-1] * count
         parent[root] = root
+        first = [-1] * count
         order = [root]
         for cur in order:
             for nxt in nbr[cur].tolist():
                 if nxt >= 0 and parent[nxt] < 0:
                     parent[nxt] = cur
+                    if first[cur] < 0:
+                        first[cur] = nxt
                     order.append(nxt)
-        if len(order) != len(self.points):
+        if len(order) != count:
             raise RuntimeError("boundary grid graph is not connected")
-        self._order = order
-        self._parent = parent
+        self._root = root
+        self._parent = np.array(parent)
+
+        # the tree as chains that run down each node's first child, grouped
+        # in rounds: a chain hangs off the root (round 0) or off a node of
+        # the round before.  Each round is the chains' parent nodes and
+        # their nodes padded with ``count`` into a (length, chains) array.
+        rounds, where = [], {root: -1}
+        for head in order[1:]:
+            if head in where:
+                continue
+            chain = [head]
+            while first[chain[-1]] >= 0:
+                chain.append(first[chain[-1]])
+            r = where[parent[head]] + 1
+            where.update(dict.fromkeys(chain, r))
+            if r == len(rounds):
+                rounds.append([])
+            rounds[r].append(chain)
+        self._rounds = []
+        for chains in rounds:
+            nodes = np.array(list(zip_longest(*chains, fillvalue=count)))
+            self._rounds.append((self._parent[nodes[0]], nodes))
 
         # cone coordinate and radial projection (b) of every cell point g:
         # in units where the cell is [-n, n]^d about the apex, g sits at
@@ -171,13 +196,15 @@ class BoundaryDomain:
         leave every cycle at zero turns.
         """
         values = np.asarray(values)
-        tree_step = np.angle(values / values[self._parent]).tolist()
-        root = self._order[0]
-        theta = [0.0] * len(tree_step)
-        theta[root] = float(np.angle(values[root]))
-        for node in self._order[1:]:
-            theta[node] = theta[self._parent[node]] + tree_step[node]
-        theta = np.array(theta)
+        # node by node, theta = theta[parent] + step in root-to-leaf order;
+        # accumulating down each chain adds in that order too
+        tree_step = np.append(np.angle(values / values[self._parent]), 0.0)
+        theta = np.empty(len(tree_step))
+        theta[self._root] = np.angle(values[self._root])
+        for heads, nodes in self._rounds:
+            rows = np.vstack([theta[heads], tree_step[nodes]])
+            theta[nodes] = np.add.accumulate(rows)[1:]
+        theta = theta[:-1]
         low, high = self._edges.T
         step = np.angle(values[high] / values[low])
         worst_step = float(np.max(np.abs(step)))

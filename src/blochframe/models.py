@@ -1,7 +1,8 @@
 """Gapped periodic projector families with bosonic time-reversal symmetry.
 
 A family is described by a finite set of hopping matrices ``H_R`` indexed by
-integer lattice vectors ``R``; the Bloch Hamiltonian in adapted coordinates is
+lattice vectors ``R`` (fractional where orbitals sit away from the cell
+origin); the Bloch Hamiltonian in adapted coordinates is
 
     H(k) = sum_R H_R exp(2 pi i k . R),
 
@@ -12,13 +13,15 @@ Time reversal acts as ``theta = C o conj`` with a unitary ``C`` satisfying
 through a unitary representation ``tau`` (identity for all built-in models,
 the general interface is kept for user-supplied configurations).
 
-:func:`require_assumptions` samples the eigensystem on the stored torus grid
-once: :func:`verify_assumptions` slices its base sample from it, and the
-projectors built from it are what a construction smooths against and
-certifies with.  The shifted samples ``P(k + e_j)``, ``P(-k)`` and those of
-the smoothness proxy keep their own Hamiltonians.  The residuals are exact
-maxima of spectral norms, but the SVD runs only on the entries whose
-Frobenius norm can hold the maximum.
+The structural assumptions are checked on the coefficients, where they
+are exact identities that hold at every ``k``, not only on a grid: a
+lattice generator acts as ``tau_j H_R tau_j^-1 = exp(2 pi i R_j) H_R``,
+which gives ``P(k + e_j) = tau_j P(k) tau_j^-1``, and time reversal as
+``C conj(H_R) C^-1 = H_R``, which gives ``theta P(k) theta^-1 = P(-k)``.
+Only the gap needs Bloch data: :func:`require_assumptions` samples the
+eigensystem on the torus grid once, takes the gap floor from its
+eigenvalues, and returns the projectors built from it, which are what a
+construction smooths against and certifies with.
 """
 
 import json
@@ -96,7 +99,6 @@ class ProjectorFamily:
     gap_tolerance: float = 1e-8
     name: str = "custom"
     params: dict = field(default_factory=dict)
-    gap_floor: float | None = None
 
     def __post_init__(self):
         self._tau_cache = {}
@@ -186,8 +188,7 @@ class ProjectorFamily:
         """Bloch Hamiltonians at quasimomenta ``k`` of shape ``(..., d)``
         (adapted coordinates), stacked as ``(..., n, n)``."""
         k = np.asarray(k, dtype=float)
-        vectors = np.array(list(self.hoppings), dtype=float).reshape(-1, self.d)
-        blocks = np.array(list(self.hoppings.values()), dtype=complex)
+        vectors, blocks = _coefficients(self)
         blocks = blocks.reshape(len(vectors), self.n * self.n)
         phases = np.exp(TWO_PI_I * (k @ vectors.T))
         return (phases @ blocks).reshape(k.shape[:-1] + (self.n, self.n))
@@ -276,13 +277,13 @@ class ProjectorFamily:
 # ----------------------------------------------------------------------
 @dataclass
 class AssumptionReport:
-    """Measured residuals of the structural assumptions on a grid."""
+    """Residuals of the structural assumptions and the grid's gap floor."""
 
     gap_floor: float
     periodicity: float
     time_reversal: float
     compatibility: float
-    smoothness_proxy: float
+    lipschitz_bound: float
     tolerance: float
     passed: bool
 
@@ -292,100 +293,62 @@ class AssumptionReport:
             "periodicity_residual": self.periodicity,
             "time_reversal_residual": self.time_reversal,
             "compatibility_residual": self.compatibility,
-            "smoothness_proxy": self.smoothness_proxy,
+            "lipschitz_bound": self.lipschitz_bound,
             "tolerance": self.tolerance,
             "passed": self.passed,
         }
 
 
-def _samples(d, grid_n, coarse_step):
-    """Verification grid ``(i / 2 grid_n)``, every ``coarse_step``-th point per
-    axis in d = 3, as a ``(points, d)`` array in row-major order."""
-    pts = np.arange(2 * grid_n) / (2 * grid_n)
-    if d == 3:
-        pts = pts[::coarse_step]
-    return np.stack(np.meshgrid(*[pts] * d, indexing="ij"), axis=-1).reshape(-1, d)
+def _coefficients(family):
+    """Hopping vectors ``(N, d)`` and matrices ``(N, n, n)`` of the family."""
+    vectors = np.array(list(family.hoppings), dtype=float).reshape(-1, family.d)
+    blocks = np.array(list(family.hoppings.values()), dtype=complex)
+    return vectors, blocks.reshape(-1, family.n, family.n)
 
 
-def _sampled(family, grid_n, coarse_step, torus):
-    """The grid of :func:`_samples` and its eigensystem, sliced from
-    ``torus`` (the eigensystem on ``CellGeometry(d, grid_n).torus_k()``):
-    both grids are the points ``i / 2 grid_n``."""
-    d, n = family.d, family.n
-    at = (slice(None, None, coarse_step if d == 3 else 1),) * d
-    evals, evecs = torus
-    return _samples(d, grid_n, coarse_step), (evals[at].reshape(-1, n),
-                                              evecs[at].reshape(-1, n, n))
+def _norm2_sum(stack):
+    """Sum of the spectral norms over a stack of matrices."""
+    return float(np.sum(np.linalg.norm(stack, 2, axis=(-2, -1))))
 
 
-def _max_norm2(stack):
-    """Largest spectral norm over a stack of matrices, exactly.
+def verify_assumptions(family, grid_n=16, tol=1e-8, evals=None):
+    """Check periodicity, time reversal, compatibility and the gap.
 
-    ``||D||_2 <= ||D||_F <= sqrt(r) ||D||_2`` with ``r`` the smaller matrix
-    dimension, so the maximum sits at an entry whose Frobenius norm reaches
-    ``max_F / sqrt(r)``; the SVD norm runs on those entries alone (the
-    ``1e-12`` slack covers roundoff, and entries that are not finite are
-    kept).  An all-zero stack gives 0.0.
-    """
-    fro = np.linalg.norm(stack, axis=(-2, -1))
-    top = float(np.max(fro))
-    if top == 0.0:
-        return 0.0
-    bound = (1.0 - 1e-12) * top / np.sqrt(min(stack.shape[-2:]))
-    keep = stack[~(fro < bound)]
-    return float(np.max(np.linalg.norm(keep, 2, axis=(-2, -1))))
+    The symmetries are checked as identities on the hopping matrices
+    ``H_R``, which makes them hold at every ``k``, not only on a grid:
 
+    - periodicity: ``tau_j H_R tau_j^-1 = exp(2 pi i R_j) H_R`` for each
+      generator ``j``; the residual ``max_j sum_R`` of the defect's
+      spectral norm bounds ``||H(k + e_j) - tau_j H(k) tau_j^-1||_2``;
+    - time reversal: ``C conj(H_R) C^-1 = H_R``; the residual ``sum_R`` of
+      the defect's spectral norm bounds ``||theta H(k) theta^-1 - H(-k)||_2``;
+    - compatibility: ``C conj(tau_j) = tau_j^dagger C``.
 
-def _projectors(family, k):
-    """Spectral projectors at ``k`` without the gap gate: a closed gap shows
-    in the report's ``gap_floor`` instead of raising."""
-    return _frames_projector(family, family.eigensystem(k)[1])
-
-
-def _frames_projector(family, evecs):
-    frames = evecs[..., : family.m]
-    return frames @ _dagger(frames)
-
-
-def _smoothness_proxy(family, grid_n, torus):
-    """max ||second difference of P|| * grid_n**2 over a coarse grid."""
-    h = 1.0 / (2 * grid_n)
-    samples, (_, evecs) = _sampled(family, grid_n, max(1, grid_n // 4), torus)
-    p = _frames_projector(family, evecs)
-    worst = 0.0
-    for e in h * np.eye(family.d):
-        d2 = _projectors(family, samples + e) - 2 * p + _projectors(family, samples - e)
-        worst = max(worst, _max_norm2(d2))
-    return worst * grid_n**2
-
-
-def verify_assumptions(family, grid_n=16, tol=1e-8, torus=None):
-    """Check periodicity, time reversal, compatibility and the gap on a grid.
-
-    ``P(k + e_j)`` and ``P(-k)`` are sampled from their own Hamiltonians, so
-    a model that breaks either symmetry shows it in the residuals.  The
-    base sample ``P(k)`` is sliced from ``torus``, the eigensystem on
-    ``CellGeometry(d, grid_n).torus_k()``, taken here unless the caller
-    passes it; the gap floor is the minimum over that whole sample, also
-    where a d=3 grid thins the base sample of the residuals.
+    Equal Hamiltonians have equal spectral projectors, so zero residuals
+    give ``P(k + e_j) = tau_j P(k) tau_j^-1`` and
+    ``theta P(k) theta^-1 = P(-k)`` everywhere.  ``lipschitz_bound`` is
+    ``L = 2 pi sum_R |R| ||H_R||_2``, which bounds
+    ``||H(k) - H(k')||_2 / |k - k'|``.  The gap floor is the minimum gap
+    over ``evals``, the eigenvalues on ``CellGeometry(d, grid_n).torus_k()``,
+    taken here unless the caller passes them.
     Returns an :class:`AssumptionReport`; ``passed`` is False when any
-    residual exceeds ``tol`` or the measured gap floor drops below the
-    family's gap tolerance.  A closed gap is reported that way, never
-    raised.
+    residual exceeds ``tol`` or the gap floor drops below the family's gap
+    tolerance.  A closed gap is reported that way, never raised.
     """
     d, m = family.d, family.m
-    if torus is None:
-        torus = family.eigensystem(CellGeometry(d, grid_n).torus_k())
-    samples, (_, evecs) = _sampled(family, grid_n, max(1, grid_n // 8), torus)
+    if evals is None:
+        evals = family.eigensystem(CellGeometry(d, grid_n).torus_k())[0]
+    gap_floor = float(np.min(evals[..., m] - evals[..., m - 1]))
+    vectors, blocks = _coefficients(family)
     c = family.theta_matrix()
-    gap_floor = float(np.min(torus[0][..., m] - torus[0][..., m - 1]))
-    p = _frames_projector(family, evecs)
+
     res_p2 = 0.0
-    for e in np.eye(d):
-        tau_j = family.tau_power(tuple(int(x) for x in e))
-        shifted = _projectors(family, samples + e)
-        res_p2 = max(res_p2, _max_norm2(shifted - tau_j @ p @ tau_j.conj().T))
-    res_p3 = _max_norm2(_projectors(family, -samples) - c @ p.conj() @ c.conj().T)
+    for j, e in enumerate(np.eye(d)):
+        tau_j = family.tau_power(e)
+        phases = np.exp(TWO_PI_I * vectors[:, j])[:, None, None]
+        moved = tau_j @ blocks @ tau_j.conj().T
+        res_p2 = max(res_p2, _norm2_sum(moved - phases * blocks))
+    res_p3 = _norm2_sum(c @ blocks.conj() @ c.conj().T - blocks)
 
     res_p4 = 0.0
     if family.tau is not None:
@@ -398,13 +361,14 @@ def verify_assumptions(family, grid_n=16, tol=1e-8, torus=None):
         and res_p4 <= tol
         and gap_floor >= family.gap_tolerance
     )
-    family.gap_floor = gap_floor
+    lipschitz = 2 * np.pi * float(np.linalg.norm(vectors, axis=1)
+                                  @ np.linalg.norm(blocks, 2, axis=(-2, -1)))
     return AssumptionReport(
         gap_floor=gap_floor,
         periodicity=res_p2,
         time_reversal=res_p3,
         compatibility=res_p4,
-        smoothness_proxy=_smoothness_proxy(family, grid_n, torus),
+        lipschitz_bound=lipschitz,
         tolerance=tol,
         passed=bool(passed),
     )
@@ -412,7 +376,7 @@ def verify_assumptions(family, grid_n=16, tol=1e-8, torus=None):
 
 def require_assumptions(family, grid_n=16, tol=1e-8):
     """Sample the torus once and raise :class:`AssumptionsFailed` unless
-    :func:`verify_assumptions` passes on that sample.
+    :func:`verify_assumptions` passes with the gap floor of that sample.
 
     Returns ``(report, projectors)``: the spectral projectors on
     ``CellGeometry(d, grid_n).torus_k()``, built from the same sample with
@@ -421,7 +385,7 @@ def require_assumptions(family, grid_n=16, tol=1e-8):
     """
     torus_k = CellGeometry(family.d, grid_n).torus_k()
     torus = family.eigensystem(torus_k)
-    report = verify_assumptions(family, grid_n=grid_n, tol=tol, torus=torus)
+    report = verify_assumptions(family, grid_n=grid_n, tol=tol, evals=torus[0])
     if not report.passed:
         raise AssumptionsFailed(
             "model violates the structural assumptions",

@@ -353,7 +353,7 @@ def run_report(config):
         "periodicity_residual",
         "time_reversal_residual",
         "compatibility_residual",
-        "smoothness_proxy",
+        "lipschitz_bound",
     ):
         lines.append(f"  {key}: {_fmt(assumptions.get(key))}")
     lines.append(f"  passed: {assumptions.get('passed')}")

@@ -150,6 +150,25 @@ def rotated_ssh(seed=2):
     )
 
 
+def reversal_break_between_grid_points():
+    """JSON config of the SSH chain plus ``H_{+-16} = +-0.2i diag(1, -1)``.
+
+    The added term is odd in ``k`` and purely imaginary, so it breaks time
+    reversal, yet ``sin(32 pi k)`` vanishes on the points ``i / 16`` of a
+    grid_n 8 torus: any check sampled there sees the plain SSH chain.
+    """
+    return {
+        "dimension": 1, "orbitals": 2, "rank": 1,
+        "hoppings": [
+            {"R": [0], "re": [[0, 1], [1, 0]]},
+            {"R": [1], "re": [[0, 0], [0.4, 0]]},
+            {"R": [-1], "re": [[0, 0.4], [0, 0]]},
+            {"R": [16], "im": [[0.2, 0], [0, -0.2]]},
+            {"R": [-16], "im": [[-0.2, 0], [0, 0.2]]},
+        ],
+    }
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)

@@ -12,6 +12,8 @@ from blochframe.cli import main
 from blochframe.errors import EpsilonInfeasible
 from blochframe.io import file_sha256, read_json
 
+from conftest import reversal_break_between_grid_points
+
 HALF_PI = "1.5707963267948966"
 
 
@@ -82,6 +84,20 @@ def test_assumption_failure_exits_1_with_payload(capsys):
     payload = json.loads(captured.err)
     assert payload["error"] == "assumptions-failed"
     assert payload["details"]["time_reversal"] > 0.1
+
+
+def test_construct_refuses_a_reversal_break_between_grid_points(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(reversal_break_between_grid_points()))
+    code = main(["construct", "--model", str(path), "--grid-n", "8",
+                 "--out", str(tmp_path / "run")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    payload = json.loads(captured.err)
+    assert payload["error"] == "assumptions-failed"
+    assert payload["details"]["time_reversal"] > 0.1
+    assert not (tmp_path / "run" / "manifest.json").exists()
 
 
 def test_construct_wannierize_report_round(tmp_path, capsys):

@@ -186,6 +186,26 @@ def test_boundary_domain_lifts_single_valued_phases(d):
     assert np.max(np.abs(theta - phases)) < 1e-9
 
 
+@pytest.mark.parametrize("d, grid_n", [(2, 16), (3, 8)])
+def test_boundary_domain_lift_equals_the_node_by_node_tree_walk(rng, d, grid_n):
+    """Reference: each node's lift is its parent's plus the tree step, taken
+    one node at a time once the parent is lifted; equal bit for bit."""
+    geo = CellGeometry(d, grid_n)
+    dom = BoundaryDomain(geo)
+    values = np.exp(1j * (rng.uniform(-np.pi, np.pi)
+                          + 3.0 * _surface_phase(dom.points, geo.n_side)))
+    parent = dom._parent.tolist()
+    step = np.angle(values / values[dom._parent]).tolist()
+    root = next(node for node, up in enumerate(parent) if up == node)
+    walk = {root: float(np.angle(values[root]))}
+    while len(walk) < len(parent):
+        for node, up in enumerate(parent):
+            if node not in walk and up in walk:
+                walk[node] = walk[up] + step[node]
+    theta, _ = dom.lift(values)
+    assert theta.tolist() == [walk[node] for node in range(len(parent))]
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_boundary_domain_refuses_undersampled_phases(d):
     geo = CellGeometry(d, 4)

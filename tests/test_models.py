@@ -15,14 +15,13 @@ from blochframe.cells import CellGeometry
 from blochframe.errors import AssumptionsFailed, GapClosed, ModelConfigError
 from blochframe.models import (
     ProjectorFamily,
-    _max_norm2,
     builtin_model,
     load_model,
     require_assumptions,
     verify_assumptions,
 )
 
-from conftest import shifted_haldane, rotated_ssh
+from conftest import reversal_break_between_grid_points, shifted_haldane, rotated_ssh
 
 SECOND_NEIGHBOUR = [(1, 0), (-1, 1), (0, -1)]
 
@@ -291,7 +290,8 @@ def test_batched_gap_closure_names_the_dirac_point():
 
 
 def test_fractional_hoppings_without_tau_fail_periodicity():
-    """Negative control: P(k + e_j) has to be sampled, not assumed periodic."""
+    """Negative control: without tau the fractional hoppings break
+    ``H_R = exp(2 pi i R_j) H_R`` for every half-integer ``R_j``."""
     twisted = shifted_haldane()
     fam = ProjectorFamily(d=2, n=2, m=1, hoppings=dict(twisted.hoppings))
     report = verify_assumptions(fam, grid_n=8)
@@ -320,37 +320,14 @@ def test_describe_is_json_safe():
     assert desc["params"]["phi"] == 0.25
 
 
-def _stack_max_norm2(stack):
-    return float(np.max(np.linalg.norm(stack, 2, axis=(-2, -1))))
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_pruned_max_norm2_equals_the_full_svd_max(rng, n):
-    assert _max_norm2(np.zeros((7, n, n), dtype=complex)) == 0.0
-    background = 1e-3 * (rng.standard_normal((50, n, n))
-                         + 1j * rng.standard_normal((50, n, n)))
-    spike = background.copy()
-    spike[17] += rng.standard_normal((n, n))
-    # 0.7 * identity has the largest Frobenius norm (0.7 sqrt(n)); a rank-one
-    # entry with spectral norm 0.9 holds the spectral maximum
-    split = background.copy()
-    split[3] = 0.7 * np.eye(n)
-    split[41, 0, 0] = 0.9
-    fro = np.linalg.norm(split, axis=(-2, -1))
-    assert np.argmax(fro) == 3
-    assert np.argmax(np.linalg.norm(split, 2, axis=(-2, -1))) == 41
-    for stack in (background, spike, split, rng.standard_normal((5, 9, n, n))):
-        assert _max_norm2(stack) == _stack_max_norm2(stack)
-
-
 @pytest.mark.parametrize("family, grid_n", [
     (builtin_model("haldane"), 8),
     (shifted_haldane(), 4),
     (builtin_model("random-trs", d=3, n=2, m=1), 16),
 ])
 def test_the_torus_sample_gives_the_same_report(family, grid_n):
-    """``require_assumptions`` samples the torus once and slices the
-    verification grids (every second point at d=3 grid_n 16) from it."""
+    """``require_assumptions`` samples the torus once; its report is the
+    one ``verify_assumptions`` gives on its own sample."""
     alone = verify_assumptions(family, grid_n=grid_n).as_dict()
     report, projectors = require_assumptions(family, grid_n=grid_n)
     assert report.as_dict() == alone
@@ -369,13 +346,43 @@ def test_fractional_hoppings_without_tau_fail_on_the_torus_sample():
 
 
 def test_the_gap_floor_is_the_minimum_over_the_whole_torus_sample():
-    """At d=3 grid_n 16 the residuals run on every second point per axis,
-    but the gap floor of a construct covers every torus point: the coarse
-    slice alone gives 1.882556 for this model."""
+    """The gap floor of a construct covers every torus point: every second
+    point per axis at d=3 grid_n 16 alone gives 1.882556 for this model."""
     family = builtin_model("random-trs", d=3, n=4, m=2, seed=0)
     report, _ = require_assumptions(family, grid_n=16)
     evals = np.linalg.eigvalsh(family.hamiltonian(CellGeometry(3, 16).torus_k()))
     assert report.gap_floor == pytest.approx(np.min(evals[..., 2] - evals[..., 1]),
                                              abs=1e-12)
     assert report.gap_floor == pytest.approx(1.881906, abs=5e-7)
-    assert family.gap_floor == report.gap_floor
+
+
+def test_a_reversal_break_between_grid_points_is_refused():
+    """Negative control: ``H_{+-16} = +-0.2i sz`` breaks time reversal by
+    ``0.8 |sin(32 pi k)|``, which vanishes on every point ``i / 16`` of a
+    grid_n 8 torus."""
+    fam = load_model(reversal_break_between_grid_points())
+    report = verify_assumptions(fam, grid_n=8)
+    assert not report.passed
+    assert report.time_reversal > 0.1
+    assert report.periodicity < 1e-12
+    with pytest.raises(AssumptionsFailed) as exc:
+        require_assumptions(fam, grid_n=8)
+    assert exc.value.details["time_reversal"] > 0.1
+
+
+@pytest.mark.parametrize("make", [
+    lambda: builtin_model("haldane"),
+    shifted_haldane,
+    lambda: builtin_model("random-trs", n=4, m=2, d=3, seed=0),
+], ids=["haldane", "shifted-haldane", "random-trs-3d"])
+def test_the_lipschitz_bound_holds_on_random_pairs(make, rng):
+    """``||H(k) - H(k')||_2 <= L |k - k'|`` at separations from 1e-6 to 1,
+    and the largest measured slope is within a factor 10 of ``L``."""
+    fam = make()
+    bound = verify_assumptions(fam, grid_n=2).lipschitz_bound
+    k = rng.uniform(-1, 1, size=(400, fam.d))
+    step = rng.standard_normal((400, fam.d)) * 10.0 ** rng.uniform(-6, 0, size=(400, 1))
+    moved = np.linalg.norm(fam.hamiltonian(k + step) - fam.hamiltonian(k), 2, axis=(-2, -1))
+    slope = moved / np.linalg.norm(step, axis=1)
+    assert np.max(slope) <= bound * (1 + 1e-9)
+    assert np.max(slope) > 0.1 * bound

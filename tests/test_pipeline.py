@@ -243,6 +243,26 @@ def test_construct_samples_the_torus_once(config, monkeypatch):
     assert shapes.count(torus_shape) == 1
 
 
+@pytest.mark.parametrize("config", [
+    RunConfig(model="haldane", grid_n=8),
+    RunConfig(model="random-trs", params={"d": 3, "n": 4, "m": 1, "seed": 9},
+              grid_n=4),
+])
+def test_construct_makes_three_eigensystem_calls(config, monkeypatch):
+    """The torus sample, the input frame's sweep box and its seed frame
+    at ``k = 0``: the symmetries are checked on the hopping matrices."""
+    calls = []
+    real = ProjectorFamily.eigensystem
+
+    def spy(self, k):
+        calls.append(np.shape(k)[:-1])
+        return real(self, k)
+
+    monkeypatch.setattr(ProjectorFamily, "eigensystem", spy)
+    run_construct(config)
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("grid_n, cutoff, resolved", [(8, 9, False), (32, 12, True)])
 def test_the_cutoff_is_reported_against_the_grid(tmp_path, grid_n, cutoff, resolved):
     """Haldane's accepted cutoff leaves the Nyquist shell of ``n_side = 16``
