@@ -25,6 +25,8 @@ construction smooths against and certifies with.
 """
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -451,12 +453,11 @@ def _random_trs(n=4, m=2, d=2, hop_range=1, seed=0, amplitude=0.3):
     spectral norm equals ``amplitude``, which keeps the gap between bands m
     and m+1 at least ``2 - 2 * amplitude`` uniformly in k.
     """
-    n, m, d, hop_range = int(n), int(m), int(d), int(hop_range)
     if not 1 <= m < n:
         raise ModelConfigError(f"random-trs needs 1 <= m < n, got m={m}, n={n}")
     if not 0 < amplitude < 1:
         raise ModelConfigError("random-trs amplitude must lie in (0, 1)")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     base = np.diag(np.concatenate([-np.ones(m), np.ones(n - m)])).astype(complex)
     raw = {}
     vectors = [r for r in product(*[range(-hop_range, hop_range + 1)] * d)]
@@ -475,7 +476,7 @@ def _random_trs(n=4, m=2, d=2, hop_range=1, seed=0, amplitude=0.3):
     return ProjectorFamily(
         d=d, n=n, m=m, hoppings=hoppings,
         name="random-trs",
-        params={"n": n, "m": m, "d": d, "range": hop_range, "seed": int(seed),
+        params={"n": n, "m": m, "d": d, "range": hop_range, "seed": seed,
                 "amplitude": amplitude},
     )
 
@@ -488,9 +489,36 @@ _BUILTIN_PARAM_NAMES = {
     "random-trs": {"n", "m", "d", "range", "seed", "amplitude"},
 }
 
+# Built-in parameters that count something and so must be whole numbers
+# (``range`` and ``seed`` also non-negative).
+_BUILTIN_INT_PARAMS = {"n", "m", "d", "range", "seed"}
+_BUILTIN_NONNEGATIVE_PARAMS = {"range", "seed"}
+
+
+def _checked_param(model, key, value):
+    """A built-in model parameter as a finite real number, integers as ``int``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        problem = "is not a finite number"
+    elif key in _BUILTIN_INT_PARAMS and value != int(value):
+        problem = "is not an integer"
+    elif key in _BUILTIN_NONNEGATIVE_PARAMS and value < 0:
+        problem = "is negative"
+    else:
+        return int(value) if key in _BUILTIN_INT_PARAMS else value
+    raise ModelConfigError(
+        f"parameter {key}={value!r} of model {model!r} {problem}",
+        parameter=key, value=repr(value),
+    )
+
 
 def builtin_model(name, **params):
-    """Instantiate a built-in model by name."""
+    """Instantiate a built-in model by name.
+
+    Every parameter must be a finite real number, and ``n``, ``m``, ``d``,
+    ``range`` and ``seed`` whole numbers (``range`` and ``seed``
+    non-negative); anything else raises :class:`ModelConfigError`.
+    """
     if name not in _BUILTINS:
         raise ModelConfigError(
             f"unknown built-in model {name!r}; available: {sorted(_BUILTINS)}"
@@ -501,6 +529,7 @@ def builtin_model(name, **params):
         raise ModelConfigError(
             f"unknown parameter(s) {sorted(bad)} for model {name!r}; allowed: {sorted(allowed)}"
         )
+    params = {key: _checked_param(name, key, val) for key, val in params.items()}
     if name == "haldane":
         mapped = {"t1": params.get("t1", 1.0), "t2": params.get("t2", 0.1),
                   "phi": params.get("phi", 0.0), "mass": params.get("M", 0.5)}

@@ -17,9 +17,11 @@ without losing the symmetries:
   cutoff), twisted back, re-projected onto the fibers and
   re-orthonormalized; the cutoff is raised, up to ``n_side - 1``, until the
   result is within the requested distance of the input.  Each rung is first
-  screened through ``eigh`` of its ``m x m`` Gram matrix, and only a rung
-  the screen cannot reject takes the full SVD, so the ladder costs one
-  small ``eigh`` per rung and one SVD per decision;
+  screened through the eigenvalues and polar factor of its ``m x m`` Gram
+  matrix, in closed form for ``m <= 2`` and through ``eigh`` beyond, and
+  only a rung the screen cannot reject takes the full SVD, so the ladder
+  costs a few elementwise passes per rung (one small ``eigh`` per point
+  when ``m >= 3``) and one SVD per decision;
 * an exact re-symmetrization that restores the reflection property at
   every grid point by midpointing each frame with the time-reversed image
   of its partner.
@@ -281,28 +283,82 @@ def _decay_slope(shells):
     return float(coeff[0])
 
 
+def _gram_polar(candidate):
+    """Smallest and largest Gram eigenvalues of a stack of frames, and their
+    polar factor.
+
+    For frames ``c`` of shape ``(..., n, m)`` returns per-point arrays
+    ``w_min`` and ``w_max``, the extreme eigenvalues of ``G = c^H c``, and
+    the polar factor ``c G^(-1/2)``, which is ``None`` when some ``w_min``
+    is not positive.  ``m = 1`` and ``m = 2`` are in closed form with
+    ``G = [[a, b], [conj(b), e]]``: ``w_max = (a + e)/2 + sqrt(((a - e)/2)**2
+    + |b|**2)`` and ``w_min = det / w_max`` with ``det = a e - |b|**2``,
+    which avoids the cancellation of the difference form; ``G^(-1/2) =
+    adj(G + s) / (s t)`` with ``s = sqrt(det)`` and ``t = sqrt(a + e + 2 s)``
+    (the 2 x 2 square root is ``(G + s) / t``).  Larger ``m`` takes
+    ``eigh``.
+    """
+    m = candidate.shape[-1]
+    if m == 1:
+        w_min = w_max = np.sum(candidate.real**2 + candidate.imag**2, axis=(-2, -1))
+        if not np.min(w_min) > 0.0:
+            return w_min, w_max, None
+        return w_min, w_max, candidate / np.sqrt(w_min)[..., None, None]
+    if m == 2:
+        c0 = candidate[..., 0]
+        c1 = candidate[..., 1]
+        a = np.sum(c0.real**2 + c0.imag**2, axis=-1)
+        e = np.sum(c1.real**2 + c1.imag**2, axis=-1)
+        b = np.sum(c0.conj() * c1, axis=-1)
+        bb = b.real**2 + b.imag**2
+        det = a * e - bb
+        half = 0.5 * (a - e)
+        w_max = 0.5 * (a + e) + np.sqrt(half * half + bb)
+        # w_max is zero only where the frame is zero, and so is det there
+        w_min = det / np.where(w_max > 0.0, w_max, 1.0)
+        if not np.min(w_min) > 0.0:
+            return w_min, w_max, None
+        s = np.sqrt(det)
+        scale = 1.0 / (s * np.sqrt(a + e + 2.0 * s))
+        h00, h01, h11 = ((x * scale)[..., None] for x in (e + s, b, a + s))
+        polar = np.empty_like(candidate)
+        polar[..., 0] = c0 * h00 - c1 * h01.conj()
+        polar[..., 1] = c1 * h11 - c0 * h01
+        return w_min, w_max, polar
+    w, v = np.linalg.eigh(np.swapaxes(candidate.conj(), -1, -2) @ candidate)
+    w_min, w_max = w[..., 0], w[..., -1]
+    if not np.min(w_min) > 0.0:
+        return w_min, w_max, None
+    polar = (candidate @ (v / np.sqrt(w)[..., None, :])) @ np.swapaxes(v.conj(), -1, -2)
+    return w_min, w_max, polar
+
+
 def _gram_screen(candidate, data, rank_floor, target):
     """Reject a ladder rung from its ``m x m`` Gram matrix when that is safe.
 
-    ``eigh(c^H c) = (w, V)`` gives the singular values ``sqrt(w)`` of the
-    projected frames ``c`` and their polar factor ``c V w^(-1/2) V^H``.
-    That route loses accuracy like the condition number ``kappa`` squared,
-    so it decides only when the smallest singular value lies below
-    ``rank_floor`` or the sup distance to ``data`` above ``target`` by more
-    than ``SCREEN_MARGIN * kappa**2``.  Returns the rung's ``tried`` entry
-    then, and ``None`` when the rung needs the SVD.
+    :func:`_gram_polar` gives the singular values ``sqrt(w)`` of the
+    projected frames ``c`` and their polar factor from ``G = c^H c``.  That
+    route loses accuracy like the condition number ``kappa`` squared, so it
+    decides only when the smallest singular value lies below ``rank_floor``
+    or the sup distance to ``data`` above ``target`` by more than
+    ``SCREEN_MARGIN * kappa**2``.  The margin holds for the closed forms of
+    ``m <= 2`` as for ``eigh``: ``a``, ``e``, ``b`` and ``w_max`` carry
+    relative errors of a few eps, so ``det`` and ``w_min = det / w_max`` err
+    by ``O(eps w_max)`` in absolute terms, as ``eigh``'s eigenvalues do, and
+    the polar factor built from ``s = sqrt(det)`` errs by ``O(eps
+    kappa**2)``.  Returns the rung's ``tried`` entry then, and ``None`` when
+    the rung needs the SVD.
     """
-    w, v = np.linalg.eigh(np.swapaxes(candidate.conj(), -1, -2) @ candidate)
-    w_min = float(np.min(w))
-    if not w_min > 0.0:
+    w_min, w_max, polar = _gram_polar(candidate)
+    if polar is None:
         return None
+    w_min = float(np.min(w_min))
     low = float(np.sqrt(w_min))
-    margin = SCREEN_MARGIN * float(np.max(w)) / w_min
+    margin = SCREEN_MARGIN * float(np.max(w_max)) / w_min
     if low < rank_floor - margin:
         return {"rank_loss": low}
     if low < rank_floor + margin:
         return None
-    polar = (candidate @ (v / np.sqrt(w)[..., None, :])) @ np.swapaxes(v.conj(), -1, -2)
     dist = _sup_distance(polar, data)
     return {"sup_distance": dist} if dist > target + margin else None
 
@@ -353,10 +409,12 @@ def periodic_smooth(
     the search continues upward; if no cutoff succeeds the last rank
     failure is raised as :class:`ProjectionRankLoss`.
 
-    Each rung is screened by :func:`_gram_screen`; the rung it cannot
-    reject, and so the accepted one, is decided by the full SVD, which
-    makes the chosen cutoff and the returned frames those of an all-SVD
-    ladder.  Screened rungs record their Gram values in ``tried``.
+    Each rung is screened by :func:`_gram_screen`, which needs no
+    eigensolver for ``m <= 2`` and one ``eigh`` of the Gram stack beyond;
+    the rung it cannot reject, and so the accepted one, is decided by the
+    full SVD, which makes the chosen cutoff and the returned frames those
+    of an all-SVD ladder.  Screened rungs record their Gram values in
+    ``tried``, which agree with the SVD's to roundoff.
 
     Returns ``(field, report)``; the report records the chosen cutoff, its
     fraction of ``n_side`` and whether it zeroes the grid's Nyquist shell

@@ -100,6 +100,27 @@ def test_construct_refuses_a_reversal_break_between_grid_points(tmp_path, capsys
     assert not (tmp_path / "run" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "model, param",
+    [
+        ("random-trs", "n=abc"),
+        ("random-trs", "amplitude=x"),
+        ("random-trs", "range=-1"),
+        ("random-trs", "range=1.5"),
+        ("random-trs", "seed=-1"),
+        ("haldane", "t2=nan"),
+    ],
+)
+def test_a_bad_builtin_parameter_is_a_model_config_error(model, param, capsys):
+    code = main(["verify-model", "--model", model, "--param", param, "--grid-n", "4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    payload = json.loads(captured.err)
+    assert payload["error"] == "model-config"
+    assert payload["details"]["parameter"] == param.split("=")[0]
+
+
 def test_construct_wannierize_report_round(tmp_path, capsys):
     out = str(tmp_path)
     argv = ["construct", "--model", "ssh", "--grid-n", "8", "--out", out]

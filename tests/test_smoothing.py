@@ -331,11 +331,13 @@ def _random_trs_phi(d, n, m, seed, grid_n):
 @pytest.fixture(scope="module")
 def smoothing_cases(haldane, haldane_torus):
     """Constructed fields before smoothing: haldane grid_n 8, random-trs
-    d=3 grid_n 2 (m = 1) and random-trs d=2 grid_n 4 (m = 2)."""
+    d=3 grid_n 2 (m = 1), random-trs d=2 grid_n 4 (m = 2) and random-trs
+    d=2 grid_n 6 (m = 3, whose Gram screen takes ``eigh``)."""
     return {
         "haldane": (haldane, haldane_torus),
         "random-trs-3d": _random_trs_phi(3, 4, 1, 9, 2),
         "random-trs-2d": _random_trs_phi(2, 4, 2, 3, 4),
+        "random-trs-m3": _random_trs_phi(2, 5, 3, 0, 6),
     }
 
 
@@ -347,13 +349,15 @@ def _same_ladder(report, ref_tried):
         assert got[key] == pytest.approx(ref[key], abs=1e-14)
 
 
-@pytest.mark.parametrize("case", ["haldane", "random-trs-3d", "random-trs-2d"])
+@pytest.mark.parametrize(
+    "case", ["haldane", "random-trs-3d", "random-trs-2d", "random-trs-m3"]
+)
 def test_gram_screened_ladder_matches_the_all_svd_ladder(smoothing_cases, case):
     family, field = smoothing_cases[case]
     _, _, every_rung = _all_svd_ladder(field, family, 1e-12)
-    # one epsilon per rung of the reference ladder, each just above it
+    # one epsilon per feasible rung of the reference ladder, each just above it
     epsilons = [1e-12, 0.1, 0.5] + [
-        (t["sup_distance"] + 1e-6) / 0.9 for t in every_rung
+        (t["sup_distance"] + 1e-6) / 0.9 for t in every_rung if "sup_distance" in t
     ]
     for epsilon in epsilons:
         cutoff, frames, tried = _all_svd_ladder(field, family, epsilon)
@@ -414,16 +418,99 @@ def test_the_ladder_tries_n_side_minus_one_when_a_step_passes_it(haldane, haldan
     assert [t["cutoff"] for t in exc.value.details["tried"]] == [2, 3, 4, 5, 7, 9, 10]
 
 
-def test_rank_loss_payload_is_json_safe(haldane, haldane_torus):
+def _check_rank_loss_payload(family, field):
     with pytest.raises(ProjectionRankLoss) as exc:
-        periodic_smooth(haldane_torus, haldane, epsilon=0.1, rank_floor=1.5)
+        periodic_smooth(field, family, epsilon=0.1, rank_floor=1.5)
     details = exc.value.details
     assert json.loads(json.dumps(details)) == {
         "point": list(details["point"]),
         "singular_value": details["singular_value"],
     }
     assert all(type(x) is int for x in details["point"])
-    _, point, singular_value = _all_svd_ladder(
-        haldane_torus, haldane, 0.1, rank_floor=1.5
-    )
+    _, point, singular_value = _all_svd_ladder(field, family, 0.1, rank_floor=1.5)
     assert details == {"point": point, "singular_value": singular_value}
+
+
+def test_rank_loss_payload_is_json_safe(haldane, haldane_torus):
+    _check_rank_loss_payload(haldane, haldane_torus)
+
+
+def test_rank_loss_payload_is_json_safe_at_m2(smoothing_cases):
+    """Every rung of the ``m = 2`` ladder is refused by the closed-form
+    Gram screen; the payload still comes from the SVD."""
+    _check_rank_loss_payload(*smoothing_cases["random-trs-2d"])
+
+
+def _gram_stack(rng, m, kappa, size=64, n=4):
+    """Random frames ``(size, n, m)`` with singular values from 1 down to
+    ``1 / kappa``, so that their Gram matrices have condition ``kappa**2``."""
+    shape = (size, n, m)
+    u = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+    v = np.stack([random_unitary(rng, m) for _ in range(size)])
+    sing = np.geomspace(1.0, 1.0 / kappa, m) * rng.uniform(0.5, 2.0, (size, 1))
+    return (u * sing[:, None, :]) @ v
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_gram_polar_matches_eigh_and_the_svd(rng, m):
+    eps = np.finfo(float).eps
+    stacks = [_gram_stack(rng, m, kappa) for kappa in (1.0, 10.0, 1e2, 1e3, 1e4)]
+    # diagonal Grams, an exactly degenerate one (b = 0, a = e) among them
+    diagonal = np.zeros((3, 4, m), dtype=complex)
+    for j in range(m):
+        diagonal[:, j, j] = [1.0, 2.0 + j, 3.0 * 10.0 ** (-2 * j)]
+    stacks.append(diagonal)
+    # there every eigenvalue is a diagonal entry, and the smallest one keeps
+    # its relative accuracy (a difference form w_min = a + e - w_max loses it)
+    w_min, w_max, _ = smoothing._gram_polar(diagonal)
+    entries = np.sort(np.sum(np.abs(diagonal) ** 2, axis=-2), axis=-1)
+    assert np.allclose(w_min, entries[..., 0], rtol=8 * eps, atol=0.0)
+    assert np.allclose(w_max, entries[..., -1], rtol=8 * eps, atol=0.0)
+    for c in stacks:
+        w_min, w_max, polar = smoothing._gram_polar(c)
+        w = np.linalg.eigvalsh(np.swapaxes(c.conj(), -1, -2) @ c)
+        scale = 8 * eps * w[..., -1]
+        assert np.all(np.abs(w_min - w[..., 0]) <= scale)
+        assert np.all(np.abs(w_max - w[..., -1]) <= scale)
+        u, _, vh = np.linalg.svd(c, full_matrices=False)
+        kappa2 = np.max(w[..., -1] / w[..., 0])
+        assert np.max(np.abs(polar - u @ vh)) <= smoothing.SCREEN_MARGIN * kappa2
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_a_rank_deficient_gram_defers_to_the_svd(rng, m):
+    c = _gram_stack(rng, m, 1.0, size=8)
+    c[3] = 0.0
+    if m > 1:
+        c[5, :, 1] = 2.0 * c[5, :, 0]
+    w_min, _, polar = smoothing._gram_polar(c)
+    assert polar is None
+    assert not np.any(np.isnan(w_min))
+    assert np.min(w_min) <= 1e-15
+    assert smoothing._gram_screen(c, c, 0.1, 1.0) is None
+
+
+def test_the_ladder_takes_no_eigh_for_m_up_to_2(smoothing_cases, monkeypatch):
+    """The Gram screen is in closed form for ``m <= 2``; ``m = 3`` keeps
+    ``eigh``."""
+    calls = []
+    real = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    cases = {"haldane": False, "random-trs-2d": False, "random-trs-m3": True}
+    # sampled before the spy goes in: sampling the projectors takes eigh
+    projectors = {
+        case: smoothing_cases[case][0].projector(
+            smoothing_cases[case][1].geometry.torus_k()
+        )
+        for case in cases
+    }
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    for case, takes_eigh in cases.items():
+        family, field = smoothing_cases[case]
+        calls.clear()
+        periodic_smooth(field, family, 0.1, projectors=projectors[case])
+        assert bool(calls) is takes_eigh, case
