@@ -118,11 +118,11 @@ def _assemble_boundary(geo, family, face10, field2p, field3p, door, tol):
     return out, glue
 
 
-def construct_3d(psi_field, family, tol=1e-8, seed=0, extend=True):
+def construct_3d(psi_field, family, tol=1e-8, seed=0):
     """Symmetric frame on the 3-torus from input frames on the half cell.
 
-    Returns ``(field, diag)``; with ``extend`` (default) the field covers
-    the full torus, otherwise the effective cell.
+    Returns ``(field, diag)``: the full-torus field and the diagnostics of
+    the cell construction.
     """
     from .wannier import extend_symmetric
 
@@ -198,9 +198,4 @@ def construct_3d(psi_field, family, tol=1e-8, seed=0, extend=True):
     u_cell, diag["extension"] = extend_unitary_cone(u_nodes, dom, seed=seed)
     frames = psi @ u_cell.reshape(geo.cell_shape + u_cell.shape[-2:])
     frames[dom.mask] = boundary[dom.mask]
-    field = FrameField(geo, "effective-cell", frames)
-
-    if not extend:
-        return field, diag
-    torus = extend_symmetric(field, family)
-    return torus, diag
+    return extend_symmetric(FrameField(geo, "effective-cell", frames), family), diag

@@ -203,22 +203,3 @@ class CellGeometry:
         if not self.is_trim(g):
             raise ValueError(f"{g} is not a high-symmetry grid point")
         return tuple(2 * gj // self.n_side for gj in g)
-
-    # ------------------------------------------------------------------
-    # d = 2 boundary loop
-    # ------------------------------------------------------------------
-    def boundary_loop_2d(self):
-        """Boundary grid points in loop order, shape ``(6 grid_n, 2)``.
-
-        The loop runs from ``(0, 0)`` through the six half-integer boundary
-        points ``(0, 0), (0, -n), (n, -n), (n, 0), (n, n), (0, n)`` and back;
-        the closing point is not repeated.
-        """
-        if self.d != 2:
-            raise ValueError("boundary_loop_2d requires d = 2")
-        n = self.grid_n
-        j = np.arange(n)
-        edge = np.full(n, n)
-        g1 = np.concatenate([0 * j, j, edge, edge, n - j, 0 * j])
-        g2 = np.concatenate([-j, -edge, j - n, j, edge, n - j])
-        return np.stack([g1, g2], axis=-1)

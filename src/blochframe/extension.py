@@ -19,7 +19,10 @@ recursion bottoms out there.
 One domain adapter, :class:`BoundaryDomain`, serves the square cell in 2d
 and the half cube in 3d.  It lifts arguments along a spanning tree of the
 boundary grid graph and reads nodal data at the radial projection of each
-cell grid point onto the boundary.
+cell grid point onto the boundary.  Its lift is the package's one argument
+lift: it also counts the degree of the boundary determinant, the one
+obstruction to the extension, which the face construction reads to remove
+it and the extension refuses when nonzero.
 """
 
 from itertools import product, zip_longest
@@ -29,7 +32,6 @@ import numpy as np
 from .errors import GridTooCoarse, NonzeroDegree, NoStereographicPoint
 
 __all__ = [
-    "phase_lift_cyclic",
     "BoundaryDomain",
     "select_stereographic_point",
     "chart_forward",
@@ -43,42 +45,7 @@ TWO_PI = 2.0 * np.pi
 
 
 # ---------------------------------------------------------------------------
-# phase lifts and the boundary domain
-
-
-def phase_lift_cyclic(values, max_step=0.5 * np.pi, close_tol=1e-8):
-    """Continuous argument lift along a closed loop of nonzero complex values.
-
-    Returns ``(lift, winding, defect)`` where ``lift`` has length ``L + 1``
-    (the final entry closes the loop), ``winding`` is the integer number of
-    turns and ``defect = lift[-1] - lift[0] - 2 pi winding`` is the numerical
-    closure error.  Any single step of the argument at or above ``max_step``
-    raises :class:`GridTooCoarse`: the sampling cannot certify the winding.
-    """
-    values = np.asarray(values, dtype=complex).ravel()
-    if np.any(np.abs(values) < 1e-13):
-        raise ValueError("phase lift of a vanishing value")
-    ratios = np.empty(len(values), dtype=complex)
-    ratios[:-1] = values[1:] / values[:-1]
-    ratios[-1] = values[0] / values[-1]
-    steps = np.angle(ratios)
-    worst = float(np.max(np.abs(steps)))
-    if max_step is not None and worst >= max_step:
-        raise GridTooCoarse(
-            f"phase step {worst:.3f} rad exceeds {max_step:.3f}; "
-            "refine the grid to certify the winding",
-            step=worst,
-        )
-    lift = np.empty(len(values) + 1)
-    lift[0] = np.angle(values[0])
-    np.cumsum(steps, out=lift[1:])
-    lift[1:] += lift[0]
-    total = lift[-1] - lift[0]
-    winding = int(np.round(total / TWO_PI))
-    defect = float(total - TWO_PI * winding)
-    if abs(defect) > close_tol:
-        raise ValueError(f"phase lift fails to close (defect {defect:.3e})")
-    return lift, winding, defect
+# the boundary domain
 
 
 class BoundaryDomain:
@@ -187,15 +154,23 @@ class BoundaryDomain:
     def lift(self, values):
         """Continuous argument lift of nodal scalars along the spanning tree.
 
-        Any step between neighbouring nodes at or above ``pi / 2`` raises
-        :class:`GridTooCoarse`.  Around the cycle that each edge off the
-        tree closes, the steps add up to whole turns; a nonzero count raises
-        :class:`NonzeroDegree`.  On the 2d loop that count is the degree,
-        signed along :meth:`CellGeometry.boundary_loop_2d` (counterclockwise
-        about the apex); on the closed 3d surface steps below ``pi / 2``
-        leave every cycle at zero turns.
+        Returns ``(theta, info)``.  A vanishing or non-finite value raises
+        :class:`ValueError`, and any step between neighbouring nodes at or
+        above ``pi / 2`` raises :class:`GridTooCoarse`.  Around the cycle
+        that each edge off the tree closes, the steps add up to whole turns:
+        ``info["degree"]`` is their count, signed counterclockwise about the
+        apex, and ``info["lift_defect"]`` the largest closure left after the
+        whole turns.  On the 2d loop the count is the degree of the values;
+        on the closed 3d surface steps below ``pi / 2`` leave every cycle at
+        zero turns.  ``theta`` is continuous along the tree edges only.
         """
         values = np.asarray(values)
+        bad = ~(np.abs(values) >= 1e-13)  # NaN fails every comparison
+        if np.any(bad):
+            raise ValueError(
+                f"argument lift of a vanishing or non-finite value at boundary "
+                f"point {tuple(self.points[np.argmax(bad)].tolist())}"
+            )
         # node by node, theta = theta[parent] + step in root-to-leaf order;
         # accumulating down each chain adds in that order too
         tree_step = np.append(np.angle(values / values[self._parent]), 0.0)
@@ -208,26 +183,22 @@ class BoundaryDomain:
         low, high = self._edges.T
         step = np.angle(values[high] / values[low])
         worst_step = float(np.max(np.abs(step)))
-        if worst_step >= 0.5 * np.pi:
+        if not worst_step < 0.5 * np.pi:
             raise GridTooCoarse(
                 f"boundary phase step {worst_step:.3f} rad exceeds pi/2; refine the grid",
                 step=worst_step,
             )
         closure = theta[low] + step - theta[high]
         turns = np.rint(closure / TWO_PI)
-        if np.any(turns):
-            e = int(np.flatnonzero(turns)[0])
-            # +1 where the edge runs counterclockwise about the apex
-            x, y = 2 * self.points[low[e], :2] - (self.geo.grid_n, 0)
-            dx, dy = self.points[high[e], :2] - self.points[low[e], :2]
-            degree = int(turns[e] * np.sign(x * dy - y * dx))
-            raise NonzeroDegree(
-                f"boundary determinant winds {degree} times; correct the "
-                "degree before extending",
-                degree=degree,
-            )
+        # +1 where an edge that carries turns runs counterclockwise about
+        # the apex; on the 2d loop one edge closes the cycle
+        e = np.flatnonzero(turns)
+        x, y = (2 * self.points[low[e], :2] - (self.geo.grid_n, 0)).T
+        dx, dy = (self.points[high[e], :2] - self.points[low[e], :2]).T
+        degree = int(np.sum(turns[e] * np.sign(x * dy - y * dx)))
         return theta, {"max_step": worst_step,
-                       "lift_defect": float(np.max(np.abs(closure)))}
+                       "lift_defect": float(np.max(np.abs(closure - TWO_PI * turns))),
+                       "degree": degree}
 
     def interp(self, nodal):
         """Nodal data (leading axis over nodes) at every query point."""
@@ -451,6 +422,12 @@ def extend_unitary_cone(nodes, dom, seed=0):
     nodes = np.asarray(nodes, dtype=complex)
     m = nodes.shape[-1]
     lift, lift_info = dom.lift(np.linalg.det(nodes))
+    if lift_info["degree"]:
+        raise NonzeroDegree(
+            f"boundary determinant winds {lift_info['degree']} times; correct "
+            "the degree before extending",
+            degree=lift_info["degree"],
+        )
     diag_levels = []
     scalar = np.exp(1j * dom.sigma * dom.interp(lift) / m)
     if m == 1:

@@ -4,17 +4,18 @@ The effective cell of a two-dimensional symmetric family is the half square
 ``[0, 1/2] x [-1/2, 1/2]``.  Its boundary carries six special half-integer
 points; a frame satisfying the invariance conditions there is transported
 along the left and bottom edges, completed along the right edge by geodesic
-interpolation, and mirrored onto the remaining edges by the symmetries.  A
-winding correction makes the resulting boundary loop contractible, after
-which the cone extension fills the interior through the cell's
-:class:`~blochframe.extension.BoundaryDomain`, built once per geometry.
+interpolation, and mirrored onto the remaining edges by the symmetries.  The
+cell's :class:`~blochframe.extension.BoundaryDomain`, built once per
+geometry, lifts the determinant of the boundary map and reads its degree; a
+phase ramp along the right edge removes that degree, after which the cone
+extension fills the interior.
 
 The same construction runs on any square face of a higher-dimensional cell
 once the face's own translation and time-reversal operations are supplied;
 :class:`FaceContext` packages those, so the routines here never look at the
 ambient dimension.  A face's input frames are one cell-shaped array (for a
-face of the 3d cell, a slice of its ``psi.data``); the boundary loop is an
-index array and every fill is one batched product.
+face of the 3d cell, a slice of its ``psi.data``); the boundary is the
+domain's node mask and every fill is one batched product.
 """
 
 from functools import lru_cache
@@ -22,13 +23,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BoundaryRelationViolated
-from .extension import BoundaryDomain, extend_unitary_cone, phase_lift_cyclic
+from .extension import BoundaryDomain, extend_unitary_cone
 from .frames import FrameField, unitary_between
 from .vertex import macro1, vertex_solution
 
 __all__ = [
     "FaceContext",
-    "winding_degree",
     "macro2",
     "construct_2d",
 ]
@@ -86,17 +86,6 @@ class FaceContext:
 
     def apply_anti(self, lam, frame):
         return self.antiunitary(lam) @ np.conj(frame)
-
-
-def winding_degree(unitaries):
-    """Winding number of the determinant along a closed loop of unitaries.
-
-    Steps of the determinant phase at or above ``pi / 2`` raise
-    :class:`GridTooCoarse`; below that the lift is unambiguous.
-    """
-    dets = np.linalg.det(np.asarray(unitaries, dtype=complex))
-    lift, winding, defect = phase_lift_cyclic(dets)
-    return winding, {"lift": lift, "closure_defect": defect}
 
 
 @lru_cache(maxsize=4)
@@ -169,35 +158,32 @@ def macro2(ctx, left_edge, bottom_edge, tol=1e-8, seed=0):
     skel[n, n + 1:] = ctx.apply_anti((1, 0), skel[n, n - 1::-1])
     skel[1:n, 2 * n] = ctx.t2 @ skel[1:n, 0]
 
-    # --- winding of the correction loop and its removal -------------------
-    loop = geo.boundary_loop_2d()
-    at = geo.cell_index(loop)
-    u_loop = unitary_between(psi[at], skel[at])
-    r, wind_diag = winding_degree(u_loop)
-    r_after = r
-    if r != 0:
-        right = (loop[:, 0] == n) & (np.abs(loop[:, 1]) < n)
-        x = np.tile(np.eye(u_loop.shape[-1], dtype=complex), (np.count_nonzero(right), 1, 1))
-        x[:, 0, 0] = np.exp(-2j * np.pi * r * (loop[right, 1] + n) / geo.n_side)
-        on_right = geo.cell_index(loop[right])
-        skel[on_right] = skel[on_right] @ x
-        u_loop[right] = u_loop[right] @ x
-        r_after, _ = winding_degree(u_loop)
-
-    # --- cone extension into the cell -------------------------------------
+    # --- degree of the boundary determinant and its removal ---------------
     dom = _boundary_domain(geo)
-    u_nodes = np.empty_like(u_loop)
-    u_nodes[dom.node_id[at]] = u_loop
+    skel_nodes = skel[dom.mask]
+    u_nodes = unitary_between(psi[dom.mask], skel_nodes)
+    _, det_lift = dom.lift(np.linalg.det(u_nodes))
+    r = det_lift["degree"]
+    if r != 0:
+        g1, g2 = dom.points.T
+        right = (g1 == n) & (np.abs(g2) < n)
+        x = np.tile(np.eye(u_nodes.shape[-1], dtype=complex), (np.count_nonzero(right), 1, 1))
+        x[:, 0, 0] = np.exp(-2j * np.pi * r * (g2[right] + n) / geo.n_side)
+        skel_nodes[right] = skel_nodes[right] @ x
+        u_nodes[right] = u_nodes[right] @ x
+
+    # --- cone extension into the cell; its own lift refuses any degree the
+    # correction missed -----------------------------------------------------
     u_cell, ext_diag = extend_unitary_cone(u_nodes, dom, seed=seed)
     frames = psi @ u_cell.reshape(psi.shape[:2] + u_cell.shape[-2:])
-    frames[at] = skel[at]
+    frames[dom.mask] = skel_nodes
 
     diag = {
-        "winding": int(r),
-        "winding_after_correction": int(r_after),
+        "winding": r,
+        "winding_after_correction": ext_diag["det_lift"]["degree"],
         "vertex_residual": sol4.residual,
         "branch_snap": bool(sol4.branch_snap),
-        "det_closure": wind_diag["closure_defect"],
+        "det_closure": det_lift["lift_defect"],
         "extension": ext_diag,
     }
     return FrameField(geo, "effective-cell", frames), diag
@@ -237,11 +223,11 @@ def build_face(ctx, tol=1e-8, seed=0):
     return field, diag
 
 
-def construct_2d(psi_field, family, tol=1e-8, seed=0, extend=True):
+def construct_2d(psi_field, family, tol=1e-8, seed=0):
     """Symmetric frame on the 2-torus from input frames on the half cell.
 
-    Returns ``(field, diag)``; with ``extend`` (default) the field covers the
-    full torus, otherwise the effective cell.
+    Returns ``(field, diag)``: the full-torus field and the diagnostics of
+    the cell construction.
     """
     from .wannier import extend_symmetric
 
@@ -257,7 +243,4 @@ def construct_2d(psi_field, family, tol=1e-8, seed=0, extend=True):
         label="cell",
     )
     field, diag = build_face(ctx, tol=tol, seed=seed)
-    if not extend:
-        return field, diag
-    torus = extend_symmetric(field, family)
-    return torus, diag
+    return extend_symmetric(field, family), diag

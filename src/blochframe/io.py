@@ -77,8 +77,19 @@ def write_json(path, obj):
 
 
 def read_json(path):
+    """The JSON object stored at ``path``; a document that does not parse,
+    or is not an object, raises :class:`UsageError` naming the file."""
+    remedy = "rerun construct (and wannierize) to rewrite it"
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise UsageError(f"{path} is not valid JSON ({exc}); {remedy}",
+                             path=str(path)) from None
+    if not isinstance(doc, dict):
+        raise UsageError(f"{path} does not hold a JSON object; {remedy}",
+                         path=str(path))
+    return doc
 
 
 def file_sha256(path):

@@ -52,7 +52,10 @@ def _dagger(a):
 
 
 def _as_matrix(x, n, what):
-    a = np.asarray(x, dtype=complex)
+    try:
+        a = np.asarray(x, dtype=complex)
+    except (TypeError, ValueError):
+        raise ModelConfigError(f"{what}: matrix entries must be numbers") from None
     if a.shape != (n, n):
         raise ModelConfigError(f"{what} must be {n}x{n}, got shape {a.shape}")
     return a
@@ -489,23 +492,24 @@ _BUILTIN_PARAM_NAMES = {
     "random-trs": {"n", "m", "d", "range", "seed", "amplitude"},
 }
 
-# Built-in parameters that count something and so must be whole numbers
-# (``range`` and ``seed`` also non-negative).
-_BUILTIN_INT_PARAMS = {"n", "m", "d", "range", "seed"}
-_BUILTIN_NONNEGATIVE_PARAMS = {"range", "seed"}
+# Parameters that count something and so must be whole numbers: those of
+# the built-in models and the sizes of a JSON model (``range``, ``seed`` and
+# the JSON sizes also non-negative).
+_INT_PARAMS = {"n", "m", "d", "range", "seed", "dimension", "orbitals", "rank"}
+_NONNEGATIVE_PARAMS = {"range", "seed", "dimension", "orbitals", "rank"}
 
 
 def _checked_param(model, key, value):
-    """A built-in model parameter as a finite real number, integers as ``int``."""
+    """A model parameter as a finite real number, integers as ``int``."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not math.isfinite(value)):
         problem = "is not a finite number"
-    elif key in _BUILTIN_INT_PARAMS and value != int(value):
+    elif key in _INT_PARAMS and value != int(value):
         problem = "is not an integer"
-    elif key in _BUILTIN_NONNEGATIVE_PARAMS and value < 0:
+    elif key in _NONNEGATIVE_PARAMS and value < 0:
         problem = "is negative"
     else:
-        return int(value) if key in _BUILTIN_INT_PARAMS else value
+        return int(value) if key in _INT_PARAMS else value
     raise ModelConfigError(
         f"parameter {key}={value!r} of model {model!r} {problem}",
         parameter=key, value=repr(value),
@@ -542,13 +546,16 @@ def builtin_model(name, **params):
 
 
 def _matrix_from_json(obj, n, what):
-    if isinstance(obj, dict):
+    if not isinstance(obj, dict):
+        return _as_matrix(obj, n, what)
+    try:
         re = np.asarray(obj.get("re", np.zeros((n, n))), dtype=float)
         im = np.asarray(obj.get("im", np.zeros((n, n))), dtype=float)
-        if re.shape != (n, n) or im.shape != (n, n):
-            raise ModelConfigError(f"{what}: matrix blocks must be {n}x{n}")
-        return re + 1j * im
-    return _as_matrix(obj, n, what)
+    except (TypeError, ValueError):
+        raise ModelConfigError(f"{what}: matrix entries must be numbers") from None
+    if re.shape != (n, n) or im.shape != (n, n):
+        raise ModelConfigError(f"{what}: matrix blocks must be {n}x{n}")
+    return re + 1j * im
 
 
 def load_model(source, params=None):
@@ -569,7 +576,8 @@ def load_model(source, params=None):
 
     ``theta`` may instead be ``{"unitary": {"re": ..., "im": ...}}`` and
     ``tau`` may be ``{"generators": [matrix, ...]}`` with one generator per
-    dimension.  Every violated invariant is reported at once.
+    dimension.  Every violated invariant is reported at once; a document of
+    another shape raises :class:`ModelConfigError` at its first fault.
     """
     params = dict(params or {})
     if isinstance(source, str) and source in _BUILTINS:
@@ -588,16 +596,26 @@ def load_model(source, params=None):
         raise ModelConfigError(f"unsupported model source {source!r}")
     if params:
         raise ModelConfigError("parameter overrides only apply to built-in models")
+    if not isinstance(cfg, dict):
+        raise ModelConfigError("model config must be a JSON object")
 
+    label = source if isinstance(source, str) else "custom"
     try:
-        d = int(cfg["dimension"])
-        n = int(cfg["orbitals"])
-        m = int(cfg["rank"])
+        d, n, m = (_checked_param(label, key, cfg[key])
+                   for key in ("dimension", "orbitals", "rank"))
     except KeyError as exc:
         raise ModelConfigError(f"model config missing required key {exc}")
+    items = cfg.get("hoppings", [])
+    if not isinstance(items, list):
+        raise ModelConfigError("hoppings must be a list of {'R': [...], 're': ..., 'im': ...}")
     hoppings = {}
-    for item in cfg.get("hoppings", []):
-        r = tuple(_canon_coord(x) for x in item["R"])
+    for item in items:
+        try:
+            r = tuple(_canon_coord(x) for x in item["R"])
+        except (KeyError, TypeError, ValueError):
+            raise ModelConfigError(
+                f"hopping {item!r} needs a lattice vector 'R' of numbers"
+            ) from None
         if r in hoppings:
             raise ModelConfigError(
                 f"hopping R={item['R']} collides with an earlier entry: both round to {r}"
@@ -620,6 +638,6 @@ def load_model(source, params=None):
         raise ModelConfigError("tau must be 'identity' or {'generators': [...]}")
     return ProjectorFamily(
         d=d, n=n, m=m, hoppings=hoppings, theta=theta, tau=tau,
-        gap_tolerance=float(cfg.get("gap_tolerance", 1e-8)),
+        gap_tolerance=_checked_param(label, "gap_tolerance", cfg.get("gap_tolerance", 1e-8)),
         name=str(cfg.get("name", "custom")),
     )

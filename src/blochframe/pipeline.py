@@ -8,6 +8,7 @@ runs produce byte-identical artifacts.
 """
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field as dataclass_field
@@ -60,8 +61,8 @@ class RunConfig:
         if self.grid_n < 2 or self.grid_n % 2:
             raise UsageError("grid_n must be even and at least 2")
         for name in ("tol", "gap_tol", "epsilon"):
-            if getattr(self, name) <= 0:
-                raise UsageError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise UsageError(f"{name} must be positive and finite")
 
 
 def load_family(config):

@@ -206,14 +206,12 @@ def macro1(frames, start_frame, end_antiunitary, end_lam):
     return frames @ interpolate_unitaries(u_start, sol.u, ts), sol
 
 
-def construct_1d(psi_field, family, extend=True):
+def construct_1d(psi_field, family):
     """Symmetric frame on the 1-torus from an input frame on ``[0, 1/2]``.
 
     Solves the invariance condition at both half-integer points and joins the
-    two corrections by geodesic interpolation.  With ``extend`` (default) the
-    result is the symmetric extension to the full torus; otherwise the
-    effective-cell field is returned.  The second element of the returned
-    pair collects diagnostics.
+    two corrections by geodesic interpolation.  Returns the symmetric
+    extension to the full torus and a dict of diagnostics.
     """
     from .wannier import extend_symmetric
 
@@ -231,7 +229,4 @@ def construct_1d(psi_field, family, extend=True):
         },
         "branch_snaps": bool(origin_sol.branch_snap or end_sol.branch_snap),
     }
-    if not extend:
-        return fld, diagnostics
-    torus = extend_symmetric(fld, family)
-    return torus, diagnostics
+    return extend_symmetric(fld, family), diagnostics

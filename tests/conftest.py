@@ -5,6 +5,8 @@ import pytest
 
 import blochframe as bf
 from blochframe.errors import EigenphaseNearPi
+from blochframe.face2d import FaceContext, build_face
+from blochframe.frames import input_frame
 from blochframe.linalg import cluster_phases, unitary_eigensystem
 from blochframe.models import ProjectorFamily
 
@@ -81,6 +83,27 @@ def planted_loop(ts, m, winding, rng, scale=0.4, order=3):
         head[0, 0] = np.exp(2j * np.pi * winding * t)
         out[i] = head @ g
     return out
+
+
+def boundary_loop(dom):
+    """Node ids of a 2d ``BoundaryDomain`` in loop order: counterclockwise
+    about the apex, from the origin."""
+    g1, g2 = dom.points.T
+    return np.argsort(np.mod(np.arctan2(g2, 2 * g1 - dom.geo.grid_n) - np.pi, 2 * np.pi))
+
+
+def loop_nodes(dom, loop_values):
+    """Values given in :func:`boundary_loop` order, in the node order of ``dom``."""
+    out = np.empty_like(loop_values)
+    out[boundary_loop(dom)] = loop_values
+    return out
+
+
+def face_cell(family, geo):
+    """The effective-cell frame that ``construct_2d`` extends to the torus."""
+    ctx = FaceContext(geo, input_frame(family, geo).data, family.tau_power((1, 0)),
+                      family.tau_power((0, 1)), family.theta_matrix())
+    return build_face(ctx)[0]
 
 
 def trig_deg0_field(m, rng, d, order=1, scale=0.35, terms=4):

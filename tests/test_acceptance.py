@@ -13,14 +13,18 @@ import pytest
 from blochframe.cells import CellGeometry
 from blochframe.errors import AssumptionsFailed, BoundaryRelationViolated
 from blochframe.extension import BoundaryDomain, extend_unitary_cone
-from blochframe.face2d import construct_2d, winding_degree
-from blochframe.frames import input_frame
 from blochframe.pipeline import RunConfig, run_construct, run_verify, run_wannierize
 from blochframe.smoothing import midpoint_unitary, symmetrize
 from blochframe.vertex import symmetric_sqrt
 from blochframe.wannier import extend_symmetric, localization_report
 
-from conftest import geodesic_distance, planted_loop, random_symmetric_unitary
+from conftest import (
+    face_cell,
+    geodesic_distance,
+    loop_nodes,
+    planted_loop,
+    random_symmetric_unitary,
+)
 
 HALF_PI = float(np.pi / 2)
 
@@ -106,14 +110,16 @@ def test_criterion_1_symmetric_square_roots():
 
 def test_criterion_2_degree_oracle(h32, r32):
     rng = np.random.default_rng(207)
-    coarse_len = 24
+    dom = BoundaryDomain(CellGeometry(2, 4))
+    coarse_len = len(dom.points)
     fine = np.arange(10 * coarse_len) / (10 * coarse_len)
     mismatches = 0
     for i in range(200):
         m = 1 + i % 3
         planted = int(rng.integers(-5, 6))
         loop_fine = planted_loop(fine, m, planted, rng, scale=0.3, order=2)
-        got, _ = winding_degree(loop_fine[::10])
+        _, info = dom.lift(np.linalg.det(loop_nodes(dom, loop_fine[::10])))
+        got = info["degree"]
         # brute-force argument continuation at ten times the resolution
         dets = np.linalg.det(np.concatenate([loop_fine, loop_fine[:1]]))
         theta = np.unwrap(np.angle(dets))
@@ -172,13 +178,10 @@ def test_criterion_3_extension_fidelity():
     # planar cells: the boundary of a grid-64 cell is one loop of 384 nodes
     geo2 = CellGeometry(2, 64)
     dom2 = BoundaryDomain(geo2)
-    loop = geo2.boundary_loop_2d()
-    ts = np.arange(len(loop)) / len(loop)
-    loop_ids = dom2.node_id[geo2.cell_index(loop)]
+    ts = np.arange(len(dom2.points)) / len(dom2.points)
     for i in range(50):
         m = 1 + i % 3
-        nodes = np.empty((len(loop), m, m), dtype=complex)
-        nodes[loop_ids] = planted_loop(ts, m, 0, rng, scale=0.3, order=2)
+        nodes = loop_nodes(dom2, planted_loop(ts, m, 0, rng, scale=0.3, order=2))
         values, _ = extend_unitary_cone(nodes, dom2, seed=0)
         worst_boundary = max(
             worst_boundary,
@@ -331,11 +334,7 @@ def test_criterion_9_negative_controls(haldane):
     except AssumptionsFailed:
         refused = True
 
-    geo = CellGeometry(2, 8)
-    cell, _ = construct_2d(
-        input_frame(haldane, geo), haldane, extend=False
-    )
-    bad = cell.copy()
+    bad = face_cell(haldane, CellGeometry(2, 8)).copy()
     bad.set((0, 8), bad.get((0, 8)) * np.exp(0.3j))
     caught = None
     try:

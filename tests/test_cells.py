@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blochframe import CellGeometry
+from blochframe.extension import BoundaryDomain
+
+from conftest import boundary_loop
 
 
 def in_cell(geo, g):
@@ -101,20 +104,24 @@ def test_non_trims_rejected():
 
 
 def test_boundary_loop_shape():
-    geo = CellGeometry(2, 4)
-    n = geo.grid_n
-    loop = [tuple(g) for g in geo.boundary_loop_2d().tolist()]
-    assert len(loop) == 6 * n
-    assert loop[0] == (0, 0)
-    assert len(set(loop)) == len(loop)
-    for a, b in zip(loop, loop[1:] + loop[:1]):
-        step = (b[0] - a[0], b[1] - a[1])
-        assert abs(step[0]) + abs(step[1]) == 1
-    # the six corner points appear in cyclic order
-    corners = [(0, 0), (0, -n), (n, -n), (n, 0), (n, n), (0, n)]
-    idx = [loop.index(c) for c in corners]
-    assert idx[0] == 0
-    assert sorted(idx[1:]) == idx[1:] or sorted(idx[1:], reverse=True) == idx[1:]
+    # the 2d boundary nodes sorted by angle about the apex close one loop of
+    # unit steps, the order in which the tests plant boundary loops
+    for grid_n in (2, 4, 16):
+        geo = CellGeometry(2, grid_n)
+        n = geo.grid_n
+        dom = BoundaryDomain(geo)
+        loop = [tuple(g) for g in dom.points[boundary_loop(dom)].tolist()]
+        assert len(loop) == 6 * n
+        assert loop[0] == (0, 0)
+        assert len(set(loop)) == len(loop)
+        for a, b in zip(loop, loop[1:] + loop[:1]):
+            step = (b[0] - a[0], b[1] - a[1])
+            assert abs(step[0]) + abs(step[1]) == 1
+        # the six corner points appear in cyclic order
+        corners = [(0, 0), (0, -n), (n, -n), (n, 0), (n, n), (0, n)]
+        idx = [loop.index(c) for c in corners]
+        assert idx[0] == 0
+        assert sorted(idx[1:]) == idx[1:] or sorted(idx[1:], reverse=True) == idx[1:]
 
 
 def test_cell_point_index_roundtrip():

@@ -352,3 +352,85 @@ def test_the_pipeline_never_loads_scipy(tmp_path):
     assert len(seen) == 9
     assert all(code == 0 for _, code, _ in seen)
     assert [mods for _, _, mods in seen] == [[]] * 9
+
+
+def _ssh_json():
+    """A JSON model that ``verify-model`` accepts: the SSH chain."""
+    return {
+        "dimension": 1, "orbitals": 2, "rank": 1,
+        "hoppings": [{"R": [0], "re": [[0, 1], [1, 0]]},
+                     {"R": [1], "re": [[0, 0], [0.5, 0]]},
+                     {"R": [-1], "re": [[0, 0.5], [0, 0]]}],
+    }
+
+
+_MALFORMED = {
+    "dimension-x": lambda cfg: {**cfg, "dimension": "x"},
+    "hopping-without-R": lambda cfg: {**cfg, "hoppings": [{"re": [[0, 1], [1, 0]]}]},
+    "non-numeric-re": lambda cfg: {**cfg, "hoppings": [{"R": [0], "re": [["one", 1], [1, 0]]}]},
+    "hoppings-5": lambda cfg: {**cfg, "hoppings": 5},
+    "top-level-list": lambda cfg: [cfg],
+    "gap-tolerance-abc": lambda cfg: {**cfg, "gap_tolerance": "abc"},
+    "orbitals-2.7": lambda cfg: {**cfg, "orbitals": 2.7},
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_a_malformed_json_model_is_a_model_config_error(tmp_path, capsys, case):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_ssh_json()))
+    assert main(["verify-model", "--model", str(path), "--grid-n", "4"]) == 0
+    path.write_text(json.dumps(_MALFORMED[case](_ssh_json())))
+    capsys.readouterr()
+    code = main(["verify-model", "--model", str(path), "--grid-n", "4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.err)["error"] == "model-config"
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--gap-tol", "--epsilon"])
+def test_a_non_finite_tolerance_is_a_usage_error(flag, capsys):
+    for value in ("nan", "inf"):
+        code = main(["verify-model", "--model", "ssh", "--grid-n", "4", flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        payload = json.loads(captured.err)
+        assert payload["error"] == "usage"
+        assert flag.lstrip("-").replace("-", "_") in payload["message"]
+
+
+@pytest.fixture(scope="module")
+def ssh_artifacts(tmp_path_factory):
+    out = tmp_path_factory.mktemp("ssh")
+    for command in ("construct", "wannierize"):
+        assert main([command, "--model", "ssh", "--grid-n", "8", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, damage, command",
+    [
+        ("wannier_report.json", "truncate", "report"),
+        ("manifest.json", "truncate", "report"),
+        ("manifest.json", "truncate", "wannierize"),
+        ("manifest.json", "list", "report"),
+        ("manifest.json", "list", "wannierize"),
+    ],
+)
+def test_a_corrupt_json_artifact_is_a_usage_error(ssh_artifacts, tmp_path, capsys,
+                                                  name, damage, command):
+    out = tmp_path / "run"
+    shutil.copytree(ssh_artifacts, out)
+    doc = (out / name).read_text()
+    (out / name).write_text(doc[: len(doc) // 2] if damage == "truncate" else "[1, 2]\n")
+    capsys.readouterr()
+    code = main([command, "--model", "ssh", "--grid-n", "8", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.err
+    payload = json.loads(captured.err)
+    assert payload["error"] == "usage"
+    assert name in payload["message"]
+    assert "rerun construct" in payload["message"]

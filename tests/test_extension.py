@@ -9,41 +9,16 @@ from blochframe.extension import (
     chart_backward,
     chart_forward,
     extend_unitary_cone,
-    phase_lift_cyclic,
     rotation_to,
     select_stereographic_point,
     su2_from_column,
 )
-from blochframe.face2d import winding_degree
-
-from conftest import planted_loop
+from conftest import loop_nodes, planted_loop
 
 
 def _unit(rng, dim):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
-
-
-@pytest.mark.parametrize("r", [-3, 0, 2])
-def test_phase_lift_cyclic_counts_turns(r):
-    ts = np.arange(32) / 32
-    values = np.exp(2j * np.pi * r * ts) * np.exp(0.3j * np.sin(2 * np.pi * ts))
-    lift, winding, defect = phase_lift_cyclic(values)
-    assert winding == r
-    assert abs(defect) < 1e-12
-    assert len(lift) == 33
-    assert lift[-1] - lift[0] == pytest.approx(2 * np.pi * r, abs=1e-12)
-    # consecutive lift values really are continuous
-    assert np.max(np.abs(np.diff(lift))) < 0.5 * np.pi
-
-
-def test_phase_lift_cyclic_refuses_fast_loops():
-    ts = np.arange(16) / 16
-    with pytest.raises(GridTooCoarse) as exc:
-        phase_lift_cyclic(np.exp(2j * np.pi * 5 * ts))
-    assert exc.value.details["step"] >= 0.5 * np.pi
-    with pytest.raises(ValueError):
-        phase_lift_cyclic(np.array([1.0, 0.0, 1.0], dtype=complex))
 
 
 def test_chart_roundtrip(rng):
@@ -112,17 +87,10 @@ def test_su2_from_column(rng):
     assert np.allclose(gs[:, :, 0], batch)
 
 
-def _loop_nodes(dom, loop_values):
-    """Values given in ``boundary_loop_2d`` order, in the node order of ``dom``."""
-    out = np.empty_like(loop_values)
-    out[dom.node_id[dom.geo.cell_index(dom.geo.boundary_loop_2d())]] = loop_values
-    return out
-
-
 def _planted_nodes(dom, m, winding, rng, **kw):
     """A planted loop (see conftest) on the boundary of a 2d domain."""
     ln = 6 * dom.geo.grid_n
-    return _loop_nodes(dom, planted_loop(np.arange(ln) / ln, m, winding, rng, **kw))
+    return loop_nodes(dom, planted_loop(np.arange(ln) / ln, m, winding, rng, **kw))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -181,6 +149,7 @@ def test_boundary_domain_lifts_single_valued_phases(d):
     x = 2 * np.pi * dom.points.T / geo.n_side
     phases = 2.5 * (1 - np.cos(x[0])) + 2.0 * (1 - np.cos(x[1])) + 0.4 * np.sin(x[-1])
     theta, info = dom.lift(np.exp(1j * phases))
+    assert info["degree"] == 0
     assert info["lift_defect"] < 1e-10
     assert info["max_step"] < 0.5 * np.pi
     assert np.max(np.abs(theta - phases)) < 1e-9
@@ -222,10 +191,21 @@ def test_boundary_domain_counts_the_degree_along_the_loop(r):
     ln = 6 * geo.grid_n
     ts = np.arange(ln) / ln
     loop = np.exp(2j * np.pi * r * ts) * np.exp(0.3j * np.sin(2 * np.pi * ts))
-    assert winding_degree(loop[:, None, None])[0] == r
-    with pytest.raises(NonzeroDegree) as exc:
-        dom.lift(_loop_nodes(dom, loop))
-    assert exc.value.details["degree"] == r
+    _, info = dom.lift(loop_nodes(dom, loop))
+    assert info["degree"] == r
+    assert info["lift_defect"] < 1e-10
+    # the count is signed: the reversed loop winds the other way
+    assert dom.lift(loop_nodes(dom, loop[::-1]))[1]["degree"] == -r
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("bad", [0.0, np.nan], ids=["zero", "nan"])
+def test_boundary_domain_lift_refuses_a_vanishing_or_nan_value(d, bad):
+    dom = BoundaryDomain(CellGeometry(d, 4))
+    values = np.ones(len(dom.points), dtype=complex)
+    values[5] = bad
+    with pytest.raises(ValueError, match="vanishing or non-finite"):
+        dom.lift(values)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -253,9 +233,6 @@ def test_boundary_domain_covers_every_boundary_point_once(d):
     ids = dom.node_id[geo.cell_index(dom.points)]
     assert np.array_equal(ids, np.arange(len(dom.points)))
     assert np.array_equal(dom.node_id >= 0, geo.boundary_mask())
-    if d == 2:
-        on_loop = dom.node_id[geo.cell_index(geo.boundary_loop_2d())]
-        assert np.array_equal(np.sort(on_loop), np.arange(len(dom.points)))
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -4,26 +4,30 @@ import pytest
 
 from blochframe.cells import CellGeometry
 from blochframe.errors import BoundaryRelationViolated, GridTooCoarse
-from blochframe.face2d import construct_2d, winding_degree
+from blochframe.extension import BoundaryDomain
+from blochframe.face2d import construct_2d
 from blochframe.frames import input_frame
 
-from conftest import planted_loop
+from conftest import loop_nodes, planted_loop
 
 
 @pytest.mark.parametrize("m,r", [(1, 0), (1, 2), (2, -2), (2, 1), (3, 3), (3, -1)])
 def test_winding_degree_counts_planted_turns(rng, m, r):
+    dom = BoundaryDomain(CellGeometry(2, 8))
     ts = np.arange(48) / 48
-    nodes = planted_loop(ts, m, r, rng, scale=0.3, order=2)
-    got, info = winding_degree(nodes)
-    assert got == r
-    assert abs(info["closure_defect"]) < 1e-10
+    nodes = loop_nodes(dom, planted_loop(ts, m, r, rng, scale=0.3, order=2))
+    _, info = dom.lift(np.linalg.det(nodes))
+    assert info["degree"] == r
+    assert info["lift_defect"] < 1e-10
 
 
 def test_winding_degree_refuses_undersampled_loops(rng):
-    ts = np.arange(16) / 16
-    nodes = planted_loop(ts, 1, 5, rng, scale=0.0, order=1)
+    # seven turns over 24 nodes: every step is 1.83 rad, past pi / 2
+    dom = BoundaryDomain(CellGeometry(2, 4))
+    ts = np.arange(24) / 24
+    nodes = loop_nodes(dom, planted_loop(ts, 1, 7, rng, scale=0.0, order=1))
     with pytest.raises(GridTooCoarse):
-        winding_degree(nodes)
+        dom.lift(np.linalg.det(nodes))
 
 
 @pytest.fixture(scope="module")
@@ -90,13 +94,6 @@ def test_construct_2d_is_deterministic(haldane):
     a, _ = construct_2d(input_frame(haldane, geo), haldane)
     b, _ = construct_2d(input_frame(haldane, geo), haldane)
     assert np.array_equal(a.data, b.data)
-
-
-def test_construct_2d_cell_region(haldane):
-    geo = CellGeometry(2, 4)
-    cell, _ = construct_2d(input_frame(haldane, geo), haldane, extend=False)
-    assert cell.region == "effective-cell"
-    assert len(cell.points()) == np.prod(geo.cell_shape)
 
 
 def test_construct_2d_rejects_wrong_dimension(ssh):

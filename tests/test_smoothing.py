@@ -171,9 +171,7 @@ def test_symmetrize_reports_distant_pairs(haldane, haldane_torus):
 
 
 def test_symmetrize_needs_full_torus(haldane):
-    cell, _ = construct_2d(
-        input_frame(haldane, CellGeometry(2, 4)), haldane, extend=False
-    )
+    cell = input_frame(haldane, CellGeometry(2, 4))
     with pytest.raises(UsageError):
         symmetrize(cell, haldane)
 
@@ -181,9 +179,7 @@ def test_symmetrize_needs_full_torus(haldane):
 def test_periodic_smooth_usage_errors(haldane, haldane_torus):
     with pytest.raises(UsageError):
         periodic_smooth(haldane_torus, haldane, epsilon=-0.1)
-    cell, _ = construct_2d(
-        input_frame(haldane, CellGeometry(2, 4)), haldane, extend=False
-    )
+    cell = input_frame(haldane, CellGeometry(2, 4))
     with pytest.raises(UsageError):
         periodic_smooth(cell, haldane, epsilon=0.1)
     # a raw transported frame has a torus seam: preconditions fail

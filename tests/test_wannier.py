@@ -16,14 +16,13 @@ from blochframe.wannier import (
     wannier_transform,
 )
 
-from conftest import rotated_ssh, shifted_haldane
+from conftest import face_cell, rotated_ssh, shifted_haldane
 
 
 @pytest.fixture(scope="module")
 def haldane_cell(haldane):
     geo = CellGeometry(2, 8)
-    cell, _ = construct_2d(input_frame(haldane, geo), haldane, extend=False)
-    return geo, cell
+    return geo, face_cell(haldane, geo)
 
 
 def test_extend_symmetric_covers_the_torus(haldane, haldane_cell):
