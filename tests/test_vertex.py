@@ -226,7 +226,17 @@ def test_construct_1d_symmetric_frame(ssh):
         np.linalg.norm(torus.get((g + 1,)) - torus.get((g,))) for g in range(n_side)
     ]
     assert max(steps) < 0.8
-    # on the effective cell the input frame is only rotated inside its span
+
+
+def test_construct_1d_without_extension(ssh):
+    # the effective cell [0, 1/2] of the result, before the extension fills the
+    # rest of the torus: real vertex frames, the input frame rotated in its span
+    geo = CellGeometry(1, 8)
+    psi = input_frame(ssh, geo)
+    torus, _ = construct_1d(psi, ssh)
+    phi0, phi_half = torus.get((0,)), torus.get((8,))
+    assert np.linalg.norm(phi0 - np.conj(phi0)) < 1e-10
+    assert np.linalg.norm(phi_half - np.conj(phi_half)) < 1e-10
     for g in range(geo.grid_n + 1):
         u = unitary_between(psi.get((g,)), torus.get((g,)))
         assert np.linalg.norm(psi.get((g,)) @ u - torus.get((g,))) < 1e-10
