@@ -3,9 +3,9 @@
 The effective cell is the half cube ``[0, 1/2] x [-1/2, 1/2]^2``.  The
 boundary frame is assembled face by face:
 
-* the face ``k_1 = 0`` is itself a two-dimensional symmetric problem for the
-  family restricted to that plane and is solved by the full square-cell
-  construction;
+* the half ``k_2 >= 0`` of the face ``k_1 = 0`` is solved by the full
+  square-cell construction in the plane's own coordinates, and time reversal
+  gives the other half, ``Phi(0, -k_2, -k_3) = theta Phi(0, k_2, k_3)``;
 * the edge ``k_2 = k_3 = 1/2`` is filled by geodesic transport between its
   endpoint solutions, and translated copies of it seed the faces
   ``k_2 = 1/2`` and ``k_3 = 1/2``, each solved by the square-cell routine
@@ -15,9 +15,12 @@ boundary frame is assembled face by face:
   square-cell problem in mirrored coordinates, and the other half follows
   from the residual symmetry of that face.
 
-Each face's input frames are a plain slice of the cell's ``psi.data`` (the
-mirrored half face ``k_1 = 1/2`` a reversed one), and the faces are glued
-into one cell-shaped array whose overlapping writes are compared as arrays.
+Each face is a plane of the family (:class:`~blochframe.face2d.FaceContext`):
+its local translations and time reversal are the family's ``tau`` and
+``theta`` read along the face's lattice axes.  Its input frames are a plain
+slice of the cell's ``psi.data`` (the mirrored half face ``k_1 = 1/2`` a
+reversed one), and the faces are glued into one cell-shaped array whose
+overlapping writes are compared as arrays.
 
 The assembled boundary map is then extended into the interior by the same
 cone construction that fills each face, over the half-cube surface
@@ -30,39 +33,10 @@ from .cells import CellGeometry
 from .errors import BoundaryRelationViolated
 from .extension import BoundaryDomain, extend_unitary_cone
 from .face2d import FaceContext, build_face, macro2
-from .frames import FrameField, evaluate, unitary_between
-from .models import ProjectorFamily
+from .frames import FrameField, unitary_between
 from .vertex import macro1
 
-__all__ = ["restricted_family", "construct_3d"]
-
-
-def restricted_family(family):
-    """Two-dimensional family obtained by freezing ``k_1 = 0``.
-
-    Hoppings with the same transverse displacement are summed; the symmetry
-    operations in the remaining directions are inherited unchanged.
-    """
-    if family.d != 3:
-        raise ValueError("restriction requires a three-dimensional family")
-    hop = {}
-    for r, mat in family.hoppings.items():
-        key = (r[1], r[2])
-        hop[key] = hop.get(key, 0) + mat
-    tau = None
-    if family.tau is not None:
-        tau = [family.tau[1], family.tau[2]]
-    return ProjectorFamily(
-        d=2,
-        n=family.n,
-        m=family.m,
-        hoppings=hop,
-        theta=family.theta,
-        tau=tau,
-        gap_tolerance=family.gap_tolerance,
-        name=family.name + "[k1=0]",
-        params=dict(family.params),
-    )
+__all__ = ["construct_3d"]
 
 
 # ---------------------------------------------------------------------------
@@ -132,28 +106,17 @@ def construct_3d(psi_field, family, tol=1e-8, seed=0):
     n = geo.grid_n
     psi = psi_field.data
     tau = family.tau_power
-    theta = family.theta_matrix()
     geo2 = CellGeometry(2, n)
     diag = {}
 
-    # face k1 = 0: full two-dimensional construction of the frozen family,
-    # then its values on the whole face (b, c) in [-n, n]^2
-    fam2 = restricted_family(family)
-    ctx10 = FaceContext(
-        geo2,
-        psi[0, n:],
-        fam2.tau_power((1, 0)),
-        fam2.tau_power((0, 1)),
-        fam2.theta_matrix(),
-        label="face k1=0",
-    )
-    face10_half, diag["face_k1_0"] = build_face(ctx10, tol=tol, seed=seed)
-    span = np.arange(-n, n + 1)
-    face10 = evaluate(
-        extend_symmetric(face10_half, fam2),
-        fam2,
-        np.stack(np.meshgrid(span, span, indexing="ij"), axis=-1),
-    )
+    # face k1 = 0: the square-cell construction on its half b >= 0, then
+    # Phi(0, -b, -c) = theta Phi(0, b, c) on the rest
+    ctx10 = FaceContext(geo2, psi[0, n:], family, ((0, 1, 0), (0, 0, 1)), 0,
+                        label="face k1=0")
+    half10, diag["face_k1_0"] = build_face(ctx10, tol=tol, seed=seed)
+    face10 = np.empty((2 * n + 1,) + half10.data.shape[1:], dtype=complex)
+    face10[n:] = half10.data
+    face10[:n] = family.theta_matrix() @ np.conj(half10.data[n:0:-1, ::-1])
 
     # edge k2 = k3 = 1/2 and its translated copies
     edge, vstar = macro1(
@@ -163,26 +126,20 @@ def construct_3d(psi_field, family, tol=1e-8, seed=0):
     diag["corner_residual"] = vstar.residual
 
     # faces k2 = 1/2 and k3 = 1/2
-    ctx2p = FaceContext(
-        geo2, psi[:, 2 * n], tau((1, 0, 0)), tau((0, 0, 1)), tau((0, 1, 0)) @ theta,
-        label="face k2=+1/2",
-    )
+    ctx2p = FaceContext(geo2, psi[:, 2 * n], family, ((1, 0, 0), (0, 0, 1)), (0, 1, 0),
+                        label="face k2=+1/2")
     field2p, diag["face_k2_plus"] = macro2(
         ctx2p, face10[2 * n], tau((0, 0, -1)) @ edge, tol=tol, seed=seed
     )
-    ctx3p = FaceContext(
-        geo2, psi[:, :, 2 * n], tau((1, 0, 0)), tau((0, 1, 0)), tau((0, 0, 1)) @ theta,
-        label="face k3=+1/2",
-    )
+    ctx3p = FaceContext(geo2, psi[:, :, 2 * n], family, ((1, 0, 0), (0, 1, 0)), (0, 0, 1),
+                        label="face k3=+1/2")
     field3p, diag["face_k3_plus"] = macro2(
         ctx3p, face10[:, 2 * n], tau((0, -1, 0)) @ edge, tol=tol, seed=seed
     )
 
     # half of the face k1 = 1/2, in mirrored coordinates (a, c) -> (n, n - a, c)
-    ctx_door = FaceContext(
-        geo2, psi[n, 2 * n:n - 1:-1], tau((0, -1, 0)), tau((0, 0, 1)),
-        tau((1, 1, 0)) @ theta, label="face k1=1/2 (mirrored)",
-    )
+    ctx_door = FaceContext(geo2, psi[n, 2 * n:n - 1:-1], family, ((0, -1, 0), (0, 0, 1)),
+                           (1, 1, 0), label="face k1=1/2 (mirrored)")
     door, diag["face_k1_plus"] = macro2(
         ctx_door, field2p.data[n], tau((0, 0, -1)) @ field3p.data[n, 2 * n:n - 1:-1],
         tol=tol, seed=seed,

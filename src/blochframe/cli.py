@@ -40,8 +40,9 @@ def _add_common(parser):
                         help="half the grid points per axis (even, >= 2)")
     parser.add_argument("--tol", type=float, default=1e-8,
                         help="construction and verification tolerance")
-    parser.add_argument("--gap-tol", type=float, default=1e-8,
-                        help="smallest admissible spectral gap")
+    parser.add_argument("--gap-tol", type=float, default=None,
+                        help="smallest admissible spectral gap (default: the "
+                             "model's gap_tolerance, 1e-8 for built-in models)")
     parser.add_argument("--epsilon", type=float, default=0.1,
                         help="smoothing distance budget")
     parser.add_argument("--out", default=None,

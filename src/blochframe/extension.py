@@ -43,6 +43,12 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 
+# Margins of a stereographic base point, and the random points tried after
+# the antipode of the sample mean (select_stereographic_point).
+CHORDAL_MARGIN = 0.1
+LINE_MARGIN = 0.05
+N_CANDIDATES = 64
+
 
 # ---------------------------------------------------------------------------
 # the boundary domain
@@ -248,14 +254,7 @@ def _line_clearance(p, w, cut=1e-9):
     return out
 
 
-def select_stereographic_point(
-    samples,
-    chordal_margin=0.1,
-    line_margin=0.05,
-    need_line_margin=False,
-    seed=0,
-    n_candidates=64,
-):
+def select_stereographic_point(samples, need_line_margin=False, seed=0):
     """Choose a chart base point well separated from all boundary samples.
 
     The first candidate is the antipode of the normalized sample mean, which
@@ -264,9 +263,9 @@ def select_stereographic_point(
     vectors are tried and the one maximizing the worst margin is kept.
 
     Margins: every sample must lie at chordal distance at least
-    ``chordal_margin`` from ``p``; when ``need_line_margin`` is set (column
+    ``CHORDAL_MARGIN`` from ``p``; when ``need_line_margin`` is set (column
     completion by rotation follows), every chart image must additionally make
-    an angle of at least ``asin(line_margin)`` with the line R(i p).
+    an angle of at least ``asin(LINE_MARGIN)`` with the line R(i p).
 
     Raises :class:`NoStereographicPoint` when no candidate satisfies both.
     """
@@ -275,10 +274,10 @@ def select_stereographic_point(
 
     def score(p):
         chordal = np.linalg.norm(samples - p, axis=-1)
-        s = float(np.min(chordal)) / chordal_margin
+        s = float(np.min(chordal)) / CHORDAL_MARGIN
         if need_line_margin:
             w = chart_forward(p, samples)
-            s = min(s, float(np.min(_line_clearance(p, w))) / line_margin)
+            s = min(s, float(np.min(_line_clearance(p, w))) / LINE_MARGIN)
         return s
 
     mean = np.mean(samples, axis=0)
@@ -287,7 +286,7 @@ def select_stereographic_point(
     if norm > 1e-8:
         candidates.append(-mean / norm)
     rng = np.random.default_rng(seed)
-    for _ in range(n_candidates):
+    for _ in range(N_CANDIDATES):
         raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         candidates.append(raw / np.linalg.norm(raw))
 

@@ -10,9 +10,10 @@ geometry, lifts the determinant of the boundary map and reads its degree; a
 phase ramp along the right edge removes that degree, after which the cone
 extension fills the interior.
 
-The same construction runs on any square face of a higher-dimensional cell
-once the face's own translation and time-reversal operations are supplied;
-:class:`FaceContext` packages those, so the routines here never look at the
+The same construction runs on any square face of a higher-dimensional cell:
+a face is a plane of the family, and its translations and time reversal are
+the family's ``tau`` and ``theta`` read along the plane's two lattice axes.
+:class:`FaceContext` holds the plane, so the routines here never look at the
 ambient dimension.  A face's input frames are one cell-shaped array (for a
 face of the 3d cell, a slice of its ``psi.data``); the boundary is the
 domain's node mask and every fill is one batched product.
@@ -34,18 +35,13 @@ __all__ = [
 ]
 
 
-def _upow(u, k):
-    """Integer power of a unitary matrix (negative powers via the adjoint)."""
-    n = u.shape[0]
-    out = np.eye(n, dtype=complex)
-    step = u if k >= 0 else u.conj().T
-    for _ in range(abs(int(k))):
-        out = out @ step
-    return out
-
-
 class FaceContext:
-    """A square cell together with its symmetry operations and input frames.
+    """A square face of the effective cell: a plane of the family and the
+    input frames on it.
+
+    The face's local lattice vector ``lam`` is the family's vector ``lam @
+    axes``, and its local time reversal is ``tau_shift o theta``, so every
+    operation the square-cell routines use is one of the family's own.
 
     Parameters
     ----------
@@ -54,35 +50,29 @@ class FaceContext:
     psi : (grid_n + 1, 2 grid_n + 1, n, m) array
         Input frames at the local grid points, indexed like
         ``geometry.cell_shape`` (``psi[g_1, g_2 + grid_n]``).
-    t1, t2 : (n, n) arrays
-        Unitaries of the two local translations.
-    theta : (n, n) array
-        Matrix ``C`` of the local antiunitary involution ``v -> C conj(v)``.
+    family : ProjectorFamily
+        The family whose ``tau`` and ``theta`` act on the face.
+    axes : (2, d) integer array
+        The family's lattice vectors along the two local axes.
+    shift : (d,) integer array
+        Lattice vector of the translation in the local time reversal.
     label : str
         Name used in error messages.
     """
 
-    def __init__(self, geometry, psi, t1, t2, theta, label="cell"):
+    def __init__(self, geometry, psi, family, axes, shift, label="cell"):
         if geometry.d != 2:
             raise ValueError("FaceContext needs a two-dimensional geometry")
         self.geometry = geometry
         self.psi = psi
-        self.t1 = np.asarray(t1, dtype=complex)
-        self.t2 = np.asarray(t2, dtype=complex)
-        self.theta = np.asarray(theta, dtype=complex)
+        self.family = family
+        self.axes = np.asarray(axes, dtype=int)
+        self.shift = np.asarray(shift, dtype=int)
         self.label = label
-        self._powers = {}
-
-    def translation(self, lam):
-        """Unitary of the local translation by the lattice vector ``lam``."""
-        lam = (int(lam[0]), int(lam[1]))
-        if lam not in self._powers:
-            self._powers[lam] = _upow(self.t1, lam[0]) @ _upow(self.t2, lam[1])
-        return self._powers[lam]
 
     def antiunitary(self, lam):
         """Matrix of the local operation ``tau_lam o theta``."""
-        return self.translation(lam) @ self.theta
+        return self.family.antiunitary_matrix(np.asarray(lam) @ self.axes + self.shift)
 
     def apply_anti(self, lam, frame):
         return self.antiunitary(lam) @ np.conj(frame)
@@ -156,7 +146,7 @@ def macro2(ctx, left_edge, bottom_edge, tol=1e-8, seed=0):
     lower_right, sol4 = macro1(psi[n, :n + 1], corner, ctx.antiunitary((1, 0)), (1, 0))
     skel[n, :n + 1] = lower_right
     skel[n, n + 1:] = ctx.apply_anti((1, 0), skel[n, n - 1::-1])
-    skel[1:n, 2 * n] = ctx.t2 @ skel[1:n, 0]
+    skel[1:n, 2 * n] = ctx.family.tau_power(ctx.axes[1]) @ skel[1:n, 0]
 
     # --- degree of the boundary determinant and its removal ---------------
     dom = _boundary_domain(geo)
@@ -234,13 +224,6 @@ def construct_2d(psi_field, family, tol=1e-8, seed=0):
     geo = psi_field.geometry
     if geo.d != 2:
         raise ValueError("construct_2d needs a two-dimensional field")
-    ctx = FaceContext(
-        geo,
-        psi_field.data,
-        family.tau_power((1, 0)),
-        family.tau_power((0, 1)),
-        family.theta_matrix(),
-        label="cell",
-    )
+    ctx = FaceContext(geo, psi_field.data, family, ((1, 0), (0, 1)), (0, 0))
     field, diag = build_face(ctx, tol=tol, seed=seed)
     return extend_symmetric(field, family), diag

@@ -21,7 +21,6 @@ __all__ = [
     "frame_distance",
     "unitary_between",
     "check_same_span",
-    "evaluate",
     "input_frame",
 ]
 
@@ -143,25 +142,6 @@ class FrameField:
 # ----------------------------------------------------------------------
 # deterministic input frame by discrete parallel transport
 # ----------------------------------------------------------------------
-def evaluate(field, family, g):
-    """Values of a full-torus frame field at grid points ``g`` of shape ``(..., d)``.
-
-    Points outside the stored fundamental domain are reached through the
-    lattice equivariance ``Phi(k + lam) = tau_lam Phi(k)``.
-    """
-    if field.region != "full-torus":
-        raise ValueError("evaluate needs a full-torus field")
-    g = np.asarray(g)
-    big = field.geometry.n_side
-    lam = g // big
-    val = field.data[tuple(np.moveaxis(g - big * lam, -1, 0))].copy()
-    for shift in np.unique(lam.reshape(-1, g.shape[-1]), axis=0):
-        if np.any(shift):
-            at = np.all(lam == shift, axis=-1)
-            val[at] = family.tau_power(tuple(shift)) @ val[at]
-    return val
-
-
 def _fix_column_phases(frame):
     """Deterministic per-column phase: largest-modulus entry made real positive."""
     frame = frame.copy()

@@ -204,34 +204,33 @@ class ProjectorFamily:
         h = self.hamiltonian(k)
         return np.linalg.eigh(0.5 * (h + _dagger(h)))
 
-    def spectral_frame(self, k, gap_tol=None, eigensystem=None):
+    def spectral_frame(self, k, eigensystem=None):
         """Orthonormal eigenbases ``(..., n, m)`` of the lowest ``m`` bands
         and the gaps ``(...)`` at quasimomenta ``k`` of shape ``(..., d)``.
 
         ``eigensystem`` is ``self.eigensystem(k)`` when the caller has
         already sampled it.  Raises :class:`GapClosed` at the point of the
-        smallest gap when it falls below tolerance.
+        smallest gap when it falls below ``gap_tolerance``.
         """
-        tol = self.gap_tolerance if gap_tol is None else gap_tol
         if eigensystem is None:
             eigensystem = self.eigensystem(k)
         evals, evecs = eigensystem
         below, above = evals[..., self.m - 1], evals[..., self.m]
         gap = above - below
         worst = np.unravel_index(np.argmin(gap), gap.shape)
-        if gap[worst] < tol:
+        if gap[worst] < self.gap_tolerance:
             raise GapClosed(
-                f"spectral gap {gap[worst]:.3e} below tolerance {tol:.3e}",
+                f"spectral gap {gap[worst]:.3e} below tolerance {self.gap_tolerance:.3e}",
                 k=tuple(np.asarray(k, dtype=float)[worst].tolist()),
                 below=float(below[worst]),
                 above=float(above[worst]),
             )
         return evecs[..., : self.m], gap
 
-    def projector(self, k, gap_tol=None, eigensystem=None):
+    def projector(self, k, eigensystem=None):
         """Spectral projectors ``(..., n, n)`` at ``k`` of shape ``(..., d)``;
         ``eigensystem`` as in :meth:`spectral_frame`."""
-        frame, _ = self.spectral_frame(k, gap_tol, eigensystem)
+        frame, _ = self.spectral_frame(k, eigensystem)
         return frame @ _dagger(frame)
 
     # ------------------------------------------------------------------
@@ -610,12 +609,15 @@ def load_model(source, params=None):
         raise ModelConfigError("hoppings must be a list of {'R': [...], 're': ..., 'im': ...}")
     hoppings = {}
     for item in items:
-        try:
-            r = tuple(_canon_coord(x) for x in item["R"])
-        except (KeyError, TypeError, ValueError):
+        raw = item.get("R") if isinstance(item, dict) else None
+        if not isinstance(raw, list) or not all(
+            isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+            for x in raw
+        ):
             raise ModelConfigError(
                 f"hopping {item!r} needs a lattice vector 'R' of numbers"
-            ) from None
+            )
+        r = tuple(_canon_coord(x) for x in raw)
         if r in hoppings:
             raise ModelConfigError(
                 f"hopping R={item['R']} collides with an earlier entry: both round to {r}"

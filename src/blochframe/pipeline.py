@@ -45,13 +45,16 @@ _BUILTIN_NAMES = {"haldane", "ssh", "random-trs"}
 
 @dataclass
 class RunConfig:
-    """Everything a pipeline run depends on."""
+    """Everything a pipeline run depends on.
+
+    ``gap_tol`` overrides the model's own ``gap_tolerance`` when set.
+    """
 
     model: str
     params: dict = dataclass_field(default_factory=dict)
     grid_n: int = 16
     tol: float = 1e-8
-    gap_tol: float = 1e-8
+    gap_tol: float = None
     epsilon: float = 0.1
     out: str = None
     seed: int = 0
@@ -61,6 +64,8 @@ class RunConfig:
         if self.grid_n < 2 or self.grid_n % 2:
             raise UsageError("grid_n must be even and at least 2")
         for name in ("tol", "gap_tol", "epsilon"):
+            if name == "gap_tol" and self.gap_tol is None:
+                continue
             if not 0 < getattr(self, name) < math.inf:
                 raise UsageError(f"{name} must be positive and finite")
 

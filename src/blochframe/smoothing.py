@@ -69,19 +69,26 @@ MIDPOINT_LIMIT = 0.25 * np.pi
 # number squared; otherwise the full SVD decides.
 SCREEN_MARGIN = 1e-12
 
+# midpoint_unitary refuses an eigenphase within this of the branch cut at pi.
+BRANCH_MARGIN = 1e-8
 
-def midpoint_unitary(u, margin=1e-8):
+# periodic_smooth refuses an input field whose orthonormality or reflection
+# defect exceeds this.
+PRECONDITION_TOL = 1e-6
+
+
+def midpoint_unitary(u):
     """Geodesic midpoint between the identity and ``u``: ``exp(log(u)/2)``.
 
     Computed as the polar factor of ``1 + u`` for one unitary or a stack.
     The singular values of ``1 + u`` are ``2 cos(phase / 2)``, so the
     smallest one tells how close an eigenphase comes to the branch cut at
-    ``pi``; within ``margin`` raises :class:`EigenphaseNearPi`.
+    ``pi``; within ``BRANCH_MARGIN`` raises :class:`EigenphaseNearPi`.
     """
     plus = np.eye(np.shape(u)[-1]) + np.asarray(u)
     sing = np.linalg.svd(plus, compute_uv=False)[..., -1]
     worst = 2.0 * float(np.arcsin(min(1.0, 0.5 * np.min(sing))))
-    if worst <= margin:
+    if worst <= BRANCH_MARGIN:
         raise EigenphaseNearPi(
             f"eigenphase within {worst:.2e} of the branch cut at pi",
             margin=worst,
@@ -384,7 +391,6 @@ def periodic_smooth(
     k_start=2,
     k_max=None,
     rank_floor=0.1,
-    precondition_tol=1e-6,
     projectors=None,
 ):
     """Band-limit a symmetric torus field to within ``0.9 * epsilon``.
@@ -432,7 +438,7 @@ def periodic_smooth(
 
     ortho = field.orthonormality_defect()
     refl = reflection_defect(field, family)
-    if max(ortho, refl) > precondition_tol:
+    if max(ortho, refl) > PRECONDITION_TOL:
         raise UsageError(
             "input field violates its symmetry preconditions "
             f"(orthonormality {ortho:.2e}, reflection {refl:.2e})"

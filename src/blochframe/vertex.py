@@ -41,8 +41,15 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 
+# Tolerances of obstruction_unitary (SYM_TOL) and symmetric_sqrt (the rest);
+# CLUSTER_TOL merges numerically repeated eigenvalues.
+SYM_TOL = 1e-10
+CLUSTER_TOL = 1e-8
+SNAP_TOL = 1e-12
+SQRT_TOL = 1e-10
 
-def obstruction_unitary(frame, antiunitary, sym_tol=1e-10):
+
+def obstruction_unitary(frame, antiunitary):
     """Obstruction unitary of ``frame`` under an antiunitary ``v -> A conj(v)``.
 
     Parameters
@@ -51,25 +58,25 @@ def obstruction_unitary(frame, antiunitary, sym_tol=1e-10):
         Orthonormal frame at a high-symmetry point.
     antiunitary : (n, n) array
         Matrix ``A`` of the antiunitary operation (``tau_lam @ theta``).
-    sym_tol : float
-        Largest tolerated asymmetry ``||V - V^T||``; a violation signals a
-        family whose time-reversal or periodicity structure is broken and
-        raises :class:`ObstructionAsymmetric`.
+
+    An asymmetry ``||V - V^T||`` above ``SYM_TOL`` signals a family whose
+    time-reversal or periodicity structure is broken and raises
+    :class:`ObstructionAsymmetric`.
     """
     frame = np.asarray(frame)
     image = np.asarray(antiunitary) @ np.conj(frame)
     v = lowdin(frame.conj().T @ image)
     asym = float(np.linalg.norm(v - v.T))
-    if asym > sym_tol:
+    if asym > SYM_TOL:
         raise ObstructionAsymmetric(
-            f"obstruction unitary asymmetric (defect {asym:.3e} > {sym_tol:.1e})",
+            f"obstruction unitary asymmetric (defect {asym:.3e} > {SYM_TOL:.1e})",
             defect=asym,
         )
     # exact symmetrization of the roundoff remainder
     return 0.5 * (v + v.T)
 
 
-def symmetric_sqrt(v, cluster_tol=1e-8, snap_tol=1e-12, check_tol=1e-10):
+def symmetric_sqrt(v):
     """Factor a complex symmetric unitary as ``v = u @ u.T``.
 
     ``Re v`` and ``Im v`` are commuting real symmetric matrices (``v`` is
@@ -78,23 +85,23 @@ def symmetric_sqrt(v, cluster_tol=1e-8, snap_tol=1e-12, check_tol=1e-10):
     diag(exp(i mu / 2)) o^T`` is symmetric with ``u u^T = v`` to roundoff,
     however close two eigenphases are.  ``o`` comes from ``eigh(Re v + c Im
     v)`` with a random ``c`` (fixed seed), which splits the joint
-    eigenspaces generically; a factorization residual above ``check_tol`` is
+    eigenspaces generically; a factorization residual above ``SQRT_TOL`` is
     retried with a fresh ``c``.
 
     Eigenphases are synchronized to a common branch ``[0, 2 pi)``; clusters of
     numerically repeated eigenvalues share one representative phase so that a
     degeneracy split across the branch point cannot desynchronize the square
-    root.  Phases within ``snap_tol`` of ``2 pi`` are snapped to ``0``; the
+    root.  Phases within ``SNAP_TOL`` of ``2 pi`` are snapped to ``0``; the
     returned diagnostics flag records whether the snap fired.
 
     Returns ``(u, info)`` with ``info`` containing the factorization residual
     and the snap flag.  An asymmetric ``v`` raises
-    :class:`ObstructionAsymmetric`, and a residual above ``check_tol`` on
+    :class:`ObstructionAsymmetric`, and a residual above ``SQRT_TOL`` on
     every try raises :class:`BlochFrameError`.
     """
     v = np.asarray(v, dtype=complex)
     sym_defect = float(np.linalg.norm(v - v.T))
-    if sym_defect > check_tol:
+    if sym_defect > SQRT_TOL:
         raise ObstructionAsymmetric(
             f"input is not symmetric (defect {sym_defect:.3e})", defect=sym_defect
         )
@@ -102,7 +109,7 @@ def symmetric_sqrt(v, cluster_tol=1e-8, snap_tol=1e-12, check_tol=1e-10):
     def to_positive_branch(angle):
         nonlocal snapped
         mu = angle % TWO_PI
-        if mu >= TWO_PI - snap_tol:
+        if mu >= TWO_PI - SNAP_TOL:
             mu = 0.0
             snapped = True
         return mu
@@ -113,13 +120,13 @@ def symmetric_sqrt(v, cluster_tol=1e-8, snap_tol=1e-12, check_tol=1e-10):
         w = np.diag(o.T @ v @ o)
         w = w / np.abs(w)
         snapped = False
-        phases = cluster_phases(w, cluster_labels(w, cluster_tol), to_positive_branch)
+        phases = cluster_phases(w, cluster_labels(w, CLUSTER_TOL), to_positive_branch)
         u = lowdin(o @ (np.exp(0.5j * phases)[:, None] * o.T))
         residual = float(np.linalg.norm(u @ u.T - v))
-        if residual <= check_tol:
+        if residual <= SQRT_TOL:
             return u, {"residual": residual, "branch_snap": snapped}
     raise BlochFrameError(
-        f"symmetric square root residual {residual:.3e} exceeds {check_tol:.1e}",
+        f"symmetric square root residual {residual:.3e} exceeds {SQRT_TOL:.1e}",
         residual=residual,
     )
 

@@ -29,6 +29,10 @@ __all__ = [
     "localization_report",
 ]
 
+# First radius and amplitude floor of localization_report's shell fit.
+FIT_MIN = 2
+SHELL_FLOOR = 1e-13
+
 
 def extend_symmetric(field, family, tol=1e-10):
     """Extend an effective-cell frame field to the full torus grid.
@@ -197,8 +201,7 @@ def _radius_grid(wset):
     return radius
 
 
-def localization_report(wset, fit_min=2, fit_max=None, floor=1e-13,
-                        moment_window=None):
+def localization_report(wset, fit_max=None, moment_window=None):
     """Localization certificate: moments, shell decay and an exponential fit.
 
     Moments are ``M_r = sum <gamma>^{2r} |w|^2`` per band for ``r`` up to 4
@@ -207,8 +210,8 @@ def localization_report(wset, fit_min=2, fit_max=None, floor=1e-13,
     moment sums to sup-norm radius at most that value, which makes reports
     from different grid sizes comparable (the outermost shells of a coarse
     grid carry its wrap-around error).  The decay rate is a least squares
-    fit of ``log`` shell sups over radii ``fit_min..fit_max`` (default half
-    the window), ignoring shells below ``floor``; its quality is reported
+    fit of ``log`` shell sups over radii ``FIT_MIN..fit_max`` (default half
+    the window), ignoring shells below ``SHELL_FLOOR``; its quality is reported
     as ``r_squared``.  ``max_decreasing_run`` counts the longest chain of
     consecutive strictly decreasing shells.
     """
@@ -247,17 +250,17 @@ def localization_report(wset, fit_min=2, fit_max=None, floor=1e-13,
     run = 1
     best_run = 1
     for rho in range(1, len(shells)):
-        if shells[rho] < shells[rho - 1] and shells[rho - 1] > floor:
+        if shells[rho] < shells[rho - 1] and shells[rho - 1] > SHELL_FLOOR:
             run += 1
         else:
             run = 1
         best_run = max(best_run, run)
 
-    lo = max(0, int(fit_min))
+    lo = FIT_MIN
     hi = min(len(shells) - 1, int(fit_max))
     radii = np.arange(lo, hi + 1)
     vals = shells[lo : hi + 1]
-    keep = vals > floor
+    keep = vals > SHELL_FLOOR
     rate = None
     r_squared = None
     if np.count_nonzero(keep) >= 3:

@@ -101,8 +101,7 @@ def loop_nodes(dom, loop_values):
 
 def face_cell(family, geo):
     """The effective-cell frame that ``construct_2d`` extends to the torus."""
-    ctx = FaceContext(geo, input_frame(family, geo).data, family.tau_power((1, 0)),
-                      family.tau_power((0, 1)), family.theta_matrix())
+    ctx = FaceContext(geo, input_frame(family, geo).data, family, ((1, 0), (0, 1)), (0, 0))
     return build_face(ctx)[0]
 
 
@@ -129,32 +128,52 @@ def trig_deg0_field(m, rng, d, order=1, scale=0.35, terms=4):
     return at
 
 
-def shifted_haldane(r2=(0.5, 0.5)):
-    """Haldane model with the second orbital moved to ``r2``.
+def shifted_orbitals(base, positions, name):
+    """``base`` with orbital ``a`` moved to the fractional position ``positions[a]``.
 
-    The fractional position turns the Bloch Hamiltonian quasi-periodic;
-    the unit shifts are carried by diagonal tau generators
-    ``diag(1, exp(2 pi i r2_j))``.  Exercises every nontrivial-tau code path
-    on a model that stays gapped and time-reversal symmetric; at the default
-    offset ``tau_j**2 = 1``, at a quarter offset ``tau_lam != tau_{-lam}``.
+    The fractional positions turn the Bloch Hamiltonian quasi-periodic; the
+    unit shifts are carried by diagonal tau generators ``diag(exp(2 pi i
+    r_j))``, which keeps the family gapped and time-reversal symmetric.
     """
-    base = bf.builtin_model("haldane")
-    r2 = np.asarray(r2, dtype=float)
+    pos = np.asarray(positions, dtype=float)
     hop = {}
     for vec, mat in base.hoppings.items():
         vec = np.asarray(vec, dtype=float)
-        for a in range(2):
-            for b in range(2):
+        for a in range(base.n):
+            for b in range(base.n):
                 if mat[a, b] != 0:
-                    off = (r2 if a == 1 else 0.0) - (r2 if b == 1 else 0.0)
                     entry = hop.setdefault(
-                        tuple(vec + off), np.zeros((2, 2), dtype=complex)
+                        tuple(vec + pos[a] - pos[b]),
+                        np.zeros((base.n, base.n), dtype=complex),
                     )
                     entry[a, b] += mat[a, b]
-    tau = [np.diag([1.0, np.exp(2j * np.pi * r2[j])]) for j in range(2)]
+    tau = [np.diag(np.exp(2j * np.pi * pos[:, j])) for j in range(base.d)]
     return ProjectorFamily(
-        d=2, n=2, m=1, hoppings=hop, tau=tau, name="haldane-shifted"
+        d=base.d, n=base.n, m=base.m, hoppings=hop, tau=tau, name=name
     )
+
+
+def shifted_haldane(r2=(0.5, 0.5)):
+    """Haldane model with the second orbital moved to ``r2``.
+
+    Exercises every nontrivial-tau code path on a two-dimensional model; at
+    the default offset ``tau_j**2 = 1``, at a quarter offset ``tau_lam !=
+    tau_{-lam}``.
+    """
+    return shifted_orbitals(bf.builtin_model("haldane"), [(0.0, 0.0), r2],
+                            "haldane-shifted")
+
+
+def shifted_trs_3d():
+    """random-trs d=3 n=4 m=2 seed 0 with three orbitals moved off the origin.
+
+    The positions make the three generators distinct and ``tau_j !=
+    tau_j^{-1}``, so a face of the 3d cell read along a wrong axis or with a
+    wrong shift breaks a boundary relation.
+    """
+    base = bf.builtin_model("random-trs", n=4, m=2, d=3, seed=0)
+    positions = [(0, 0, 0), (0.25, 0.75, 0.25), (0.75, 0.5, 0.75), (0.75, 0, 0)]
+    return shifted_orbitals(base, positions, "random-trs-shifted")
 
 
 def rotated_ssh(seed=2):

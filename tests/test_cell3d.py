@@ -3,27 +3,18 @@ import numpy as np
 import pytest
 
 from blochframe.cells import CellGeometry
-from blochframe.cell3d import construct_3d, restricted_family
+from blochframe.cell3d import construct_3d
 from blochframe.errors import BoundaryRelationViolated
 from blochframe.frames import input_frame
 from blochframe.models import builtin_model
+from blochframe.smoothing import reflection_defect
+
+from conftest import shifted_trs_3d
 
 
 @pytest.fixture(scope="module")
 def fam3():
     return builtin_model("random-trs", n=4, m=2, d=3, seed=5)
-
-
-def test_restricted_family_matches_frozen_slice(rng, fam3):
-    fam2 = restricted_family(fam3)
-    assert fam2.d == 2
-    assert (fam2.n, fam2.m) == (fam3.n, fam3.m)
-    for _ in range(20):
-        k = rng.uniform(-1, 1, size=2)
-        want = fam3.hamiltonian((0.0, k[0], k[1]))
-        assert np.linalg.norm(fam2.hamiltonian(k) - want) < 1e-12
-    with pytest.raises(ValueError):
-        restricted_family(fam2)
 
 
 @pytest.fixture(scope="module")
@@ -97,3 +88,44 @@ def test_construct_3d_refuses_disagreeing_faces(fam3, monkeypatch):
         construct_3d(input_frame(fam3, geo), fam3)
     assert err.value.details["point"] == (0, 1, geo.grid_n)
     assert err.value.details["residual"] > 0.1
+
+
+@pytest.fixture(scope="module")
+def shifted3():
+    return shifted_trs_3d()
+
+
+def test_construct_3d_with_nontrivial_tau(shifted3):
+    """Each face reads a different tau; the glued, extended frame still
+    satisfies every boundary identification and time reversal."""
+    geo = CellGeometry(3, 4)
+    torus, diag = construct_3d(input_frame(shifted3, geo), shifted3)
+    assert torus.meta["extension_mismatch"] < 1e-12
+    assert diag["assembly"]["glue_residual"] < 1e-12
+    assert torus.orthonormality_defect() < 1e-12
+    assert reflection_defect(torus, shifted3) < 1e-12
+    p = shifted3.projector(geo.torus_k())
+    assert np.max(np.linalg.norm(p @ torus.data - torus.data, axis=(-2, -1))) < 1e-12
+
+
+@pytest.mark.parametrize("target,axes,shift", [
+    ("face k1=1/2 (mirrored)", ((0, 1, 0), (0, 0, 1)), (1, 1, 0)),
+    ("face k1=1/2 (mirrored)", ((0, -1, 0), (0, 0, 1)), (1, 0, 0)),
+    ("face k2=+1/2", ((1, 0, 0), (0, 0, 1)), (0, -1, 0)),
+    ("face k3=+1/2", ((1, 0, 0), (0, -1, 0)), (0, 0, 1)),
+])
+def test_construct_3d_refuses_a_wrong_face_plane(shifted3, monkeypatch, target, axes, shift):
+    """A face read along a wrong axis or with a wrong shift breaks a boundary
+    relation once tau is nontrivial."""
+    from blochframe import cell3d
+
+    real = cell3d.FaceContext
+
+    def planted(geometry, psi, family, face_axes, face_shift, label="cell"):
+        if label == target:
+            face_axes, face_shift = axes, shift
+        return real(geometry, psi, family, face_axes, face_shift, label=label)
+
+    monkeypatch.setattr(cell3d, "FaceContext", planted)
+    with pytest.raises(BoundaryRelationViolated):
+        construct_3d(input_frame(shifted3, CellGeometry(3, 4)), shifted3)

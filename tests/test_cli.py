@@ -372,6 +372,8 @@ _MALFORMED = {
     "top-level-list": lambda cfg: [cfg],
     "gap-tolerance-abc": lambda cfg: {**cfg, "gap_tolerance": "abc"},
     "orbitals-2.7": lambda cfg: {**cfg, "orbitals": 2.7},
+    "R-string": lambda cfg: {**cfg, "hoppings": [{**cfg["hoppings"][0], "R": "0"}]
+                             + cfg["hoppings"][1:]},
 }
 
 
@@ -387,6 +389,20 @@ def test_a_malformed_json_model_is_a_model_config_error(tmp_path, capsys, case):
     assert code == 1
     assert "Traceback" not in captured.err
     assert json.loads(captured.err)["error"] == "model-config"
+
+
+def test_a_json_model_keeps_its_gap_tolerance(tmp_path, capsys):
+    """The SSH chain's gap floor is 1.0: a model asking for a gap of 5 fails
+    unless ``--gap-tol`` overrides it."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**_ssh_json(), "gap_tolerance": 5.0}))
+    code = main(["verify-model", "--model", str(path), "--grid-n", "4"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "passed: False" in out
+    code = main(["verify-model", "--model", str(path), "--grid-n", "4", "--gap-tol", "0.5"])
+    assert code == 0
+    assert "passed: True" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag", ["--tol", "--gap-tol", "--epsilon"])

@@ -7,7 +7,6 @@ from blochframe.errors import SpanMismatch
 from blochframe.frames import (
     FrameField,
     _fix_column_phases,
-    evaluate,
     frame_distance,
     input_frame,
     unitary_between,
@@ -15,7 +14,7 @@ from blochframe.frames import (
 from blochframe.linalg import lowdin
 from blochframe.models import builtin_model
 
-from conftest import random_unitary, shifted_haldane
+from conftest import random_unitary
 
 
 def _random_frame(rng, n, m):
@@ -82,23 +81,6 @@ def test_orthonormality_defect_reports_worst(rng):
     fld.set((0,), np.array([[1.0], [0.0]], dtype=complex))
     fld.set((1,), np.array([[1.1], [0.0]], dtype=complex))
     assert fld.orthonormality_defect() == pytest.approx(abs(1.1**2 - 1.0))
-
-
-def test_evaluate_applies_lattice_action(rng):
-    fam = shifted_haldane()
-    geo = CellGeometry(2, 4)
-    n_side = geo.n_side
-    fld = FrameField.empty(geo, fam.n, fam.m, region="full-torus")
-    for g in fld.points():
-        fld.set(g, _random_frame(rng, fam.n, fam.m))
-    base = evaluate(fld, fam, (1, 2))
-    shifted = evaluate(fld, fam, (1 + n_side, 2))
-    assert np.linalg.norm(shifted - fam.tau[0] @ base) < 1e-13
-    both = evaluate(fld, fam, (1 - n_side, 2 + 2 * n_side))
-    want = fam.tau_power((-1, 2)) @ base
-    assert np.linalg.norm(both - want) < 1e-13
-    with pytest.raises(ValueError):
-        evaluate(FrameField.empty(geo, 2, 1), fam, (0, 0))
 
 
 def test_input_frame_spans_projector_and_is_steady(haldane):

@@ -1,9 +1,11 @@
 """The benchmark's tracer wraps package names from outside the package.
 
 ``perfbench/tracing.py`` replaces each ``(module, attr)`` of its stage table
-through ``blochframe.<module>.__dict__[attr]``, so renaming or deleting one
-of those names stops every traced benchmark run with ``KeyError``.  This
-test loads the tracer read-only and fails first.
+through ``blochframe.<module>.__dict__[attr]``, and the Bloch sampling
+methods and ``CellGeometry.all_reductions`` through their class
+dictionaries, so renaming or deleting one of those names stops every traced
+benchmark run with ``KeyError``.  These tests load the tracer read-only and
+fail first.
 """
 import importlib.util
 import os
@@ -31,3 +33,15 @@ def test_every_traced_stage_name_exists_where_the_tracer_looks(monkeypatch):
         if not callable(vars(getattr(blochframe, module)).get(attr))
     ]
     assert missing == []
+
+
+def test_the_tracer_installs_and_restores_every_wrap(monkeypatch):
+    tracer = _load_tracing(monkeypatch).Tracer(blochframe)
+    try:
+        tracer.install()
+        saved = list(tracer._saved)
+        assert saved
+        assert all(vars(owner)[attr] is not original for owner, attr, original in saved)
+    finally:
+        tracer.restore()
+    assert all(vars(owner)[attr] is original for owner, attr, original in saved)
