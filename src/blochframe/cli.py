@@ -73,12 +73,14 @@ def build_parser():
 def _apply_thread_cap(threads):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(max(1, threads))
+        os.environ[var] = str(threads)
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    _apply_thread_cap(args.threads)
+    # RunConfig refuses a count below 1 with a usage error
+    if args.threads >= 1:
+        _apply_thread_cap(args.threads)
 
     from .errors import BlochFrameError, UsageError
     from .pipeline import (

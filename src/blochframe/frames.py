@@ -165,7 +165,9 @@ def input_frame(family, geometry, region="effective-cell"):
     point-by-point walk.  No symmetry is imposed; the result is the raw gauge
     the construction refines.  With ``region="full-torus"`` the sweep covers
     the whole fundamental domain instead (used as a control; the seam at the
-    wrap is then deliberately left discontinuous).
+    wrap is then deliberately left discontinuous).  The projectors and the
+    seed are read from the family's torus sample
+    (:meth:`~blochframe.models.ProjectorFamily.grid_projectors`).
 
     Returns the field; ``field.meta["transport_step_sup"]`` records the
     largest frame distance between adjacent transported points, a continuity
@@ -181,10 +183,14 @@ def input_frame(family, geometry, region="effective-cell"):
         lo = np.array([0] + [-geometry.grid_n] * (d - 1))
     shape = fld.data.shape[:d]
     box = np.moveaxis(np.indices(shape), 0, -1) + lo
-    projectors = family.projector(geometry.k_of(box))
+    projectors = family.grid_projectors(
+        geometry.grid_n, None if region == "full-torus" else box
+    )
     origin = tuple(-lo)
 
-    seed_frame, _ = family.spectral_frame(np.zeros(d))
+    evals, evecs = family.torus_eigensystem(geometry.grid_n)
+    zero = (0,) * d
+    seed_frame, _ = family.spectral_frame(np.zeros(d), (evals[zero], evecs[zero]))
     fld.data[origin] = lowdin(_fix_column_phases(seed_frame))
     step_sup = 0.0
 

@@ -18,10 +18,11 @@ are exact identities that hold at every ``k``, not only on a grid: a
 lattice generator acts as ``tau_j H_R tau_j^-1 = exp(2 pi i R_j) H_R``,
 which gives ``P(k + e_j) = tau_j P(k) tau_j^-1``, and time reversal as
 ``C conj(H_R) C^-1 = H_R``, which gives ``theta P(k) theta^-1 = P(-k)``.
-Only the gap needs Bloch data: :func:`require_assumptions` samples the
-eigensystem on the torus grid once, takes the gap floor from its
-eigenvalues, and returns the projectors built from it, which are what a
-construction smooths against and certifies with.
+Only the gap needs Bloch data.  A family samples its eigensystem on the
+torus grid once (:meth:`ProjectorFamily.torus_eigensystem` keeps the last
+grid's sample); the gap floor of :func:`verify_assumptions` and every
+projector a construction transports, smooths and certifies with are read
+from that one sample.
 """
 
 import json
@@ -107,6 +108,7 @@ class ProjectorFamily:
 
     def __post_init__(self):
         self._tau_cache = {}
+        self._torus_sample = None
         errors = self.validate()
         if errors:
             raise ModelConfigError(
@@ -233,6 +235,48 @@ class ProjectorFamily:
         frame, _ = self.spectral_frame(k, eigensystem)
         return frame @ _dagger(frame)
 
+    def torus_eigensystem(self, grid_n):
+        """:meth:`eigensystem` on ``CellGeometry(d, grid_n).torus_k()``:
+        all eigenvalues, and the eigenvectors of the lowest ``m`` bands.
+
+        Sampled on the first call for a ``grid_n`` and kept until another
+        ``grid_n`` is asked for, so one command samples the torus once.
+        Nothing is gated here: the gap gate is at each use, through
+        :meth:`spectral_frame` or :meth:`grid_projectors`.
+        """
+        if self._torus_sample is None or self._torus_sample[0] != grid_n:
+            evals, evecs = self.eigensystem(CellGeometry(self.d, grid_n).torus_k())
+            # only the occupied frames are read, so only they are kept
+            self._torus_sample = (grid_n, (evals, evecs[..., : self.m].copy()))
+        return self._torus_sample[1]
+
+    def grid_projectors(self, grid_n, g=None):
+        """Spectral projectors ``(..., n, n)`` at the integer grid points
+        ``g`` of shape ``(..., d)`` of ``CellGeometry(d, grid_n)``, or on
+        its stored torus when ``g`` is ``None``.
+
+        They come from the :meth:`torus_eigensystem` sample, gap-gated as
+        in :meth:`projector`.  A point ``g = rep + N lam`` off the stored
+        torus (``N = 2 grid_n``) gets ``tau_lam P(rep) tau_lam^H``, which is
+        ``P(k)`` by the lattice symmetry ``P(k + e_j) = tau_j P(k)
+        tau_j^-1``.
+        """
+        geometry = CellGeometry(self.d, grid_n)
+        torus = self.projector(geometry.torus_k(), self.torus_eigensystem(grid_n))
+        if g is None:
+            return torus
+        g = np.asarray(g)
+        lam = g // geometry.n_side
+        out = torus[tuple(np.moveaxis(g - geometry.n_side * lam, -1, 0))]
+        if self.tau is None:
+            return out
+        for shift in np.unique(lam.reshape(-1, self.d), axis=0):
+            if shift.any():
+                at = np.all(lam == shift, axis=-1)
+                t = self.tau_power(shift)
+                out[at] = t @ out[at] @ t.conj().T
+        return out
+
     # ------------------------------------------------------------------
     # symmetry actions
     # ------------------------------------------------------------------
@@ -315,7 +359,7 @@ def _norm2_sum(stack):
     return float(np.sum(np.linalg.norm(stack, 2, axis=(-2, -1))))
 
 
-def verify_assumptions(family, grid_n=16, tol=1e-8, evals=None):
+def verify_assumptions(family, grid_n=16, tol=1e-8):
     """Check periodicity, time reversal, compatibility and the gap.
 
     The symmetries are checked as identities on the hopping matrices
@@ -333,15 +377,13 @@ def verify_assumptions(family, grid_n=16, tol=1e-8, evals=None):
     ``theta P(k) theta^-1 = P(-k)`` everywhere.  ``lipschitz_bound`` is
     ``L = 2 pi sum_R |R| ||H_R||_2``, which bounds
     ``||H(k) - H(k')||_2 / |k - k'|``.  The gap floor is the minimum gap
-    over ``evals``, the eigenvalues on ``CellGeometry(d, grid_n).torus_k()``,
-    taken here unless the caller passes them.
+    over the family's :meth:`~ProjectorFamily.torus_eigensystem` sample.
     Returns an :class:`AssumptionReport`; ``passed`` is False when any
     residual exceeds ``tol`` or the gap floor drops below the family's gap
     tolerance.  A closed gap is reported that way, never raised.
     """
     d, m = family.d, family.m
-    if evals is None:
-        evals = family.eigensystem(CellGeometry(d, grid_n).torus_k())[0]
+    evals = family.torus_eigensystem(grid_n)[0]
     gap_floor = float(np.min(evals[..., m] - evals[..., m - 1]))
     vectors, blocks = _coefficients(family)
     c = family.theta_matrix()
@@ -379,17 +421,13 @@ def verify_assumptions(family, grid_n=16, tol=1e-8, evals=None):
 
 
 def require_assumptions(family, grid_n=16, tol=1e-8):
-    """Sample the torus once and raise :class:`AssumptionsFailed` unless
-    :func:`verify_assumptions` passes with the gap floor of that sample.
+    """Raise :class:`AssumptionsFailed` unless :func:`verify_assumptions`
+    passes; returns its report.
 
-    Returns ``(report, projectors)``: the spectral projectors on
-    ``CellGeometry(d, grid_n).torus_k()``, built from the same sample with
-    the gap gate of :meth:`ProjectorFamily.projector`.  They are the one
-    torus sample a construction needs.
+    The gap floor comes from the family's torus sample, which the rest of
+    the command then reads its projectors from.
     """
-    torus_k = CellGeometry(family.d, grid_n).torus_k()
-    torus = family.eigensystem(torus_k)
-    report = verify_assumptions(family, grid_n=grid_n, tol=tol, evals=torus[0])
+    report = verify_assumptions(family, grid_n=grid_n, tol=tol)
     if not report.passed:
         raise AssumptionsFailed(
             "model violates the structural assumptions",
@@ -399,7 +437,7 @@ def require_assumptions(family, grid_n=16, tol=1e-8):
             gap_floor=report.gap_floor,
             tolerance=tol,
         )
-    return report, family.projector(torus_k, eigensystem=torus)
+    return report
 
 
 # ----------------------------------------------------------------------

@@ -68,6 +68,8 @@ class RunConfig:
                 continue
             if not 0 < getattr(self, name) < math.inf:
                 raise UsageError(f"{name} must be positive and finite")
+        if self.threads < 1:
+            raise UsageError("threads must be at least 1")
 
 
 def load_family(config):
@@ -180,19 +182,18 @@ def _trim_obstruction_defects(psi_field, family, geometry):
     return out
 
 
-def final_residuals(field, family, projectors=None):
+def final_residuals(field, family):
     """The certificate residuals of a full-torus frame field.
 
-    The projector and orthonormality defects are pointwise; reflection
-    compares every grid pair ``(k, -k)``.  ``projectors`` are the spectral
-    projectors on the torus grid when the caller has sampled them.  Lattice
-    periodicity needs no residual here: the stored field covers one
-    fundamental domain and every other point is reached through ``tau``,
-    and the manifest's ``extension_mismatch`` certifies that every boundary
-    identification of the constructed frame agrees.
+    The projector and orthonormality defects are pointwise, against the
+    projectors of the family's torus sample; reflection compares every
+    grid pair ``(k, -k)``.  Lattice periodicity needs no residual here: the
+    stored field covers one fundamental domain and every other point is
+    reached through ``tau``, and the manifest's ``extension_mismatch``
+    certifies that every boundary identification of the constructed frame
+    agrees.
     """
-    if projectors is None:
-        projectors = family.projector(field.geometry.torus_k())
+    projectors = family.grid_projectors(field.geometry.grid_n)
     frames = field.data
     moved = projectors @ frames - frames
     return {
@@ -206,9 +207,7 @@ def run_construct(config):
     """Full frame construction; returns a dict of fields and the manifest."""
     t0 = time.monotonic()
     family = load_family(config)
-    report, projectors = require_assumptions(
-        family, grid_n=config.grid_n, tol=config.tol
-    )
+    report = require_assumptions(family, grid_n=config.grid_n, tol=config.tol)
     geometry = CellGeometry(family.d, config.grid_n)
     psi = input_frame(family, geometry)
     obstructions = _trim_obstruction_defects(psi, family, geometry)
@@ -220,10 +219,8 @@ def run_construct(config):
     else:
         phi, diag = construct_3d(psi, family, tol=config.tol, seed=config.seed)
 
-    phi_sm, smooth_report = smooth_symmetric(
-        phi, family, config.epsilon, projectors=projectors
-    )
-    residuals = final_residuals(phi_sm, family, projectors)
+    phi_sm, smooth_report = smooth_symmetric(phi, family, config.epsilon)
+    residuals = final_residuals(phi_sm, family)
     elapsed = time.monotonic() - t0
 
     manifest = {

@@ -46,7 +46,7 @@ from .errors import (
     UsageError,
 )
 from .frames import FrameField, check_same_span
-from .linalg import joint_eigenbasis, lowdin
+from .linalg import gram_polar, joint_eigenbasis, lowdin
 
 __all__ = [
     "MIDPOINT_LIMIT",
@@ -290,73 +290,19 @@ def _decay_slope(shells):
     return float(coeff[0])
 
 
-def _gram_polar(candidate):
-    """Smallest and largest Gram eigenvalues of a stack of frames, and their
-    polar factor.
-
-    For frames ``c`` of shape ``(..., n, m)`` returns per-point arrays
-    ``w_min`` and ``w_max``, the extreme eigenvalues of ``G = c^H c``, and
-    the polar factor ``c G^(-1/2)``, which is ``None`` when some ``w_min``
-    is not positive.  ``m = 1`` and ``m = 2`` are in closed form with
-    ``G = [[a, b], [conj(b), e]]``: ``w_max = (a + e)/2 + sqrt(((a - e)/2)**2
-    + |b|**2)`` and ``w_min = det / w_max`` with ``det = a e - |b|**2``,
-    which avoids the cancellation of the difference form; ``G^(-1/2) =
-    adj(G + s) / (s t)`` with ``s = sqrt(det)`` and ``t = sqrt(a + e + 2 s)``
-    (the 2 x 2 square root is ``(G + s) / t``).  Larger ``m`` takes
-    ``eigh``.
-    """
-    m = candidate.shape[-1]
-    if m == 1:
-        w_min = w_max = np.sum(candidate.real**2 + candidate.imag**2, axis=(-2, -1))
-        if not np.min(w_min) > 0.0:
-            return w_min, w_max, None
-        return w_min, w_max, candidate / np.sqrt(w_min)[..., None, None]
-    if m == 2:
-        c0 = candidate[..., 0]
-        c1 = candidate[..., 1]
-        a = np.sum(c0.real**2 + c0.imag**2, axis=-1)
-        e = np.sum(c1.real**2 + c1.imag**2, axis=-1)
-        b = np.sum(c0.conj() * c1, axis=-1)
-        bb = b.real**2 + b.imag**2
-        det = a * e - bb
-        half = 0.5 * (a - e)
-        w_max = 0.5 * (a + e) + np.sqrt(half * half + bb)
-        # w_max is zero only where the frame is zero, and so is det there
-        w_min = det / np.where(w_max > 0.0, w_max, 1.0)
-        if not np.min(w_min) > 0.0:
-            return w_min, w_max, None
-        s = np.sqrt(det)
-        scale = 1.0 / (s * np.sqrt(a + e + 2.0 * s))
-        h00, h01, h11 = ((x * scale)[..., None] for x in (e + s, b, a + s))
-        polar = np.empty_like(candidate)
-        polar[..., 0] = c0 * h00 - c1 * h01.conj()
-        polar[..., 1] = c1 * h11 - c0 * h01
-        return w_min, w_max, polar
-    w, v = np.linalg.eigh(np.swapaxes(candidate.conj(), -1, -2) @ candidate)
-    w_min, w_max = w[..., 0], w[..., -1]
-    if not np.min(w_min) > 0.0:
-        return w_min, w_max, None
-    polar = (candidate @ (v / np.sqrt(w)[..., None, :])) @ np.swapaxes(v.conj(), -1, -2)
-    return w_min, w_max, polar
-
-
 def _gram_screen(candidate, data, rank_floor, target):
     """Reject a ladder rung from its ``m x m`` Gram matrix when that is safe.
 
-    :func:`_gram_polar` gives the singular values ``sqrt(w)`` of the
-    projected frames ``c`` and their polar factor from ``G = c^H c``.  That
-    route loses accuracy like the condition number ``kappa`` squared, so it
-    decides only when the smallest singular value lies below ``rank_floor``
-    or the sup distance to ``data`` above ``target`` by more than
-    ``SCREEN_MARGIN * kappa**2``.  The margin holds for the closed forms of
-    ``m <= 2`` as for ``eigh``: ``a``, ``e``, ``b`` and ``w_max`` carry
-    relative errors of a few eps, so ``det`` and ``w_min = det / w_max`` err
-    by ``O(eps w_max)`` in absolute terms, as ``eigh``'s eigenvalues do, and
-    the polar factor built from ``s = sqrt(det)`` errs by ``O(eps
-    kappa**2)``.  Returns the rung's ``tried`` entry then, and ``None`` when
-    the rung needs the SVD.
+    :func:`~blochframe.linalg.gram_polar` gives the singular values
+    ``sqrt(w)`` of the projected frames ``c`` and their polar factor from
+    ``G = c^H c``.  That route loses accuracy like the condition number
+    ``kappa`` squared, for the closed forms of ``m <= 2`` as for ``eigh``,
+    so it decides only when the smallest singular value lies below
+    ``rank_floor`` or the sup distance to ``data`` above ``target`` by more
+    than ``SCREEN_MARGIN * kappa**2``.  Returns the rung's ``tried`` entry
+    then, and ``None`` when the rung needs the SVD.
     """
-    w_min, w_max, polar = _gram_polar(candidate)
+    w_min, w_max, polar = gram_polar(candidate)
     if polar is None:
         return None
     w_min = float(np.min(w_min))
@@ -391,7 +337,6 @@ def periodic_smooth(
     k_start=2,
     k_max=None,
     rank_floor=0.1,
-    projectors=None,
 ):
     """Band-limit a symmetric torus field to within ``0.9 * epsilon``.
 
@@ -399,9 +344,8 @@ def periodic_smooth(
     discrete Fourier coefficients are damped by the flat-top multiplier
     ``prod_j min(1, max(0, 2 - 2 |q_j| / K))`` (untouched harmonics up to
     ``K/2``, linear taper to zero at ``K``), and the result is twisted
-    back, projected onto ``Ran P(k)`` and symmetrically re-orthonormalized.
-    ``projectors`` are the spectral projectors on the torus grid when the
-    caller has sampled them.
+    back, projected onto ``Ran P(k)`` (the projectors of the family's torus
+    sample) and symmetrically re-orthonormalized.
 
     The cutoff ``K`` climbs a geometric ladder until the sup frame distance
     to the input drops below ``0.9 * epsilon``; the smallest workable
@@ -451,8 +395,7 @@ def periodic_smooth(
     coeffs = np.fft.fftn(data, axes=axes)
     freqs = np.abs(np.fft.fftfreq(big, d=1.0 / big)).astype(int)
 
-    if projectors is None:
-        projectors = family.projector(geometry.torus_k())
+    projectors = family.grid_projectors(geometry.grid_n)
 
     def candidate_at(k):
         """The field smoothed at cutoff ``k`` and projected onto the fibers."""

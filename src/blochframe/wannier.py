@@ -57,9 +57,8 @@ def extend_symmetric(field, family, tol=1e-10):
         value = field.data[geometry.cell_index(k_prime[valid])]
         if s:
             value = family.theta_matrix() @ np.conj(value)
-        for shift in np.unique(lam[valid], axis=0):
-            at = np.all(lam[valid] == shift, axis=-1)
-            value[at] = family.tau_power(shift) @ value[at]
+        # torus points have g // n_side = 0, so lam is the candidate's step
+        value = family.tau_power(lam[(0,) * geometry.d]) @ value
         fresh = valid & (first < 0)
         held = valid & ~fresh
         taken = fresh[valid]

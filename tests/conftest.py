@@ -49,6 +49,16 @@ def random_unitary(rng, m):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def gram_stack(rng, m, kappa, size=64, n=4):
+    """Random frames ``(size, n, m)`` with singular values from 1 down to
+    ``1 / kappa``, so that their Gram matrices have condition ``kappa**2``."""
+    shape = (size, n, m)
+    u = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+    v = np.stack([random_unitary(rng, m) for _ in range(size)])
+    sing = np.geomspace(1.0, 1.0 / kappa, m) * rng.uniform(0.5, 2.0, (size, 1))
+    return (u * sing[:, None, :]) @ v
+
+
 def random_symmetric_unitary(rng, m):
     # every symmetric unitary factors as U U^T (Autonne-Takagi)
     u = random_unitary(rng, m)
@@ -174,6 +184,23 @@ def shifted_trs_3d():
     base = bf.builtin_model("random-trs", n=4, m=2, d=3, seed=0)
     positions = [(0, 0, 0), (0.25, 0.75, 0.25), (0.75, 0.5, 0.75), (0.75, 0, 0)]
     return shifted_orbitals(base, positions, "random-trs-shifted")
+
+
+def model_json(family):
+    """JSON description of ``family`` that ``load_model`` reads back."""
+    def matrix(a):
+        return {"re": np.real(a).tolist(), "im": np.imag(a).tolist()}
+
+    cfg = {
+        "dimension": family.d, "orbitals": family.n, "rank": family.m,
+        "hoppings": [{"R": list(r), **matrix(mat)} for r, mat in family.hoppings.items()],
+        "gap_tolerance": family.gap_tolerance, "name": family.name,
+    }
+    if family.tau is not None:
+        cfg["tau"] = {"generators": [matrix(t) for t in family.tau]}
+    if family.theta is not None:
+        cfg["theta"] = {"unitary": matrix(family.theta)}
+    return cfg
 
 
 def rotated_ssh(seed=2):

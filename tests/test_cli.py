@@ -53,6 +53,21 @@ def test_threads_flag_overrides_the_environment(monkeypatch, capsys):
     assert [os.environ[var] for var in names] == ["1"] * 4
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_a_thread_count_below_one_is_a_usage_error(monkeypatch, capsys, threads):
+    """``--threads`` below 1 is refused, and the thread variables stay as
+    they were."""
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS")
+    for var in names:
+        monkeypatch.setenv(var, "2")
+    code = main(["verify-model", "--model", "ssh", "--grid-n", "2", "--threads", threads])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.err)["error"] == "usage"
+    assert [os.environ[var] for var in names] == ["2"] * 4
+
+
 def test_usage_errors_exit_2_with_json(capsys):
     code = main(["verify-model", "--model", "haldane", "--grid-n", "7"])
     captured = capsys.readouterr()

@@ -112,10 +112,22 @@ def test_input_frame_full_torus_region(haldane):
     assert fld.orthonormality_defect() < 1e-12
 
 
-def _pointwise_input_frame(family, geometry, region):
+def _svd_polar(mat):
+    """Polar factor through the SVD, independent of ``lowdin``."""
+    u, _, vh = np.linalg.svd(mat, full_matrices=False)
+    return u @ vh
+
+
+def _pointwise_input_frame(family, geometry, region, independent):
     """The transport of ``input_frame`` walked one grid point at a time:
     out from the origin along the first axis, then from every covered point
-    along each further axis in turn."""
+    along each further axis in turn.
+
+    With ``independent`` the walk takes its projectors and seed from direct
+    ``eigh`` calls at every ``k`` of the box and its polar factors from an
+    explicit SVD; otherwise from the family's torus sample and ``lowdin``,
+    as ``input_frame`` does.
+    """
     d = family.d
     if region == "full-torus":
         ranges = [range(geometry.n_side)] * d
@@ -125,10 +137,17 @@ def _pointwise_input_frame(family, geometry, region):
         ] * (d - 1)
     corner = np.array([r.start for r in ranges])
     box = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1)
-    projectors = family.projector(geometry.k_of(box))
-    seed, _ = family.spectral_frame(np.zeros(d))
+    if independent:
+        projectors = family.projector(geometry.k_of(box))
+        seed, _ = family.spectral_frame(np.zeros(d))
+        polar = _svd_polar
+    else:
+        projectors = family.grid_projectors(geometry.grid_n, box)
+        evecs = family.torus_eigensystem(geometry.grid_n)[1]
+        seed = evecs[(0,) * d][:, :family.m]
+        polar = lowdin
     origin = (0,) * d
-    frames = {origin: lowdin(_fix_column_phases(seed))}
+    frames = {origin: polar(_fix_column_phases(seed))}
     step_sup = 0.0
     covered = [origin]
     for axis in range(d):
@@ -138,7 +157,7 @@ def _pointwise_input_frame(family, geometry, region):
                 g, prev = list(base), frames[base]
                 while g[axis] + direction in ranges[axis]:
                     g[axis] += direction
-                    cur = lowdin(projectors[tuple(np.subtract(g, corner))] @ prev)
+                    cur = polar(projectors[tuple(np.subtract(g, corner))] @ prev)
                     step_sup = max(step_sup, frame_distance(cur, prev))
                     frames[tuple(g)] = cur
                     reached.append(tuple(g))
@@ -154,11 +173,17 @@ def _pointwise_input_frame(family, geometry, region):
     ("random-trs", {"d": 3, "n": 4, "m": 2, "seed": 0}, 2),
 ])
 def test_input_frame_matches_pointwise_transport(name, params, grid_n, region):
+    """The lockstep sweep is the point-by-point walk on the same
+    ingredients, bit for bit, and agrees with a walk on directly sampled
+    projectors and SVD polar factors to roundoff."""
     fam = builtin_model(name, **params)
     geo = CellGeometry(fam.d, grid_n)
     fld = input_frame(fam, geo, region=region)
-    frames, step_sup = _pointwise_input_frame(fam, geo, region)
+    frames, step_sup = _pointwise_input_frame(fam, geo, region, independent=False)
     assert len(frames) == len(fld.points())
     for g, frame in frames.items():
         assert np.array_equal(fld.get(g), frame)
     assert fld.meta["transport_step_sup"] == pytest.approx(step_sup, abs=1e-15)
+    oracle, oracle_step_sup = _pointwise_input_frame(fam, geo, region, independent=True)
+    assert max(np.max(np.abs(fld.get(g) - frame)) for g, frame in oracle.items()) < 1e-13
+    assert fld.meta["transport_step_sup"] == pytest.approx(oracle_step_sup, abs=1e-13)

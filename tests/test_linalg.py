@@ -2,9 +2,10 @@
 
 The Lowdin orthonormalization is cross-checked against an independent
 oracle built from the Gram matrix: the closest orthonormal-column matrix
-to M is M (M^H M)^{-1/2}, computed here by eigendecomposition rather than
-the SVD route the library uses.  The unitary eigensystem is cross-checked
-against scipy's complex Schur factorization.
+to M is M (M^H M)^{-1/2}, computed here by eigendecomposition.  Its
+closed form for ``m <= 2`` is checked against the polar factor ``u vh`` of
+an explicit SVD.  The unitary eigensystem is cross-checked against scipy's
+complex Schur factorization.
 """
 from itertools import permutations
 
@@ -16,13 +17,14 @@ from hypothesis import given, settings, strategies as st
 from blochframe.errors import BlochFrameError
 from blochframe.linalg import (
     cluster_phases,
+    gram_polar,
     joint_eigenbasis,
     lowdin,
     unitary_eigensystem,
     wrap_to_pi,
 )
 
-from conftest import random_unitary
+from conftest import gram_stack, random_unitary
 
 
 def gram_power_orthonormalize(mat):
@@ -82,6 +84,64 @@ def test_lowdin_rank_tolerance(rng):
     assert np.linalg.norm(q.conj().T @ q - np.eye(2)) < 1e-12
 
 
+
+def _svd_polar(mat):
+    u, _, vh = np.linalg.svd(mat, full_matrices=False)
+    return u @ vh
+
+
+def _svd_rank_error(mat):
+    """The message of the SVD route's rank refusal for ``mat``."""
+    worst = np.min(np.linalg.svd(mat, compute_uv=False)[..., -1])
+    return f"rank-deficient input, smallest singular value {worst:.3e}"
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("kappa", [1.0, 3.0, 9.5])
+def test_lowdin_takes_the_closed_form_within_its_bound(rng, m, kappa):
+    """Up to condition number 10 ``lowdin`` is the closed form of
+    ``gram_polar`` and within ``64 eps kappa**2`` of the SVD's polar
+    factor."""
+    c = gram_stack(rng, m, kappa)
+    got = lowdin(c)
+    assert np.array_equal(got, gram_polar(c)[2])
+    bound = 64 * np.finfo(float).eps * kappa**2
+    assert np.max(np.abs(got - _svd_polar(c))) <= bound
+
+
+def test_lowdin_takes_the_svd_on_an_ill_conditioned_stack(rng):
+    """One frame of condition 1e4 among well-conditioned ones sends the
+    whole stack to the SVD; the Gram route errs by about 1e-8 there."""
+    c = gram_stack(rng, 2, 1.0, size=16)
+    c[5] = gram_stack(rng, 2, 1e4, size=1)[0]
+    want = _svd_polar(c)
+    assert np.max(np.abs(lowdin(c) - want)) <= 1e-12
+    assert np.max(np.abs(gram_polar(c)[2] - want)) > 1e-12
+
+
+@pytest.mark.parametrize("m, kappa", [(1, 1.0), (2, 8.0), (2, 1e4)])
+def test_lowdin_refuses_a_rank_floor_alike_on_both_routes(rng, m, kappa):
+    """A stack whose smallest singular value is 0.05 is refused at
+    ``rank_tol`` 0.1 with the SVD's message, within the closed form's range
+    of condition (1 and 8) and beyond it (1e4)."""
+    c = gram_stack(rng, m, kappa, size=8)
+    c *= 0.05 / np.min(np.linalg.svd(c, compute_uv=False))
+    w_min, w_max, _ = gram_polar(c)
+    assert bool(np.all(w_max <= 100 * w_min)) is (kappa <= 10)
+    with pytest.raises(ValueError) as exc:
+        lowdin(c, rank_tol=0.1)
+    assert str(exc.value) == _svd_rank_error(c)
+    # well above the floor, the closed-form stacks pass
+    if kappa <= 10:
+        assert np.array_equal(lowdin(c, rank_tol=0.04), gram_polar(c)[2])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_lowdin_keeps_a_real_input_real(rng, m):
+    c = rng.standard_normal((8, 5, m))
+    got = lowdin(c)
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - _svd_polar(c))) <= 1e-13
 
 
 def _multiset_distance(a, b):

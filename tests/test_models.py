@@ -6,6 +6,7 @@ f(k) = t1 (1 + e^{-2 pi i k_1} + e^{-2 pi i k_2}), chiral second-neighbour
 sums on the two sites, and the lower-band projector from the Bloch vector
 (never calling the library's eigensolver).
 """
+import dataclasses
 import json
 
 import numpy as np
@@ -21,7 +22,12 @@ from blochframe.models import (
     verify_assumptions,
 )
 
-from conftest import reversal_break_between_grid_points, shifted_haldane, rotated_ssh
+from conftest import (
+    reversal_break_between_grid_points,
+    rotated_ssh,
+    shifted_haldane,
+    shifted_trs_3d,
+)
 
 SECOND_NEIGHBOUR = [(1, 0), (-1, 1), (0, -1)]
 
@@ -326,13 +332,48 @@ def test_describe_is_json_safe():
     (builtin_model("random-trs", d=3, n=2, m=1), 16),
 ])
 def test_the_torus_sample_gives_the_same_report(family, grid_n):
-    """``require_assumptions`` samples the torus once; its report is the
-    one ``verify_assumptions`` gives on its own sample."""
-    alone = verify_assumptions(family, grid_n=grid_n).as_dict()
-    report, projectors = require_assumptions(family, grid_n=grid_n)
+    """``require_assumptions`` reads the family's torus sample; its report
+    is the one ``verify_assumptions`` gives on a fresh copy of the family,
+    and the sample's projectors are those of ``projector`` on the grid."""
+    alone = verify_assumptions(dataclasses.replace(family), grid_n=grid_n).as_dict()
+    report = require_assumptions(family, grid_n=grid_n)
     assert report.as_dict() == alone
     torus_k = CellGeometry(family.d, grid_n).torus_k()
-    assert np.array_equal(projectors, family.projector(torus_k))
+    assert np.array_equal(family.grid_projectors(grid_n), family.projector(torus_k))
+
+
+# quarter offsets make tau_j**2 != 1, so a gather conjugating the wrong
+# way round lands on P(k + 2 e_j) instead of P(k)
+_GATHER_CASES = pytest.mark.parametrize("make, grid_n", [
+    (lambda: shifted_haldane((0.25, 0.75)), 4),
+    (shifted_trs_3d, 2),
+], ids=["shifted-haldane", "shifted-trs-3d"])
+
+
+def _gather_defect(family, grid_n):
+    """Largest distance between the cell-box projectors gathered from the
+    torus sample and those sampled directly at the box's ``k``."""
+    geo = CellGeometry(family.d, grid_n)
+    box = geo.cell_points()
+    gathered = family.grid_projectors(grid_n, box)
+    direct = family.projector(geo.k_of(box))
+    return float(np.max(np.linalg.norm(gathered - direct, axis=(-2, -1))))
+
+
+@_GATHER_CASES
+def test_the_gathered_cell_box_projectors_are_the_sampled_ones(make, grid_n):
+    """``tau_lam P(rep) tau_lam^H`` from the torus sample is ``P(k)`` on the
+    whole effective-cell box, whose points wrap by ``lam_j = -1``."""
+    assert _gather_defect(make(), grid_n) < 1e-13
+
+
+@_GATHER_CASES
+def test_a_gather_conjugating_the_wrong_way_fails(make, grid_n, monkeypatch):
+    """Negative control: ``tau_lam^H P(rep) tau_lam`` misses ``P(k)``."""
+    real = ProjectorFamily.tau_power
+    monkeypatch.setattr(ProjectorFamily, "tau_power",
+                        lambda self, lam: real(self, lam).conj().T)
+    assert _gather_defect(make(), grid_n) > 1e-2
 
 
 def test_fractional_hoppings_without_tau_fail_on_the_torus_sample():
@@ -349,7 +390,7 @@ def test_the_gap_floor_is_the_minimum_over_the_whole_torus_sample():
     """The gap floor of a construct covers every torus point: every second
     point per axis at d=3 grid_n 16 alone gives 1.882556 for this model."""
     family = builtin_model("random-trs", d=3, n=4, m=2, seed=0)
-    report, _ = require_assumptions(family, grid_n=16)
+    report = require_assumptions(family, grid_n=16)
     evals = np.linalg.eigvalsh(family.hamiltonian(CellGeometry(3, 16).torus_k()))
     assert report.gap_floor == pytest.approx(np.min(evals[..., 2] - evals[..., 1]),
                                              abs=1e-12)

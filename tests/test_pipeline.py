@@ -20,6 +20,8 @@ from blochframe.pipeline import (
     run_wannierize,
 )
 
+from conftest import model_json, shifted_trs_3d
+
 
 def test_runconfig_validation():
     with pytest.raises(UsageError):
@@ -28,6 +30,9 @@ def test_runconfig_validation():
         RunConfig(model="ssh", tol=0.0)
     with pytest.raises(UsageError):
         RunConfig(model="ssh", epsilon=-1.0)
+    for threads in (0, -3):
+        with pytest.raises(UsageError):
+            RunConfig(model="ssh", threads=threads)
 
 
 def test_load_family_builtins_and_files(tmp_path):
@@ -243,14 +248,18 @@ def test_construct_samples_the_torus_once(config, monkeypatch):
     assert shapes.count(torus_shape) == 1
 
 
-@pytest.mark.parametrize("config", [
-    RunConfig(model="haldane", grid_n=8),
-    RunConfig(model="random-trs", params={"d": 3, "n": 4, "m": 1, "seed": 9},
-              grid_n=4),
-])
-def test_construct_makes_three_eigensystem_calls(config, monkeypatch):
-    """The torus sample, the input frame's sweep box and its seed frame
-    at ``k = 0``: the symmetries are checked on the hopping matrices."""
+@pytest.mark.parametrize("model", ["haldane", "shifted-trs-3d"])
+def test_each_command_samples_the_bloch_data_once(model, tmp_path, monkeypatch):
+    """``construct`` reads its gap floor, input frame, smoothing and
+    residuals from one torus sample (the symmetries are checked on the
+    hopping matrices); ``wannierize`` on its artifacts samples once more,
+    for its control frame."""
+    if model == "haldane":
+        config = RunConfig(model="haldane", grid_n=8, out=str(tmp_path / "out"))
+    else:
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model_json(shifted_trs_3d())))
+        config = RunConfig(model=str(path), grid_n=4, out=str(tmp_path / "out"))
     calls = []
     real = ProjectorFamily.eigensystem
 
@@ -259,8 +268,12 @@ def test_construct_makes_three_eigensystem_calls(config, monkeypatch):
         return real(self, k)
 
     monkeypatch.setattr(ProjectorFamily, "eigensystem", spy)
+    torus_shape = CellGeometry(load_family(config).d, config.grid_n).torus_shape
     run_construct(config)
-    assert len(calls) == 3
+    assert calls == [torus_shape]
+    calls.clear()
+    run_wannierize(config)
+    assert calls == [torus_shape]
 
 
 @pytest.mark.parametrize("grid_n, cutoff, resolved", [(8, 9, False), (32, 12, True)])

@@ -17,6 +17,7 @@ from blochframe.errors import (
 from blochframe.face2d import construct_2d
 from blochframe.frames import frame_distance, input_frame
 from blochframe import smoothing
+from blochframe.linalg import gram_polar
 from blochframe.pipeline import RunConfig, final_residuals, run_construct
 from blochframe.smoothing import (
     apply_twist,
@@ -31,6 +32,7 @@ from blochframe.smoothing import (
 
 from conftest import (
     geodesic_distance,
+    gram_stack,
     random_unitary,
     shifted_haldane,
     skew_hermitian,
@@ -437,20 +439,10 @@ def test_rank_loss_payload_is_json_safe_at_m2(smoothing_cases):
     _check_rank_loss_payload(*smoothing_cases["random-trs-2d"])
 
 
-def _gram_stack(rng, m, kappa, size=64, n=4):
-    """Random frames ``(size, n, m)`` with singular values from 1 down to
-    ``1 / kappa``, so that their Gram matrices have condition ``kappa**2``."""
-    shape = (size, n, m)
-    u = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
-    v = np.stack([random_unitary(rng, m) for _ in range(size)])
-    sing = np.geomspace(1.0, 1.0 / kappa, m) * rng.uniform(0.5, 2.0, (size, 1))
-    return (u * sing[:, None, :]) @ v
-
-
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_gram_polar_matches_eigh_and_the_svd(rng, m):
     eps = np.finfo(float).eps
-    stacks = [_gram_stack(rng, m, kappa) for kappa in (1.0, 10.0, 1e2, 1e3, 1e4)]
+    stacks = [gram_stack(rng, m, kappa) for kappa in (1.0, 10.0, 1e2, 1e3, 1e4)]
     # diagonal Grams, an exactly degenerate one (b = 0, a = e) among them
     diagonal = np.zeros((3, 4, m), dtype=complex)
     for j in range(m):
@@ -458,12 +450,12 @@ def test_gram_polar_matches_eigh_and_the_svd(rng, m):
     stacks.append(diagonal)
     # there every eigenvalue is a diagonal entry, and the smallest one keeps
     # its relative accuracy (a difference form w_min = a + e - w_max loses it)
-    w_min, w_max, _ = smoothing._gram_polar(diagonal)
+    w_min, w_max, _ = gram_polar(diagonal)
     entries = np.sort(np.sum(np.abs(diagonal) ** 2, axis=-2), axis=-1)
     assert np.allclose(w_min, entries[..., 0], rtol=8 * eps, atol=0.0)
     assert np.allclose(w_max, entries[..., -1], rtol=8 * eps, atol=0.0)
     for c in stacks:
-        w_min, w_max, polar = smoothing._gram_polar(c)
+        w_min, w_max, polar = gram_polar(c)
         w = np.linalg.eigvalsh(np.swapaxes(c.conj(), -1, -2) @ c)
         scale = 8 * eps * w[..., -1]
         assert np.all(np.abs(w_min - w[..., 0]) <= scale)
@@ -475,11 +467,11 @@ def test_gram_polar_matches_eigh_and_the_svd(rng, m):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_a_rank_deficient_gram_defers_to_the_svd(rng, m):
-    c = _gram_stack(rng, m, 1.0, size=8)
+    c = gram_stack(rng, m, 1.0, size=8)
     c[3] = 0.0
     if m > 1:
         c[5, :, 1] = 2.0 * c[5, :, 0]
-    w_min, _, polar = smoothing._gram_polar(c)
+    w_min, _, polar = gram_polar(c)
     assert polar is None
     assert not np.any(np.isnan(w_min))
     assert np.min(w_min) <= 1e-15
@@ -497,16 +489,12 @@ def test_the_ladder_takes_no_eigh_for_m_up_to_2(smoothing_cases, monkeypatch):
         return real(a, *args, **kwargs)
 
     cases = {"haldane": False, "random-trs-2d": False, "random-trs-m3": True}
-    # sampled before the spy goes in: sampling the projectors takes eigh
-    projectors = {
-        case: smoothing_cases[case][0].projector(
-            smoothing_cases[case][1].geometry.torus_k()
-        )
-        for case in cases
-    }
+    # sampled before the spy goes in: sampling the torus takes eigh
+    for family, field in smoothing_cases.values():
+        family.torus_eigensystem(field.geometry.grid_n)
     monkeypatch.setattr(np.linalg, "eigh", spy)
     for case, takes_eigh in cases.items():
         family, field = smoothing_cases[case]
         calls.clear()
-        periodic_smooth(field, family, 0.1, projectors=projectors[case])
+        periodic_smooth(field, family, 0.1)
         assert bool(calls) is takes_eigh, case

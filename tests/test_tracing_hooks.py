@@ -45,3 +45,21 @@ def test_the_tracer_installs_and_restores_every_wrap(monkeypatch):
     finally:
         tracer.restore()
     assert all(vars(owner)[attr] is original for owner, attr, original in saved)
+
+
+def test_the_pipeline_calls_every_wrapped_name_as_the_tracer_takes_it(monkeypatch, tmp_path):
+    """A construct and a wannierize under the installed tracer: the wrapper
+    of ``input_frame`` takes ``(family, geometry, region=...)`` only, so a
+    call through any other keyword fails here before it fails a traced
+    benchmark run."""
+    tracer = _load_tracing(monkeypatch).Tracer(blochframe)
+    config = blochframe.RunConfig(model="ssh", grid_n=4, out=str(tmp_path))
+    try:
+        tracer.install()
+        blochframe.pipeline.run_construct(config)
+        blochframe.pipeline.run_wannierize(config)
+    finally:
+        tracer.restore()
+    names = {span["name"] for span in tracer.spans}
+    assert {"frames.input_frame", "frames.control_frame"} <= names
+    assert tracer.counters["models.eigensystem"] == 2
