@@ -7,6 +7,7 @@ memory.  All randomness flows from the single configured seed, so repeated
 runs produce byte-identical artifacts.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -91,10 +92,25 @@ def load_family(config):
     return family
 
 
-def _config_record(config):
+def _model_sha256(family):
+    """sha256 of a model's content: its shape, its hoppings in order of
+    ``R``, then ``theta``, ``tau`` and ``gap_tolerance``.  It tells an
+    edited JSON file from the one an artifact was built from."""
+    digest = hashlib.sha256(repr((family.d, family.n, family.m)).encode())
+    for r in sorted(family.hoppings):
+        digest.update(repr(r).encode())
+        digest.update(np.asarray(family.hoppings[r], dtype=complex).tobytes())
+    for mat in [family.theta, *(family.tau or [None])]:
+        digest.update(b"-" if mat is None else np.asarray(mat, dtype=complex).tobytes())
+    digest.update(repr(float(family.gap_tolerance)).encode())
+    return digest.hexdigest()
+
+
+def _config_record(config, family):
     """The configuration as the manifest stores it."""
     return {
         "model": config.model,
+        "model_sha256": _model_sha256(family),
         "params": config.params,
         "grid_n": config.grid_n,
         "tol": config.tol,
@@ -104,9 +120,10 @@ def _config_record(config):
     }
 
 
-def _check_config(config, manifest):
-    """Refuse a manifest that another configuration wrote."""
-    current = json.loads(json.dumps(io_mod.jsonable(_config_record(config))))
+def _check_config(config, family, manifest):
+    """Refuse a manifest that another configuration, or another content of
+    the model, wrote."""
+    current = json.loads(json.dumps(io_mod.jsonable(_config_record(config, family))))
     stored = manifest.get("config")
     if stored != current:
         raise UsageError(
@@ -117,10 +134,10 @@ def _check_config(config, manifest):
         )
 
 
-def _check_reusable(config, manifest, phi_sm_path):
+def _check_reusable(config, family, manifest, phi_sm_path):
     """Refuse stored artifacts that another configuration wrote, or that
     changed since their manifest recorded them."""
-    _check_config(config, manifest)
+    _check_config(config, family, manifest)
     recorded = manifest.get("artifacts", {}).get("phi_sm.blf1")
     if recorded != io_mod.file_sha256(phi_sm_path):
         raise UsageError(
@@ -225,7 +242,7 @@ def run_construct(config):
 
     manifest = {
         "model": family.describe(),
-        "config": _config_record(config),
+        "config": _config_record(config, family),
         "assumptions": report.as_dict(),
         "obstruction_symmetry_defects": obstructions,
         "construction": io_mod.jsonable(diag),
@@ -266,15 +283,14 @@ def run_wannierize(config):
     """
     manifest_path = _outpath(config, "manifest.json")
     phi_sm_path = _outpath(config, "phi_sm.blf1")
-    family = None
     if (
         manifest_path is not None
         and os.path.exists(manifest_path)
         and os.path.exists(phi_sm_path)
     ):
         manifest = io_mod.read_json(manifest_path)
-        _check_reusable(config, manifest, phi_sm_path)
         family = load_family(config)
+        _check_reusable(config, family, manifest, phi_sm_path)
         phi_sm = io_mod.load_frames(phi_sm_path)
         geometry = phi_sm.geometry
     else:
@@ -344,7 +360,7 @@ def run_report(config):
             "subcommand first"
         )
     manifest = io_mod.read_json(manifest_path)
-    _check_config(config, manifest)
+    _check_config(config, load_family(config), manifest)
     lines = []
     model = manifest.get("model", {})
     lines.append(f"model: {model.get('name')} (d={model.get('dimension')}, "
@@ -377,6 +393,11 @@ def run_report(config):
     lines.append(f"  cutoff fraction: {_fmt(sm.get('cutoff_fraction'))}")
     lines.append(f"  nyquist resolved: {_fmt(sm.get('nyquist_resolved'))}")
     lines.append(f"  sup distance: {_fmt(sm.get('sup_distance'))}")
+    tried = sm.get("tried", [])
+    on_subgrid = sum(1 for t in tried if t.get("subgrid"))
+    lines.append(
+        f"  rungs tried: {len(tried)} ({on_subgrid} rejected on the stride-2 subgrid)"
+    )
     lines.append(
         f"  total move (with symmetrization): "
         f"{_fmt(smoothing.get('sup_distance_total'))} "

@@ -16,12 +16,16 @@ without losing the symmetries:
   multiplier (weight one up to half the cutoff, linear taper to zero at the
   cutoff), twisted back, re-projected onto the fibers and
   re-orthonormalized; the cutoff is raised, up to ``n_side - 1``, until the
-  result is within the requested distance of the input.  Each rung is first
-  screened through the eigenvalues and polar factor of its ``m x m`` Gram
-  matrix, in closed form for ``m <= 2`` and through ``eigh`` beyond, and
-  only a rung the screen cannot reject takes the full SVD, so the ladder
-  costs a few elementwise passes per rung (one small ``eigh`` per point
-  when ``m >= 3``) and one SVD per decision;
+  result is within the requested distance of the input.  Each rung is
+  decided from the eigenvalues and polar factor of its ``m x m`` Gram
+  matrix (closed form for ``m <= 2``, ``eigh`` beyond): first on the
+  stride-2 subgrid, whose values the aliased coefficients give exactly
+  through an inverse FFT of ``1/2**d`` the size, which can only reject;
+  then on the full torus, which rejects, or accepts the closed-form polar
+  factor when ``m <= 2`` and every frame is conditioned within
+  ``linalg.GRAM_CONDITION``.  Only a rung within roundoff of the rank floor
+  or the target, or one the closed form may not accept, takes the full
+  SVD;
 * an exact re-symmetrization that restores the reflection property at
   every grid point by midpointing each frame with the time-reversed image
   of its partner.
@@ -46,7 +50,7 @@ from .errors import (
     UsageError,
 )
 from .frames import FrameField, check_same_span
-from .linalg import gram_polar, joint_eigenbasis, lowdin
+from .linalg import GRAM_CONDITION, gram_polar, joint_eigenbasis, lowdin
 
 __all__ = [
     "MIDPOINT_LIMIT",
@@ -65,7 +69,7 @@ __all__ = [
 MIDPOINT_LIMIT = 0.25 * np.pi
 
 # A smoothing rung is decided on its Gram screen only when it clears the
-# rank floor or the distance target by more than this times its condition
+# rank floor and the distance target by more than this times its condition
 # number squared; otherwise the full SVD decides.
 SCREEN_MARGIN = 1e-12
 
@@ -127,17 +131,17 @@ def _reflected_partners(field, family):
     """``tau^(-lam) theta Phi(partner(g))`` at every stored point ``g``.
 
     With ``-g = partner + N lam`` the reflection property reads ``Phi(g) =
-    tau^(-lam) theta Phi(partner)``; the points are grouped by their ``2**d``
-    distinct shifts ``lam``.
+    tau^(-lam) theta Phi(partner)``.  ``partner = (-g) mod N`` is a flip and
+    a roll by one along every axis, and ``lam_j`` is ``0`` on the slice
+    ``g_j = 0`` and ``-1`` on ``g_j > 0``, so each of the ``2**d`` shifts
+    covers one block of slices.
     """
-    geometry = field.geometry
-    partner, lam = geometry.reflection_map()
-    conj_partner = np.conj(field.data[tuple(np.moveaxis(partner, -1, 0))])
+    axes = tuple(range(field.geometry.d))
+    conj_partner = np.roll(np.flip(np.conj(field.data), axes), 1, axes)
     out = np.empty_like(conj_partner)
-    for shift in product((0, -1), repeat=geometry.d):
-        at = np.all(lam == shift, axis=-1)
-        minus = tuple(-x for x in shift)
-        out[at] = family.antiunitary_matrix(minus) @ conj_partner[at]
+    for minus in product((0, 1), repeat=len(axes)):
+        block = tuple(slice(1, None) if x else slice(0, 1) for x in minus)
+        out[block] = family.antiunitary_matrix(minus) @ conj_partner[block]
     return out
 
 
@@ -290,30 +294,46 @@ def _decay_slope(shells):
     return float(coeff[0])
 
 
-def _gram_screen(candidate, data, rank_floor, target):
-    """Reject a ladder rung from its ``m x m`` Gram matrix when that is safe.
+def _gram_screen(candidate, data, rank_floor, target, accept=False):
+    """Decide a ladder rung from its ``m x m`` Gram matrix when that is safe.
 
     :func:`~blochframe.linalg.gram_polar` gives the singular values
     ``sqrt(w)`` of the projected frames ``c`` and their polar factor from
     ``G = c^H c``.  That route loses accuracy like the condition number
     ``kappa`` squared, for the closed forms of ``m <= 2`` as for ``eigh``,
-    so it decides only when the smallest singular value lies below
-    ``rank_floor`` or the sup distance to ``data`` above ``target`` by more
-    than ``SCREEN_MARGIN * kappa**2``.  Returns the rung's ``tried`` entry
-    then, and ``None`` when the rung needs the SVD.
+    so it decides only when the smallest singular value and the sup
+    distance to ``data`` clear ``rank_floor`` and ``target`` by more than
+    ``SCREEN_MARGIN * kappa**2``.  It rejects a rung below the floor or
+    above the target.  With ``accept`` it also accepts a rung above the
+    floor and below the target when ``m <= 2`` and every Gram matrix has
+    ``w_max <= GRAM_CONDITION * w_min``; its frames are then the closed-form
+    polar factor, which is :func:`~blochframe.linalg.lowdin` of
+    ``candidate`` bit for bit.
+
+    Returns ``(entry, frames)`` as :func:`_svd_rung` does, with ``frames``
+    ``None`` on a rejection, or ``None`` when the rung needs the SVD.
     """
     w_min, w_max, polar = gram_polar(candidate)
     if polar is None:
         return None
-    w_min = float(np.min(w_min))
-    low = float(np.sqrt(w_min))
-    margin = SCREEN_MARGIN * float(np.max(w_max)) / w_min
+    smallest = float(np.min(w_min))
+    low = float(np.sqrt(smallest))
+    margin = SCREEN_MARGIN * float(np.max(w_max)) / smallest
     if low < rank_floor - margin:
-        return {"rank_loss": low}
+        return {"rank_loss": low}, None
     if low < rank_floor + margin:
         return None
     dist = _sup_distance(polar, data)
-    return {"sup_distance": dist} if dist > target + margin else None
+    if dist > target + margin:
+        return {"sup_distance": dist}, None
+    if (
+        accept
+        and dist < target - margin
+        and candidate.shape[-1] <= 2
+        and np.all(w_max <= GRAM_CONDITION * w_min)
+    ):
+        return {"sup_distance": dist}, polar
+    return None
 
 
 def _svd_rung(candidate, data, rank_floor):
@@ -359,12 +379,31 @@ def periodic_smooth(
     the search continues upward; if no cutoff succeeds the last rank
     failure is raised as :class:`ProjectionRankLoss`.
 
-    Each rung is screened by :func:`_gram_screen`, which needs no
-    eigensolver for ``m <= 2`` and one ``eigh`` of the Gram stack beyond;
-    the rung it cannot reject, and so the accepted one, is decided by the
-    full SVD, which makes the chosen cutoff and the returned frames those
-    of an all-SVD ladder.  Screened rungs record their Gram values in
-    ``tried``, which agree with the SVD's to roundoff.
+    Each rung is decided at the cheapest exact level by
+    :func:`_gram_screen`, which needs no eigensolver for ``m <= 2`` and one
+    ``eigh`` of the Gram stack beyond:
+
+    * on the stride-2 subgrid.  The smoothed field at the even grid points
+      is exactly the inverse FFT, ``1/2**d`` the size and divided by
+      ``2**d``, of the damped coefficients folded mod ``n_side / 2`` (DFT
+      aliasing).  A sup distance above the target, or a singular value
+      below the floor, at those points holds on the whole torus, so the
+      subgrid rejects such a rung; its ``tried`` entry carries the subgrid
+      value, a lower bound of the torus one, and ``"subgrid": true``.  The
+      subgrid never accepts: the frame may be far off only at odd points.
+      A rung rejected there for its distance is recorded as a distance
+      failure even if the torus would also show a rank loss;
+    * on the full torus.  The screen rejects, or for ``m <= 2`` accepts
+      the closed-form polar factor when every frame's condition number is
+      at most ``sqrt(GRAM_CONDITION)``; these frames are ``lowdin`` of the
+      projected field, the package's polar factor everywhere else;
+    * by the full SVD, for a rung within ``SCREEN_MARGIN * kappa**2`` of
+      the floor or the target, and for accepted rungs the closed form may
+      not take (``m >= 3`` or ``kappa > 10``).
+
+    So the chosen cutoff is that of an all-SVD ladder, and the returned
+    frames are the ones whose distance the report records.  The Gram
+    values in ``tried`` agree with the SVD's to roundoff.
 
     Returns ``(field, report)``; the report records the chosen cutoff, its
     fraction of ``n_side`` and whether it zeroes the grid's Nyquist shell
@@ -396,19 +435,25 @@ def periodic_smooth(
     freqs = np.abs(np.fft.fftfreq(big, d=1.0 / big)).astype(int)
 
     projectors = family.grid_projectors(geometry.grid_n)
+    sub = (slice(None, None, 2),) * d
+    sub_twist = None if twist is None else (twist[0], twist[1][sub])
+    fold = (2, big // 2) * d + coeffs.shape[d:]
 
-    def candidate_at(k):
-        """The field smoothed at cutoff ``k`` and projected onto the fibers."""
+    def candidate_at(k, subgrid=False):
+        """The field smoothed at cutoff ``k`` and projected onto the fibers,
+        on the torus or, with ``subgrid``, at its even grid points."""
         mult = np.ones(geometry.torus_shape)
         for j in range(d):
             shape = [1] * d
             shape[j] = big
             mult = mult * np.clip(2.0 - 2.0 * freqs / k, 0.0, 1.0).reshape(shape)
-        smoothed = np.fft.ifftn(
-            coeffs * mult.reshape(geometry.torus_shape + (1, 1)), axes=axes
-        )
-        smoothed = apply_twist(twist, smoothed)
-        return np.einsum("...ab,...bm->...am", projectors, smoothed)
+        damped = coeffs * mult.reshape(geometry.torus_shape + (1, 1))
+        if not subgrid:
+            smoothed = apply_twist(twist, np.fft.ifftn(damped, axes=axes))
+            return np.einsum("...ab,...bm->...am", projectors, smoothed)
+        folded = damped.reshape(fold).sum(axis=tuple(range(0, 2 * d, 2)))
+        smoothed = apply_twist(sub_twist, np.fft.ifftn(folded, axes=axes) / 2**d)
+        return np.einsum("...ab,...bm->...am", projectors[sub], smoothed)
 
     shells_before = _spectral_shells(coeffs, d)
     diff_before = _second_difference(data, d)
@@ -417,12 +462,17 @@ def periodic_smooth(
     tried = []
     k = int(k_start)
     while k <= k_max:
-        candidate = candidate_at(k)
-        entry = _gram_screen(candidate, field.data, rank_floor, target)
-        if entry is None:
-            entry, ortho_frames = _svd_rung(candidate, field.data, rank_floor)
+        rejected = _gram_screen(
+            candidate_at(k, subgrid=True), field.data[sub], rank_floor, target
+        )
+        if rejected is not None:
+            entry = {**rejected[0], "subgrid": True}
+        else:
+            candidate = candidate_at(k)
+            entry, ortho_frames = _gram_screen(
+                candidate, field.data, rank_floor, target, accept=True
+            ) or _svd_rung(candidate, field.data, rank_floor)
         tried.append({"cutoff": k, **entry})
-        # the screen only rejects, so an accepted rung went through the SVD
         if entry.get("sup_distance", target) < target:
             out = FrameField(
                 geometry,

@@ -369,13 +369,14 @@ def test_the_pipeline_never_loads_scipy(tmp_path):
     assert [mods for _, _, mods in seen] == [[]] * 9
 
 
-def _ssh_json():
-    """A JSON model that ``verify-model`` accepts: the SSH chain."""
+def _ssh_json(w=0.5):
+    """A JSON model that ``verify-model`` accepts: the SSH chain with
+    intercell hopping ``w``."""
     return {
         "dimension": 1, "orbitals": 2, "rank": 1,
         "hoppings": [{"R": [0], "re": [[0, 1], [1, 0]]},
-                     {"R": [1], "re": [[0, 0], [0.5, 0]]},
-                     {"R": [-1], "re": [[0, 0.5], [0, 0]]}],
+                     {"R": [1], "re": [[0, 0], [w, 0]]},
+                     {"R": [-1], "re": [[0, w], [0, 0]]}],
     }
 
 
@@ -418,6 +419,48 @@ def test_a_json_model_keeps_its_gap_tolerance(tmp_path, capsys):
     code = main(["verify-model", "--model", str(path), "--grid-n", "4", "--gap-tol", "0.5"])
     assert code == 0
     assert "passed: True" in capsys.readouterr().out
+
+
+def test_an_edited_json_model_is_another_configuration(tmp_path, capsys):
+    """Artifacts of the SSH chain at ``w = 0.4`` are refused once the file
+    says ``w = 1.6``: the path is the same, the model is not."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_ssh_json(0.4)))
+    out = tmp_path / "run"
+    argv = ["--model", str(path), "--grid-n", "8", "--out", str(out)]
+    for command in ("construct", "wannierize", "report"):
+        assert main([command, *argv]) == 0
+    wan1 = file_sha256(out / "wannier.wan1")
+    path.write_text(json.dumps(_ssh_json(1.6)))
+    for command in ("wannierize", "report"):
+        capsys.readouterr()
+        code = main([command, *argv])
+        captured = capsys.readouterr()
+        assert code == 2, command
+        assert captured.out == ""
+        payload = json.loads(captured.err)
+        assert payload["error"] == "usage"
+        assert "another configuration" in payload["message"]
+        stored, current = payload["details"]["stored"], payload["details"]["current"]
+        assert stored["model"] == current["model"] == str(path)
+        assert stored["model_sha256"] != current["model_sha256"]
+    assert file_sha256(out / "wannier.wan1") == wan1
+    assert not (out / "report.txt").exists()
+
+
+def test_report_counts_the_rungs_rejected_on_the_subgrid(tmp_path, capsys):
+    assert _haldane("construct", tmp_path) == 0
+    tried = read_json(tmp_path / "manifest.json")["smoothing"]["smoothing"]["tried"]
+    on_subgrid = sum(1 for t in tried if t.get("subgrid"))
+    assert 0 < on_subgrid < len(tried)
+    capsys.readouterr()
+    assert _haldane("report", tmp_path) == 0
+    text = capsys.readouterr().out
+    block = text[text.index("smoothing:"):text.index("final residuals:")]
+    assert (
+        f"  rungs tried: {len(tried)} ({on_subgrid} rejected on the stride-2 subgrid)"
+        in block.splitlines()
+    )
 
 
 @pytest.mark.parametrize("flag", ["--tol", "--gap-tol", "--epsilon"])

@@ -17,7 +17,7 @@ from blochframe.errors import (
 from blochframe.face2d import construct_2d
 from blochframe.frames import frame_distance, input_frame
 from blochframe import smoothing
-from blochframe.linalg import gram_polar
+from blochframe.linalg import GRAM_CONDITION, gram_polar, lowdin
 from blochframe.pipeline import RunConfig, final_residuals, run_construct
 from blochframe.smoothing import (
     apply_twist,
@@ -273,43 +273,58 @@ def test_symmetrize_keeps_a_field_whose_translations_square_to_minus_one():
     assert final_residuals(fixed, fam)["projector"] <= 1e-12
 
 
-def _all_svd_ladder(field, family, epsilon, rank_floor=0.1):
-    """Reference ladder: every rung decided by the full SVD polar factor.
-
-    Returns ``(cutoff, frames, tried)`` of the first rung within ``0.9
-    epsilon``, or the ``ProjectionRankLoss`` payload ``(None, point,
-    singular_value)`` when every rung loses rank.  Climbs to
-    ``n_side - 1``, and tries it, like :func:`periodic_smooth`.
-    """
+def _reference_candidate(field, family, k):
+    """Rung ``k`` of the ladder, built on the full torus: the field smoothed
+    at cutoff ``k`` and projected onto the fibers."""
     geo = field.geometry
     big, d = geo.n_side, geo.d
     twist = twist_gauge(geo, family)
     axes = tuple(range(d))
     coeffs = np.fft.fftn(apply_twist(twist, field.data, inverse=True), axes=axes)
     freqs = np.abs(np.fft.fftfreq(big, d=1.0 / big)).astype(int)
-    projectors = family.projector(geo.torus_k())
+    mult = np.ones(geo.torus_shape)
+    for j in range(d):
+        shape = [1] * d
+        shape[j] = big
+        mult = mult * np.clip(2.0 - 2.0 * freqs / k, 0.0, 1.0).reshape(shape)
+    smoothed = np.fft.ifftn(coeffs * mult.reshape(geo.torus_shape + (1, 1)), axes=axes)
+    return np.einsum(
+        "...ab,...bm->...am", family.projector(geo.torus_k()), apply_twist(twist, smoothed)
+    )
+
+
+def _all_svd_ladder(field, family, epsilon, rank_floor=0.1):
+    """Reference ladder: every rung decided by the full SVD polar factor.
+
+    Returns ``(cutoff, frames, tried)`` of the first rung within ``0.9
+    epsilon``, or the ``ProjectionRankLoss`` payload ``(None, point,
+    singular_value)`` when every rung loses rank.  Climbs to
+    ``n_side - 1``, and tries it, like :func:`periodic_smooth`.  Each
+    ``tried`` entry also holds, under ``"on_subgrid"``, the SVD polar
+    factor's sup distance and the smallest singular value over the even
+    grid points ``[::2]`` of every axis.
+    """
+    geo = field.geometry
+    big = geo.n_side
+    sub = (slice(None, None, 2),) * geo.d
     tried, k = [], 2
     while k <= big - 1:
-        mult = np.ones(geo.torus_shape)
-        for j in range(d):
-            shape = [1] * d
-            shape[j] = big
-            mult = mult * np.clip(2.0 - 2.0 * freqs / k, 0.0, 1.0).reshape(shape)
-        smoothed = np.fft.ifftn(
-            coeffs * mult.reshape(geo.torus_shape + (1, 1)), axes=axes
-        )
-        candidate = np.einsum(
-            "...ab,...bm->...am", projectors, apply_twist(twist, smoothed)
-        )
+        candidate = _reference_candidate(field, family, k)
         u, sing, vh = np.linalg.svd(candidate, full_matrices=False)
+        frames = np.einsum("...ab,...bm->...am", u, vh)
+        distance = np.linalg.norm(frames - field.data, axis=(-2, -1))
+        on_subgrid = {
+            "sup_distance": float(np.max(distance[sub])),
+            "rank_loss": float(np.min(sing[sub])),
+        }
         if np.min(sing) < rank_floor:
             point = np.unravel_index(int(np.argmin(sing[..., -1])), geo.torus_shape)
             payload = (None, tuple(int(x) for x in point), float(np.min(sing)))
-            tried.append({"cutoff": k, "rank_loss": float(np.min(sing))})
+            tried.append({"cutoff": k, "rank_loss": float(np.min(sing)),
+                          "on_subgrid": on_subgrid})
         else:
-            frames = np.einsum("...ab,...bm->...am", u, vh)
-            dist = float(np.max(np.linalg.norm(frames - field.data, axis=(-2, -1))))
-            tried.append({"cutoff": k, "sup_distance": dist})
+            dist = float(np.max(distance))
+            tried.append({"cutoff": k, "sup_distance": dist, "on_subgrid": on_subgrid})
             if dist < 0.9 * epsilon:
                 return k, frames, tried
         if k == big - 1:
@@ -340,11 +355,32 @@ def smoothing_cases(haldane, haldane_torus):
 
 
 def _same_ladder(report, ref_tried):
+    """The ladder's rungs match the reference's; a rung rejected on the
+    stride-2 subgrid records the reference's value over the even points."""
     assert [t["cutoff"] for t in report["tried"]] == [t["cutoff"] for t in ref_tried]
     for got, ref in zip(report["tried"], ref_tried):
-        assert got.keys() == ref.keys()
-        key = "sup_distance" if "sup_distance" in ref else "rank_loss"
-        assert got[key] == pytest.approx(ref[key], abs=1e-14)
+        if got.get("subgrid"):
+            (key,) = got.keys() - {"cutoff", "subgrid"}
+            want = ref["on_subgrid"][key]
+        else:
+            assert got.keys() == ref.keys() - {"on_subgrid"}
+            key = "sup_distance" if "sup_distance" in ref else "rank_loss"
+            want = ref[key]
+        assert got[key] == pytest.approx(want, abs=1e-14)
+
+
+def _check_accepted_frames(smoothed, field, family, cutoff, svd_frames):
+    """Frames of a rung the closed form may take (``m <= 2``, condition at
+    most 10) are ``lowdin`` of the reference candidate bit for bit, others
+    the SVD polar factor; both within ``64 eps kappa**2`` of the SVD's."""
+    candidate = _reference_candidate(field, family, cutoff)
+    w_min, w_max, _ = gram_polar(candidate)
+    if candidate.shape[-1] <= 2 and np.all(w_max <= GRAM_CONDITION * w_min):
+        assert np.array_equal(smoothed.data, lowdin(candidate))
+    else:
+        assert np.array_equal(smoothed.data, svd_frames)
+    bound = 64 * np.finfo(float).eps * float(np.max(w_max / w_min))
+    assert np.max(np.abs(smoothed.data - svd_frames)) <= bound
 
 
 @pytest.mark.parametrize(
@@ -365,36 +401,89 @@ def test_gram_screened_ladder_matches_the_all_svd_ladder(smoothing_cases, case):
             continue
         smoothed, report = periodic_smooth(field, family, epsilon)
         assert report["cutoff"] == cutoff
-        assert np.array_equal(smoothed.data, frames)
+        _check_accepted_frames(smoothed, field, family, cutoff, frames)
         _same_ladder(report, tried)
 
 
-def test_a_rung_near_the_target_is_decided_by_the_svd(haldane, haldane_torus, monkeypatch):
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of the candidates the ladder hands to the full SVD."""
+    calls = []
+    real = smoothing._svd_rung
+
+    def spy(candidate, data, rank_floor):
+        calls.append(candidate.shape)
+        return real(candidate, data, rank_floor)
+
+    monkeypatch.setattr(smoothing, "_svd_rung", spy)
+    return calls
+
+
+def test_a_rung_near_the_target_is_decided_by_the_svd(haldane, haldane_torus, svd_calls):
     ref_tried = _all_svd_ladder(haldane_torus, haldane, 1e-9)[2]
     near = ref_tried[2]["sup_distance"]
     epsilon = (near - 5e-14) / 0.9
     assert near - 1e-13 < 0.9 * epsilon < near
-    svd_calls = []
-    real = smoothing._svd_rung
-
-    def spy(candidate, data, rank_floor):
-        svd_calls.append(candidate.shape)
-        return real(candidate, data, rank_floor)
-
-    monkeypatch.setattr(smoothing, "_svd_rung", spy)
-    # a target between two rungs: only the accepted rung needs the SVD
+    # a target between two rungs: the screen decides every rung
     between = 0.5 * (ref_tried[2]["sup_distance"] + ref_tried[3]["sup_distance"])
     _, report = periodic_smooth(haldane_torus, haldane, between / 0.9)
     assert report["cutoff"] == ref_tried[3]["cutoff"]
-    assert len(svd_calls) == 1
-    # a target 5e-14 below rung 2: that rung and the accepted one take the SVD
-    svd_calls.clear()
+    assert len(svd_calls) == 0
+    # a target 5e-14 below rung 2: that rung takes the SVD, the accepted
+    # one clears the margin
     smoothed, report = periodic_smooth(haldane_torus, haldane, epsilon)
-    assert len(svd_calls) == 2
+    assert len(svd_calls) == 1
+    cutoff, frames, tried = _all_svd_ladder(haldane_torus, haldane, epsilon)
+    assert report["cutoff"] == cutoff == ref_tried[3]["cutoff"]
+    _check_accepted_frames(smoothed, haldane_torus, haldane, cutoff, frames)
+    _same_ladder(report, tried)
+
+
+def test_an_accepted_rung_near_the_target_is_decided_by_the_svd(
+    haldane, haldane_torus, svd_calls
+):
+    """A target 5e-14 above the accepted rung's distance: the screen can
+    neither reject nor accept it, and the returned frames are the SVD's."""
+    ref_tried = _all_svd_ladder(haldane_torus, haldane, 1e-9)[2]
+    epsilon = (ref_tried[3]["sup_distance"] + 5e-14) / 0.9
+    smoothed, report = periodic_smooth(haldane_torus, haldane, epsilon)
+    assert len(svd_calls) == 1
     cutoff, frames, tried = _all_svd_ladder(haldane_torus, haldane, epsilon)
     assert report["cutoff"] == cutoff == ref_tried[3]["cutoff"]
     assert np.array_equal(smoothed.data, frames)
     _same_ladder(report, tried)
+
+
+@pytest.mark.parametrize("epsilon", [RunConfig.epsilon, 0.5])
+def test_a_defect_the_subgrid_cannot_see_is_decided_on_the_torus(
+    haldane, haldane_torus, epsilon
+):
+    """A sign flip at one all-odd grid point and at its reflection partner
+    keeps the field orthonormal and symmetric, and the stride-2 subgrid
+    does not see it.  The subgrid only rejects, so the ladder is still the
+    all-SVD reference's."""
+    field = haldane_torus.copy()
+    g = (1, 3)
+    partner = tuple(int(x) for x in np.mod(np.negative(g), field.geometry.n_side))
+    assert all(x % 2 for x in g + partner)
+    for point in (g, partner):
+        field.data[point] *= -1.0
+    assert reflection_defect(field, haldane) <= 1e-12
+    cutoff, frames, tried = _all_svd_ladder(field, haldane, epsilon)
+    if cutoff is None:
+        with pytest.raises(EpsilonInfeasible) as exc:
+            periodic_smooth(field, haldane, epsilon)
+        report = {"tried": exc.value.details["tried"]}
+    else:
+        smoothed, report = periodic_smooth(field, haldane, epsilon)
+        assert report["cutoff"] == cutoff
+        _check_accepted_frames(smoothed, field, haldane, cutoff, frames)
+    _same_ladder(report, tried)
+    # some rung is within the target on the subgrid and refused on the torus
+    assert any(
+        ref["on_subgrid"]["sup_distance"] < 0.9 * epsilon <= ref["sup_distance"]
+        for ref in tried
+    )
 
 
 def test_the_ladder_stops_below_n_side(haldane, haldane_torus):
@@ -498,3 +587,61 @@ def test_the_ladder_takes_no_eigh_for_m_up_to_2(smoothing_cases, monkeypatch):
         calls.clear()
         periodic_smooth(field, family, 0.1)
         assert bool(calls) is takes_eigh, case
+
+
+def test_the_ladder_takes_one_torus_pass_and_no_svd_for_m_up_to_2(
+    smoothing_cases, monkeypatch
+):
+    """At epsilon 0.1 every rejected rung of these ladders is rejected on the
+    stride-2 subgrid and the accepted one by the closed-form screen: one
+    full-torus inverse FFT and no SVD."""
+    svd_calls, torus_passes = [], []
+    real_svd, real_ifftn = np.linalg.svd, np.fft.ifftn
+
+    def svd_spy(a, *args, **kwargs):
+        svd_calls.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    for case in ("haldane", "random-trs-2d"):
+        family, field = smoothing_cases[case]
+        family.torus_eigensystem(field.geometry.grid_n)
+        torus_shape = field.geometry.torus_shape
+
+        def ifftn_spy(a, *args, **kwargs):
+            if np.shape(a)[: len(torus_shape)] == torus_shape:
+                torus_passes.append(np.shape(a))
+            return real_ifftn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd_spy)
+        monkeypatch.setattr(np.fft, "ifftn", ifftn_spy)
+        svd_calls.clear()
+        torus_passes.clear()
+        _, report = periodic_smooth(field, family, 0.1)
+        monkeypatch.undo()
+        assert svd_calls == [], case
+        assert len(torus_passes) == 1, case
+        assert all(t.get("subgrid") for t in report["tried"][:-1]), case
+        assert len(report["tried"]) > 1, case
+
+
+def _masked_partners(field, family):
+    """``tau^(-lam) theta Phi(partner(g))`` from the index arrays of
+    ``reflection_map``, one boolean mask per shift ``lam``."""
+    partner, lam = field.geometry.reflection_map()
+    conj_partner = np.conj(field.data[tuple(np.moveaxis(partner, -1, 0))])
+    out = np.empty_like(conj_partner)
+    for shift in np.unique(lam.reshape(-1, lam.shape[-1]), axis=0):
+        at = np.all(lam == shift, axis=-1)
+        out[at] = family.antiunitary_matrix(tuple(-shift)) @ conj_partner[at]
+    return out
+
+
+def test_reflected_partners_match_the_reflection_map(smoothing_cases):
+    """The flip-and-roll blocks of ``_reflected_partners`` give the masked
+    gather over ``reflection_map`` bit for bit, with a nontrivial ``tau``
+    among the cases."""
+    fam = shifted_haldane(r2=(0.25, 0.25))
+    torus, _ = construct_2d(input_frame(fam, CellGeometry(2, 4)), fam)
+    for family, field in [*smoothing_cases.values(), (fam, torus)]:
+        got = smoothing._reflected_partners(field, family)
+        assert np.array_equal(got, _masked_partners(field, family))
