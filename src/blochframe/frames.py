@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridTooCoarse, SpanMismatch
-from .linalg import lowdin
+from .linalg import RANK_FLOOR, lowdin
 
 __all__ = [
     "FrameField",
@@ -206,7 +206,7 @@ def input_frame(family, geometry, region="effective-cell"):
                 at = head + (i,) + tail
                 moved = projectors[at] @ prev
                 try:
-                    cur = lowdin(moved, rank_tol=0.1)
+                    cur = lowdin(moved, rank_tol=RANK_FLOOR)
                 except ValueError:
                     sing = np.linalg.svd(moved, compute_uv=False)[..., -1]
                     worst = np.unravel_index(np.argmin(sing), sing.shape)

@@ -30,9 +30,15 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 
+# The smallest singular value a projected frame may have: the transport of
+# input_frame and the smoothing ladder refuse a frame below it.
+RANK_FLOOR = 0.1
+
 # lowdin takes the closed-form polar factor when every Gram matrix of the
 # stack has condition number w_max / w_min at most this, that is every frame
-# at most 10; its error then stays at about 100 eps.
+# at most 10; its error then stays at about 100 eps.  It is RANK_FLOOR**-2,
+# the Gram condition of a frame with singular values 1 and RANK_FLOOR,
+# written out because 0.1**-2 rounds to 99.99999999999999.
 GRAM_CONDITION = 100.0
 
 
@@ -103,14 +109,15 @@ def lowdin(mat, rank_tol=0.0):
     The polar factor of one matrix or a stack ``(..., n, m)``.  For ``m <=
     2`` it is the closed form of :func:`gram_polar` when every matrix of
     the stack has condition number at most ``sqrt(GRAM_CONDITION) = 10``
-    (the range a ``rank_tol`` of 0.1 admits for projected frames), which
-    keeps it within about ``100 eps`` of the SVD's.  Larger ``m``, worse
-    conditioned and singular stacks take the polar factor ``u vh`` of the
-    SVD.  If ``rank_tol`` is positive and the smallest singular value in
-    the stack falls below it, a ``ValueError`` is raised so callers can map
-    the failure onto their own error type; a stack whose Gram eigenvalues
-    put it near that floor goes to the SVD, which raises it, so the error
-    is the same on both routes.  Real input gives real output.
+    (the range a ``rank_tol`` of ``RANK_FLOOR`` admits for projected
+    frames), which keeps it within about ``100 eps`` of the SVD's.  Larger
+    ``m``, worse conditioned and singular stacks take the polar factor ``u
+    vh`` of the SVD.  If ``rank_tol`` is positive and the smallest singular
+    value in the stack falls below it, a ``ValueError`` is raised so
+    callers can map the failure onto their own error type; a stack whose
+    Gram eigenvalues put it near that floor goes to the SVD, which raises
+    it, so the error is the same on both routes.  Real input gives real
+    output.
     """
     mat = np.asarray(mat)
     if mat.dtype.kind not in "fc":

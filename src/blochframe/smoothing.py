@@ -16,16 +16,13 @@ without losing the symmetries:
   multiplier (weight one up to half the cutoff, linear taper to zero at the
   cutoff), twisted back, re-projected onto the fibers and
   re-orthonormalized; the cutoff is raised, up to ``n_side - 1``, until the
-  result is within the requested distance of the input.  Each rung is
-  decided from the eigenvalues and polar factor of its ``m x m`` Gram
-  matrix (closed form for ``m <= 2``, ``eigh`` beyond): first on the
-  stride-2 subgrid, whose values the aliased coefficients give exactly
-  through an inverse FFT of ``1/2**d`` the size, which can only reject;
-  then on the full torus, which rejects, or accepts the closed-form polar
-  factor when ``m <= 2`` and every frame is conditioned within
-  ``linalg.GRAM_CONDITION``.  Only a rung within roundoff of the rank floor
-  or the target, or one the closed form may not accept, takes the full
-  SVD;
+  result is within the requested distance of the input.  A rung is first
+  screened on the stride-2 subgrid, whose values the aliased coefficients
+  give exactly through an inverse FFT of ``1/2**d`` the size; the
+  eigenvalues and polar factor of its ``m x m`` Gram matrices can only
+  reject it there.  A rung the subgrid keeps is projected on the full
+  torus and decided by the package's one polar factor,
+  :func:`~blochframe.linalg.lowdin`;
 * an exact re-symmetrization that restores the reflection property at
   every grid point by midpointing each frame with the time-reversed image
   of its partner.
@@ -50,7 +47,7 @@ from .errors import (
     UsageError,
 )
 from .frames import FrameField, check_same_span
-from .linalg import GRAM_CONDITION, gram_polar, joint_eigenbasis, lowdin
+from .linalg import RANK_FLOOR, gram_polar, joint_eigenbasis, lowdin
 
 __all__ = [
     "MIDPOINT_LIMIT",
@@ -68,9 +65,9 @@ __all__ = [
 # Everything this module midpoints is far closer than this.
 MIDPOINT_LIMIT = 0.25 * np.pi
 
-# A smoothing rung is decided on its Gram screen only when it clears the
-# rank floor and the distance target by more than this times its condition
-# number squared; otherwise the full SVD decides.
+# The subgrid Gram screen rejects a smoothing rung only when it misses the
+# rank floor or the distance target by more than this times its condition
+# number squared.
 SCREEN_MARGIN = 1e-12
 
 # midpoint_unitary refuses an eigenphase within this of the branch cut at pi.
@@ -257,61 +254,19 @@ def _twist_phases(geometry, v, ells):
     return np.exp(2j * np.pi * expo)
 
 
-def _second_difference(data, d):
-    """Largest centered second difference of the entries along any axis."""
-    worst = 0.0
-    for axis in range(d):
-        f = np.roll(data, -1, axis=axis) - 2.0 * data + np.roll(data, 1, axis=axis)
-        worst = max(worst, float(np.max(np.abs(f))))
-    return worst
-
-
-def _spectral_shells(coeffs, d):
-    """Max coefficient magnitude per sup-norm frequency shell."""
-    big = coeffs.shape[0]
-    freqs = np.fft.fftfreq(big, d=1.0 / big).astype(int)
-    radius = np.zeros(coeffs.shape[:d], dtype=int)
-    for j in range(d):
-        shape = [1] * d
-        shape[j] = big
-        radius = np.maximum(radius, np.abs(freqs).reshape(shape))
-    mags = np.max(np.abs(coeffs).reshape(coeffs.shape[:d] + (-1,)), axis=-1)
-    out = np.zeros(big // 2 + 1)
-    for r in range(big // 2 + 1):
-        mask = radius == r
-        if np.any(mask):
-            out[r] = float(np.max(mags[mask]))
-    return out
-
-
-def _decay_slope(shells):
-    """Least-squares slope of ``log`` shell magnitudes above roundoff."""
-    radii = np.arange(len(shells))
-    keep = shells > 1e-14
-    if np.count_nonzero(keep) < 3:
-        return None
-    coeff = np.polyfit(radii[keep], np.log(shells[keep]), 1)
-    return float(coeff[0])
-
-
-def _gram_screen(candidate, data, rank_floor, target, accept=False):
-    """Decide a ladder rung from its ``m x m`` Gram matrix when that is safe.
+def _gram_screen(candidate, data, rank_floor, target):
+    """Reject a ladder rung from its ``m x m`` Gram matrices when that is safe.
 
     :func:`~blochframe.linalg.gram_polar` gives the singular values
     ``sqrt(w)`` of the projected frames ``c`` and their polar factor from
     ``G = c^H c``.  That route loses accuracy like the condition number
     ``kappa`` squared, for the closed forms of ``m <= 2`` as for ``eigh``,
-    so it decides only when the smallest singular value and the sup
-    distance to ``data`` clear ``rank_floor`` and ``target`` by more than
-    ``SCREEN_MARGIN * kappa**2``.  It rejects a rung below the floor or
-    above the target.  With ``accept`` it also accepts a rung above the
-    floor and below the target when ``m <= 2`` and every Gram matrix has
-    ``w_max <= GRAM_CONDITION * w_min``; its frames are then the closed-form
-    polar factor, which is :func:`~blochframe.linalg.lowdin` of
-    ``candidate`` bit for bit.
+    so it rejects only a rung whose smallest singular value is below
+    ``rank_floor``, or whose sup distance to ``data`` is above ``target``,
+    by more than ``SCREEN_MARGIN * kappa**2``.
 
-    Returns ``(entry, frames)`` as :func:`_svd_rung` does, with ``frames``
-    ``None`` on a rejection, or ``None`` when the rung needs the SVD.
+    Returns the rejected rung's ``tried`` entry, or ``None`` when the
+    screen cannot reject it.
     """
     w_min, w_max, polar = gram_polar(candidate)
     if polar is None:
@@ -320,44 +275,16 @@ def _gram_screen(candidate, data, rank_floor, target, accept=False):
     low = float(np.sqrt(smallest))
     margin = SCREEN_MARGIN * float(np.max(w_max)) / smallest
     if low < rank_floor - margin:
-        return {"rank_loss": low}, None
+        return {"rank_loss": low}
     if low < rank_floor + margin:
         return None
     dist = _sup_distance(polar, data)
     if dist > target + margin:
-        return {"sup_distance": dist}, None
-    if (
-        accept
-        and dist < target - margin
-        and candidate.shape[-1] <= 2
-        and np.all(w_max <= GRAM_CONDITION * w_min)
-    ):
-        return {"sup_distance": dist}, polar
+        return {"sup_distance": dist}
     return None
 
 
-def _svd_rung(candidate, data, rank_floor):
-    """The exact rung: rank test and polar factor from one full SVD.
-
-    Returns the rung's ``tried`` entry and its polar factor (``None`` on a
-    rank loss).
-    """
-    u, sing, vh = np.linalg.svd(candidate, full_matrices=False)
-    worst_sing = float(np.min(sing))
-    if worst_sing < rank_floor:
-        return {"rank_loss": worst_sing}, None
-    ortho_frames = np.einsum("...ab,...bm->...am", u, vh)
-    return {"sup_distance": _sup_distance(ortho_frames, data)}, ortho_frames
-
-
-def periodic_smooth(
-    field,
-    family,
-    epsilon,
-    k_start=2,
-    k_max=None,
-    rank_floor=0.1,
-):
+def periodic_smooth(field, family, epsilon, k_start=2):
     """Band-limit a symmetric torus field to within ``0.9 * epsilon``.
 
     The field entries are untwisted to exactly periodic functions, their
@@ -367,48 +294,44 @@ def periodic_smooth(
     back, projected onto ``Ran P(k)`` (the projectors of the family's torus
     sample) and symmetrically re-orthonormalized.
 
-    The cutoff ``K`` climbs a geometric ladder until the sup frame distance
-    to the input drops below ``0.9 * epsilon``; the smallest workable
-    cutoff is kept, since every extra harmonic slows the Wannier decay.
-    The ladder ends at ``k_max``, which is clamped to ``n_side - 1``: from
-    ``K = n_side`` on the multiplier is one on every grid harmonic, so such
-    a rung smooths nothing.  A step that would pass ``k_max`` tries
-    ``k_max`` itself, and exhausting the ladder raises
-    :class:`EpsilonInfeasible`.  A projection losing rank (smallest
-    singular value below ``rank_floor``) marks the cutoff as infeasible and
-    the search continues upward; if no cutoff succeeds the last rank
-    failure is raised as :class:`ProjectionRankLoss`.
+    The cutoff ``K`` climbs a geometric ladder from ``k_start`` until the
+    sup frame distance to the input drops below ``0.9 * epsilon``; the
+    smallest workable cutoff is kept, since every extra harmonic slows the
+    Wannier decay.  The ladder ends at ``n_side - 1``: from ``K = n_side``
+    on the multiplier is one on every grid harmonic, so such a rung smooths
+    nothing.  A step that would pass ``n_side - 1`` tries ``n_side - 1``
+    itself, and exhausting the ladder raises :class:`EpsilonInfeasible`.
+    A projection losing rank (smallest singular value below
+    ``linalg.RANK_FLOOR``) marks the cutoff as infeasible and the search
+    continues upward; if no cutoff succeeds the last rank failure is
+    raised as :class:`ProjectionRankLoss`.
 
-    Each rung is decided at the cheapest exact level by
-    :func:`_gram_screen`, which needs no eigensolver for ``m <= 2`` and one
-    ``eigh`` of the Gram stack beyond:
+    Each rung is decided in two steps:
 
     * on the stride-2 subgrid.  The smoothed field at the even grid points
       is exactly the inverse FFT, ``1/2**d`` the size and divided by
       ``2**d``, of the damped coefficients folded mod ``n_side / 2`` (DFT
       aliasing).  A sup distance above the target, or a singular value
-      below the floor, at those points holds on the whole torus, so the
-      subgrid rejects such a rung; its ``tried`` entry carries the subgrid
-      value, a lower bound of the torus one, and ``"subgrid": true``.  The
-      subgrid never accepts: the frame may be far off only at odd points.
-      A rung rejected there for its distance is recorded as a distance
-      failure even if the torus would also show a rank loss;
-    * on the full torus.  The screen rejects, or for ``m <= 2`` accepts
-      the closed-form polar factor when every frame's condition number is
-      at most ``sqrt(GRAM_CONDITION)``; these frames are ``lowdin`` of the
-      projected field, the package's polar factor everywhere else;
-    * by the full SVD, for a rung within ``SCREEN_MARGIN * kappa**2`` of
-      the floor or the target, and for accepted rungs the closed form may
-      not take (``m >= 3`` or ``kappa > 10``).
+      below the floor, at those points holds on the whole torus, so
+      :func:`_gram_screen` rejects such a rung there; its ``tried`` entry
+      carries the subgrid value, a lower bound of the torus one, and
+      ``"subgrid": true``.  The subgrid never accepts: the frame may be far
+      off only at odd points.  A rung rejected there for its distance is
+      recorded as a distance failure even if the torus would also show a
+      rank loss;
+    * on the full torus, by the frames ``lowdin(candidate,
+      rank_tol=RANK_FLOOR)`` (the closed form for ``m <= 2`` and condition
+      at most 10, the SVD otherwise) and their sup distance.  A rank loss
+      there records the smallest singular value of the candidate's SVD.
 
-    So the chosen cutoff is that of an all-SVD ladder, and the returned
-    frames are the ones whose distance the report records.  The Gram
-    values in ``tried`` agree with the SVD's to roundoff.
+    So the chosen cutoff is that of a ladder decided by ``lowdin`` alone,
+    and the report's ``sup_distance`` is the distance of the returned
+    frames.
 
     Returns ``(field, report)``; the report records the chosen cutoff, its
     fraction of ``n_side`` and whether it zeroes the grid's Nyquist shell
     (``K <= n_side // 2``; reported, not gated), the measured distance, the
-    attempted cutoffs, second-difference and spectral shell summaries.
+    target and the attempted cutoffs.
     """
     if field.region != "full-torus":
         raise UsageError("periodic_smooth needs a full-torus field")
@@ -417,7 +340,6 @@ def periodic_smooth(
     geometry = field.geometry
     d = geometry.d
     big = geometry.n_side
-    k_max = big - 1 if k_max is None else min(int(k_max), big - 1)
 
     ortho = field.orthonormality_defect()
     refl = reflection_defect(field, family)
@@ -455,23 +377,25 @@ def periodic_smooth(
         smoothed = apply_twist(sub_twist, np.fft.ifftn(folded, axes=axes) / 2**d)
         return np.einsum("...ab,...bm->...am", projectors[sub], smoothed)
 
-    shells_before = _spectral_shells(coeffs, d)
-    diff_before = _second_difference(data, d)
-
     target = 0.9 * epsilon
+    last = big - 1
     tried = []
     k = int(k_start)
-    while k <= k_max:
-        rejected = _gram_screen(
-            candidate_at(k, subgrid=True), field.data[sub], rank_floor, target
+    while k <= last:
+        entry = _gram_screen(
+            candidate_at(k, subgrid=True), field.data[sub], RANK_FLOOR, target
         )
-        if rejected is not None:
-            entry = {**rejected[0], "subgrid": True}
+        if entry is not None:
+            entry["subgrid"] = True
         else:
             candidate = candidate_at(k)
-            entry, ortho_frames = _gram_screen(
-                candidate, field.data, rank_floor, target, accept=True
-            ) or _svd_rung(candidate, field.data, rank_floor)
+            try:
+                ortho_frames = lowdin(candidate, rank_tol=RANK_FLOOR)
+            except ValueError:
+                sing = np.linalg.svd(candidate, compute_uv=False)
+                entry = {"rank_loss": float(np.min(sing))}
+            else:
+                entry = {"sup_distance": _sup_distance(ortho_frames, field.data)}
         tried.append({"cutoff": k, **entry})
         if entry.get("sup_distance", target) < target:
             out = FrameField(
@@ -480,9 +404,6 @@ def periodic_smooth(
                 ortho_frames,
                 dict(field.meta, smoothing_cutoff=k),
             )
-            after = apply_twist(twist, ortho_frames, inverse=True)
-            diff_after = _second_difference(after, d)
-            shells_after = _spectral_shells(np.fft.fftn(after, axes=axes), d)
             report = {
                 "cutoff": k,
                 "cutoff_fraction": k / big,
@@ -490,15 +411,11 @@ def periodic_smooth(
                 "sup_distance": entry["sup_distance"],
                 "target": target,
                 "tried": tried,
-                "second_difference_before": diff_before,
-                "second_difference_after": diff_after,
-                "spectral_slope_before": _decay_slope(shells_before),
-                "spectral_slope_after": _decay_slope(shells_after),
             }
             return out, report
-        if k == k_max:
+        if k == last:
             break
-        k = min(k_max, max(k + 1, int(np.ceil(1.25 * k))))
+        k = min(last, max(k + 1, int(np.ceil(1.25 * k))))
     if tried and all("rank_loss" in t for t in tried):
         _, sing, _ = np.linalg.svd(
             candidate_at(tried[-1]["cutoff"]), full_matrices=False
@@ -508,18 +425,18 @@ def periodic_smooth(
         bad = tuple(int(x) for x in np.unravel_index(flat, geometry.torus_shape))
         raise ProjectionRankLoss(
             f"smoothed frame falls out of the fibers at grid point {bad} "
-            f"(singular value {worst_sing:.3e} < {rank_floor})",
+            f"(singular value {worst_sing:.3e} < {RANK_FLOOR})",
             point=bad,
             singular_value=worst_sing,
         )
     raise EpsilonInfeasible(
-        f"no cutoff up to {k_max} brings the smoothed field within "
+        f"no cutoff up to {last} brings the smoothed field within "
         f"{target:.3e} of the input",
         tried=tried,
     )
 
 
-def smooth_symmetric(field, family, epsilon, **kwargs):
+def smooth_symmetric(field, family, epsilon):
     """Smooth and re-symmetrize; the standard last pipeline stage.
 
     Runs :func:`periodic_smooth` to within ``0.9 * epsilon`` and then
@@ -527,13 +444,12 @@ def smooth_symmetric(field, family, epsilon, **kwargs):
     reaches ``epsilon`` the smoothing is retried once at half the target.
     Returns ``(field, report)``.
     """
-    smoothed, sm_report = periodic_smooth(field, family, epsilon, **kwargs)
+    smoothed, sm_report = periodic_smooth(field, family, epsilon)
     final, sym_report = symmetrize(smoothed, family)
     dist = _sup_distance(final.data, field.data)
     if dist >= epsilon:
-        kwargs.pop("k_start", None)
         smoothed, sm_report = periodic_smooth(
-            field, family, 0.5 * epsilon, k_start=sm_report["cutoff"], **kwargs
+            field, family, 0.5 * epsilon, k_start=sm_report["cutoff"]
         )
         final, sym_report = symmetrize(smoothed, family)
         dist = _sup_distance(final.data, field.data)

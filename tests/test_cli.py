@@ -380,31 +380,86 @@ def _ssh_json(w=0.5):
     }
 
 
+def _plane_json():
+    """A 2-d JSON model that ``verify-model`` accepts: two flat bands."""
+    return {
+        "dimension": 2, "orbitals": 2, "rank": 1,
+        "hoppings": [{"R": [0, 0], "re": [[-1, 0], [0, 1]]}],
+    }
+
+
+def _tau(*generators):
+    """A ``tau`` entry of real generators, or of ``{"re", "im"}`` blocks."""
+    return {"generators": [g if isinstance(g, dict) else {"re": g} for g in generators]}
+
+
+_SIGMA_X = [[0, 1], [1, 0]]
+_SIGMA_Z = [[1, 0], [0, -1]]
+_NOT_UNITARY = [[2, 0], [0, 1]]
+_ONE_I = {"re": [[0, 1], [0, 0]], "im": [[0, 0], [1, 0]]}  # [[0, 1], [i, 0]]
+
+# Each case edits a model that verify-model accepts (the SSH chain, or the
+# 2-d bands of _plane_json where noted) and names the phrases the refusal
+# must carry.
 _MALFORMED = {
-    "dimension-x": lambda cfg: {**cfg, "dimension": "x"},
-    "hopping-without-R": lambda cfg: {**cfg, "hoppings": [{"re": [[0, 1], [1, 0]]}]},
-    "non-numeric-re": lambda cfg: {**cfg, "hoppings": [{"R": [0], "re": [["one", 1], [1, 0]]}]},
-    "hoppings-5": lambda cfg: {**cfg, "hoppings": 5},
-    "top-level-list": lambda cfg: [cfg],
-    "gap-tolerance-abc": lambda cfg: {**cfg, "gap_tolerance": "abc"},
-    "orbitals-2.7": lambda cfg: {**cfg, "orbitals": 2.7},
-    "R-string": lambda cfg: {**cfg, "hoppings": [{**cfg["hoppings"][0], "R": "0"}]
-                             + cfg["hoppings"][1:]},
+    "dimension-x": (lambda cfg: {**cfg, "dimension": "x"}, ["dimension='x'"]),
+    "hopping-without-R": (lambda cfg: {**cfg, "hoppings": [{"re": [[0, 1], [1, 0]]}]},
+                          ["needs a lattice vector 'R'"]),
+    "non-numeric-re": (lambda cfg: {**cfg, "hoppings": [{"R": [0], "re": [["one", 1], [1, 0]]}]},
+                       ["matrix entries must be numbers"]),
+    "hoppings-5": (lambda cfg: {**cfg, "hoppings": 5}, ["hoppings must be a list"]),
+    "top-level-list": (lambda cfg: [cfg], ["must be a JSON object"]),
+    "gap-tolerance-abc": (lambda cfg: {**cfg, "gap_tolerance": "abc"},
+                          ["gap_tolerance='abc'"]),
+    "orbitals-2.7": (lambda cfg: {**cfg, "orbitals": 2.7}, ["orbitals=2.7"]),
+    "R-string": (lambda cfg: {**cfg, "hoppings": [{**cfg["hoppings"][0], "R": "0"}]
+                              + cfg["hoppings"][1:]},
+                 ["needs a lattice vector 'R'"]),
+    # C conj(C) = -1 is a fermionic time reversal; the theorem needs C conj(C) = 1
+    "fermionic-theta": (lambda cfg: {**cfg, "theta": {"unitary": {"re": [[0, 1], [-1, 0]]}}},
+                        ["theta does not square to the identity"]),
+    "theta-not-unitary": (lambda cfg: {**cfg, "theta": {"unitary": {"re": _NOT_UNITARY}}},
+                          ["theta matrix is not unitary"]),
+    "two-tau-in-1d": (lambda cfg: {**cfg, "tau": _tau(_SIGMA_X, _SIGMA_X)},
+                      ["need 1 lattice generators, got 2"]),
+    "tau-not-unitary": (lambda cfg: {**cfg, "tau": _tau(_NOT_UNITARY)},
+                        ["tau generator 1 is not unitary"]),
+    "tau-against-conjugation": (lambda cfg: {**cfg, "tau": _tau(_ONE_I)},
+                                ["tau generator 1 incompatible with time reversal"]),
+    "non-commuting-tau-2d": (lambda cfg: {**_plane_json(), "tau": _tau(_SIGMA_X, _SIGMA_Z)},
+                             ["tau generators 1 and 2 do not commute"]),
+    "dimension-4": (lambda cfg: {**cfg, "dimension": 4}, ["dimension must be 1, 2 or 3"]),
+    "rank-2-of-2": (lambda cfg: {**cfg, "rank": 2}, ["need 1 <= m < n"]),
+    "missing-partner": (lambda cfg: {**cfg, "hoppings": cfg["hoppings"][:2]},
+                        ["lacks the Hermitian partner"]),
+    "gap-tolerance-0": (lambda cfg: {**cfg, "gap_tolerance": 0},
+                        ["gap_tolerance must be positive"]),
+    "R-2-vector-in-1d": (lambda cfg: {**cfg, "hoppings": cfg["hoppings"][:1]
+                                      + [{"R": [1, 0], "re": [[0, 0], [0.5, 0]]}]},
+                         ["has wrong dimension"]),
+    # every violated invariant is listed at once
+    "rank-2-and-gap-tolerance-0": (lambda cfg: {**cfg, "rank": 2, "gap_tolerance": 0},
+                                   ["need 1 <= m < n", "gap_tolerance must be positive"]),
 }
 
 
 @pytest.mark.parametrize("case", list(_MALFORMED))
 def test_a_malformed_json_model_is_a_model_config_error(tmp_path, capsys, case):
+    edit, phrases = _MALFORMED[case]
+    base = _plane_json() if case.endswith("-2d") else _ssh_json()
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(_ssh_json()))
+    path.write_text(json.dumps(base))
     assert main(["verify-model", "--model", str(path), "--grid-n", "4"]) == 0
-    path.write_text(json.dumps(_MALFORMED[case](_ssh_json())))
+    path.write_text(json.dumps(edit(_ssh_json())))
     capsys.readouterr()
     code = main(["verify-model", "--model", str(path), "--grid-n", "4"])
     captured = capsys.readouterr()
     assert code == 1
     assert "Traceback" not in captured.err
-    assert json.loads(captured.err)["error"] == "model-config"
+    payload = json.loads(captured.err)
+    assert payload["error"] == "model-config"
+    for phrase in phrases:
+        assert phrase in payload["message"], (case, phrase)
 
 
 def test_a_json_model_keeps_its_gap_tolerance(tmp_path, capsys):

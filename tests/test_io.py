@@ -140,6 +140,28 @@ def test_frames_loader_rejects_dims_the_header_does_not_name(tmp_path, rng, offs
         load_frames(path)
 
 
+def test_frames_loader_rejects_an_unknown_region_code(tmp_path, rng):
+    path = tmp_path / "frames.blf1"
+    save_frames(path, _random_field(rng))
+    raw = bytearray(path.read_bytes())
+    raw[24:28] = struct.pack("<I", 1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(UsageError, match="unknown region code 1"):
+        load_frames(path)
+
+
+@pytest.mark.parametrize("offset, value", [(0, b"WAN2"), (4, struct.pack("<I", 2))],
+                         ids=["magic", "version"])
+def test_wannier_loader_rejects_other_files(tmp_path, rng, offset, value):
+    path = tmp_path / "set.wan1"
+    save_wannier(path, wannier_transform(_random_field(rng)))
+    raw = bytearray(path.read_bytes())
+    raw[offset : offset + 4] = value
+    path.write_bytes(bytes(raw))
+    with pytest.raises(UsageError, match="not a WAN1 version 1 file"):
+        load_wannier(path)
+
+
 def test_wannier_roundtrip(tmp_path, rng):
     fld = _random_field(rng)
     wset = wannier_transform(fld)

@@ -17,7 +17,7 @@ from blochframe.errors import (
 from blochframe.face2d import construct_2d
 from blochframe.frames import frame_distance, input_frame
 from blochframe import smoothing
-from blochframe.linalg import GRAM_CONDITION, gram_polar, lowdin
+from blochframe.linalg import RANK_FLOOR, gram_polar, lowdin
 from blochframe.pipeline import RunConfig, final_residuals, run_construct
 from blochframe.smoothing import (
     apply_twist,
@@ -190,6 +190,15 @@ def test_periodic_smooth_usage_errors(haldane, haldane_torus):
         periodic_smooth(raw, haldane, epsilon=0.1)
 
 
+def _largest_step(data):
+    """Largest ``||Phi(g + e_j) - Phi(g)||_F`` over a 2-d grid and both axes,
+    the wrap included (the field's ``tau`` must be one, as haldane's is)."""
+    return max(
+        float(np.max(np.linalg.norm(np.roll(data, -1, axis) - data, axis=(-2, -1))))
+        for axis in (0, 1)
+    )
+
+
 def test_periodic_smooth_meets_its_budget(haldane, haldane_torus):
     smoothed, report = periodic_smooth(haldane_torus, haldane, epsilon=0.12)
     assert report["sup_distance"] < 0.9 * 0.12
@@ -197,11 +206,13 @@ def test_periodic_smooth_meets_its_budget(haldane, haldane_torus):
     assert smoothed.orthonormality_defect() < 1e-12
     assert reflection_defect(smoothed, haldane) < 1e-8
     assert smoothed.meta["smoothing_cutoff"] == report["cutoff"]
-    # smoothing flattens curvature and steepens the spectral decay
-    assert report["second_difference_after"] <= report["second_difference_before"]
-    assert report["spectral_slope_after"] <= report["spectral_slope_before"]
+    # smoothing shortens the largest step between neighbouring frames
+    assert _largest_step(smoothed.data) <= _largest_step(haldane_torus.data)
     # the ladder records every attempt, ending at the accepted cutoff
     assert report["tried"][-1]["cutoff"] == report["cutoff"]
+    assert report.keys() == {
+        "cutoff", "cutoff_fraction", "nyquist_resolved", "sup_distance", "target", "tried"
+    }
 
 
 def test_periodic_smooth_keeps_smallest_workable_cutoff(haldane, haldane_torus):
@@ -212,7 +223,7 @@ def test_periodic_smooth_keeps_smallest_workable_cutoff(haldane, haldane_torus):
 
 def test_periodic_smooth_infeasible_epsilon(haldane, haldane_torus):
     with pytest.raises(EpsilonInfeasible):
-        periodic_smooth(haldane_torus, haldane, epsilon=1e-9, k_max=8)
+        periodic_smooth(haldane_torus, haldane, epsilon=1e-9)
 
 
 def test_twist_gauge_trivial_for_integer_lattices(haldane):
@@ -294,7 +305,8 @@ def _reference_candidate(field, family, k):
 
 
 def _all_svd_ladder(field, family, epsilon, rank_floor=0.1):
-    """Reference ladder: every rung decided by the full SVD polar factor.
+    """Reference ladder: every rung decided by the full SVD polar factor
+    ``u @ vh``, formed as :func:`~blochframe.linalg.lowdin` forms it.
 
     Returns ``(cutoff, frames, tried)`` of the first rung within ``0.9
     epsilon``, or the ``ProjectionRankLoss`` payload ``(None, point,
@@ -311,7 +323,7 @@ def _all_svd_ladder(field, family, epsilon, rank_floor=0.1):
     while k <= big - 1:
         candidate = _reference_candidate(field, family, k)
         u, sing, vh = np.linalg.svd(candidate, full_matrices=False)
-        frames = np.einsum("...ab,...bm->...am", u, vh)
+        frames = u @ vh
         distance = np.linalg.norm(frames - field.data, axis=(-2, -1))
         on_subgrid = {
             "sup_distance": float(np.max(distance[sub])),
@@ -369,18 +381,17 @@ def _same_ladder(report, ref_tried):
         assert got[key] == pytest.approx(want, abs=1e-14)
 
 
-def _check_accepted_frames(smoothed, field, family, cutoff, svd_frames):
-    """Frames of a rung the closed form may take (``m <= 2``, condition at
-    most 10) are ``lowdin`` of the reference candidate bit for bit, others
-    the SVD polar factor; both within ``64 eps kappa**2`` of the SVD's."""
-    candidate = _reference_candidate(field, family, cutoff)
+def _check_accepted_frames(smoothed, report, field, family, svd_frames):
+    """The accepted rung's frames are ``lowdin`` of the reference candidate
+    bit for bit, within ``64 eps kappa**2`` of the SVD's, and the report
+    records their distance, which is below the target."""
+    candidate = _reference_candidate(field, family, report["cutoff"])
+    assert np.array_equal(smoothed.data, lowdin(candidate, rank_tol=RANK_FLOOR))
     w_min, w_max, _ = gram_polar(candidate)
-    if candidate.shape[-1] <= 2 and np.all(w_max <= GRAM_CONDITION * w_min):
-        assert np.array_equal(smoothed.data, lowdin(candidate))
-    else:
-        assert np.array_equal(smoothed.data, svd_frames)
     bound = 64 * np.finfo(float).eps * float(np.max(w_max / w_min))
     assert np.max(np.abs(smoothed.data - svd_frames)) <= bound
+    distance = smoothing._sup_distance(smoothed.data, field.data)
+    assert report["sup_distance"] == distance < report["target"]
 
 
 @pytest.mark.parametrize(
@@ -401,67 +412,45 @@ def test_gram_screened_ladder_matches_the_all_svd_ladder(smoothing_cases, case):
             continue
         smoothed, report = periodic_smooth(field, family, epsilon)
         assert report["cutoff"] == cutoff
-        _check_accepted_frames(smoothed, field, family, cutoff, frames)
+        _check_accepted_frames(smoothed, report, field, family, frames)
         _same_ladder(report, tried)
 
 
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """Shapes of the candidates the ladder hands to the full SVD."""
-    calls = []
-    real = smoothing._svd_rung
-
-    def spy(candidate, data, rank_floor):
-        calls.append(candidate.shape)
-        return real(candidate, data, rank_floor)
-
-    monkeypatch.setattr(smoothing, "_svd_rung", spy)
-    return calls
-
-
-def test_a_rung_near_the_target_is_decided_by_the_svd(haldane, haldane_torus, svd_calls):
+def test_a_rung_near_the_target_is_decided_by_lowdin(haldane, haldane_torus):
+    """A target 5e-14 below the distance of rung 2 of the reference ladder:
+    the subgrid cannot reject that rung, ``lowdin`` refuses it on the torus
+    and accepts rung 3."""
     ref_tried = _all_svd_ladder(haldane_torus, haldane, 1e-9)[2]
     near = ref_tried[2]["sup_distance"]
     epsilon = (near - 5e-14) / 0.9
     assert near - 1e-13 < 0.9 * epsilon < near
-    # a target between two rungs: the screen decides every rung
+    # a target between two rungs
     between = 0.5 * (ref_tried[2]["sup_distance"] + ref_tried[3]["sup_distance"])
     _, report = periodic_smooth(haldane_torus, haldane, between / 0.9)
     assert report["cutoff"] == ref_tried[3]["cutoff"]
-    assert len(svd_calls) == 0
-    # a target 5e-14 below rung 2: that rung takes the SVD, the accepted
-    # one clears the margin
     smoothed, report = periodic_smooth(haldane_torus, haldane, epsilon)
-    assert len(svd_calls) == 1
     cutoff, frames, tried = _all_svd_ladder(haldane_torus, haldane, epsilon)
     assert report["cutoff"] == cutoff == ref_tried[3]["cutoff"]
-    _check_accepted_frames(smoothed, haldane_torus, haldane, cutoff, frames)
+    _check_accepted_frames(smoothed, report, haldane_torus, haldane, frames)
     _same_ladder(report, tried)
 
 
-def test_an_accepted_rung_near_the_target_is_decided_by_the_svd(
-    haldane, haldane_torus, svd_calls
-):
-    """A target 5e-14 above the accepted rung's distance: the screen can
-    neither reject nor accept it, and the returned frames are the SVD's."""
+def test_an_accepted_rung_near_the_target_is_decided_by_lowdin(haldane, haldane_torus):
+    """A target 5e-14 above the distance of rung 3 of the reference ladder:
+    ``lowdin`` accepts it, and the report records its frames' distance."""
     ref_tried = _all_svd_ladder(haldane_torus, haldane, 1e-9)[2]
     epsilon = (ref_tried[3]["sup_distance"] + 5e-14) / 0.9
     smoothed, report = periodic_smooth(haldane_torus, haldane, epsilon)
-    assert len(svd_calls) == 1
     cutoff, frames, tried = _all_svd_ladder(haldane_torus, haldane, epsilon)
     assert report["cutoff"] == cutoff == ref_tried[3]["cutoff"]
-    assert np.array_equal(smoothed.data, frames)
+    _check_accepted_frames(smoothed, report, haldane_torus, haldane, frames)
     _same_ladder(report, tried)
 
 
-@pytest.mark.parametrize("epsilon", [RunConfig.epsilon, 0.5])
-def test_a_defect_the_subgrid_cannot_see_is_decided_on_the_torus(
-    haldane, haldane_torus, epsilon
-):
-    """A sign flip at one all-odd grid point and at its reflection partner
-    keeps the field orthonormal and symmetric, and the stride-2 subgrid
-    does not see it.  The subgrid only rejects, so the ladder is still the
-    all-SVD reference's."""
+def _odd_point_flip(haldane, haldane_torus):
+    """The field with its frames negated at one all-odd grid point and at
+    its reflection partner: still orthonormal and symmetric, and unseen by
+    the stride-2 subgrid."""
     field = haldane_torus.copy()
     g = (1, 3)
     partner = tuple(int(x) for x in np.mod(np.negative(g), field.geometry.n_side))
@@ -469,6 +458,16 @@ def test_a_defect_the_subgrid_cannot_see_is_decided_on_the_torus(
     for point in (g, partner):
         field.data[point] *= -1.0
     assert reflection_defect(field, haldane) <= 1e-12
+    return field
+
+
+@pytest.mark.parametrize("epsilon", [RunConfig.epsilon, 0.5])
+def test_a_defect_the_subgrid_cannot_see_is_decided_on_the_torus(
+    haldane, haldane_torus, epsilon
+):
+    """The subgrid only rejects, so the ladder of the odd-point flip is
+    still the all-SVD reference's."""
+    field = _odd_point_flip(haldane, haldane_torus)
     cutoff, frames, tried = _all_svd_ladder(field, haldane, epsilon)
     if cutoff is None:
         with pytest.raises(EpsilonInfeasible) as exc:
@@ -477,7 +476,7 @@ def test_a_defect_the_subgrid_cannot_see_is_decided_on_the_torus(
     else:
         smoothed, report = periodic_smooth(field, haldane, epsilon)
         assert report["cutoff"] == cutoff
-        _check_accepted_frames(smoothed, field, haldane, cutoff, frames)
+        _check_accepted_frames(smoothed, report, field, haldane, frames)
     _same_ladder(report, tried)
     # some rung is within the target on the subgrid and refused on the torus
     assert any(
@@ -486,28 +485,80 @@ def test_a_defect_the_subgrid_cannot_see_is_decided_on_the_torus(
     )
 
 
+def test_a_rank_loss_the_subgrid_cannot_see_is_lowdins(haldane, haldane_torus, monkeypatch):
+    """At a rank floor of 0.5 rung 9 of the odd-point flip keeps rank on the
+    subgrid and loses it on the torus, where ``lowdin`` refuses it; rung 12
+    is accepted."""
+    field = _odd_point_flip(haldane, haldane_torus)
+    monkeypatch.setattr(smoothing, "RANK_FLOOR", 0.5)
+    smoothed, report = periodic_smooth(field, haldane, 0.1)
+    by_cutoff = {t["cutoff"]: t for t in report["tried"]}
+    assert by_cutoff[9].keys() == {"cutoff", "rank_loss"}
+    assert by_cutoff[9]["rank_loss"] < 0.5
+    assert report["cutoff"] == 12
+    cutoff, frames, tried = _all_svd_ladder(field, haldane, 0.1, rank_floor=0.5)
+    assert cutoff == 12
+    _check_accepted_frames(smoothed, report, field, haldane, frames)
+    _same_ladder(report, tried)
+
+
+def _moving_symmetrize(monkeypatch, calls):
+    """Patch ``smoothing.symmetrize`` to negate the frame at the origin on
+    its first ``calls`` calls, which moves the result by about 2."""
+    real = smoothing.symmetrize
+    count = []
+
+    def moved(field, family):
+        out, report = real(field, family)
+        count.append(None)
+        if len(count) <= calls:
+            out.data[(0,) * field.geometry.d] *= -1.0
+        return out, report
+
+    monkeypatch.setattr(smoothing, "symmetrize", moved)
+
+
+def test_smooth_symmetric_retries_at_half_the_target(haldane, haldane_torus, monkeypatch):
+    _, first = periodic_smooth(haldane_torus, haldane, 0.12)
+    _moving_symmetrize(monkeypatch, calls=1)
+    _, report = smooth_symmetric(haldane_torus, haldane, 0.12)
+    assert report["sup_distance_total"] < 0.12
+    assert report["smoothing"]["target"] == 0.9 * (0.5 * 0.12)
+    assert report["smoothing"]["tried"][0]["cutoff"] == first["cutoff"]
+
+
+def test_smooth_symmetric_refuses_a_second_move(haldane, haldane_torus, monkeypatch):
+    _moving_symmetrize(monkeypatch, calls=2)
+    with pytest.raises(EpsilonInfeasible) as exc:
+        smooth_symmetric(haldane_torus, haldane, 0.12)
+    assert exc.value.details["distance"] >= 0.12
+
+
 def test_the_ladder_stops_below_n_side(haldane, haldane_torus):
     """From ``K = n_side`` on the multiplier is one on every grid harmonic:
     such a rung smooths nothing and must not certify."""
     big = haldane_torus.geometry.n_side
-    for k_max in (None, 64 * big):
-        with pytest.raises(EpsilonInfeasible) as exc:
-            periodic_smooth(haldane_torus, haldane, epsilon=1e-6, k_max=k_max)
-        cutoffs = [t["cutoff"] for t in exc.value.details["tried"]]
-        assert max(cutoffs) == cutoffs[-1] == big - 1
-
-
-def test_the_ladder_tries_n_side_minus_one_when_a_step_passes_it(haldane, haldane_torus):
-    """At ``n_side`` 16 the ladder 2, 3, 4, 5, 7, 9 would step to 12; with
-    ``k_max`` 10 its last rung is 10."""
     with pytest.raises(EpsilonInfeasible) as exc:
-        periodic_smooth(haldane_torus, haldane, epsilon=1e-6, k_max=10)
-    assert [t["cutoff"] for t in exc.value.details["tried"]] == [2, 3, 4, 5, 7, 9, 10]
+        periodic_smooth(haldane_torus, haldane, epsilon=1e-6)
+    cutoffs = [t["cutoff"] for t in exc.value.details["tried"]]
+    assert max(cutoffs) == cutoffs[-1] == big - 1
 
 
-def _check_rank_loss_payload(family, field):
+def test_the_ladder_tries_n_side_minus_one_when_a_step_passes_it(haldane):
+    """At ``n_side`` 32 the ladder would step from 30 to 38; its last rung
+    is 31."""
+    torus, _ = construct_2d(input_frame(haldane, CellGeometry(2, 16)), haldane)
+    with pytest.raises(EpsilonInfeasible) as exc:
+        periodic_smooth(torus, haldane, epsilon=1e-6)
+    assert [t["cutoff"] for t in exc.value.details["tried"]] == [
+        2, 3, 4, 5, 7, 9, 12, 15, 19, 24, 30, 31
+    ]
+
+
+def _check_rank_loss_payload(family, field, monkeypatch):
+    monkeypatch.setattr(smoothing, "RANK_FLOOR", 1.5)
     with pytest.raises(ProjectionRankLoss) as exc:
-        periodic_smooth(field, family, epsilon=0.1, rank_floor=1.5)
+        periodic_smooth(field, family, epsilon=0.1)
     details = exc.value.details
     assert json.loads(json.dumps(details)) == {
         "point": list(details["point"]),
@@ -518,14 +569,14 @@ def _check_rank_loss_payload(family, field):
     assert details == {"point": point, "singular_value": singular_value}
 
 
-def test_rank_loss_payload_is_json_safe(haldane, haldane_torus):
-    _check_rank_loss_payload(haldane, haldane_torus)
+def test_rank_loss_payload_is_json_safe(haldane, haldane_torus, monkeypatch):
+    _check_rank_loss_payload(haldane, haldane_torus, monkeypatch)
 
 
-def test_rank_loss_payload_is_json_safe_at_m2(smoothing_cases):
+def test_rank_loss_payload_is_json_safe_at_m2(smoothing_cases, monkeypatch):
     """Every rung of the ``m = 2`` ladder is refused by the closed-form
     Gram screen; the payload still comes from the SVD."""
-    _check_rank_loss_payload(*smoothing_cases["random-trs-2d"])
+    _check_rank_loss_payload(*smoothing_cases["random-trs-2d"], monkeypatch)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -593,8 +644,8 @@ def test_the_ladder_takes_one_torus_pass_and_no_svd_for_m_up_to_2(
     smoothing_cases, monkeypatch
 ):
     """At epsilon 0.1 every rejected rung of these ladders is rejected on the
-    stride-2 subgrid and the accepted one by the closed-form screen: one
-    full-torus inverse FFT and no SVD."""
+    stride-2 subgrid and the accepted one is taken by ``lowdin``'s closed
+    form: one full-torus inverse FFT and no SVD."""
     svd_calls, torus_passes = [], []
     real_svd, real_ifftn = np.linalg.svd, np.fft.ifftn
 
