@@ -23,7 +23,6 @@ from .errors import (
     AssumptionsFailed,
     BlochFrameError,
     BoundaryRelationViolated,
-    EigenphaseNearPi,
     EpsilonInfeasible,
     GapClosed,
     GridTooCoarse,
@@ -71,7 +70,6 @@ __all__ = [
     "BlochFrameError",
     "BoundaryRelationViolated",
     "CellGeometry",
-    "EigenphaseNearPi",
     "EpsilonInfeasible",
     "FrameField",
     "GapClosed",

@@ -74,12 +74,6 @@ class NoStereographicPoint(BlochFrameError):
     code = "no-stereographic-point"
 
 
-class EigenphaseNearPi(BlochFrameError):
-    """Principal logarithm requested for a unitary with eigenphase near pi."""
-
-    code = "eigenphase-near-pi"
-
-
 class TooFarApart(BlochFrameError):
     """Frames outside the geodesic ball where the midpoint is well defined."""
 

@@ -109,6 +109,7 @@ class ProjectorFamily:
     def __post_init__(self):
         self._tau_cache = {}
         self._torus_sample = None
+        self._torus_projectors = None
         errors = self.validate()
         if errors:
             raise ModelConfigError(
@@ -229,10 +230,10 @@ class ProjectorFamily:
             )
         return evecs[..., : self.m], gap
 
-    def projector(self, k, eigensystem=None):
-        """Spectral projectors ``(..., n, n)`` at ``k`` of shape ``(..., d)``;
-        ``eigensystem`` as in :meth:`spectral_frame`."""
-        frame, _ = self.spectral_frame(k, eigensystem)
+    def projector(self, k):
+        """Spectral projectors ``(..., n, n)`` at ``k`` of shape ``(..., d)``,
+        gap-gated as in :meth:`spectral_frame`."""
+        frame, _ = self.spectral_frame(k)
         return frame @ _dagger(frame)
 
     def torus_eigensystem(self, grid_n):
@@ -248,6 +249,7 @@ class ProjectorFamily:
             evals, evecs = self.eigensystem(CellGeometry(self.d, grid_n).torus_k())
             # only the occupied frames are read, so only they are kept
             self._torus_sample = (grid_n, (evals, evecs[..., : self.m].copy()))
+            self._torus_projectors = None
         return self._torus_sample[1]
 
     def grid_projectors(self, grid_n, g=None):
@@ -255,14 +257,20 @@ class ProjectorFamily:
         ``g`` of shape ``(..., d)`` of ``CellGeometry(d, grid_n)``, or on
         its stored torus when ``g`` is ``None``.
 
-        They come from the :meth:`torus_eigensystem` sample, gap-gated as
-        in :meth:`projector`.  A point ``g = rep + N lam`` off the stored
-        torus (``N = 2 grid_n``) gets ``tau_lam P(rep) tau_lam^H``, which is
-        ``P(k)`` by the lattice symmetry ``P(k + e_j) = tau_j P(k)
-        tau_j^-1``.
+        They come from the :meth:`torus_eigensystem` sample and are built
+        once per sample, as a read-only array; the gap gate of
+        :meth:`spectral_frame` runs on the sampled eigenvalues at every
+        call.  A point ``g = rep + N lam`` off the stored torus (``N = 2
+        grid_n``) gets ``tau_lam P(rep) tau_lam^H``, which is ``P(k)`` by the
+        lattice symmetry ``P(k + e_j) = tau_j P(k) tau_j^-1``.
         """
         geometry = CellGeometry(self.d, grid_n)
-        torus = self.projector(geometry.torus_k(), self.torus_eigensystem(grid_n))
+        sample = self.torus_eigensystem(grid_n)
+        frame, _ = self.spectral_frame(geometry.torus_k(), sample)
+        if self._torus_projectors is None:
+            self._torus_projectors = frame @ _dagger(frame)
+            self._torus_projectors.flags.writeable = False
+        torus = self._torus_projectors
         if g is None:
             return torus
         g = np.asarray(g)

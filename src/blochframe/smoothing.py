@@ -39,19 +39,12 @@ from itertools import product
 
 import numpy as np
 
-from .errors import (
-    EigenphaseNearPi,
-    EpsilonInfeasible,
-    ProjectionRankLoss,
-    TooFarApart,
-    UsageError,
-)
+from .errors import EpsilonInfeasible, ProjectionRankLoss, TooFarApart, UsageError
 from .frames import FrameField, check_same_span
 from .linalg import RANK_FLOOR, gram_polar, joint_eigenbasis, lowdin
 
 __all__ = [
     "MIDPOINT_LIMIT",
-    "midpoint_unitary",
     "frame_midpoint",
     "reflection_defect",
     "symmetrize",
@@ -70,31 +63,9 @@ MIDPOINT_LIMIT = 0.25 * np.pi
 # number squared.
 SCREEN_MARGIN = 1e-12
 
-# midpoint_unitary refuses an eigenphase within this of the branch cut at pi.
-BRANCH_MARGIN = 1e-8
-
 # periodic_smooth refuses an input field whose orthonormality or reflection
 # defect exceeds this.
 PRECONDITION_TOL = 1e-6
-
-
-def midpoint_unitary(u):
-    """Geodesic midpoint between the identity and ``u``: ``exp(log(u)/2)``.
-
-    Computed as the polar factor of ``1 + u`` for one unitary or a stack.
-    The singular values of ``1 + u`` are ``2 cos(phase / 2)``, so the
-    smallest one tells how close an eigenphase comes to the branch cut at
-    ``pi``; within ``BRANCH_MARGIN`` raises :class:`EigenphaseNearPi`.
-    """
-    plus = np.eye(np.shape(u)[-1]) + np.asarray(u)
-    sing = np.linalg.svd(plus, compute_uv=False)[..., -1]
-    worst = 2.0 * float(np.arcsin(min(1.0, 0.5 * np.min(sing))))
-    if worst <= BRANCH_MARGIN:
-        raise EigenphaseNearPi(
-            f"eigenphase within {worst:.2e} of the branch cut at pi",
-            margin=worst,
-        )
-    return lowdin(plus)
 
 
 def frame_midpoint(a, b):
@@ -159,8 +130,10 @@ def symmetrize(field, family):
     involution.  Owners at least :data:`MIDPOINT_LIMIT` from their image are
     collected and reported in a single :class:`TooFarApart`.
 
-    Returns ``(field, report)`` with the worst defect before and after and
-    the largest pointwise shift.
+    Returns ``(field, report)``; the report holds the worst defect before
+    (``reflection_before``) and the measured sup distance between the
+    result and the input (``max_shift``).  The defect after is not
+    measured here: :func:`~blochframe.pipeline.final_residuals` reports it.
     """
     if field.region != "full-torus":
         raise UsageError("symmetrize needs a full-torus field")
@@ -185,13 +158,9 @@ def symmetrize(field, family):
     out = field.copy()
     out.data[owner] = frame_midpoint(field.data[owner], image[owner])
     out.data[~owner] = _reflected_partners(out, family)[~owner]
-    before = float(np.max(defect[owner]))
-    after = reflection_defect(out, family)
-    out.meta["reflection_defect"] = after
     report = {
-        "reflection_before": before,
-        "reflection_after": after,
-        "max_shift": 0.5 * before,
+        "reflection_before": float(np.max(defect[owner])),
+        "max_shift": _sup_distance(out.data, field.data),
     }
     return out, report
 
@@ -284,7 +253,7 @@ def _gram_screen(candidate, data, rank_floor, target):
     return None
 
 
-def periodic_smooth(field, family, epsilon, k_start=2):
+def periodic_smooth(field, family, epsilon):
     """Band-limit a symmetric torus field to within ``0.9 * epsilon``.
 
     The field entries are untwisted to exactly periodic functions, their
@@ -294,10 +263,10 @@ def periodic_smooth(field, family, epsilon, k_start=2):
     back, projected onto ``Ran P(k)`` (the projectors of the family's torus
     sample) and symmetrically re-orthonormalized.
 
-    The cutoff ``K`` climbs a geometric ladder from ``k_start`` until the
-    sup frame distance to the input drops below ``0.9 * epsilon``; the
-    smallest workable cutoff is kept, since every extra harmonic slows the
-    Wannier decay.  The ladder ends at ``n_side - 1``: from ``K = n_side``
+    The cutoff ``K`` climbs a geometric ladder from 2 until the sup frame
+    distance to the input drops below ``0.9 * epsilon``; the smallest
+    workable cutoff is kept, since every extra harmonic slows the Wannier
+    decay.  The ladder ends at ``n_side - 1``: from ``K = n_side``
     on the multiplier is one on every grid harmonic, so such a rung smooths
     nothing.  A step that would pass ``n_side - 1`` tries ``n_side - 1``
     itself, and exhausting the ladder raises :class:`EpsilonInfeasible`.
@@ -380,7 +349,7 @@ def periodic_smooth(field, family, epsilon, k_start=2):
     target = 0.9 * epsilon
     last = big - 1
     tried = []
-    k = int(k_start)
+    k = 2
     while k <= last:
         entry = _gram_screen(
             candidate_at(k, subgrid=True), field.data[sub], RANK_FLOOR, target
@@ -440,25 +409,22 @@ def smooth_symmetric(field, family, epsilon):
     """Smooth and re-symmetrize; the standard last pipeline stage.
 
     Runs :func:`periodic_smooth` to within ``0.9 * epsilon`` and then
-    :func:`symmetrize`; if the combined sup distance to the input still
-    reaches ``epsilon`` the smoothing is retried once at half the target.
-    Returns ``(field, report)``.
+    :func:`symmetrize`, and raises :class:`EpsilonInfeasible` if the
+    combined sup distance to the input reaches ``epsilon``.  The real, even
+    multiplier commutes with the reflection, so the smoothed field is
+    symmetric up to roundoff and :func:`symmetrize` moves it by about half
+    that defect: the total stays within ``0.9 * epsilon`` plus roundoff,
+    and there is nothing to retry.  Returns ``(field, report)``.
     """
     smoothed, sm_report = periodic_smooth(field, family, epsilon)
     final, sym_report = symmetrize(smoothed, family)
     dist = _sup_distance(final.data, field.data)
     if dist >= epsilon:
-        smoothed, sm_report = periodic_smooth(
-            field, family, 0.5 * epsilon, k_start=sm_report["cutoff"]
+        raise EpsilonInfeasible(
+            f"smoothing plus symmetrization moved the field by {dist:.3e}, "
+            f"target {epsilon:.3e}",
+            distance=dist,
         )
-        final, sym_report = symmetrize(smoothed, family)
-        dist = _sup_distance(final.data, field.data)
-        if dist >= epsilon:
-            raise EpsilonInfeasible(
-                f"smoothing plus symmetrization moved the field by {dist:.3e}, "
-                f"target {epsilon:.3e}",
-                distance=dist,
-            )
     report = {
         "smoothing": sm_report,
         "symmetrization": sym_report,

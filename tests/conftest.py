@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import blochframe as bf
-from blochframe.errors import EigenphaseNearPi
 from blochframe.face2d import FaceContext, build_face
 from blochframe.frames import input_frame
 from blochframe.linalg import cluster_phases, unitary_eigensystem
@@ -17,10 +16,7 @@ def _log_eigensystem(u, margin=1e-8):
     phases = cluster_phases(w, labels, lambda a: a)
     worst = float(np.pi - np.max(np.abs(phases))) if len(phases) else np.pi
     if worst <= margin:
-        raise EigenphaseNearPi(
-            f"eigenphase within {worst:.2e} of the branch cut at pi",
-            margin=worst,
-        )
+        raise ValueError(f"eigenphase within {worst:.2e} of the branch cut at pi")
     return phases, q
 
 
@@ -29,7 +25,7 @@ def unitary_log(u, margin=1e-8):
 
     Returns the skew-Hermitian ``A`` with ``exp(A) = u`` and all eigenvalues
     of ``A/i`` in ``(-pi, pi)``.  An eigenphase within ``margin`` of the
-    branch cut raises :class:`EigenphaseNearPi`; the Hilbert-Schmidt norm of
+    branch cut raises ``ValueError``; the Hilbert-Schmidt norm of
     the result is the geodesic distance from the identity to ``u``.
     """
     phases, q = _log_eigensystem(u, margin=margin)

@@ -13,8 +13,9 @@ import pytest
 from blochframe.cells import CellGeometry
 from blochframe.errors import AssumptionsFailed, BoundaryRelationViolated
 from blochframe.extension import BoundaryDomain, extend_unitary_cone
+from blochframe.linalg import lowdin
 from blochframe.pipeline import RunConfig, run_construct, run_verify, run_wannierize
-from blochframe.smoothing import midpoint_unitary, symmetrize
+from blochframe.smoothing import symmetrize
 from blochframe.vertex import symmetric_sqrt
 from blochframe.wannier import extend_symmetric, localization_report
 
@@ -303,10 +304,11 @@ def test_criterion_8_smoothing_contract(h32, r32, d3_16):
         q = q * (np.diag(r) / np.abs(np.diag(r)))
         phases = rng.uniform(-2.2, 2.2, 3)
         u = (q * np.exp(1j * phases)) @ q.conj().T
-        mid = midpoint_unitary(u)
-        conj_defect = np.linalg.norm(midpoint_unitary(u.conj()) - mid.conj())
+        # the polar factor of 1 + u, which frame_midpoint takes of a + a u
+        mid = lowdin(np.eye(3) + u)
+        conj_defect = np.linalg.norm(lowdin(np.eye(3) + u.conj()) - mid.conj())
         inv_defect = np.linalg.norm(
-            midpoint_unitary(u.conj().T) - u.conj().T @ mid
+            lowdin(np.eye(3) + u.conj().T) - u.conj().T @ mid
         )
         dist_defect = abs(geodesic_distance(mid) - 0.5 * geodesic_distance(u))
         worst_mid = max(

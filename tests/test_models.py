@@ -342,6 +342,31 @@ def test_the_torus_sample_gives_the_same_report(family, grid_n):
     assert np.array_equal(family.grid_projectors(grid_n), family.projector(torus_k))
 
 
+def test_the_torus_projectors_are_built_once_per_sample():
+    """Every full-torus call returns the one read-only array of the sample;
+    a new ``grid_n`` builds a new one."""
+    family = builtin_model("haldane")
+    torus = family.grid_projectors(8)
+    assert family.grid_projectors(8) is torus
+    assert not torus.flags.writeable
+    assert family.grid_projectors(4).shape[:2] == (8, 8)
+    assert family.grid_projectors(8) is not torus
+
+
+def test_the_kept_torus_projectors_are_gap_gated_at_every_call():
+    """Negative control: raising the gap tolerance after the projectors are
+    kept refuses the next call at the sample's smallest gap."""
+    family = builtin_model("haldane")
+    family.grid_projectors(8)
+    family.gap_tolerance = 10.0
+    with pytest.raises(GapClosed) as exc:
+        family.grid_projectors(8)
+    details = exc.value.details
+    assert details["k"] == (0.3125, 0.6875)
+    assert details["below"] == pytest.approx(-0.8468, abs=1e-4)
+    assert details["above"] == pytest.approx(0.2578, abs=1e-4)
+
+
 # quarter offsets make tau_j**2 != 1, so a gather conjugating the wrong
 # way round lands on P(k + 2 e_j) instead of P(k)
 _GATHER_CASES = pytest.mark.parametrize("make, grid_n", [

@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+from blochframe import models, smoothing
 from blochframe.cells import CellGeometry
 from blochframe.errors import AssumptionsFailed, UsageError
 from blochframe.io import file_sha256, load_frames, read_json
@@ -274,6 +275,31 @@ def test_each_command_samples_the_bloch_data_once(model, tmp_path, monkeypatch):
     calls.clear()
     run_wannierize(config)
     assert calls == [torus_shape]
+
+
+def test_a_construct_builds_the_torus_projectors_once(monkeypatch):
+    """One construct asks for its torus projectors 3 times (input frame,
+    smoothing, residuals) and builds them once, as ``P = F F^H`` from the
+    sample's frames ``F``; it pairs the reflection 4 times (smoothing
+    precondition, symmetrize's image and partners, the final residual)."""
+    config = RunConfig(model="haldane", grid_n=8)
+    frames_shape = CellGeometry(2, config.grid_n).torus_shape + (2, 1)
+    calls = {"grid_projectors": 0, "build": 0, "partners": 0}
+
+    def counting(owner, name, key, counts=lambda *args: True):
+        real = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            calls[key] += bool(counts(*args))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    counting(ProjectorFamily, "grid_projectors", "grid_projectors")
+    counting(models, "_dagger", "build", lambda a: np.shape(a) == frames_shape)
+    counting(smoothing, "_reflected_partners", "partners")
+    run_construct(config)
+    assert calls == {"grid_projectors": 3, "build": 1, "partners": 4}
 
 
 @pytest.mark.parametrize("grid_n, cutoff, resolved", [(8, 9, False), (32, 12, True)])

@@ -7,7 +7,6 @@ import scipy.linalg
 
 from blochframe.cells import CellGeometry
 from blochframe.errors import (
-    EigenphaseNearPi,
     EpsilonInfeasible,
     ProjectionRankLoss,
     SpanMismatch,
@@ -22,7 +21,6 @@ from blochframe.pipeline import RunConfig, final_residuals, run_construct
 from blochframe.smoothing import (
     apply_twist,
     frame_midpoint,
-    midpoint_unitary,
     periodic_smooth,
     reflection_defect,
     smooth_symmetric,
@@ -59,32 +57,10 @@ def test_unitary_log_inverts_exp(rng):
 
 def test_unitary_log_guards_the_branch_cut():
     u = np.diag([np.exp(1j * (np.pi - 1e-10)), 1.0])
-    with pytest.raises(EigenphaseNearPi):
+    with pytest.raises(ValueError):
         unitary_log(u)
     # an explicit zero margin disables the guard
     unitary_log(u, margin=0.0)
-
-
-def test_midpoint_unitary_is_a_square_root(rng):
-    for _ in range(20):
-        u, _, _ = _bounded_unitary(rng, 3)
-        mid = midpoint_unitary(u)
-        assert np.linalg.norm(mid @ mid - u) < 1e-11
-    assert np.linalg.norm(midpoint_unitary(np.eye(4)) - np.eye(4)) < 1e-13
-
-
-def test_midpoint_unitary_matches_the_principal_logarithm(rng):
-    for spread in (0.5, 2.0, 3.0):
-        for _ in range(20):
-            u, _, _ = _bounded_unitary(rng, 3, spread=spread)
-            ref = scipy.linalg.expm(unitary_log(u) / 2)
-            assert np.linalg.norm(midpoint_unitary(u) - ref) < 1e-12
-
-
-def test_midpoint_unitary_guards_the_branch_cut():
-    u = np.diag([np.exp(1j * (np.pi - 1e-10)), 1.0])
-    with pytest.raises(EigenphaseNearPi):
-        midpoint_unitary(u)
 
 
 def _frame_pair(rng, n=4, m=2, size=0.2):
@@ -150,9 +126,12 @@ def test_symmetrize_restores_reflection(rng, haldane, haldane_torus):
     before = reflection_defect(noisy, haldane)
     assert before > 1e-3
     fixed, report = symmetrize(noisy, haldane)
-    assert report["reflection_after"] < 1e-10
     assert reflection_defect(fixed, haldane) < 1e-10
-    assert report["max_shift"] <= 0.5 * before + 1e-12
+    # at m = 1 the midpoint of a frame and its image at distance
+    # 2 sin(phase / 2) moves it by 2 sin(phase / 4)
+    assert report["max_shift"] == pytest.approx(
+        2 * np.sin(np.arcsin(before / 2) / 2), abs=1e-12
+    )
     # idempotence: a second pass does not move the field
     again, report2 = symmetrize(fixed, haldane)
     worst = max(
@@ -265,7 +244,6 @@ def test_periodic_smooth_handles_twisted_families(rng):
 def test_smooth_symmetric_combines_both_stages(haldane, haldane_torus):
     final, report = smooth_symmetric(haldane_torus, haldane, epsilon=0.12)
     assert report["sup_distance_total"] < 0.12
-    assert report["symmetrization"]["reflection_after"] < 1e-12
     assert reflection_defect(final, haldane) < 1e-12
     assert final.orthonormality_defect() < 1e-12
 
@@ -279,7 +257,6 @@ def test_symmetrize_keeps_a_field_whose_translations_square_to_minus_one():
     torus, _ = construct_2d(input_frame(fam, geo), fam)
     assert reflection_defect(torus, fam) <= 1e-12
     fixed, report = symmetrize(torus, fam)
-    assert report["reflection_after"] <= 1e-12
     assert reflection_defect(fixed, fam) <= 1e-12
     assert final_residuals(fixed, fam)["projector"] <= 1e-12
 
@@ -502,36 +479,36 @@ def test_a_rank_loss_the_subgrid_cannot_see_is_lowdins(haldane, haldane_torus, m
     _same_ladder(report, tried)
 
 
-def _moving_symmetrize(monkeypatch, calls):
-    """Patch ``smoothing.symmetrize`` to negate the frame at the origin on
-    its first ``calls`` calls, which moves the result by about 2."""
-    real = smoothing.symmetrize
-    count = []
+def _counting(monkeypatch, name, change=None):
+    """Patch ``smoothing.<name>`` to count its calls in the returned list,
+    and to apply ``change`` to the field it returns."""
+    real = getattr(smoothing, name)
+    calls = []
 
-    def moved(field, family):
-        out, report = real(field, family)
-        count.append(None)
-        if len(count) <= calls:
-            out.data[(0,) * field.geometry.d] *= -1.0
+    def spy(*args, **kwargs):
+        calls.append(None)
+        out, report = real(*args, **kwargs)
+        if change is not None:
+            change(out)
         return out, report
 
-    monkeypatch.setattr(smoothing, "symmetrize", moved)
-
-
-def test_smooth_symmetric_retries_at_half_the_target(haldane, haldane_torus, monkeypatch):
-    _, first = periodic_smooth(haldane_torus, haldane, 0.12)
-    _moving_symmetrize(monkeypatch, calls=1)
-    _, report = smooth_symmetric(haldane_torus, haldane, 0.12)
-    assert report["sup_distance_total"] < 0.12
-    assert report["smoothing"]["target"] == 0.9 * (0.5 * 0.12)
-    assert report["smoothing"]["tried"][0]["cutoff"] == first["cutoff"]
+    monkeypatch.setattr(smoothing, name, spy)
+    return calls
 
 
 def test_smooth_symmetric_refuses_a_second_move(haldane, haldane_torus, monkeypatch):
-    _moving_symmetrize(monkeypatch, calls=2)
+    """A symmetrization that moves the smoothed field by about 2 (it negates
+    the frame at the origin) is refused at once: there is no retry."""
+
+    def negate_origin(field):
+        field.data[(0,) * field.geometry.d] *= -1.0
+
+    smooths = _counting(monkeypatch, "periodic_smooth")
+    symmetrizes = _counting(monkeypatch, "symmetrize", negate_origin)
     with pytest.raises(EpsilonInfeasible) as exc:
         smooth_symmetric(haldane_torus, haldane, 0.12)
     assert exc.value.details["distance"] >= 0.12
+    assert len(smooths) == len(symmetrizes) == 1
 
 
 def test_the_ladder_stops_below_n_side(haldane, haldane_torus):
