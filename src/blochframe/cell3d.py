@@ -120,8 +120,7 @@ def construct_3d(psi_field, family, tol=1e-8, seed=0):
 
     # edge k2 = k3 = 1/2 and its translated copies
     edge, vstar = macro1(
-        psi[:, 2 * n, 2 * n], face10[2 * n, 2 * n], family.antiunitary_matrix((1, 1, 1)),
-        (1, 1, 1),
+        psi[:, 2 * n, 2 * n], face10[2 * n, 2 * n], family.antiunitary_matrix((1, 1, 1))
     )
     diag["corner_residual"] = vstar.residual
 

@@ -2,9 +2,9 @@
 
 All quasimomenta are handled in adapted coordinates where the periodicity
 lattice is the integer lattice.  Grid points are stored as integer tuples in
-units of the grid step ``h = 1 / (2 * grid_n)``; a point ``g`` represents the
-quasimomentum ``k = g * h``.  Working in integers keeps every reduction and
-identification exact.
+units of the grid step ``1 / n_side`` with ``n_side = 2 * grid_n``; a point
+``g`` represents the quasimomentum ``k = g / n_side``.  Working in integers
+keeps every reduction and identification exact.
 
 The effective cell keeps the half with nonnegative first coordinate,
 
@@ -70,15 +70,6 @@ class CellGeometry:
         """Number of grid steps per unit length of the torus."""
         return 2 * self.grid_n
 
-    @property
-    def h(self):
-        """Grid step."""
-        return 1.0 / self.n_side
-
-    def k_of(self, g):
-        """Quasimomentum (float array) of a grid point."""
-        return np.asarray(g, dtype=float) * self.h
-
     # ------------------------------------------------------------------
     # effective cell membership and indexing
     # ------------------------------------------------------------------
@@ -86,8 +77,6 @@ class CellGeometry:
         """Whether the grid points ``g`` of shape ``(..., d)`` lie in the
         effective cell."""
         g = np.asarray(g)
-        if g.shape[-1] != self.d:
-            return False
         n = self.grid_n
         return (0 <= g[..., 0]) & (g[..., 0] <= n) & np.all(np.abs(g[..., 1:]) <= n, axis=-1)
 
@@ -100,10 +89,6 @@ class CellGeometry:
         """Array index of the effective-cell grid points ``g`` of shape ``(..., d)``."""
         g = np.asarray(g)
         return (g[..., 0],) + tuple(g[..., j] + self.grid_n for j in range(1, self.d))
-
-    def cell_point(self, idx):
-        """Inverse of :meth:`cell_index` for one point."""
-        return (int(idx[0]),) + tuple(int(i) - self.grid_n for i in idx[1:])
 
     def cell_points(self):
         """Effective-cell grid points, shape ``cell_shape + (d,)``."""
@@ -130,14 +115,6 @@ class CellGeometry:
     def torus_k(self):
         """Quasimomenta of the stored torus grid, shape ``torus_shape + (d,)``."""
         return self.torus_points() / self.n_side
-
-    def torus_wrap(self, g):
-        """Torus representative and the lattice shift absorbed by wrapping."""
-        n = self.n_side
-        g = tuple(int(x) for x in g)
-        rep = tuple(gj % n for gj in g)
-        lam = tuple((gj - rj) // n for gj, rj in zip(g, rep))
-        return rep, lam
 
     def reflection_map(self):
         """Partner of every stored torus point under ``k -> -k``.

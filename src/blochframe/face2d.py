@@ -143,7 +143,7 @@ def macro2(ctx, left_edge, bottom_edge, tol=1e-8, seed=0):
     skel = np.full(psi.shape, np.nan, dtype=complex)
     skel[0] = left_edge
     skel[:, 0] = bottom_edge
-    lower_right, sol4 = macro1(psi[n, :n + 1], corner, ctx.antiunitary((1, 0)), (1, 0))
+    lower_right, sol4 = macro1(psi[n, :n + 1], corner, ctx.antiunitary((1, 0)))
     skel[n, :n + 1] = lower_right
     skel[n, n + 1:] = ctx.apply_anti((1, 0), skel[n, n - 1::-1])
     skel[1:n, 2 * n] = ctx.family.tau_power(ctx.axes[1]) @ skel[1:n, 0]
@@ -183,8 +183,8 @@ def _left_edge_frames(ctx):
     """Symmetric frames on the edge ``k_1 = 0`` of a face context."""
     n = ctx.geometry.grid_n
     psi = ctx.psi[0]
-    origin = vertex_solution((0, 0), psi[n], ctx.antiunitary((0, 0)), (0, 0))
-    upper, top_sol = macro1(psi[n:], psi[n] @ origin.u, ctx.antiunitary((0, 1)), (0, 1))
+    origin = vertex_solution(psi[n], ctx.antiunitary((0, 0)))
+    upper, top_sol = macro1(psi[n:], psi[n] @ origin.u, ctx.antiunitary((0, 1)))
     edge = np.empty_like(psi)
     edge[n:] = upper
     edge[n::-1] = ctx.apply_anti((0, 0), upper)
@@ -198,7 +198,7 @@ def _left_edge_frames(ctx):
 
 def _bottom_edge_frames(ctx, start):
     """Symmetric frames on the edge ``k_2 = -1/2``, continuing ``start``."""
-    frames, end_sol = macro1(ctx.psi[:, 0], start, ctx.antiunitary((1, -1)), (1, -1))
+    frames, end_sol = macro1(ctx.psi[:, 0], start, ctx.antiunitary((1, -1)))
     return frames, {"corner_residual": end_sol.residual,
                     "branch_snap": bool(end_sol.branch_snap)}
 

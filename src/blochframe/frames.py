@@ -5,8 +5,11 @@ and span ``Ran P(k)``.  Unitaries act on the right, ``(frame <| u)_b =
 sum_a frame_a u_ab``, i.e. ordinary matrix multiplication ``frame @ u``.
 
 A :class:`FrameField` stores one frame per grid point over one of two
-regions: the effective cell or the full torus.  Points not yet filled hold
-NaN.
+regions, the effective cell or the full torus, as one array; every stage
+reads and writes it whole.  A NaN entry is a poison value, not an empty
+slot: residuals are maxima over every stored frame, so one NaN frame makes
+them NaN, and :func:`check_same_span` and the smoothing precondition refuse
+a NaN.
 """
 
 from dataclasses import dataclass, field
@@ -34,13 +37,14 @@ def check_same_span(a, b, tol=1e-8):
     """Raise :class:`SpanMismatch` unless ``a`` and ``b`` span the same subspace.
 
     Takes frames or stacks ``(..., n, m)`` of them; the agreement is checked
-    through ``||b b^H a - a|| <= tol`` at every stack entry.
+    through ``||b b^H a - a|| <= tol`` at every stack entry, so a NaN in
+    either frame fails it.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     moved = b @ (np.swapaxes(b.conj(), -1, -2) @ a) - a
     defect = float(np.max(np.linalg.norm(moved, axis=(-2, -1)), initial=0.0))
-    if defect > tol:
+    if not defect <= tol:
         raise SpanMismatch(
             f"frames do not span the same subspace (defect {defect:.3e} > {tol:.1e})",
             defect=defect,
@@ -65,8 +69,9 @@ class FrameField:
 
     ``region`` is ``"effective-cell"`` or ``"full-torus"``; ``data`` has
     shape ``geometry.cell_shape + (n, m)`` for the first and
-    ``geometry.torus_shape + (n, m)`` for the torus.  Unfilled points carry
-    NaN.
+    ``geometry.torus_shape + (n, m)`` for the torus.  A grid point ``g``
+    of the cell is stored at ``data[geometry.cell_index(g)]``, one of the
+    torus at ``data[g]``.
     """
 
     geometry: object
@@ -83,30 +88,15 @@ class FrameField:
     # -- construction ---------------------------------------------------
     @classmethod
     def empty(cls, geometry, n, m, region="effective-cell"):
+        """Field over ``region`` filled with NaN, which the caller
+        overwrites whole; a point it leaves unwritten poisons the
+        field's residuals."""
         if region == "full-torus":
             shape = geometry.torus_shape + (n, m)
         else:
             shape = geometry.cell_shape + (n, m)
         data = np.full(shape, np.nan, dtype=complex)
         return cls(geometry=geometry, region=region, data=data)
-
-    # -- indexing -------------------------------------------------------
-    def _index(self, g):
-        if self.region == "full-torus":
-            rep, _ = self.geometry.torus_wrap(g)
-            return rep
-        return self.geometry.cell_index(g)
-
-    def get(self, g):
-        return self.data[self._index(g)]
-
-    def set(self, g, frame):
-        self.data[self._index(g)] = frame
-
-    def has(self, g):
-        if self.region != "full-torus" and not self.geometry.in_effective_cell(g):
-            return False
-        return not np.any(np.isnan(self.data[self._index(g)]))
 
     @property
     def n(self):
@@ -116,27 +106,16 @@ class FrameField:
     def m(self):
         return self.data.shape[-1]
 
-    def points(self):
-        """Grid points carrying data, in array order."""
-        geo = self.geometry
-        if self.region == "full-torus":
-            return [tuple(int(i) for i in idx) for idx in np.ndindex(geo.torus_shape)]
-        pts = []
-        for idx in np.ndindex(geo.cell_shape):
-            if not np.any(np.isnan(self.data[idx])):
-                pts.append(geo.cell_point(idx))
-        return pts
-
     def copy(self):
         return FrameField(self.geometry, self.region, self.data.copy(), dict(self.meta))
 
     # -- diagnostics ----------------------------------------------------
     def orthonormality_defect(self):
-        """Largest ``||frame^H frame - 1||`` over stored points."""
+        """Largest ``||frame^H frame - 1||`` over every stored point;
+        NaN when any frame holds a NaN."""
         f = self.data
         gram = np.swapaxes(f.conj(), -1, -2) @ f - np.eye(self.m)
-        defects = np.linalg.norm(gram, axis=(-2, -1))
-        return float(np.max(defects[~np.isnan(defects)], initial=0.0))
+        return float(np.max(np.linalg.norm(gram, axis=(-2, -1))))
 
 
 # ----------------------------------------------------------------------
@@ -169,9 +148,10 @@ def input_frame(family, geometry, region="effective-cell"):
     seed are read from the family's torus sample
     (:meth:`~blochframe.models.ProjectorFamily.grid_projectors`).
 
-    Returns the field; ``field.meta["transport_step_sup"]`` records the
-    largest frame distance between adjacent transported points, a continuity
-    proxy proportional to the grid step for smooth families.
+    The sweep writes every stored point.  Returns the field;
+    ``field.meta["transport_step_sup"]`` records the largest frame distance
+    between adjacent transported points, a continuity proxy proportional to
+    the grid step for smooth families, which the construct manifest keeps.
     """
     d = family.d
     fld = FrameField.empty(geometry, family.n, family.m, region=region)

@@ -136,12 +136,8 @@ def _geometry(d, grid_n, path):
         raise UsageError(f"{path} has an invalid header: {exc}") from None
 
 
-def save_frames(path, field, metrics=None):
-    """Write a frame field as a ``BLF1`` file plus a JSON sidecar.
-
-    The sidecar (same path with ``.json`` appended) records the header
-    fields and any metric dict passed by the caller.
-    """
+def save_frames(path, field):
+    """Write a frame field as a ``BLF1`` file."""
     data = np.asarray(field.data, dtype=complex)
     geometry = field.geometry
     header = struct.pack(
@@ -161,17 +157,6 @@ def save_frames(path, field, metrics=None):
         fh.write(header)
         fh.write(dims)
         fh.write(_payload_bytes(data))
-    sidecar = {
-        "format": "BLF1",
-        "version": 1,
-        "d": geometry.d,
-        "grid_n": geometry.grid_n,
-        "n": field.n,
-        "m": field.m,
-        "region": field.region,
-        "metrics": jsonable(metrics or {}),
-    }
-    write_json(str(path) + ".json", sidecar)
 
 
 def load_frames(path):

@@ -71,6 +71,8 @@ class RunConfig:
                 raise UsageError(f"{name} must be positive and finite")
         if self.threads < 1:
             raise UsageError("threads must be at least 1")
+        if self.seed < 0:
+            raise UsageError("seed must be a nonnegative integer")
 
 
 def load_family(config):
@@ -189,14 +191,13 @@ def run_verify(config):
 
 def _trim_obstruction_defects(psi_field, family, geometry):
     """Symmetry defect of the obstruction unitary at every high-symmetry point."""
-    out = {}
-    for trim in geometry.trims():
-        lam = geometry.trim_lambda(trim)
-        frame = psi_field.get(trim)
-        image = family.antiunitary_matrix(lam) @ np.conj(frame)
-        u = unitary_between(frame, image)
-        out[str(trim)] = float(np.linalg.norm(u - u.T))
-    return out
+    trims = geometry.trims()
+    frames = psi_field.data[geometry.cell_index(np.array(trims))]
+    antiunitaries = np.array(
+        [family.antiunitary_matrix(geometry.trim_lambda(t)) for t in trims]
+    )
+    u = unitary_between(frames, antiunitaries @ np.conj(frames))
+    return {str(t): float(np.linalg.norm(x - x.T)) for t, x in zip(trims, u)}
 
 
 def final_residuals(field, family):
@@ -246,6 +247,7 @@ def run_construct(config):
         "assumptions": report.as_dict(),
         "obstruction_symmetry_defects": obstructions,
         "construction": io_mod.jsonable(diag),
+        "transport_step_sup": psi.meta["transport_step_sup"],
         "extension_mismatch": phi.meta.get("extension_mismatch"),
         "smoothing": io_mod.jsonable(smooth_report),
         "final_residuals": residuals,
@@ -253,14 +255,11 @@ def run_construct(config):
     }
 
     if config.out is not None:
-        io_mod.save_frames(_outpath(config, "psi.blf1"), psi,
-                           {"transport_step_sup": psi.meta.get("transport_step_sup")})
-        io_mod.save_frames(_outpath(config, "phi.blf1"), phi,
-                           {"extension_mismatch": phi.meta.get("extension_mismatch")})
-        io_mod.save_frames(_outpath(config, "phi_sm.blf1"), phi_sm, residuals)
+        fields = {"psi.blf1": psi, "phi.blf1": phi, "phi_sm.blf1": phi_sm}
+        for name, fld in fields.items():
+            io_mod.save_frames(_outpath(config, name), fld)
         manifest["artifacts"] = {
-            name: io_mod.file_sha256(_outpath(config, name))
-            for name in ("psi.blf1", "phi.blf1", "phi_sm.blf1")
+            name: io_mod.file_sha256(_outpath(config, name)) for name in fields
         }
         io_mod.write_json(_outpath(config, "manifest.json"), manifest)
 

@@ -312,7 +312,7 @@ def periodic_smooth(field, family, epsilon):
 
     ortho = field.orthonormality_defect()
     refl = reflection_defect(field, family)
-    if max(ortho, refl) > PRECONDITION_TOL:
+    if not max(ortho, refl) <= PRECONDITION_TOL:
         raise UsageError(
             "input field violates its symmetry preconditions "
             f"(orthonormality {ortho:.2e}, reflection {refl:.2e})"

@@ -135,15 +135,12 @@ def symmetric_sqrt(v):
 class VertexSolution:
     """Frame correction solving the invariance condition at one point."""
 
-    point: tuple
-    lam: tuple
-    obstruction: np.ndarray
     u: np.ndarray
     residual: float
     branch_snap: bool
 
 
-def vertex_solution(point, frame, antiunitary, lam):
+def vertex_solution(frame, antiunitary):
     """Solve the invariance condition at a high-symmetry point.
 
     The corrected frame ``frame <| u`` satisfies ``phi = tau_lam theta phi``
@@ -154,10 +151,7 @@ def vertex_solution(point, frame, antiunitary, lam):
     phi = frame @ u
     image = np.asarray(antiunitary) @ np.conj(phi)
     res = float(np.linalg.norm(phi - image))
-    return VertexSolution(
-        point=tuple(point), lam=tuple(lam), obstruction=v, u=u,
-        residual=res, branch_snap=info["branch_snap"],
-    )
+    return VertexSolution(u=u, residual=res, branch_snap=info["branch_snap"])
 
 
 def interpolate_unitaries(u1, u2, t):
@@ -185,7 +179,7 @@ def interpolate_unitaries(u1, u2, t):
     return u1 @ (q @ (np.exp(2j * t * phases)[..., :, None] * q.conj().T))
 
 
-def macro1(frames, start_frame, end_antiunitary, end_lam):
+def macro1(frames, start_frame, end_antiunitary):
     """Transport a symmetric frame along a straight high-symmetry segment.
 
     Parameters
@@ -199,16 +193,13 @@ def macro1(frames, start_frame, end_antiunitary, end_lam):
         Value prescribed at the first point; reproduced exactly.
     end_antiunitary : (n, n) array
         Matrix of ``tau_lam o theta`` at the end point.
-    end_lam : tuple
-        Lattice vector of the end point condition (for diagnostics).
 
     Returns ``(corrected, end_solution)``: the corrected frames along the
-    segment, shaped like ``frames``, and the vertex solution at the end,
-    whose ``point`` is the end's index ``(steps,)`` along the segment.
+    segment, shaped like ``frames``, and the vertex solution at the end.
     """
     steps = len(frames) - 1
     u_start = unitary_between(frames[0], start_frame)
-    sol = vertex_solution((steps,), frames[-1], end_antiunitary, end_lam)
+    sol = vertex_solution(frames[-1], end_antiunitary)
     ts = 0.5 * np.arange(steps + 1) / steps
     return frames @ interpolate_unitaries(u_start, sol.u, ts), sol
 
@@ -224,10 +215,8 @@ def construct_1d(psi_field, family):
 
     geo = psi_field.geometry
     psi = psi_field.data
-    origin_sol = vertex_solution((0,), psi[0], family.antiunitary_matrix((0,)), (0,))
-    frames, end_sol = macro1(
-        psi, psi[0] @ origin_sol.u, family.antiunitary_matrix((1,)), (1,)
-    )
+    origin_sol = vertex_solution(psi[0], family.antiunitary_matrix((0,)))
+    frames, end_sol = macro1(psi, psi[0] @ origin_sol.u, family.antiunitary_matrix((1,)))
     fld = FrameField(geo, "effective-cell", frames)
     diagnostics = {
         "vertex_residuals": {

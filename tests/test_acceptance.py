@@ -336,8 +336,9 @@ def test_criterion_9_negative_controls(haldane):
     except AssumptionsFailed:
         refused = True
 
-    bad = face_cell(haldane, CellGeometry(2, 8)).copy()
-    bad.set((0, 8), bad.get((0, 8)) * np.exp(0.3j))
+    geo = CellGeometry(2, 8)
+    bad = face_cell(haldane, geo).copy()
+    bad.data[geo.cell_index((0, 8))] *= np.exp(0.3j)
     caught = None
     try:
         extend_symmetric(bad, haldane)

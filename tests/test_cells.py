@@ -129,26 +129,12 @@ def test_cell_point_index_roundtrip():
         geo = CellGeometry(d, 2)
         pts = geo.cell_points()
         assert pts.shape == geo.cell_shape + (d,)
-        pts = [tuple(g) for g in pts.reshape(-1, d).tolist()]
+        flat = pts.reshape(-1, d)
+        assert np.array_equal(pts[geo.cell_index(flat)], flat)
+        flat = [tuple(g) for g in flat.tolist()]
         expected = (geo.grid_n + 1) * (geo.n_side + 1) ** (d - 1)
-        assert len(pts) == expected
-        for i, g in enumerate(pts):
-            assert geo.cell_point(geo.cell_index(g)) == g
-        assert len(set(pts)) == len(pts)
-
-
-def test_torus_wrap():
-    geo = CellGeometry(2, 4)
-    big = geo.n_side
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        g = tuple(int(x) for x in rng.integers(-20, 20, size=2))
-        rep, lam = geo.torus_wrap(g)
-        assert all(0 <= x < big for x in rep)
-        assert all(r + big * l == x for r, l, x in zip(rep, lam, g))
-        rep2, lam2 = geo.torus_wrap(tuple(x + big for x in g))
-        assert rep2 == rep
-        assert all(l2 == l + 1 for l2, l in zip(lam2, lam))
+        assert len(flat) == expected
+        assert len(set(flat)) == len(flat)
 
 
 def test_grid_must_be_even_and_positive():

@@ -8,8 +8,10 @@ import sys
 import pytest
 
 import blochframe
+from blochframe.cells import CellGeometry
 from blochframe.cli import main
 from blochframe.errors import EpsilonInfeasible
+from blochframe.frames import input_frame
 from blochframe.io import file_sha256, read_json
 
 from conftest import reversal_break_between_grid_points
@@ -80,6 +82,30 @@ def test_usage_errors_exit_2_with_json(capsys):
     payload = json.loads(capsys.readouterr().err)
     assert code == 2
     assert payload["error"] == "usage"
+
+
+def test_a_negative_seed_is_a_usage_error(capsys):
+    """``--seed -1`` is refused before any stage draws from it."""
+    code = main(["construct", "--model", "random-trs", "--param", "seed=0",
+                 "--seed", "-1", "--grid-n", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.err)["error"] == "usage"
+
+
+def test_construct_writes_three_frame_files_and_the_manifest(tmp_path, capsys):
+    """The manifest is the one record of a construct: no sidecar files, and
+    it keeps the input frame's transport step."""
+    out = tmp_path / "run"
+    assert main(["construct", "--model", "ssh", "--grid-n", "4", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(os.listdir(out)) == [
+        "manifest.json", "phi.blf1", "phi_sm.blf1", "psi.blf1"
+    ]
+    psi = input_frame(blochframe.builtin_model("ssh"), CellGeometry(1, 4))
+    manifest = read_json(out / "manifest.json")
+    assert manifest["transport_step_sup"] == psi.meta["transport_step_sup"]
 
 
 def test_assumption_failure_exits_1_with_payload(capsys):

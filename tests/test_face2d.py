@@ -52,33 +52,28 @@ def test_construct_2d_field_is_orthonormal_and_in_span(haldane, haldane_face):
     geo, torus, _ = haldane_face
     assert torus.region == "full-torus"
     assert torus.orthonormality_defect() < 1e-12
-    worst = 0.0
-    for g in torus.points():
-        k = np.asarray(g, dtype=float) * geo.h
-        p = haldane.projector(k)
-        f = torus.get(g)
-        worst = max(worst, np.linalg.norm(p @ f - f))
+    p = haldane.projector(geo.torus_k())
+    worst = np.max(np.linalg.norm(p @ torus.data - torus.data, axis=(-2, -1)))
     assert worst < 1e-9
 
 
 def test_construct_2d_reflection_symmetry(haldane, haldane_face):
     geo, torus, _ = haldane_face
     c = haldane.theta_matrix()
-    worst = 0.0
-    for g in torus.points():
-        minus = tuple(-x for x in g)
-        want = c @ np.conj(torus.get(g))
-        worst = max(worst, np.linalg.norm(torus.get(minus) - want))
+    partner, _ = geo.reflection_map()
+    minus = torus.data[tuple(np.moveaxis(partner, -1, 0))]
+    worst = np.max(np.linalg.norm(minus - c @ np.conj(torus.data), axis=(-2, -1)))
     assert worst < 1e-8
 
 
 def _max_step(torus):
-    worst = 0.0
-    for g in torus.points():
-        for step in ((1, 0), (0, 1)):
-            nb = (g[0] + step[0], g[1] + step[1])
-            worst = max(worst, np.linalg.norm(torus.get(nb) - torus.get(g)))
-    return worst
+    """Largest step between neighbouring frames along either axis, the
+    wrap included (haldane's ``tau`` is one)."""
+    data = torus.data
+    return max(
+        float(np.max(np.linalg.norm(np.roll(data, -1, axis) - data, axis=(-2, -1))))
+        for axis in (0, 1)
+    )
 
 
 def test_construct_2d_continuity_improves_with_the_grid(haldane, haldane_face):

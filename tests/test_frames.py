@@ -7,6 +7,7 @@ from blochframe.errors import SpanMismatch
 from blochframe.frames import (
     FrameField,
     _fix_column_phases,
+    check_same_span,
     frame_distance,
     input_frame,
     unitary_between,
@@ -47,39 +48,20 @@ def test_unitary_between_rejects_span_mismatch(rng):
     assert exc.value.details["defect"] > 1e-3
 
 
-def test_framefield_cell_indexing(rng):
-    geo = CellGeometry(2, 4)
-    fld = FrameField.empty(geo, 3, 1)
-    g = (2, -1)
-    assert not fld.has(g)
-    f = _random_frame(rng, 3, 1)
-    fld.set(g, f)
-    assert fld.has(g)
-    assert np.array_equal(fld.get(g), f)
-    assert g in fld.points()
-    assert not fld.has((5, 5))  # outside the effective cell
-    dup = fld.copy()
-    dup.set(g, 2 * f)
-    assert np.array_equal(fld.get(g), f)
+def test_check_same_span_refuses_a_nan_frame(rng):
+    """A NaN frame fails the span check instead of reaching the SVD."""
+    a = _random_frame(rng, 4, 2)
+    b = a.copy()
+    b[1, 0] = np.nan
+    with pytest.raises(SpanMismatch):
+        check_same_span(a, b)
 
 
-def test_framefield_torus_wrap_indexing(rng):
-    geo = CellGeometry(2, 4)
-    n_side = geo.n_side
-    fld = FrameField.empty(geo, 2, 1, region="full-torus")
-    f = _random_frame(rng, 2, 1)
-    fld.set((1, 2), f)
-    # any lattice translate addresses the same storage location
-    assert np.array_equal(fld.get((1 + n_side, 2 - 2 * n_side)), f)
-    fld.set((1 - n_side, 2), 2 * f)
-    assert np.array_equal(fld.get((1, 2)), 2 * f)
-
-
-def test_orthonormality_defect_reports_worst(rng):
+def test_orthonormality_defect_reports_worst():
     geo = CellGeometry(1, 4)
     fld = FrameField.empty(geo, 2, 1)
-    fld.set((0,), np.array([[1.0], [0.0]], dtype=complex))
-    fld.set((1,), np.array([[1.1], [0.0]], dtype=complex))
+    fld.data[:] = np.array([[1.0], [0.0]])
+    fld.data[geo.cell_index((1,))] = np.array([[1.1], [0.0]])
     assert fld.orthonormality_defect() == pytest.approx(abs(1.1**2 - 1.0))
 
 
@@ -87,13 +69,9 @@ def test_input_frame_spans_projector_and_is_steady(haldane):
     geo = CellGeometry(2, 8)
     fld = input_frame(haldane, geo)
     assert fld.orthonormality_defect() < 1e-12
-    assert len(fld.points()) == np.prod(geo.cell_shape)
-    worst = 0.0
-    for g in fld.points():
-        k = np.asarray(g, dtype=float) * geo.h
-        p = haldane.projector(k)
-        f = fld.get(g)
-        worst = max(worst, np.linalg.norm(p @ f - f))
+    assert np.isfinite(fld.data).all()
+    p = haldane.projector(geo.cell_points() / geo.n_side)
+    worst = np.max(np.linalg.norm(p @ fld.data - fld.data, axis=(-2, -1)))
     assert worst < 1e-10
     assert fld.meta["transport_step_sup"] < 0.5
 
@@ -108,7 +86,8 @@ def test_input_frame_full_torus_region(haldane):
     geo = CellGeometry(2, 4)
     fld = input_frame(haldane, geo, region="full-torus")
     assert fld.region == "full-torus"
-    assert len(fld.points()) == geo.n_side**2
+    assert fld.data.shape[:2] == geo.torus_shape
+    assert np.isfinite(fld.data).all()
     assert fld.orthonormality_defect() < 1e-12
 
 
@@ -138,7 +117,7 @@ def _pointwise_input_frame(family, geometry, region, independent):
     corner = np.array([r.start for r in ranges])
     box = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1)
     if independent:
-        projectors = family.projector(geometry.k_of(box))
+        projectors = family.projector(box / geometry.n_side)
         seed, _ = family.spectral_frame(np.zeros(d))
         polar = _svd_polar
     else:
@@ -166,6 +145,17 @@ def _pointwise_input_frame(family, geometry, region, independent):
     return frames, step_sup
 
 
+def _gathered(fld, frames):
+    """The field's frames at the grid points keying ``frames``, and the
+    frames of the dict, as two stacks in the dict's order."""
+    points = np.array(list(frames))
+    if fld.region == "full-torus":
+        index = tuple(points.T)
+    else:
+        index = fld.geometry.cell_index(points)
+    return fld.data[index], np.array(list(frames.values()))
+
+
 @pytest.mark.parametrize("region", ["effective-cell", "full-torus"])
 @pytest.mark.parametrize("name, params, grid_n", [
     ("ssh", {}, 4),
@@ -180,10 +170,11 @@ def test_input_frame_matches_pointwise_transport(name, params, grid_n, region):
     geo = CellGeometry(fam.d, grid_n)
     fld = input_frame(fam, geo, region=region)
     frames, step_sup = _pointwise_input_frame(fam, geo, region, independent=False)
-    assert len(frames) == len(fld.points())
-    for g, frame in frames.items():
-        assert np.array_equal(fld.get(g), frame)
+    assert len(frames) == np.prod(fld.data.shape[:fam.d])
+    got, want = _gathered(fld, frames)
+    assert np.array_equal(got, want)
     assert fld.meta["transport_step_sup"] == pytest.approx(step_sup, abs=1e-15)
     oracle, oracle_step_sup = _pointwise_input_frame(fam, geo, region, independent=True)
-    assert max(np.max(np.abs(fld.get(g) - frame)) for g, frame in oracle.items()) < 1e-13
+    got, want = _gathered(fld, oracle)
+    assert np.max(np.abs(got - want)) < 1e-13
     assert fld.meta["transport_step_sup"] == pytest.approx(oracle_step_sup, abs=1e-13)

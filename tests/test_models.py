@@ -381,7 +381,7 @@ def _gather_defect(family, grid_n):
     geo = CellGeometry(family.d, grid_n)
     box = geo.cell_points()
     gathered = family.grid_projectors(grid_n, box)
-    direct = family.projector(geo.k_of(box))
+    direct = family.projector(box / geo.n_side)
     return float(np.max(np.linalg.norm(gathered - direct, axis=(-2, -1))))
 
 

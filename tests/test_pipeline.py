@@ -36,6 +36,11 @@ def test_runconfig_validation():
             RunConfig(model="ssh", threads=threads)
 
 
+def test_runconfig_refuses_a_negative_seed():
+    with pytest.raises(UsageError):
+        RunConfig(model="haldane", seed=-1)
+
+
 def test_load_family_builtins_and_files(tmp_path):
     fam = load_family(RunConfig(model="haldane", params={"phi": 0.1}))
     assert fam.name == "haldane"
@@ -150,7 +155,7 @@ def test_final_residuals_of_a_construct(ssh_run):
 def test_final_residuals_catch_a_planted_defect(ssh_run, residual, plant):
     _, result = ssh_run
     field = result["phi_sm"].copy()
-    field.set((1,), plant(field.get((1,))))
+    field.data[1] = plant(field.data[1])
     assert final_residuals(field, result["family"])[residual] > 1e-8
 
 

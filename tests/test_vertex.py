@@ -104,11 +104,10 @@ def test_vertex_solution_fixes_the_frame(rng):
     # an invariant span: real basis rotated by an arbitrary unitary
     r = scipy.linalg.qr(rng.standard_normal((4, 2)))[0][:, :2]
     frame = r @ random_unitary(rng, 2)
-    sol = vertex_solution((0, 0), frame, np.eye(4), (0, 0))
+    sol = vertex_solution(frame, np.eye(4))
     phi = frame @ sol.u
     assert np.linalg.norm(phi - np.conj(phi)) < 1e-10
     assert sol.residual < 1e-10
-    assert sol.point == (0, 0)
 
 
 def test_interpolate_endpoints_and_unitarity(rng):
@@ -193,9 +192,9 @@ def test_macro1_reproduces_start_and_fixes_end(rng):
     )
     points = [(i,) for i in range(9)]
     frames_in = np.stack([r @ scipy.linalg.expm(1j * g[0] / 8 * h) for g in points])
-    start_sol = vertex_solution(points[0], frames_in[0], np.eye(4), (0,))
+    start_sol = vertex_solution(frames_in[0], np.eye(4))
     start = frames_in[0] @ start_sol.u
-    frames, end_sol = macro1(frames_in, start, np.eye(4), (1,))
+    frames, end_sol = macro1(frames_in, start, np.eye(4))
     assert np.linalg.norm(frames[0] - start) < 1e-12
     phi_end = frames[-1]
     assert np.linalg.norm(phi_end - np.conj(phi_end)) < 1e-10
@@ -211,21 +210,16 @@ def test_construct_1d_symmetric_frame(ssh):
     assert torus.region == "full-torus"
     assert torus.orthonormality_defect() < 1e-12
     assert all(v < 1e-10 for v in diag["vertex_residuals"].values())
-    n_side = geo.n_side
-    # reflection symmetry on the whole torus (theta is plain conjugation)
-    for g in range(n_side):
-        a = torus.get((g,))
-        b = torus.get((-g,))
-        assert np.linalg.norm(b - np.conj(a)) < 1e-10
+    data = torus.data
+    # reflection symmetry on the whole torus (theta is plain conjugation,
+    # and ssh's tau is one, so -g is stored at -g mod n_side)
+    minus = data[-np.arange(geo.n_side) % geo.n_side]
+    assert np.max(np.linalg.norm(minus - np.conj(data), axis=(-2, -1))) < 1e-10
     # frames still span the spectral subspace
-    for g in range(n_side):
-        p = ssh.projector((g * geo.h,))
-        f = torus.get((g,))
-        assert np.linalg.norm(p @ f - f) < 1e-9
-    steps = [
-        np.linalg.norm(torus.get((g + 1,)) - torus.get((g,))) for g in range(n_side)
-    ]
-    assert max(steps) < 0.8
+    p = ssh.projector(geo.torus_k())
+    assert np.max(np.linalg.norm(p @ data - data, axis=(-2, -1))) < 1e-9
+    steps = np.linalg.norm(np.roll(data, -1, axis=0) - data, axis=(-2, -1))
+    assert np.max(steps) < 0.8
 
 
 def test_construct_1d_without_extension(ssh):
@@ -234,9 +228,10 @@ def test_construct_1d_without_extension(ssh):
     geo = CellGeometry(1, 8)
     psi = input_frame(ssh, geo)
     torus, _ = construct_1d(psi, ssh)
-    phi0, phi_half = torus.get((0,)), torus.get((8,))
+    phi0, phi_half = torus.data[0], torus.data[8]
     assert np.linalg.norm(phi0 - np.conj(phi0)) < 1e-10
     assert np.linalg.norm(phi_half - np.conj(phi_half)) < 1e-10
-    for g in range(geo.grid_n + 1):
-        u = unitary_between(psi.get((g,)), torus.get((g,)))
-        assert np.linalg.norm(psi.get((g,)) @ u - torus.get((g,))) < 1e-10
+    # the cell's grid points g = 0..grid_n are stored at index g in both
+    cell = torus.data[:geo.grid_n + 1]
+    u = unitary_between(psi.data, cell)
+    assert np.max(np.linalg.norm(psi.data @ u - cell, axis=(-2, -1))) < 1e-10
