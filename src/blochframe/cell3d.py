@@ -48,8 +48,8 @@ def _assemble_boundary(geo, family, face10, field2p, field3p, door, tol):
 
     Faces are written in a fixed order.  A point that a face shares with an
     earlier one keeps the earlier value, and the two must agree to ``tol``
-    (:class:`BoundaryRelationViolated` names the first point that does not).
-    Interior points stay NaN.
+    (:class:`BoundaryRelationViolated` names the first point that does not,
+    or that holds NaN on either side).  Interior points stay NaN.
     """
     n = geo.grid_n
     t2_inv = family.tau_power((0, -1, 0))
@@ -57,18 +57,20 @@ def _assemble_boundary(geo, family, face10, field2p, field3p, door, tol):
     a_door = family.antiunitary_matrix((1, 0, 0))
     points = geo.cell_points()
     out = np.full(geo.cell_shape + face10.shape[-2:], np.nan, dtype=complex)
+    written = np.zeros(geo.cell_shape, dtype=bool)
     glue = {"glue_residual": 0.0, "glue_point": None}
 
     def write(at, values):
         view = out[at]
-        unset = np.isnan(view[..., 0, 0])
+        unset = ~written[at]
         diff = np.where(unset, 0.0, np.linalg.norm(view - values, axis=(-2, -1)))
         worst = np.unravel_index(np.argmax(diff), diff.shape)
         if diff[worst] > glue["glue_residual"]:
             glue["glue_residual"] = float(diff[worst])
             glue["glue_point"] = tuple(int(x) for x in points[at][worst])
-        if np.any(diff > tol):
-            first = np.unravel_index(np.argmax(diff > tol), diff.shape)
+        bad = ~(diff <= tol)  # NaN on either side is refused
+        if np.any(bad):
+            first = np.unravel_index(np.argmax(bad), diff.shape)
             g = tuple(int(x) for x in points[at][first])
             raise BoundaryRelationViolated(
                 f"face values disagree at grid point {g} "
@@ -77,6 +79,7 @@ def _assemble_boundary(geo, family, face10, field2p, field3p, door, tol):
                 residual=float(diff[first]),
             )
         view[unset] = values[unset]
+        written[at] = True
 
     write(np.s_[0], face10)
     write(np.s_[:, 2 * n], field2p)

@@ -86,7 +86,7 @@ def _boundary_domain(geo):
 
 
 def _check(cond_value, tol, what, point, label):
-    if cond_value > tol:
+    if not cond_value <= tol:  # NaN is refused
         raise BoundaryRelationViolated(
             f"{what} fails on {label} at local {point} "
             f"(residual {cond_value:.3e} > {tol:.1e})",

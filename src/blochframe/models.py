@@ -22,7 +22,9 @@ Only the gap needs Bloch data.  A family samples its eigensystem on the
 torus grid once (:meth:`ProjectorFamily.torus_eigensystem` keeps the last
 grid's sample); the gap floor of :func:`verify_assumptions` and every
 projector a construction transports, smooths and certifies with are read
-from that one sample.
+from that one sample.  The two symmetries also halve it: ``eigh`` runs on
+the slab ``k_1 <= 1/2`` only, and every other point is the time-reversed
+image of its partner ``-k`` (:meth:`ProjectorFamily.reflected_partners`).
 """
 
 import json
@@ -237,8 +239,19 @@ class ProjectorFamily:
         return frame @ _dagger(frame)
 
     def torus_eigensystem(self, grid_n):
-        """:meth:`eigensystem` on ``CellGeometry(d, grid_n).torus_k()``:
-        all eigenvalues, and the eigenvectors of the lowest ``m`` bands.
+        """All eigenvalues, and the eigenvectors of the lowest ``m`` bands,
+        on the stored torus ``CellGeometry(d, grid_n).torus_k()``.
+
+        :meth:`eigensystem` runs once, on the slab ``g_1 <= grid_n``
+        (``k_1 <= 1/2``).  Every point ``g`` with ``g_1 > grid_n`` is the
+        time-reversed image of its partner ``(-g) mod N`` in the slab: it
+        gets the partner's eigenvalues and the occupied frame
+        ``tau^(-lam) C conj(v(partner))`` of :meth:`reflected_partners`,
+        which spans ``P(k)`` by ``theta P(k) theta^-1 = P(-k)`` and the
+        lattice symmetry.  When those symmetries hold only up to the
+        residuals of :func:`verify_assumptions`, each mirrored eigenvalue is
+        off by at most ``time_reversal + d * periodicity`` (Weyl's
+        inequality), so the gap by twice that.
 
         Sampled on the first call for a ``grid_n`` and kept until another
         ``grid_n`` is asked for, so one command samples the torus once.
@@ -246,9 +259,17 @@ class ProjectorFamily:
         :meth:`spectral_frame` or :meth:`grid_projectors`.
         """
         if self._torus_sample is None or self._torus_sample[0] != grid_n:
-            evals, evecs = self.eigensystem(CellGeometry(self.d, grid_n).torus_k())
+            torus_k = CellGeometry(self.d, grid_n).torus_k()
+            slab, mirror = slice(None, grid_n + 1), slice(grid_n + 1, None)
+            evals, evecs = self.eigensystem(torus_k[slab])
             # only the occupied frames are read, so only they are kept
-            self._torus_sample = (grid_n, (evals, evecs[..., : self.m].copy()))
+            values = np.zeros(torus_k.shape[:-1] + (self.n,))
+            frames = np.zeros(torus_k.shape[:-1] + (self.n, self.m), dtype=complex)
+            values[slab] = evals
+            frames[slab] = evecs[..., : self.m]
+            values[mirror] = _at_partners(values, self.d)[mirror]
+            frames[mirror] = self.reflected_partners(frames)[mirror]
+            self._torus_sample = (grid_n, (values, frames))
             self._torus_projectors = None
         return self._torus_sample[1]
 
@@ -310,6 +331,26 @@ class ProjectorFamily:
         ``v -> A conj(v)``."""
         return self.tau_power(lam) @ self.theta_matrix()
 
+    def reflected_partners(self, frames):
+        """``tau^(-lam) theta v(partner(g))`` at every point ``g`` of a stack
+        of frames ``(2 grid_n,) * d + (n, m)`` on the stored torus.
+
+        With ``-g = partner + N lam`` the reflection property reads ``v(g) =
+        tau^(-lam) theta v(partner)``.  ``partner = (-g) mod N`` is a flip and
+        a roll by one along every axis, and ``lam_j`` is ``0`` on the slice
+        ``g_j = 0`` and ``-1`` on ``g_j > 0``, so each of the ``2**d`` shifts
+        covers one block of slices.
+        """
+        conj_partner = _at_partners(np.conj(frames), self.d)
+        out = np.empty_like(conj_partner)
+        for minus in product((0, 1), repeat=self.d):
+            block = tuple(slice(1, None) if x else slice(0, 1) for x in minus)
+            # one BLAS product per block: a stacked ``@`` of n x n by n x m
+            # matrices is several times slower
+            out[block] = np.einsum("ab,...bm->...am", self.antiunitary_matrix(minus),
+                                   conj_partner[block], optimize=True)
+        return out
+
     # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------
@@ -355,6 +396,13 @@ class AssumptionReport:
         }
 
 
+def _at_partners(data, d):
+    """``data`` of a torus stack read at ``partner(g) = (-g) mod N`` for
+    every point ``g``: a flip and a roll by one along the first ``d`` axes."""
+    axes = tuple(range(d))
+    return np.roll(np.flip(data, axes), 1, axes)
+
+
 def _coefficients(family):
     """Hopping vectors ``(N, d)`` and matrices ``(N, n, n)`` of the family."""
     vectors = np.array(list(family.hoppings), dtype=float).reshape(-1, family.d)
@@ -385,7 +433,11 @@ def verify_assumptions(family, grid_n=16, tol=1e-8):
     ``theta P(k) theta^-1 = P(-k)`` everywhere.  ``lipschitz_bound`` is
     ``L = 2 pi sum_R |R| ||H_R||_2``, which bounds
     ``||H(k) - H(k')||_2 / |k - k'|``.  The gap floor is the minimum gap
-    over the family's :meth:`~ProjectorFamily.torus_eigensystem` sample.
+    over the family's :meth:`~ProjectorFamily.torus_eigensystem` sample,
+    whose half ``k_1 > 1/2`` is mirrored from ``-k``: it is the torus
+    minimum when the symmetries hold, and within ``2 (time_reversal + d *
+    periodicity)`` of it otherwise (Weyl's inequality), when the report
+    fails on those residuals anyway.
     Returns an :class:`AssumptionReport`; ``passed`` is False when any
     residual exceeds ``tol`` or the gap floor drops below the family's gap
     tolerance.  A closed gap is reported that way, never raised.

@@ -35,8 +35,6 @@ stays bounded by a small constant, and the reprojection step removes
 whatever orthonormality drift the averaging introduces.
 """
 
-from itertools import product
-
 import numpy as np
 
 from .errors import EpsilonInfeasible, ProjectionRankLoss, TooFarApart, UsageError
@@ -95,27 +93,9 @@ def frame_midpoint(a, b):
 # reflection pairs on the torus grid
 
 
-def _reflected_partners(field, family):
-    """``tau^(-lam) theta Phi(partner(g))`` at every stored point ``g``.
-
-    With ``-g = partner + N lam`` the reflection property reads ``Phi(g) =
-    tau^(-lam) theta Phi(partner)``.  ``partner = (-g) mod N`` is a flip and
-    a roll by one along every axis, and ``lam_j`` is ``0`` on the slice
-    ``g_j = 0`` and ``-1`` on ``g_j > 0``, so each of the ``2**d`` shifts
-    covers one block of slices.
-    """
-    axes = tuple(range(field.geometry.d))
-    conj_partner = np.roll(np.flip(np.conj(field.data), axes), 1, axes)
-    out = np.empty_like(conj_partner)
-    for minus in product((0, 1), repeat=len(axes)):
-        block = tuple(slice(1, None) if x else slice(0, 1) for x in minus)
-        out[block] = family.antiunitary_matrix(minus) @ conj_partner[block]
-    return out
-
-
 def reflection_defect(field, family):
     """Largest violation of ``Phi(-k) = theta Phi(k)`` over the torus grid."""
-    image = _reflected_partners(field, family)
+    image = family.reflected_partners(field.data)
     return float(np.max(np.linalg.norm(field.data - image, axis=(-2, -1))))
 
 
@@ -143,7 +123,7 @@ def symmetrize(field, family):
         tuple(np.moveaxis(partner, -1, 0)), geometry.torus_shape
     )
     owner = np.arange(flat.size).reshape(flat.shape) <= flat
-    image = _reflected_partners(field, family)
+    image = family.reflected_partners(field.data)
     defect = np.linalg.norm(field.data - image, axis=(-2, -1))
     far = owner & (defect >= MIDPOINT_LIMIT)
     if np.any(far):
@@ -157,7 +137,7 @@ def symmetrize(field, family):
         )
     out = field.copy()
     out.data[owner] = frame_midpoint(field.data[owner], image[owner])
-    out.data[~owner] = _reflected_partners(out, family)[~owner]
+    out.data[~owner] = family.reflected_partners(out.data)[~owner]
     report = {
         "reflection_before": float(np.max(defect[owner])),
         "max_shift": _sup_distance(out.data, field.data),

@@ -42,8 +42,9 @@ def extend_symmetric(field, family, tol=1e-10):
     their time-reversed partners) all candidate values must agree within
     ``tol``, otherwise :class:`BoundaryRelationViolated` reports the first
     such grid point in row-major order, its quasimomentum and the two
-    disagreeing reductions.  Returns the full-torus field together with the
-    largest observed mismatch.
+    disagreeing reductions; a NaN mismatch (from a NaN frame) is refused
+    the same way.  Returns the full-torus field together with the largest
+    observed mismatch.
     """
     if field.region != "effective-cell":
         raise UsageError("extend_symmetric needs an effective-cell field")
@@ -65,7 +66,7 @@ def extend_symmetric(field, family, tol=1e-10):
         mismatch[held, c] = np.linalg.norm(value[~taken] - out.data[held], axis=(-2, -1))
         out.data[fresh] = value[taken]
         first[fresh] = c
-    over = mismatch > tol
+    over = ~(mismatch <= tol)
     if over.any():
         g = np.unravel_index(int(np.argmax(over.any(axis=-1))), geometry.torus_shape)
         g = tuple(int(x) for x in g)

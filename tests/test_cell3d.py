@@ -79,6 +79,34 @@ def test_construct_3d_refuses_disagreeing_faces(fam3, monkeypatch):
     assert err.value.details["residual"] > 0.1
 
 
+@pytest.mark.parametrize("label, local, point", [
+    ("face k3=+1/2", (0, 1), (0, 1, 8)),
+    ("face k2=+1/2", (1, 8), (1, -8, 8)),
+], ids=["later-face", "earlier-face"])
+def test_construct_3d_refuses_a_nan_on_a_shared_edge(fam3, monkeypatch, label, local, point):
+    """Negative control: a NaN frame where two faces meet is refused at the
+    first shared point, whichever face holds it.  Local ``(0, 1)`` of the
+    face k3 = +1/2 is ``(0, 1, n)``, written first by the face k1 = 0;
+    local ``(1, n)`` of the face k2 = +1/2 is written at ``(1, n, n)`` and,
+    translated, at ``(1, -n, n)``, which the face k3 = +1/2 writes later."""
+    from blochframe import cell3d
+
+    real = cell3d.macro2
+
+    def broken(ctx, left, bottom, **kwargs):
+        field, diag = real(ctx, left, bottom, **kwargs)
+        if ctx.label == label:
+            field.data[field.geometry.cell_index(local)] = np.nan
+        return field, diag
+
+    monkeypatch.setattr(cell3d, "macro2", broken)
+    geo = CellGeometry(3, 8)
+    with pytest.raises(BoundaryRelationViolated) as err:
+        construct_3d(input_frame(fam3, geo), fam3)
+    assert err.value.details["point"] == point
+    assert np.isnan(err.value.details["residual"])
+
+
 @pytest.fixture(scope="module")
 def shifted3():
     return shifted_trs_3d()

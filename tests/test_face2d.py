@@ -151,3 +151,28 @@ def test_macro2_names_each_broken_input_condition(haldane, monkeypatch, defect, 
     assert got[0] == point[0]
     assert got[1] in (point[1], "*")
     assert err.value.details["residual"] > 0.1
+
+
+@pytest.mark.parametrize("edge, point", [("left", (0, 1)), ("bottom", (4, -4))])
+def test_macro2_refuses_a_nan_edge_frame(haldane, monkeypatch, edge, point):
+    """Negative control: a NaN frame on the left edge (reflection relation)
+    or at the bottom edge's far corner (vertex condition) is refused at its
+    point, with a NaN residual."""
+    from blochframe import face2d
+
+    real = face2d.macro2
+
+    def broken(ctx, left, bottom, **kwargs):
+        left, bottom = left.copy(), bottom.copy()
+        n = ctx.geometry.grid_n
+        if edge == "left":
+            left[n + 1] = np.nan
+        else:
+            bottom[n] = np.nan
+        return real(ctx, left, bottom, **kwargs)
+
+    monkeypatch.setattr(face2d, "macro2", broken)
+    with pytest.raises(BoundaryRelationViolated) as err:
+        construct_2d(input_frame(haldane, CellGeometry(2, 4)), haldane)
+    assert tuple(err.value.details["point"]) == point
+    assert np.isnan(err.value.details["residual"])

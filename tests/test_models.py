@@ -333,13 +333,12 @@ def test_describe_is_json_safe():
 ])
 def test_the_torus_sample_gives_the_same_report(family, grid_n):
     """``require_assumptions`` reads the family's torus sample; its report
-    is the one ``verify_assumptions`` gives on a fresh copy of the family,
-    and the sample's projectors are those of ``projector`` on the grid."""
-    alone = verify_assumptions(dataclasses.replace(family), grid_n=grid_n).as_dict()
+    and its projectors are the ones a fresh copy of the family gives."""
+    fresh = dataclasses.replace(family)
+    alone = verify_assumptions(fresh, grid_n=grid_n).as_dict()
     report = require_assumptions(family, grid_n=grid_n)
     assert report.as_dict() == alone
-    torus_k = CellGeometry(family.d, grid_n).torus_k()
-    assert np.array_equal(family.grid_projectors(grid_n), family.projector(torus_k))
+    assert np.array_equal(family.grid_projectors(grid_n), fresh.grid_projectors(grid_n))
 
 
 def test_the_torus_projectors_are_built_once_per_sample():
@@ -452,3 +451,69 @@ def test_the_lipschitz_bound_holds_on_random_pairs(make, rng):
     slope = moved / np.linalg.norm(step, axis=1)
     assert np.max(slope) <= bound * (1 + 1e-9)
     assert np.max(slope) > 0.1 * bound
+
+
+_SAMPLE_CASES = pytest.mark.parametrize("make, grid_n", [
+    (lambda: builtin_model("haldane"), 8),
+    (lambda: shifted_haldane((0.25, 0.75)), 4),
+    (shifted_trs_3d, 2),
+    (lambda: builtin_model("random-trs", d=3, n=4, m=2, seed=0), 4),
+], ids=["haldane", "shifted-haldane", "shifted-trs-3d", "random-trs-3d"])
+
+
+@_SAMPLE_CASES
+def test_the_sample_slab_is_a_direct_eigensystem(make, grid_n):
+    """On ``g_1 <= grid_n`` the torus sample is ``eigensystem`` bit for
+    bit; the rest repeats the partners' eigenvalues."""
+    family = make()
+    geo = CellGeometry(family.d, grid_n)
+    evals, frames = family.torus_eigensystem(grid_n)
+    slab_evals, slab_evecs = family.eigensystem(geo.torus_k()[: grid_n + 1])
+    assert evals.shape == geo.torus_shape + (family.n,)
+    assert frames.shape == geo.torus_shape + (family.n, family.m)
+    assert np.array_equal(evals[: grid_n + 1], slab_evals)
+    assert np.array_equal(frames[: grid_n + 1], slab_evecs[..., : family.m])
+    partner, _ = geo.reflection_map()
+    mirror = slice(grid_n + 1, None)
+    assert np.array_equal(evals[mirror],
+                          evals[tuple(np.moveaxis(partner[mirror], -1, 0))])
+
+
+@_SAMPLE_CASES
+def test_the_mirrored_sample_gives_the_sampled_projectors(make, grid_n):
+    """``tau^(-lam) C conj(v(partner))`` spans ``P(k)`` on the half
+    ``g_1 > grid_n`` the sample does not solve."""
+    family = make()
+    torus_k = CellGeometry(family.d, grid_n).torus_k()
+    direct = family.projector(torus_k)
+    sampled = family.grid_projectors(grid_n)
+    assert np.max(np.linalg.norm(sampled - direct, axis=(-2, -1))) < 1e-13
+
+
+@_GATHER_CASES
+def test_a_sample_mirrored_with_the_wrong_shift_fails(make, grid_n, monkeypatch):
+    """Negative control: mirroring with ``tau^(+lam)`` lands on ``P(k + 2
+    lam)``, which is not ``P(k)`` when ``tau_j**2 != 1``."""
+    family = make()
+    real = ProjectorFamily.antiunitary_matrix
+    monkeypatch.setattr(ProjectorFamily, "antiunitary_matrix",
+                        lambda self, lam: real(self, tuple(-x for x in lam)))
+    direct = family.projector(CellGeometry(family.d, grid_n).torus_k())
+    sampled = family.grid_projectors(grid_n)
+    assert np.max(np.linalg.norm(sampled - direct, axis=(-2, -1))) > 1e-2
+
+
+def test_the_mirrored_gap_of_a_reversal_broken_family_is_within_weyls_bound():
+    """Haldane at ``phi = 0.3`` breaks time reversal, so the mirrored half
+    of the sample is not its spectrum; each eigenvalue is off by at most
+    the ``time_reversal`` residual, the gap floor by at most twice it, and
+    the family is still refused."""
+    family = builtin_model("haldane", phi=0.3)
+    report = verify_assumptions(family, grid_n=8)
+    assert not report.passed
+    evals = family.torus_eigensystem(8)[0]
+    direct = np.linalg.eigvalsh(family.hamiltonian(CellGeometry(2, 8).torus_k()))
+    off = np.max(np.abs(evals - direct))
+    assert 0.1 < off <= report.time_reversal
+    true_floor = float(np.min(direct[..., 1] - direct[..., 0]))
+    assert abs(report.gap_floor - true_floor) <= 2 * report.time_reversal

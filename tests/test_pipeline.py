@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from blochframe import models, smoothing
+from blochframe import models
 from blochframe.cells import CellGeometry
 from blochframe.errors import AssumptionsFailed, UsageError
 from blochframe.io import file_sha256, load_frames, read_json
@@ -239,9 +239,12 @@ def test_run_report_needs_artifacts(tmp_path):
               grid_n=2),
 ])
 def test_construct_samples_the_torus_once(config, monkeypatch):
+    """One ``eigensystem`` call, on the slab ``k_1 <= 1/2`` of the torus;
+    time reversal gives the rest."""
     torus_shape = CellGeometry(
         load_family(config).d, config.grid_n
     ).torus_shape
+    slab_shape = (config.grid_n + 1,) + torus_shape[1:]
     shapes = []
     real = ProjectorFamily.eigensystem
 
@@ -251,7 +254,7 @@ def test_construct_samples_the_torus_once(config, monkeypatch):
 
     monkeypatch.setattr(ProjectorFamily, "eigensystem", spy)
     run_construct(config)
-    assert shapes.count(torus_shape) == 1
+    assert shapes == [slab_shape]
 
 
 @pytest.mark.parametrize("model", ["haldane", "shifted-trs-3d"])
@@ -259,7 +262,8 @@ def test_each_command_samples_the_bloch_data_once(model, tmp_path, monkeypatch):
     """``construct`` reads its gap floor, input frame, smoothing and
     residuals from one torus sample (the symmetries are checked on the
     hopping matrices); ``wannierize`` on its artifacts samples once more,
-    for its control frame."""
+    for its control frame.  Each sample is one ``eigensystem`` call on the
+    slab ``k_1 <= 1/2``."""
     if model == "haldane":
         config = RunConfig(model="haldane", grid_n=8, out=str(tmp_path / "out"))
     else:
@@ -275,18 +279,20 @@ def test_each_command_samples_the_bloch_data_once(model, tmp_path, monkeypatch):
 
     monkeypatch.setattr(ProjectorFamily, "eigensystem", spy)
     torus_shape = CellGeometry(load_family(config).d, config.grid_n).torus_shape
+    slab_shape = (config.grid_n + 1,) + torus_shape[1:]
     run_construct(config)
-    assert calls == [torus_shape]
+    assert calls == [slab_shape]
     calls.clear()
     run_wannierize(config)
-    assert calls == [torus_shape]
+    assert calls == [slab_shape]
 
 
 def test_a_construct_builds_the_torus_projectors_once(monkeypatch):
     """One construct asks for its torus projectors 3 times (input frame,
     smoothing, residuals) and builds them once, as ``P = F F^H`` from the
-    sample's frames ``F``; it pairs the reflection 4 times (smoothing
-    precondition, symmetrize's image and partners, the final residual)."""
+    sample's frames ``F``; it pairs the reflection 5 times (the mirrored
+    half of the torus sample, smoothing precondition, symmetrize's image and
+    partners, the final residual)."""
     config = RunConfig(model="haldane", grid_n=8)
     frames_shape = CellGeometry(2, config.grid_n).torus_shape + (2, 1)
     calls = {"grid_projectors": 0, "build": 0, "partners": 0}
@@ -302,9 +308,9 @@ def test_a_construct_builds_the_torus_projectors_once(monkeypatch):
 
     counting(ProjectorFamily, "grid_projectors", "grid_projectors")
     counting(models, "_dagger", "build", lambda a: np.shape(a) == frames_shape)
-    counting(smoothing, "_reflected_partners", "partners")
+    counting(ProjectorFamily, "reflected_partners", "partners")
     run_construct(config)
-    assert calls == {"grid_projectors": 3, "build": 1, "partners": 4}
+    assert calls == {"grid_projectors": 3, "build": 1, "partners": 5}
 
 
 @pytest.mark.parametrize("grid_n, cutoff, resolved", [(8, 9, False), (32, 12, True)])

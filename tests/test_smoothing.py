@@ -281,7 +281,8 @@ def test_symmetrize_keeps_a_field_whose_translations_square_to_minus_one():
 
 def _reference_candidate(field, family, k):
     """Rung ``k`` of the ladder, built on the full torus: the field smoothed
-    at cutoff ``k`` and projected onto the fibers."""
+    at cutoff ``k`` and projected onto the fibers of the family's torus
+    sample."""
     geo = field.geometry
     big, d = geo.n_side, geo.d
     twist = twist_gauge(geo, family)
@@ -295,7 +296,7 @@ def _reference_candidate(field, family, k):
         mult = mult * np.clip(2.0 - 2.0 * freqs / k, 0.0, 1.0).reshape(shape)
     smoothed = np.fft.ifftn(coeffs * mult.reshape(geo.torus_shape + (1, 1)), axes=axes)
     return np.einsum(
-        "...ab,...bm->...am", family.projector(geo.torus_k()), apply_twist(twist, smoothed)
+        "...ab,...bm->...am", family.grid_projectors(geo.grid_n), apply_twist(twist, smoothed)
     )
 
 
@@ -683,11 +684,11 @@ def _masked_partners(field, family):
 
 
 def test_reflected_partners_match_the_reflection_map(smoothing_cases):
-    """The flip-and-roll blocks of ``_reflected_partners`` give the masked
+    """The flip-and-roll blocks of ``reflected_partners`` give the masked
     gather over ``reflection_map`` bit for bit, with a nontrivial ``tau``
     among the cases."""
     fam = shifted_haldane(r2=(0.25, 0.25))
     torus, _ = construct_2d(input_frame(fam, CellGeometry(2, 4)), fam)
     for family, field in [*smoothing_cases.values(), (fam, torus)]:
-        got = smoothing._reflected_partners(field, family)
+        got = family.reflected_partners(field.data)
         assert np.array_equal(got, _masked_partners(field, family))

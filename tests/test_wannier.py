@@ -64,6 +64,20 @@ def test_extend_symmetric_reports_corrupted_vertex(haldane, haldane_cell):
     assert k == (0.0, 0.5)
 
 
+def test_extend_symmetric_refuses_a_nan_boundary_frame(haldane, haldane_cell):
+    """Negative control: a NaN frame at the boundary point ``(0, grid_n)``
+    makes its reductions' mismatch NaN, which is refused like one above
+    ``tol``."""
+    geo, cell = haldane_cell
+    broken = cell.copy()
+    trim = (0, geo.grid_n)
+    broken.data[geo.cell_index(trim)] = np.nan
+    with pytest.raises(BoundaryRelationViolated) as exc:
+        extend_symmetric(broken, haldane)
+    assert tuple(exc.value.details["point"]) == trim
+    assert np.isnan(exc.value.details["mismatch"])
+
+
 @pytest.fixture(scope="module")
 def haldane_wset(haldane, haldane_cell):
     _, cell = haldane_cell
