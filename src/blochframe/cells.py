@@ -4,17 +4,11 @@ All quasimomenta are handled in adapted coordinates where the periodicity
 lattice is the integer lattice.  Grid points are stored as integer tuples in
 units of the grid step ``1 / n_side`` with ``n_side = 2 * grid_n``; a point
 ``g`` represents the quasimomentum ``k = g / n_side``.  Working in integers
-keeps every reduction and identification exact.
+keeps every identification exact.
 
 The effective cell keeps the half with nonnegative first coordinate,
 
-    0 <= k_1 <= 1/2,   -1/2 <= k_j <= 1/2  (j >= 2),
-
-and every grid point of the torus reduces to it through
-
-    g = (-1)**s * g' + 2 * grid_n * lam,
-
-with ``s`` in {0, 1} and ``lam`` an integer lattice vector.
+    0 <= k_1 <= 1/2,   -1/2 <= k_j <= 1/2  (j >= 2).
 """
 
 from dataclasses import dataclass
@@ -129,35 +123,25 @@ class CellGeometry:
     # ------------------------------------------------------------------
     # reduction to the effective cell
     # ------------------------------------------------------------------
-    def reductions(self, g):
-        """Every candidate reduction of the grid points ``g`` of shape ``(..., d)``.
-
-        Returns the ``2 * 2**d`` candidates ``(s, lam, k_prime, valid)`` in
-        canonical order, ``s`` first and then ``lam`` lexicographically;
-        ``lam`` and ``k_prime = (-1)**s * (g - N lam)`` have the shape of
-        ``g`` and ``valid`` marks the points whose ``k_prime`` lies in the
-        effective cell.  No other candidate can be valid: every coordinate
-        of ``k_prime`` has modulus at most ``N / 2``, which leaves
-        ``lam_j`` in ``{floor(g_j / N), floor(g_j / N) + 1}``.
-        """
-        g = np.asarray(g)
-        base = g // self.n_side
-        out = []
-        for s in (0, 1):
-            for step in product((0, 1), repeat=self.d):
-                lam = base + np.asarray(step)
-                k_prime = (-1) ** s * (g - self.n_side * lam)
-                out.append((s, lam, k_prime, self.in_effective_cell(k_prime)))
-        return out
-
     def all_reductions(self, g):
-        """Every valid decomposition of one grid point ``g``, in canonical
-        order (used for consistency checks)."""
-        return [
-            ReducedPoint(tuple(k_prime[0].tolist()), tuple(lam[0].tolist()), s)
-            for s, lam, k_prime, valid in self.reductions(np.reshape(g, (1, self.d)))
-            if valid[0]
-        ]
+        """Every decomposition ``g = (-1)**s * k_prime + N lam`` of one grid
+        point with ``k_prime`` in the effective cell, in canonical order:
+        ``s`` first, then ``lam`` lexicographically.
+
+        Every grid point has at least one.  ``lam_j`` is ``floor(g_j / N)``
+        or one more, since every coordinate of ``k_prime`` has modulus at
+        most ``N / 2``.  Nothing in the package calls this: the tests check
+        the cell and the symmetric extension against it, and
+        ``perfbench/tracing.py`` wraps it through the class ``__dict__``.
+        """
+        g = np.reshape(g, self.d)
+        found = []
+        for s, step in product((0, 1), product((0, 1), repeat=self.d)):
+            lam = g // self.n_side + np.asarray(step)
+            k_prime = (-1) ** s * (g - self.n_side * lam)
+            if self.in_effective_cell(k_prime):
+                found.append(ReducedPoint(tuple(k_prime.tolist()), tuple(lam.tolist()), s))
+        return found
 
     # ------------------------------------------------------------------
     # high-symmetry points

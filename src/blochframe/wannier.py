@@ -1,11 +1,12 @@
 """Symmetric extension to the torus and discrete Wannier certificates.
 
-A frame on the effective half cell determines its values everywhere: any
-grid point ``g`` of the torus can be written ``g = (-1)^s g' + N lam`` with
-``g'`` in the half cell, and the frame there must be ``tau^lam theta^s`` of
-the stored one.  :func:`extend_symmetric` evaluates every such reduction,
-verifies they all agree (this check subsumes each boundary gluing relation
-of the construction) and produces the full-torus field.
+A frame on the effective half cell fixes the frame everywhere through
+``Phi(k + e_j) = tau_j Phi(k)`` and ``Phi(-k) = theta Phi(k)``.
+:func:`extend_symmetric` copies the slab ``k_1 <= 1/2`` from the cell and
+mirrors the rest by time reversal.  Where the two rules identify two stored
+frames it checks them: the faces ``k_j = 1/2`` and ``k_j = -1/2`` (``j >=
+2``) differ by ``tau_j``, and the slices ``k_1 = 0`` and ``k_1 = 1/2`` are
+their own images under ``theta`` and ``tau_1 theta``.
 
 The inverse discrete Fourier transform of that field gives the lattice
 Wannier functions; their reality and localization are measured here, since
@@ -13,6 +14,7 @@ they are precisely the properties the frame construction exists to deliver.
 """
 
 from dataclasses import dataclass, field as dataclass_field
+from itertools import product
 
 import numpy as np
 
@@ -34,61 +36,73 @@ FIT_MIN = 2
 SHELL_FLOOR = 1e-13
 
 
+def _act(mat, frames):
+    """``mat @ frame`` for a stack of frames, as one BLAS product."""
+    return np.einsum("ab,...bm->...am", mat, frames, optimize=True)
+
+
 def extend_symmetric(field, family, tol=1e-10):
     """Extend an effective-cell frame field to the full torus grid.
 
-    Every torus point takes the value of its first reduction in canonical
-    order; at points with several reductions (boundary identifications and
-    their time-reversed partners) all candidate values must agree within
-    ``tol``, otherwise :class:`BoundaryRelationViolated` reports the first
-    such grid point in row-major order, its quasimomentum and the two
-    disagreeing reductions; a NaN mismatch (from a NaN frame) is refused
-    the same way.  Returns the full-torus field together with the largest
-    observed mismatch.
+    Along each axis ``j >= 2`` the slab ``g_1 <= grid_n`` reads the cell at
+    ``g_j <= grid_n``, and ``tau_j`` times the cell at ``g_j - N`` beyond;
+    the points ``g_1 > grid_n`` are mirrored by
+    :meth:`~blochframe.models.ProjectorFamily.reflected_partners`.  The
+    boundary relations of the module docstring must hold within ``tol``
+    (``extension_mismatch`` in ``meta`` is their largest distance);
+    otherwise, or on a NaN, :class:`BoundaryRelationViolated` names the
+    first failing torus point in row-major order, its ``k``, the relation
+    and its mismatch there.
     """
     if field.region != "effective-cell":
         raise UsageError("extend_symmetric needs an effective-cell field")
-    geometry = field.geometry
-    out = FrameField.empty(geometry, field.n, field.m, region="full-torus")
-    out.meta = dict(field.meta)
-    candidates = geometry.reductions(geometry.torus_points())
-    first = np.full(geometry.torus_shape, -1)
-    mismatch = np.zeros(geometry.torus_shape + (len(candidates),))
-    for c, (s, lam, k_prime, valid) in enumerate(candidates):
-        value = field.data[geometry.cell_index(k_prime[valid])]
-        if s:
-            value = family.theta_matrix() @ np.conj(value)
-        # torus points have g // n_side = 0, so lam is the candidate's step
-        value = family.tau_power(lam[(0,) * geometry.d]) @ value
-        fresh = valid & (first < 0)
-        held = valid & ~fresh
-        taken = fresh[valid]
-        mismatch[held, c] = np.linalg.norm(value[~taken] - out.data[held], axis=(-2, -1))
-        out.data[fresh] = value[taken]
-        first[fresh] = c
-    over = ~(mismatch <= tol)
-    if over.any():
-        g = np.unravel_index(int(np.argmax(over.any(axis=-1))), geometry.torus_shape)
-        g = tuple(int(x) for x in g)
-        k = tuple(x / geometry.n_side for x in g)
-        second = int(np.argmax(over[g]))
-
-        def described(c):
-            s, lam, k_prime, _ = candidates[c]
-            return (s, tuple(lam[g].tolist()), tuple(k_prime[g].tolist()))
-
-        first_red, second_red = described(first[g]), described(second)
-        mism = float(mismatch[g][second])
+    geometry, cell = field.geometry, field.data
+    n, big, d = geometry.grid_n, geometry.n_side, geometry.d
+    at = np.ravel_multi_index(np.moveaxis(geometry.cell_points() % big, -1, 0),
+                              geometry.torus_shape)
+    relations = []
+    for j in range(1, d):
+        plus, minus = (slice(None),) * j + (-1,), (slice(None),) * j + (0,)
+        image = cell[minus] if family.tau is None else _act(family.tau[j], cell[minus])
+        relations.append((f"translation k{j + 1}", cell[plus] - image, at[plus]))
+    # cell[g1, -h] is cell[g1, h] reversed along every axis but the first
+    for lam1, label in ((0, "0"), (1, "1/2")):
+        image = np.conj(np.flip(cell[lam1 * n], axis=tuple(range(d - 1))))
+        if family.theta is not None or (lam1 and family.tau is not None):
+            image = _act(family.antiunitary_matrix((lam1,) + (0,) * (d - 1)), image)
+        relations.append((f"reflection k1={label}", cell[lam1 * n] - image, at[lam1 * n]))
+    # first: the row-major first failing torus point; the earlier relation wins a tie
+    worst, first = 0.0, (np.inf,)
+    for name, diff, where in relations:
+        mismatch = np.linalg.norm(diff, axis=(-2, -1))
+        worst = max(worst, float(np.max(mismatch)))
+        where = np.where(mismatch <= tol, np.inf, where)
+        i = np.unravel_index(np.argmin(where), where.shape)
+        if where[i] < first[0]:
+            first = (where[i], name, float(mismatch[i]))
+    if first[0] < np.inf:
+        _, name, value = first
+        g = tuple(int(x) for x in np.unravel_index(int(first[0]), geometry.torus_shape))
+        k = tuple(x / big for x in g)
         raise BoundaryRelationViolated(
-            f"symmetry relations disagree at grid point {g} "
-            f"(k = {k}): reductions (s, lam, rep) {first_red} and "
-            f"{second_red} differ by {mism:.3e}",
+            f"boundary relation {name} fails at grid point {g} (k = {k}) by {value:.3e}",
             point=g,
             k=k,
-            reductions=(first_red, second_red),
-            mismatch=mism,
+            relation=name,
+            mismatch=value,
         )
-    out.meta["extension_mismatch"] = float(np.max(mismatch))
+
+    out = FrameField.empty(geometry, field.n, field.m, region="full-torus")
+    out.meta = dict(field.meta)
+    for wrapped in product((0, 1), repeat=d - 1):
+        rows = (slice(None, n + 1),) + tuple(
+            slice(n + 1, None) if w else slice(None, n + 1) for w in wrapped)
+        value = cell[(slice(None),) + tuple(slice(1, n) if w else slice(n, None) for w in wrapped)]
+        if family.tau is not None and any(wrapped):
+            value = _act(family.tau_power((0,) + wrapped), value)
+        out.data[rows] = value
+    out.data[n + 1:] = family.reflected_partners(out.data)[n + 1:]
+    out.meta["extension_mismatch"] = worst
     return out
 
 

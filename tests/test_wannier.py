@@ -1,11 +1,16 @@
 """Unit tests for symmetric extension and the lattice-side certificates."""
+import itertools
+
 import numpy as np
 import pytest
 
+from blochframe import wannier
+from blochframe.cell3d import construct_3d
 from blochframe.cells import CellGeometry
 from blochframe.errors import BoundaryRelationViolated, UsageError
 from blochframe.face2d import construct_2d
 from blochframe.frames import FrameField, frame_distance, input_frame
+from blochframe.models import builtin_model
 from blochframe.vertex import construct_1d
 from blochframe.wannier import (
     WannierSet,
@@ -16,7 +21,7 @@ from blochframe.wannier import (
     wannier_transform,
 )
 
-from conftest import face_cell, rotated_ssh, shifted_haldane
+from conftest import face_cell, rotated_ssh, shifted_haldane, shifted_trs_3d
 
 
 @pytest.fixture(scope="module")
@@ -25,23 +30,51 @@ def haldane_cell(haldane):
     return geo, face_cell(haldane, geo)
 
 
-def test_extend_symmetric_covers_the_torus(haldane, haldane_cell):
-    geo, cell = haldane_cell
-    torus = extend_symmetric(cell, haldane)
+def constructed_cell(family, geo):
+    """The effective-cell frame that the construction of ``family`` extends
+    to the torus."""
+    if geo.d == 2:
+        return face_cell(family, geo)
+    cells = []
+
+    def capture(field, family, tol=1e-10):
+        cells.append(field.copy())
+        return extend_symmetric(field, family, tol)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wannier, "extend_symmetric", capture)
+        construct_3d(input_frame(family, geo), family)
+    return cells[0]
+
+
+FAMILIES = {
+    "haldane": (lambda: builtin_model("haldane"), 2, 8),
+    "shifted-haldane": (lambda: shifted_haldane((0.25, 0.75)), 2, 8),
+    "shifted-trs-3d": (shifted_trs_3d, 3, 4),
+}
+
+
+@pytest.fixture(scope="module", params=list(FAMILIES))
+def family_cell(request):
+    make, d, grid_n = FAMILIES[request.param]
+    family, geo = make(), CellGeometry(d, grid_n)
+    return family, geo, constructed_cell(family, geo)
+
+
+def test_extend_symmetric_covers_the_torus(family_cell):
+    """Every reduction of every torus point reproduces the extended value."""
+    family, geo, cell = family_cell
+    torus = extend_symmetric(cell, family)
     assert torus.region == "full-torus"
     assert torus.meta["extension_mismatch"] < 1e-10
-    # every reduction of every point reproduces the stored value
-    c = haldane.theta_matrix()
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        g = tuple(rng.integers(0, geo.n_side, size=2))
-        val = torus.data[g]
+    c = family.theta_matrix()
+    for g in itertools.product(range(geo.n_side), repeat=geo.d):
         for red in geo.all_reductions(g):
             cand = cell.data[geo.cell_index(red.k_prime)]
             if red.s:
                 cand = c @ np.conj(cand)
-            cand = haldane.tau_power(red.lam) @ cand
-            assert frame_distance(val, cand) < 1e-10
+            cand = family.tau_power(red.lam) @ cand
+            assert frame_distance(torus.data[g], cand) < 1e-10
 
 
 def test_extend_symmetric_needs_cell_region(haldane, haldane_cell):
@@ -59,14 +92,39 @@ def test_extend_symmetric_reports_corrupted_vertex(haldane, haldane_cell):
     with pytest.raises(BoundaryRelationViolated) as exc:
         extend_symmetric(broken, haldane)
     assert tuple(exc.value.details["point"]) == trim
+    assert exc.value.details["relation"] == "translation k2"
     assert exc.value.details["mismatch"] > 0.1
     k = exc.value.details["k"]
     assert k == (0.0, 0.5)
 
 
+@pytest.mark.parametrize("name, planted, point, relation", [
+    ("haldane", (0, 3), (0, 3), "reflection k1=0"),
+    ("shifted-haldane", (8, 3), (8, 3), "reflection k1=1/2"),
+    ("shifted-haldane", (3, -8), (3, 8), "translation k2"),
+    ("shifted-trs-3d", (1, 2, -4), (1, 2, 4), "translation k3"),
+])
+def test_extend_symmetric_names_the_broken_relation(name, planted, point, relation):
+    """Negative control for each kind of boundary relation: a phase planted
+    at a non-TRIM point of a reflection slice or of a translation face is
+    refused at the torus point where that relation fails."""
+    make, d, grid_n = FAMILIES[name]
+    family, geo = make(), CellGeometry(d, grid_n)
+    broken = constructed_cell(family, geo)
+    assert extend_symmetric(broken, family).meta["extension_mismatch"] < 1e-10
+    broken.data[geo.cell_index(planted)] *= np.exp(0.3j)
+    with pytest.raises(BoundaryRelationViolated) as exc:
+        extend_symmetric(broken, family)
+    details = exc.value.details
+    assert details["point"] == point
+    assert details["k"] == tuple(x / geo.n_side for x in point)
+    assert details["relation"] == relation
+    assert details["mismatch"] > 0.1
+
+
 def test_extend_symmetric_refuses_a_nan_boundary_frame(haldane, haldane_cell):
     """Negative control: a NaN frame at the boundary point ``(0, grid_n)``
-    makes its reductions' mismatch NaN, which is refused like one above
+    makes its boundary relations NaN, which is refused like one above
     ``tol``."""
     geo, cell = haldane_cell
     broken = cell.copy()
@@ -75,6 +133,7 @@ def test_extend_symmetric_refuses_a_nan_boundary_frame(haldane, haldane_cell):
     with pytest.raises(BoundaryRelationViolated) as exc:
         extend_symmetric(broken, haldane)
     assert tuple(exc.value.details["point"]) == trim
+    assert exc.value.details["k"] == (0.0, 0.5)
     assert np.isnan(exc.value.details["mismatch"])
 
 
