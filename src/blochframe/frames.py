@@ -151,7 +151,9 @@ def input_frame(family, geometry, region="effective-cell"):
     The sweep writes every stored point.  Returns the field;
     ``field.meta["transport_step_sup"]`` records the largest frame distance
     between adjacent transported points, a continuity proxy proportional to
-    the grid step for smooth families, which the construct manifest keeps.
+    the grid step for smooth families, which the construct manifest keeps;
+    it is taken once per axis, from the differences along that axis of the
+    slab its sweep filled.
     """
     d = family.d
     fld = FrameField.empty(geometry, family.n, family.m, region=region)
@@ -198,8 +200,11 @@ def input_frame(family, geometry, region="effective-cell"):
                         singular_value=float(sing[worst]),
                     ) from None
                 fld.data[at] = cur
-                step = np.linalg.norm(cur - prev, axis=(-2, -1))
-                step_sup = max(step_sup, float(np.max(step)))
+        # the sweep's steps are the differences along the axis of the slab
+        # it filled: one norm and one max per axis
+        swept = fld.data[head + (slice(None),) + tail]
+        step = np.linalg.norm(np.diff(swept, axis=axis), axis=(-2, -1))
+        step_sup = max(step_sup, float(np.max(step)))
 
     fld.meta["transport_step_sup"] = step_sup
     return fld

@@ -24,7 +24,7 @@ grid's sample); the gap floor of :func:`verify_assumptions` and every
 projector a construction transports, smooths and certifies with are read
 from that one sample.  The two symmetries also halve it: ``eigh`` runs on
 the slab ``k_1 <= 1/2`` only, and every other point is the time-reversed
-image of its partner ``-k`` (:meth:`ProjectorFamily.reflected_partners`).
+image of its partner ``-k`` (:meth:`ProjectorFamily.mirror_slab`).
 """
 
 import json
@@ -246,7 +246,7 @@ class ProjectorFamily:
         (``k_1 <= 1/2``).  Every point ``g`` with ``g_1 > grid_n`` is the
         time-reversed image of its partner ``(-g) mod N`` in the slab: it
         gets the partner's eigenvalues and the occupied frame
-        ``tau^(-lam) C conj(v(partner))`` of :meth:`reflected_partners`,
+        ``tau^(-lam) C conj(v(partner))`` of :meth:`mirror_slab`,
         which spans ``P(k)`` by ``theta P(k) theta^-1 = P(-k)`` and the
         lattice symmetry.  When those symmetries hold only up to the
         residuals of :func:`verify_assumptions`, each mirrored eigenvalue is
@@ -260,15 +260,15 @@ class ProjectorFamily:
         """
         if self._torus_sample is None or self._torus_sample[0] != grid_n:
             torus_k = CellGeometry(self.d, grid_n).torus_k()
-            slab, mirror = slice(None, grid_n + 1), slice(grid_n + 1, None)
+            slab = slice(None, grid_n + 1)
             evals, evecs = self.eigensystem(torus_k[slab])
             # only the occupied frames are read, so only they are kept
-            values = np.zeros(torus_k.shape[:-1] + (self.n,))
-            frames = np.zeros(torus_k.shape[:-1] + (self.n, self.m), dtype=complex)
+            values = np.empty(torus_k.shape[:-1] + (self.n,))
+            frames = np.empty(torus_k.shape[:-1] + (self.n, self.m), dtype=complex)
             values[slab] = evals
             frames[slab] = evecs[..., : self.m]
-            values[mirror] = _at_partners(values, self.d)[mirror]
-            frames[mirror] = self.reflected_partners(frames)[mirror]
+            values[grid_n + 1:] = _at_partners(values[grid_n - 1:0:-1], range(1, self.d))
+            self.mirror_slab(frames)
             self._torus_sample = (grid_n, (values, frames))
             self._torus_projectors = None
         return self._torus_sample[1]
@@ -341,13 +341,45 @@ class ProjectorFamily:
         ``g_j = 0`` and ``-1`` on ``g_j > 0``, so each of the ``2**d`` shifts
         covers one block of slices.
         """
-        conj_partner = _at_partners(np.conj(frames), self.d)
+        out = np.empty_like(frames)
+        out[:1] = self._reflect_rows(frames[:1], 0)
+        out[1:] = self._reflect_rows(frames[:0:-1], 1)
+        return out
+
+    def mirror_slab(self, frames):
+        """Write ``reflected_partners(frames)[grid_n + 1:]`` into ``frames``
+        in place, and return it.
+
+        Only the partner rows ``g_1 = 1 .. grid_n - 1`` are read, and only
+        the half ``g_1 > grid_n`` is written: ``lam_1 = -1`` there, so it is
+        ``2**(d-1)`` blocks.  A symmetric field is fixed by its slab ``g_1
+        <= grid_n``, and this is how the rest of it is filled.
+        """
+        n = frames.shape[0] // 2
+        frames[n + 1:] = self._reflect_rows(frames[n - 1:0:-1], 1)
+        return frames
+
+    def self_paired_images(self, slices):
+        """Images of the self-paired slices ``g_1 = 0`` and ``g_1 = grid_n``,
+        stacked as ``slices[0]`` and ``slices[1]``: ``theta`` and ``tau_1
+        theta`` of each slice read at ``(-g) mod N`` along the other axes,
+        which is :meth:`reflected_partners` on those two slices."""
+        return np.concatenate([self._reflect_rows(slices[:1], 0),
+                               self._reflect_rows(slices[1:], 1)])
+
+    def _reflect_rows(self, rows, minus_first):
+        """``tau^(-lam) theta`` of a stack of torus slices ``rows`` that is
+        already the partner of its target along the first axis, with
+        ``-lam_1 = minus_first``; the other axes are flipped and rolled by
+        one, one block per shift of theirs."""
+        conj_partner = _at_partners(np.conj(rows), range(1, self.d))
         out = np.empty_like(conj_partner)
-        for minus in product((0, 1), repeat=self.d):
-            block = tuple(slice(1, None) if x else slice(0, 1) for x in minus)
+        for minus in product((0, 1), repeat=self.d - 1):
+            block = (slice(None),) + tuple(slice(1, None) if x else slice(0, 1) for x in minus)
             # one BLAS product per block: a stacked ``@`` of n x n by n x m
             # matrices is several times slower
-            out[block] = np.einsum("ab,...bm->...am", self.antiunitary_matrix(minus),
+            out[block] = np.einsum("ab,...bm->...am",
+                                   self.antiunitary_matrix((minus_first,) + minus),
                                    conj_partner[block], optimize=True)
         return out
 
@@ -396,10 +428,10 @@ class AssumptionReport:
         }
 
 
-def _at_partners(data, d):
-    """``data`` of a torus stack read at ``partner(g) = (-g) mod N`` for
-    every point ``g``: a flip and a roll by one along the first ``d`` axes."""
-    axes = tuple(range(d))
+def _at_partners(data, axes):
+    """``data`` read at ``(-g) mod N`` along ``axes``: a flip and a roll by
+    one along each of them."""
+    axes = tuple(axes)
     return np.roll(np.flip(data, axes), 1, axes)
 
 

@@ -398,7 +398,7 @@ def run_report(config):
         f"  rungs tried: {len(tried)} ({on_subgrid} rejected on the stride-2 subgrid)"
     )
     lines.append(
-        f"  total move (with symmetrization): "
+        f"  total move (with the self-paired midpoints): "
         f"{_fmt(smoothing.get('sup_distance_total'))} "
         f"(epsilon {_fmt(smoothing.get('epsilon'))})"
     )

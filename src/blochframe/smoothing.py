@@ -20,12 +20,14 @@ without losing the symmetries:
   screened on the stride-2 subgrid, whose values the aliased coefficients
   give exactly through an inverse FFT of ``1/2**d`` the size; the
   eigenvalues and polar factor of its ``m x m`` Gram matrices can only
-  reject it there.  A rung the subgrid keeps is projected on the full
-  torus and decided by the package's one polar factor,
+  reject it there.  A rung the subgrid keeps is projected on the slab
+  ``k_1 <= 1/2`` and decided by the package's one polar factor,
   :func:`~blochframe.linalg.lowdin`;
-* an exact re-symmetrization that restores the reflection property at
-  every grid point by midpointing each frame with the time-reversed image
-  of its partner.
+* the reflection ``Phi(-k) = theta Phi(k)``, which fixes a symmetric field
+  by its slab ``k_1 <= 1/2``: the smoothed slab is mirrored to the rest of
+  the torus, and the two self-paired slices ``k_1 = 0`` and ``k_1 = 1/2``
+  are midpointed with their own images.  :func:`symmetrize` does the same
+  for every grid pair of a whole torus field.
 
 Averaging with a translation-invariant kernel commutes with the lattice
 action, and real even multipliers commute with the reflection symmetry, so
@@ -118,29 +120,50 @@ def symmetrize(field, family):
     if field.region != "full-torus":
         raise UsageError("symmetrize needs a full-torus field")
     geometry = field.geometry
+    data, report = _midpoint_pairs(field.data, _owners(geometry),
+                                   family.reflected_partners, range(geometry.n_side))
+    return FrameField(geometry, field.region, data, dict(field.meta)), report
+
+
+def _owners(geometry):
+    """The row-major first point of each torus pair ``(g, (-g) mod N)``;
+    a self-paired point is its own pair's owner."""
     partner, _ = geometry.reflection_map()
     flat = np.ravel_multi_index(
         tuple(np.moveaxis(partner, -1, 0)), geometry.torus_shape
     )
-    owner = np.arange(flat.size).reshape(flat.shape) <= flat
-    image = family.reflected_partners(field.data)
-    defect = np.linalg.norm(field.data - image, axis=(-2, -1))
+    return np.arange(flat.size).reshape(flat.shape) <= flat
+
+
+def _midpoint_pairs(data, owner, images, rows):
+    """Midpoint the ``owner`` frames of ``data`` with their images
+    ``images(data)`` and set every other frame to the image of the result.
+
+    ``data`` holds the torus rows ``g_1 in rows``, and every pair lies
+    within them.  Owners at least :data:`MIDPOINT_LIMIT` from their image
+    are collected and reported, as torus points, in a single
+    :class:`TooFarApart`.  Returns the frames and :func:`symmetrize`'s
+    report.
+    """
+    image = images(data)
+    defect = np.linalg.norm(data - image, axis=(-2, -1))
     far = owner & (defect >= MIDPOINT_LIMIT)
     if np.any(far):
         failures = [
-            {"point": tuple(int(x) for x in g), "distance": float(defect[tuple(g)])}
+            {"point": (int(rows[g[0]]), *(int(x) for x in g[1:])),
+             "distance": float(defect[tuple(g)])}
             for g in np.argwhere(far)
         ]
         raise TooFarApart(
             f"{len(failures)} grid pair(s) too far apart to midpoint",
             points=failures,
         )
-    out = field.copy()
-    out.data[owner] = frame_midpoint(field.data[owner], image[owner])
-    out.data[~owner] = family.reflected_partners(out.data)[~owner]
+    out = data.copy()
+    out[owner] = frame_midpoint(data[owner], image[owner])
+    out[~owner] = images(out)[~owner]
     report = {
         "reflection_before": float(np.max(defect[owner])),
-        "max_shift": _sup_distance(out.data, field.data),
+        "max_shift": _sup_distance(out, data),
     }
     return out, report
 
@@ -239,9 +262,14 @@ def periodic_smooth(field, family, epsilon):
     The field entries are untwisted to exactly periodic functions, their
     discrete Fourier coefficients are damped by the flat-top multiplier
     ``prod_j min(1, max(0, 2 - 2 |q_j| / K))`` (untouched harmonics up to
-    ``K/2``, linear taper to zero at ``K``), and the result is twisted
-    back, projected onto ``Ran P(k)`` (the projectors of the family's torus
-    sample) and symmetrically re-orthonormalized.
+    ``K/2``, linear taper to zero at ``K``), and the inverse transform is
+    cut to the slab ``g_1 <= grid_n``.  There it is twisted back, projected
+    onto ``Ran P(k)`` (the projectors of the family's torus sample) and
+    symmetrically re-orthonormalized, and its sup distance to the input is
+    measured.  The accepted rung's slab is mirrored to ``g_1 > grid_n`` by
+    :meth:`~blochframe.models.ProjectorFamily.mirror_slab`: the real, even
+    multiplier commutes with the reflection, so the other half of the
+    full-torus result is that mirror up to roundoff.
 
     The cutoff ``K`` climbs a geometric ladder from 2 until the sup frame
     distance to the input drops below ``0.9 * epsilon``; the smallest
@@ -257,25 +285,27 @@ def periodic_smooth(field, family, epsilon):
 
     Each rung is decided in two steps:
 
-    * on the stride-2 subgrid.  The smoothed field at the even grid points
-      is exactly the inverse FFT, ``1/2**d`` the size and divided by
-      ``2**d``, of the damped coefficients folded mod ``n_side / 2`` (DFT
-      aliasing).  A sup distance above the target, or a singular value
-      below the floor, at those points holds on the whole torus, so
+    * on the slab's points of the stride-2 subgrid.  The smoothed field at
+      the even grid points is exactly the inverse FFT, ``1/2**d`` the size
+      and divided by ``2**d``, of the damped coefficients folded mod
+      ``n_side / 2`` (DFT aliasing); its rows ``0 .. grid_n / 2`` are the
+      slab's.  A sup distance above the target, or a singular value below
+      the floor, at those points holds on the whole torus, so
       :func:`_gram_screen` rejects such a rung there; its ``tried`` entry
       carries the subgrid value, a lower bound of the torus one, and
       ``"subgrid": true``.  The subgrid never accepts: the frame may be far
       off only at odd points.  A rung rejected there for its distance is
       recorded as a distance failure even if the torus would also show a
       rank loss;
-    * on the full torus, by the frames ``lowdin(candidate,
+    * on the slab, by the frames ``lowdin(candidate,
       rank_tol=RANK_FLOOR)`` (the closed form for ``m <= 2`` and condition
       at most 10, the SVD otherwise) and their sup distance.  A rank loss
-      there records the smallest singular value of the candidate's SVD.
+      there records the smallest singular value of the candidate's SVD,
+      and a :class:`ProjectionRankLoss` names a slab point.
 
     So the chosen cutoff is that of a ladder decided by ``lowdin`` alone,
     and the report's ``sup_distance`` is the distance of the returned
-    frames.
+    frames on the slab; :func:`smooth_symmetric` measures the whole torus.
 
     Returns ``(field, report)``; the report records the chosen cutoff, its
     fraction of ``n_side`` and whether it zeroes the grid's Nyquist shell
@@ -305,14 +335,18 @@ def periodic_smooth(field, family, epsilon):
     coeffs = np.fft.fftn(data, axes=axes)
     freqs = np.abs(np.fft.fftfreq(big, d=1.0 / big)).astype(int)
 
-    projectors = family.grid_projectors(geometry.grid_n)
-    sub = (slice(None, None, 2),) * d
+    # the slab g_1 <= grid_n, and its points on the stride-2 subgrid
+    n = geometry.grid_n
+    slab = (slice(None, n + 1),)
+    sub = (slice(None, n + 1, 2),) + (slice(None, None, 2),) * (d - 1)
+    projectors = family.grid_projectors(n)
+    slab_twist = None if twist is None else (twist[0], twist[1][slab])
     sub_twist = None if twist is None else (twist[0], twist[1][sub])
     fold = (2, big // 2) * d + coeffs.shape[d:]
 
     def candidate_at(k, subgrid=False):
         """The field smoothed at cutoff ``k`` and projected onto the fibers,
-        on the torus or, with ``subgrid``, at its even grid points."""
+        on the slab or, with ``subgrid``, at its even grid points."""
         mult = np.ones(geometry.torus_shape)
         for j in range(d):
             shape = [1] * d
@@ -320,10 +354,11 @@ def periodic_smooth(field, family, epsilon):
             mult = mult * np.clip(2.0 - 2.0 * freqs / k, 0.0, 1.0).reshape(shape)
         damped = coeffs * mult.reshape(geometry.torus_shape + (1, 1))
         if not subgrid:
-            smoothed = apply_twist(twist, np.fft.ifftn(damped, axes=axes))
-            return np.einsum("...ab,...bm->...am", projectors, smoothed)
+            smoothed = apply_twist(slab_twist, np.fft.ifftn(damped, axes=axes)[slab])
+            return np.einsum("...ab,...bm->...am", projectors[slab], smoothed)
         folded = damped.reshape(fold).sum(axis=tuple(range(0, 2 * d, 2)))
-        smoothed = apply_twist(sub_twist, np.fft.ifftn(folded, axes=axes) / 2**d)
+        smoothed = np.fft.ifftn(folded, axes=axes)[: n // 2 + 1] / 2**d
+        smoothed = apply_twist(sub_twist, smoothed)
         return np.einsum("...ab,...bm->...am", projectors[sub], smoothed)
 
     target = 0.9 * epsilon
@@ -344,13 +379,15 @@ def periodic_smooth(field, family, epsilon):
                 sing = np.linalg.svd(candidate, compute_uv=False)
                 entry = {"rank_loss": float(np.min(sing))}
             else:
-                entry = {"sup_distance": _sup_distance(ortho_frames, field.data)}
+                entry = {"sup_distance": _sup_distance(ortho_frames, field.data[slab])}
         tried.append({"cutoff": k, **entry})
         if entry.get("sup_distance", target) < target:
+            frames = np.empty_like(field.data)
+            frames[slab] = ortho_frames
             out = FrameField(
                 geometry,
                 "full-torus",
-                ortho_frames,
+                family.mirror_slab(frames),
                 dict(field.meta, smoothing_cutoff=k),
             )
             report = {
@@ -386,23 +423,35 @@ def periodic_smooth(field, family, epsilon):
 
 
 def smooth_symmetric(field, family, epsilon):
-    """Smooth and re-symmetrize; the standard last pipeline stage.
+    """Smooth on the slab and mirror; the standard last pipeline stage.
 
-    Runs :func:`periodic_smooth` to within ``0.9 * epsilon`` and then
-    :func:`symmetrize`, and raises :class:`EpsilonInfeasible` if the
-    combined sup distance to the input reaches ``epsilon``.  The real, even
-    multiplier commutes with the reflection, so the smoothed field is
-    symmetric up to roundoff and :func:`symmetrize` moves it by about half
+    Runs :func:`periodic_smooth`, which keeps the frames of its slab ``g_1
+    <= grid_n`` and mirrors them to the rest, then midpoints each pair of
+    the two self-paired slices ``g_1 = 0`` and ``g_1 = grid_n`` with its
+    image, by :func:`symmetrize`'s owner rule (a pair too far apart raises
+    :class:`TooFarApart` with its ``points``), and raises
+    :class:`EpsilonInfeasible` if the sup distance to the input over the
+    whole torus reaches ``epsilon``.  The mirrored half is the exact image
+    of the slab, so those slices are the only place the reflection can
+    fail.  The real, even multiplier commutes with the reflection, so they
+    are symmetric up to roundoff and the midpoints move them by about half
     that defect: the total stays within ``0.9 * epsilon`` plus roundoff,
-    and there is nothing to retry.  Returns ``(field, report)``.
+    and there is nothing to retry.  Returns ``(field, report)``;
+    ``report["symmetrization"]`` is :func:`symmetrize`'s report over the
+    two slices.
     """
-    smoothed, sm_report = periodic_smooth(field, family, epsilon)
-    final, sym_report = symmetrize(smoothed, family)
+    final, sm_report = periodic_smooth(field, family, epsilon)
+    # each self-paired slice is its own image under theta (tau_1 theta at
+    # g_1 = grid_n); the pairs within it are midpointed as symmetrize does
+    rows = [0, field.geometry.grid_n]
+    final.data[rows], sym_report = _midpoint_pairs(
+        final.data[rows], _owners(field.geometry)[rows], family.self_paired_images, rows
+    )
     dist = _sup_distance(final.data, field.data)
     if dist >= epsilon:
         raise EpsilonInfeasible(
-            f"smoothing plus symmetrization moved the field by {dist:.3e}, "
-            f"target {epsilon:.3e}",
+            f"smoothing and the self-paired midpoints moved the field by "
+            f"{dist:.3e}, target {epsilon:.3e}",
             distance=dist,
         )
     report = {

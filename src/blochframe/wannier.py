@@ -47,7 +47,7 @@ def extend_symmetric(field, family, tol=1e-10):
     Along each axis ``j >= 2`` the slab ``g_1 <= grid_n`` reads the cell at
     ``g_j <= grid_n``, and ``tau_j`` times the cell at ``g_j - N`` beyond;
     the points ``g_1 > grid_n`` are mirrored by
-    :meth:`~blochframe.models.ProjectorFamily.reflected_partners`.  The
+    :meth:`~blochframe.models.ProjectorFamily.mirror_slab`.  The
     boundary relations of the module docstring must hold within ``tol``
     (``extension_mismatch`` in ``meta`` is their largest distance);
     otherwise, or on a NaN, :class:`BoundaryRelationViolated` names the
@@ -101,7 +101,7 @@ def extend_symmetric(field, family, tol=1e-10):
         if family.tau is not None and any(wrapped):
             value = _act(family.tau_power((0,) + wrapped), value)
         out.data[rows] = value
-    out.data[n + 1:] = family.reflected_partners(out.data)[n + 1:]
+    family.mirror_slab(out.data)
     out.meta["extension_mismatch"] = worst
     return out
 

@@ -503,6 +503,50 @@ def test_a_sample_mirrored_with_the_wrong_shift_fails(make, grid_n, monkeypatch)
     assert np.max(np.linalg.norm(sampled - direct, axis=(-2, -1))) > 1e-2
 
 
+_MIRROR_CASES = pytest.mark.parametrize("make, grid_n", [
+    (lambda: builtin_model("ssh"), 4),
+    (lambda: builtin_model("haldane"), 4),
+    (lambda: shifted_haldane((0.25, 0.75)), 4),
+    (shifted_trs_3d, 2),
+    (lambda: builtin_model("random-trs", d=3, n=4, m=2, seed=0), 2),
+], ids=["ssh", "haldane", "shifted-haldane", "shifted-trs-3d", "random-trs-3d"])
+
+
+def _random_torus_frames(family, grid_n, rng):
+    shape = CellGeometry(family.d, grid_n).torus_shape + (family.n, family.m)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@_MIRROR_CASES
+def test_mirror_slab_writes_the_half_of_reflected_partners(make, grid_n, rng):
+    """``mirror_slab`` writes ``reflected_partners(frames)[grid_n + 1:]``
+    bit for bit, in place, and leaves the slab as it was; the images of the
+    self-paired slices are ``reflected_partners`` there, bit for bit."""
+    family = make()
+    frames = _random_torus_frames(family, grid_n, rng)
+    want = family.reflected_partners(frames)
+    got = frames.copy()
+    assert family.mirror_slab(got) is got
+    assert np.array_equal(got[grid_n + 1:], want[grid_n + 1:])
+    assert np.array_equal(got[: grid_n + 1], frames[: grid_n + 1])
+    slices = [0, grid_n]
+    assert np.array_equal(family.self_paired_images(frames[slices]), want[slices])
+
+
+@_GATHER_CASES
+def test_a_mirror_with_the_wrong_shift_misses(make, grid_n, rng, monkeypatch):
+    """Negative control: ``mirror_slab`` with ``tau^(+lam)`` misses the
+    image when ``tau_j**2 != 1``."""
+    family = make()
+    frames = _random_torus_frames(family, grid_n, rng)
+    want = family.reflected_partners(frames)
+    real = ProjectorFamily.antiunitary_matrix
+    monkeypatch.setattr(ProjectorFamily, "antiunitary_matrix",
+                        lambda self, lam: real(self, tuple(-x for x in lam)))
+    got = family.mirror_slab(frames.copy())
+    assert np.max(np.abs(got[grid_n + 1:] - want[grid_n + 1:])) > 1e-2
+
+
 def test_the_mirrored_gap_of_a_reversal_broken_family_is_within_weyls_bound():
     """Haldane at ``phi = 0.3`` breaks time reversal, so the mirrored half
     of the sample is not its spectrum; each eigenvalue is off by at most

@@ -290,12 +290,12 @@ def test_each_command_samples_the_bloch_data_once(model, tmp_path, monkeypatch):
 def test_a_construct_builds_the_torus_projectors_once(monkeypatch):
     """One construct asks for its torus projectors 3 times (input frame,
     smoothing, residuals) and builds them once, as ``P = F F^H`` from the
-    sample's frames ``F``; it pairs the reflection 6 times (the mirrored
-    half of the torus sample and of the extended frame, smoothing
-    precondition, symmetrize's image and partners, the final residual)."""
+    sample's frames ``F``; it pairs the reflection over the whole torus 2
+    times (smoothing precondition, final residual) and mirrors a slab 3
+    times (the torus sample, the extended frame, the smoothed frame)."""
     config = RunConfig(model="haldane", grid_n=8)
     frames_shape = CellGeometry(2, config.grid_n).torus_shape + (2, 1)
-    calls = {"grid_projectors": 0, "build": 0, "partners": 0}
+    calls = {"grid_projectors": 0, "build": 0, "partners": 0, "mirror": 0}
 
     def counting(owner, name, key, counts=lambda *args: True):
         real = getattr(owner, name)
@@ -309,8 +309,9 @@ def test_a_construct_builds_the_torus_projectors_once(monkeypatch):
     counting(ProjectorFamily, "grid_projectors", "grid_projectors")
     counting(models, "_dagger", "build", lambda a: np.shape(a) == frames_shape)
     counting(ProjectorFamily, "reflected_partners", "partners")
+    counting(ProjectorFamily, "mirror_slab", "mirror")
     run_construct(config)
-    assert calls == {"grid_projectors": 3, "build": 1, "partners": 6}
+    assert calls == {"grid_projectors": 3, "build": 1, "partners": 2, "mirror": 3}
 
 
 @pytest.mark.parametrize("grid_n, cutoff, resolved", [(8, 9, False), (32, 12, True)])

@@ -306,7 +306,8 @@ def _all_svd_ladder(field, family, epsilon, rank_floor=0.1):
 
     Returns ``(cutoff, frames, tried)`` of the first rung within ``0.9
     epsilon``, or the ``ProjectionRankLoss`` payload ``(None, point,
-    singular_value)`` when every rung loses rank.  Climbs to
+    singular_value)`` over the slab ``g_1 <= grid_n`` when every rung loses
+    rank.  Climbs to
     ``n_side - 1``, and tries it, like :func:`periodic_smooth`.  Each
     ``tried`` entry also holds, under ``"on_subgrid"``, the SVD polar
     factor's sup distance and the smallest singular value over the even
@@ -326,8 +327,11 @@ def _all_svd_ladder(field, family, epsilon, rank_floor=0.1):
             "rank_loss": float(np.min(sing[sub])),
         }
         if np.min(sing) < rank_floor:
-            point = np.unravel_index(int(np.argmin(sing[..., -1])), geo.torus_shape)
-            payload = (None, tuple(int(x) for x in point), float(np.min(sing)))
+            # the ladder decides on the slab g_1 <= grid_n, whose mirror is
+            # the rest of the torus
+            slab = sing[: geo.grid_n + 1]
+            point = np.unravel_index(int(np.argmin(slab[..., -1])), slab.shape[:-1])
+            payload = (None, tuple(int(x) for x in point), float(np.min(slab)))
             tried.append({"cutoff": k, "rank_loss": float(np.min(sing)),
                           "on_subgrid": on_subgrid})
         else:
@@ -378,16 +382,28 @@ def _same_ladder(report, ref_tried):
 
 
 def _check_accepted_frames(smoothed, report, field, family, svd_frames):
-    """The accepted rung's frames are ``lowdin`` of the reference candidate
-    bit for bit, within ``64 eps kappa**2`` of the SVD's, and the report
-    records their distance, which is below the target."""
+    """On the slab ``g_1 <= grid_n`` the accepted rung's frames are
+    ``lowdin`` of the reference candidate bit for bit and within ``64 eps
+    kappa**2`` of the SVD's, and the report records their distance, which is
+    below the target; the half ``g_1 > grid_n`` is the exact image of the
+    slab, within roundoff of the reference's frames and distance there."""
+    slab = slice(None, field.geometry.grid_n + 1)
+    mirror = slice(field.geometry.grid_n + 1, None)
     candidate = _reference_candidate(field, family, report["cutoff"])
-    assert np.array_equal(smoothed.data, lowdin(candidate, rank_tol=RANK_FLOOR))
-    w_min, w_max, _ = gram_polar(candidate)
+    reference = lowdin(candidate, rank_tol=RANK_FLOOR)
+    assert np.array_equal(smoothed.data[slab], reference[slab])
+    assert np.array_equal(
+        smoothed.data[mirror], family.reflected_partners(smoothed.data)[mirror]
+    )
+    assert np.max(np.abs(smoothed.data - reference)) <= 1e-14
+    w_min, w_max, _ = gram_polar(candidate[slab])
     bound = 64 * np.finfo(float).eps * float(np.max(w_max / w_min))
-    assert np.max(np.abs(smoothed.data - svd_frames)) <= bound
-    distance = smoothing._sup_distance(smoothed.data, field.data)
+    assert np.max(np.abs(smoothed.data[slab] - svd_frames[slab])) <= bound
+    distance = smoothing._sup_distance(smoothed.data[slab], field.data[slab])
     assert report["sup_distance"] == distance < report["target"]
+    assert smoothing._sup_distance(smoothed.data, field.data) == pytest.approx(
+        distance, abs=1e-14
+    )
 
 
 @pytest.mark.parametrize(
@@ -516,18 +532,89 @@ def _counting(monkeypatch, name, change=None):
 
 
 def test_smooth_symmetric_refuses_a_second_move(haldane, haldane_torus, monkeypatch):
-    """A symmetrization that moves the smoothed field by about 2 (it negates
-    the frame at the origin) is refused at once: there is no retry."""
+    """A smoothed field moved by about 2 after the ladder (its frame negated
+    at the self-paired origin, or at a point of the mirrored half) is
+    refused at once by the full-torus epsilon gate: there is no retry, and
+    ``symmetrize`` is not called."""
+    symmetrizes = _counting(monkeypatch, "symmetrize")
+    for point in [(0, 0), (12, 3)]:
 
-    def negate_origin(field):
-        field.data[(0,) * field.geometry.d] *= -1.0
+        def negate(field):
+            field.data[point] *= -1.0
 
-    smooths = _counting(monkeypatch, "periodic_smooth")
-    symmetrizes = _counting(monkeypatch, "symmetrize", negate_origin)
-    with pytest.raises(EpsilonInfeasible) as exc:
+        smooths = _counting(monkeypatch, "periodic_smooth", negate)
+        with pytest.raises(EpsilonInfeasible) as exc:
+            smooth_symmetric(haldane_torus, haldane, 0.12)
+        assert exc.value.details["distance"] >= 0.12
+        assert len(smooths) == 1
+        monkeypatch.setattr(smoothing, "periodic_smooth", periodic_smooth)
+    assert symmetrizes == []
+
+
+@pytest.mark.parametrize("point", [(0, 3), (8, 3)])
+def test_a_self_paired_frame_far_from_its_image_is_refused(
+    haldane, haldane_torus, monkeypatch, point
+):
+    """Negative control: a frame of the slice ``g_1 = 0`` or ``g_1 =
+    grid_n`` turned far from its own image after the ladder is not
+    midpointed; ``smooth_symmetric`` names it in ``TooFarApart``."""
+
+    def turn(field):
+        field.data[point] = field.data[point] * np.exp(2.4j)
+
+    _counting(monkeypatch, "periodic_smooth", turn)
+    with pytest.raises(TooFarApart) as exc:
         smooth_symmetric(haldane_torus, haldane, 0.12)
-    assert exc.value.details["distance"] >= 0.12
-    assert len(smooths) == len(symmetrizes) == 1
+    (failure,) = exc.value.details["points"]
+    assert failure["point"] == point
+    assert failure["distance"] >= smoothing.MIDPOINT_LIMIT
+
+
+@pytest.fixture(scope="module")
+def shifted_cases():
+    """Constructed fields of the quarter-shifted haldane (grid_n 8), whose
+    ``tau_j**2 != 1``."""
+    fam = shifted_haldane((0.25, 0.75))
+    torus, _ = construct_2d(input_frame(fam, CellGeometry(2, 8)), fam)
+    return {"shifted-haldane": (fam, torus)}
+
+
+@pytest.mark.parametrize("case, epsilon", [
+    ("haldane", 0.1),
+    ("random-trs-3d", 0.1),
+    ("random-trs-2d", 0.1),
+    ("random-trs-m3", 0.1),
+    ("shifted-haldane", 0.4),
+])
+def test_smooth_symmetric_is_the_symmetrized_full_torus_ladder(
+    smoothing_cases, shifted_cases, case, epsilon
+):
+    """Against the full-torus path, ``symmetrize`` of the accepted rung's
+    ``lowdin`` frames: the rows ``0 < g_1 < grid_n`` are those frames bit
+    for bit, the self-paired slices lie within 1e-14 of ``symmetrize``'s,
+    every point that is not the owner of its pair (the half ``g_1 >
+    grid_n`` and half of each self-paired slice) is the exact image of its
+    partner, and the reported total move is the whole torus's."""
+    family, field = {**smoothing_cases, **shifted_cases}[case]
+    final, report = smooth_symmetric(field, family, epsilon)
+    n = field.geometry.grid_n
+    candidate = _reference_candidate(field, family, report["smoothing"]["cutoff"])
+    reference = field.copy()
+    reference.data = lowdin(candidate, rank_tol=RANK_FLOOR)
+    symmetric, _ = symmetrize(reference, family)
+    assert np.array_equal(final.data[1:n], reference.data[1:n])
+    slices = [0, n]
+    assert np.max(np.abs(final.data[slices] - symmetric.data[slices])) <= 1e-14
+    partner, _ = field.geometry.reflection_map()
+    flat = np.ravel_multi_index(tuple(np.moveaxis(partner, -1, 0)), partner.shape[:-1])
+    follower = np.arange(flat.size).reshape(flat.shape) > flat
+    assert np.all(follower[n + 1:])
+    image = family.reflected_partners(final.data)
+    assert np.array_equal(final.data[follower], image[follower])
+    assert np.max(np.abs(final.data - symmetric.data)) <= 1e-14
+    assert reflection_defect(final, family) <= 1e-14
+    assert report["sup_distance_total"] == smoothing._sup_distance(final.data, field.data)
+    assert report["symmetrization"].keys() == {"reflection_before", "max_shift"}
 
 
 def test_the_ladder_stops_below_n_side(haldane, haldane_torus):
