@@ -259,8 +259,9 @@ def select_stereographic_point(samples, need_line_margin=False, seed=0):
 
     The first candidate is the antipode of the normalized sample mean, which
     in particular reproduces a constant map exactly (its chart image is the
-    origin, fixed by the cone).  If it violates a margin, randomized unit
-    vectors are tried and the one maximizing the worst margin is kept.
+    origin, fixed by the cone).  Only if it violates a margin are
+    ``N_CANDIDATES`` random unit vectors drawn and tried, and the one
+    maximizing the worst margin is kept.
 
     Margins: every sample must lie at chordal distance at least
     ``CHORDAL_MARGIN`` from ``p``; when ``need_line_margin`` is set (column
@@ -280,21 +281,22 @@ def select_stereographic_point(samples, need_line_margin=False, seed=0):
             s = min(s, float(np.min(_line_clearance(p, w))) / LINE_MARGIN)
         return s
 
+    best, best_score = None, -np.inf
     mean = np.mean(samples, axis=0)
     norm = np.linalg.norm(mean)
-    candidates = []
     if norm > 1e-8:
-        candidates.append(-mean / norm)
-    rng = np.random.default_rng(seed)
-    for _ in range(N_CANDIDATES):
-        raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        candidates.append(raw / np.linalg.norm(raw))
-
-    best, best_score = None, -np.inf
-    for idx, p in enumerate(candidates):
+        p = -mean / norm
         s = score(p)
-        if idx == 0 and norm > 1e-8 and s >= 1.0:
+        if s >= 1.0:
             return p, {"source": "mean", "margin_score": s}
+        if s > best_score:
+            best, best_score = p, s
+    # drawn only when the mean fails: real, then imaginary part per candidate
+    draws = np.random.default_rng(seed).standard_normal((N_CANDIDATES, 2, dim))
+    for re, im in draws:
+        raw = re + 1j * im
+        p = raw / np.linalg.norm(raw)
+        s = score(p)
         if s > best_score:
             best, best_score = p, s
     if best_score >= 1.0:

@@ -10,6 +10,12 @@ reads and writes it whole.  A NaN entry is a poison value, not an empty
 slot: residuals are maxima over every stored frame, so one NaN frame makes
 them NaN, and :func:`check_same_span` and the smoothing precondition refuse
 a NaN.
+
+:func:`input_frame` builds the raw field the construction starts from by
+discrete parallel transport.  It never forms an ``n x n`` projector: the
+frame is carried as the family's sampled eigenframes times an ``m x m``
+gauge, and each grid step multiplies the gauge by the polar factor of an
+``m x m`` link overlap between neighbouring eigenframes.
 """
 
 from dataclasses import dataclass, field
@@ -133,78 +139,119 @@ def _fix_column_phases(frame):
     return frame
 
 
+# The transport's stacked products are sums of broadcast products over the
+# inner index, one term at a time: on stacks of m x m and n x m matrices
+# that is faster than a stacked ``@`` or an ``np.sum`` over the axis.
+def _times(a, b):
+    """``a @ b`` on stacks of small matrices."""
+    out = a[..., :, 0, None] * b[..., 0, None, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j, None] * b[..., j, None, :]
+    return out
+
+
+def _overlap(a, b):
+    """``a^H @ b`` on stacks of small matrices."""
+    a = a.conj()
+    out = a[..., 0, :, None] * b[..., 0, None, :]
+    for x in range(1, a.shape[-2]):
+        out += a[..., x, :, None] * b[..., x, None, :]
+    return out
+
+
+def _adjoint(a):
+    return np.swapaxes(a.conj(), -1, -2)
+
+
 def input_frame(family, geometry, region="effective-cell"):
-    """Continuous-in-practice input frame by projected parallel transport.
+    """Continuous-in-practice input frame by discrete parallel transport.
 
     Seeds a phase-fixed spectral eigenbasis at ``k = 0`` and transports it
     along the first axis, then fans out along the remaining axes, one grid
-    step at a time (each step projects the previous frame and reorthonormalizes
-    symmetrically).  The sweep along axis ``j`` moves the whole slab the
-    earlier axes cover in lockstep, so every point sees the same steps as a
-    point-by-point walk.  No symmetry is imposed; the result is the raw gauge
-    the construction refines.  With ``region="full-torus"`` the sweep covers
-    the whole fundamental domain instead (used as a control; the seam at the
-    wrap is then deliberately left discontinuous).  The projectors and the
-    seed are read from the family's torus sample
-    (:meth:`~blochframe.models.ProjectorFamily.grid_projectors`).
+    step at a time; each step projects the previous frame onto the next
+    point's subspace and reorthonormalizes symmetrically.  No symmetry is
+    imposed; the result is the raw gauge the construction refines.  With
+    ``region="full-torus"`` the sweep covers the whole fundamental domain
+    instead (used as a control; the seam at the wrap is then deliberately
+    left discontinuous).
 
-    The sweep writes every stored point.  Returns the field;
-    ``field.meta["transport_step_sup"]`` records the largest frame distance
-    between adjacent transported points, a continuity proxy proportional to
-    the grid step for smooth families, which the construct manifest keeps;
-    it is taken once per axis, from the differences along that axis of the
-    slab its sweep filled.
+    The steps are taken on the occupied eigenframes ``v`` of the family's
+    torus sample (:meth:`~blochframe.models.ProjectorFamily.grid_frames`)
+    and carried as an ``m x m`` gauge: the frame is ``psi = v W``.  With
+    ``P = v v^H`` a step from ``psi(i)`` is ``polar(P(i+1) psi(i)) = v(i+1)
+    U_i W(i)``, where ``U_i = polar(O_i)`` is the polar factor of the link
+    overlap ``O_i = v(i+1)^H v(i)`` (Marzari and Vanderbilt, PRB 56, 12847,
+    1997), so ``W(i+1) = U_i W(i)`` and a backward step multiplies by
+    ``U_i^H``.  The sweep along axis ``j`` takes the links of the whole slab
+    the earlier axes cover at once, one overlap and one polar factor per
+    link, and runs the product in lockstep over the slab; every point sees
+    the steps of a point-by-point walk.  A link whose overlap has a singular
+    value below ``RANK_FLOOR`` raises :class:`GridTooCoarse` at the first
+    such step in sweep order (forward from the origin, then backward), with
+    the step's worst destination point and its singular value.
+
+    Returns the field; ``field.meta["transport_step_sup"]`` records the
+    largest frame distance between adjacent transported points, a continuity
+    proxy proportional to the grid step for smooth families, which the
+    construct manifest keeps; it is taken once per axis, from the
+    differences along that axis of the slab its sweep filled.
     """
     d = family.d
-    fld = FrameField.empty(geometry, family.n, family.m, region=region)
-
-    # the stored array is the sweep box: axis j runs over lo_j + range(shape_j)
     if region == "full-torus":
-        lo = np.zeros(d, dtype=int)
+        box = geometry.torus_points()
+        origin = (0,) * d
     else:
-        lo = np.array([0] + [-geometry.grid_n] * (d - 1))
-    shape = fld.data.shape[:d]
-    box = np.moveaxis(np.indices(shape), 0, -1) + lo
-    projectors = family.grid_projectors(
-        geometry.grid_n, None if region == "full-torus" else box
-    )
-    origin = tuple(-lo)
+        box = geometry.cell_points()
+        origin = (0,) + (geometry.grid_n,) * (d - 1)
+    frames = family.grid_frames(geometry.grid_n, box)
+    seed = frames[origin]
+    gauge = np.full(box.shape[:-1] + (family.m, family.m), np.nan, dtype=complex)
+    gauge[origin] = _overlap(seed, lowdin(_fix_column_phases(seed)))
 
-    evals, evecs = family.torus_eigensystem(geometry.grid_n)
-    zero = (0,) * d
-    seed_frame, _ = family.spectral_frame(np.zeros(d), (evals[zero], evecs[zero]))
-    fld.data[origin] = lowdin(_fix_column_phases(seed_frame))
-    step_sup = 0.0
-
+    slabs = []
     for axis in range(d):
-        # slab i: every point the earlier axes cover, with x_axis = lo + i
-        # and the later coordinates at the origin
+        # slab: every point the earlier axes cover, any x_axis, and the
+        # later coordinates at the origin; link i joins slab[.., i] to
+        # slab[.., i + 1] along the axis
         head, tail = (slice(None),) * axis, origin[axis + 1:]
-        for direction in (+1, -1):
-            i = origin[axis]
-            while 0 <= i + direction < shape[axis]:
-                prev = fld.data[head + (i,) + tail]
-                i += direction
-                at = head + (i,) + tail
-                moved = projectors[at] @ prev
-                try:
-                    cur = lowdin(moved, rank_tol=RANK_FLOOR)
-                except ValueError:
-                    sing = np.linalg.svd(moved, compute_uv=False)[..., -1]
-                    worst = np.unravel_index(np.argmin(sing), sing.shape)
-                    point = tuple(int(x) for x in box[at][worst])
-                    raise GridTooCoarse(
-                        f"parallel transport lost rank at grid point {point} "
-                        f"(singular value {sing[worst]:.3e}); refine the grid",
-                        point=point,
-                        singular_value=float(sing[worst]),
-                    ) from None
-                fld.data[at] = cur
-        # the sweep's steps are the differences along the axis of the slab
-        # it filled: one norm and one max per axis
-        swept = fld.data[head + (slice(None),) + tail]
-        step = np.linalg.norm(np.diff(swept, axis=axis), axis=(-2, -1))
-        step_sup = max(step_sup, float(np.max(step)))
+        slab = head + (slice(None),) + tail
+        slabs.append(slab)
+        v = frames[slab]
+        links = _overlap(v[head + (slice(1, None),)], v[head + (slice(None, -1),)])
+        try:
+            polar = lowdin(links, rank_tol=RANK_FLOOR)
+        except ValueError:
+            raise _rank_loss(links, axis, origin[axis], box[slab]) from None
+        w = gauge[slab]
+        for i in range(origin[axis], v.shape[axis] - 1):
+            w[head + (i + 1,)] = _times(polar[head + (i,)], w[head + (i,)])
+        for i in range(origin[axis] - 1, -1, -1):
+            w[head + (i,)] = _times(_adjoint(polar[head + (i,)]), w[head + (i + 1,)])
 
-    fld.meta["transport_step_sup"] = step_sup
-    return fld
+    psi = _times(frames, gauge)
+    # the sweep's steps are the differences along the axis of the slab it
+    # filled: one norm and one max per axis
+    step_sup = max(
+        float(np.max(np.linalg.norm(np.diff(psi[slab], axis=axis), axis=(-2, -1))))
+        for axis, slab in enumerate(slabs)
+    )
+    return FrameField(geometry, region, psi, {"transport_step_sup": step_sup})
+
+
+def _rank_loss(links, axis, start, points):
+    """:class:`GridTooCoarse` for the first step of the sweep along ``axis``
+    (forward from ``start``, then backward) whose link overlap has a
+    singular value below ``RANK_FLOOR``, at the step's destination point of
+    smallest singular value; ``points`` are the grid points of the slab."""
+    sing = np.moveaxis(np.linalg.svd(links, compute_uv=False)[..., -1], axis, 0)
+    order = list(range(start, len(sing))) + list(range(start - 1, -1, -1))
+    i = next(i for i in order if np.min(sing[i]) < RANK_FLOOR)
+    worst = np.unravel_index(np.argmin(sing[i]), sing[i].shape)
+    destination = i + 1 if i >= start else i
+    point = tuple(int(x) for x in np.moveaxis(points, axis, 0)[destination][worst])
+    return GridTooCoarse(
+        f"parallel transport lost rank at grid point {point} "
+        f"(singular value {sing[i][worst]:.3e}); refine the grid",
+        point=point,
+        singular_value=float(sing[i][worst]),
+    )

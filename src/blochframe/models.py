@@ -20,11 +20,12 @@ which gives ``P(k + e_j) = tau_j P(k) tau_j^-1``, and time reversal as
 ``C conj(H_R) C^-1 = H_R``, which gives ``theta P(k) theta^-1 = P(-k)``.
 Only the gap needs Bloch data.  A family samples its eigensystem on the
 torus grid once (:meth:`ProjectorFamily.torus_eigensystem` keeps the last
-grid's sample); the gap floor of :func:`verify_assumptions` and every
-projector a construction transports, smooths and certifies with are read
-from that one sample.  The two symmetries also halve it: ``eigh`` runs on
-the slab ``k_1 <= 1/2`` only, and every other point is the time-reversed
-image of its partner ``-k`` (:meth:`ProjectorFamily.mirror_slab`).
+grid's sample); the gap floor of :func:`verify_assumptions`, the
+eigenframes the input frame is transported on and every projector a
+construction smooths and certifies with are read from that one sample.
+The two symmetries also halve it: ``eigh`` runs on the slab ``k_1 <= 1/2``
+only, and every other point is the time-reversed image of its partner
+``-k`` (:meth:`ProjectorFamily.mirror_slab`).
 """
 
 import json
@@ -256,7 +257,8 @@ class ProjectorFamily:
         Sampled on the first call for a ``grid_n`` and kept until another
         ``grid_n`` is asked for, so one command samples the torus once.
         Nothing is gated here: the gap gate is at each use, through
-        :meth:`spectral_frame` or :meth:`grid_projectors`.
+        :meth:`spectral_frame`, :meth:`grid_projectors` or
+        :meth:`grid_frames`.
         """
         if self._torus_sample is None or self._torus_sample[0] != grid_n:
             torus_k = CellGeometry(self.d, grid_n).torus_k()
@@ -273,17 +275,14 @@ class ProjectorFamily:
             self._torus_projectors = None
         return self._torus_sample[1]
 
-    def grid_projectors(self, grid_n, g=None):
-        """Spectral projectors ``(..., n, n)`` at the integer grid points
-        ``g`` of shape ``(..., d)`` of ``CellGeometry(d, grid_n)``, or on
-        its stored torus when ``g`` is ``None``.
+    def grid_projectors(self, grid_n):
+        """Spectral projectors ``(..., n, n)`` on the stored torus of
+        ``CellGeometry(d, grid_n)``.
 
         They come from the :meth:`torus_eigensystem` sample and are built
         once per sample, as a read-only array; the gap gate of
         :meth:`spectral_frame` runs on the sampled eigenvalues at every
-        call.  A point ``g = rep + N lam`` off the stored torus (``N = 2
-        grid_n``) gets ``tau_lam P(rep) tau_lam^H``, which is ``P(k)`` by the
-        lattice symmetry ``P(k + e_j) = tau_j P(k) tau_j^-1``.
+        call.
         """
         geometry = CellGeometry(self.d, grid_n)
         sample = self.torus_eigensystem(grid_n)
@@ -291,19 +290,31 @@ class ProjectorFamily:
         if self._torus_projectors is None:
             self._torus_projectors = frame @ _dagger(frame)
             self._torus_projectors.flags.writeable = False
-        torus = self._torus_projectors
-        if g is None:
-            return torus
+        return self._torus_projectors
+
+    def grid_frames(self, grid_n, g):
+        """Occupied eigenframes ``(..., n, m)`` of the :meth:`torus_eigensystem`
+        sample at the integer grid points ``g`` of shape ``(..., d)`` of
+        ``CellGeometry(d, grid_n)``, as a fresh array.
+
+        A point ``g = rep + N lam`` off the stored torus (``N = 2 grid_n``)
+        gets ``tau_lam v(rep)``, which spans ``P(k)`` by the lattice
+        symmetry ``P(k + e_j) = tau_j P(k) tau_j^-1``.  The gap gate of
+        :meth:`spectral_frame` runs on the sampled eigenvalues at every
+        call, as in :meth:`grid_projectors`.
+        """
+        geometry = CellGeometry(self.d, grid_n)
+        sample = self.torus_eigensystem(grid_n)
+        frame, _ = self.spectral_frame(geometry.torus_k(), sample)
         g = np.asarray(g)
         lam = g // geometry.n_side
-        out = torus[tuple(np.moveaxis(g - geometry.n_side * lam, -1, 0))]
+        out = frame[tuple(np.moveaxis(g - geometry.n_side * lam, -1, 0))]
         if self.tau is None:
             return out
         for shift in np.unique(lam.reshape(-1, self.d), axis=0):
             if shift.any():
                 at = np.all(lam == shift, axis=-1)
-                t = self.tau_power(shift)
-                out[at] = t @ out[at] @ t.conj().T
+                out[at] = self.tau_power(shift) @ out[at]
         return out
 
     # ------------------------------------------------------------------

@@ -13,8 +13,11 @@ from blochframe.cli import main
 from blochframe.errors import EpsilonInfeasible
 from blochframe.frames import input_frame
 from blochframe.io import file_sha256, read_json
+from blochframe.linalg import RANK_FLOOR
+from blochframe.models import load_model
 
 from conftest import reversal_break_between_grid_points
+from test_frames import _pointwise_input_frame
 
 HALF_PI = "1.5707963267948966"
 
@@ -327,6 +330,66 @@ def test_input_frame_rank_loss_exits_1_with_payload(tmp_path, capsys):
     assert payload["details"]["point"] == [1]
     assert payload["details"]["singular_value"] < 0.1
     assert main(["construct", "--model", str(path), "--grid-n", "4"]) == 0
+
+
+@pytest.fixture
+def rank_loss_2d(tmp_path):
+    """JSON model whose transport at grid_n 2 first loses rank on axis 2,
+    going backward, and loses it again on the next backward step.
+
+    ``H(k) = d(k) . sigma`` with ``d = (cos 4 pi k_2, sin 4 pi k_2, d_z)``
+    and ``d_z = 2 + cos 4 pi k_1 + 1.8 sin 2 pi k_1 sin 2 pi k_2``: ``d_x``
+    and ``d_z`` are even, ``d_y`` odd, so the real hoppings are time
+    reversal symmetric, and ``|d| >= 1`` keeps the gap open.  A step of
+    ``1/4`` along ``k_2`` turns the in-plane part by half a turn.  At ``k_1
+    = 1/4`` the ``d_z`` of the backward points ``k_2 = -1/4`` and ``0`` (and
+    ``-1/2``) nearly cancel that turn (``-0.8`` against ``1``), while
+    forward, and at ``k_1 = 0`` and ``1/2``, ``d_z >= 1`` keeps neighbours
+    apart by at most a right angle.
+    """
+    def sz(x):
+        return {"re": [[x, 0], [0, -x]]}
+
+    model = {
+        "dimension": 2, "orbitals": 2, "rank": 1,
+        "hoppings": [
+            {"R": [0, 2], "re": [[0, 0], [1, 0]]},
+            {"R": [0, -2], "re": [[0, 1], [0, 0]]},
+            {"R": [0, 0], **sz(2.0)},
+            {"R": [2, 0], **sz(0.5)}, {"R": [-2, 0], **sz(0.5)},
+            {"R": [1, -1], **sz(0.45)}, {"R": [-1, 1], **sz(0.45)},
+            {"R": [1, 1], **sz(-0.45)}, {"R": [-1, -1], **sz(-0.45)},
+        ],
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    return path
+
+
+def test_input_frame_rank_loss_payload_is_the_first_failing_step(rank_loss_2d, capsys):
+    """The payload names the first step, in sweep order, whose projected
+    frame falls below the rank floor, its worst destination point and that
+    point's smallest singular value, as an ``n``-dimensional walk on
+    directly sampled projectors finds them; the walk also fails a later
+    step."""
+    assert main(["verify-model", "--model", str(rank_loss_2d), "--grid-n", "2"]) == 0
+    capsys.readouterr()
+    code = main(["construct", "--model", str(rank_loss_2d), "--grid-n", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    payload = json.loads(captured.err)
+    assert payload["error"] == "grid-too-coarse"
+
+    family = load_model(str(rank_loss_2d))
+    _, _, singular = _pointwise_input_frame(
+        family, CellGeometry(2, 2), "effective-cell", independent=True)
+    failing = sorted(step for step, sing in singular.items()
+                     if min(sing.values()) < RANK_FLOOR)
+    assert failing == [(1, 1, 1), (1, 1, 2)]  # axis 2, backward, steps 1 and 2
+    point, value = min(singular[failing[0]].items(), key=lambda item: item[1])
+    assert payload["details"]["point"] == list(point) == [1, -1]
+    assert payload["details"]["singular_value"] == pytest.approx(value, abs=1e-13)
 
 
 def test_construct_refuses_an_epsilon_only_a_no_op_cutoff_meets(tmp_path, capsys):

@@ -5,7 +5,11 @@ import pytest
 from blochframe.cells import CellGeometry
 from blochframe.errors import GridTooCoarse, NonzeroDegree
 from blochframe.extension import (
+    CHORDAL_MARGIN,
+    LINE_MARGIN,
+    N_CANDIDATES,
     BoundaryDomain,
+    _line_clearance,
     chart_backward,
     chart_forward,
     extend_unitary_cone,
@@ -54,6 +58,51 @@ def test_select_stereographic_point_margins_and_determinism(rng):
     t = np.real(np.einsum("qi,i->q", w, np.conj(ip)))
     clear = np.sqrt(np.maximum(np.sum(np.abs(w) ** 2, -1) - t**2, 0.0))
     assert np.all(clear / np.linalg.norm(w, axis=-1) >= 0.05 - 1e-12)
+
+
+def _stereographic_point_drawn_up_front(samples, need_line_margin, seed):
+    """The selection as it was written before the draws were deferred: all
+    ``N_CANDIDATES`` random candidates drawn one call at a time before any
+    is scored, the mean's antipode first."""
+    def score(p):
+        s = float(np.min(np.linalg.norm(samples - p, axis=-1))) / CHORDAL_MARGIN
+        if need_line_margin:
+            w = chart_forward(p, samples)
+            s = min(s, float(np.min(_line_clearance(p, w))) / LINE_MARGIN)
+        return s
+
+    dim = samples.shape[-1]
+    mean = np.mean(samples, axis=0)
+    norm = np.linalg.norm(mean)
+    candidates = [-mean / norm] if norm > 1e-8 else []
+    rng = np.random.default_rng(seed)
+    for _ in range(N_CANDIDATES):
+        raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        candidates.append(raw / np.linalg.norm(raw))
+    best, best_score = None, -np.inf
+    for idx, p in enumerate(candidates):
+        s = score(p)
+        if idx == 0 and norm > 1e-8 and s >= 1.0:
+            return p, {"source": "mean", "margin_score": s}
+        if s > best_score:
+            best, best_score = p, s
+    return best, {"source": "random", "margin_score": best_score}
+
+
+@pytest.mark.parametrize("spread, source", [(1.0, "mean"), (0.1, "random")])
+def test_select_stereographic_point_defers_the_random_draws(rng, spread, source):
+    """Drawing the random candidates only once the mean's antipode fails,
+    in one call, picks the same point with the same record, bit for bit,
+    on a sample set whose mean's antipode clears both margins and on one
+    whose antipode does not."""
+    c = _unit(rng, 2)
+    samples = c + spread * (rng.standard_normal((40, 2)) + 1j * rng.standard_normal((40, 2)))
+    samples /= np.linalg.norm(samples, axis=-1, keepdims=True)
+    p, info = select_stereographic_point(samples, need_line_margin=True, seed=5)
+    want_p, want_info = _stereographic_point_drawn_up_front(samples, True, 5)
+    assert info["source"] == source
+    assert np.array_equal(p, want_p)
+    assert info == want_info
 
 
 def test_rotation_to_moves_the_axis(rng):

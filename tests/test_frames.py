@@ -3,19 +3,22 @@ import numpy as np
 import pytest
 
 from blochframe.cells import CellGeometry
-from blochframe.errors import SpanMismatch
+from blochframe.errors import GridTooCoarse, SpanMismatch
 from blochframe.frames import (
     FrameField,
+    _adjoint,
     _fix_column_phases,
+    _overlap,
+    _times,
     check_same_span,
     frame_distance,
     input_frame,
     unitary_between,
 )
-from blochframe.linalg import lowdin
+from blochframe.linalg import RANK_FLOOR, lowdin
 from blochframe.models import builtin_model
 
-from conftest import random_unitary
+from conftest import random_unitary, shifted_haldane, shifted_trs_3d
 
 
 def _random_frame(rng, n, m):
@@ -91,6 +94,38 @@ def test_input_frame_full_torus_region(haldane):
     assert fld.orthonormality_defect() < 1e-12
 
 
+class _RealLineFamily:
+    """Stand-in family for ``input_frame``: at grid point ``g`` its occupied
+    frame is the real line ``(cos a, sin a)`` with ``a = angles.get(g, 0)``,
+    so the link overlap of two neighbours is ``cos`` of their angle gap."""
+
+    d, n, m = 2, 2, 1
+
+    def __init__(self, angles):
+        self.angles = angles
+
+    def grid_frames(self, grid_n, g):
+        a = np.zeros(g.shape[:-1])
+        for point, angle in self.angles.items():
+            a[np.all(g == point, axis=-1)] = angle
+        return np.stack([np.cos(a), np.sin(a)], axis=-1)[..., None].astype(complex)
+
+
+def test_rank_loss_is_reported_at_the_first_step_in_sweep_order():
+    """Along axis 2 the sweep steps forward from the origin before it steps
+    backward, so a rank loss on the forward step at distance 2 is reported,
+    at its destination, ahead of the backward losses at distances 1 and 2;
+    the payload names the worst destination of that step."""
+    family = _RealLineFamily({(1, 2): 1.5, (2, 2): 1.4, (1, -1): 1.52})
+    with pytest.raises(GridTooCoarse) as exc:
+        input_frame(family, CellGeometry(2, 2))
+    assert exc.value.details["point"] == (1, 2)
+    assert exc.value.details["singular_value"] == pytest.approx(np.cos(1.5), abs=1e-15)
+    # the same links pass the floor when no angle gap reaches it
+    fld = input_frame(_RealLineFamily({(1, 2): 1.4}), CellGeometry(2, 2))
+    assert fld.meta["transport_step_sup"] == pytest.approx(2 * np.sin(0.7))
+
+
 def _svd_polar(mat):
     """Polar factor through the SVD, independent of ``lowdin``."""
     u, _, vh = np.linalg.svd(mat, full_matrices=False)
@@ -103,9 +138,17 @@ def _pointwise_input_frame(family, geometry, region, independent):
     along each further axis in turn.
 
     With ``independent`` the walk takes its projectors and seed from direct
-    ``eigh`` calls at every ``k`` of the box and its polar factors from an
-    explicit SVD; otherwise from the family's torus sample and ``lowdin``,
-    as ``input_frame`` does.
+    ``eigh`` calls at every ``k`` of the box, steps in ``n`` dimensions,
+    ``polar(P(g) prev)``, and takes its polar factors from an explicit SVD.
+    Otherwise it walks the link unitaries of ``input_frame``: the sampled
+    eigenframes ``v`` of ``grid_frames``, the gauge ``W`` with ``frame = v
+    W``, and one link overlap per step, ``v(upper)^H v(lower)`` in the
+    positive direction, through the same product helpers and ``lowdin``.
+
+    Returns the frames by grid point, the largest step, and the smallest
+    singular value of each step's projected frame (independent) or link
+    overlap, by step ``(axis, 0 forward or 1 backward, distance from the
+    origin)`` and then by destination point.
     """
     d = family.d
     if region == "full-torus":
@@ -116,34 +159,54 @@ def _pointwise_input_frame(family, geometry, region, independent):
         ] * (d - 1)
     corner = np.array([r.start for r in ranges])
     box = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1)
+    origin = (0,) * d
+
+    def at(g):
+        return tuple(np.subtract(g, corner))
+
     if independent:
         projectors = family.projector(box / geometry.n_side)
         seed, _ = family.spectral_frame(np.zeros(d))
-        polar = _svd_polar
+        frames = {origin: _svd_polar(_fix_column_phases(seed))}
+
+        def step(g, prev_g, direction):
+            moved = projectors[at(g)] @ frames[prev_g]
+            sing = np.linalg.svd(moved, compute_uv=False)[-1]
+            return _svd_polar(moved), sing
     else:
-        projectors = family.grid_projectors(geometry.grid_n, box)
-        evecs = family.torus_eigensystem(geometry.grid_n)[1]
-        seed = evecs[(0,) * d][:, :family.m]
-        polar = lowdin
-    origin = (0,) * d
-    frames = {origin: polar(_fix_column_phases(seed))}
+        v = family.grid_frames(geometry.grid_n, box)
+        seed = v[at(origin)]
+        gauge = {origin: _overlap(seed, lowdin(_fix_column_phases(seed)))}
+        frames = {origin: _times(seed, gauge[origin])}
+
+        def step(g, prev_g, direction):
+            upper, lower = (g, prev_g) if direction > 0 else (prev_g, g)
+            overlap = _overlap(v[at(upper)], v[at(lower)])
+            link = lowdin(overlap, rank_tol=RANK_FLOOR)
+            gauge[g] = _times(link if direction > 0 else _adjoint(link), gauge[prev_g])
+            sing = np.linalg.svd(overlap, compute_uv=False)[-1]
+            return _times(v[at(g)], gauge[g]), sing
+
     step_sup = 0.0
+    singular = {}
     covered = [origin]
     for axis in range(d):
         reached = []
         for base in covered:
             for direction in (1, -1):
-                g, prev = list(base), frames[base]
+                g = list(base)
                 while g[axis] + direction in ranges[axis]:
+                    prev_g = tuple(g)
                     g[axis] += direction
-                    cur = polar(projectors[tuple(np.subtract(g, corner))] @ prev)
-                    step = np.linalg.norm(cur - prev, axis=(-2, -1))
-                    step_sup = max(step_sup, float(step))
+                    cur, sing = step(tuple(g), prev_g, direction)
+                    prev = frames[prev_g]
+                    step_sup = max(step_sup, float(np.linalg.norm(cur - prev, axis=(-2, -1))))
                     frames[tuple(g)] = cur
+                    key = (axis, int(direction < 0), abs(g[axis]))
+                    singular.setdefault(key, {})[tuple(g)] = float(sing)
                     reached.append(tuple(g))
-                    prev = cur
         covered += reached
-    return frames, step_sup
+    return frames, step_sup, singular
 
 
 def _gathered(fld, frames):
@@ -157,26 +220,36 @@ def _gathered(fld, frames):
     return fld.data[index], np.array(list(frames.values()))
 
 
+_SHIFTED = {
+    "shifted-haldane": lambda name, r2: shifted_haldane(r2),
+    "shifted-trs-3d": lambda name: shifted_trs_3d(),
+}
+
+
 @pytest.mark.parametrize("region", ["effective-cell", "full-torus"])
 @pytest.mark.parametrize("name, params, grid_n", [
     ("ssh", {}, 4),
     ("haldane", {}, 4),
     ("random-trs", {"d": 3, "n": 4, "m": 2, "seed": 0}, 2),
+    pytest.param("shifted-haldane", {"r2": (0.25, 0.75)}, 4, id="shifted-haldane"),
+    pytest.param("shifted-trs-3d", {}, 2, id="shifted-trs-3d"),
 ])
 def test_input_frame_matches_pointwise_transport(name, params, grid_n, region):
-    """The lockstep sweep is the point-by-point walk on the same
+    """The lockstep sweep is the point-by-point link walk on the same
     ingredients, bit for bit, its ``transport_step_sup`` exactly the walk's
-    largest step, and it agrees with a walk on directly sampled projectors
-    and SVD polar factors to roundoff."""
-    fam = builtin_model(name, **params)
+    largest step, and it agrees with an ``n``-dimensional walk on directly
+    sampled projectors and SVD polar factors to roundoff.  The shifted
+    families have ``tau != 1`` and ``tau_j**2 != 1``, so a frame gathered
+    across the wrap with the wrong shift misses its subspace."""
+    fam = _SHIFTED.get(name, builtin_model)(name, **params)
     geo = CellGeometry(fam.d, grid_n)
     fld = input_frame(fam, geo, region=region)
-    frames, step_sup = _pointwise_input_frame(fam, geo, region, independent=False)
+    frames, step_sup, _ = _pointwise_input_frame(fam, geo, region, independent=False)
     assert len(frames) == np.prod(fld.data.shape[:fam.d])
     got, want = _gathered(fld, frames)
     assert np.array_equal(got, want)
     assert fld.meta["transport_step_sup"] == step_sup
-    oracle, oracle_step_sup = _pointwise_input_frame(fam, geo, region, independent=True)
+    oracle, oracle_step_sup, _ = _pointwise_input_frame(fam, geo, region, independent=True)
     got, want = _gathered(fld, oracle)
     assert np.max(np.abs(got - want)) < 1e-13
     assert fld.meta["transport_step_sup"] == pytest.approx(oracle_step_sup, abs=1e-13)

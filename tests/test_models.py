@@ -366,8 +366,8 @@ def test_the_kept_torus_projectors_are_gap_gated_at_every_call():
     assert details["above"] == pytest.approx(0.2578, abs=1e-4)
 
 
-# quarter offsets make tau_j**2 != 1, so a gather conjugating the wrong
-# way round lands on P(k + 2 e_j) instead of P(k)
+# quarter offsets make tau_j**2 != 1, so a gather shifting the wrong way
+# round lands on P(k + 2 e_j) instead of P(k)
 _GATHER_CASES = pytest.mark.parametrize("make, grid_n", [
     (lambda: shifted_haldane((0.25, 0.75)), 4),
     (shifted_trs_3d, 2),
@@ -375,25 +375,28 @@ _GATHER_CASES = pytest.mark.parametrize("make, grid_n", [
 
 
 def _gather_defect(family, grid_n):
-    """Largest distance between the cell-box projectors gathered from the
-    torus sample and those sampled directly at the box's ``k``."""
+    """Largest distance between the projectors ``F F^H`` of the cell-box
+    frames ``F`` gathered from the torus sample and the projectors sampled
+    directly at the box's ``k``."""
     geo = CellGeometry(family.d, grid_n)
     box = geo.cell_points()
-    gathered = family.grid_projectors(grid_n, box)
+    frames = family.grid_frames(grid_n, box)
+    gathered = frames @ np.swapaxes(frames.conj(), -1, -2)
     direct = family.projector(box / geo.n_side)
     return float(np.max(np.linalg.norm(gathered - direct, axis=(-2, -1))))
 
 
 @_GATHER_CASES
 def test_the_gathered_cell_box_projectors_are_the_sampled_ones(make, grid_n):
-    """``tau_lam P(rep) tau_lam^H`` from the torus sample is ``P(k)`` on the
-    whole effective-cell box, whose points wrap by ``lam_j = -1``."""
+    """The frames ``tau_lam v(rep)`` gathered from the torus sample span
+    ``P(k)`` on the whole effective-cell box, whose points off the stored
+    torus wrap by ``lam_j = -1``."""
     assert _gather_defect(make(), grid_n) < 1e-13
 
 
 @_GATHER_CASES
 def test_a_gather_conjugating_the_wrong_way_fails(make, grid_n, monkeypatch):
-    """Negative control: ``tau_lam^H P(rep) tau_lam`` misses ``P(k)``."""
+    """Negative control: ``tau_lam^H v(rep)`` misses ``P(k)``."""
     real = ProjectorFamily.tau_power
     monkeypatch.setattr(ProjectorFamily, "tau_power",
                         lambda self, lam: real(self, lam).conj().T)

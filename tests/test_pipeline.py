@@ -287,14 +287,10 @@ def test_each_command_samples_the_bloch_data_once(model, tmp_path, monkeypatch):
     assert calls == [slab_shape]
 
 
-def test_a_construct_builds_the_torus_projectors_once(monkeypatch):
-    """One construct asks for its torus projectors 3 times (input frame,
-    smoothing, residuals) and builds them once, as ``P = F F^H`` from the
-    sample's frames ``F``; it pairs the reflection over the whole torus 2
-    times (smoothing precondition, final residual) and mirrors a slab 3
-    times (the torus sample, the extended frame, the smoothed frame)."""
-    config = RunConfig(model="haldane", grid_n=8)
-    frames_shape = CellGeometry(2, config.grid_n).torus_shape + (2, 1)
+def _spy_projector_builds(monkeypatch, frames_shape):
+    """Count ``grid_projectors`` calls, torus projector builds ``P = F F^H``
+    from the sample's frames ``F`` (of shape ``frames_shape``), whole-torus
+    reflection pairings and slab mirrors, in a dict the spies update."""
     calls = {"grid_projectors": 0, "build": 0, "partners": 0, "mirror": 0}
 
     def counting(owner, name, key, counts=lambda *args: True):
@@ -310,8 +306,33 @@ def test_a_construct_builds_the_torus_projectors_once(monkeypatch):
     counting(models, "_dagger", "build", lambda a: np.shape(a) == frames_shape)
     counting(ProjectorFamily, "reflected_partners", "partners")
     counting(ProjectorFamily, "mirror_slab", "mirror")
+    return calls
+
+
+def test_a_construct_builds_the_torus_projectors_once(monkeypatch):
+    """One construct asks for its torus projectors 2 times (smoothing,
+    residuals) and builds them once, as ``P = F F^H`` from the sample's
+    frames ``F``; the input frame reads the frames themselves.  It pairs the
+    reflection over the whole torus 2 times (smoothing precondition, final
+    residual) and mirrors a slab 3 times (the torus sample, the extended
+    frame, the smoothed frame)."""
+    config = RunConfig(model="haldane", grid_n=8)
+    frames_shape = CellGeometry(2, config.grid_n).torus_shape + (2, 1)
+    calls = _spy_projector_builds(monkeypatch, frames_shape)
     run_construct(config)
-    assert calls == {"grid_projectors": 3, "build": 1, "partners": 2, "mirror": 3}
+    assert calls == {"grid_projectors": 2, "build": 1, "partners": 2, "mirror": 3}
+
+
+def test_wannierize_builds_no_torus_projectors(tmp_path, monkeypatch):
+    """``wannierize`` on stored artifacts transports its control frame on
+    the sampled eigenframes: it builds no torus projector array and mirrors
+    only its own torus sample."""
+    config = RunConfig(model="haldane", grid_n=8, out=str(tmp_path))
+    run_construct(config)
+    frames_shape = CellGeometry(2, config.grid_n).torus_shape + (2, 1)
+    calls = _spy_projector_builds(monkeypatch, frames_shape)
+    run_wannierize(config)
+    assert calls == {"grid_projectors": 0, "build": 0, "partners": 0, "mirror": 1}
 
 
 @pytest.mark.parametrize("grid_n, cutoff, resolved", [(8, 9, False), (32, 12, True)])
