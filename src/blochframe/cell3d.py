@@ -24,14 +24,14 @@ overlapping writes are compared as arrays.
 
 The assembled boundary map is then extended into the interior by the same
 cone construction that fills each face, over the half-cube surface
-(:class:`~blochframe.extension.BoundaryDomain`).
+(:class:`~blochframe.extension.BoundaryDomain`, built once per geometry).
 """
 
 import numpy as np
 
 from .cells import CellGeometry
 from .errors import BoundaryRelationViolated
-from .extension import BoundaryDomain, extend_unitary_cone
+from .extension import boundary_domain, extend_unitary_cone
 from .face2d import FaceContext, build_face, macro2
 from .frames import FrameField, unitary_between
 from .vertex import macro1
@@ -152,7 +152,7 @@ def construct_3d(psi_field, family, tol=1e-8, seed=0):
     )
 
     # cone extension into the interior
-    dom = BoundaryDomain(geo)
+    dom = boundary_domain(geo)
     u_nodes = unitary_between(psi[dom.mask], boundary[dom.mask])
     u_cell, diag["extension"] = extend_unitary_cone(u_nodes, dom, seed=seed)
     frames = psi @ u_cell.reshape(geo.cell_shape + u_cell.shape[-2:])

@@ -17,7 +17,8 @@ recurses.  For m = 2 the first column determines the whole matrix, so the
 recursion bottoms out there.
 
 One domain adapter, :class:`BoundaryDomain`, serves the square cell in 2d
-and the half cube in 3d.  It lifts arguments along a spanning tree of the
+and the half cube in 3d; :func:`boundary_domain` builds it once per cell
+geometry.  It lifts arguments along a spanning tree of the
 boundary grid graph and reads nodal data at the radial projection of each
 cell grid point onto the boundary.  Its lift is the package's one argument
 lift: it also counts the degree of the boundary determinant, the one
@@ -25,6 +26,7 @@ obstruction to the extension, which the face construction reads to remove
 it and the extension refuses when nonzero.
 """
 
+from functools import lru_cache
 from itertools import product, zip_longest
 
 import numpy as np
@@ -33,6 +35,7 @@ from .errors import GridTooCoarse, NonzeroDegree, NoStereographicPoint
 
 __all__ = [
     "BoundaryDomain",
+    "boundary_domain",
     "select_stereographic_point",
     "chart_forward",
     "chart_backward",
@@ -215,6 +218,14 @@ class BoundaryDomain:
 
 # ---------------------------------------------------------------------------
 # stereographic machinery on the unit sphere of C^D
+
+
+@lru_cache(maxsize=4)
+def boundary_domain(geo):
+    """The :class:`BoundaryDomain` of the cell geometry ``geo``, built once
+    and shared by every construction on that geometry (the faces of a 3d
+    cell share the 2d one).  Callers only read it."""
+    return BoundaryDomain(geo)
 
 
 def _real_ip(a, b):

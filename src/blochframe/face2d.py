@@ -6,8 +6,8 @@ points; a frame satisfying the invariance conditions there is transported
 along the left and bottom edges, completed along the right edge by geodesic
 interpolation, and mirrored onto the remaining edges by the symmetries.  The
 cell's :class:`~blochframe.extension.BoundaryDomain`, built once per
-geometry, lifts the determinant of the boundary map and reads its degree; a
-phase ramp along the right edge removes that degree, after which the cone
+geometry by :func:`~blochframe.extension.boundary_domain`, lifts the
+determinant of the boundary map and reads its degree; a phase ramp along the right edge removes that degree, after which the cone
 extension fills the interior.
 
 The same construction runs on any square face of a higher-dimensional cell:
@@ -19,12 +19,10 @@ face of the 3d cell, a slice of its ``psi.data``); the boundary is the
 domain's node mask and every fill is one batched product.
 """
 
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import BoundaryRelationViolated
-from .extension import BoundaryDomain, extend_unitary_cone
+from .extension import boundary_domain, extend_unitary_cone
 from .frames import FrameField, unitary_between
 from .vertex import macro1, vertex_solution
 
@@ -76,13 +74,6 @@ class FaceContext:
 
     def apply_anti(self, lam, frame):
         return self.antiunitary(lam) @ np.conj(frame)
-
-
-@lru_cache(maxsize=4)
-def _boundary_domain(geo):
-    """One cone-extension domain per face geometry; the faces of a 3d cell
-    share theirs."""
-    return BoundaryDomain(geo)
 
 
 def _check(cond_value, tol, what, point, label):
@@ -149,7 +140,7 @@ def macro2(ctx, left_edge, bottom_edge, tol=1e-8, seed=0):
     skel[1:n, 2 * n] = ctx.family.tau_power(ctx.axes[1]) @ skel[1:n, 0]
 
     # --- degree of the boundary determinant and its removal ---------------
-    dom = _boundary_domain(geo)
+    dom = boundary_domain(geo)
     skel_nodes = skel[dom.mask]
     u_nodes = unitary_between(psi[dom.mask], skel_nodes)
     _, det_lift = dom.lift(np.linalg.det(u_nodes))

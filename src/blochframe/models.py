@@ -25,7 +25,12 @@ eigenframes the input frame is transported on and every projector a
 construction smooths and certifies with are read from that one sample.
 The two symmetries also halve it: ``eigh`` runs on the slab ``k_1 <= 1/2``
 only, and every other point is the time-reversed image of its partner
-``-k`` (:meth:`ProjectorFamily.mirror_slab`).
+``-k`` (:meth:`ProjectorFamily.reflect`, the one reflection gather).
+Every symmetry applied to a torus stack of frames is one product of
+:meth:`ProjectorFamily.act`, skipped where its matrix is the identity.
+The sample has one form, the occupied eigenframes ``v`` of
+:meth:`ProjectorFamily.grid_frames`: ``P(k) c`` is ``v (v^H c)``, and no
+``n x n`` projector is formed on the torus.
 """
 
 import json
@@ -112,7 +117,6 @@ class ProjectorFamily:
     def __post_init__(self):
         self._tau_cache = {}
         self._torus_sample = None
-        self._torus_projectors = None
         errors = self.validate()
         if errors:
             raise ModelConfigError(
@@ -247,7 +251,7 @@ class ProjectorFamily:
         (``k_1 <= 1/2``).  Every point ``g`` with ``g_1 > grid_n`` is the
         time-reversed image of its partner ``(-g) mod N`` in the slab: it
         gets the partner's eigenvalues and the occupied frame
-        ``tau^(-lam) C conj(v(partner))`` of :meth:`mirror_slab`,
+        ``tau^(-lam) C conj(v(partner))`` of :meth:`reflect`,
         which spans ``P(k)`` by ``theta P(k) theta^-1 = P(-k)`` and the
         lattice symmetry.  When those symmetries hold only up to the
         residuals of :func:`verify_assumptions`, each mirrored eigenvalue is
@@ -257,8 +261,7 @@ class ProjectorFamily:
         Sampled on the first call for a ``grid_n`` and kept until another
         ``grid_n`` is asked for, so one command samples the torus once.
         Nothing is gated here: the gap gate is at each use, through
-        :meth:`spectral_frame`, :meth:`grid_projectors` or
-        :meth:`grid_frames`.
+        :meth:`spectral_frame` or :meth:`grid_frames`.
         """
         if self._torus_sample is None or self._torus_sample[0] != grid_n:
             torus_k = CellGeometry(self.d, grid_n).torus_k()
@@ -270,27 +273,9 @@ class ProjectorFamily:
             values[slab] = evals
             frames[slab] = evecs[..., : self.m]
             values[grid_n + 1:] = _at_partners(values[grid_n - 1:0:-1], range(1, self.d))
-            self.mirror_slab(frames)
+            frames[grid_n + 1:] = self.reflect(frames, range(grid_n + 1, 2 * grid_n))
             self._torus_sample = (grid_n, (values, frames))
-            self._torus_projectors = None
         return self._torus_sample[1]
-
-    def grid_projectors(self, grid_n):
-        """Spectral projectors ``(..., n, n)`` on the stored torus of
-        ``CellGeometry(d, grid_n)``.
-
-        They come from the :meth:`torus_eigensystem` sample and are built
-        once per sample, as a read-only array; the gap gate of
-        :meth:`spectral_frame` runs on the sampled eigenvalues at every
-        call.
-        """
-        geometry = CellGeometry(self.d, grid_n)
-        sample = self.torus_eigensystem(grid_n)
-        frame, _ = self.spectral_frame(geometry.torus_k(), sample)
-        if self._torus_projectors is None:
-            self._torus_projectors = frame @ _dagger(frame)
-            self._torus_projectors.flags.writeable = False
-        return self._torus_projectors
 
     def grid_frames(self, grid_n, g):
         """Occupied eigenframes ``(..., n, m)`` of the :meth:`torus_eigensystem`
@@ -301,7 +286,7 @@ class ProjectorFamily:
         gets ``tau_lam v(rep)``, which spans ``P(k)`` by the lattice
         symmetry ``P(k + e_j) = tau_j P(k) tau_j^-1``.  The gap gate of
         :meth:`spectral_frame` runs on the sampled eigenvalues at every
-        call, as in :meth:`grid_projectors`.
+        call.  The projector ``P(k) c`` of a stack ``c`` is ``v (v^H c)``.
         """
         geometry = CellGeometry(self.d, grid_n)
         sample = self.torus_eigensystem(grid_n)
@@ -309,12 +294,11 @@ class ProjectorFamily:
         g = np.asarray(g)
         lam = g // geometry.n_side
         out = frame[tuple(np.moveaxis(g - geometry.n_side * lam, -1, 0))]
-        if self.tau is None:
-            return out
-        for shift in np.unique(lam.reshape(-1, self.d), axis=0):
-            if shift.any():
-                at = np.all(lam == shift, axis=-1)
-                out[at] = self.tau_power(shift) @ out[at]
+        # every combination of the shifts along each axis: a row-wise
+        # np.unique of lam costs more than the whole gather
+        for shift in product(*map(np.unique, np.moveaxis(lam, -1, 0))):
+            at = np.all(lam == shift, axis=-1)
+            out[at] = self.act(shift, out[at])
         return out
 
     # ------------------------------------------------------------------
@@ -342,57 +326,49 @@ class ProjectorFamily:
         ``v -> A conj(v)``."""
         return self.tau_power(lam) @ self.theta_matrix()
 
-    def reflected_partners(self, frames):
-        """``tau^(-lam) theta v(partner(g))`` at every point ``g`` of a stack
-        of frames ``(2 grid_n,) * d + (n, m)`` on the stored torus.
+    def act(self, lam, frames, anti=False):
+        """``tau_lam`` of a stack of frames ``(..., n, m)``, or with ``anti``
+        the antiunitary ``tau_lam theta``: ``A conj(frames)`` with ``A =``
+        :meth:`antiunitary_matrix`.
 
-        With ``-g = partner + N lam`` the reflection property reads ``v(g) =
-        tau^(-lam) theta v(partner)``.  ``partner = (-g) mod N`` is a flip and
-        a roll by one along every axis, and ``lam_j`` is ``0`` on the slice
-        ``g_j = 0`` and ``-1`` on ``g_j > 0``, so each of the ``2**d`` shifts
-        covers one block of slices.
+        One BLAS product for the whole stack.  Where the matrix is the
+        identity (``lam = 0`` or ``tau = 1``, and ``theta`` plain
+        conjugation or not applied) nothing is multiplied: the result is
+        ``frames`` itself, or its conjugate with ``anti``.
         """
-        out = np.empty_like(frames)
-        out[:1] = self._reflect_rows(frames[:1], 0)
-        out[1:] = self._reflect_rows(frames[:0:-1], 1)
-        return out
+        if anti:
+            frames = np.conj(frames)
+        if (self.tau is None or not any(lam)) and (self.theta is None or not anti):
+            return frames
+        mat = self.antiunitary_matrix(lam) if anti else self.tau_power(lam)
+        # a stacked ``@`` of n x n by n x m matrices is several times slower
+        return np.einsum("ab,...bm->...am", mat, frames, optimize=True)
 
-    def mirror_slab(self, frames):
-        """Write ``reflected_partners(frames)[grid_n + 1:]`` into ``frames``
-        in place, and return it.
+    def reflect(self, frames, rows):
+        """``tau^(-lam) theta Phi(partner(g))`` at the torus points ``g``
+        with ``g_1`` in the ascending ``rows``, for a stack ``frames`` of
+        shape ``(2 grid_n,) * d + (n, m)`` on the stored torus; the result
+        has shape ``(len(rows),) + frames.shape[1:]``.
 
-        Only the partner rows ``g_1 = 1 .. grid_n - 1`` are read, and only
-        the half ``g_1 > grid_n`` is written: ``lam_1 = -1`` there, so it is
-        ``2**(d-1)`` blocks.  A symmetric field is fixed by its slab ``g_1
-        <= grid_n``, and this is how the rest of it is filled.
+        With ``-g = partner + N lam`` the reflection property reads ``Phi(g)
+        = tau^(-lam) theta Phi(partner)``.  ``partner = (-g) mod N`` is a
+        flip and a roll by one along every axis, and ``lam_j`` is ``0`` on
+        the slice ``g_j = 0`` and ``-1`` on ``g_j > 0``, so each of the
+        ``2**d`` shifts covers one block of slices, applied by :meth:`act`.
+        Only the partner rows ``(-g_1) mod N`` of ``frames`` are read: the
+        half ``g_1 > grid_n`` of a symmetric field is ``reflect`` of its
+        slab, and the self-paired slices ``g_1 = 0`` and ``g_1 = grid_n``
+        are ``reflect`` of themselves.
         """
-        n = frames.shape[0] // 2
-        frames[n + 1:] = self._reflect_rows(frames[n - 1:0:-1], 1)
-        return frames
-
-    def self_paired_images(self, slices):
-        """Images of the self-paired slices ``g_1 = 0`` and ``g_1 = grid_n``,
-        stacked as ``slices[0]`` and ``slices[1]``: ``theta`` and ``tau_1
-        theta`` of each slice read at ``(-g) mod N`` along the other axes,
-        which is :meth:`reflected_partners` on those two slices."""
-        return np.concatenate([self._reflect_rows(slices[:1], 0),
-                               self._reflect_rows(slices[1:], 1)])
-
-    def _reflect_rows(self, rows, minus_first):
-        """``tau^(-lam) theta`` of a stack of torus slices ``rows`` that is
-        already the partner of its target along the first axis, with
-        ``-lam_1 = minus_first``; the other axes are flipped and rolled by
-        one, one block per shift of theirs."""
-        conj_partner = _at_partners(np.conj(rows), range(1, self.d))
-        out = np.empty_like(conj_partner)
-        for minus in product((0, 1), repeat=self.d - 1):
-            block = (slice(None),) + tuple(slice(1, None) if x else slice(0, 1) for x in minus)
-            # one BLAS product per block: a stacked ``@`` of n x n by n x m
-            # matrices is several times slower
-            out[block] = np.einsum("ab,...bm->...am",
-                                   self.antiunitary_matrix((minus_first,) + minus),
-                                   conj_partner[block], optimize=True)
-        return out
+        big = frames.shape[0]
+        image = _at_partners(frames[[-g % big for g in rows]], range(1, self.d))
+        # lam_1 = 0 only on the row g_1 = 0, which comes first if present
+        zero = int(rows[0] == 0)
+        for lam in product((0, -1), repeat=self.d):
+            block = (slice(zero, None) if lam[0] else slice(None, zero),) + tuple(
+                slice(1, None) if x else slice(None, 1) for x in lam[1:])
+            image[block] = self.act(tuple(-x for x in lam), image[block], anti=True)
+        return image
 
     # ------------------------------------------------------------------
     # serialization

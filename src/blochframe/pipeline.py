@@ -19,7 +19,7 @@ import numpy as np
 from . import io as io_mod
 from .cells import CellGeometry
 from .errors import UsageError
-from .frames import input_frame, unitary_between
+from .frames import _overlap, _times, input_frame, unitary_between
 from .models import builtin_model, load_model, require_assumptions, verify_assumptions
 from .smoothing import reflection_defect, smooth_symmetric
 from .vertex import construct_1d
@@ -203,17 +203,19 @@ def _trim_obstruction_defects(psi_field, family, geometry):
 def final_residuals(field, family):
     """The certificate residuals of a full-torus frame field.
 
-    The projector and orthonormality defects are pointwise, against the
-    projectors of the family's torus sample; reflection compares every
+    The projector and orthonormality defects are pointwise; the projector
+    defect is ``|v (v^H F) - F|`` on the eigenframes ``v`` of the family's
+    torus sample.  Reflection compares every
     grid pair ``(k, -k)``.  Lattice periodicity needs no residual here: the
     stored field covers one fundamental domain and every other point is
     reached through ``tau``, and the manifest's ``extension_mismatch``
     certifies that every boundary identification of the constructed frame
     agrees.
     """
-    projectors = family.grid_projectors(field.geometry.grid_n)
+    geometry = field.geometry
+    v = family.grid_frames(geometry.grid_n, geometry.torus_points())
     frames = field.data
-    moved = projectors @ frames - frames
+    moved = _times(v, _overlap(v, frames)) - frames
     return {
         "projector": float(np.max(np.linalg.norm(moved, axis=(-2, -1)))),
         "orthonormality": field.orthonormality_defect(),

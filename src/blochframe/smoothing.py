@@ -16,7 +16,9 @@ without losing the symmetries:
   multiplier (weight one up to half the cutoff, linear taper to zero at the
   cutoff), twisted back, re-projected onto the fibers and
   re-orthonormalized; the cutoff is raised, up to ``n_side - 1``, until the
-  result is within the requested distance of the input.  A rung is first
+  result is within the requested distance of the input.  The projection
+  onto the fibers is ``v (v^H c)`` on the family's sampled eigenframes
+  ``v``; no ``n x n`` projector is formed.  A rung is first
   screened on the stride-2 subgrid, whose values the aliased coefficients
   give exactly through an inverse FFT of ``1/2**d`` the size; the
   eigenvalues and polar factor of its ``m x m`` Gram matrices can only
@@ -27,7 +29,9 @@ without losing the symmetries:
   by its slab ``k_1 <= 1/2``: the smoothed slab is mirrored to the rest of
   the torus, and the two self-paired slices ``k_1 = 0`` and ``k_1 = 1/2``
   are midpointed with their own images.  :func:`symmetrize` does the same
-  for every grid pair of a whole torus field.
+  for every grid pair of a whole torus field.  Every image is read by the
+  family's one reflection gather,
+  :meth:`~blochframe.models.ProjectorFamily.reflect`.
 
 Averaging with a translation-invariant kernel commutes with the lattice
 action, and real even multipliers commute with the reflection symmetry, so
@@ -40,7 +44,7 @@ whatever orthonormality drift the averaging introduces.
 import numpy as np
 
 from .errors import EpsilonInfeasible, ProjectionRankLoss, TooFarApart, UsageError
-from .frames import FrameField, check_same_span
+from .frames import FrameField, _overlap, _times, check_same_span
 from .linalg import RANK_FLOOR, gram_polar, joint_eigenbasis, lowdin
 
 __all__ = [
@@ -97,7 +101,7 @@ def frame_midpoint(a, b):
 
 def reflection_defect(field, family):
     """Largest violation of ``Phi(-k) = theta Phi(k)`` over the torus grid."""
-    image = family.reflected_partners(field.data)
+    image = family.reflect(field.data, range(field.geometry.n_side))
     return float(np.max(np.linalg.norm(field.data - image, axis=(-2, -1))))
 
 
@@ -120,8 +124,8 @@ def symmetrize(field, family):
     if field.region != "full-torus":
         raise UsageError("symmetrize needs a full-torus field")
     geometry = field.geometry
-    data, report = _midpoint_pairs(field.data, _owners(geometry),
-                                   family.reflected_partners, range(geometry.n_side))
+    data = field.data.copy()
+    report = _midpoint_pairs(data, family, _owners(geometry), range(geometry.n_side))
     return FrameField(geometry, field.region, data, dict(field.meta)), report
 
 
@@ -135,17 +139,18 @@ def _owners(geometry):
     return np.arange(flat.size).reshape(flat.shape) <= flat
 
 
-def _midpoint_pairs(data, owner, images, rows):
-    """Midpoint the ``owner`` frames of ``data`` with their images
-    ``images(data)`` and set every other frame to the image of the result.
+def _midpoint_pairs(torus, family, owner, rows):
+    """Midpoint the ``owner`` frames of the torus rows ``g_1 in rows`` (an
+    ascending ``range``) with their images under the reflection, and set
+    every other frame of those rows to the image of the result, in place.
 
-    ``data`` holds the torus rows ``g_1 in rows``, and every pair lies
-    within them.  Owners at least :data:`MIDPOINT_LIMIT` from their image
-    are collected and reported, as torus points, in a single
-    :class:`TooFarApart`.  Returns the frames and :func:`symmetrize`'s
-    report.
+    Every pair lies within ``rows``; ``owner`` marks the owners there.
+    Owners at least :data:`MIDPOINT_LIMIT` from their image are collected
+    and reported, as torus points, in a single :class:`TooFarApart`.
+    Returns :func:`symmetrize`'s report.
     """
-    image = images(data)
+    data = torus[rows]
+    image = family.reflect(torus, rows)
     defect = np.linalg.norm(data - image, axis=(-2, -1))
     far = owner & (defect >= MIDPOINT_LIMIT)
     if np.any(far):
@@ -160,12 +165,13 @@ def _midpoint_pairs(data, owner, images, rows):
         )
     out = data.copy()
     out[owner] = frame_midpoint(data[owner], image[owner])
-    out[~owner] = images(out)[~owner]
-    report = {
+    torus[rows] = out
+    out[~owner] = family.reflect(torus, rows)[~owner]
+    torus[rows] = out
+    return {
         "reflection_before": float(np.max(defect[owner])),
         "max_shift": _sup_distance(out, data),
     }
-    return out, report
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +270,11 @@ def periodic_smooth(field, family, epsilon):
     ``prod_j min(1, max(0, 2 - 2 |q_j| / K))`` (untouched harmonics up to
     ``K/2``, linear taper to zero at ``K``), and the inverse transform is
     cut to the slab ``g_1 <= grid_n``.  There it is twisted back, projected
-    onto ``Ran P(k)`` (the projectors of the family's torus sample) and
-    symmetrically re-orthonormalized, and its sup distance to the input is
-    measured.  The accepted rung's slab is mirrored to ``g_1 > grid_n`` by
-    :meth:`~blochframe.models.ProjectorFamily.mirror_slab`: the real, even
+    onto ``Ran P(k)`` as ``v (v^H c)`` on the eigenframes ``v`` of the
+    family's torus sample, and symmetrically re-orthonormalized, and its sup
+    distance to the input is measured.  The accepted rung's slab is mirrored
+    to ``g_1 > grid_n`` by
+    :meth:`~blochframe.models.ProjectorFamily.reflect`: the real, even
     multiplier commutes with the reflection, so the other half of the
     full-torus result is that mirror up to roundoff.
 
@@ -339,7 +346,9 @@ def periodic_smooth(field, family, epsilon):
     n = geometry.grid_n
     slab = (slice(None, n + 1),)
     sub = (slice(None, n + 1, 2),) + (slice(None, None, 2),) * (d - 1)
-    projectors = family.grid_projectors(n)
+    points = geometry.torus_points()
+    slab_frames = family.grid_frames(n, points[slab])
+    sub_frames = family.grid_frames(n, points[sub])
     slab_twist = None if twist is None else (twist[0], twist[1][slab])
     sub_twist = None if twist is None else (twist[0], twist[1][sub])
     fold = (2, big // 2) * d + coeffs.shape[d:]
@@ -355,11 +364,11 @@ def periodic_smooth(field, family, epsilon):
         damped = coeffs * mult.reshape(geometry.torus_shape + (1, 1))
         if not subgrid:
             smoothed = apply_twist(slab_twist, np.fft.ifftn(damped, axes=axes)[slab])
-            return np.einsum("...ab,...bm->...am", projectors[slab], smoothed)
+            return _times(slab_frames, _overlap(slab_frames, smoothed))
         folded = damped.reshape(fold).sum(axis=tuple(range(0, 2 * d, 2)))
         smoothed = np.fft.ifftn(folded, axes=axes)[: n // 2 + 1] / 2**d
         smoothed = apply_twist(sub_twist, smoothed)
-        return np.einsum("...ab,...bm->...am", projectors[sub], smoothed)
+        return _times(sub_frames, _overlap(sub_frames, smoothed))
 
     target = 0.9 * epsilon
     last = big - 1
@@ -384,11 +393,9 @@ def periodic_smooth(field, family, epsilon):
         if entry.get("sup_distance", target) < target:
             frames = np.empty_like(field.data)
             frames[slab] = ortho_frames
+            frames[n + 1:] = family.reflect(frames, range(n + 1, big))
             out = FrameField(
-                geometry,
-                "full-torus",
-                family.mirror_slab(frames),
-                dict(field.meta, smoothing_cutoff=k),
+                geometry, "full-torus", frames, dict(field.meta, smoothing_cutoff=k)
             )
             report = {
                 "cutoff": k,
@@ -443,10 +450,8 @@ def smooth_symmetric(field, family, epsilon):
     final, sm_report = periodic_smooth(field, family, epsilon)
     # each self-paired slice is its own image under theta (tau_1 theta at
     # g_1 = grid_n); the pairs within it are midpointed as symmetrize does
-    rows = [0, field.geometry.grid_n]
-    final.data[rows], sym_report = _midpoint_pairs(
-        final.data[rows], _owners(field.geometry)[rows], family.self_paired_images, rows
-    )
+    rows = range(0, field.geometry.n_side, field.geometry.grid_n)
+    sym_report = _midpoint_pairs(final.data, family, _owners(field.geometry)[rows], rows)
     dist = _sup_distance(final.data, field.data)
     if dist >= epsilon:
         raise EpsilonInfeasible(

@@ -36,23 +36,20 @@ FIT_MIN = 2
 SHELL_FLOOR = 1e-13
 
 
-def _act(mat, frames):
-    """``mat @ frame`` for a stack of frames, as one BLAS product."""
-    return np.einsum("ab,...bm->...am", mat, frames, optimize=True)
-
-
 def extend_symmetric(field, family, tol=1e-10):
     """Extend an effective-cell frame field to the full torus grid.
 
     Along each axis ``j >= 2`` the slab ``g_1 <= grid_n`` reads the cell at
     ``g_j <= grid_n``, and ``tau_j`` times the cell at ``g_j - N`` beyond;
-    the points ``g_1 > grid_n`` are mirrored by
-    :meth:`~blochframe.models.ProjectorFamily.mirror_slab`.  The
-    boundary relations of the module docstring must hold within ``tol``
-    (``extension_mismatch`` in ``meta`` is their largest distance);
-    otherwise, or on a NaN, :class:`BoundaryRelationViolated` names the
-    first failing torus point in row-major order, its ``k``, the relation
-    and its mismatch there.
+    the points ``g_1 > grid_n`` are the
+    :meth:`~blochframe.models.ProjectorFamily.reflect` of the slab.  Every
+    symmetry here (slab, mirror and relations) is applied by
+    :meth:`~blochframe.models.ProjectorFamily.act`, which multiplies by no
+    identity matrix.  The boundary relations of the module docstring must
+    hold within ``tol`` (``extension_mismatch`` in ``meta`` is their
+    largest distance); otherwise, or on a NaN,
+    :class:`BoundaryRelationViolated` names the first failing torus point
+    in row-major order, its ``k``, the relation and its mismatch there.
     """
     if field.region != "effective-cell":
         raise UsageError("extend_symmetric needs an effective-cell field")
@@ -63,13 +60,12 @@ def extend_symmetric(field, family, tol=1e-10):
     relations = []
     for j in range(1, d):
         plus, minus = (slice(None),) * j + (-1,), (slice(None),) * j + (0,)
-        image = cell[minus] if family.tau is None else _act(family.tau[j], cell[minus])
+        image = family.act(np.eye(d, dtype=int)[j], cell[minus])
         relations.append((f"translation k{j + 1}", cell[plus] - image, at[plus]))
     # cell[g1, -h] is cell[g1, h] reversed along every axis but the first
     for lam1, label in ((0, "0"), (1, "1/2")):
-        image = np.conj(np.flip(cell[lam1 * n], axis=tuple(range(d - 1))))
-        if family.theta is not None or (lam1 and family.tau is not None):
-            image = _act(family.antiunitary_matrix((lam1,) + (0,) * (d - 1)), image)
+        image = family.act((lam1,) + (0,) * (d - 1),
+                           np.flip(cell[lam1 * n], axis=tuple(range(d - 1))), anti=True)
         relations.append((f"reflection k1={label}", cell[lam1 * n] - image, at[lam1 * n]))
     # first: the row-major first failing torus point; the earlier relation wins a tie
     worst, first = 0.0, (np.inf,)
@@ -98,10 +94,8 @@ def extend_symmetric(field, family, tol=1e-10):
         rows = (slice(None, n + 1),) + tuple(
             slice(n + 1, None) if w else slice(None, n + 1) for w in wrapped)
         value = cell[(slice(None),) + tuple(slice(1, n) if w else slice(n, None) for w in wrapped)]
-        if family.tau is not None and any(wrapped):
-            value = _act(family.tau_power((0,) + wrapped), value)
-        out.data[rows] = value
-    family.mirror_slab(out.data)
+        out.data[rows] = family.act((0,) + wrapped, value)
+    out.data[n + 1:] = family.reflect(out.data, range(n + 1, big))
     out.meta["extension_mismatch"] = worst
     return out
 
@@ -183,10 +177,9 @@ def reality_check(wset, family):
     data = wset.data
     untwisted = False
     if family.tau is not None:
-        axes = tuple(range(wset.geometry.d))
-        stored = np.fft.fftn(np.fft.ifftshift(data, axes=axes), axes=axes)
+        stored = frames_from_wannier(wset).data
         periodic = apply_twist(twist_gauge(wset.geometry, family), stored, inverse=True)
-        data = np.fft.fftshift(np.fft.ifftn(periodic, axes=axes), axes=axes)
+        data = wannier_transform(FrameField(wset.geometry, "full-torus", periodic)).data
         untwisted = True
     if family.theta is None:
         return {

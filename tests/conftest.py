@@ -199,20 +199,40 @@ def model_json(family):
     return cfg
 
 
-def rotated_ssh(seed=2):
-    """SSH chain conjugated by a fixed unitary V; theta becomes V V^T.
+def rotated(base, seed=2):
+    """``base`` conjugated by a fixed unitary V: ``H_R -> V H_R V^H``, time
+    reversal ``C -> V C V^T`` (``V V^T`` for plain conjugation) and ``tau_j
+    -> V tau_j V^H``.
 
     Exercises the nontrivial conjugation-unitary code paths (obstruction
-    algebra, theta-reality certificate) while staying unitarily equivalent
-    to a plain model.
+    algebra, theta-reality certificate, the symmetry products on the torus)
+    while staying unitarily equivalent to the base model.
     """
-    base = bf.builtin_model("ssh")
-    rng = np.random.default_rng(seed)
-    v = random_unitary(rng, 2)
+    v = random_unitary(np.random.default_rng(seed), base.n)
     hop = {vec: v @ mat @ v.conj().T for vec, mat in base.hoppings.items()}
+    tau = None if base.tau is None else [v @ t @ v.conj().T for t in base.tau]
     return ProjectorFamily(
-        d=1, n=2, m=1, hoppings=hop, theta=v @ v.T, name="ssh-rotated"
+        d=base.d, n=base.n, m=base.m, hoppings=hop, theta=v @ base.theta_matrix() @ v.T,
+        tau=tau, name=f"{base.name}-rotated"
     )
+
+
+def act_ignoring_theta(monkeypatch):
+    """Replace :meth:`ProjectorFamily.act` by a mutant that multiplies by
+    nothing whenever ``tau = 1``, as if ``theta`` were plain conjugation."""
+    real = ProjectorFamily.act
+
+    def skips_for_tau(self, lam, frames, anti=False):
+        if self.tau is None:
+            return np.conj(frames) if anti else frames
+        return real(self, lam, frames, anti)
+
+    monkeypatch.setattr(ProjectorFamily, "act", skips_for_tau)
+
+
+def rotated_ssh(seed=2):
+    """The SSH chain under :func:`rotated`; theta becomes V V^T."""
+    return rotated(bf.builtin_model("ssh"), seed)
 
 
 def reversal_break_between_grid_points():

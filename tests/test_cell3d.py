@@ -5,6 +5,7 @@ import pytest
 from blochframe.cells import CellGeometry
 from blochframe.cell3d import construct_3d
 from blochframe.errors import BoundaryRelationViolated
+from blochframe.extension import BoundaryDomain, boundary_domain
 from blochframe.frames import input_frame
 from blochframe.models import builtin_model
 from blochframe.smoothing import reflection_defect
@@ -23,6 +24,30 @@ def built3(fam3):
     psi = input_frame(fam3, geo)
     torus, diag = construct_3d(psi, fam3)
     return geo, torus, diag
+
+
+def test_two_constructs_share_one_boundary_domain(monkeypatch):
+    """Two trs-3d constructs on one grid build the 3d cell's domain once,
+    and the faces' 2d domain of the same ``grid_n`` once, apart from it."""
+    built = []
+    real = BoundaryDomain.__init__
+
+    def spy(self, geo):
+        built.append(geo)
+        real(self, geo)
+
+    boundary_domain.cache_clear()
+    monkeypatch.setattr(BoundaryDomain, "__init__", spy)
+    family = builtin_model("random-trs", n=4, m=2, d=3, seed=0)
+    psi = input_frame(family, CellGeometry(3, 8))
+    first, _ = construct_3d(psi, family)
+    second, _ = construct_3d(psi, family)
+    assert np.array_equal(first.data, second.data)
+    assert built == [CellGeometry(2, 8), CellGeometry(3, 8)]
+    flat, solid = boundary_domain(CellGeometry(2, 8)), boundary_domain(CellGeometry(3, 8))
+    assert flat is not solid
+    assert (flat.geo.d, solid.geo.d) == (2, 3)
+    assert solid.mask.shape == CellGeometry(3, 8).cell_shape
 
 
 def test_construct_3d_face_windings_corrected(built3):

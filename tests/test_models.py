@@ -23,7 +23,9 @@ from blochframe.models import (
 )
 
 from conftest import (
+    act_ignoring_theta,
     reversal_break_between_grid_points,
+    rotated,
     rotated_ssh,
     shifted_haldane,
     shifted_trs_3d,
@@ -333,33 +335,25 @@ def test_describe_is_json_safe():
 ])
 def test_the_torus_sample_gives_the_same_report(family, grid_n):
     """``require_assumptions`` reads the family's torus sample; its report
-    and its projectors are the ones a fresh copy of the family gives."""
+    and its eigenframes are the ones a fresh copy of the family gives."""
     fresh = dataclasses.replace(family)
     alone = verify_assumptions(fresh, grid_n=grid_n).as_dict()
     report = require_assumptions(family, grid_n=grid_n)
     assert report.as_dict() == alone
-    assert np.array_equal(family.grid_projectors(grid_n), fresh.grid_projectors(grid_n))
+    points = CellGeometry(family.d, grid_n).torus_points()
+    assert np.array_equal(family.grid_frames(grid_n, points),
+                          fresh.grid_frames(grid_n, points))
 
 
-def test_the_torus_projectors_are_built_once_per_sample():
-    """Every full-torus call returns the one read-only array of the sample;
-    a new ``grid_n`` builds a new one."""
+def test_the_torus_frames_are_gap_gated_at_every_call():
+    """Negative control: raising the gap tolerance after the torus is
+    sampled refuses the next gather at the sample's smallest gap."""
     family = builtin_model("haldane")
-    torus = family.grid_projectors(8)
-    assert family.grid_projectors(8) is torus
-    assert not torus.flags.writeable
-    assert family.grid_projectors(4).shape[:2] == (8, 8)
-    assert family.grid_projectors(8) is not torus
-
-
-def test_the_kept_torus_projectors_are_gap_gated_at_every_call():
-    """Negative control: raising the gap tolerance after the projectors are
-    kept refuses the next call at the sample's smallest gap."""
-    family = builtin_model("haldane")
-    family.grid_projectors(8)
+    points = CellGeometry(2, 8).torus_points()
+    family.grid_frames(8, points)
     family.gap_tolerance = 10.0
     with pytest.raises(GapClosed) as exc:
-        family.grid_projectors(8)
+        family.grid_frames(8, points)
     details = exc.value.details
     assert details["k"] == (0.3125, 0.6875)
     assert details["below"] == pytest.approx(-0.8468, abs=1e-4)
@@ -456,12 +450,22 @@ def test_the_lipschitz_bound_holds_on_random_pairs(make, rng):
     assert np.max(slope) > 0.1 * bound
 
 
+# theta = V V^T != 1 with tau = 1: the reflection's products must not be
+# skipped for tau alone
+_ROTATED = [
+    (lambda: rotated(builtin_model("haldane")), 4),
+    (lambda: rotated(builtin_model("random-trs", d=3, n=4, m=2, seed=0)), 2),
+]
+_ROTATED_IDS = ["rotated-haldane", "rotated-trs-3d"]
+_ROTATED_CASES = pytest.mark.parametrize("make, grid_n", _ROTATED, ids=_ROTATED_IDS)
+
 _SAMPLE_CASES = pytest.mark.parametrize("make, grid_n", [
     (lambda: builtin_model("haldane"), 8),
     (lambda: shifted_haldane((0.25, 0.75)), 4),
     (shifted_trs_3d, 2),
     (lambda: builtin_model("random-trs", d=3, n=4, m=2, seed=0), 4),
-], ids=["haldane", "shifted-haldane", "shifted-trs-3d", "random-trs-3d"])
+    *_ROTATED,
+], ids=["haldane", "shifted-haldane", "shifted-trs-3d", "random-trs-3d", *_ROTATED_IDS])
 
 
 @_SAMPLE_CASES
@@ -482,15 +486,31 @@ def test_the_sample_slab_is_a_direct_eigensystem(make, grid_n):
                           evals[tuple(np.moveaxis(partner[mirror], -1, 0))])
 
 
+def _sample_defect(family, grid_n):
+    """Largest distance between the projectors ``F F^H`` of the sampled
+    torus frames ``F`` and the projectors of a fresh ``eigh`` at the
+    torus's ``k``."""
+    geo = CellGeometry(family.d, grid_n)
+    frames = family.grid_frames(grid_n, geo.torus_points())
+    sampled = frames @ np.swapaxes(frames.conj(), -1, -2)
+    direct = family.projector(geo.torus_k())
+    return float(np.max(np.linalg.norm(sampled - direct, axis=(-2, -1))))
+
+
 @_SAMPLE_CASES
 def test_the_mirrored_sample_gives_the_sampled_projectors(make, grid_n):
     """``tau^(-lam) C conj(v(partner))`` spans ``P(k)`` on the half
     ``g_1 > grid_n`` the sample does not solve."""
-    family = make()
-    torus_k = CellGeometry(family.d, grid_n).torus_k()
-    direct = family.projector(torus_k)
-    sampled = family.grid_projectors(grid_n)
-    assert np.max(np.linalg.norm(sampled - direct, axis=(-2, -1))) < 1e-13
+    assert _sample_defect(make(), grid_n) < 1e-13
+
+
+@_ROTATED_CASES
+def test_an_action_that_ignores_theta_misses_the_sample(make, grid_n, monkeypatch):
+    """Negative control: a symmetry action that multiplies by nothing
+    whenever ``tau = 1``, ignoring ``theta = V V^T``, mirrors frames that
+    miss ``P(k)``."""
+    act_ignoring_theta(monkeypatch)
+    assert _sample_defect(make(), grid_n) > 1e-2
 
 
 @_GATHER_CASES
@@ -501,9 +521,7 @@ def test_a_sample_mirrored_with_the_wrong_shift_fails(make, grid_n, monkeypatch)
     real = ProjectorFamily.antiunitary_matrix
     monkeypatch.setattr(ProjectorFamily, "antiunitary_matrix",
                         lambda self, lam: real(self, tuple(-x for x in lam)))
-    direct = family.projector(CellGeometry(family.d, grid_n).torus_k())
-    sampled = family.grid_projectors(grid_n)
-    assert np.max(np.linalg.norm(sampled - direct, axis=(-2, -1))) > 1e-2
+    assert _sample_defect(family, grid_n) > 1e-2
 
 
 _MIRROR_CASES = pytest.mark.parametrize("make, grid_n", [
@@ -512,7 +530,9 @@ _MIRROR_CASES = pytest.mark.parametrize("make, grid_n", [
     (lambda: shifted_haldane((0.25, 0.75)), 4),
     (shifted_trs_3d, 2),
     (lambda: builtin_model("random-trs", d=3, n=4, m=2, seed=0), 2),
-], ids=["ssh", "haldane", "shifted-haldane", "shifted-trs-3d", "random-trs-3d"])
+    *_ROTATED,
+], ids=["ssh", "haldane", "shifted-haldane", "shifted-trs-3d", "random-trs-3d",
+        *_ROTATED_IDS])
 
 
 def _random_torus_frames(family, grid_n, rng):
@@ -522,32 +542,38 @@ def _random_torus_frames(family, grid_n, rng):
 
 @_MIRROR_CASES
 def test_mirror_slab_writes_the_half_of_reflected_partners(make, grid_n, rng):
-    """``mirror_slab`` writes ``reflected_partners(frames)[grid_n + 1:]``
-    bit for bit, in place, and leaves the slab as it was; the images of the
-    self-paired slices are ``reflected_partners`` there, bit for bit."""
+    """``reflect`` at the half ``g_1 > grid_n`` and at the self-paired
+    slices ``g_1 = 0, grid_n`` reads only the partner rows (every other row
+    may be NaN) and is the whole-torus ``reflect`` there: bit for bit, but
+    for the self-paired slices of a dense ``theta``, whose product rounds
+    with the shape of its block."""
     family = make()
     frames = _random_torus_frames(family, grid_n, rng)
-    want = family.reflected_partners(frames)
-    got = frames.copy()
-    assert family.mirror_slab(got) is got
-    assert np.array_equal(got[grid_n + 1:], want[grid_n + 1:])
-    assert np.array_equal(got[: grid_n + 1], frames[: grid_n + 1])
-    slices = [0, grid_n]
-    assert np.array_equal(family.self_paired_images(frames[slices]), want[slices])
+    big = 2 * grid_n
+    want = family.reflect(frames, range(big))
+    for rows, dense in ((range(grid_n + 1, big), False), (range(0, big, grid_n), True)):
+        partners = [-g % big for g in rows]
+        others = np.setdiff1d(np.arange(big), partners)
+        poisoned = frames.copy()
+        poisoned[others] = np.nan
+        got = family.reflect(poisoned, rows)
+        assert np.array_equal(got, family.reflect(frames, rows))
+        tol = 4 * np.finfo(float).eps if dense and family.theta is not None else 0.0
+        assert np.max(np.abs(got - want[list(rows)])) <= tol
 
 
 @_GATHER_CASES
 def test_a_mirror_with_the_wrong_shift_misses(make, grid_n, rng, monkeypatch):
-    """Negative control: ``mirror_slab`` with ``tau^(+lam)`` misses the
-    image when ``tau_j**2 != 1``."""
+    """Negative control: the mirror ``reflect`` with ``tau^(+lam)`` misses
+    the image when ``tau_j**2 != 1``."""
     family = make()
     frames = _random_torus_frames(family, grid_n, rng)
-    want = family.reflected_partners(frames)
+    rows = range(grid_n + 1, 2 * grid_n)
+    want = family.reflect(frames, rows)
     real = ProjectorFamily.antiunitary_matrix
     monkeypatch.setattr(ProjectorFamily, "antiunitary_matrix",
                         lambda self, lam: real(self, tuple(-x for x in lam)))
-    got = family.mirror_slab(frames.copy())
-    assert np.max(np.abs(got[grid_n + 1:] - want[grid_n + 1:])) > 1e-2
+    assert np.max(np.abs(family.reflect(frames, rows) - want)) > 1e-2
 
 
 def test_the_mirrored_gap_of_a_reversal_broken_family_is_within_weyls_bound():

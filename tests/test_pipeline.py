@@ -21,7 +21,7 @@ from blochframe.pipeline import (
     run_wannierize,
 )
 
-from conftest import model_json, shifted_trs_3d
+from conftest import model_json, rotated, shifted_trs_3d
 
 
 def test_runconfig_validation():
@@ -288,39 +288,48 @@ def test_each_command_samples_the_bloch_data_once(model, tmp_path, monkeypatch):
 
 
 def _spy_projector_builds(monkeypatch, frames_shape):
-    """Count ``grid_projectors`` calls, torus projector builds ``P = F F^H``
-    from the sample's frames ``F`` (of shape ``frames_shape``), whole-torus
-    reflection pairings and slab mirrors, in a dict the spies update."""
-    calls = {"grid_projectors": 0, "build": 0, "partners": 0, "mirror": 0}
+    """Count the ``n x n`` projectors built on the torus, as
+    :meth:`ProjectorFamily.projector` calls or ``F F^H`` of the sample's
+    frames ``F`` (of shape ``frames_shape``), and the reflection gathers of
+    whole tori, of mirrored slabs and of the self-paired slices, in a dict
+    the spies update."""
+    calls = {"projector": 0, "build": 0, "torus": 0, "mirror": 0, "self_paired": 0}
 
-    def counting(owner, name, key, counts=lambda *args: True):
+    def counting(owner, name, key):
         real = getattr(owner, name)
 
         def spy(*args, **kwargs):
-            calls[key] += bool(counts(*args))
+            k = key(*args) if callable(key) else key
+            if k is not None:
+                calls[k] += 1
             return real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, spy)
 
-    counting(ProjectorFamily, "grid_projectors", "grid_projectors")
-    counting(models, "_dagger", "build", lambda a: np.shape(a) == frames_shape)
-    counting(ProjectorFamily, "reflected_partners", "partners")
-    counting(ProjectorFamily, "mirror_slab", "mirror")
+    def gather(family, frames, rows):
+        big = frames.shape[0]
+        if list(rows) == list(range(big)):
+            return "torus"
+        return "mirror" if rows[0] == big // 2 + 1 else "self_paired"
+
+    counting(ProjectorFamily, "projector", "projector")
+    counting(models, "_dagger", lambda a: "build" if np.shape(a) == frames_shape else None)
+    counting(ProjectorFamily, "reflect", gather)
     return calls
 
 
-def test_a_construct_builds_the_torus_projectors_once(monkeypatch):
-    """One construct asks for its torus projectors 2 times (smoothing,
-    residuals) and builds them once, as ``P = F F^H`` from the sample's
-    frames ``F``; the input frame reads the frames themselves.  It pairs the
-    reflection over the whole torus 2 times (smoothing precondition, final
-    residual) and mirrors a slab 3 times (the torus sample, the extended
-    frame, the smoothed frame)."""
+def test_a_construct_builds_no_torus_projectors(monkeypatch):
+    """One construct projects onto its torus sample's frames and builds no
+    ``n x n`` projector there.  It gathers the reflection of the whole torus
+    2 times (smoothing precondition, final residual), mirrors a slab 3 times
+    (the torus sample, the extended frame, the smoothed frame) and gathers
+    the self-paired slices 2 times (their midpoints and the images of the
+    result)."""
     config = RunConfig(model="haldane", grid_n=8)
     frames_shape = CellGeometry(2, config.grid_n).torus_shape + (2, 1)
     calls = _spy_projector_builds(monkeypatch, frames_shape)
     run_construct(config)
-    assert calls == {"grid_projectors": 2, "build": 1, "partners": 2, "mirror": 3}
+    assert calls == {"projector": 0, "build": 0, "torus": 2, "mirror": 3, "self_paired": 2}
 
 
 def test_wannierize_builds_no_torus_projectors(tmp_path, monkeypatch):
@@ -332,7 +341,35 @@ def test_wannierize_builds_no_torus_projectors(tmp_path, monkeypatch):
     frames_shape = CellGeometry(2, config.grid_n).torus_shape + (2, 1)
     calls = _spy_projector_builds(monkeypatch, frames_shape)
     run_wannierize(config)
-    assert calls == {"grid_projectors": 0, "build": 0, "partners": 0, "mirror": 1}
+    assert calls == {"projector": 0, "build": 0, "torus": 0, "mirror": 1, "self_paired": 0}
+
+
+def _symmetry_products(monkeypatch):
+    """Count the ``einsum`` products of :meth:`ProjectorFamily.act`, which
+    apply a symmetry matrix to a stack of frames."""
+    products = []
+    real = np.einsum
+
+    def spy(subscripts, *operands, **kwargs):
+        if subscripts == "ab,...bm->...am":
+            products.append(np.shape(operands[1]))
+        return real(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    return products
+
+
+def test_a_haldane_construct_multiplies_by_no_symmetry_matrix(tmp_path, monkeypatch):
+    """Haldane's ``theta`` is conjugation and its ``tau`` is 1: no symmetry
+    action on the torus multiplies by a matrix.  The same model conjugated
+    by a unitary V (``theta = V V^T``) does, so the spy sees the products."""
+    products = _symmetry_products(monkeypatch)
+    run_construct(RunConfig(model="haldane", grid_n=8))
+    assert products == []
+    path = tmp_path / "rotated.json"
+    path.write_text(json.dumps(model_json(rotated(models.builtin_model("haldane")))))
+    run_construct(RunConfig(model=str(path), grid_n=8))
+    assert len(products) > 0
 
 
 @pytest.mark.parametrize("grid_n, cutoff, resolved", [(8, 9, False), (32, 12, True)])

@@ -13,10 +13,12 @@ from blochframe.errors import (
     TooFarApart,
     UsageError,
 )
+from blochframe.cell3d import construct_3d
 from blochframe.face2d import construct_2d
-from blochframe.frames import frame_distance, input_frame
+from blochframe.frames import _overlap, _times, frame_distance, input_frame
 from blochframe import smoothing
 from blochframe.linalg import RANK_FLOOR, gram_polar, lowdin
+from blochframe.models import builtin_model
 from blochframe.pipeline import RunConfig, final_residuals, run_construct
 from blochframe.smoothing import (
     apply_twist,
@@ -29,9 +31,11 @@ from blochframe.smoothing import (
 )
 
 from conftest import (
+    act_ignoring_theta,
     geodesic_distance,
     gram_stack,
     random_unitary,
+    rotated,
     shifted_haldane,
     skew_hermitian,
     unitary_log,
@@ -282,7 +286,8 @@ def test_symmetrize_keeps_a_field_whose_translations_square_to_minus_one():
 def _reference_candidate(field, family, k):
     """Rung ``k`` of the ladder, built on the full torus: the field smoothed
     at cutoff ``k`` and projected onto the fibers of the family's torus
-    sample."""
+    sample as ``v (v^H c)``, the ladder's own product; that is ``P(k) c``
+    of a fresh ``eigh`` within 1e-13."""
     geo = field.geometry
     big, d = geo.n_side, geo.d
     twist = twist_gauge(geo, family)
@@ -294,10 +299,13 @@ def _reference_candidate(field, family, k):
         shape = [1] * d
         shape[j] = big
         mult = mult * np.clip(2.0 - 2.0 * freqs / k, 0.0, 1.0).reshape(shape)
-    smoothed = np.fft.ifftn(coeffs * mult.reshape(geo.torus_shape + (1, 1)), axes=axes)
-    return np.einsum(
-        "...ab,...bm->...am", family.grid_projectors(geo.grid_n), apply_twist(twist, smoothed)
-    )
+    smoothed = apply_twist(twist, np.fft.ifftn(coeffs * mult.reshape(geo.torus_shape + (1, 1)),
+                                               axes=axes))
+    v = family.grid_frames(geo.grid_n, geo.torus_points())
+    candidate = _times(v, _overlap(v, smoothed))
+    direct = family.projector(geo.torus_k()) @ smoothed
+    assert np.max(np.abs(candidate - direct)) <= 1e-13
+    return candidate
 
 
 def _all_svd_ladder(field, family, epsilon, rank_floor=0.1):
@@ -353,16 +361,25 @@ def _random_trs_phi(d, n, m, seed, grid_n):
     return built["family"], built["phi"]
 
 
+def _rotated_phi(base, grid_n):
+    family = rotated(base)
+    construct = construct_2d if family.d == 2 else construct_3d
+    return family, construct(input_frame(family, CellGeometry(family.d, grid_n)), family)[0]
+
+
 @pytest.fixture(scope="module")
 def smoothing_cases(haldane, haldane_torus):
     """Constructed fields before smoothing: haldane grid_n 8, random-trs
-    d=3 grid_n 2 (m = 1), random-trs d=2 grid_n 4 (m = 2) and random-trs
-    d=2 grid_n 6 (m = 3, whose Gram screen takes ``eigh``)."""
+    d=3 grid_n 2 (m = 1), random-trs d=2 grid_n 4 (m = 2), random-trs
+    d=2 grid_n 6 (m = 3, whose Gram screen takes ``eigh``), and the first
+    two conjugated by a unitary V, whose ``theta = V V^T`` is not 1."""
     return {
         "haldane": (haldane, haldane_torus),
         "random-trs-3d": _random_trs_phi(3, 4, 1, 9, 2),
         "random-trs-2d": _random_trs_phi(2, 4, 2, 3, 4),
         "random-trs-m3": _random_trs_phi(2, 5, 3, 0, 6),
+        "rotated-haldane": _rotated_phi(haldane, 8),
+        "rotated-trs-3d": _rotated_phi(builtin_model("random-trs", d=3, n=4, m=1, seed=9), 2),
     }
 
 
@@ -387,13 +404,13 @@ def _check_accepted_frames(smoothed, report, field, family, svd_frames):
     kappa**2`` of the SVD's, and the report records their distance, which is
     below the target; the half ``g_1 > grid_n`` is the exact image of the
     slab, within roundoff of the reference's frames and distance there."""
-    slab = slice(None, field.geometry.grid_n + 1)
-    mirror = slice(field.geometry.grid_n + 1, None)
+    n = field.geometry.grid_n
+    slab, mirror = slice(None, n + 1), slice(n + 1, None)
     candidate = _reference_candidate(field, family, report["cutoff"])
     reference = lowdin(candidate, rank_tol=RANK_FLOOR)
     assert np.array_equal(smoothed.data[slab], reference[slab])
     assert np.array_equal(
-        smoothed.data[mirror], family.reflected_partners(smoothed.data)[mirror]
+        smoothed.data[mirror], family.reflect(smoothed.data, range(n + 1, 2 * n))
     )
     assert np.max(np.abs(smoothed.data - reference)) <= 1e-14
     w_min, w_max, _ = gram_polar(candidate[slab])
@@ -406,9 +423,10 @@ def _check_accepted_frames(smoothed, report, field, family, svd_frames):
     )
 
 
-@pytest.mark.parametrize(
-    "case", ["haldane", "random-trs-3d", "random-trs-2d", "random-trs-m3"]
-)
+@pytest.mark.parametrize("case", [
+    "haldane", "random-trs-3d", "random-trs-2d", "random-trs-m3", "rotated-haldane",
+    "rotated-trs-3d",
+])
 def test_gram_screened_ladder_matches_the_all_svd_ladder(smoothing_cases, case):
     family, field = smoothing_cases[case]
     _, _, every_rung = _all_svd_ladder(field, family, 1e-12)
@@ -585,6 +603,8 @@ def shifted_cases():
     ("random-trs-2d", 0.1),
     ("random-trs-m3", 0.1),
     ("shifted-haldane", 0.4),
+    ("rotated-haldane", 0.1),
+    ("rotated-trs-3d", 0.1),
 ])
 def test_smooth_symmetric_is_the_symmetrized_full_torus_ladder(
     smoothing_cases, shifted_cases, case, epsilon
@@ -594,7 +614,8 @@ def test_smooth_symmetric_is_the_symmetrized_full_torus_ladder(
     for bit, the self-paired slices lie within 1e-14 of ``symmetrize``'s,
     every point that is not the owner of its pair (the half ``g_1 >
     grid_n`` and half of each self-paired slice) is the exact image of its
-    partner, and the reported total move is the whole torus's."""
+    partner under the gather of its rows, and the reported total move is the
+    whole torus's."""
     family, field = {**smoothing_cases, **shifted_cases}[case]
     final, report = smooth_symmetric(field, family, epsilon)
     n = field.geometry.grid_n
@@ -609,7 +630,11 @@ def test_smooth_symmetric_is_the_symmetrized_full_torus_ladder(
     flat = np.ravel_multi_index(tuple(np.moveaxis(partner, -1, 0)), partner.shape[:-1])
     follower = np.arange(flat.size).reshape(flat.shape) > flat
     assert np.all(follower[n + 1:])
-    image = family.reflected_partners(final.data)
+    # the images as the two gathers of the half and of the self-paired
+    # slices form them (a dense theta's product rounds with its block)
+    image = np.full_like(final.data, np.nan)
+    for rows in (range(n + 1, 2 * n), range(0, 2 * n, n)):
+        image[list(rows)] = family.reflect(final.data, rows)
     assert np.array_equal(final.data[follower], image[follower])
     assert np.max(np.abs(final.data - symmetric.data)) <= 1e-14
     assert reflection_defect(final, family) <= 1e-14
@@ -771,11 +796,26 @@ def _masked_partners(field, family):
 
 
 def test_reflected_partners_match_the_reflection_map(smoothing_cases):
-    """The flip-and-roll blocks of ``reflected_partners`` give the masked
-    gather over ``reflection_map`` bit for bit, with a nontrivial ``tau``
-    among the cases."""
+    """The flip-and-roll blocks of the whole-torus ``reflect`` give the
+    masked gather over ``reflection_map``, with a nontrivial ``tau`` and a
+    nontrivial ``theta`` among the cases: bit for bit, but for a dense
+    ``theta``, whose product rounds with the shape of its block."""
     fam = shifted_haldane(r2=(0.25, 0.25))
     torus, _ = construct_2d(input_frame(fam, CellGeometry(2, 4)), fam)
     for family, field in [*smoothing_cases.values(), (fam, torus)]:
-        got = family.reflected_partners(field.data)
-        assert np.array_equal(got, _masked_partners(field, family))
+        got = family.reflect(field.data, range(field.geometry.n_side))
+        tol = 0.0 if family.theta is None else 4 * np.finfo(float).eps
+        assert np.max(np.abs(got - _masked_partners(field, family))) <= tol
+
+
+@pytest.mark.parametrize("case", ["rotated-haldane", "rotated-trs-3d"])
+def test_an_action_that_ignores_theta_misses_the_reflection_map(
+    smoothing_cases, case, monkeypatch
+):
+    """Negative control: a symmetry action that multiplies by nothing
+    whenever ``tau = 1``, ignoring ``theta = V V^T``, misses the reflected
+    partners."""
+    family, field = smoothing_cases[case]
+    act_ignoring_theta(monkeypatch)
+    got = family.reflect(field.data, range(field.geometry.n_side))
+    assert np.max(np.abs(got - _masked_partners(field, family))) > 1e-2
