@@ -52,9 +52,6 @@ def _assemble_boundary(geo, family, face10, field2p, field3p, door, tol):
     or that holds NaN on either side).  Interior points stay NaN.
     """
     n = geo.grid_n
-    t2_inv = family.tau_power((0, -1, 0))
-    t3_inv = family.tau_power((0, 0, -1))
-    a_door = family.antiunitary_matrix((1, 0, 0))
     points = geo.cell_points()
     out = np.full(geo.cell_shape + face10.shape[-2:], np.nan, dtype=complex)
     written = np.zeros(geo.cell_shape, dtype=bool)
@@ -83,12 +80,12 @@ def _assemble_boundary(geo, family, face10, field2p, field3p, door, tol):
 
     write(np.s_[0], face10)
     write(np.s_[:, 2 * n], field2p)
-    write(np.s_[:, 0], t2_inv @ field2p)
+    write(np.s_[:, 0], family.act((0, -1, 0), field2p))
     write(np.s_[:, :, 2 * n], field3p)
-    write(np.s_[:, :, 0], t3_inv @ field3p)
+    write(np.s_[:, :, 0], family.act((0, 0, -1), field3p))
     write(np.s_[n, 2 * n:n - 1:-1], door)
     # the rest of the face k1 = 1/2: Phi(n, b, c) = tau theta Phi(n, -b, -c)
-    write(np.s_[n, :n], a_door @ np.conj(out[n, 2 * n:n:-1, ::-1]))
+    write(np.s_[n, :n], family.act((1, 0, 0), out[n, 2 * n:n:-1, ::-1], anti=True))
     missing = np.count_nonzero(np.isnan(out[geo.boundary_mask()][:, 0, 0]))
     if missing:
         raise RuntimeError(f"boundary assembly left {missing} points unset")
@@ -108,7 +105,6 @@ def construct_3d(psi_field, family, tol=1e-8, seed=0):
         raise ValueError("construct_3d needs a three-dimensional field")
     n = geo.grid_n
     psi = psi_field.data
-    tau = family.tau_power
     geo2 = CellGeometry(2, n)
     diag = {}
 
@@ -119,7 +115,7 @@ def construct_3d(psi_field, family, tol=1e-8, seed=0):
     half10, diag["face_k1_0"] = build_face(ctx10, tol=tol, seed=seed)
     face10 = np.empty((2 * n + 1,) + half10.data.shape[1:], dtype=complex)
     face10[n:] = half10.data
-    face10[:n] = family.theta_matrix() @ np.conj(half10.data[n:0:-1, ::-1])
+    face10[:n] = family.act((0, 0, 0), half10.data[n:0:-1, ::-1], anti=True)
 
     # edge k2 = k3 = 1/2 and its translated copies
     edge, vstar = macro1(
@@ -131,19 +127,19 @@ def construct_3d(psi_field, family, tol=1e-8, seed=0):
     ctx2p = FaceContext(geo2, psi[:, 2 * n], family, ((1, 0, 0), (0, 0, 1)), (0, 1, 0),
                         label="face k2=+1/2")
     field2p, diag["face_k2_plus"] = macro2(
-        ctx2p, face10[2 * n], tau((0, 0, -1)) @ edge, tol=tol, seed=seed
+        ctx2p, face10[2 * n], family.act((0, 0, -1), edge), tol=tol, seed=seed
     )
     ctx3p = FaceContext(geo2, psi[:, :, 2 * n], family, ((1, 0, 0), (0, 1, 0)), (0, 0, 1),
                         label="face k3=+1/2")
     field3p, diag["face_k3_plus"] = macro2(
-        ctx3p, face10[:, 2 * n], tau((0, -1, 0)) @ edge, tol=tol, seed=seed
+        ctx3p, face10[:, 2 * n], family.act((0, -1, 0), edge), tol=tol, seed=seed
     )
 
     # half of the face k1 = 1/2, in mirrored coordinates (a, c) -> (n, n - a, c)
     ctx_door = FaceContext(geo2, psi[n, 2 * n:n - 1:-1], family, ((0, -1, 0), (0, 0, 1)),
                            (1, 1, 0), label="face k1=1/2 (mirrored)")
     door, diag["face_k1_plus"] = macro2(
-        ctx_door, field2p.data[n], tau((0, 0, -1)) @ field3p.data[n, 2 * n:n - 1:-1],
+        ctx_door, field2p.data[n], family.act((0, 0, -1), field3p.data[n, 2 * n:n - 1:-1]),
         tol=tol, seed=seed,
     )
 

@@ -73,7 +73,8 @@ class FaceContext:
         return self.family.antiunitary_matrix(np.asarray(lam) @ self.axes + self.shift)
 
     def apply_anti(self, lam, frame):
-        return self.antiunitary(lam) @ np.conj(frame)
+        """The local operation ``tau_lam o theta`` on a stack of frames."""
+        return self.family.act(np.asarray(lam) @ self.axes + self.shift, frame, anti=True)
 
 
 def _check(cond_value, tol, what, point, label):
@@ -137,7 +138,7 @@ def macro2(ctx, left_edge, bottom_edge, tol=1e-8, seed=0):
     lower_right, sol4 = macro1(psi[n, :n + 1], corner, ctx.antiunitary((1, 0)))
     skel[n, :n + 1] = lower_right
     skel[n, n + 1:] = ctx.apply_anti((1, 0), skel[n, n - 1::-1])
-    skel[1:n, 2 * n] = ctx.family.tau_power(ctx.axes[1]) @ skel[1:n, 0]
+    skel[1:n, 2 * n] = ctx.family.act(ctx.axes[1], skel[1:n, 0])
 
     # --- degree of the boundary determinant and its removal ---------------
     dom = boundary_domain(geo)

@@ -2,7 +2,10 @@
 
 Everything here operates on modest matrices (n, m <= a few dozen), so the
 implementations favour robustness and determinism over asymptotic speed.
-Two ingredients are nontrivial.  The polar factor (the closest matrix
+Three ingredients are nontrivial.  The eigensystem of a stack of Hermitian
+matrices, the torus sample's kernel, is in closed form for ``2 x 2``
+matrices, where LAPACK's per-matrix overhead is most of ``eigh``'s time on
+a stack of them.  The polar factor (the closest matrix
 with orthonormal columns) is taken on stacks of ``n x m`` frames at every
 projection step of the construction; for ``m <= 2`` it has a closed form
 through the ``m x m`` Gram matrix (Higham, "Computing the polar
@@ -22,6 +25,7 @@ from .errors import BlochFrameError
 
 __all__ = [
     "gram_polar",
+    "hermitian_eigensystem",
     "joint_eigenbasis",
     "lowdin",
     "unitary_eigensystem",
@@ -45,6 +49,63 @@ GRAM_CONDITION = 100.0
 def wrap_to_pi(x):
     """Wrap angles into the half-open interval [-pi, pi)."""
     return np.mod(np.asarray(x) + np.pi, TWO_PI) - np.pi
+
+
+def hermitian_eigensystem(h):
+    """Eigenvalues (ascending) and orthonormal eigenvectors of a stack ``(...,
+    n, n)`` of Hermitian matrices, as ``np.linalg.eigh(h)`` returns them.
+
+    ``n = 2`` is in closed form.  With ``H = [[a, b], [conj(b), c]]`` (``b``
+    read from the lower triangle, as ``eigh`` does), ``mean = (a + c)/2``,
+    ``delta = (a - c)/2`` and ``r = hypot(delta, |b|)``, the eigenvalues are
+    ``mean -/+ r``.  The lower eigenvector is the column of ``H - (mean +
+    r)`` whose large entry has no cancellation, ``(b, -(delta + r))`` when
+    ``delta >= 0`` and ``(-(r - delta), conj(b))`` otherwise.  That entry
+    is ``p = |delta| + r >= |b|``, so the column divided by it is ``(q,
+    -1)`` or ``(-1, conj(q))`` with ``q = b / p`` and ``|q| <= 1``, which
+    is normalized by ``hypot(|q|, 1)``.  The upper eigenvector is the
+    orthogonal complement ``(-conj(x_2), conj(x_1))`` of the lower one
+    ``(x_1, x_2)``.  Where ``r = 0`` (``H`` a multiple of the identity) the
+    basis is the identity; a NaN entry gives NaN, never that basis.  Other
+    ``n`` take ``eigh``.
+
+    The closed form keeps ``eigh``'s accuracy.  ``mean``, ``delta`` and
+    ``r`` carry errors of a few ``eps ||H||``, and so do the eigenvalues.
+    ``p`` is a sum of two non-negative numbers and ``q`` one quotient, so the
+    column's direction errs by ``O(eps ||H|| / r)`` (from ``delta`` alone):
+    the eigenvector by ``O(eps ||H|| / gap)``, the residual ``||H v - v w||``
+    by ``O(eps ||H||)``, and the two columns are orthonormal to a few
+    ``eps`` by construction.  No entry is squared and the only divisor is
+    ``p``, so no scale over- or underflows before the result does, and a
+    subnormal ``H`` keeps unit vectors.
+    """
+    h = np.asarray(h)
+    if h.shape[-1] != 2:
+        return np.linalg.eigh(h)
+    a = h[..., 0, 0].real
+    c = h[..., 1, 1].real
+    b = h[..., 1, 0].conj()
+    mean = 0.5 * (a + c)
+    delta = 0.5 * (a - c)
+    r = np.hypot(delta, np.abs(b))
+    p = np.abs(delta) + r
+    # p is zero only where r is: H is a multiple of the identity there
+    flat = p == 0.0
+    p = np.where(flat, 1.0, p)
+    if np.iscomplexobj(b):
+        # real quotients: numpy's complex one overflows on a subnormal p
+        q = b.real / p + 1j * (b.imag / p)
+    else:
+        q = b / p
+    t = 1.0 / np.hypot(np.abs(q), 1.0)
+    upper = delta >= 0.0
+    lower = np.stack((np.where(upper, q * t, -t), np.where(upper, -t, q.conj() * t)), axis=-1)
+    lower[flat] = (1.0, 0.0)
+    vecs = np.empty(h.shape, dtype=lower.dtype)
+    vecs[..., :, 0] = lower
+    vecs[..., 0, 1] = -lower[..., 1].conj()
+    vecs[..., 1, 1] = lower[..., 0].conj()
+    return np.stack((mean - r, mean + r), axis=-1), vecs
 
 
 def gram_polar(candidate):

@@ -23,10 +23,12 @@ torus grid once (:meth:`ProjectorFamily.torus_eigensystem` keeps the last
 grid's sample); the gap floor of :func:`verify_assumptions`, the
 eigenframes the input frame is transported on and every projector a
 construction smooths and certifies with are read from that one sample.
-The two symmetries also halve it: ``eigh`` runs on the slab ``k_1 <= 1/2``
-only, and every other point is the time-reversed image of its partner
-``-k`` (:meth:`ProjectorFamily.reflect`, the one reflection gather).
-Every symmetry applied to a torus stack of frames is one product of
+The two symmetries also halve it: :meth:`ProjectorFamily.eigensystem`
+(closed form for two bands, ``eigh`` beyond) runs on the slab ``k_1 <=
+1/2`` only, and every other point is the time-reversed image of its
+partner ``-k`` (:meth:`ProjectorFamily.reflect`, the one reflection
+gather).  Every symmetry applied to a stack of frames, on the torus and in
+the face and cell constructions, is one product of
 :meth:`ProjectorFamily.act`, skipped where its matrix is the identity.
 The sample has one form, the occupied eigenframes ``v`` of
 :meth:`ProjectorFamily.grid_frames`: ``P(k) c`` is ``v (v^H c)``, and no
@@ -43,6 +45,7 @@ import numpy as np
 
 from .cells import CellGeometry
 from .errors import AssumptionsFailed, GapClosed, ModelConfigError
+from .linalg import hermitian_eigensystem
 
 __all__ = [
     "ProjectorFamily",
@@ -127,7 +130,11 @@ class ProjectorFamily:
     # validation
     # ------------------------------------------------------------------
     def validate(self):
-        """Collect every violated structural invariant (empty list if valid)."""
+        """Collect every violated structural invariant (empty list if valid).
+
+        A matrix with a non-finite entry is named and ends the collection:
+        every later check would compare NaN, which no tolerance refuses.
+        """
         errors = []
         if self.d not in (1, 2, 3):
             errors.append(f"dimension must be 1, 2 or 3, got {self.d}")
@@ -153,6 +160,16 @@ class ProjectorFamily:
                 errors.append(f"hopping H_{r} has shape {mat.shape}, expected ({self.n}, {self.n})")
                 continue
             hop[r] = mat
+        self.hoppings = hop
+        named = [(f"hopping H_{r}", mat) for r, mat in hop.items()]
+        if self.theta is not None:
+            named.append(("theta unitary", self.theta))
+        if self.tau is not None:
+            named += [(f"tau generator {j + 1}", t) for j, t in enumerate(self.tau)]
+        nonfinite = [f"{what} has a non-finite entry" for what, mat in named
+                     if not np.all(np.isfinite(np.asarray(mat, dtype=complex)))]
+        if nonfinite:
+            return errors + nonfinite
         for r, mat in hop.items():
             mr = tuple(-x for x in r)
             partner = hop.get(mr)
@@ -160,7 +177,6 @@ class ProjectorFamily:
                 errors.append(f"hopping H_{r} lacks the Hermitian partner H_{mr}")
             elif np.linalg.norm(partner - mat.conj().T) > 1e-12 * max(1.0, np.linalg.norm(mat)):
                 errors.append(f"H_{mr} != H_{r}^dagger (Hermiticity broken)")
-        self.hoppings = hop
         eye = np.eye(self.n)
         if self.theta is not None:
             c = np.asarray(self.theta, dtype=complex)
@@ -210,9 +226,12 @@ class ProjectorFamily:
 
     def eigensystem(self, k):
         """Eigenvalues (ascending) and eigenvectors of ``H(k)``, stacked over
-        the leading axes of ``k``; one ``eigh`` call for the whole stack."""
+        the leading axes of ``k``: one :func:`~blochframe.linalg.hermitian_eigensystem`
+        call for the whole stack, in closed form for two bands and one
+        ``eigh`` otherwise.  The torus sample, :meth:`spectral_frame` and
+        :meth:`projector` all take it."""
         h = self.hamiltonian(k)
-        return np.linalg.eigh(0.5 * (h + _dagger(h)))
+        return hermitian_eigensystem(0.5 * (h + _dagger(h)))
 
     def spectral_frame(self, k, eigensystem=None):
         """Orthonormal eigenbases ``(..., n, m)`` of the lowest ``m`` bands
@@ -220,15 +239,17 @@ class ProjectorFamily:
 
         ``eigensystem`` is ``self.eigensystem(k)`` when the caller has
         already sampled it.  Raises :class:`GapClosed` at the point of the
-        smallest gap when it falls below ``gap_tolerance``.
+        smallest gap when it falls below ``gap_tolerance``, or at the first
+        NaN gap.
         """
         if eigensystem is None:
             eigensystem = self.eigensystem(k)
         evals, evecs = eigensystem
         below, above = evals[..., self.m - 1], evals[..., self.m]
         gap = above - below
+        # argmin stops at the first NaN, and the test refuses it
         worst = np.unravel_index(np.argmin(gap), gap.shape)
-        if gap[worst] < self.gap_tolerance:
+        if not gap[worst] >= self.gap_tolerance:
             raise GapClosed(
                 f"spectral gap {gap[worst]:.3e} below tolerance {self.gap_tolerance:.3e}",
                 k=tuple(np.asarray(k, dtype=float)[worst].tolist()),

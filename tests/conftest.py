@@ -182,6 +182,19 @@ def shifted_trs_3d():
     return shifted_orbitals(base, positions, "random-trs-shifted")
 
 
+def lapack_frames(family, k):
+    """Occupied eigenvectors ``(..., n, m)`` of ``H(k)`` from a fresh LAPACK
+    ``eigh``: an oracle that shares no code with the family's eigensystem
+    kernel (in closed form for two bands) or its torus sample."""
+    return np.linalg.eigh(family.hamiltonian(k))[1][..., : family.m]
+
+
+def lapack_projector(family, k):
+    """Spectral projectors ``v v^H`` of :func:`lapack_frames`."""
+    v = lapack_frames(family, k)
+    return v @ np.swapaxes(v.conj(), -1, -2)
+
+
 def model_json(family):
     """JSON description of ``family`` that ``load_model`` reads back."""
     def matrix(a):

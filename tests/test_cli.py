@@ -523,6 +523,17 @@ _MALFORMED = {
                         ["lacks the Hermitian partner"]),
     "gap-tolerance-0": (lambda cfg: {**cfg, "gap_tolerance": 0},
                         ["gap_tolerance must be positive"]),
+    # Python's json reads NaN and Infinity, and NaN passes every tolerance
+    "hopping-NaN": (lambda cfg: {**cfg, "hoppings": cfg["hoppings"][:2]
+                                 + [{"R": [-1], "re": [[0, float("nan")], [0, 0]]}]},
+                    ["hopping H_(-1,) has a non-finite entry"]),
+    "hopping-Infinity": (lambda cfg: {**cfg, "hoppings": cfg["hoppings"][:2]
+                                      + [{"R": [-1], "re": [[0, float("inf")], [0, 0]]}]},
+                         ["hopping H_(-1,) has a non-finite entry"]),
+    "theta-NaN": (lambda cfg: {**cfg, "theta": {"unitary": {"re": [[1, 0], [0, float("nan")]]}}},
+                  ["theta unitary has a non-finite entry"]),
+    "tau-Infinity": (lambda cfg: {**cfg, "tau": _tau([[float("inf"), 0], [0, 1]])},
+                     ["tau generator 1 has a non-finite entry"]),
     "R-2-vector-in-1d": (lambda cfg: {**cfg, "hoppings": cfg["hoppings"][:1]
                                       + [{"R": [1, 0], "re": [[0, 0], [0.5, 0]]}]},
                          ["has wrong dimension"]),

@@ -8,7 +8,7 @@ from blochframe.extension import BoundaryDomain
 from blochframe.face2d import construct_2d
 from blochframe.frames import input_frame
 
-from conftest import loop_nodes, planted_loop
+from conftest import lapack_projector, loop_nodes, planted_loop
 
 
 @pytest.mark.parametrize("m,r", [(1, 0), (1, 2), (2, -2), (2, 1), (3, 3), (3, -1)])
@@ -52,7 +52,7 @@ def test_construct_2d_field_is_orthonormal_and_in_span(haldane, haldane_face):
     geo, torus, _ = haldane_face
     assert torus.region == "full-torus"
     assert torus.orthonormality_defect() < 1e-12
-    p = haldane.projector(geo.torus_k())
+    p = lapack_projector(haldane, geo.torus_k())
     worst = np.max(np.linalg.norm(p @ torus.data - torus.data, axis=(-2, -1)))
     assert worst < 1e-9
 

@@ -18,7 +18,13 @@ from blochframe.frames import (
 from blochframe.linalg import RANK_FLOOR, lowdin
 from blochframe.models import builtin_model
 
-from conftest import random_unitary, shifted_haldane, shifted_trs_3d
+from conftest import (
+    lapack_frames,
+    lapack_projector,
+    random_unitary,
+    shifted_haldane,
+    shifted_trs_3d,
+)
 
 
 def _random_frame(rng, n, m):
@@ -73,7 +79,7 @@ def test_input_frame_spans_projector_and_is_steady(haldane):
     fld = input_frame(haldane, geo)
     assert fld.orthonormality_defect() < 1e-12
     assert np.isfinite(fld.data).all()
-    p = haldane.projector(geo.cell_points() / geo.n_side)
+    p = lapack_projector(haldane, geo.cell_points() / geo.n_side)
     worst = np.max(np.linalg.norm(p @ fld.data - fld.data, axis=(-2, -1)))
     assert worst < 1e-10
     assert fld.meta["transport_step_sup"] < 0.5
@@ -138,7 +144,7 @@ def _pointwise_input_frame(family, geometry, region, independent):
     along each further axis in turn.
 
     With ``independent`` the walk takes its projectors and seed from direct
-    ``eigh`` calls at every ``k`` of the box, steps in ``n`` dimensions,
+    LAPACK ``eigh`` calls at every ``k`` of the box, steps in ``n`` dimensions,
     ``polar(P(g) prev)``, and takes its polar factors from an explicit SVD.
     Otherwise it walks the link unitaries of ``input_frame``: the sampled
     eigenframes ``v`` of ``grid_frames``, the gauge ``W`` with ``frame = v
@@ -165,8 +171,8 @@ def _pointwise_input_frame(family, geometry, region, independent):
         return tuple(np.subtract(g, corner))
 
     if independent:
-        projectors = family.projector(box / geometry.n_side)
-        seed, _ = family.spectral_frame(np.zeros(d))
+        projectors = lapack_projector(family, box / geometry.n_side)
+        seed = lapack_frames(family, np.zeros(d))
         frames = {origin: _svd_polar(_fix_column_phases(seed))}
 
         def step(g, prev_g, direction):

@@ -4,8 +4,9 @@ The Lowdin orthonormalization is cross-checked against an independent
 oracle built from the Gram matrix: the closest orthonormal-column matrix
 to M is M (M^H M)^{-1/2}, computed here by eigendecomposition.  Its
 closed form for ``m <= 2`` is checked against the polar factor ``u vh`` of
-an explicit SVD.  The unitary eigensystem is cross-checked against scipy's
-complex Schur factorization.
+an explicit SVD.  The closed-form ``2 x 2`` Hermitian eigensystem is
+cross-checked against LAPACK's ``eigh``, and the unitary eigensystem
+against scipy's complex Schur factorization.
 """
 from itertools import permutations
 
@@ -18,6 +19,7 @@ from blochframe.errors import BlochFrameError
 from blochframe.linalg import (
     cluster_phases,
     gram_polar,
+    hermitian_eigensystem,
     joint_eigenbasis,
     lowdin,
     unitary_eigensystem,
@@ -142,6 +144,120 @@ def test_lowdin_keeps_a_real_input_real(rng, m):
     got = lowdin(c)
     assert got.dtype == np.float64
     assert np.max(np.abs(got - _svd_polar(c))) <= 1e-13
+
+
+EPS = np.finfo(float).eps
+
+
+def _two_band_stack(rng, size, scale, real=False):
+    """``scale`` times ``2 x 2`` Hermitian matrices ``[[mean + delta, b],
+    [conj(b), mean - delta]]``: ``delta`` of either sign, ``|b| / |delta|``
+    from 1e-12 to 10, ``|mean|`` up to 1e6 times ``|delta|`` (gaps far below
+    ``||H||``), and ``b = 0`` on every tenth matrix."""
+    delta = rng.choice([-1.0, 1.0], size) * rng.uniform(0.1, 1.0, size)
+    mean = rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.uniform(-1, 6, size)
+    b = delta * 10.0 ** rng.uniform(-12, 1, size)
+    if not real:
+        b = b * np.exp(2j * np.pi * rng.uniform(size=size))
+    b[::10] = 0.0
+    h = np.empty((size, 2, 2), dtype=b.dtype)
+    h[:, 0, 0], h[:, 1, 1] = mean + delta, mean - delta
+    h[:, 1, 0], h[:, 0, 1] = b, np.conj(b)
+    return scale * h
+
+
+def _check_two_band_eigensystem(h, w, v, bound=8 * EPS):
+    """Ascending eigenvalues within ``bound ||H||`` of LAPACK's, a residual
+    ``||H v - v w||`` and orthonormality within ``bound`` relative, and a
+    lower-band projector within ``2 bound ||H|| / gap`` of LAPACK's, whose
+    own error is of that size."""
+    w_ref, v_ref = np.linalg.eigh(h)
+    norm = np.max(np.abs(w_ref), axis=-1)
+    assert np.all(w[..., 0] <= w[..., 1])
+    assert np.all(np.abs(w - w_ref) <= bound * norm[..., None])
+    # relative to ||H||, so that no product under- or overflows; real
+    # quotients, because numpy's complex one overflows on a subnormal norm
+    scale = norm[..., None, None]
+    hn, wn = h.real / scale + 1j * (h.imag / scale), w / norm[..., None]
+    residual = np.linalg.norm(hn @ v - v * wn[..., None, :], axis=(-2, -1))
+    assert np.max(residual) <= bound
+    gram = np.swapaxes(v.conj(), -1, -2) @ v
+    assert np.max(np.linalg.norm(gram - np.eye(2), axis=(-2, -1))) <= bound
+    gap = (w_ref[..., 1] - w_ref[..., 0]) / norm
+    lower, lower_ref = v[..., :, :1], v_ref[..., :, :1]
+    moved = np.linalg.norm(lower * lower.conj().swapaxes(-1, -2)
+                           - lower_ref * lower_ref.conj().swapaxes(-1, -2), axis=(-2, -1))
+    apart = gap > 1e-6
+    assert np.all(moved[apart] <= 2 * bound / gap[apart])
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-8, 1.0, 1e8, 1e150])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_hermitian_eigensystem_matches_eigh(rng, scale, real):
+    """The closed form agrees with LAPACK within a few eps of ``||H||``
+    over 1e-150 to 1e150, with no over- or underflow warning (an error
+    under pytest), and keeps a real stack real."""
+    h = _two_band_stack(rng, 4000, scale, real=real)
+    w, v = hermitian_eigensystem(h)
+    assert v.dtype == (np.float64 if real else np.complex128)
+    _check_two_band_eigensystem(h, w, v)
+
+
+def test_hermitian_eigensystem_of_a_multiple_of_the_identity_is_the_identity_basis():
+    h = np.array([0.0, 1.0, -3.5, 1e-300, 1e300])[:, None, None] * np.eye(2)
+    w, v = hermitian_eigensystem(h + 0j)
+    assert np.array_equal(v, np.broadcast_to(np.eye(2), v.shape))
+    assert np.array_equal(w, np.stack([h[:, 0, 0]] * 2, axis=-1))
+
+
+def test_hermitian_eigensystem_gives_nan_for_nan(rng):
+    """A NaN entry anywhere poisons that matrix's eigenvalues and both
+    vectors: never the clean identity basis of ``r = 0``."""
+    h = np.tile(np.array([[1.0, 0.5j], [-0.5j, -1.0]]), (4, 1, 1))
+    h[0, 0, 0] = np.nan
+    h[1, 1, 1] = np.nan
+    h[2, 1, 0] = h[2, 0, 1] = complex(np.nan, 0.0)
+    w, v = hermitian_eigensystem(h)
+    assert np.all(np.isnan(w[:3])) and np.all(np.isnan(v[:3]))
+    _check_two_band_eigensystem(h[3:], w[3:], v[3:])
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_hermitian_eigensystem_is_eigh_beyond_two_bands(rng, n):
+    a = rng.standard_normal((5, 3, n, n)) + 1j * rng.standard_normal((5, 3, n, n))
+    h = a + np.swapaxes(a.conj(), -1, -2)
+    w, v = hermitian_eigensystem(h)
+    w_ref, v_ref = np.linalg.eigh(h)
+    assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+
+def test_hermitian_eigensystem_of_a_subnormal_matrix_is_orthonormal():
+    """Entries below the normal range: ``q = b / p`` is a quotient of two
+    subnormals, so the vectors stay unit to a few eps."""
+    tiny = np.array([[3e-310, 2e-313j], [-2e-313j, 0.0]])
+    for h in (tiny, tiny.T.copy(), np.array([[0.0, 2e-313j], [-2e-313j, 0.0]])):
+        w, v = hermitian_eigensystem(h)
+        assert np.all(np.isfinite(w)) and w[0] <= w[1]
+        assert np.linalg.norm(v.conj().T @ v - np.eye(2)) <= 8 * EPS
+
+
+# zero, or far enough above the normal floor that no scale below makes it
+# subnormal, where no relative bound holds
+_ENTRY = st.one_of(st.just(0.0), st.floats(1e-100, 1.0), st.floats(-1.0, -1e-100))
+
+
+@settings(max_examples=200, deadline=None)
+@given(diag=st.tuples(_ENTRY, _ENTRY), off=st.tuples(_ENTRY, _ENTRY),
+       exponent=st.integers(-150, 150))
+def test_hermitian_eigensystem_property(diag, off, exponent):
+    """Any ``2 x 2`` Hermitian matrix, degenerate, diagonal or with entries
+    1e-100 of the others included, at any scale from 1e-150 to 1e150."""
+    b = complex(*off)
+    h = 10.0 ** exponent * np.array([[diag[0], b], [b.conjugate(), diag[1]]])
+    if not np.any(h):
+        return
+    w, v = hermitian_eigensystem(h)
+    _check_two_band_eigensystem(h, w, v)
 
 
 def _multiset_distance(a, b):

@@ -24,6 +24,8 @@ from blochframe.models import (
 
 from conftest import (
     act_ignoring_theta,
+    lapack_projector,
+    model_json,
     reversal_break_between_grid_points,
     rotated,
     rotated_ssh,
@@ -249,6 +251,49 @@ def test_load_model_error_reporting(tmp_path):
         load_model(_demo_config(), params={"v": 2.0})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+def test_a_non_finite_hopping_is_a_model_config_error(bad):
+    """Negative control: Python's json reads ``NaN`` and ``Infinity``, and a
+    NaN passes the Hermiticity tolerance; the SSH chain with one such entry
+    in ``H_(-1)`` is refused by name instead of reaching LAPACK."""
+    cfg = model_json(builtin_model("ssh"))
+    next(h for h in cfg["hoppings"] if h["R"] == [-1])["re"][0][1] = bad
+    with pytest.raises(ModelConfigError, match=r"hopping H_\(-1,\) has a non-finite entry"):
+        load_model(json.loads(json.dumps(cfg)))
+
+
+@pytest.mark.parametrize("what", ["hopping H_(0,)", "theta unitary", "tau generator 1"])
+def test_a_directly_built_family_with_a_non_finite_matrix_is_refused(what):
+    """``validate`` covers families built without ``load_model``."""
+    ssh = builtin_model("ssh")
+    poisoned = np.eye(2, dtype=complex)
+    poisoned[1, 1] = np.nan
+    hop = dict(ssh.hoppings)
+    kwargs = {}
+    if what.startswith("hopping"):
+        hop[(0,)] = poisoned
+    elif what.startswith("theta"):
+        kwargs["theta"] = poisoned
+    else:
+        kwargs["tau"] = [poisoned]
+    with pytest.raises(ModelConfigError) as exc:
+        ProjectorFamily(d=1, n=2, m=1, hoppings=hop, **kwargs)
+    assert f"{what} has a non-finite entry" in str(exc.value)
+
+
+def test_a_nan_gap_is_refused_at_its_point():
+    """Negative control: ``NaN < gap_tolerance`` is False, so a gate written
+    that way passes NaN frames on; the gate refuses the first NaN gap."""
+    family = builtin_model("haldane")
+    k = CellGeometry(2, 4).torus_k()
+    evals, evecs = family.eigensystem(k)
+    evals[2, 5, 1] = np.nan
+    evals[6, 1, 0] = np.nan
+    with pytest.raises(GapClosed) as exc:
+        family.spectral_frame(k, eigensystem=(evals, evecs))
+    assert exc.value.details["k"] == tuple(k[2, 5].tolist())
+
+
 def test_colliding_hopping_vectors_are_reported():
     cfg = _demo_config()
     cfg["hoppings"].append({"R": [0.0], "re": [[0.0, 0.0], [0.0, 0.0]]})
@@ -376,7 +421,7 @@ def _gather_defect(family, grid_n):
     box = geo.cell_points()
     frames = family.grid_frames(grid_n, box)
     gathered = frames @ np.swapaxes(frames.conj(), -1, -2)
-    direct = family.projector(box / geo.n_side)
+    direct = lapack_projector(family, box / geo.n_side)
     return float(np.max(np.linalg.norm(gathered - direct, axis=(-2, -1))))
 
 
@@ -488,12 +533,12 @@ def test_the_sample_slab_is_a_direct_eigensystem(make, grid_n):
 
 def _sample_defect(family, grid_n):
     """Largest distance between the projectors ``F F^H`` of the sampled
-    torus frames ``F`` and the projectors of a fresh ``eigh`` at the
+    torus frames ``F`` and the projectors of a fresh LAPACK ``eigh`` at the
     torus's ``k``."""
     geo = CellGeometry(family.d, grid_n)
     frames = family.grid_frames(grid_n, geo.torus_points())
     sampled = frames @ np.swapaxes(frames.conj(), -1, -2)
-    direct = family.projector(geo.torus_k())
+    direct = lapack_projector(family, geo.torus_k())
     return float(np.max(np.linalg.norm(sampled - direct, axis=(-2, -1))))
 
 

@@ -240,21 +240,29 @@ def test_run_report_needs_artifacts(tmp_path):
 ])
 def test_construct_samples_the_torus_once(config, monkeypatch):
     """One ``eigensystem`` call, on the slab ``k_1 <= 1/2`` of the torus;
-    time reversal gives the rest."""
-    torus_shape = CellGeometry(
-        load_family(config).d, config.grid_n
-    ).torus_shape
+    time reversal gives the rest.  Two bands (haldane) take the closed
+    form, so LAPACK's ``eigh`` sees no ``n x n`` stack; four bands take one
+    ``eigh`` over the slab."""
+    family = load_family(config)
+    torus_shape = CellGeometry(family.d, config.grid_n).torus_shape
     slab_shape = (config.grid_n + 1,) + torus_shape[1:]
-    shapes = []
-    real = ProjectorFamily.eigensystem
+    shapes, lapack = [], []
+    real, real_eigh = ProjectorFamily.eigensystem, np.linalg.eigh
 
     def spy(self, k):
         shapes.append(np.shape(k)[:-1])
         return real(self, k)
 
+    def eigh_spy(a, *args, **kwargs):
+        if np.shape(a)[-1] == family.n:
+            lapack.append(np.shape(a)[:-2])
+        return real_eigh(a, *args, **kwargs)
+
     monkeypatch.setattr(ProjectorFamily, "eigensystem", spy)
+    monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
     run_construct(config)
     assert shapes == [slab_shape]
+    assert lapack == ([] if family.n == 2 else [slab_shape])
 
 
 @pytest.mark.parametrize("model", ["haldane", "shifted-trs-3d"])

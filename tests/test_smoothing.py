@@ -34,6 +34,7 @@ from conftest import (
     act_ignoring_theta,
     geodesic_distance,
     gram_stack,
+    lapack_projector,
     random_unitary,
     rotated,
     shifted_haldane,
@@ -287,7 +288,7 @@ def _reference_candidate(field, family, k):
     """Rung ``k`` of the ladder, built on the full torus: the field smoothed
     at cutoff ``k`` and projected onto the fibers of the family's torus
     sample as ``v (v^H c)``, the ladder's own product; that is ``P(k) c``
-    of a fresh ``eigh`` within 1e-13."""
+    of a fresh LAPACK ``eigh`` within 1e-13."""
     geo = field.geometry
     big, d = geo.n_side, geo.d
     twist = twist_gauge(geo, family)
@@ -303,7 +304,7 @@ def _reference_candidate(field, family, k):
                                                axes=axes))
     v = family.grid_frames(geo.grid_n, geo.torus_points())
     candidate = _times(v, _overlap(v, smoothed))
-    direct = family.projector(geo.torus_k()) @ smoothed
+    direct = lapack_projector(family, geo.torus_k()) @ smoothed
     assert np.max(np.abs(candidate - direct)) <= 1e-13
     return candidate
 
@@ -737,7 +738,7 @@ def test_the_ladder_takes_no_eigh_for_m_up_to_2(smoothing_cases, monkeypatch):
         return real(a, *args, **kwargs)
 
     cases = {"haldane": False, "random-trs-2d": False, "random-trs-m3": True}
-    # sampled before the spy goes in: sampling the torus takes eigh
+    # sampled before the spy goes in: sampling the m = 3 torus takes eigh
     for family, field in smoothing_cases.values():
         family.torus_eigensystem(field.geometry.grid_n)
     monkeypatch.setattr(np.linalg, "eigh", spy)
