@@ -118,9 +118,8 @@ def construct_3d(psi_field, family, tol=1e-8, seed=0):
     face10[:n] = family.act((0, 0, 0), half10.data[n:0:-1, ::-1], anti=True)
 
     # edge k2 = k3 = 1/2 and its translated copies
-    edge, vstar = macro1(
-        psi[:, 2 * n, 2 * n], face10[2 * n, 2 * n], family.antiunitary_matrix((1, 1, 1))
-    )
+    edge, vstar = macro1(psi[:, 2 * n, 2 * n], face10[2 * n, 2 * n],
+                         family.act((1, 1, 1), psi[n, 2 * n, 2 * n], anti=True))
     diag["corner_residual"] = vstar.residual
 
     # faces k2 = 1/2 and k3 = 1/2

@@ -68,12 +68,10 @@ class FaceContext:
         self.shift = np.asarray(shift, dtype=int)
         self.label = label
 
-    def antiunitary(self, lam):
-        """Matrix of the local operation ``tau_lam o theta``."""
-        return self.family.antiunitary_matrix(np.asarray(lam) @ self.axes + self.shift)
-
     def apply_anti(self, lam, frame):
-        """The local operation ``tau_lam o theta`` on a stack of frames."""
+        """The local operation ``tau_lam o theta`` on a stack of frames: the
+        family's :meth:`~blochframe.models.ProjectorFamily.act` at ``lam @
+        axes + shift``.  The vertex solves take their images from here."""
         return self.family.act(np.asarray(lam) @ self.axes + self.shift, frame, anti=True)
 
 
@@ -135,7 +133,7 @@ def macro2(ctx, left_edge, bottom_edge, tol=1e-8, seed=0):
     skel = np.full(psi.shape, np.nan, dtype=complex)
     skel[0] = left_edge
     skel[:, 0] = bottom_edge
-    lower_right, sol4 = macro1(psi[n, :n + 1], corner, ctx.antiunitary((1, 0)))
+    lower_right, sol4 = macro1(psi[n, :n + 1], corner, ctx.apply_anti((1, 0), psi[n, n]))
     skel[n, :n + 1] = lower_right
     skel[n, n + 1:] = ctx.apply_anti((1, 0), skel[n, n - 1::-1])
     skel[1:n, 2 * n] = ctx.family.act(ctx.axes[1], skel[1:n, 0])
@@ -175,8 +173,8 @@ def _left_edge_frames(ctx):
     """Symmetric frames on the edge ``k_1 = 0`` of a face context."""
     n = ctx.geometry.grid_n
     psi = ctx.psi[0]
-    origin = vertex_solution(psi[n], ctx.antiunitary((0, 0)))
-    upper, top_sol = macro1(psi[n:], psi[n] @ origin.u, ctx.antiunitary((0, 1)))
+    origin = vertex_solution(psi[n], ctx.apply_anti((0, 0), psi[n]))
+    upper, top_sol = macro1(psi[n:], psi[n] @ origin.u, ctx.apply_anti((0, 1), psi[2 * n]))
     edge = np.empty_like(psi)
     edge[n:] = upper
     edge[n::-1] = ctx.apply_anti((0, 0), upper)
@@ -190,7 +188,7 @@ def _left_edge_frames(ctx):
 
 def _bottom_edge_frames(ctx, start):
     """Symmetric frames on the edge ``k_2 = -1/2``, continuing ``start``."""
-    frames, end_sol = macro1(ctx.psi[:, 0], start, ctx.antiunitary((1, -1)))
+    frames, end_sol = macro1(ctx.psi[:, 0], start, ctx.apply_anti((1, -1), ctx.psi[-1, 0]))
     return frames, {"corner_residual": end_sol.residual,
                     "branch_snap": bool(end_sol.branch_snap)}
 

@@ -233,6 +233,8 @@ def joint_eigenbasis(unitaries, bound):
     residual ``||q^H u_j q - diag||`` (Frobenius) above ``bound`` and is
     retried with fresh draws; a residual above it on all 8 tries (a
     non-normal or non-commuting input) raises :class:`BlochFrameError`.
+    A mix with a zero imaginary part (every ``u_j`` complex symmetric) takes
+    the real ``eigh``, so that ``q`` is real orthogonal.
 
     Returns ``(q, diags)`` with ``diags[j]`` the diagonal of ``q^H u_j q``.
     """
@@ -244,7 +246,7 @@ def joint_eigenbasis(unitaries, bound):
         mix = parts[0]
         for part in parts[1:]:
             mix = mix + rng.standard_normal() * part
-        _, q = np.linalg.eigh(mix)
+        _, q = np.linalg.eigh(mix if mix.imag.any() else mix.real)
         blocks = [q.conj().T @ u @ q for u in unitaries]
         diags = [np.diag(t) for t in blocks]
         residual = max(float(np.linalg.norm(t - np.diag(w))) for t, w in zip(blocks, diags))

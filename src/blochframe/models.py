@@ -27,8 +27,8 @@ The two symmetries also halve it: :meth:`ProjectorFamily.eigensystem`
 (closed form for two bands, ``eigh`` beyond) runs on the slab ``k_1 <=
 1/2`` only, and every other point is the time-reversed image of its
 partner ``-k`` (:meth:`ProjectorFamily.reflect`, the one reflection
-gather).  Every symmetry applied to a stack of frames, on the torus and in
-the face and cell constructions, is one product of
+gather).  Every symmetry applied to a stack of frames (torus, vertex
+solves, face and cell fills, certificates) is one product of
 :meth:`ProjectorFamily.act`, skipped where its matrix is the identity.
 The sample has one form, the occupied eigenframes ``v`` of
 :meth:`ProjectorFamily.grid_frames`: ``P(k) c`` is ``v (v^H c)``, and no
@@ -132,16 +132,31 @@ class ProjectorFamily:
     def validate(self):
         """Collect every violated structural invariant (empty list if valid).
 
-        A matrix with a non-finite entry is named and ends the collection:
-        every later check would compare NaN, which no tolerance refuses.
+        A matrix that is not an ``n x n`` array of finite numbers is named
+        and ends the collection: every later check would multiply
+        mismatched shapes or compare NaN, which no tolerance refuses.
         """
         errors = []
         if self.d not in (1, 2, 3):
             errors.append(f"dimension must be 1, 2 or 3, got {self.d}")
         if not 1 <= self.m < self.n:
             errors.append(f"need 1 <= m < n, got m={self.m}, n={self.n}")
-        if self.gap_tolerance <= 0:
-            errors.append("gap_tolerance must be positive")
+        if not 0 < self.gap_tolerance < math.inf:
+            errors.append("gap_tolerance must be positive and finite")
+        malformed = []
+
+        def matrix(what, x):
+            try:
+                x = np.asarray(x, dtype=complex)
+            except (TypeError, ValueError):
+                malformed.append(f"{what}: matrix entries must be numbers")
+                return None
+            if x.shape != (self.n, self.n):
+                malformed.append(f"{what} has shape {x.shape}, expected ({self.n}, {self.n})")
+            elif not np.all(np.isfinite(x)):
+                malformed.append(f"{what} has a non-finite entry")
+            return x
+
         hop = {}
         raw_keys = {}
         for raw, mat in self.hoppings.items():
@@ -155,21 +170,13 @@ class ProjectorFamily:
             if len(r) != self.d:
                 errors.append(f"hopping vector {r} has wrong dimension")
                 continue
-            mat = np.asarray(mat, dtype=complex)
-            if mat.shape != (self.n, self.n):
-                errors.append(f"hopping H_{r} has shape {mat.shape}, expected ({self.n}, {self.n})")
-                continue
-            hop[r] = mat
-        self.hoppings = hop
-        named = [(f"hopping H_{r}", mat) for r, mat in hop.items()]
-        if self.theta is not None:
-            named.append(("theta unitary", self.theta))
-        if self.tau is not None:
-            named += [(f"tau generator {j + 1}", t) for j, t in enumerate(self.tau)]
-        nonfinite = [f"{what} has a non-finite entry" for what, mat in named
-                     if not np.all(np.isfinite(np.asarray(mat, dtype=complex)))]
-        if nonfinite:
-            return errors + nonfinite
+            hop[r] = matrix(f"hopping H_{r}", mat)
+        c = None if self.theta is None else matrix("theta unitary", self.theta)
+        gens = None if self.tau is None else [
+            matrix(f"tau generator {j + 1}", t) for j, t in enumerate(self.tau)]
+        if malformed:
+            return errors + malformed
+        self.hoppings, self.theta = hop, c
         for r, mat in hop.items():
             mr = tuple(-x for x in r)
             partner = hop.get(mr)
@@ -178,31 +185,23 @@ class ProjectorFamily:
             elif np.linalg.norm(partner - mat.conj().T) > 1e-12 * max(1.0, np.linalg.norm(mat)):
                 errors.append(f"H_{mr} != H_{r}^dagger (Hermiticity broken)")
         eye = np.eye(self.n)
-        if self.theta is not None:
-            c = np.asarray(self.theta, dtype=complex)
-            if c.shape != (self.n, self.n):
-                errors.append("theta unitary has wrong shape")
-            else:
-                if np.linalg.norm(c @ c.conj().T - eye) > 1e-10:
-                    errors.append("theta matrix is not unitary")
-                if np.linalg.norm(c @ c.conj() - eye) > 1e-10:
-                    errors.append("theta does not square to the identity (need C conj(C) = 1)")
-                self.theta = c
-        if self.tau is not None:
-            gens = [np.asarray(t, dtype=complex) for t in self.tau]
+        if c is not None:
+            if np.linalg.norm(c @ c.conj().T - eye) > 1e-10:
+                errors.append("theta matrix is not unitary")
+            if np.linalg.norm(c @ c.conj() - eye) > 1e-10:
+                errors.append("theta does not square to the identity (need C conj(C) = 1)")
+        if gens is not None:
             if len(gens) != self.d:
                 errors.append(f"need {self.d} lattice generators, got {len(gens)}")
             else:
                 for j, t in enumerate(gens):
-                    if t.shape != (self.n, self.n):
-                        errors.append(f"tau generator {j + 1} has wrong shape")
-                    elif np.linalg.norm(t @ t.conj().T - eye) > 1e-10:
+                    if np.linalg.norm(t @ t.conj().T - eye) > 1e-10:
                         errors.append(f"tau generator {j + 1} is not unitary")
                 for i in range(len(gens)):
                     for j in range(i + 1, len(gens)):
                         if np.linalg.norm(gens[i] @ gens[j] - gens[j] @ gens[i]) > 1e-10:
                             errors.append(f"tau generators {i + 1} and {j + 1} do not commute")
-                c = self.theta if self.theta is not None else eye
+                c = eye if c is None else c
                 for j, t in enumerate(gens):
                     # theta tau_j theta^{-1} = tau_j^{-1}  <=>  C conj(tau_j) = tau_j^dagger C
                     if np.linalg.norm(c @ t.conj() - t.conj().T @ c) > 1e-10:
@@ -342,15 +341,11 @@ class ProjectorFamily:
             self._tau_cache[lam] = mat
         return self._tau_cache[lam]
 
-    def antiunitary_matrix(self, lam):
-        """Matrix ``A`` of the antiunitary ``tau_lam o theta``; acts as
-        ``v -> A conj(v)``."""
-        return self.tau_power(lam) @ self.theta_matrix()
-
     def act(self, lam, frames, anti=False):
         """``tau_lam`` of a stack of frames ``(..., n, m)``, or with ``anti``
-        the antiunitary ``tau_lam theta``: ``A conj(frames)`` with ``A =``
-        :meth:`antiunitary_matrix`.
+        the antiunitary ``tau_lam theta``: ``A conj(frames)`` with ``A =
+        tau_lam C``, the only place outside :func:`verify_assumptions` that
+        forms a symmetry matrix.
 
         One BLAS product for the whole stack.  Where the matrix is the
         identity (``lam = 0`` or ``tau = 1``, and ``theta`` plain
@@ -361,7 +356,7 @@ class ProjectorFamily:
             frames = np.conj(frames)
         if (self.tau is None or not any(lam)) and (self.theta is None or not anti):
             return frames
-        mat = self.antiunitary_matrix(lam) if anti else self.tau_power(lam)
+        mat = self.tau_power(lam) @ self.theta_matrix() if anti else self.tau_power(lam)
         # a stacked ``@`` of n x n by n x m matrices is several times slower
         return np.einsum("ab,...bm->...am", mat, frames, optimize=True)
 

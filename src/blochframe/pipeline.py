@@ -193,10 +193,9 @@ def _trim_obstruction_defects(psi_field, family, geometry):
     """Symmetry defect of the obstruction unitary at every high-symmetry point."""
     trims = geometry.trims()
     frames = psi_field.data[geometry.cell_index(np.array(trims))]
-    antiunitaries = np.array(
-        [family.antiunitary_matrix(geometry.trim_lambda(t)) for t in trims]
-    )
-    u = unitary_between(frames, antiunitaries @ np.conj(frames))
+    images = np.array([family.act(geometry.trim_lambda(t), f, anti=True)
+                       for t, f in zip(trims, frames)])
+    u = unitary_between(frames, images)
     return {str(t): float(np.linalg.norm(x - x.T)) for t, x in zip(trims, u)}
 
 

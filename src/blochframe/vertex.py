@@ -6,9 +6,12 @@ any input frame ``psi`` there is an obstruction unitary ``V`` with
 
     tau_lam theta psi = psi <| conj(V),   equivalently  V_ab = <psi_a, tau_lam theta psi_b>.
 
-Structural symmetry of the family forces ``V`` to be complex symmetric,
-``V = V^T``, and any factorization ``V = U U^T`` turns ``psi <| U`` into a
-frame invariant under ``tau_lam o theta``.  The factorization used here
+Only the image ``tau_lam theta psi`` enters, so the routines here take
+images (from :meth:`~blochframe.models.ProjectorFamily.act`), never the
+symmetry matrix.  Structural symmetry of the family forces ``V`` to be
+complex symmetric, ``V = V^T``, and any factorization ``V = U U^T`` turns
+``psi <| U`` into a frame invariant under ``tau_lam o theta``.  The
+factorization used here
 diagonalizes ``V`` by a real orthogonal ``O`` (its real and imaginary parts
 are commuting real symmetric matrices), ``V = O exp(i M) O^T``, and takes
 ``U = O exp(i M / 2) O^T`` with all eigenphases in ``[0, 2 pi)`` on a
@@ -27,7 +30,8 @@ import numpy as np
 
 from .errors import BlochFrameError, ObstructionAsymmetric
 from .frames import FrameField, unitary_between
-from .linalg import cluster_labels, cluster_phases, lowdin, unitary_eigensystem, wrap_to_pi
+from .linalg import (cluster_labels, cluster_phases, joint_eigenbasis, lowdin,
+                     unitary_eigensystem, wrap_to_pi)
 
 __all__ = [
     "VertexSolution",
@@ -49,23 +53,23 @@ SNAP_TOL = 1e-12
 SQRT_TOL = 1e-10
 
 
-def obstruction_unitary(frame, antiunitary):
-    """Obstruction unitary of ``frame`` under an antiunitary ``v -> A conj(v)``.
+def obstruction_unitary(frame, image):
+    """Obstruction unitary ``V = lowdin(frame^H image)`` of ``frame``.
 
     Parameters
     ----------
     frame : (n, m) array
         Orthonormal frame at a high-symmetry point.
-    antiunitary : (n, n) array
-        Matrix ``A`` of the antiunitary operation (``tau_lam @ theta``).
+    image : (n, m) array
+        Its image ``tau_lam theta frame`` under the antiunitary operation
+        of the point.
 
     An asymmetry ``||V - V^T||`` above ``SYM_TOL`` signals a family whose
     time-reversal or periodicity structure is broken and raises
     :class:`ObstructionAsymmetric`.
     """
     frame = np.asarray(frame)
-    image = np.asarray(antiunitary) @ np.conj(frame)
-    v = lowdin(frame.conj().T @ image)
+    v = lowdin(frame.conj().T @ np.asarray(image))
     asym = float(np.linalg.norm(v - v.T))
     if asym > SYM_TOL:
         raise ObstructionAsymmetric(
@@ -83,10 +87,10 @@ def symmetric_sqrt(v):
     symmetric and ``v conj(v) = 1``), so one real orthogonal ``o``
     diagonalizes both, ``v = o diag(exp(i mu)) o^T``, and ``u = o
     diag(exp(i mu / 2)) o^T`` is symmetric with ``u u^T = v`` to roundoff,
-    however close two eigenphases are.  ``o`` comes from ``eigh(Re v + c Im
-    v)`` with a random ``c`` (fixed seed), which splits the joint
-    eigenspaces generically; a factorization residual above ``SQRT_TOL`` is
-    retried with a fresh ``c``.
+    however close two eigenphases are.  ``o`` is the
+    :func:`~blochframe.linalg.joint_eigenbasis` of the exactly symmetrized
+    ``v``, whose Hermitian parts are ``Re v`` and ``Im v``: a real
+    ``eigh``, so ``o`` is real.
 
     Eigenphases are synchronized to a common branch ``[0, 2 pi)``; clusters of
     numerically repeated eigenvalues share one representative phase so that a
@@ -96,8 +100,8 @@ def symmetric_sqrt(v):
 
     Returns ``(u, info)`` with ``info`` containing the factorization residual
     and the snap flag.  An asymmetric ``v`` raises
-    :class:`ObstructionAsymmetric`, and a residual above ``SQRT_TOL`` on
-    every try raises :class:`BlochFrameError`.
+    :class:`ObstructionAsymmetric`, and a residual above ``SQRT_TOL``
+    raises :class:`BlochFrameError`.
     """
     v = np.asarray(v, dtype=complex)
     sym_defect = float(np.linalg.norm(v - v.T))
@@ -105,6 +109,7 @@ def symmetric_sqrt(v):
         raise ObstructionAsymmetric(
             f"input is not symmetric (defect {sym_defect:.3e})", defect=sym_defect
         )
+    snapped = False
 
     def to_positive_branch(angle):
         nonlocal snapped
@@ -114,21 +119,17 @@ def symmetric_sqrt(v):
             snapped = True
         return mu
 
-    rng = np.random.default_rng(1234)
-    for _ in range(8):
-        _, o = np.linalg.eigh(v.real + rng.standard_normal() * v.imag)
-        w = np.diag(o.T @ v @ o)
-        w = w / np.abs(w)
-        snapped = False
-        phases = cluster_phases(w, cluster_labels(w, CLUSTER_TOL), to_positive_branch)
-        u = lowdin(o @ (np.exp(0.5j * phases)[:, None] * o.T))
-        residual = float(np.linalg.norm(u @ u.T - v))
-        if residual <= SQRT_TOL:
-            return u, {"residual": residual, "branch_snap": snapped}
-    raise BlochFrameError(
-        f"symmetric square root residual {residual:.3e} exceeds {SQRT_TOL:.1e}",
-        residual=residual,
-    )
+    o, (w,) = joint_eigenbasis([0.5 * (v + v.T)], SQRT_TOL)
+    w = w / np.abs(w)
+    phases = cluster_phases(w, cluster_labels(w, CLUSTER_TOL), to_positive_branch)
+    u = lowdin(o @ (np.exp(0.5j * phases)[:, None] * o.T))
+    residual = float(np.linalg.norm(u @ u.T - v))
+    if residual > SQRT_TOL:
+        raise BlochFrameError(
+            f"symmetric square root residual {residual:.3e} exceeds {SQRT_TOL:.1e}",
+            residual=residual,
+        )
+    return u, {"residual": residual, "branch_snap": snapped}
 
 
 @dataclass
@@ -140,17 +141,16 @@ class VertexSolution:
     branch_snap: bool
 
 
-def vertex_solution(frame, antiunitary):
-    """Solve the invariance condition at a high-symmetry point.
+def vertex_solution(frame, image):
+    """Solve the invariance condition at a high-symmetry point from the
+    image ``tau_lam theta frame`` of the frame.
 
     The corrected frame ``frame <| u`` satisfies ``phi = tau_lam theta phi``
-    up to the reported residual.
+    up to the reported residual ``||frame u - image conj(u)||``.
     """
-    v = obstruction_unitary(frame, antiunitary)
+    v = obstruction_unitary(frame, image)
     u, info = symmetric_sqrt(v)
-    phi = frame @ u
-    image = np.asarray(antiunitary) @ np.conj(phi)
-    res = float(np.linalg.norm(phi - image))
+    res = float(np.linalg.norm(frame @ u - np.asarray(image) @ np.conj(u)))
     return VertexSolution(u=u, residual=res, branch_snap=info["branch_snap"])
 
 
@@ -179,7 +179,7 @@ def interpolate_unitaries(u1, u2, t):
     return u1 @ (q @ (np.exp(2j * t * phases)[..., :, None] * q.conj().T))
 
 
-def macro1(frames, start_frame, end_antiunitary):
+def macro1(frames, start_frame, end_image):
     """Transport a symmetric frame along a straight high-symmetry segment.
 
     Parameters
@@ -187,19 +187,19 @@ def macro1(frames, start_frame, end_antiunitary):
     frames : (steps + 1, n, m) array
         Input frames along the segment, in order; the first point carries
         ``start_frame`` (already invariant under its own vertex operation)
-        and the last point is a high-symmetry point with antiunitary matrix
-        ``end_antiunitary``.
+        and the last point is a high-symmetry point.
     start_frame : (n, m) array
         Value prescribed at the first point; reproduced exactly.
-    end_antiunitary : (n, n) array
-        Matrix of ``tau_lam o theta`` at the end point.
+    end_image : (n, m) array
+        Image ``tau_lam theta frames[-1]`` of the last input frame under
+        the end point's antiunitary operation.
 
     Returns ``(corrected, end_solution)``: the corrected frames along the
     segment, shaped like ``frames``, and the vertex solution at the end.
     """
     steps = len(frames) - 1
     u_start = unitary_between(frames[0], start_frame)
-    sol = vertex_solution(frames[-1], end_antiunitary)
+    sol = vertex_solution(frames[-1], end_image)
     ts = 0.5 * np.arange(steps + 1) / steps
     return frames @ interpolate_unitaries(u_start, sol.u, ts), sol
 
@@ -215,8 +215,8 @@ def construct_1d(psi_field, family):
 
     geo = psi_field.geometry
     psi = psi_field.data
-    origin_sol = vertex_solution(psi[0], family.antiunitary_matrix((0,)))
-    frames, end_sol = macro1(psi, psi[0] @ origin_sol.u, family.antiunitary_matrix((1,)))
+    origin_sol = vertex_solution(psi[0], family.act((0,), psi[0], anti=True))
+    frames, end_sol = macro1(psi, psi[0] @ origin_sol.u, family.act((1,), psi[-1], anti=True))
     fld = FrameField(geo, "effective-cell", frames)
     diagnostics = {
         "vertex_residuals": {

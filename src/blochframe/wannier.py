@@ -187,8 +187,7 @@ def reality_check(wset, family):
             "untwisted": untwisted,
             "defect": float(np.max(np.abs(data.imag))),
         }
-    c = family.theta_matrix()
-    image = np.einsum("ab,...bm->...am", c, np.conj(data))
+    image = family.act((0,) * family.d, data, anti=True)
     return {
         "mode": "theta",
         "untwisted": untwisted,

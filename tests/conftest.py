@@ -230,6 +230,26 @@ def rotated(base, seed=2):
     )
 
 
+def antiunitary_oracle(family, lam):
+    """Matrix ``A = tau_lam C`` of the antiunitary ``tau_lam theta`` (acting
+    as ``v -> A conj(v)``), built from the family's matrices: an oracle
+    for :meth:`ProjectorFamily.act`, which applies it without forming it
+    where it is the identity."""
+    return family.tau_power(lam) @ family.theta_matrix()
+
+
+def act_with_the_wrong_shift(monkeypatch):
+    """Replace :meth:`ProjectorFamily.act` by a mutant that applies the
+    antiunitary ``tau^(+lam) theta`` where ``tau^(-lam) theta`` is asked
+    for, and ``tau_lam`` unchanged."""
+    real = ProjectorFamily.act
+
+    def flipped(self, lam, frames, anti=False):
+        return real(self, tuple(-x for x in lam) if anti else lam, frames, anti)
+
+    monkeypatch.setattr(ProjectorFamily, "act", flipped)
+
+
 def act_ignoring_theta(monkeypatch):
     """Replace :meth:`ProjectorFamily.act` by a mutant that multiplies by
     nothing whenever ``tau = 1``, as if ``theta`` were plain conjugation."""

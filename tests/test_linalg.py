@@ -26,7 +26,7 @@ from blochframe.linalg import (
     wrap_to_pi,
 )
 
-from conftest import gram_stack, random_unitary
+from conftest import gram_stack, random_symmetric_unitary, random_unitary
 
 
 def gram_power_orthonormalize(mat):
@@ -366,6 +366,20 @@ def test_lowdin_idempotent_and_right_equivariant(seed, rows, cols):
     assert np.linalg.norm(lowdin(q) - q) < 1e-12
     u = random_unitary(gen, cols)
     assert np.linalg.norm(lowdin(mat @ u) - q @ u) < 1e-10
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_joint_eigenbasis_of_a_complex_symmetric_unitary_is_real_orthogonal(rng, m):
+    """The Hermitian parts ``Re v`` and ``Im v`` of a symmetric unitary are
+    real, so the basis is a real orthogonal ``o`` with ``v = o diag o^T``,
+    the factorization ``symmetric_sqrt`` needs."""
+    for _ in range(20):
+        v = random_symmetric_unitary(rng, m)
+        v = 0.5 * (v + v.T)
+        o, (w,) = joint_eigenbasis([v], 1e-10)
+        assert np.isrealobj(o)
+        assert np.linalg.norm(o.T @ o - np.eye(m)) < 1e-13
+        assert np.linalg.norm(o @ np.diag(w) @ o.T - v) < 1e-12
 
 
 def test_joint_eigenbasis_diagonalizes_commuting_unitaries(rng):

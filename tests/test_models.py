@@ -24,6 +24,7 @@ from blochframe.models import (
 
 from conftest import (
     act_ignoring_theta,
+    act_with_the_wrong_shift,
     lapack_projector,
     model_json,
     reversal_break_between_grid_points,
@@ -160,7 +161,7 @@ def test_builtin_model_unknown_name_and_param():
         builtin_model("haldane", flux=1.0)
 
 
-def test_tau_power_composition():
+def test_tau_power_composition(rng):
     fam = shifted_haldane()
     t1m, t2m = fam.tau
     for a in range(-2, 3):
@@ -168,8 +169,9 @@ def test_tau_power_composition():
             want = np.linalg.matrix_power(t1m, a) @ np.linalg.matrix_power(t2m, b)
             assert np.linalg.norm(fam.tau_power((a, b)) - want) < 1e-13
     assert np.array_equal(fam.tau_power((0, 0)), np.eye(2))
-    amat = fam.antiunitary_matrix((1, -1))
-    assert np.linalg.norm(amat - fam.tau_power((1, -1)) @ fam.theta_matrix()) == 0.0
+    x = rng.standard_normal((3, 2, 1)) + 1j * rng.standard_normal((3, 2, 1))
+    want = fam.tau_power((1, -1)) @ fam.theta_matrix() @ np.conj(x)
+    assert np.linalg.norm(fam.act((1, -1), x, anti=True) - want) == 0.0
 
 
 def test_fractional_hoppings_give_twisted_periodicity(rng):
@@ -279,6 +281,31 @@ def test_a_directly_built_family_with_a_non_finite_matrix_is_refused(what):
     with pytest.raises(ModelConfigError) as exc:
         ProjectorFamily(d=1, n=2, m=1, hoppings=hop, **kwargs)
     assert f"{what} has a non-finite entry" in str(exc.value)
+
+
+@pytest.mark.parametrize("kwargs, named", [
+    ({"tau": [np.eye(3)]}, "tau generator 1 has shape (3, 3), expected (2, 2)"),
+    ({"theta": np.eye(3), "tau": [np.diag([1, -1])]},
+     "theta unitary has shape (3, 3), expected (2, 2)"),
+    ({"tau": [[[1, 0], [0]]]}, "tau generator 1: matrix entries must be numbers"),
+], ids=["tau-3x3", "theta-3x3", "ragged-tau"])
+def test_a_malformed_symmetry_matrix_is_refused_by_name(kwargs, named):
+    """Negative control: a directly built SSH chain with a wrong-shaped or
+    ragged symmetry matrix is a ``model-config`` error naming it, not a raw
+    numpy ``ValueError`` from a product of mismatched shapes."""
+    ssh = builtin_model("ssh")
+    with pytest.raises(ModelConfigError) as exc:
+        ProjectorFamily(d=1, n=2, m=1, hoppings=dict(ssh.hoppings), **kwargs)
+    assert named in str(exc.value)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0], ids=["NaN", "inf", "zero"])
+def test_a_gap_tolerance_that_is_not_positive_and_finite_is_refused(tol):
+    """Negative control: ``NaN <= 0`` is False, and a NaN tolerance would
+    refuse every gap of a healthy chain later, at its first frame."""
+    ssh = builtin_model("ssh")
+    with pytest.raises(ModelConfigError, match="gap_tolerance must be positive and finite"):
+        ProjectorFamily(d=1, n=2, m=1, hoppings=dict(ssh.hoppings), gap_tolerance=tol)
 
 
 def test_a_nan_gap_is_refused_at_its_point():
@@ -563,9 +590,7 @@ def test_a_sample_mirrored_with_the_wrong_shift_fails(make, grid_n, monkeypatch)
     """Negative control: mirroring with ``tau^(+lam)`` lands on ``P(k + 2
     lam)``, which is not ``P(k)`` when ``tau_j**2 != 1``."""
     family = make()
-    real = ProjectorFamily.antiunitary_matrix
-    monkeypatch.setattr(ProjectorFamily, "antiunitary_matrix",
-                        lambda self, lam: real(self, tuple(-x for x in lam)))
+    act_with_the_wrong_shift(monkeypatch)
     assert _sample_defect(family, grid_n) > 1e-2
 
 
@@ -615,9 +640,7 @@ def test_a_mirror_with_the_wrong_shift_misses(make, grid_n, rng, monkeypatch):
     frames = _random_torus_frames(family, grid_n, rng)
     rows = range(grid_n + 1, 2 * grid_n)
     want = family.reflect(frames, rows)
-    real = ProjectorFamily.antiunitary_matrix
-    monkeypatch.setattr(ProjectorFamily, "antiunitary_matrix",
-                        lambda self, lam: real(self, tuple(-x for x in lam)))
+    act_with_the_wrong_shift(monkeypatch)
     assert np.max(np.abs(family.reflect(frames, rows) - want)) > 1e-2
 
 

@@ -380,6 +380,26 @@ def test_a_haldane_construct_multiplies_by_no_symmetry_matrix(tmp_path, monkeypa
     assert len(products) > 0
 
 
+@pytest.mark.parametrize("model, params", [
+    ("haldane", {}),
+    ("random-trs", {"d": 3, "n": 4, "m": 2, "seed": 0}),
+], ids=["haldane", "trs-3d"])
+def test_a_builtin_construct_fetches_each_symmetry_matrix_once(model, params, monkeypatch):
+    """Every symmetry of a built-in family is the identity, which ``act``
+    applies without a matrix, so a construct fetches only the matrices of
+    ``verify_assumptions``' coefficient checks: ``tau_power`` once per axis
+    and ``theta_matrix`` once."""
+    fetched = {"tau_power": 0, "theta_matrix": 0}
+    for name in fetched:
+        def spy(self, *args, real=getattr(ProjectorFamily, name), name=name):
+            fetched[name] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(ProjectorFamily, name, spy)
+    family = run_construct(RunConfig(model=model, params=params, grid_n=8))["family"]
+    assert fetched == {"tau_power": family.d, "theta_matrix": 1}
+
+
 @pytest.mark.parametrize("grid_n, cutoff, resolved", [(8, 9, False), (32, 12, True)])
 def test_the_cutoff_is_reported_against_the_grid(tmp_path, grid_n, cutoff, resolved):
     """Haldane's accepted cutoff leaves the Nyquist shell of ``n_side = 16``

@@ -32,6 +32,7 @@ from blochframe.smoothing import (
 
 from conftest import (
     act_ignoring_theta,
+    antiunitary_oracle,
     geodesic_distance,
     gram_stack,
     lapack_projector,
@@ -792,7 +793,7 @@ def _masked_partners(field, family):
     out = np.empty_like(conj_partner)
     for shift in np.unique(lam.reshape(-1, lam.shape[-1]), axis=0):
         at = np.all(lam == shift, axis=-1)
-        out[at] = family.antiunitary_matrix(tuple(-shift)) @ conj_partner[at]
+        out[at] = antiunitary_oracle(family, tuple(-shift)) @ conj_partner[at]
     return out
 
 

@@ -22,7 +22,16 @@ from blochframe.vertex import (
     vertex_solution,
 )
 
-from conftest import lapack_projector, random_symmetric_unitary, random_unitary
+from blochframe.models import builtin_model
+
+from conftest import (
+    antiunitary_oracle,
+    lapack_projector,
+    random_symmetric_unitary,
+    random_unitary,
+    rotated,
+    shifted_haldane,
+)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
@@ -82,7 +91,7 @@ def test_symmetric_sqrt_of_phases_straddling_the_branch_point(seed):
 
 def test_obstruction_unitary_closed_form(rng):
     q = random_unitary(rng, 4)
-    v = obstruction_unitary(q, np.eye(4))
+    v = obstruction_unitary(q, np.conj(q))
     want = q.conj().T @ np.conj(q)
     assert np.linalg.norm(v - want) < 1e-12
     assert np.linalg.norm(v - v.T) == 0.0
@@ -90,12 +99,13 @@ def test_obstruction_unitary_closed_form(rng):
 
 def test_obstruction_unitary_real_frame_is_identity(rng):
     r = scipy.linalg.qr(rng.standard_normal((4, 2)))[0][:, :2]
-    v = obstruction_unitary(r, np.eye(4))
+    v = obstruction_unitary(r, np.conj(r))
     assert np.linalg.norm(v - np.eye(2)) < 1e-12
 
 
 def test_obstruction_unitary_rejects_antisymmetric():
-    a = np.array([[0.0, 1.0], [-1.0, 0.0]])  # squares to -1: no valid vertex
+    # the image of the frame 1 under A = a, which squares to -1: no valid vertex
+    a = np.array([[0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(ObstructionAsymmetric):
         obstruction_unitary(np.eye(2), a)
 
@@ -104,7 +114,7 @@ def test_vertex_solution_fixes_the_frame(rng):
     # an invariant span: real basis rotated by an arbitrary unitary
     r = scipy.linalg.qr(rng.standard_normal((4, 2)))[0][:, :2]
     frame = r @ random_unitary(rng, 2)
-    sol = vertex_solution(frame, np.eye(4))
+    sol = vertex_solution(frame, np.conj(frame))
     phi = frame @ sol.u
     assert np.linalg.norm(phi - np.conj(phi)) < 1e-10
     assert sol.residual < 1e-10
@@ -192,15 +202,40 @@ def test_macro1_reproduces_start_and_fixes_end(rng):
     )
     points = [(i,) for i in range(9)]
     frames_in = np.stack([r @ scipy.linalg.expm(1j * g[0] / 8 * h) for g in points])
-    start_sol = vertex_solution(frames_in[0], np.eye(4))
+    start_sol = vertex_solution(frames_in[0], np.conj(frames_in[0]))
     start = frames_in[0] @ start_sol.u
-    frames, end_sol = macro1(frames_in, start, np.eye(4))
+    frames, end_sol = macro1(frames_in, start, np.conj(frames_in[-1]))
     assert np.linalg.norm(frames[0] - start) < 1e-12
     phi_end = frames[-1]
     assert np.linalg.norm(phi_end - np.conj(phi_end)) < 1e-10
     assert end_sol.residual < 1e-10
     steps = [np.linalg.norm(a - b) for a, b in zip(frames, frames[1:])]
     assert max(steps) < 0.6
+
+
+@pytest.mark.parametrize("make, grid_n", [
+    (lambda: rotated(builtin_model("haldane")), 4),
+    (shifted_haldane, 4),
+    (lambda: rotated(builtin_model("random-trs", d=3, n=4, m=2, seed=0)), 2),
+], ids=["rotated-haldane", "shifted-haldane", "rotated-trs-3d"])
+def test_vertex_solution_on_images_matches_the_matrix_oracle(make, grid_n):
+    """At every high-symmetry point, the solve on the image ``act(lam,
+    psi, anti=True)`` is the solve with the matrix ``A = tau_lam C``:
+    ``V = lowdin(psi^H A conj(psi))`` and the residual ``||phi - A
+    conj(phi)||`` of ``phi = psi u``."""
+    family = make()
+    geo = CellGeometry(family.d, grid_n)
+    psi = input_frame(family, geo).data
+    for t in geo.trims():
+        lam = geo.trim_lambda(t)
+        frame = psi[geo.cell_index(np.array(t))]
+        a = antiunitary_oracle(family, lam)
+        v = lowdin(frame.conj().T @ a @ np.conj(frame))
+        u, _ = symmetric_sqrt(0.5 * (v + v.T))
+        residual = np.linalg.norm(frame @ u - a @ np.conj(frame @ u))
+        sol = vertex_solution(frame, family.act(lam, frame, anti=True))
+        assert np.max(np.abs(sol.u - u)) <= 1e-14, t
+        assert abs(sol.residual - residual) <= 1e-14, t
 
 
 def test_construct_1d_symmetric_frame(ssh):
