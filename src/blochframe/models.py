@@ -29,12 +29,14 @@ The two symmetries also halve it: :meth:`ProjectorFamily.eigensystem`
 partner ``-k`` (:meth:`ProjectorFamily.reflect`, the one reflection
 gather).  Every symmetry applied to a stack of frames (torus, vertex
 solves, face and cell fills, certificates) is one product of
-:meth:`ProjectorFamily.act`, skipped where its matrix is the identity.
+:meth:`ProjectorFamily.act`, skipped where its matrix is the identity, and
+the gauge that makes a frame exactly periodic is :meth:`ProjectorFamily.twist`.
 The sample has one form, the occupied eigenframes ``v`` of
 :meth:`ProjectorFamily.grid_frames`: ``P(k) c`` is ``v (v^H c)``, and no
 ``n x n`` projector is formed on the torus.
 """
 
+import hashlib
 import json
 import math
 import numbers
@@ -45,7 +47,7 @@ import numpy as np
 
 from .cells import CellGeometry
 from .errors import AssumptionsFailed, GapClosed, ModelConfigError
-from .linalg import hermitian_eigensystem
+from .linalg import hermitian_eigensystem, joint_eigenbasis
 
 __all__ = [
     "ProjectorFamily",
@@ -71,6 +73,19 @@ def _as_matrix(x, n, what):
     if a.shape != (n, n):
         raise ModelConfigError(f"{what} must be {n}x{n}, got shape {a.shape}")
     return a
+
+
+def _is_real(x):
+    """Whether ``x`` is a real number; a ``bool`` is not."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_finite_real(x):
+    """Whether ``x`` is a real number that is finite as a float."""
+    try:
+        return _is_real(x) and math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _canon_coord(x):
@@ -119,6 +134,7 @@ class ProjectorFamily:
 
     def __post_init__(self):
         self._tau_cache = {}
+        self._twist_basis = None
         self._torus_sample = None
         errors = self.validate()
         if errors:
@@ -132,16 +148,35 @@ class ProjectorFamily:
     def validate(self):
         """Collect every violated structural invariant (empty list if valid).
 
-        A matrix that is not an ``n x n`` array of finite numbers is named
-        and ends the collection: every later check would multiply
-        mismatched shapes or compare NaN, which no tolerance refuses.
+        A field of the wrong type ends the collection, as does a matrix that
+        is not an ``n x n`` array of finite numbers: every later check would
+        compare it, multiply mismatched shapes or compare NaN.  ``d``, ``n``
+        and ``m`` are whole numbers, stored as ``int``.
         """
         errors = []
+        for key in ("d", "n", "m"):
+            value = getattr(self, key)
+            if _is_finite_real(value) and value == int(value):
+                setattr(self, key, int(value))
+            else:
+                errors.append(f"{key}={value!r} is not a finite whole number")
+        if not _is_real(self.gap_tolerance):
+            errors.append(f"gap_tolerance={self.gap_tolerance!r} is not a real number")
+        if not isinstance(self.hoppings, dict):
+            errors.append(f"hoppings={self.hoppings!r} is not a dict")
+        else:
+            errors += [
+                f"hopping vector R={raw!r} has a coordinate that is not a finite real number"
+                for raw in self.hoppings
+                if not all(_is_finite_real(x) for x in np.atleast_1d(raw))
+            ]
+        if errors:
+            return errors
         if self.d not in (1, 2, 3):
             errors.append(f"dimension must be 1, 2 or 3, got {self.d}")
         if not 1 <= self.m < self.n:
             errors.append(f"need 1 <= m < n, got m={self.m}, n={self.n}")
-        if not 0 < self.gap_tolerance < math.inf:
+        if not (_is_finite_real(self.gap_tolerance) and self.gap_tolerance > 0):
             errors.append("gap_tolerance must be positive and finite")
         malformed = []
 
@@ -386,9 +421,44 @@ class ProjectorFamily:
             image[block] = self.act(tuple(-x for x in lam), image[block], anti=True)
         return image
 
+    def twist(self, k, frames, inverse=False):
+        """``D(k) frames``, or ``D(k)^-1 frames`` with ``inverse``, for ``k``
+        of shape ``(..., d)``: the untwisting gauge ``D(k) = v diag(exp(2 pi
+        i k . ell)) v^H``, with ``tau_j = v diag(exp(2 pi i ell_j)) v^H`` on
+        the :func:`~blochframe.linalg.joint_eigenbasis` ``v`` (kept on the
+        family) and ``ell_j`` in ``[0, 1)``.  So ``D(k + e_j) = tau_j
+        D(k)``, and a frame with ``Phi(k + e_j) = tau_j Phi(k)`` is exactly
+        periodic after ``D(k)^-1``.  Where ``tau = 1`` the result is
+        ``frames`` itself."""
+        if self.tau is None:
+            return frames
+        if self._twist_basis is None:
+            v, diags = joint_eigenbasis(self.tau, 1e-10)
+            self._twist_basis = v, np.mod(np.angle(np.asarray(diags)) / (2.0 * np.pi), 1.0)
+        v, ells = self._twist_basis
+        k = np.asarray(k, dtype=float)
+        # summed axis by axis: ``k @ ells`` rounds differently
+        phases = np.exp(TWO_PI_I * sum(k[..., j, None] * ells[j] for j in range(self.d)))
+        if inverse:
+            phases = np.conj(phases)
+        return np.einsum("ab,...b,bc,...cm->...am", v, phases, v.conj().T, frames)
+
     # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------
+    def content_sha256(self):
+        """sha256 of the family's content: its shape, its hoppings in order
+        of ``R``, then ``theta``, ``tau`` and ``gap_tolerance``.  It tells
+        an edited JSON file from the one an artifact was built from."""
+        digest = hashlib.sha256(repr((self.d, self.n, self.m)).encode())
+        for r in sorted(self.hoppings):
+            digest.update(repr(r).encode())
+            digest.update(np.asarray(self.hoppings[r], dtype=complex).tobytes())
+        for mat in [self.theta, *(self.tau or [None])]:
+            digest.update(b"-" if mat is None else np.asarray(mat, dtype=complex).tobytes())
+        digest.update(repr(float(self.gap_tolerance)).encode())
+        return digest.hexdigest()
+
     def describe(self):
         """JSON-safe summary used in manifests."""
         return {
@@ -633,8 +703,7 @@ _NONNEGATIVE_PARAMS = {"range", "seed", "dimension", "orbitals", "rank"}
 
 def _checked_param(model, key, value):
     """A model parameter as a finite real number, integers as ``int``."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
+    if not _is_finite_real(value):
         problem = "is not a finite number"
     elif key in _INT_PARAMS and value != int(value):
         problem = "is not an integer"
@@ -743,10 +812,7 @@ def load_model(source, params=None):
     hoppings = {}
     for item in items:
         raw = item.get("R") if isinstance(item, dict) else None
-        if not isinstance(raw, list) or not all(
-            isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-            for x in raw
-        ):
+        if not isinstance(raw, list) or not all(_is_finite_real(x) for x in raw):
             raise ModelConfigError(
                 f"hopping {item!r} needs a lattice vector 'R' of numbers"
             )
@@ -767,8 +833,10 @@ def load_model(source, params=None):
     if tau_cfg == "identity":
         tau = None
     elif isinstance(tau_cfg, dict) and "generators" in tau_cfg:
-        tau = [_matrix_from_json(g, n, f"tau generator {j + 1}")
-               for j, g in enumerate(tau_cfg["generators"])]
+        gens = tau_cfg["generators"]
+        if not isinstance(gens, list):
+            raise ModelConfigError(f"tau generators={gens!r} is not a list of matrices")
+        tau = [_matrix_from_json(g, n, f"tau generator {j + 1}") for j, g in enumerate(gens)]
     else:
         raise ModelConfigError("tau must be 'identity' or {'generators': [...]}")
     return ProjectorFamily(

@@ -7,7 +7,6 @@ memory.  All randomness flows from the single configured seed, so repeated
 runs produce byte-identical artifacts.
 """
 
-import hashlib
 import json
 import math
 import os
@@ -94,25 +93,11 @@ def load_family(config):
     return family
 
 
-def _model_sha256(family):
-    """sha256 of a model's content: its shape, its hoppings in order of
-    ``R``, then ``theta``, ``tau`` and ``gap_tolerance``.  It tells an
-    edited JSON file from the one an artifact was built from."""
-    digest = hashlib.sha256(repr((family.d, family.n, family.m)).encode())
-    for r in sorted(family.hoppings):
-        digest.update(repr(r).encode())
-        digest.update(np.asarray(family.hoppings[r], dtype=complex).tobytes())
-    for mat in [family.theta, *(family.tau or [None])]:
-        digest.update(b"-" if mat is None else np.asarray(mat, dtype=complex).tobytes())
-    digest.update(repr(float(family.gap_tolerance)).encode())
-    return digest.hexdigest()
-
-
 def _config_record(config, family):
     """The configuration as the manifest stores it."""
     return {
         "model": config.model,
-        "model_sha256": _model_sha256(family),
+        "model_sha256": family.content_sha256(),
         "params": config.params,
         "grid_n": config.grid_n,
         "tol": config.tol,

@@ -12,10 +12,10 @@ without losing the symmetries:
   eigenvalue ``-1``; no principal logarithm is taken, and stacks of frames
   are midpointed in one call;
 * a band-limiting smoother: the frame entries are made genuinely periodic
-  by untwisting the translation cocycle, damped with a flat-top Fourier
-  multiplier (weight one up to half the cutoff, linear taper to zero at the
-  cutoff), twisted back, re-projected onto the fibers and
-  re-orthonormalized; the cutoff is raised, up to ``n_side - 1``, until the
+  by :meth:`~blochframe.models.ProjectorFamily.twist`, damped with a
+  flat-top Fourier multiplier (weight one up to half the cutoff, linear
+  taper to zero at the cutoff), twisted back, re-projected onto the fibers
+  and re-orthonormalized; the cutoff is raised, up to ``n_side - 1``, until the
   result is within the requested distance of the input.  The projection
   onto the fibers is ``v (v^H c)`` on the family's sampled eigenframes
   ``v``; no ``n x n`` projector is formed.  A rung is first
@@ -45,15 +45,13 @@ import numpy as np
 
 from .errors import EpsilonInfeasible, ProjectionRankLoss, TooFarApart, UsageError
 from .frames import FrameField, _overlap, _times, check_same_span
-from .linalg import RANK_FLOOR, gram_polar, joint_eigenbasis, lowdin
+from .linalg import RANK_FLOOR, gram_polar, lowdin
 
 __all__ = [
     "MIDPOINT_LIMIT",
     "frame_midpoint",
     "reflection_defect",
     "symmetrize",
-    "twist_gauge",
-    "apply_twist",
     "periodic_smooth",
     "smooth_symmetric",
 ]
@@ -178,60 +176,6 @@ def _midpoint_pairs(torus, family, owner, rows):
 # Fejer smoothing
 
 
-def _joint_log_eigenbasis(generators):
-    """Joint eigenbasis of commuting unitaries and their phase exponents.
-
-    Returns ``(v, ell)`` with ``generators[j] = v diag(exp(2 pi i ell[j])) v*``
-    and ``ell[j]`` real in ``[0, 1)``; ``v`` is their
-    :func:`~blochframe.linalg.joint_eigenbasis`.
-    """
-    v, diags = joint_eigenbasis(generators, 1e-10)
-    return v, np.mod(np.angle(np.asarray(diags)) / (2.0 * np.pi), 1.0)
-
-
-def twist_gauge(geometry, family):
-    """Diagonalized translation twist of a family, or ``None`` if trivial.
-
-    Returns ``(v, phases)`` defining the pointwise gauge ``D(k) = v
-    diag(phases(k)) v*`` that carries the unit translation action;
-    multiplying a field by ``D(k)^{-1}`` yields exactly periodic samples
-    (the adapted gauge), multiplying back restores the stored one.
-    """
-    if family.tau is None:
-        return None
-    v, ells = _joint_log_eigenbasis([np.asarray(t) for t in family.tau])
-    return v, _twist_phases(geometry, v, ells)
-
-
-def apply_twist(twist, data, inverse=False):
-    """Multiply a torus field by the gauge ``D(k)`` of :func:`twist_gauge`,
-    or by ``D(k)^{-1}`` with ``inverse`` (which yields periodic samples);
-    a trivial twist (``None``) leaves the data as it is."""
-    if twist is None:
-        return data
-    v, phases = twist
-    if inverse:
-        phases = np.conj(phases)
-    return np.einsum("ab,...b,bc,...cm->...am", v, phases, v.conj().T, data)
-
-
-def _twist_phases(geometry, v, ells):
-    """Per-point diagonal phases of the untwisting gauge, shape grid + (dim,).
-
-    The gauge is ``D(k) = v diag(exp(2 pi i k . ell)) v*``; multiplying the
-    field by ``D(k)^{-1}`` makes it exactly periodic on the grid.
-    """
-    big = geometry.n_side
-    d = geometry.d
-    axes = np.arange(big) / big
-    expo = np.zeros(geometry.torus_shape + (v.shape[0],))
-    for j in range(d):
-        shape = [1] * (d + 1)
-        shape[j] = big
-        expo = expo + axes.reshape(shape) * ells[j].reshape((1,) * d + (-1,))
-    return np.exp(2j * np.pi * expo)
-
-
 def _gram_screen(candidate, data, rank_floor, target):
     """Reject a ladder rung from its ``m x m`` Gram matrices when that is safe.
 
@@ -265,15 +209,16 @@ def _gram_screen(candidate, data, rank_floor, target):
 def periodic_smooth(field, family, epsilon):
     """Band-limit a symmetric torus field to within ``0.9 * epsilon``.
 
-    The field entries are untwisted to exactly periodic functions, their
+    The field entries are untwisted to exactly periodic functions by
+    ``D(k)^-1`` (:meth:`~blochframe.models.ProjectorFamily.twist`), their
     discrete Fourier coefficients are damped by the flat-top multiplier
     ``prod_j min(1, max(0, 2 - 2 |q_j| / K))`` (untouched harmonics up to
     ``K/2``, linear taper to zero at ``K``), and the inverse transform is
-    cut to the slab ``g_1 <= grid_n``.  There it is twisted back, projected
-    onto ``Ran P(k)`` as ``v (v^H c)`` on the eigenframes ``v`` of the
-    family's torus sample, and symmetrically re-orthonormalized, and its sup
-    distance to the input is measured.  The accepted rung's slab is mirrored
-    to ``g_1 > grid_n`` by
+    cut to the slab ``g_1 <= grid_n``.  There it is twisted back by
+    ``D(k)``, projected onto ``Ran P(k)`` as ``v (v^H c)`` on the
+    eigenframes ``v`` of the family's torus sample, and symmetrically
+    re-orthonormalized, and its sup distance to the input is measured.  The
+    accepted rung's slab is mirrored to ``g_1 > grid_n`` by
     :meth:`~blochframe.models.ProjectorFamily.reflect`: the real, even
     multiplier commutes with the reflection, so the other half of the
     full-torus result is that mirror up to roundoff.
@@ -335,8 +280,8 @@ def periodic_smooth(field, family, epsilon):
             f"(orthonormality {ortho:.2e}, reflection {refl:.2e})"
         )
 
-    twist = twist_gauge(geometry, family)
-    data = apply_twist(twist, np.asarray(field.data), inverse=True)
+    torus_k = geometry.torus_k()
+    data = family.twist(torus_k, np.asarray(field.data), inverse=True)
 
     axes = tuple(range(d))
     coeffs = np.fft.fftn(data, axes=axes)
@@ -349,8 +294,6 @@ def periodic_smooth(field, family, epsilon):
     points = geometry.torus_points()
     slab_frames = family.grid_frames(n, points[slab])
     sub_frames = family.grid_frames(n, points[sub])
-    slab_twist = None if twist is None else (twist[0], twist[1][slab])
-    sub_twist = None if twist is None else (twist[0], twist[1][sub])
     fold = (2, big // 2) * d + coeffs.shape[d:]
 
     def candidate_at(k, subgrid=False):
@@ -363,11 +306,11 @@ def periodic_smooth(field, family, epsilon):
             mult = mult * np.clip(2.0 - 2.0 * freqs / k, 0.0, 1.0).reshape(shape)
         damped = coeffs * mult.reshape(geometry.torus_shape + (1, 1))
         if not subgrid:
-            smoothed = apply_twist(slab_twist, np.fft.ifftn(damped, axes=axes)[slab])
+            smoothed = family.twist(torus_k[slab], np.fft.ifftn(damped, axes=axes)[slab])
             return _times(slab_frames, _overlap(slab_frames, smoothed))
         folded = damped.reshape(fold).sum(axis=tuple(range(0, 2 * d, 2)))
         smoothed = np.fft.ifftn(folded, axes=axes)[: n // 2 + 1] / 2**d
-        smoothed = apply_twist(sub_twist, smoothed)
+        smoothed = family.twist(torus_k[sub], smoothed)
         return _times(sub_frames, _overlap(sub_frames, smoothed))
 
     target = 0.9 * epsilon

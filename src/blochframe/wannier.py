@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import BoundaryRelationViolated, UsageError
 from .frames import FrameField
-from .smoothing import apply_twist, twist_gauge
 
 __all__ = [
     "extend_symmetric",
@@ -169,7 +168,8 @@ def reality_check(wset, family):
     functions; the invariant condition is ``w = C conj(w)`` and the defect
     measures that instead (``mode`` reports which certificate applies).
     Families with a nontrivial translation representation are first moved
-    to the adapted gauge, in which unit shifts act trivially; the stored
+    to the adapted gauge, in which unit shifts act trivially, by ``D(k)^-1``
+    of :meth:`~blochframe.models.ProjectorFamily.twist`; the stored
     gauge mixes the two members of each reflection pair across the grid
     seam and neither certificate can close there (``untwisted`` records
     whether this happened).
@@ -178,7 +178,7 @@ def reality_check(wset, family):
     untwisted = False
     if family.tau is not None:
         stored = frames_from_wannier(wset).data
-        periodic = apply_twist(twist_gauge(wset.geometry, family), stored, inverse=True)
+        periodic = family.twist(wset.geometry.torus_k(), stored, inverse=True)
         data = wannier_transform(FrameField(wset.geometry, "full-torus", periodic)).data
         untwisted = True
     if family.theta is None:

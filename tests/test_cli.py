@@ -501,6 +501,9 @@ _MALFORMED = {
     "gap-tolerance-abc": (lambda cfg: {**cfg, "gap_tolerance": "abc"},
                           ["gap_tolerance='abc'"]),
     "orbitals-2.7": (lambda cfg: {**cfg, "orbitals": 2.7}, ["orbitals=2.7"]),
+    # json reads an integer literal beyond the float range as an exact int
+    "dimension-10**400": (lambda cfg: {**cfg, "dimension": 10**400},
+                          ["is not a finite number"]),
     "R-string": (lambda cfg: {**cfg, "hoppings": [{**cfg["hoppings"][0], "R": "0"}]
                               + cfg["hoppings"][1:]},
                  ["needs a lattice vector 'R'"]),
@@ -534,6 +537,9 @@ _MALFORMED = {
                   ["theta unitary has a non-finite entry"]),
     "tau-Infinity": (lambda cfg: {**cfg, "tau": _tau([[float("inf"), 0], [0, 1]])},
                      ["tau generator 1 has a non-finite entry"]),
+    "generators-5": (lambda cfg: {**cfg, "tau": {"generators": 5}}, ["tau generators=5"]),
+    "generators-null": (lambda cfg: {**cfg, "tau": {"generators": None}},
+                        ["tau generators=None"]),
     "R-2-vector-in-1d": (lambda cfg: {**cfg, "hoppings": cfg["hoppings"][:1]
                                       + [{"R": [1, 0], "re": [[0, 0], [0.5, 0]]}]},
                          ["has wrong dimension"]),

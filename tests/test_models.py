@@ -299,10 +299,43 @@ def test_a_malformed_symmetry_matrix_is_refused_by_name(kwargs, named):
     assert named in str(exc.value)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0], ids=["NaN", "inf", "zero"])
+@pytest.mark.parametrize("kwargs, named", [
+    ({"gap_tolerance": "1e-8"}, ["gap_tolerance='1e-8' is not a real number"]),
+    ({"gap_tolerance": None}, ["gap_tolerance=None is not a real number"]),
+    ({"m": "1"}, ["m='1' is not a finite whole number"]),
+    ({"n": 2.5}, ["n=2.5 is not a finite whole number"]),
+    ({"d": True}, ["d=True is not a finite whole number"]),
+    ({"d": 10**400}, [f"d={10**400} is not a finite whole number"]),
+    ({"hoppings": {"a": np.eye(2)}}, ["hopping vector R='a' has a coordinate that is not"]),
+    ({"hoppings": [1, 2]}, ["hoppings=[1, 2] is not a dict"]),
+    ({"m": "1", "gap_tolerance": None},
+     ["m='1' is not a finite whole number", "gap_tolerance=None is not a real number"]),
+], ids=["gap-tolerance-str", "gap-tolerance-None", "m-str", "n-2.5", "d-True", "d-10**400",
+        "hopping-key-str", "hoppings-list", "m-and-gap-tolerance"])
+def test_a_field_of_the_wrong_type_is_refused_by_name(kwargs, named):
+    """Negative control: a directly built SSH chain with a field of the
+    wrong type is a ``model-config`` error naming every such field, not a
+    raw ``TypeError`` from the first comparison that meets it."""
+    fields = {"d": 1, "n": 2, "m": 1, "hoppings": dict(builtin_model("ssh").hoppings)}
+    with pytest.raises(ModelConfigError) as exc:
+        ProjectorFamily(**{**fields, **kwargs})
+    for phrase in named:
+        assert phrase in str(exc.value)
+
+
+def test_whole_float_sizes_are_stored_as_int():
+    ssh = builtin_model("ssh")
+    fam = ProjectorFamily(d=1.0, n=2.0, m=1.0, hoppings=dict(ssh.hoppings))
+    assert [(type(x), x) for x in (fam.d, fam.n, fam.m)] == [(int, 1), (int, 2), (int, 1)]
+    assert np.array_equal(fam.projector([0.25]), ssh.projector([0.25]))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, 10**400],
+                         ids=["NaN", "inf", "zero", "10**400"])
 def test_a_gap_tolerance_that_is_not_positive_and_finite_is_refused(tol):
     """Negative control: ``NaN <= 0`` is False, and a NaN tolerance would
-    refuse every gap of a healthy chain later, at its first frame."""
+    refuse every gap of a healthy chain later, at its first frame;
+    ``10**400 < inf`` is True, but no float holds that int."""
     ssh = builtin_model("ssh")
     with pytest.raises(ModelConfigError, match="gap_tolerance must be positive and finite"):
         ProjectorFamily(d=1, n=2, m=1, hoppings=dict(ssh.hoppings), gap_tolerance=tol)

@@ -8,7 +8,7 @@ import pytest
 
 from blochframe import models
 from blochframe.cells import CellGeometry
-from blochframe.errors import AssumptionsFailed, UsageError
+from blochframe.errors import AssumptionsFailed, EpsilonInfeasible, UsageError
 from blochframe.io import file_sha256, load_frames, read_json
 from blochframe.models import ProjectorFamily
 from blochframe.pipeline import (
@@ -21,7 +21,7 @@ from blochframe.pipeline import (
     run_wannierize,
 )
 
-from conftest import model_json, rotated, shifted_trs_3d
+from conftest import model_json, rotated, shifted_haldane, shifted_trs_3d
 
 
 def test_runconfig_validation():
@@ -293,6 +293,24 @@ def test_each_command_samples_the_bloch_data_once(model, tmp_path, monkeypatch):
     calls.clear()
     run_wannierize(config)
     assert calls == [slab_shape]
+
+
+@pytest.mark.parametrize("make, grid_n", [(shifted_haldane, 8), (shifted_trs_3d, 4)],
+                         ids=["shifted-haldane", "shifted-trs-3d"])
+def test_a_twist_that_ignores_inverse_cannot_smooth(make, grid_n, tmp_path, monkeypatch):
+    """Negative control: smoothing untwists the field by ``D(k)^-1`` and
+    twists it back by ``D(k)``.  A ``twist`` that ignores ``inverse``
+    applies ``D(k)`` both ways, so every rung is off the input by about
+    ``D(k)^2``, and the ladder is exhausted."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_json(make())))
+    clean = run_construct(RunConfig(model=str(path), grid_n=grid_n, out=str(tmp_path / "clean")))
+    assert clean["manifest"]["smoothing"]["smoothing"]["cutoff"] == 7
+    real = ProjectorFamily.twist
+    monkeypatch.setattr(ProjectorFamily, "twist",
+                        lambda self, k, frames, inverse=False: real(self, k, frames))
+    with pytest.raises(EpsilonInfeasible):
+        run_construct(RunConfig(model=str(path), grid_n=grid_n, out=str(tmp_path / "mutant")))
 
 
 def _spy_projector_builds(monkeypatch, frames_shape):

@@ -21,13 +21,11 @@ from blochframe.linalg import RANK_FLOOR, gram_polar, lowdin
 from blochframe.models import builtin_model
 from blochframe.pipeline import RunConfig, final_residuals, run_construct
 from blochframe.smoothing import (
-    apply_twist,
     frame_midpoint,
     periodic_smooth,
     reflection_defect,
     smooth_symmetric,
     symmetrize,
-    twist_gauge,
 )
 
 from conftest import (
@@ -39,6 +37,7 @@ from conftest import (
     random_unitary,
     rotated,
     shifted_haldane,
+    shifted_trs_3d,
     skew_hermitian,
     unitary_log,
 )
@@ -229,30 +228,27 @@ def test_periodic_smooth_infeasible_epsilon(haldane, haldane_torus):
         periodic_smooth(haldane_torus, haldane, epsilon=1e-9)
 
 
-def test_twist_gauge_trivial_for_integer_lattices(haldane):
-    assert twist_gauge(CellGeometry(2, 8), haldane) is None
+def test_twist_is_trivial_for_integer_lattices(haldane, rng):
+    k = CellGeometry(2, 8).torus_k()
+    f = rng.standard_normal(k.shape[:-1] + (2, 1))
+    assert haldane.twist(k, f) is f
+    assert haldane.twist(k, f, inverse=True) is f
 
 
-def test_twist_gauge_diagonalizes_the_translations():
-    fam = shifted_haldane()
-    geo = CellGeometry(2, 4)
-    out = twist_gauge(geo, fam)
-    assert out is not None
-    v, phases = out
-    assert phases.shape == geo.torus_shape + (fam.n,)
-    assert np.linalg.norm(v.conj().T @ v - np.eye(fam.n)) < 1e-13
-    big = geo.n_side
-    for j, tau in enumerate(fam.tau):
-        # away from the wrap seam, one grid step multiplies each eigenphase
-        # by a constant factor; N such steps accumulate to the translation
-        arr = np.moveaxis(phases, j, 0)
-        ratio = arr[1:] / arr[:-1]
-        ref = ratio.reshape(big - 1, -1, fam.n)[0, 0]
-        assert np.abs(ratio - ref).max() < 1e-12
-        diag = v.conj().T @ tau @ v
-        off = diag - np.diag(np.diag(diag))
-        assert np.linalg.norm(off) < 1e-12
-        assert np.linalg.norm(np.diag(diag) - ref**big) < 1e-10
+def test_twist_carries_the_translations(rng):
+    """At every torus point the gauge carries the unit translations,
+    ``D(k + e_j) = tau_j D(k)``, and ``inverse`` undoes it; ``n`` random
+    columns per point probe the whole ``n x n`` gauge."""
+    for fam, geo in [(shifted_haldane(), CellGeometry(2, 4)),
+                     (shifted_trs_3d(), CellGeometry(3, 2))]:
+        k = geo.torus_k()
+        shape = k.shape[:-1] + (fam.n, fam.n)
+        f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        twisted = fam.twist(k, f)
+        assert twisted is not f
+        for j, e in enumerate(np.eye(fam.d)):
+            assert np.max(np.abs(fam.twist(k + e, f) - fam.tau[j] @ twisted)) <= 1e-12
+        assert np.max(np.abs(fam.twist(k, twisted, inverse=True) - f)) <= 1e-13
 
 
 def test_periodic_smooth_handles_twisted_families(rng):
@@ -292,20 +288,20 @@ def _reference_candidate(field, family, k):
     of a fresh LAPACK ``eigh`` within 1e-13."""
     geo = field.geometry
     big, d = geo.n_side, geo.d
-    twist = twist_gauge(geo, family)
+    torus_k = geo.torus_k()
     axes = tuple(range(d))
-    coeffs = np.fft.fftn(apply_twist(twist, field.data, inverse=True), axes=axes)
+    coeffs = np.fft.fftn(family.twist(torus_k, field.data, inverse=True), axes=axes)
     freqs = np.abs(np.fft.fftfreq(big, d=1.0 / big)).astype(int)
     mult = np.ones(geo.torus_shape)
     for j in range(d):
         shape = [1] * d
         shape[j] = big
         mult = mult * np.clip(2.0 - 2.0 * freqs / k, 0.0, 1.0).reshape(shape)
-    smoothed = apply_twist(twist, np.fft.ifftn(coeffs * mult.reshape(geo.torus_shape + (1, 1)),
-                                               axes=axes))
+    smoothed = family.twist(torus_k, np.fft.ifftn(coeffs * mult.reshape(geo.torus_shape + (1, 1)),
+                                                  axes=axes))
     v = family.grid_frames(geo.grid_n, geo.torus_points())
     candidate = _times(v, _overlap(v, smoothed))
-    direct = lapack_projector(family, geo.torus_k()) @ smoothed
+    direct = lapack_projector(family, torus_k) @ smoothed
     assert np.max(np.abs(candidate - direct)) <= 1e-13
     return candidate
 

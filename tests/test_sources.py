@@ -1,10 +1,11 @@
 """Only ``models.py`` forms a symmetry matrix.
 
 Every symmetry the package applies goes through
-``ProjectorFamily.act``, which skips the identity.  A module that fetches
-``tau_power`` or ``theta_matrix`` itself keeps a second copy of the
-symmetry product, which multiplies by the identity for every built-in
-model; this test fails first.
+``ProjectorFamily.act``, which skips the identity, and the untwisting
+gauge through ``ProjectorFamily.twist``.  A module that fetches
+``tau_power`` or ``theta_matrix``, or reads a family's ``.tau`` or
+``.theta`` for more than an ``is None`` test, keeps a second copy of a
+symmetry product; these tests fail first.
 """
 import pathlib
 import re
@@ -22,3 +23,12 @@ def test_no_module_but_models_fetches_a_symmetry_matrix():
         if path.name != "models.py"
     }
     assert {name: found for name, found in fetches.items() if found} == {}
+
+
+def test_no_module_but_models_reads_the_symmetry_matrices():
+    reads = {
+        path.name: re.findall(r"\.(?:tau|theta)\b(?!\s+is\s+(?:not\s+)?None\b)", path.read_text())
+        for path in SOURCES
+        if path.name != "models.py"
+    }
+    assert {name: found for name, found in reads.items() if found} == {}
