@@ -69,6 +69,11 @@ def unitary_between(a, b, tol=1e-8):
     return lowdin(np.swapaxes(a.conj(), -1, -2) @ np.asarray(b))
 
 
+def _grid_shape(geometry, region):
+    """Leading shape of the data of a field over ``region``."""
+    return geometry.torus_shape if region == "full-torus" else geometry.cell_shape
+
+
 @dataclass
 class FrameField:
     """Frames attached to grid points of a :class:`~blochframe.cells.CellGeometry`.
@@ -77,7 +82,8 @@ class FrameField:
     shape ``geometry.cell_shape + (n, m)`` for the first and
     ``geometry.torus_shape + (n, m)`` for the torus.  A grid point ``g``
     of the cell is stored at ``data[geometry.cell_index(g)]``, one of the
-    torus at ``data[g]``.
+    torus at ``data[g]``.  Data of another leading shape, or an unknown
+    region, raises ``ValueError``.
     """
 
     geometry: object
@@ -90,6 +96,10 @@ class FrameField:
     def __post_init__(self):
         if self.region not in self.REGIONS:
             raise ValueError(f"unknown region {self.region!r}")
+        grid = _grid_shape(self.geometry, self.region)
+        if self.data.shape[:-2] != grid:
+            raise ValueError(f"data of shape {self.data.shape} does not cover the "
+                             f"{self.region} of shape {grid}")
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -97,11 +107,7 @@ class FrameField:
         """Field over ``region`` filled with NaN, which the caller
         overwrites whole; a point it leaves unwritten poisons the
         field's residuals."""
-        if region == "full-torus":
-            shape = geometry.torus_shape + (n, m)
-        else:
-            shape = geometry.cell_shape + (n, m)
-        data = np.full(shape, np.nan, dtype=complex)
+        data = np.full(_grid_shape(geometry, region) + (n, m), np.nan, dtype=complex)
         return cls(geometry=geometry, region=region, data=data)
 
     @property

@@ -31,7 +31,7 @@ import numpy as np
 
 from .cells import CellGeometry
 from .errors import UsageError
-from .frames import FrameField
+from .frames import FrameField, _grid_shape
 from .wannier import WannierSet
 
 __all__ = [
@@ -174,7 +174,7 @@ def load_frames(path):
     region = _REGION_NAMES.get(region_code)
     if region is None:
         raise UsageError(f"unknown region code {region_code} in {path}")
-    grid = geometry.torus_shape if region == "full-torus" else geometry.cell_shape
+    grid = _grid_shape(geometry, region)
     if tuple(shape) != grid + (n, m):
         raise UsageError(
             f"{path} holds an array of shape {tuple(shape)}; its header "

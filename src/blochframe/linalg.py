@@ -11,12 +11,14 @@ projection step of the construction; for ``m <= 2`` it has a closed form
 through the ``m x m`` Gram matrix (Higham, "Computing the polar
 decomposition -- with applications", SIAM J. Sci. Stat. Comput. 7, 1986),
 which :func:`lowdin` takes on well-conditioned stacks instead of an SVD.
-The other is an eigendecomposition of a unitary matrix with an
-exactly-unitary eigenvector factor and eigenvalue clustering, used wherever
-a fractional power of a unitary must be taken with a consistent branch on
-(numerically) repeated eigenvalues.  It needs numpy only: the commuting
-Hermitian parts of a normal matrix are diagonalized together by one
-``eigh`` of a generic real combination of them.
+The other is :func:`unitary_phases`, the one kernel for the eigenphases
+of a unitary: an exactly-unitary eigenbasis and phases on a branch that is
+synchronized inside each cluster of (numerically) repeated eigenvalues.
+Every fractional power of a unitary the construction takes (the symmetric
+square root at a vertex, the geodesic along an edge) goes through it.  It
+needs numpy only: the commuting Hermitian parts of a normal matrix are
+diagonalized together by one ``eigh`` of a generic real combination of
+them.
 """
 
 import numpy as np
@@ -28,7 +30,7 @@ __all__ = [
     "hermitian_eigensystem",
     "joint_eigenbasis",
     "lowdin",
-    "unitary_eigensystem",
+    "unitary_phases",
     "wrap_to_pi",
 ]
 
@@ -258,56 +260,36 @@ def joint_eigenbasis(unitaries, bound):
     )
 
 
-def unitary_eigensystem(u, cluster_tol=1e-8):
-    """Eigendecomposition of a unitary matrix.
+def unitary_phases(u, center, bound, cluster_tol):
+    """Eigenbasis and branch-synchronized eigenphases of a unitary matrix.
 
-    Parameters
-    ----------
-    u : (m, m) array
-        Unitary (within roundoff) matrix.
-    cluster_tol : float
-        Eigenvalues whose pairwise chordal distance is below this are treated
-        as one degenerate cluster.
+    Returns ``(q, phases)`` with ``u ~= q diag(exp(i phases)) q^H`` and
+    ``q`` exactly unitary: the :func:`joint_eigenbasis` of ``u`` alone,
+    one ``eigh(H + c K)`` per try, accepted at the residual ``bound``
+    (real orthogonal for a complex symmetric ``u``).  A ``1 x 1`` ``u``
+    takes the complex basis ``eye(1)`` without a solve.
 
-    Returns
-    -------
-    w : (m,) complex array
-        Eigenvalues (diagonal of ``q^H u q``, normalized to modulus one).
-    q : (m, m) complex array
-        Exactly-unitary eigenvector matrix, ``u ~= q @ diag(w) @ q^H``.
-    labels : (m,) int array
-        Cluster label per eigenvalue; equal labels mark a degenerate cluster.
-
-    ``q`` is the :func:`joint_eigenbasis` of ``u`` alone, one ``eigh(H + c
-    K)`` per try, accepted at the roundoff bound ``5e-14 m``.
+    Eigenvalues (normalized to modulus one) whose pairwise distance is at
+    most ``cluster_tol`` form one cluster of numerically repeated ones.
+    Each cluster's representative phase is ``center`` (a callable mapping a
+    principal argument onto the desired branch) of the argument of its
+    members' mean, or of its first member where that mean vanishes (a
+    cluster spread over the whole circle); every member deviates from it by
+    its wrapped offset, so a split degeneracy never straddles a branch cut.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape == (1, 1):
-        w = u[0, 0] / abs(u[0, 0])
-        return np.array([w]), np.eye(1, dtype=complex), np.array([0])
-    q, (w,) = joint_eigenbasis([u], 5e-14 * len(u))
-    w = w / np.abs(w)
-    return w, q, cluster_labels(w, cluster_tol)
-
-
-def cluster_phases(w, labels, center):
-    """Per-eigenvalue phases with a branch synchronized inside each cluster.
-
-    The representative phase of each cluster is taken from the normalized mean
-    of its eigenvalues, mapped by ``center`` (a callable turning a principal
-    argument into the desired branch); individual eigenvalues then deviate
-    from the representative by their wrapped offset, so numerically split
-    degeneracies never straddle a branch cut.
-    """
-    w = np.asarray(w)
+        q, w = np.eye(1, dtype=complex), np.array([u[0, 0] / abs(u[0, 0])])
+    else:
+        q, (w,) = joint_eigenbasis([u], bound)
+        w = w / np.abs(w)
+    labels = cluster_labels(w, cluster_tol)
     phases = np.empty(len(w))
     for lab in np.unique(labels):
         idx = np.flatnonzero(labels == lab)
         mean = w[idx].sum()
         if abs(mean) < 1e-14:
-            # Pathological cluster spread over the whole circle; fall back to
-            # the first member as representative.
             mean = w[idx[0]]
         rep = center(float(np.angle(mean)))
         phases[idx] = rep + wrap_to_pi(np.angle(w[idx]) - rep)
-    return phases
+    return q, phases

@@ -34,6 +34,11 @@ the gauge that makes a frame exactly periodic is :meth:`ProjectorFamily.twist`.
 The sample has one form, the occupied eigenframes ``v`` of
 :meth:`ProjectorFamily.grid_frames`: ``P(k) c`` is ``v (v^H c)``, and no
 ``n x n`` projector is formed on the torus.
+
+Every model enters through :func:`load_model`: a name of the one table of
+built-in models, :data:`BUILTINS`, is built by :func:`builtin_model`, and
+anything else is read as a JSON description, whose matrices
+:meth:`ProjectorFamily.validate` checks together with every other field.
 """
 
 import hashlib
@@ -55,6 +60,7 @@ __all__ = [
     "verify_assumptions",
     "load_model",
     "builtin_model",
+    "BUILTINS",
 ]
 
 TWO_PI_I = 2j * np.pi
@@ -63,16 +69,6 @@ TWO_PI_I = 2j * np.pi
 def _dagger(a):
     """Conjugate transpose of the last two axes."""
     return np.swapaxes(a.conj(), -1, -2)
-
-
-def _as_matrix(x, n, what):
-    try:
-        a = np.asarray(x, dtype=complex)
-    except (TypeError, ValueError):
-        raise ModelConfigError(f"{what}: matrix entries must be numbers") from None
-    if a.shape != (n, n):
-        raise ModelConfigError(f"{what} must be {n}x{n}, got shape {a.shape}")
-    return a
 
 
 def _is_real(x):
@@ -148,10 +144,11 @@ class ProjectorFamily:
     def validate(self):
         """Collect every violated structural invariant (empty list if valid).
 
-        A field of the wrong type ends the collection, as does a matrix that
-        is not an ``n x n`` array of finite numbers: every later check would
-        compare it, multiply mismatched shapes or compare NaN.  ``d``, ``n``
-        and ``m`` are whole numbers, stored as ``int``.
+        A field of the wrong type (a ``tau`` that is not a list, say) ends
+        the collection, as do the matrices that are not ``n x n`` arrays of
+        finite numbers: every later check would compare them, multiply
+        mismatched shapes or compare NaN.  ``d``, ``n`` and ``m`` are whole
+        numbers, stored as ``int``.
         """
         errors = []
         for key in ("d", "n", "m"):
@@ -162,6 +159,9 @@ class ProjectorFamily:
                 errors.append(f"{key}={value!r} is not a finite whole number")
         if not _is_real(self.gap_tolerance):
             errors.append(f"gap_tolerance={self.gap_tolerance!r} is not a real number")
+        if self.tau is not None and not (isinstance(self.tau, (list, tuple)) or (
+                isinstance(self.tau, np.ndarray) and self.tau.ndim)):
+            errors.append(f"tau={self.tau!r} is not a list of matrices")
         if not isinstance(self.hoppings, dict):
             errors.append(f"hoppings={self.hoppings!r} is not a dict")
         else:
@@ -686,12 +686,13 @@ def _random_trs(n=4, m=2, d=2, hop_range=1, seed=0, amplitude=0.3):
     )
 
 
-_BUILTINS = {"haldane": _haldane, "ssh": _ssh, "random-trs": _random_trs}
-
-_BUILTIN_PARAM_NAMES = {
-    "haldane": {"t1", "t2", "phi", "M"},
-    "ssh": {"v", "w"},
-    "random-trs": {"n", "m", "d", "range", "seed", "amplitude"},
+# The one table of built-in models: name -> (builder, {public parameter ->
+# builder keyword}).  The builders record the public names on the family.
+BUILTINS = {
+    "haldane": (_haldane, {"t1": "t1", "t2": "t2", "phi": "phi", "M": "mass"}),
+    "ssh": (_ssh, {"v": "v", "w": "w"}),
+    "random-trs": (_random_trs, {"n": "n", "m": "m", "d": "d", "range": "hop_range",
+                                 "seed": "seed", "amplitude": "amplitude"}),
 }
 
 # Parameters that count something and so must be whole numbers: those of
@@ -718,51 +719,47 @@ def _checked_param(model, key, value):
 
 
 def builtin_model(name, **params):
-    """Instantiate a built-in model by name.
+    """Instantiate the built-in model ``name`` from its :data:`BUILTINS` entry.
 
-    Every parameter must be a finite real number, and ``n``, ``m``, ``d``,
-    ``range`` and ``seed`` whole numbers (``range`` and ``seed``
-    non-negative); anything else raises :class:`ModelConfigError`.
+    Only its declared public parameters are accepted, each passed under its
+    builder keyword.  Every parameter must be a finite real number, and
+    ``n``, ``m``, ``d``, ``range`` and ``seed`` whole numbers (``range``
+    and ``seed`` non-negative); anything else raises :class:`ModelConfigError`.
     """
-    if name not in _BUILTINS:
+    if name not in BUILTINS:
         raise ModelConfigError(
-            f"unknown built-in model {name!r}; available: {sorted(_BUILTINS)}"
+            f"unknown built-in model {name!r}; available: {sorted(BUILTINS)}"
         )
-    allowed = _BUILTIN_PARAM_NAMES[name]
-    bad = set(params) - allowed
+    builder, keywords = BUILTINS[name]
+    bad = set(params) - set(keywords)
     if bad:
         raise ModelConfigError(
-            f"unknown parameter(s) {sorted(bad)} for model {name!r}; allowed: {sorted(allowed)}"
+            f"unknown parameter(s) {sorted(bad)} for model {name!r}; allowed: {sorted(keywords)}"
         )
-    params = {key: _checked_param(name, key, val) for key, val in params.items()}
-    if name == "haldane":
-        mapped = {"t1": params.get("t1", 1.0), "t2": params.get("t2", 0.1),
-                  "phi": params.get("phi", 0.0), "mass": params.get("M", 0.5)}
-        return _haldane(**mapped)
-    if name == "ssh":
-        return _ssh(**params)
-    if "range" in params:
-        params["hop_range"] = params.pop("range")
-    return _random_trs(**params)
+    return builder(**{keywords[key]: _checked_param(name, key, val) for key, val in params.items()})
 
 
 def _matrix_from_json(obj, n, what):
-    if not isinstance(obj, dict):
-        return _as_matrix(obj, n, what)
+    """A JSON matrix as a complex array: a nested list, or ``re`` and ``im``
+    blocks of one shape, a missing block zero.  Only its entries are checked
+    here; :meth:`ProjectorFamily.validate` checks its shape and finiteness."""
     try:
+        if not isinstance(obj, dict):
+            return np.asarray(obj, dtype=complex)
         re = np.asarray(obj.get("re", np.zeros((n, n))), dtype=float)
-        im = np.asarray(obj.get("im", np.zeros((n, n))), dtype=float)
+        im = np.asarray(obj.get("im", np.zeros(re.shape)), dtype=float)
     except (TypeError, ValueError):
         raise ModelConfigError(f"{what}: matrix entries must be numbers") from None
-    if re.shape != (n, n) or im.shape != (n, n):
-        raise ModelConfigError(f"{what}: matrix blocks must be {n}x{n}")
+    if re.shape != im.shape:
+        raise ModelConfigError(f"{what}: blocks re {re.shape} and im {im.shape} differ in shape")
     return re + 1j * im
 
 
 def load_model(source, params=None):
-    """Load a projector family from a built-in name or a JSON description.
+    """Load a projector family, the one resolver of a model.
 
-    ``source`` may be a built-in model name, a path to a JSON file, or an
+    ``source`` may be a name of :data:`BUILTINS` (built by
+    :func:`builtin_model` with ``params``), a path to a JSON file, or an
     already-parsed configuration dictionary.  The JSON schema:
 
     .. code-block:: json
@@ -777,11 +774,13 @@ def load_model(source, params=None):
 
     ``theta`` may instead be ``{"unitary": {"re": ..., "im": ...}}`` and
     ``tau`` may be ``{"generators": [matrix, ...]}`` with one generator per
-    dimension.  Every violated invariant is reported at once; a document of
-    another shape raises :class:`ModelConfigError` at its first fault.
+    dimension.  Every violated invariant is reported at once, every
+    malformed matrix among them; a document of another shape, or a
+    non-numeric matrix entry, raises :class:`ModelConfigError` at its first
+    fault.
     """
     params = dict(params or {})
-    if isinstance(source, str) and source in _BUILTINS:
+    if isinstance(source, str) and source in BUILTINS:
         return builtin_model(source, **params)
     if isinstance(source, str):
         try:

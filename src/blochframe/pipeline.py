@@ -19,7 +19,7 @@ from . import io as io_mod
 from .cells import CellGeometry
 from .errors import UsageError
 from .frames import _overlap, _times, input_frame, unitary_between
-from .models import builtin_model, load_model, require_assumptions, verify_assumptions
+from .models import BUILTINS, load_model, require_assumptions, verify_assumptions
 from .smoothing import reflection_defect, smooth_symmetric
 from .vertex import construct_1d
 from .face2d import construct_2d
@@ -39,9 +39,6 @@ __all__ = [
     "run_report",
     "final_residuals",
 ]
-
-_BUILTIN_NAMES = {"haldane", "ssh", "random-trs"}
-
 
 @dataclass
 class RunConfig:
@@ -75,19 +72,21 @@ class RunConfig:
 
 
 def load_family(config):
-    """Model family named by the configuration (built-in or config file)."""
-    if config.model in _BUILTIN_NAMES:
-        params = dict(config.params)
-        if config.model == "random-trs":
+    """Model family named by the configuration, resolved by
+    :func:`~blochframe.models.load_model`.  A built-in model that takes a
+    ``seed`` gets ``config.seed`` unless a parameter gives one, ``gap_tol``
+    overrides the model's gap tolerance, and a name neither built in nor a
+    file is a :class:`UsageError` listing the built-in names."""
+    params = dict(config.params)
+    if config.model in BUILTINS:
+        if "seed" in BUILTINS[config.model][1]:
             params.setdefault("seed", config.seed)
-        family = builtin_model(config.model, **params)
-    else:
-        if not os.path.exists(config.model):
-            raise UsageError(
-                f"model {config.model!r} is neither a built-in name "
-                f"({sorted(_BUILTIN_NAMES)}) nor an existing config file"
-            )
-        family = load_model(config.model, params=config.params)
+    elif not os.path.exists(config.model):
+        raise UsageError(
+            f"model {config.model!r} is neither a built-in name "
+            f"({sorted(BUILTINS)}) nor an existing config file"
+        )
+    family = load_model(config.model, params=params)
     if config.gap_tol is not None:
         family.gap_tolerance = config.gap_tol
     return family

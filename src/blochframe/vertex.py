@@ -19,6 +19,9 @@ synchronized branch; ``U`` is symmetric by construction.
 
 Between two such points a geodesic interpolation of unitaries transports one
 frame correction into the other, which settles the construction in d = 1.
+Both steps read the eigenphases of a unitary from one kernel,
+:func:`~blochframe.linalg.unitary_phases`, and differ only in the branch
+they ask for.
 A segment's input frames arrive as one ``(steps + 1, n, m)`` array (a slice
 of the cell's ``psi.data``), and the whole segment is corrected by one
 batched product.
@@ -30,8 +33,7 @@ import numpy as np
 
 from .errors import BlochFrameError, ObstructionAsymmetric
 from .frames import FrameField, unitary_between
-from .linalg import (cluster_labels, cluster_phases, joint_eigenbasis, lowdin,
-                     unitary_eigensystem, wrap_to_pi)
+from .linalg import lowdin, unitary_phases, wrap_to_pi
 
 __all__ = [
     "VertexSolution",
@@ -87,10 +89,10 @@ def symmetric_sqrt(v):
     symmetric and ``v conj(v) = 1``), so one real orthogonal ``o``
     diagonalizes both, ``v = o diag(exp(i mu)) o^T``, and ``u = o
     diag(exp(i mu / 2)) o^T`` is symmetric with ``u u^T = v`` to roundoff,
-    however close two eigenphases are.  ``o`` is the
-    :func:`~blochframe.linalg.joint_eigenbasis` of the exactly symmetrized
+    however close two eigenphases are.  ``o`` and ``mu`` are the
+    :func:`~blochframe.linalg.unitary_phases` of the exactly symmetrized
     ``v``, whose Hermitian parts are ``Re v`` and ``Im v``: a real
-    ``eigh``, so ``o`` is real.
+    ``eigh``, so ``o`` is real (``eye(1)`` when ``m = 1``).
 
     Eigenphases are synchronized to a common branch ``[0, 2 pi)``; clusters of
     numerically repeated eigenvalues share one representative phase so that a
@@ -119,9 +121,7 @@ def symmetric_sqrt(v):
             snapped = True
         return mu
 
-    o, (w,) = joint_eigenbasis([0.5 * (v + v.T)], SQRT_TOL)
-    w = w / np.abs(w)
-    phases = cluster_phases(w, cluster_labels(w, CLUSTER_TOL), to_positive_branch)
+    o, phases = unitary_phases(0.5 * (v + v.T), to_positive_branch, SQRT_TOL, CLUSTER_TOL)
     u = lowdin(o @ (np.exp(0.5j * phases)[:, None] * o.T))
     residual = float(np.linalg.norm(u @ u.T - v))
     if residual > SQRT_TOL:
@@ -157,15 +157,15 @@ def vertex_solution(frame, image):
 def interpolate_unitaries(u1, u2, t):
     """Geodesic path ``W(t)`` with ``W(0) = u1`` and ``W(1/2) = u2``.
 
-    Writes ``u1^{-1} u2 = S exp(i D) S^H`` with eigenphases on the principal
-    branch ``(-pi, pi]`` (an eigenvalue at ``-1`` contributes ``+pi``) and
+    Writes ``u1^{-1} u2 = S exp(i D) S^H`` by
+    :func:`~blochframe.linalg.unitary_phases`, with eigenphases on the
+    principal branch ``(-pi, pi]`` (an eigenvalue at ``-1`` contributes
+    ``+pi``), and
     returns ``u1 S exp(2 i t D) S^H``.  ``t`` may be a scalar or an array;
     the result gains one leading axis per ``t`` axis.
     """
     u1 = np.asarray(u1, dtype=complex)
     u2 = np.asarray(u2, dtype=complex)
-    ustar = lowdin(u1.conj().T @ u2)
-    w, q, labels = unitary_eigensystem(ustar)
 
     def principal(angle):
         # map to (-pi, pi], sending -pi to +pi
@@ -174,7 +174,7 @@ def interpolate_unitaries(u1, u2, t):
             a = np.pi
         return float(a)
 
-    phases = cluster_phases(w, labels, principal)
+    q, phases = unitary_phases(lowdin(u1.conj().T @ u2), principal, 5e-14 * len(u1), 1e-8)
     t = np.asarray(t, dtype=float)[..., None]
     return u1 @ (q @ (np.exp(2j * t * phases)[..., :, None] * q.conj().T))
 

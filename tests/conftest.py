@@ -6,14 +6,13 @@ import pytest
 import blochframe as bf
 from blochframe.face2d import FaceContext, build_face
 from blochframe.frames import input_frame
-from blochframe.linalg import cluster_phases, unitary_eigensystem
+from blochframe.linalg import unitary_phases
 from blochframe.models import ProjectorFamily
 
 
 def _log_eigensystem(u, margin=1e-8):
     """Clustered eigenphases in (-pi, pi) and the unitary eigenbasis."""
-    w, q, labels = unitary_eigensystem(u)
-    phases = cluster_phases(w, labels, lambda a: a)
+    q, phases = unitary_phases(u, lambda a: a, 5e-14 * len(u), 1e-8)
     worst = float(np.pi - np.max(np.abs(phases))) if len(phases) else np.pi
     if worst <= margin:
         raise ValueError(f"eigenphase within {worst:.2e} of the branch cut at pi")

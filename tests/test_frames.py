@@ -117,6 +117,22 @@ class _RealLineFamily:
         return np.stack([np.cos(a), np.sin(a)], axis=-1)[..., None].astype(complex)
 
 
+@pytest.mark.parametrize("stored, claimed, shapes", [
+    ("effective-cell", "full-torus", ["(5, 9, 2, 1)", "(8, 8)"]),
+    ("full-torus", "effective-cell", ["(8, 8, 2, 1)", "(5, 9)"]),
+], ids=["cell-as-torus", "torus-as-cell"])
+def test_a_field_whose_data_contradicts_its_region_is_refused(haldane, stored, claimed, shapes):
+    """Negative control: haldane's grid_n 4 input frame over one region,
+    labelled with the other, is refused naming both shapes; a cell-shaped
+    "torus" would otherwise be saved to a file that ``load_frames`` refuses
+    and Wannier-transformed to a ``(5, 9)`` set."""
+    psi = input_frame(haldane, CellGeometry(2, 4), region=stored)
+    with pytest.raises(ValueError) as exc:
+        FrameField(psi.geometry, claimed, psi.data)
+    for shape in shapes:
+        assert shape in str(exc.value)
+
+
 def test_rank_loss_is_reported_at_the_first_step_in_sweep_order():
     """Along axis 2 the sweep steps forward from the origin before it steps
     backward, so a rank loss on the forward step at distance 2 is reported,

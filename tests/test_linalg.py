@@ -5,8 +5,8 @@ oracle built from the Gram matrix: the closest orthonormal-column matrix
 to M is M (M^H M)^{-1/2}, computed here by eigendecomposition.  Its
 closed form for ``m <= 2`` is checked against the polar factor ``u vh`` of
 an explicit SVD.  The closed-form ``2 x 2`` Hermitian eigensystem is
-cross-checked against LAPACK's ``eigh``, and the unitary eigensystem
-against scipy's complex Schur factorization.
+cross-checked against LAPACK's ``eigh``, and the eigenphases of a unitary
+(``unitary_phases``) against scipy's complex Schur factorization.
 """
 from itertools import permutations
 
@@ -17,12 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 from blochframe.errors import BlochFrameError
 from blochframe.linalg import (
-    cluster_phases,
     gram_polar,
     hermitian_eigensystem,
     joint_eigenbasis,
     lowdin,
-    unitary_eigensystem,
+    unitary_phases,
     wrap_to_pi,
 )
 
@@ -266,14 +265,29 @@ def _multiset_distance(a, b):
     return min(np.max(np.abs(a - b[list(p)])) for p in permutations(range(len(b))))
 
 
+def _phases(u, cluster_tol=1e-8, center=lambda a: a):
+    """``unitary_phases`` at the roundoff bound ``5e-14 m`` (principal
+    branch by default): the eigenvalues ``exp(i phases)``, the basis, the
+    phases and the representative angle ``center`` was asked for, one per
+    cluster."""
+    reps = []
+
+    def spy(angle):
+        reps.append(angle)
+        return center(angle)
+
+    q, phases = unitary_phases(u, spy, 5e-14 * len(u), cluster_tol)
+    return np.exp(1j * phases), q, phases, reps
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_unitary_eigensystem_reconstructs(rng, m):
     u = random_unitary(rng, m)
-    w, q, labels = unitary_eigensystem(u)
+    w, q, phases, _ = _phases(u)
     assert np.allclose(np.abs(w), 1.0, atol=1e-12)
     assert np.linalg.norm(q.conj().T @ q - np.eye(m)) < 1e-13
     assert np.linalg.norm(u - q @ np.diag(w) @ q.conj().T) < 1e-12
-    assert labels.shape == (m,)
+    assert phases.shape == (m,)
     t = scipy.linalg.schur(u, output="complex")[0]
     assert _multiset_distance(w, np.diag(t) / np.abs(np.diag(t))) < 1e-12
 
@@ -282,20 +296,20 @@ def test_unitary_eigensystem_orthonormal_on_degenerate_spectrum(rng):
     """Repeated eigenvalues must not degrade the eigenbasis."""
     v = random_unitary(rng, 4)
     u = v @ np.diag(np.exp(1j * np.array([0.7, 0.7, 0.7, 2.0]))) @ v.conj().T
-    w, q, labels = unitary_eigensystem(u)
+    w, q, phases, reps = _phases(u)
     assert np.linalg.norm(q.conj().T @ q - np.eye(4)) < 1e-13
     assert np.linalg.norm(u - q @ np.diag(w) @ q.conj().T) < 1e-12
     # the triple eigenvalue forms one cluster, the simple one another
-    assert len(np.unique(labels)) == 2
-    triple = [lab for lab in np.unique(labels) if np.sum(labels == lab) == 3]
-    assert len(triple) == 1
+    assert len(reps) == 2
+    sizes = [int(np.sum(np.abs(phases - rep) <= 1e-8)) for rep in reps]
+    assert sorted(sizes) == [1, 3]
 
 
 def test_unitary_eigensystem_splits_separated_eigenvalues(rng):
     v = random_unitary(rng, 3)
     u = v @ np.diag(np.exp(1j * np.array([0.1, 0.8, 2.4]))) @ v.conj().T
-    _, _, labels = unitary_eigensystem(u, cluster_tol=1e-8)
-    assert len(np.unique(labels)) == 3
+    *_, reps = _phases(u, cluster_tol=1e-8)
+    assert len(reps) == 3
 
 
 def test_unitary_eigensystem_retries_a_mixing_draw_that_merges_eigenvalues(
@@ -318,20 +332,20 @@ def test_unitary_eigensystem_retries_a_mixing_draw_that_merges_eigenvalues(
         return real(mat)
 
     monkeypatch.setattr(np.linalg, "eigh", spy)
-    w, q, labels = unitary_eigensystem(u)
+    w, q, _, reps = _phases(u)
     herm, skew = 0.5 * (u + u.conj().T), -0.5j * (u - u.conj().T)
     assert np.linalg.norm(calls[0] - (herm + first * skew)) < 1e-14
     assert len(calls) >= 2
     assert np.linalg.norm(q.conj().T @ q - np.eye(3)) < 1e-13
     assert np.linalg.norm(u - q @ np.diag(w) @ q.conj().T) < 1e-12
     assert _multiset_distance(w, np.exp(1j * phases)) < 1e-12
-    assert len(np.unique(labels)) == 3
+    assert len(reps) == 3
 
 
 def test_unitary_eigensystem_refuses_a_non_normal_matrix():
     """Negative control: a Jordan block has no orthonormal eigenbasis."""
     with pytest.raises(BlochFrameError) as info:
-        unitary_eigensystem(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        _phases(np.array([[1.0, 1.0], [0.0, 1.0]]))
     assert info.value.code == "error"
     assert info.value.details["residual"] > 0.1
 
@@ -340,16 +354,16 @@ def test_cluster_phases_no_branch_split_inside_cluster():
     """A numerically split pair straddling the cut stays together."""
     eps = 1e-9
     w = np.exp(1j * np.array([np.pi - eps, -np.pi + eps]))
-    labels = np.array([0, 0])
-    phases = cluster_phases(w, labels, center=lambda a: a)
+    _, _, phases, reps = _phases(np.diag(w))
+    assert len(reps) == 1
     assert abs(phases[0] - phases[1]) < 3 * eps
 
 
 def test_cluster_phases_respects_center_branch():
     w = np.exp(1j * np.array([-0.3, -0.3 + 1e-12]))
-    labels = np.array([0, 0])
     # force the representative onto the [0, 2 pi) branch
-    phases = cluster_phases(w, labels, center=lambda a: a % (2 * np.pi))
+    _, _, phases, reps = _phases(np.diag(w), center=lambda a: a % (2 * np.pi))
+    assert len(reps) == 1
     assert np.allclose(phases, 2 * np.pi - 0.3, atol=1e-9)
 
 

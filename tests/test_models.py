@@ -15,6 +15,7 @@ import pytest
 from blochframe.cells import CellGeometry
 from blochframe.errors import AssumptionsFailed, GapClosed, ModelConfigError
 from blochframe.models import (
+    BUILTINS,
     ProjectorFamily,
     builtin_model,
     load_model,
@@ -159,6 +160,41 @@ def test_builtin_model_unknown_name_and_param():
         builtin_model("kagome")
     with pytest.raises(ModelConfigError):
         builtin_model("haldane", flux=1.0)
+
+
+# A value every built-in model accepts for each public parameter, each
+# unlike the default.
+_PARAMETER_VALUES = {"t1": 0.9, "t2": 0.05, "phi": 0.25, "M": 0.4, "v": 0.8, "w": 0.3,
+                     "n": 5, "m": 1, "d": 1, "range": 2, "seed": 7, "amplitude": 0.2}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_every_declared_parameter_is_recorded_under_its_public_name(name):
+    """Each public parameter of the table is accepted and recorded on the
+    family under its public name (``M`` and ``range``, not the builder's
+    ``mass`` and ``hop_range``); one the table does not declare is refused,
+    naming the allowed list."""
+    keywords = BUILTINS[name][1]
+    for key in keywords:
+        family = builtin_model(name, **{key: _PARAMETER_VALUES[key]})
+        assert family.params[key] == _PARAMETER_VALUES[key]
+        assert family.name == name
+    with pytest.raises(ModelConfigError) as exc:
+        builtin_model(name, flux=1.0)
+    assert f"allowed: {sorted(keywords)}" in str(exc.value)
+    assert "unknown parameter(s) ['flux']" in str(exc.value)
+
+
+def test_a_json_model_names_every_malformed_matrix():
+    """Negative control: the SSH chain with a ``3 x 3`` hopping and a
+    ``3 x 3`` theta is refused naming both, not only the first."""
+    cfg = model_json(builtin_model("ssh"))
+    cfg["hoppings"][0].update(re=np.eye(3).tolist(), im=np.zeros((3, 3)).tolist())
+    cfg["theta"] = {"unitary": {"re": np.eye(3).tolist()}}
+    with pytest.raises(ModelConfigError) as exc:
+        load_model(cfg)
+    assert "hopping H_(0,) has shape (3, 3), expected (2, 2)" in str(exc.value)
+    assert "theta unitary has shape (3, 3), expected (2, 2)" in str(exc.value)
 
 
 def test_tau_power_composition(rng):
@@ -310,8 +346,13 @@ def test_a_malformed_symmetry_matrix_is_refused_by_name(kwargs, named):
     ({"hoppings": [1, 2]}, ["hoppings=[1, 2] is not a dict"]),
     ({"m": "1", "gap_tolerance": None},
      ["m='1' is not a finite whole number", "gap_tolerance=None is not a real number"]),
+    ({"tau": 5}, ["tau=5 is not a list of matrices"]),
+    ({"tau": {"a": 1}}, ["tau={'a': 1} is not a list of matrices"]),
+    ({"tau": "xy"}, ["tau='xy' is not a list of matrices"]),
+    ({"tau": np.array(5)}, ["tau=array(5) is not a list of matrices"]),
 ], ids=["gap-tolerance-str", "gap-tolerance-None", "m-str", "n-2.5", "d-True", "d-10**400",
-        "hopping-key-str", "hoppings-list", "m-and-gap-tolerance"])
+        "hopping-key-str", "hoppings-list", "m-and-gap-tolerance", "tau-5", "tau-dict",
+        "tau-str", "tau-0d-array"])
 def test_a_field_of_the_wrong_type_is_refused_by_name(kwargs, named):
     """Negative control: a directly built SSH chain with a field of the
     wrong type is a ``model-config`` error naming every such field, not a

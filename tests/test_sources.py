@@ -1,18 +1,45 @@
-"""Only ``models.py`` forms a symmetry matrix.
+"""One module per job: the symmetry matrices, the built-in models and the
+eigenphases of a unitary each have one home.
 
 Every symmetry the package applies goes through
 ``ProjectorFamily.act``, which skips the identity, and the untwisting
 gauge through ``ProjectorFamily.twist``.  A module that fetches
 ``tau_power`` or ``theta_matrix``, or reads a family's ``.tau`` or
 ``.theta`` for more than an ``is None`` test, keeps a second copy of a
-symmetry product; these tests fail first.
+symmetry product; these tests fail first.  Likewise a module other than
+``models.py`` that names a built-in model keeps a second list of them
+beside ``models.BUILTINS``, and one other than ``linalg.py`` that clusters
+eigenvalues keeps a second branch step beside ``linalg.unitary_phases``.
 """
+import ast
 import pathlib
 import re
 
 import blochframe
+from blochframe.models import BUILTINS
 
-SOURCES = sorted(pathlib.Path(blochframe.__file__).parent.glob("*.py"))
+PACKAGE = pathlib.Path(blochframe.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
+
+
+def _code_constants(tree):
+    """String constants of a module's code, its docstrings left out."""
+    docstrings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                docstrings.add(id(first.value))
+    return [node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in docstrings]
+
+
+def _called_names(tree):
+    """Names of the functions a module calls, bare or as an attribute."""
+    return [node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))]
 
 
 def test_no_module_but_models_fetches_a_symmetry_matrix():
@@ -32,3 +59,23 @@ def test_no_module_but_models_reads_the_symmetry_matrices():
         if path.name != "models.py"
     }
     assert {name: found for name, found in reads.items() if found} == {}
+
+
+def test_no_module_but_models_names_a_built_in_model():
+    assert "haldane" in BUILTINS
+    named = {
+        path.name: [c for c in _code_constants(ast.parse(path.read_text())) if c in BUILTINS]
+        for path in SOURCES
+        if path.name != "models.py"
+    }
+    assert {name: found for name, found in named.items() if found} == {}
+
+
+def test_no_module_but_linalg_clusters_eigenvalues():
+    assert "cluster_labels" in _called_names(ast.parse((PACKAGE / "linalg.py").read_text()))
+    calls = {
+        path.name: [f for f in _called_names(ast.parse(path.read_text())) if f == "cluster_labels"]
+        for path in SOURCES
+        if path.name != "linalg.py"
+    }
+    assert {name: found for name, found in calls.items() if found} == {}

@@ -7,12 +7,13 @@ eigenphase halving would get wrong.
 """
 import numpy as np
 import pytest
+import scipy.cluster.hierarchy
 import scipy.linalg
 
 from blochframe.cells import CellGeometry
 from blochframe.errors import ObstructionAsymmetric
 from blochframe.frames import input_frame, unitary_between
-from blochframe.linalg import cluster_labels, cluster_phases, lowdin
+from blochframe.linalg import lowdin
 from blochframe.vertex import (
     construct_1d,
     interpolate_unitaries,
@@ -164,7 +165,16 @@ def schur_interpolation(u1, u2, t):
         a = float(np.angle(np.exp(1j * angle)))
         return np.pi if a <= -np.pi + 1e-15 else a
 
-    phases = cluster_phases(w, cluster_labels(w, 1e-8), principal)
+    # the branch step, kept apart from the package's: eigenvalues joined by
+    # a chain of steps of at most 1e-8 form a cluster, whose members take
+    # the branch of their mean and their wrapped offsets from it
+    points = np.stack([w.real, w.imag], axis=-1)
+    labels = scipy.cluster.hierarchy.fclusterdata(points, 1e-8, "distance", method="single")
+    phases = np.empty(len(w))
+    for lab in np.unique(labels):
+        idx = labels == lab
+        rep = principal(float(np.angle(w[idx].sum())))
+        phases[idx] = rep + np.angle(w[idx] * np.exp(-1j * rep))
     return np.stack(
         [u1 @ q @ np.diag(np.exp(2j * s * phases)) @ q.conj().T for s in t]
     )
