@@ -23,6 +23,7 @@ from .errors import (
     AssumptionsFailed,
     BlochFrameError,
     BoundaryRelationViolated,
+    CertificateFailed,
     EpsilonInfeasible,
     GapClosed,
     GridTooCoarse,
@@ -47,12 +48,8 @@ from .vertex import construct_1d
 from .face2d import construct_2d
 from .cell3d import construct_3d
 from .smoothing import smooth_symmetric
-from .wannier import (
-    WannierSet,
-    localization_report,
-    reality_check,
-    wannier_transform,
-)
+from .wannier import WannierSet, wannier_transform
+from .certify import localization_report, reality_check
 from .io import load_frames, load_wannier, save_frames, save_wannier
 from .pipeline import (
     RunConfig,
@@ -70,6 +67,7 @@ __all__ = [
     "BlochFrameError",
     "BoundaryRelationViolated",
     "CellGeometry",
+    "CertificateFailed",
     "EpsilonInfeasible",
     "FrameField",
     "GapClosed",

@@ -5,7 +5,9 @@ Heavy imports happen after argument parsing so that ``--threads`` can cap
 the linear-algebra thread pools before they initialize.  Failures print a
 machine-readable JSON object on stderr carrying the stable error code and
 location details; the exit code is 2 for usage problems and 1 for every
-other fatal condition.
+other fatal condition.  ``construct``, ``wannierize`` and ``report`` print
+their certificate rows (:mod:`~blochframe.certify`) and, when a row misses
+its bound, exit 1 with ``certificate-failed`` after writing everything.
 """
 
 import argparse
@@ -82,11 +84,12 @@ def main(argv=None):
     if args.threads >= 1:
         _apply_thread_cap(args.threads)
 
-    from .errors import BlochFrameError, UsageError
+    from .certify import format_rows, rows, verdict
+    from .errors import BlochFrameError, CertificateFailed, UsageError
     from .pipeline import (
         RunConfig,
+        report_rows,
         run_construct,
-        run_report,
         run_verify,
         run_wannierize,
     )
@@ -109,24 +112,21 @@ def main(argv=None):
                 print(f"{key}: {val}")
             return 0 if report.passed else 1
         if args.command == "construct":
-            result = run_construct(config)
-            res = result["manifest"]["final_residuals"]
-            for key, val in sorted(res.items()):
-                print(f"{key}: {val:.3e}")
-            if config.out:
-                print(f"artifacts written to {config.out}")
-            return 0
-        if args.command == "wannierize":
-            result = run_wannierize(config)
-            report = result["report"]
-            reality = report["reality"]
-            print(f"reality defect ({reality['mode']}): {reality['defect']:.3e}")
-            loc = report["localization"]
-            print(f"decay rate: {loc['decay_rate']} (R^2 {loc['r_squared']})")
-            if config.out:
-                print(f"artifacts written to {config.out}")
-            return 0
-        print(run_report(config))
+            table = rows(run_construct(config)["manifest"], None, config)
+        elif args.command == "wannierize":
+            table = rows(None, run_wannierize(config)["report"], config)
+        else:
+            table = report_rows(config)
+        print(format_rows(table))
+        if config.out and args.command != "report":
+            print(f"artifacts written to {config.out}")
+        failed = verdict(table)
+        if failed:
+            raise CertificateFailed(
+                "certificates miss their bound: " + ", ".join(row[0] for row in failed),
+                failed=[{"name": name, "value": value, "bound": bound}
+                        for name, value, bound, _ in failed],
+            )
         return 0
     except UsageError as err:
         _emit_error(err)

@@ -98,6 +98,13 @@ class BoundaryRelationViolated(BlochFrameError):
     code = "boundary-relation-violated"
 
 
+class CertificateFailed(BlochFrameError):
+    """A certificate of a finished computation misses its bound; the
+    artifacts and the text are written before this is raised."""
+
+    code = "certificate-failed"
+
+
 class UsageError(BlochFrameError):
     """Command line misuse (missing inputs, bad flags, empty directories)."""
 

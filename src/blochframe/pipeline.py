@@ -8,27 +8,36 @@ runs produce byte-identical artifacts.
 """
 
 import json
-import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field as dataclass_field
 
-import numpy as np
-
 from . import io as io_mod
 from .cells import CellGeometry
+from .certify import (
+    _trim_obstruction_defects,
+    final_residuals,
+    format_rows,
+    localization_report,
+    reality_check,
+    rows,
+    sup_distance,
+)
 from .errors import UsageError
-from .frames import _overlap, _times, input_frame, unitary_between
-from .models import BUILTINS, load_model, require_assumptions, verify_assumptions
-from .smoothing import reflection_defect, smooth_symmetric
+from .frames import input_frame
+from .models import (
+    BUILTINS,
+    _is_finite_real,
+    load_model,
+    require_assumptions,
+    verify_assumptions,
+)
+from .smoothing import smooth_symmetric
 from .vertex import construct_1d
 from .face2d import construct_2d
 from .cell3d import construct_3d
-from .wannier import (
-    localization_report,
-    reality_check,
-    wannier_transform,
-)
+from .wannier import wannier_transform
 
 __all__ = [
     "RunConfig",
@@ -37,7 +46,7 @@ __all__ = [
     "run_construct",
     "run_wannierize",
     "run_report",
-    "final_residuals",
+    "report_rows",
 ]
 
 @dataclass
@@ -58,13 +67,24 @@ class RunConfig:
     threads: int = 1
 
     def __post_init__(self):
+        for name in ("grid_n", "seed", "threads"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise UsageError(f"{name} must be a whole number, got {value!r}")
+        for name in ("tol", "gap_tol", "epsilon"):
+            value = getattr(self, name)
+            if name == "gap_tol" and value is None:
+                continue
+            if not (_is_finite_real(value) and value > 0):
+                raise UsageError(f"{name} must be positive and finite, got {value!r}")
+        if not isinstance(self.model, str):
+            raise UsageError(f"model must be a built-in name or a file path, got {self.model!r}")
+        if not isinstance(self.params, dict):
+            raise UsageError(f"params must be a dict, got {self.params!r}")
+        if not (self.out is None or isinstance(self.out, (str, os.PathLike))):
+            raise UsageError(f"out must be a path, got {self.out!r}")
         if self.grid_n < 2 or self.grid_n % 2:
             raise UsageError("grid_n must be even and at least 2")
-        for name in ("tol", "gap_tol", "epsilon"):
-            if name == "gap_tol" and self.gap_tol is None:
-                continue
-            if not 0 < getattr(self, name) < math.inf:
-                raise UsageError(f"{name} must be positive and finite")
         if self.threads < 1:
             raise UsageError("threads must be at least 1")
         if self.seed < 0:
@@ -157,6 +177,21 @@ def _check_wannier_report(config, manifest, report):
         )
 
 
+def _load_field(config, family, name, region="full-torus"):
+    """The frame field ``name`` of the artifact directory, refused unless it
+    has the region, the grid and the fiber dimensions of the current run."""
+    path = os.path.join(config.out, name)
+    if not os.path.exists(path):
+        raise UsageError(f"no {name} in {config.out!r}; rerun construct")
+    field = io_mod.load_frames(path)
+    found = (field.region, field.geometry.d, field.geometry.grid_n, field.n, field.m)
+    expected = (region, family.d, config.grid_n, family.n, family.m)
+    if found != expected:
+        raise UsageError(f"{path} holds a frame of (region, d, grid_n, n, m) = {found}, "
+                         f"this run needs {expected}; rerun construct")
+    return field
+
+
 def _outpath(config, name):
     if config.out is None:
         return None
@@ -171,39 +206,6 @@ def run_verify(config):
     if config.out is not None:
         io_mod.write_json(_outpath(config, "assumptions.json"), report.as_dict())
     return family, report
-
-
-def _trim_obstruction_defects(psi_field, family, geometry):
-    """Symmetry defect of the obstruction unitary at every high-symmetry point."""
-    trims = geometry.trims()
-    frames = psi_field.data[geometry.cell_index(np.array(trims))]
-    images = np.array([family.act(geometry.trim_lambda(t), f, anti=True)
-                       for t, f in zip(trims, frames)])
-    u = unitary_between(frames, images)
-    return {str(t): float(np.linalg.norm(x - x.T)) for t, x in zip(trims, u)}
-
-
-def final_residuals(field, family):
-    """The certificate residuals of a full-torus frame field.
-
-    The projector and orthonormality defects are pointwise; the projector
-    defect is ``|v (v^H F) - F|`` on the eigenframes ``v`` of the family's
-    torus sample.  Reflection compares every
-    grid pair ``(k, -k)``.  Lattice periodicity needs no residual here: the
-    stored field covers one fundamental domain and every other point is
-    reached through ``tau``, and the manifest's ``extension_mismatch``
-    certifies that every boundary identification of the constructed frame
-    agrees.
-    """
-    geometry = field.geometry
-    v = family.grid_frames(geometry.grid_n, geometry.torus_points())
-    frames = field.data
-    moved = _times(v, _overlap(v, frames)) - frames
-    return {
-        "projector": float(np.max(np.linalg.norm(moved, axis=(-2, -1)))),
-        "orthonormality": field.orthonormality_defect(),
-        "reflection": reflection_defect(field, family),
-    }
 
 
 def run_construct(config):
@@ -261,9 +263,12 @@ def run_construct(config):
 def run_wannierize(config):
     """Wannier transform plus certificates; reuses construct artifacts if present.
 
-    With an output directory it writes ``wannier.wan1`` and
+    The report's ``final_residuals`` are those of a reused ``phi_sm.blf1``
+    measured again on the current family, or the fresh construct's.  With
+    an output directory it writes ``wannier.wan1`` and
     ``wannier_report.json``; the report records the sha256 of the one and
     of the ``phi_sm.blf1`` it was built from, which ``run_report`` checks.
+    A failed certificate raises nothing here; see :func:`~blochframe.certify.verdict`.
     """
     manifest_path = _outpath(config, "manifest.json")
     phi_sm_path = _outpath(config, "phi_sm.blf1")
@@ -275,34 +280,17 @@ def run_wannierize(config):
         manifest = io_mod.read_json(manifest_path)
         family = load_family(config)
         _check_reusable(config, family, manifest, phi_sm_path)
-        phi_sm = io_mod.load_frames(phi_sm_path)
-        geometry = phi_sm.geometry
+        phi_sm = _load_field(config, family, "phi_sm.blf1")
+        # the hash proves only that the manifest names this file
+        residuals = final_residuals(phi_sm, family)
     else:
         built = run_construct(config)
         family = built["family"]
         phi_sm = built["phi_sm"]
         manifest = built["manifest"]
-        geometry = built["geometry"]
+        residuals = manifest["final_residuals"]
 
-    wset = wannier_transform(phi_sm)
-    reality = reality_check(wset, family)
-
-    control_field = input_frame(family, geometry, region="full-torus")
-    control = reality_check(wannier_transform(control_field), family)
-
-    cutoff = manifest.get("smoothing", {}).get("smoothing", {}).get("cutoff")
-    fit_max = geometry.grid_n // 2
-    if cutoff is not None:
-        fit_max = min(fit_max, int(cutoff))
-    localization = localization_report(wset, fit_max=fit_max)
-
-    wannier_report = {
-        "reality": reality,
-        "control_reality": control,
-        "localization": localization,
-        "band_norms": wset.band_norms().tolist(),
-        "fit_max": fit_max,
-    }
+    wset, wannier_report = _wannier_record(phi_sm, family, residuals)
 
     if config.out is not None:
         wan1_path = _outpath(config, "wannier.wan1")
@@ -321,16 +309,32 @@ def run_wannierize(config):
     }
 
 
-def _fmt(x):
-    if x is None:
-        return "n/a"
-    if isinstance(x, float):
-        return f"{x:.3e}"
-    return str(x)
+def _wannier_record(phi_sm, family, residuals):
+    """Wannier amplitudes of ``phi_sm`` and the report on them: reality,
+    the reality of the raw full-torus transport frame as a control,
+    localization, band norms, and ``residuals``, the final residuals of
+    ``phi_sm`` itself."""
+    wset = wannier_transform(phi_sm)
+    control_field = input_frame(family, phi_sm.geometry, region="full-torus")
+    return wset, {
+        "reality": reality_check(wset, family),
+        "control_reality": reality_check(wannier_transform(control_field), family),
+        "localization": localization_report(wset),
+        "band_norms": wset.band_norms().tolist(),
+        "final_residuals": residuals,
+    }
 
 
-def run_report(config):
-    """Consolidated text certificate assembled from existing artifacts."""
+def report_rows(config):
+    """Certificate rows of a finished run, also written to ``report.txt``.
+
+    Every row a torus field gives back is measured again on the stored
+    ``psi``, ``phi`` and ``phi_sm`` and the reloaded model, with the
+    functions ``construct`` and ``wannierize`` use; the Wannier rows only
+    once ``wannierize`` has run.  The extension mismatch, the transport
+    step and the smoothing ladder are reprinted from the manifest, as a
+    first ``stored`` row says.
+    """
     if config.out is None:
         raise UsageError("report needs --out pointing at an artifact directory")
     # a refused report must not leave an earlier certificate standing
@@ -344,89 +348,37 @@ def run_report(config):
             "subcommand first"
         )
     manifest = io_mod.read_json(manifest_path)
-    _check_config(config, load_family(config), manifest)
-    lines = []
-    model = manifest.get("model", {})
-    lines.append(f"model: {model.get('name')} (d={model.get('dimension')}, "
-                 f"n={model.get('orbitals')}, m={model.get('rank')})")
-    assumptions = manifest.get("assumptions", {})
-    lines.append("assumptions:")
-    for key in (
-        "gap_floor",
-        "periodicity_residual",
-        "time_reversal_residual",
-        "compatibility_residual",
-        "lipschitz_bound",
-    ):
-        lines.append(f"  {key}: {_fmt(assumptions.get(key))}")
-    lines.append(f"  passed: {assumptions.get('passed')}")
-    lines.append("obstruction symmetry defects:")
-    for trim, defect in sorted(manifest.get("obstruction_symmetry_defects", {}).items()):
-        lines.append(f"  {trim}: {_fmt(defect)}")
-    construction = manifest.get("construction", {})
-    degrees = _collect_degrees(construction)
-    if degrees:
-        lines.append("boundary degrees (before correction):")
-        for label, r in degrees:
-            lines.append(f"  {label}: {r}")
-    lines.append(f"extension mismatch: {_fmt(manifest.get('extension_mismatch'))}")
-    smoothing = manifest.get("smoothing", {})
-    sm = smoothing.get("smoothing", {})
-    lines.append("smoothing:")
-    lines.append(f"  cutoff: {sm.get('cutoff')}")
-    lines.append(f"  cutoff fraction: {_fmt(sm.get('cutoff_fraction'))}")
-    lines.append(f"  nyquist resolved: {_fmt(sm.get('nyquist_resolved'))}")
-    lines.append(f"  sup distance: {_fmt(sm.get('sup_distance'))}")
-    tried = sm.get("tried", [])
-    on_subgrid = sum(1 for t in tried if t.get("subgrid"))
-    lines.append(
-        f"  rungs tried: {len(tried)} ({on_subgrid} rejected on the stride-2 subgrid)"
-    )
-    lines.append(
-        f"  total move (with the self-paired midpoints): "
-        f"{_fmt(smoothing.get('sup_distance_total'))} "
-        f"(epsilon {_fmt(smoothing.get('epsilon'))})"
-    )
-    lines.append("final residuals:")
-    for key, val in sorted(manifest.get("final_residuals", {}).items()):
-        lines.append(f"  {key}: {_fmt(val)}")
-
+    family = load_family(config)
+    _check_config(config, family, manifest)
+    psi = _load_field(config, family, "psi.blf1", region="effective-cell")
+    phi = _load_field(config, family, "phi.blf1")
+    phi_sm = _load_field(config, family, "phi_sm.blf1")
+    residuals = final_residuals(phi_sm, family)
+    wannier = None
     wannier_path = os.path.join(config.out, "wannier_report.json")
     if os.path.exists(wannier_path):
-        wr = io_mod.read_json(wannier_path)
-        _check_wannier_report(config, manifest, wr)
-        reality = wr.get("reality", {})
-        lines.append("wannier:")
-        lines.append(
-            f"  reality defect ({reality.get('mode')}): "
-            f"{_fmt(reality.get('defect'))}"
-        )
-        control = wr.get("control_reality", {})
-        lines.append(f"  raw-frame control defect: {_fmt(control.get('defect'))}")
-        loc = wr.get("localization", {})
-        lines.append(f"  decay rate: {_fmt(loc.get('decay_rate'))} "
-                     f"(R^2 {_fmt(loc.get('r_squared'))})")
-        lines.append(
-            f"  decreasing shells: {loc.get('max_decreasing_run')}"
-        )
-        moments = loc.get("moments", {})
-        for r in sorted(moments, key=int):
-            vals = ", ".join(_fmt(v) for v in moments[r])
-            lines.append(f"  moment r={r}: {vals}")
-    text = "\n".join(lines)
+        _check_wannier_report(config, manifest, io_mod.read_json(wannier_path))
+        _, wannier = _wannier_record(phi_sm, family, residuals)
+    record = dict(
+        manifest,
+        model=family.describe(),
+        assumptions=verify_assumptions(family, grid_n=config.grid_n, tol=config.tol).as_dict(),
+        obstruction_symmetry_defects=_trim_obstruction_defects(psi, family, psi.geometry),
+        final_residuals=residuals,
+    )
+    table = [("stored", "extension mismatch, transport step and smoothing ladder "
+                        "are reprinted from manifest.json", None, None)]
+    try:
+        record["smoothing"] = dict(manifest["smoothing"],
+                                   sup_distance_total=sup_distance(phi_sm.data, phi.data))
+        table += rows(record, wannier, config)
+    except KeyError as exc:
+        raise UsageError(f"{manifest_path} has no {exc} record; rerun construct") from None
     with open(report_path, "w") as fh:
-        fh.write(text + "\n")
-    return text
+        fh.write(format_rows(table) + "\n")
+    return table
 
 
-def _collect_degrees(diag, prefix=""):
-    """Pull every recorded winding number out of a nested diagnostics dict."""
-    found = []
-    if isinstance(diag, dict):
-        if "winding" in diag:
-            found.append((prefix or "cell", diag["winding"]))
-        for key, val in diag.items():
-            if isinstance(val, dict):
-                label = f"{prefix}.{key}" if prefix else key
-                found.extend(_collect_degrees(val, label))
-    return found
+def run_report(config):
+    """The text of :func:`report_rows`, as written to ``report.txt``."""
+    return format_rows(report_rows(config))

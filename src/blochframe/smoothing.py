@@ -43,6 +43,7 @@ whatever orthonormality drift the averaging introduces.
 
 import numpy as np
 
+from .certify import reflection_defect, sup_distance
 from .errors import EpsilonInfeasible, ProjectionRankLoss, TooFarApart, UsageError
 from .frames import FrameField, _overlap, _times, check_same_span
 from .linalg import RANK_FLOOR, gram_polar, lowdin
@@ -50,7 +51,6 @@ from .linalg import RANK_FLOOR, gram_polar, lowdin
 __all__ = [
     "MIDPOINT_LIMIT",
     "frame_midpoint",
-    "reflection_defect",
     "symmetrize",
     "periodic_smooth",
     "smooth_symmetric",
@@ -97,12 +97,6 @@ def frame_midpoint(a, b):
 # reflection pairs on the torus grid
 
 
-def reflection_defect(field, family):
-    """Largest violation of ``Phi(-k) = theta Phi(k)`` over the torus grid."""
-    image = family.reflect(field.data, range(field.geometry.n_side))
-    return float(np.max(np.linalg.norm(field.data - image, axis=(-2, -1))))
-
-
 def symmetrize(field, family):
     """Restore the reflection property exactly by pairwise midpointing.
 
@@ -117,7 +111,7 @@ def symmetrize(field, family):
     Returns ``(field, report)``; the report holds the worst defect before
     (``reflection_before``) and the measured sup distance between the
     result and the input (``max_shift``).  The defect after is not
-    measured here: :func:`~blochframe.pipeline.final_residuals` reports it.
+    measured here: :func:`~blochframe.certify.final_residuals` reports it.
     """
     if field.region != "full-torus":
         raise UsageError("symmetrize needs a full-torus field")
@@ -168,7 +162,7 @@ def _midpoint_pairs(torus, family, owner, rows):
     torus[rows] = out
     return {
         "reflection_before": float(np.max(defect[owner])),
-        "max_shift": _sup_distance(out, data),
+        "max_shift": sup_distance(out, data),
     }
 
 
@@ -200,7 +194,7 @@ def _gram_screen(candidate, data, rank_floor, target):
         return {"rank_loss": low}
     if low < rank_floor + margin:
         return None
-    dist = _sup_distance(polar, data)
+    dist = sup_distance(polar, data)
     if dist > target + margin:
         return {"sup_distance": dist}
     return None
@@ -331,7 +325,7 @@ def periodic_smooth(field, family, epsilon):
                 sing = np.linalg.svd(candidate, compute_uv=False)
                 entry = {"rank_loss": float(np.min(sing))}
             else:
-                entry = {"sup_distance": _sup_distance(ortho_frames, field.data[slab])}
+                entry = {"sup_distance": sup_distance(ortho_frames, field.data[slab])}
         tried.append({"cutoff": k, **entry})
         if entry.get("sup_distance", target) < target:
             frames = np.empty_like(field.data)
@@ -395,7 +389,7 @@ def smooth_symmetric(field, family, epsilon):
     # g_1 = grid_n); the pairs within it are midpointed as symmetrize does
     rows = range(0, field.geometry.n_side, field.geometry.grid_n)
     sym_report = _midpoint_pairs(final.data, family, _owners(field.geometry)[rows], rows)
-    dist = _sup_distance(final.data, field.data)
+    dist = sup_distance(final.data, field.data)
     if dist >= epsilon:
         raise EpsilonInfeasible(
             f"smoothing and the self-paired midpoints moved the field by "
@@ -409,8 +403,3 @@ def smooth_symmetric(field, family, epsilon):
         "epsilon": epsilon,
     }
     return final, report
-
-
-def _sup_distance(a, b):
-    """Sup over the grid of the frame distance between two stacks of frames."""
-    return float(np.max(np.sqrt(np.sum(np.abs(a - b) ** 2, axis=(-2, -1)))))

@@ -9,8 +9,8 @@ frames it checks them: the faces ``k_j = 1/2`` and ``k_j = -1/2`` (``j >=
 their own images under ``theta`` and ``tau_1 theta``.
 
 The inverse discrete Fourier transform of that field gives the lattice
-Wannier functions; their reality and localization are measured here, since
-they are precisely the properties the frame construction exists to deliver.
+Wannier functions, whose reality and localization
+:mod:`~blochframe.certify` measures.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -26,13 +26,7 @@ __all__ = [
     "WannierSet",
     "wannier_transform",
     "frames_from_wannier",
-    "reality_check",
-    "localization_report",
 ]
-
-# First radius and amplitude floor of localization_report's shell fit.
-FIT_MIN = 2
-SHELL_FLOOR = 1e-13
 
 
 def extend_symmetric(field, family, tol=1e-10):
@@ -157,140 +151,3 @@ def frames_from_wannier(wset):
     axes = tuple(range(d))
     data = np.fft.fftn(np.fft.ifftshift(wset.data, axes=axes), axes=axes)
     return FrameField(wset.geometry, "full-torus", data, dict(wset.meta))
-
-
-def reality_check(wset, family):
-    """Reality certificate of the Wannier amplitudes.
-
-    With plain-conjugation time reversal the amplitudes of a symmetric
-    frame are real and the defect is ``max |Im w|``.  A model with a
-    nontrivial conjugation unitary ``C`` cannot have literally real
-    functions; the invariant condition is ``w = C conj(w)`` and the defect
-    measures that instead (``mode`` reports which certificate applies).
-    Families with a nontrivial translation representation are first moved
-    to the adapted gauge, in which unit shifts act trivially, by ``D(k)^-1``
-    of :meth:`~blochframe.models.ProjectorFamily.twist`; the stored
-    gauge mixes the two members of each reflection pair across the grid
-    seam and neither certificate can close there (``untwisted`` records
-    whether this happened).
-    """
-    data = wset.data
-    untwisted = False
-    if family.tau is not None:
-        stored = frames_from_wannier(wset).data
-        periodic = family.twist(wset.geometry.torus_k(), stored, inverse=True)
-        data = wannier_transform(FrameField(wset.geometry, "full-torus", periodic)).data
-        untwisted = True
-    if family.theta is None:
-        return {
-            "mode": "imag",
-            "untwisted": untwisted,
-            "defect": float(np.max(np.abs(data.imag))),
-        }
-    image = family.act((0,) * family.d, data, anti=True)
-    return {
-        "mode": "theta",
-        "untwisted": untwisted,
-        "defect": float(np.max(np.abs(data - image))),
-    }
-
-
-def _radius_grid(wset):
-    """Sup-norm lattice radius of every site in the window."""
-    d = wset.geometry.d
-    gamma = np.abs(wset.gamma_axis())
-    radius = np.zeros((len(gamma),) * d, dtype=int)
-    for j in range(d):
-        shape = [1] * d
-        shape[j] = len(gamma)
-        radius = np.maximum(radius, gamma.reshape(shape))
-    return radius
-
-
-def localization_report(wset, fit_max=None, moment_window=None):
-    """Localization certificate: moments, shell decay and an exponential fit.
-
-    Moments are ``M_r = sum <gamma>^{2r} |w|^2`` per band for ``r`` up to 4
-    with the weight ``<gamma> = (1 + |gamma|^2)^{1/2}``; shells collect the
-    sup amplitude at each sup-norm radius.  ``moment_window`` truncates the
-    moment sums to sup-norm radius at most that value, which makes reports
-    from different grid sizes comparable (the outermost shells of a coarse
-    grid carry its wrap-around error).  The decay rate is a least squares
-    fit of ``log`` shell sups over radii ``FIT_MIN..fit_max`` (default half
-    the window), ignoring shells below ``SHELL_FLOOR``; its quality is reported
-    as ``r_squared``.  ``max_decreasing_run`` counts the longest chain of
-    consecutive strictly decreasing shells.
-    """
-    d = wset.geometry.d
-    grid_n = wset.geometry.grid_n
-    if fit_max is None:
-        fit_max = grid_n // 2
-    weights2 = np.abs(wset.data) ** 2
-    radius = _radius_grid(wset)
-
-    gamma = wset.gamma_axis().astype(float)
-    dist2 = np.zeros((len(gamma),) * d)
-    for j in range(d):
-        shape = [1] * d
-        shape[j] = len(gamma)
-        dist2 = dist2 + (gamma**2).reshape(shape)
-    site_axes = tuple(range(d))
-    keep_site = 1.0 if moment_window is None else (
-        radius <= int(moment_window)
-    ).astype(float)
-    moments = {}
-    for r in range(5):
-        w = (1.0 + dist2) ** r * keep_site
-        moments[r] = np.sum(
-            w.reshape(w.shape + (1, 1)) * weights2, axis=site_axes + (d,)
-        ).tolist()
-    amplitude = np.max(
-        np.abs(wset.data).reshape(wset.data.shape[: d] + (-1,)), axis=-1
-    )
-    shells = np.zeros(grid_n + 1)
-    for rho in range(grid_n + 1):
-        mask = radius == rho
-        if np.any(mask):
-            shells[rho] = float(np.max(amplitude[mask]))
-
-    run = 1
-    best_run = 1
-    for rho in range(1, len(shells)):
-        if shells[rho] < shells[rho - 1] and shells[rho - 1] > SHELL_FLOOR:
-            run += 1
-        else:
-            run = 1
-        best_run = max(best_run, run)
-
-    lo = FIT_MIN
-    hi = min(len(shells) - 1, int(fit_max))
-    radii = np.arange(lo, hi + 1)
-    vals = shells[lo : hi + 1]
-    keep = vals > SHELL_FLOOR
-    rate = None
-    r_squared = None
-    if np.count_nonzero(keep) >= 3:
-        x = radii[keep]
-        y = np.log(vals[keep])
-        slope, intercept = np.polyfit(x, y, 1)
-        pred = slope * x + intercept
-        ss_res = float(np.sum((y - pred) ** 2))
-        ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-        rate = float(-slope)
-        r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-
-    interior = radius < grid_n
-    tail = 1.0 - float(
-        np.sum(weights2[interior]) / max(np.sum(weights2), 1e-300)
-    )
-    return {
-        "moments": moments,
-        "moment_window": None if moment_window is None else int(moment_window),
-        "shell_radii": np.arange(grid_n + 1).tolist(),
-        "shell_sup": shells.tolist(),
-        "max_decreasing_run": int(best_run),
-        "fit_range": [int(lo), int(hi)],
-        "decay_rate": rate,
-        "r_squared": r_squared,
-        "window_tail_fraction": tail,
-    }

@@ -17,7 +17,8 @@ from blochframe.linalg import lowdin
 from blochframe.pipeline import RunConfig, run_construct, run_verify, run_wannierize
 from blochframe.smoothing import symmetrize
 from blochframe.vertex import symmetric_sqrt
-from blochframe.wannier import extend_symmetric, localization_report
+from blochframe.certify import localization_report
+from blochframe.wannier import extend_symmetric
 
 from conftest import (
     face_cell,

@@ -8,7 +8,7 @@ from blochframe.errors import BoundaryRelationViolated
 from blochframe.extension import BoundaryDomain, boundary_domain
 from blochframe.frames import input_frame
 from blochframe.models import builtin_model
-from blochframe.smoothing import reflection_defect
+from blochframe.certify import reflection_defect
 
 from conftest import lapack_projector, shifted_trs_3d
 

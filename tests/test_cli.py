@@ -12,11 +12,11 @@ from blochframe.cells import CellGeometry
 from blochframe.cli import main
 from blochframe.errors import EpsilonInfeasible
 from blochframe.frames import input_frame
-from blochframe.io import file_sha256, read_json
+from blochframe.io import file_sha256, load_frames, read_json, save_frames, write_json
 from blochframe.linalg import RANK_FLOOR
 from blochframe.models import load_model
 
-from conftest import reversal_break_between_grid_points
+from conftest import model_json, reversal_break_between_grid_points, shifted_haldane
 from test_frames import _pointwise_input_frame
 
 HALF_PI = "1.5707963267948966"
@@ -669,3 +669,140 @@ def test_a_corrupt_json_artifact_is_a_usage_error(ssh_artifacts, tmp_path, capsy
     assert payload["error"] == "usage"
     assert name in payload["message"]
     assert "rerun construct" in payload["message"]
+
+
+def _store_as_phi_sm(out, field):
+    """Forge a run: ``field`` replaces ``phi_sm.blf1`` and the manifest's
+    sha256 is rewritten to match, so every reuse check passes."""
+    save_frames(out / "phi_sm.blf1", field)
+    manifest = read_json(out / "manifest.json")
+    manifest["artifacts"]["phi_sm.blf1"] = file_sha256(out / "phi_sm.blf1")
+    write_json(out / "manifest.json", manifest)
+
+
+def _certificate_failed(code, capsys):
+    """The failed row names of a ``certificate-failed`` exit, and its text."""
+    captured = capsys.readouterr()
+    assert code == 1
+    payload = json.loads(captured.err)
+    assert payload["error"] == "certificate-failed"
+    return {row["name"]: row["value"] for row in payload["details"]["failed"]}, captured.out
+
+
+def test_a_forged_transport_frame_fails_wannierize_and_report(tmp_path, capsys):
+    """Negative control: haldane's full-torus transport frame is periodic
+    and in the fibers but not time-reversal symmetric.  Stored as
+    ``phi_sm.blf1`` under a rewritten sha256 it used to pass both
+    commands, ``report`` printing the stored reflection residual 0.0."""
+    assert _haldane("construct", tmp_path) == 0
+    family = load_model("haldane")
+    _store_as_phi_sm(tmp_path, input_frame(family, CellGeometry(2, 8), region="full-torus"))
+    capsys.readouterr()
+    failed, text = _certificate_failed(_haldane("wannierize", tmp_path), capsys)
+    assert set(failed) == {"final residuals/reflection", "wannier/reality defect (imag)"}
+    assert failed["final residuals/reflection"] == pytest.approx(1.59, abs=0.01)
+    assert failed["wannier/reality defect (imag)"] == pytest.approx(0.263, abs=0.001)
+    # the artifacts and the text are written before the exit
+    assert (tmp_path / "wannier.wan1").exists()
+    assert "reality defect (imag): 2.6" in text
+
+    failed, text = _certificate_failed(_haldane("report", tmp_path), capsys)
+    assert "  reflection: 1.588e+00 (FAIL, bound 1.000e-08)" in text.splitlines()
+    assert {"total move", "final residuals/reflection"} <= set(failed)
+    assert (tmp_path / "report.txt").read_text() == text
+
+
+def test_a_frame_of_another_model_fails_wannierize_on_its_projector_row(tmp_path, capsys):
+    """Negative control: the SSH chain's ``w = 1.6`` frame stored under a
+    ``w = 0.4`` manifest spans the other band.  Only the projector residual
+    of the re-certified frame can see that."""
+    runs = {}
+    for w in (0.4, 1.6):
+        path = tmp_path / f"model{w}.json"
+        path.write_text(json.dumps(_ssh_json(w)))
+        runs[w] = ["--model", str(path), "--grid-n", "8", "--out", str(tmp_path / f"run{w}")]
+        assert main(["construct", *runs[w]]) == 0
+    _store_as_phi_sm(tmp_path / "run0.4", load_frames(tmp_path / "run1.6" / "phi_sm.blf1"))
+    capsys.readouterr()
+    failed, _ = _certificate_failed(main(["wannierize", *runs[0.4]]), capsys)
+    assert failed == {"final residuals/projector": pytest.approx(1.0)}
+    recertified = read_json(tmp_path / "run0.4" / "wannier_report.json")["final_residuals"]
+    assert recertified["projector"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("model, params, grid_n", [
+    ("ssh", (), 8),
+    ("haldane", (), 8),
+    ("random-trs", ("d=3", "n=4", "m=2", "seed=0"), 8),
+    ("shifted-haldane", (), 8),
+])
+def test_honest_runs_pass_every_certificate(model, params, grid_n, tmp_path, capsys):
+    """construct, wannierize and report exit 0, each ending on a passing
+    verdict; ``shifted-haldane`` is a JSON model with ``tau != 1``."""
+    if model == "shifted-haldane":
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model_json(shifted_haldane())))
+        model = str(path)
+    argv = ["--model", model, "--grid-n", str(grid_n), "--out", str(tmp_path / "run")]
+    for param in params:
+        argv += ["--param", param]
+    for command in ("construct", "wannierize", "report"):
+        capsys.readouterr()
+        assert main([command, *argv]) == 0, command
+        lines = capsys.readouterr().out.splitlines()
+        assert "verdict: pass" in lines
+        assert not [line for line in lines if "FAIL" in line]
+
+
+@pytest.mark.parametrize("command", ["wannierize", "report"])
+def test_a_frame_of_another_grid_is_refused(command, tmp_path, capsys):
+    """Negative control: haldane's grid_n 16 ``phi_sm`` under the rewritten
+    sha256 of a grid_n 8 manifest.  It is an honest frame of the model, so
+    its certificates would pass; the run's grid is checked before they are
+    measured."""
+    other = tmp_path / "fine"
+    assert main(["construct", "--model", "haldane", "--grid-n", "16", "--out", str(other)]) == 0
+    assert _haldane("construct", tmp_path / "run") == 0
+    _store_as_phi_sm(tmp_path / "run", load_frames(other / "phi_sm.blf1"))
+    capsys.readouterr()
+    code = _haldane(command, tmp_path / "run")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["error"] == "usage"
+    assert "'full-torus', 2, 16, 2, 1)" in payload["message"]
+    assert "rerun construct" in payload["message"]
+    assert not (tmp_path / "run" / "wannier.wan1").exists()
+
+
+def test_report_refuses_a_manifest_without_a_record_it_reprints(ssh_artifacts, tmp_path, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(ssh_artifacts, out)
+    manifest = read_json(out / "manifest.json")
+    del manifest["transport_step_sup"]
+    write_json(out / "manifest.json", manifest)
+    capsys.readouterr()
+    code = main(["report", "--model", "ssh", "--grid-n", "8", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["error"] == "usage"
+    assert "transport_step_sup" in payload["message"]
+    assert not (out / "report.txt").exists()
+
+
+def test_report_refuses_a_psi_of_another_region(tmp_path, capsys):
+    """The obstruction defects read ``psi`` on the effective cell; a
+    full-torus frame in its place is refused, not indexed as a cell."""
+    assert _haldane("construct", tmp_path) == 0
+    shutil.copy(tmp_path / "phi_sm.blf1", tmp_path / "psi.blf1")
+    capsys.readouterr()
+    code = _haldane("report", tmp_path)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["error"] == "usage"
+    assert "psi.blf1" in payload["message"] and "'effective-cell'" in payload["message"]

@@ -11,10 +11,11 @@ from blochframe.cells import CellGeometry
 from blochframe.errors import AssumptionsFailed, EpsilonInfeasible, UsageError
 from blochframe.io import file_sha256, load_frames, read_json
 from blochframe.models import ProjectorFamily
+from blochframe.certify import final_residuals, rows
 from blochframe.pipeline import (
     RunConfig,
-    final_residuals,
     load_family,
+    report_rows,
     run_construct,
     run_report,
     run_verify,
@@ -34,6 +35,22 @@ def test_runconfig_validation():
     for threads in (0, -3):
         with pytest.raises(UsageError):
             RunConfig(model="ssh", threads=threads)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("grid_n", 8.0), ("grid_n", True), ("grid_n", "8"),
+    ("seed", 1.5), ("seed", False), ("threads", 1.0), ("threads", True),
+    ("tol", "1e-8"), ("tol", True), ("gap_tol", "0.1"), ("gap_tol", False),
+    ("epsilon", True), ("epsilon", None), ("epsilon", 1j),
+    ("model", {"dimension": 1}), ("params", [1]), ("out", 5),
+])
+def test_runconfig_refuses_a_field_of_the_wrong_type(field, value):
+    """A whole-number field takes an integer and a tolerance a real number;
+    neither takes a ``bool``.  ``model`` is a string, ``params`` a dict and
+    ``out`` a path.  Each is refused naming the field, before a stage could
+    stop on a raw ``TypeError``."""
+    with pytest.raises(UsageError, match=field):
+        RunConfig(**{"model": "ssh", field: value})
 
 
 def test_runconfig_refuses_a_negative_seed():
@@ -174,8 +191,8 @@ def test_run_wannierize_reuses_artifacts(ssh_run):
     loc = report["localization"]
     sup = loc["shell_sup"]
     assert sup[0] > sup[1] > sup[2] > sup[3]
-    cutoff = result["manifest"]["smoothing"]["smoothing"]["cutoff"]
-    assert report["fit_max"] == min(config.grid_n // 2, cutoff)
+    # the fit range is half the window, whatever the smoothing cutoff
+    assert loc["fit_range"] == [2, config.grid_n // 2]
     for name in ("wannier.wan1", "wannier_report.json"):
         assert os.path.exists(os.path.join(config.out, name))
     # the binary set is the only amplitude artifact; CSV is an export
@@ -360,14 +377,15 @@ def test_a_construct_builds_no_torus_projectors(monkeypatch):
 
 def test_wannierize_builds_no_torus_projectors(tmp_path, monkeypatch):
     """``wannierize`` on stored artifacts transports its control frame on
-    the sampled eigenframes: it builds no torus projector array and mirrors
-    only its own torus sample."""
+    the sampled eigenframes: it builds no torus projector array, mirrors
+    only its own torus sample and gathers the reflection of the whole torus
+    once, for the reflection residual of the ``phi_sm`` it certifies again."""
     config = RunConfig(model="haldane", grid_n=8, out=str(tmp_path))
     run_construct(config)
     frames_shape = CellGeometry(2, config.grid_n).torus_shape + (2, 1)
     calls = _spy_projector_builds(monkeypatch, frames_shape)
     run_wannierize(config)
-    assert calls == {"projector": 0, "build": 0, "torus": 0, "mirror": 1, "self_paired": 0}
+    assert calls == {"projector": 0, "build": 0, "torus": 1, "mirror": 1, "self_paired": 0}
 
 
 def _symmetry_products(monkeypatch):
@@ -432,3 +450,22 @@ def test_the_cutoff_is_reported_against_the_grid(tmp_path, grid_n, cutoff, resol
     text = run_report(config)
     assert f"cutoff fraction: {cutoff / (2 * grid_n):.3e}" in text
     assert f"nyquist resolved: {resolved}" in text
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(model="ssh", grid_n=8),
+    RunConfig(model="haldane", grid_n=8),
+    RunConfig(model="random-trs", params={"d": 3, "n": 4, "m": 2, "seed": 0}, grid_n=8),
+], ids=["ssh", "haldane", "trs-3d"])
+def test_report_recomputes_every_stored_value_bit_for_bit(config, tmp_path):
+    """``report`` measures the stored frames again with the functions that
+    wrote the records; on an honest run every value it prints equals the
+    stored one exactly, and only its first row says what it reprints."""
+    config.out = str(tmp_path)
+    run_construct(config)
+    run_wannierize(config)
+    stored = rows(read_json(tmp_path / "manifest.json"),
+                  read_json(tmp_path / "wannier_report.json"), config)
+    recomputed = report_rows(config)
+    assert recomputed[0][0] == "stored"
+    assert recomputed[1:] == stored

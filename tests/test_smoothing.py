@@ -19,11 +19,11 @@ from blochframe.frames import _overlap, _times, frame_distance, input_frame
 from blochframe import smoothing
 from blochframe.linalg import RANK_FLOOR, gram_polar, lowdin
 from blochframe.models import builtin_model
-from blochframe.pipeline import RunConfig, final_residuals, run_construct
+from blochframe.certify import final_residuals, reflection_defect, sup_distance
+from blochframe.pipeline import RunConfig, run_construct
 from blochframe.smoothing import (
     frame_midpoint,
     periodic_smooth,
-    reflection_defect,
     smooth_symmetric,
     symmetrize,
 )
@@ -414,9 +414,9 @@ def _check_accepted_frames(smoothed, report, field, family, svd_frames):
     w_min, w_max, _ = gram_polar(candidate[slab])
     bound = 64 * np.finfo(float).eps * float(np.max(w_max / w_min))
     assert np.max(np.abs(smoothed.data[slab] - svd_frames[slab])) <= bound
-    distance = smoothing._sup_distance(smoothed.data[slab], field.data[slab])
+    distance = sup_distance(smoothed.data[slab], field.data[slab])
     assert report["sup_distance"] == distance < report["target"]
-    assert smoothing._sup_distance(smoothed.data, field.data) == pytest.approx(
+    assert sup_distance(smoothed.data, field.data) == pytest.approx(
         distance, abs=1e-14
     )
 
@@ -636,7 +636,7 @@ def test_smooth_symmetric_is_the_symmetrized_full_torus_ladder(
     assert np.array_equal(final.data[follower], image[follower])
     assert np.max(np.abs(final.data - symmetric.data)) <= 1e-14
     assert reflection_defect(final, family) <= 1e-14
-    assert report["sup_distance_total"] == smoothing._sup_distance(final.data, field.data)
+    assert report["sup_distance_total"] == sup_distance(final.data, field.data)
     assert report["symmetrization"].keys() == {"reflection_before", "max_shift"}
 
 

@@ -9,13 +9,16 @@ gauge through ``ProjectorFamily.twist``.  A module that fetches
 symmetry product; these tests fail first.  Likewise a module other than
 ``models.py`` that names a built-in model keeps a second list of them
 beside ``models.BUILTINS``, and one other than ``linalg.py`` that clusters
-eigenvalues keeps a second branch step beside ``linalg.unitary_phases``.
+eigenvalues keeps a second branch step beside ``linalg.unitary_phases``,
+and one other than ``certify.py`` that defines a certificate function
+keeps a second certificate beside the one ``report`` recomputes.
 """
 import ast
 import pathlib
 import re
 
 import blochframe
+from blochframe import certify
 from blochframe.models import BUILTINS
 
 PACKAGE = pathlib.Path(blochframe.__file__).parent
@@ -79,3 +82,25 @@ def test_no_module_but_linalg_clusters_eigenvalues():
         if path.name != "linalg.py"
     }
     assert {name: found for name, found in calls.items() if found} == {}
+
+
+CERTIFICATES = {
+    "final_residuals", "_trim_obstruction_defects", "reflection_defect",
+    "reality_check", "localization_report", "rows", "verdict",
+}
+
+
+def _defined_functions(tree):
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def test_no_module_but_certify_defines_a_certificate():
+    assert CERTIFICATES <= _defined_functions(ast.parse((PACKAGE / "certify.py").read_text()))
+    defined = {
+        path.name: sorted(_defined_functions(ast.parse(path.read_text())) & CERTIFICATES)
+        for path in SOURCES
+        if path.name != "certify.py"
+    }
+    assert {name: found for name, found in defined.items() if found} == {}
+    assert all(callable(getattr(certify, name)) for name in CERTIFICATES)

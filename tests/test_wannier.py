@@ -12,12 +12,11 @@ from blochframe.face2d import construct_2d
 from blochframe.frames import FrameField, frame_distance, input_frame
 from blochframe.models import builtin_model
 from blochframe.vertex import construct_1d
+from blochframe.certify import localization_report, reality_check
 from blochframe.wannier import (
     WannierSet,
     extend_symmetric,
     frames_from_wannier,
-    localization_report,
-    reality_check,
     wannier_transform,
 )
 
