@@ -15,7 +15,7 @@ from functools import reduce
 
 import numpy as np
 
-from .frames import FrameField, _overlap, _times, unitary_between
+from .frames import FrameField, _overlap, _times, frobenius, unitary_between
 from .wannier import frames_from_wannier, wannier_transform
 
 __all__ = [
@@ -45,13 +45,13 @@ SHELL_FLOOR = 1e-13
 
 def sup_distance(a, b):
     """Sup over the grid of the frame distance between two stacks of frames."""
-    return float(np.max(np.sqrt(np.sum(np.abs(a - b) ** 2, axis=(-2, -1)))))
+    return float(np.max(frobenius(a - b)))
 
 
 def reflection_defect(field, family):
     """Largest violation of ``Phi(-k) = theta Phi(k)`` over the torus grid."""
     image = family.reflect(field.data, range(field.geometry.n_side))
-    return float(np.max(np.linalg.norm(field.data - image, axis=(-2, -1))))
+    return float(np.max(frobenius(field.data - image)))
 
 
 def _trim_obstruction_defects(psi_field, family, geometry):
@@ -81,7 +81,7 @@ def final_residuals(field, family):
     frames = field.data
     moved = _times(v, _overlap(v, frames)) - frames
     return {
-        "projector": float(np.max(np.linalg.norm(moved, axis=(-2, -1)))),
+        "projector": float(np.max(frobenius(moved))),
         "orthonormality": field.orthonormality_defect(),
         "reflection": reflection_defect(field, family),
     }
@@ -161,11 +161,11 @@ def localization_report(wset, moment_window=None):
     amplitude = np.max(
         np.abs(wset.data).reshape(wset.data.shape[: d] + (-1,)), axis=-1
     )
+    # amplitudes are at least 0, the empty shells' value; a NaN wins its
+    # shell, which the scatter reports as an invalid comparison
     shells = np.zeros(grid_n + 1)
-    for rho in range(grid_n + 1):
-        mask = radius == rho
-        if np.any(mask):
-            shells[rho] = float(np.max(amplitude[mask]))
+    with np.errstate(invalid="ignore"):
+        np.maximum.at(shells, radius.ravel(), amplitude.ravel())
 
     run = 1
     best_run = 1

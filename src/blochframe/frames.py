@@ -28,6 +28,7 @@ from .linalg import RANK_FLOOR, lowdin
 __all__ = [
     "FrameField",
     "frame_distance",
+    "frobenius",
     "unitary_between",
     "check_same_span",
     "input_frame",
@@ -39,6 +40,20 @@ def frame_distance(a, b):
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
 
+def frobenius(a):
+    """Frobenius norms over the last two axes of a stack of matrices,
+    ``sqrt(sum(re**2 + im**2))`` in real arithmetic: the one norm of the
+    torus-wide certificates.  A NaN or inf entry makes its norm NaN or inf.
+
+    A complex stack is read as its real and imaginary parts side by side,
+    so each norm is one real dot product of a matrix's entries with
+    themselves."""
+    a = np.ascontiguousarray(a)
+    parts = a.view(a.real.dtype) if np.iscomplexobj(a) else a
+    parts = parts.reshape(a.shape[:-2] + (-1,))
+    return np.sqrt(np.einsum("...i,...i->...", parts, parts))
+
+
 def check_same_span(a, b, tol=1e-8):
     """Raise :class:`SpanMismatch` unless ``a`` and ``b`` span the same subspace.
 
@@ -48,8 +63,7 @@ def check_same_span(a, b, tol=1e-8):
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    moved = b @ (np.swapaxes(b.conj(), -1, -2) @ a) - a
-    defect = float(np.max(np.linalg.norm(moved, axis=(-2, -1)), initial=0.0))
+    defect = float(np.max(frobenius(_times(b, _overlap(b, a)) - a), initial=0.0))
     if not defect <= tol:
         raise SpanMismatch(
             f"frames do not span the same subspace (defect {defect:.3e} > {tol:.1e})",
@@ -125,9 +139,7 @@ class FrameField:
     def orthonormality_defect(self):
         """Largest ``||frame^H frame - 1||`` over every stored point;
         NaN when any frame holds a NaN."""
-        f = self.data
-        gram = np.swapaxes(f.conj(), -1, -2) @ f - np.eye(self.m)
-        return float(np.max(np.linalg.norm(gram, axis=(-2, -1))))
+        return float(np.max(frobenius(_overlap(self.data, self.data) - np.eye(self.m))))
 
 
 # ----------------------------------------------------------------------
@@ -145,9 +157,10 @@ def _fix_column_phases(frame):
     return frame
 
 
-# The transport's stacked products are sums of broadcast products over the
-# inner index, one term at a time: on stacks of m x m and n x m matrices
-# that is faster than a stacked ``@`` or an ``np.sum`` over the axis.
+# The transport's and the certificates' stacked products are sums of
+# broadcast products over the inner index, one term at a time: on stacks of
+# m x m and n x m matrices that is faster than a stacked ``@`` or an
+# ``np.sum`` over the axis.
 def _times(a, b):
     """``a @ b`` on stacks of small matrices."""
     out = a[..., :, 0, None] * b[..., 0, None, :]

@@ -339,7 +339,10 @@ class ProjectorFamily:
 
         A point ``g = rep + N lam`` off the stored torus (``N = 2 grid_n``)
         gets ``tau_lam v(rep)``, which spans ``P(k)`` by the lattice
-        symmetry ``P(k + e_j) = tau_j P(k) tau_j^-1``.  The gap gate of
+        symmetry ``P(k + e_j) = tau_j P(k) tau_j^-1``.  Where ``tau = 1``,
+        or every point lies on the stored torus, that is ``v(rep)`` itself
+        and the result is a plain gather; otherwise the points off the
+        torus are acted on, one :meth:`act` per shift.  The gap gate of
         :meth:`spectral_frame` runs on the sampled eigenvalues at every
         call.  The projector ``P(k) c`` of a stack ``c`` is ``v (v^H c)``.
         """
@@ -347,13 +350,22 @@ class ProjectorFamily:
         sample = self.torus_eigensystem(grid_n)
         frame, _ = self.spectral_frame(geometry.torus_k(), sample)
         g = np.asarray(g)
+        rep = np.ravel_multi_index(tuple(np.moveaxis(g, -1, 0)), geometry.torus_shape,
+                                   mode="wrap")
+        out = np.take(frame.reshape((-1,) + frame.shape[-2:]), rep, axis=0)
+        if self.tau is None:
+            return out
         lam = g // geometry.n_side
-        out = frame[tuple(np.moveaxis(g - geometry.n_side * lam, -1, 0))]
+        off = np.nonzero(np.any(lam, axis=-1))
+        if not off[0].size:
+            return out
+        lam, moved = lam[off], out[off]
         # every combination of the shifts along each axis: a row-wise
         # np.unique of lam costs more than the whole gather
-        for shift in product(*map(np.unique, np.moveaxis(lam, -1, 0))):
+        for shift in product(*map(np.unique, lam.T)):
             at = np.all(lam == shift, axis=-1)
-            out[at] = self.act(shift, out[at])
+            moved[at] = self.act(shift, moved[at])
+        out[off] = moved
         return out
 
     # ------------------------------------------------------------------
@@ -674,7 +686,8 @@ def _random_trs(n=4, m=2, d=2, hop_range=1, seed=0, amplitude=0.3):
     for r in vectors:
         mr = tuple(-x for x in r)
         hop[r] = 0.5 * (raw[r] + raw[mr].T)
-    total = sum(np.linalg.norm(mat, 2) for mat in hop.values())
+    # one batched SVD for every spectral norm, summed in the dict's order
+    total = sum(np.linalg.norm(np.array(list(hop.values())), 2, axis=(-2, -1)).tolist())
     scale = amplitude / total
     hoppings = {r: scale * mat.astype(complex) for r, mat in hop.items()}
     hoppings[(0,) * d] = hoppings.get((0,) * d, 0.0) + base

@@ -45,7 +45,7 @@ import numpy as np
 
 from .certify import reflection_defect, sup_distance
 from .errors import EpsilonInfeasible, ProjectionRankLoss, TooFarApart, UsageError
-from .frames import FrameField, _overlap, _times, check_same_span
+from .frames import FrameField, _overlap, _times, check_same_span, frobenius
 from .linalg import RANK_FLOOR, gram_polar, lowdin
 
 __all__ = [
@@ -83,7 +83,7 @@ def frame_midpoint(a, b):
     a = np.asarray(a)
     b = np.asarray(b)
     check_same_span(a, b)
-    sep = float(np.max(np.linalg.norm(b - a, axis=(-2, -1)), initial=0.0))
+    sep = float(np.max(frobenius(b - a), initial=0.0))
     if sep >= MIDPOINT_LIMIT:
         raise TooFarApart(
             f"frames at distance {sep:.3f}, limit {MIDPOINT_LIMIT:.3f}",
@@ -143,7 +143,7 @@ def _midpoint_pairs(torus, family, owner, rows):
     """
     data = torus[rows]
     image = family.reflect(torus, rows)
-    defect = np.linalg.norm(data - image, axis=(-2, -1))
+    defect = frobenius(data - image)
     far = owner & (defect >= MIDPOINT_LIMIT)
     if np.any(far):
         failures = [

@@ -12,6 +12,7 @@ from blochframe.frames import (
     _times,
     check_same_span,
     frame_distance,
+    frobenius,
     input_frame,
     unitary_between,
 )
@@ -38,6 +39,33 @@ def test_frame_distance_is_frobenius(rng):
     b = _random_frame(rng, 3, 2)
     assert frame_distance(a, b) == pytest.approx(np.linalg.norm(a - b))
     assert frame_distance(a, a) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 1, 1), (3, 5, 4, 2), (2, 2, 3, 6, 1)])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_frobenius_is_numpys_norm_to_a_few_ulp(rng, shape, kind):
+    a = rng.standard_normal(shape) * np.exp(rng.uniform(-20, 20, shape))
+    if kind == "complex":
+        a = a + 1j * rng.standard_normal(shape) * np.exp(rng.uniform(-20, 20, shape))
+    ref = np.linalg.norm(a, axis=(-2, -1))
+    got = frobenius(a)
+    assert got.shape == ref.shape and got.dtype == np.float64
+    np.testing.assert_array_max_ulp(got, ref, maxulp=4)
+    # a strided view reads the same entries
+    np.testing.assert_array_max_ulp(frobenius(np.swapaxes(a, -1, -2)), ref, maxulp=4)
+    assert not np.any(frobenius(np.zeros_like(a)))
+
+
+def test_frobenius_carries_nan_and_inf_into_the_norm(rng):
+    a = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
+    a[0, 1, 1] = np.nan
+    a[1, 2, 0] = complex(0.0, np.nan)
+    a[2, 0, 0] = np.inf
+    a[3, 0, 1] = complex(1.0, -np.inf)
+    norms = frobenius(a)
+    assert np.isnan(norms[:2]).all()
+    assert np.isposinf(norms[2:]).all()
+    assert np.isnan(np.max(frobenius(a[:2])))
 
 
 def test_unitary_between_recovers_the_rotation(rng):

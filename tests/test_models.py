@@ -143,6 +143,27 @@ def test_random_trs_real_hoppings_and_reversal(rng):
     assert report.gap_floor > 1.39  # amplitude 0.3 leaves a gap of 2 - 0.6
 
 
+@pytest.mark.parametrize("params, digest", [
+    ({"d": 3, "n": 4, "m": 2, "seed": 0},
+     "e018d0d80e2647d112cfc8d27bf4482a698a34c7de8a3bf07313dc9110144ed9"),
+    ({"d": 2, "n": 5, "m": 3, "seed": 3},
+     "50c4df0bc18d3ec47289774a7ad6c0d7bfd35784fd9cb411a6c74c1c41ff7592"),
+    ({"d": 1, "n": 4, "m": 2, "seed": 1},
+     "a02407e59e6b96ce2b72a4bba51586a5e959c3a72468c9daef6943c623c7875f"),
+], ids=["d3", "d2", "d1"])
+def test_random_trs_content_is_pinned(params, digest):
+    """The rescaling's spectral norms are summed in the hoppings' order, so
+    a seed gives the same model bytes from one release to the next; the
+    perturbation's total spectral norm is the amplitude."""
+    fam = builtin_model("random-trs", **params)
+    assert fam.content_sha256() == digest
+    m, n = params["m"], params["n"]
+    base = np.diag([-1.0] * m + [1.0] * (n - m))
+    total = sum(np.linalg.norm(mat - (0.0 if any(r) else base), 2)
+                for r, mat in fam.hoppings.items())
+    assert total == pytest.approx(fam.params["amplitude"], rel=1e-12)
+
+
 def test_random_trs_range_parameter():
     fam = builtin_model("random-trs", range=2)
     assert fam.params["range"] == 2

@@ -15,7 +15,7 @@ from blochframe.errors import (
 )
 from blochframe.cell3d import construct_3d
 from blochframe.face2d import construct_2d
-from blochframe.frames import _overlap, _times, frame_distance, input_frame
+from blochframe.frames import _overlap, _times, check_same_span, frame_distance, input_frame
 from blochframe import smoothing
 from blochframe.linalg import RANK_FLOOR, gram_polar, lowdin
 from blochframe.models import builtin_model
@@ -190,6 +190,29 @@ def test_a_nan_frame_fails_the_smoothing_precondition(haldane, haldane_torus):
     """The precondition gate refuses a NaN frame before the FFT."""
     with pytest.raises(UsageError):
         periodic_smooth(_poisoned(haldane_torus), haldane, epsilon=0.1)
+
+
+@pytest.mark.parametrize("poison", [np.nan, np.inf, complex(0.0, np.nan), complex(0.0, -np.inf)],
+                         ids=["nan", "inf", "nan-imag", "inf-imag"])
+def test_a_non_finite_frame_fails_every_frobenius_gate(haldane, haldane_torus, poison):
+    """One NaN or inf entry, real or imaginary, fails the final residuals,
+    the span check and the smoothing precondition: :func:`frobenius`
+    carries it into the norm, and no gate reads a NaN as small.  (An inf
+    times a zero in the products is NaN, which numpy reports as invalid.)"""
+    clean = final_residuals(haldane_torus, haldane)
+    assert max(clean.values()) < 1e-12
+    field = haldane_torus.copy()
+    field.data[3, 5, 1, 0] = poison
+    with np.errstate(invalid="ignore"):
+        residuals = final_residuals(field, haldane)
+        assert {key for key, value in residuals.items() if not value <= 1e-8} == {
+            "projector", "orthonormality", "reflection"}
+        with pytest.raises(SpanMismatch):
+            check_same_span(haldane_torus.data, field.data)
+        with pytest.raises(SpanMismatch):
+            check_same_span(field.data, haldane_torus.data)
+        with pytest.raises(UsageError):
+            periodic_smooth(field, haldane, epsilon=0.1)
 
 
 def _largest_step(data):

@@ -104,3 +104,26 @@ def test_no_module_but_certify_defines_a_certificate():
     }
     assert {name: found for name, found in defined.items() if found} == {}
     assert all(callable(getattr(certify, name)) for name in CERTIFICATES)
+
+
+def _stacked_norm_calls(tree):
+    """Lines of ``np.linalg.norm(..., axis=(-2, -1))`` calls in a module."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "norm"
+            and any(kw.arg == "axis" and ast.literal_eval(kw.value) == (-2, -1)
+                    for kw in node.keywords)]
+
+
+def test_certificate_norms_have_one_kernel():
+    """``certify.py`` and ``smoothing.py`` take every stacked Frobenius norm
+    through ``frames.frobenius``; ``frames.py`` itself keeps the transport
+    step's ``np.linalg.norm``, which a pointwise walk pins bit for bit."""
+    assert _stacked_norm_calls(ast.parse((PACKAGE / "frames.py").read_text()))
+    found = {
+        name: _stacked_norm_calls(ast.parse((PACKAGE / name).read_text()))
+        for name in ("certify.py", "smoothing.py")
+    }
+    assert found == {"certify.py": [], "smoothing.py": []}
+    assert all("frobenius" in _called_names(ast.parse((PACKAGE / name).read_text()))
+               for name in found)

@@ -1,5 +1,6 @@
 """Unit tests for symmetric extension and the lattice-side certificates."""
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from blochframe.errors import BoundaryRelationViolated, UsageError
 from blochframe.face2d import construct_2d
 from blochframe.frames import FrameField, frame_distance, input_frame
 from blochframe.models import builtin_model
+from blochframe.pipeline import RunConfig, run_wannierize
 from blochframe.vertex import construct_1d
 from blochframe.certify import localization_report, reality_check
 from blochframe.wannier import (
@@ -20,7 +22,7 @@ from blochframe.wannier import (
     wannier_transform,
 )
 
-from conftest import face_cell, rotated_ssh, shifted_haldane, shifted_trs_3d
+from conftest import face_cell, model_json, rotated_ssh, shifted_haldane, shifted_trs_3d
 
 
 @pytest.fixture(scope="module")
@@ -277,3 +279,51 @@ def test_localization_moment_window_truncates():
     assert w0_win == pytest.approx(1.0 + 0.25)
     # second moment by hand: (1 + 9)^2 * 0.25 inside the window
     assert windowed["moments"][2][0] == pytest.approx(1.0 + 100.0 * 0.25)
+
+
+def _shells_radius_by_radius(wset):
+    """Sup amplitude at each sup-norm radius, one radius at a time."""
+    d, grid_n = wset.geometry.d, wset.geometry.grid_n
+    gamma = np.abs(wset.gamma_axis())
+    radius = np.max(np.stack(np.meshgrid(*[gamma] * d, indexing="ij")), axis=0)
+    amplitude = np.max(np.abs(wset.data).reshape(wset.data.shape[:d] + (-1,)), axis=-1)
+    shells = np.zeros(grid_n + 1)
+    for rho in range(grid_n + 1):
+        mask = radius == rho
+        if np.any(mask):
+            shells[rho] = float(np.max(amplitude[mask]))
+    return shells
+
+
+@pytest.fixture(scope="module", params=["haldane-2d", "trs-3d", "twisted-2d"])
+def solved_wset(request, tmp_path_factory):
+    """The Wannier set of a solved run: built-in haldane at grid_n 32,
+    random-trs d=3 at grid_n 8, and a family with orbitals off the cell
+    origin (``tau != 1``) at grid_n 8."""
+    if request.param == "haldane-2d":
+        config = RunConfig(model="haldane", params={"phi": 0.0}, grid_n=32)
+    elif request.param == "trs-3d":
+        config = RunConfig(model="random-trs", params={"d": 3, "n": 4, "m": 2, "seed": 0},
+                           grid_n=8)
+    else:
+        path = tmp_path_factory.mktemp("twisted") / "twisted.json"
+        path.write_text(json.dumps(model_json(shifted_haldane((0.25, 0.75)))))
+        config = RunConfig(model=str(path), grid_n=8)
+    return run_wannierize(config)["wannier"]
+
+
+def test_shell_sups_are_the_radius_by_radius_maxima(solved_wset):
+    shells = localization_report(solved_wset)["shell_sup"]
+    assert shells == _shells_radius_by_radius(solved_wset).tolist()
+    assert all(value > 0.0 for value in shells)
+
+
+def test_a_nan_amplitude_makes_its_shell_nan():
+    wset = _synthetic_wset()
+    center = -wset.offset
+    wset.data[center + 3, center - 2, 0, 0] = np.nan
+    shells = localization_report(wset)["shell_sup"]
+    oracle = _shells_radius_by_radius(wset)
+    assert np.isnan(oracle[3]) and np.isnan(shells[3])
+    assert [x for i, x in enumerate(shells) if i != 3] == [
+        x for i, x in enumerate(oracle.tolist()) if i != 3]
