@@ -16,7 +16,7 @@ from functools import reduce
 import numpy as np
 
 from .frames import FrameField, _overlap, _times, frobenius, unitary_between
-from .wannier import frames_from_wannier, wannier_transform
+from .wannier import EXTENSION_BOUND, frames_from_wannier, wannier_transform
 
 __all__ = [
     "EXTENSION_BOUND",
@@ -31,11 +31,10 @@ __all__ = [
     "format_rows",
 ]
 
-# The largest extension mismatch, and distance of a band norm from 1, that
-# pass.  ``extend_symmetric`` refuses a mismatch above its own default
-# tolerance, the same 1e-10; the FFT keeps band norms at 1 to a few ulps
-# per grid point.
-EXTENSION_BOUND = 1e-10
+# The largest distance of a band norm from 1 that passes; the FFT keeps
+# band norms at 1 to a few ulps per grid point.  The extension mismatch
+# passes up to ``wannier.EXTENSION_BOUND``, the default tolerance of
+# ``extend_symmetric``.
 BAND_NORM_BOUND = 1e-10
 
 # First radius and amplitude floor of localization_report's shell fit.

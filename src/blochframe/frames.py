@@ -27,17 +27,11 @@ from .linalg import RANK_FLOOR, lowdin
 
 __all__ = [
     "FrameField",
-    "frame_distance",
     "frobenius",
     "unitary_between",
     "check_same_span",
     "input_frame",
 ]
-
-
-def frame_distance(a, b):
-    """Hilbert-Schmidt distance between two frames (Frobenius norm)."""
-    return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
 
 def frobenius(a):

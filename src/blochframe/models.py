@@ -20,9 +20,11 @@ which gives ``P(k + e_j) = tau_j P(k) tau_j^-1``, and time reversal as
 ``C conj(H_R) C^-1 = H_R``, which gives ``theta P(k) theta^-1 = P(-k)``.
 Only the gap needs Bloch data.  A family samples its eigensystem on the
 torus grid once (:meth:`ProjectorFamily.torus_eigensystem` keeps the last
-grid's sample); the gap floor of :func:`verify_assumptions`, the
-eigenframes the input frame is transported on and every projector a
-construction smooths and certifies with are read from that one sample.
+grid's sample) and measures the gap there, keeping the sample's worst
+point with it: the gap floor of :func:`verify_assumptions` is that point,
+the gap gate of every read is a comparison with it, and the eigenframes
+the input frame is transported on and every projector a construction
+smooths and certifies with are read from that one sample.
 The two symmetries also halve it: :meth:`ProjectorFamily.eigensystem`
 (closed form for two bands, ``eigh`` beyond) runs on the slab ``k_1 <=
 1/2`` only, and every other point is the time-reversed image of its
@@ -262,41 +264,11 @@ class ProjectorFamily:
         """Eigenvalues (ascending) and eigenvectors of ``H(k)``, stacked over
         the leading axes of ``k``: one :func:`~blochframe.linalg.hermitian_eigensystem`
         call for the whole stack, in closed form for two bands and one
-        ``eigh`` otherwise.  The torus sample, :meth:`spectral_frame` and
-        :meth:`projector` all take it."""
+        ``eigh`` otherwise.  Nothing is gated here; the torus sample takes
+        it, and its projectors at any ``k`` are ``v v^H`` of the lowest
+        ``m`` eigenvectors ``v``."""
         h = self.hamiltonian(k)
         return hermitian_eigensystem(0.5 * (h + _dagger(h)))
-
-    def spectral_frame(self, k, eigensystem=None):
-        """Orthonormal eigenbases ``(..., n, m)`` of the lowest ``m`` bands
-        and the gaps ``(...)`` at quasimomenta ``k`` of shape ``(..., d)``.
-
-        ``eigensystem`` is ``self.eigensystem(k)`` when the caller has
-        already sampled it.  Raises :class:`GapClosed` at the point of the
-        smallest gap when it falls below ``gap_tolerance``, or at the first
-        NaN gap.
-        """
-        if eigensystem is None:
-            eigensystem = self.eigensystem(k)
-        evals, evecs = eigensystem
-        below, above = evals[..., self.m - 1], evals[..., self.m]
-        gap = above - below
-        # argmin stops at the first NaN, and the test refuses it
-        worst = np.unravel_index(np.argmin(gap), gap.shape)
-        if not gap[worst] >= self.gap_tolerance:
-            raise GapClosed(
-                f"spectral gap {gap[worst]:.3e} below tolerance {self.gap_tolerance:.3e}",
-                k=tuple(np.asarray(k, dtype=float)[worst].tolist()),
-                below=float(below[worst]),
-                above=float(above[worst]),
-            )
-        return evecs[..., : self.m], gap
-
-    def projector(self, k):
-        """Spectral projectors ``(..., n, n)`` at ``k`` of shape ``(..., d)``,
-        gap-gated as in :meth:`spectral_frame`."""
-        frame, _ = self.spectral_frame(k)
-        return frame @ _dagger(frame)
 
     def torus_eigensystem(self, grid_n):
         """All eigenvalues, and the eigenvectors of the lowest ``m`` bands,
@@ -315,8 +287,11 @@ class ProjectorFamily:
 
         Sampled on the first call for a ``grid_n`` and kept until another
         ``grid_n`` is asked for, so one command samples the torus once.
-        Nothing is gated here: the gap gate is at each use, through
-        :meth:`spectral_frame` or :meth:`grid_frames`.
+        The gap is measured here too: the sample keeps its worst point,
+        the smallest gap or else the first NaN gap, as its ``k`` and the
+        eigenvalues ``below`` and ``above`` of bands ``m`` and ``m + 1``.
+        Nothing is gated here: :meth:`grid_frames` gates on that point at
+        every read, and :func:`verify_assumptions` reports it.
         """
         if self._torus_sample is None or self._torus_sample[0] != grid_n:
             torus_k = CellGeometry(self.d, grid_n).torus_k()
@@ -329,7 +304,11 @@ class ProjectorFamily:
             frames[slab] = evecs[..., : self.m]
             values[grid_n + 1:] = _at_partners(values[grid_n - 1:0:-1], range(1, self.d))
             frames[grid_n + 1:] = self.reflect(frames, range(grid_n + 1, 2 * grid_n))
-            self._torus_sample = (grid_n, (values, frames))
+            below, above = values[..., self.m - 1], values[..., self.m]
+            # argmin stops at the first NaN
+            worst = np.unravel_index(np.argmin(above - below), below.shape)
+            edge = (tuple(torus_k[worst].tolist()), float(below[worst]), float(above[worst]))
+            self._torus_sample = (grid_n, (values, frames), edge)
         return self._torus_sample[1]
 
     def grid_frames(self, grid_n, g):
@@ -342,20 +321,28 @@ class ProjectorFamily:
         symmetry ``P(k + e_j) = tau_j P(k) tau_j^-1``.  Where ``tau = 1``,
         or every point lies on the stored torus, that is ``v(rep)`` itself
         and the result is a plain gather; otherwise the points off the
-        torus are acted on, one :meth:`act` per shift.  The gap gate of
-        :meth:`spectral_frame` runs on the sampled eigenvalues at every
-        call.  The projector ``P(k) c`` of a stack ``c`` is ``v (v^H c)``.
+        torus are acted on, one :meth:`act` per shift.  The projector
+        ``P(k) c`` of a stack ``c`` is ``v (v^H c)``.
+
+        Every call compares the sample's smallest gap with the current
+        ``gap_tolerance`` and raises :class:`GapClosed` with that point's
+        ``k``, ``below`` and ``above`` when the gap is below it or NaN,
+        whichever points ``g`` asks for.
         """
-        geometry = CellGeometry(self.d, grid_n)
-        sample = self.torus_eigensystem(grid_n)
-        frame, _ = self.spectral_frame(geometry.torus_k(), sample)
+        frame = self.torus_eigensystem(grid_n)[1]
+        k, below, above = self._torus_sample[2]
+        if not above - below >= self.gap_tolerance:
+            raise GapClosed(
+                f"spectral gap {above - below:.3e} below tolerance {self.gap_tolerance:.3e}",
+                k=k, below=below, above=above,
+            )
         g = np.asarray(g)
-        rep = np.ravel_multi_index(tuple(np.moveaxis(g, -1, 0)), geometry.torus_shape,
+        rep = np.ravel_multi_index(tuple(np.moveaxis(g, -1, 0)), frame.shape[: self.d],
                                    mode="wrap")
         out = np.take(frame.reshape((-1,) + frame.shape[-2:]), rep, axis=0)
         if self.tau is None:
             return out
-        lam = g // geometry.n_side
+        lam = g // (2 * grid_n)
         off = np.nonzero(np.any(lam, axis=-1))
         if not off[0].size:
             return out
@@ -549,9 +536,10 @@ def verify_assumptions(family, grid_n=16, tol=1e-8):
     give ``P(k + e_j) = tau_j P(k) tau_j^-1`` and
     ``theta P(k) theta^-1 = P(-k)`` everywhere.  ``lipschitz_bound`` is
     ``L = 2 pi sum_R |R| ||H_R||_2``, which bounds
-    ``||H(k) - H(k')||_2 / |k - k'|``.  The gap floor is the minimum gap
-    over the family's :meth:`~ProjectorFamily.torus_eigensystem` sample,
-    whose half ``k_1 > 1/2`` is mirrored from ``-k``: it is the torus
+    ``||H(k) - H(k')||_2 / |k - k'|``.  The gap floor is the gap at the
+    worst point the family's :meth:`~ProjectorFamily.torus_eigensystem`
+    sample keeps (NaN if any gap is), the minimum over a sample whose half
+    ``k_1 > 1/2`` is mirrored from ``-k``: it is the torus
     minimum when the symmetries hold, and within ``2 (time_reversal + d *
     periodicity)`` of it otherwise (Weyl's inequality), when the report
     fails on those residuals anyway.
@@ -559,9 +547,10 @@ def verify_assumptions(family, grid_n=16, tol=1e-8):
     residual exceeds ``tol`` or the gap floor drops below the family's gap
     tolerance.  A closed gap is reported that way, never raised.
     """
-    d, m = family.d, family.m
-    evals = family.torus_eigensystem(grid_n)[0]
-    gap_floor = float(np.min(evals[..., m] - evals[..., m - 1]))
+    d = family.d
+    family.torus_eigensystem(grid_n)
+    _, below, above = family._torus_sample[2]
+    gap_floor = above - below
     vectors, blocks = _coefficients(family)
     c = family.theta_matrix()
 

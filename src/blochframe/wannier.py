@@ -22,14 +22,20 @@ from .errors import BoundaryRelationViolated, UsageError
 from .frames import FrameField
 
 __all__ = [
+    "EXTENSION_BOUND",
     "extend_symmetric",
     "WannierSet",
     "wannier_transform",
     "frames_from_wannier",
 ]
 
+# The largest distance between two stored frames that the boundary
+# relations identify: the default tolerance of :func:`extend_symmetric`
+# and the bound of the extension certificate.
+EXTENSION_BOUND = 1e-10
 
-def extend_symmetric(field, family, tol=1e-10):
+
+def extend_symmetric(field, family, tol=EXTENSION_BOUND):
     """Extend an effective-cell frame field to the full torus grid.
 
     Along each axis ``j >= 2`` the slab ``g_1 <= grid_n`` reads the cell at
@@ -110,10 +116,6 @@ class WannierSet:
     @property
     def d(self):
         return self.geometry.d
-
-    @property
-    def n_bands(self):
-        return self.data.shape[-1]
 
     def gamma_axis(self):
         """Lattice coordinates along each axis."""

@@ -5,9 +5,11 @@ an honest run's records flips that row, and only that row, and with it
 the verdict.  A row that is printed but not gated flips nothing.
 """
 import copy
+import inspect
 
 import pytest
 
+from blochframe import wannier
 from blochframe.certify import (
     BAND_NORM_BOUND,
     EXTENSION_BOUND,
@@ -16,6 +18,14 @@ from blochframe.certify import (
     verdict,
 )
 from blochframe.pipeline import RunConfig, run_wannierize
+
+
+def test_the_extension_bound_is_the_default_tolerance_of_the_extension():
+    """One constant: the certificate passes exactly the mismatches that
+    ``extend_symmetric`` accepts by default."""
+    tol = inspect.signature(wannier.extend_symmetric).parameters["tol"].default
+    assert tol is EXTENSION_BOUND is wannier.EXTENSION_BOUND
+    assert EXTENSION_BOUND == 1e-10
 
 
 @pytest.fixture(scope="module")

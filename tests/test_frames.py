@@ -11,7 +11,6 @@ from blochframe.frames import (
     _overlap,
     _times,
     check_same_span,
-    frame_distance,
     frobenius,
     input_frame,
     unitary_between,
@@ -32,13 +31,6 @@ def _random_frame(rng, n, m):
     a = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     q, _ = np.linalg.qr(a)
     return q[:, :m]
-
-
-def test_frame_distance_is_frobenius(rng):
-    a = _random_frame(rng, 3, 2)
-    b = _random_frame(rng, 3, 2)
-    assert frame_distance(a, b) == pytest.approx(np.linalg.norm(a - b))
-    assert frame_distance(a, a) == 0.0
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (7, 1, 1), (3, 5, 4, 2), (2, 2, 3, 6, 1)])

@@ -38,6 +38,13 @@ from conftest import (
 SECOND_NEIGHBOUR = [(1, 0), (-1, 1), (0, -1)]
 
 
+def eigen_projector(family, k):
+    """Projectors ``v v^H`` onto the lowest ``m`` eigenvectors ``v`` of
+    ``family.eigensystem(k)``."""
+    v = family.eigensystem(k)[1][..., : family.m]
+    return v @ np.swapaxes(v.conj(), -1, -2)
+
+
 def haldane_oracle(k, t1=1.0, t2=0.1, phi=0.0, mass=0.5):
     """Closed-form Bloch Hamiltonian of the honeycomb model."""
     k1, k2 = float(k[0]), float(k[1])
@@ -85,7 +92,7 @@ def test_haldane_projector_matches_bloch_vector_oracle(rng):
     fam = builtin_model("haldane")
     for _ in range(30):
         k = rng.uniform(0, 1, size=2)
-        p = fam.projector(k)
+        p = eigen_projector(fam, k)
         assert np.linalg.norm(p - haldane_projector_oracle(k)) < 1e-11
 
 
@@ -389,7 +396,8 @@ def test_whole_float_sizes_are_stored_as_int():
     ssh = builtin_model("ssh")
     fam = ProjectorFamily(d=1.0, n=2.0, m=1.0, hoppings=dict(ssh.hoppings))
     assert [(type(x), x) for x in (fam.d, fam.n, fam.m)] == [(int, 1), (int, 2), (int, 1)]
-    assert np.array_equal(fam.projector([0.25]), ssh.projector([0.25]))
+    points = CellGeometry(1, 4).torus_points()
+    assert np.array_equal(fam.grid_frames(4, points), ssh.grid_frames(4, points))
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, 10**400],
@@ -403,17 +411,38 @@ def test_a_gap_tolerance_that_is_not_positive_and_finite_is_refused(tol):
         ProjectorFamily(d=1, n=2, m=1, hoppings=dict(ssh.hoppings), gap_tolerance=tol)
 
 
-def test_a_nan_gap_is_refused_at_its_point():
+def _refused_twice(family, grid_n, g):
+    """The payloads of two reads of ``family.grid_frames(grid_n, g)``,
+    each of which must raise :class:`GapClosed`."""
+    payloads = []
+    for _ in range(2):
+        with pytest.raises(GapClosed) as exc:
+            family.grid_frames(grid_n, g)
+        payloads.append(exc.value.details)
+    assert payloads[0] == payloads[1]
+    return payloads[0]
+
+
+def test_a_nan_gap_is_refused_at_its_point(monkeypatch):
     """Negative control: ``NaN < gap_tolerance`` is False, so a gate written
-    that way passes NaN frames on; the gate refuses the first NaN gap."""
+    that way passes NaN frames on.  With NaN planted in the sampled slab,
+    every read of the sample refuses the first NaN gap in row-major order,
+    once ``verify_assumptions`` has reported it without raising."""
     family = builtin_model("haldane")
-    k = CellGeometry(2, 4).torus_k()
-    evals, evecs = family.eigensystem(k)
-    evals[2, 5, 1] = np.nan
-    evals[6, 1, 0] = np.nan
-    with pytest.raises(GapClosed) as exc:
-        family.spectral_frame(k, eigensystem=(evals, evecs))
-    assert exc.value.details["k"] == tuple(k[2, 5].tolist())
+    real = ProjectorFamily.eigensystem
+
+    def planted(self, k):
+        evals, evecs = real(self, k)
+        evals[2, 5, 1] = np.nan
+        evals[3, 1, 0] = np.nan
+        return evals, evecs
+
+    monkeypatch.setattr(ProjectorFamily, "eigensystem", planted)
+    report = verify_assumptions(family, grid_n=4)
+    assert np.isnan(report.gap_floor) and not report.passed
+    details = _refused_twice(family, 4, CellGeometry(2, 4).torus_points())
+    assert details["k"] == (2 / 8, 5 / 8)
+    assert np.isnan(details["above"])
 
 
 def test_colliding_hopping_vectors_are_reported():
@@ -443,25 +472,27 @@ def test_stacked_sampling_matches_per_point(make, rng):
     fam = make()
     ks = rng.uniform(-1, 1, size=(3, 4, fam.d))
     h = fam.hamiltonian(ks)
-    p = fam.projector(ks)
-    frames, gaps = fam.spectral_frame(ks)
+    evals, evecs = fam.eigensystem(ks)
+    p = eigen_projector(fam, ks)
     assert h.shape == (3, 4, fam.n, fam.n)
+    assert evals.shape == (3, 4, fam.n) and evecs.shape == (3, 4, fam.n, fam.n)
     assert p.shape == (3, 4, fam.n, fam.n)
-    assert frames.shape == (3, 4, fam.n, fam.m) and gaps.shape == (3, 4)
     for idx in np.ndindex(3, 4):
         k = ks[idx]
         assert np.linalg.norm(h[idx] - fam.hamiltonian(k)) < 1e-13
         assert np.linalg.norm(h[idx] - _loop_hamiltonian(fam, k)) < 1e-13
-        assert np.linalg.norm(p[idx] - fam.projector(k)) < 1e-12
+        assert np.linalg.norm(evals[idx] - fam.eigensystem(k)[0]) < 1e-12
+        assert np.linalg.norm(p[idx] - eigen_projector(fam, k)) < 1e-12
 
 
 def test_batched_gap_closure_names_the_dirac_point():
+    """The gate is over the whole torus sample, not the points a read
+    asks for: a gather of the origin alone from the gapless haldane at
+    grid_n 6 (``N = 12``, so ``(1/3, 2/3)`` is on the grid) names the
+    Dirac point."""
     fam = builtin_model("haldane", M=0.0, t2=0.0)
-    offsets = np.arange(-1, 2) / 12
-    ks = np.stack(np.meshgrid(1 / 3 + offsets, 2 / 3 + offsets, indexing="ij"), axis=-1)
-    with pytest.raises(GapClosed) as exc:
-        fam.spectral_frame(ks)
-    assert exc.value.details["k"] == pytest.approx((1 / 3, 2 / 3), abs=1e-15)
+    details = _refused_twice(fam, 6, np.zeros((1, 2), dtype=int))
+    assert details["k"] == pytest.approx((1 / 3, 2 / 3), abs=1e-15)
 
 
 def test_fractional_hoppings_without_tau_fail_periodicity():
@@ -476,12 +507,16 @@ def test_fractional_hoppings_without_tau_fail_periodicity():
 
 
 def test_gap_closed_raises_at_dirac_point():
+    """Negative control: the gapless haldane at grid_n 6 has its Dirac
+    point ``(1/3, 2/3)`` on the grid; ``verify_assumptions`` reports the
+    closed gap, and every later read of the sample refuses it there."""
     fam = builtin_model("haldane", M=0.0, t2=0.0)
-    with pytest.raises(GapClosed) as exc:
-        fam.projector((1.0 / 3.0, 2.0 / 3.0))
-    assert exc.value.details["below"] == pytest.approx(exc.value.details["above"], abs=1e-6)
-    # away from the cone the projector is fine
-    fam.projector((0.0, 0.0))
+    report = verify_assumptions(fam, grid_n=6)
+    assert not report.passed and report.gap_floor < 1e-12
+    details = _refused_twice(fam, 6, CellGeometry(2, 6).torus_points())
+    assert details["k"] == pytest.approx((1 / 3, 2 / 3), abs=1e-15)
+    assert details["below"] == pytest.approx(details["above"], abs=1e-6)
+    assert details["above"] - details["below"] == report.gap_floor
 
 
 def test_describe_is_json_safe():

@@ -312,6 +312,32 @@ def test_each_command_samples_the_bloch_data_once(model, tmp_path, monkeypatch):
     assert calls == [slab_shape]
 
 
+def test_a_frame_read_builds_no_torus(tmp_path, monkeypatch):
+    """The gap is measured where the torus is sampled, and every later
+    ``grid_frames`` read compares the one point the sample keeps.  So
+    ``construct`` and ``wannierize`` on haldane at grid_n 8 build the
+    torus's ``k`` three times: once for each of the two samples and once
+    for the smoothing; the six frame reads build none."""
+    config = RunConfig(model="haldane", grid_n=8, out=str(tmp_path / "out"))
+    builds, samples = [], []
+    real_torus_k, real_eigensystem = CellGeometry.torus_k, ProjectorFamily.eigensystem
+
+    def torus_k_spy(self):
+        builds.append(self.grid_n)
+        return real_torus_k(self)
+
+    def eigensystem_spy(self, k):
+        samples.append(np.shape(k)[:-1])
+        return real_eigensystem(self, k)
+
+    monkeypatch.setattr(CellGeometry, "torus_k", torus_k_spy)
+    monkeypatch.setattr(ProjectorFamily, "eigensystem", eigensystem_spy)
+    run_construct(config)
+    run_wannierize(config)
+    assert builds == [8] * 3
+    assert samples == [(9, 16)] * 2
+
+
 @pytest.mark.parametrize("make, grid_n", [(shifted_haldane, 8), (shifted_trs_3d, 4)],
                          ids=["shifted-haldane", "shifted-trs-3d"])
 def test_a_twist_that_ignores_inverse_cannot_smooth(make, grid_n, tmp_path, monkeypatch):
@@ -331,12 +357,11 @@ def test_a_twist_that_ignores_inverse_cannot_smooth(make, grid_n, tmp_path, monk
 
 
 def _spy_projector_builds(monkeypatch, frames_shape):
-    """Count the ``n x n`` projectors built on the torus, as
-    :meth:`ProjectorFamily.projector` calls or ``F F^H`` of the sample's
-    frames ``F`` (of shape ``frames_shape``), and the reflection gathers of
-    whole tori, of mirrored slabs and of the self-paired slices, in a dict
-    the spies update."""
-    calls = {"projector": 0, "build": 0, "torus": 0, "mirror": 0, "self_paired": 0}
+    """Count the ``n x n`` projectors ``F F^H`` built on the torus from the
+    sample's frames ``F`` (of shape ``frames_shape``), and the reflection
+    gathers of whole tori, of mirrored slabs and of the self-paired slices,
+    in a dict the spies update."""
+    calls = {"build": 0, "torus": 0, "mirror": 0, "self_paired": 0}
 
     def counting(owner, name, key):
         real = getattr(owner, name)
@@ -355,7 +380,6 @@ def _spy_projector_builds(monkeypatch, frames_shape):
             return "torus"
         return "mirror" if rows[0] == big // 2 + 1 else "self_paired"
 
-    counting(ProjectorFamily, "projector", "projector")
     counting(models, "_dagger", lambda a: "build" if np.shape(a) == frames_shape else None)
     counting(ProjectorFamily, "reflect", gather)
     return calls
@@ -372,7 +396,7 @@ def test_a_construct_builds_no_torus_projectors(monkeypatch):
     frames_shape = CellGeometry(2, config.grid_n).torus_shape + (2, 1)
     calls = _spy_projector_builds(monkeypatch, frames_shape)
     run_construct(config)
-    assert calls == {"projector": 0, "build": 0, "torus": 2, "mirror": 3, "self_paired": 2}
+    assert calls == {"build": 0, "torus": 2, "mirror": 3, "self_paired": 2}
 
 
 def test_wannierize_builds_no_torus_projectors(tmp_path, monkeypatch):
@@ -385,7 +409,7 @@ def test_wannierize_builds_no_torus_projectors(tmp_path, monkeypatch):
     frames_shape = CellGeometry(2, config.grid_n).torus_shape + (2, 1)
     calls = _spy_projector_builds(monkeypatch, frames_shape)
     run_wannierize(config)
-    assert calls == {"projector": 0, "build": 0, "torus": 1, "mirror": 1, "self_paired": 0}
+    assert calls == {"build": 0, "torus": 1, "mirror": 1, "self_paired": 0}
 
 
 def _symmetry_products(monkeypatch):

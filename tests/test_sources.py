@@ -11,7 +11,10 @@ symmetry product; these tests fail first.  Likewise a module other than
 beside ``models.BUILTINS``, and one other than ``linalg.py`` that clusters
 eigenvalues keeps a second branch step beside ``linalg.unitary_phases``,
 and one other than ``certify.py`` that defines a certificate function
-keeps a second certificate beside the one ``report`` recomputes.
+keeps a second certificate beside the one ``report`` recomputes.  The
+gap gate has one home too: only ``ProjectorFamily.grid_frames`` raises
+``GapClosed``, on the worst point the torus sample keeps, and no module
+but ``models.py`` reads that sample.
 """
 import ast
 import pathlib
@@ -127,3 +130,30 @@ def test_certificate_norms_have_one_kernel():
     assert found == {"certify.py": [], "smoothing.py": []}
     assert all("frobenius" in _called_names(ast.parse((PACKAGE / name).read_text()))
                for name in found)
+
+
+def _raising_functions(tree, exc_name):
+    """Names of the functions in a module that raise ``exc_name``."""
+    def raised(node):
+        target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return getattr(target, "id", None) or getattr(target, "attr", None)
+
+    return [func.name for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+            if isinstance(node, ast.Raise) and node.exc is not None and raised(node) == exc_name]
+
+
+def test_only_the_sample_gate_raises_gap_closed():
+    raised = {
+        path.name: _raising_functions(ast.parse(path.read_text()), "GapClosed")
+        for path in SOURCES
+    }
+    assert {name: found for name, found in raised.items() if found} == {
+        "models.py": ["grid_frames"]}
+
+
+def test_no_module_but_models_reads_the_torus_sample():
+    reads = {path.name: re.findall(r"\b_torus_sample\b", path.read_text()) for path in SOURCES}
+    assert reads.pop("models.py")
+    assert {name: found for name, found in reads.items() if found} == {}
