@@ -53,8 +53,9 @@ def reflection_defect(field, family):
     return float(np.max(frobenius(field.data - image)))
 
 
-def _trim_obstruction_defects(psi_field, family, geometry):
+def _trim_obstruction_defects(psi_field, family):
     """Symmetry defect of the obstruction unitary at every high-symmetry point."""
+    geometry = psi_field.geometry
     trims = geometry.trims()
     frames = psi_field.data[geometry.cell_index(np.array(trims))]
     images = np.array([family.act(geometry.trim_lambda(t), f, anti=True)

@@ -126,9 +126,6 @@ class FrameField:
     def m(self):
         return self.data.shape[-1]
 
-    def copy(self):
-        return FrameField(self.geometry, self.region, self.data.copy(), dict(self.meta))
-
     # -- diagnostics ----------------------------------------------------
     def orthonormality_defect(self):
         """Largest ``||frame^H frame - 1||`` over every stored point;

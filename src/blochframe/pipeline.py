@@ -126,68 +126,51 @@ def _config_record(config, family):
     }
 
 
-def _check_config(config, family, manifest):
-    """Refuse a manifest that another configuration, or another content of
-    the model, wrote."""
+def _stored_run(config):
+    """The family and the manifest of the run in ``config.out``, refused
+    unless the manifest exists and the current configuration, the model's
+    content included, wrote it."""
+    path = os.path.join(config.out, "manifest.json")
+    if not os.path.exists(path):
+        raise UsageError(f"no manifest.json in {config.out!r}; run the construct "
+                         "subcommand first")
+    manifest = io_mod.read_json(path)
+    family = load_family(config)
     current = json.loads(json.dumps(io_mod.jsonable(_config_record(config, family))))
     stored = manifest.get("config")
     if stored != current:
-        raise UsageError(
-            f"artifacts in {config.out!r} were built with another configuration; "
-            "rerun the construct subcommand or choose another --out",
-            stored=stored,
-            current=current,
-        )
+        raise UsageError(f"artifacts in {config.out!r} were built with another configuration; "
+                         "rerun the construct subcommand or choose another --out",
+                         stored=stored, current=current)
+    return family, manifest
 
 
-def _check_reusable(config, family, manifest, phi_sm_path):
-    """Refuse stored artifacts that another configuration wrote, or that
-    changed since their manifest recorded them."""
-    _check_config(config, family, manifest)
-    recorded = manifest.get("artifacts", {}).get("phi_sm.blf1")
-    if recorded != io_mod.file_sha256(phi_sm_path):
-        raise UsageError(
-            f"{phi_sm_path} does not match the sha256 its manifest records",
-            recorded=recorded,
-        )
+# what to rerun when a file disagrees with the JSON record that lists it
+_REMEDIES = {"manifest.json": "rerun construct", "wannier_report.json": "rerun wannierize"}
 
 
-def _check_wannier_report(config, manifest, report):
-    """Refuse a Wannier report whose ``wannier.wan1`` changed since it was
-    written, or that was built from another ``phi_sm.blf1`` than the one the
-    manifest records."""
-    recorded = report.get("artifacts", {})
-    built_from = recorded.get("phi_sm.blf1")
-    current = manifest.get("artifacts", {}).get("phi_sm.blf1")
-    if built_from != current:
-        raise UsageError(
-            f"wannier_report.json in {config.out!r} was built from another "
-            "phi_sm.blf1 than the manifest records; rerun wannierize",
-            recorded=built_from,
-            current=current,
-        )
-    wan1_path = os.path.join(config.out, "wannier.wan1")
-    found = io_mod.file_sha256(wan1_path) if os.path.exists(wan1_path) else None
-    if found != recorded.get("wannier.wan1"):
-        raise UsageError(
-            f"{wan1_path} does not match the sha256 its Wannier report "
-            "records; rerun wannierize",
-            recorded=recorded.get("wannier.wan1"),
-            found=found,
-        )
-
-
-def _load_field(config, family, name, region="full-torus"):
-    """The frame field ``name`` of the artifact directory, refused unless it
-    has the region, the grid and the fiber dimensions of the current run."""
+def _stored(config, family, name, records, region="full-torus"):
+    """The file ``name`` of ``config.out``, refused unless each JSON record
+    in ``records`` (by file name) lists its sha256 under ``artifacts``.  A
+    ``.blf1`` file is returned as a frame field, refused unless it has the
+    region, grid and fiber dimensions of this run; any other is only hashed."""
     path = os.path.join(config.out, name)
-    if not os.path.exists(path):
-        raise UsageError(f"no {name} in {config.out!r}; rerun construct")
+    found = io_mod.file_sha256(path) if os.path.exists(path) else None
+    for record_name, record in records.items():
+        artifacts = record.get("artifacts")
+        recorded = artifacts.get(name) if isinstance(artifacts, dict) else None
+        if found is None or found != recorded:
+            state = ("is missing" if found is None
+                     else f"does not match the sha256 {record_name} records")
+            raise UsageError(f"{path} {state}; {_REMEDIES[record_name]}",
+                             recorded=recorded, found=found)
+    if not name.endswith(".blf1"):
+        return None
     field = io_mod.load_frames(path)
-    found = (field.region, field.geometry.d, field.geometry.grid_n, field.n, field.m)
+    layout = (field.region, field.geometry.d, field.geometry.grid_n, field.n, field.m)
     expected = (region, family.d, config.grid_n, family.n, family.m)
-    if found != expected:
-        raise UsageError(f"{path} holds a frame of (region, d, grid_n, n, m) = {found}, "
+    if layout != expected:
+        raise UsageError(f"{path} holds a frame of (region, d, grid_n, n, m) = {layout}, "
                          f"this run needs {expected}; rerun construct")
     return field
 
@@ -215,7 +198,7 @@ def run_construct(config):
     report = require_assumptions(family, grid_n=config.grid_n, tol=config.tol)
     geometry = CellGeometry(family.d, config.grid_n)
     psi = input_frame(family, geometry)
-    obstructions = _trim_obstruction_defects(psi, family, geometry)
+    obstructions = _trim_obstruction_defects(psi, family)
 
     if family.d == 1:
         phi, diag = construct_1d(psi, family)
@@ -263,24 +246,19 @@ def run_construct(config):
 def run_wannierize(config):
     """Wannier transform plus certificates; reuses construct artifacts if present.
 
-    The report's ``final_residuals`` are those of a reused ``phi_sm.blf1``
-    measured again on the current family, or the fresh construct's.  With
+    A stored ``phi_sm.blf1`` is reused only under a manifest of the current
+    configuration that lists its sha256.  The report's ``final_residuals``
+    are those of a reused ``phi_sm.blf1`` measured again on the current
+    family, or the fresh construct's.  With
     an output directory it writes ``wannier.wan1`` and
     ``wannier_report.json``; the report records the sha256 of the one and
     of the ``phi_sm.blf1`` it was built from, which ``run_report`` checks.
     A failed certificate raises nothing here; see :func:`~blochframe.certify.verdict`.
     """
-    manifest_path = _outpath(config, "manifest.json")
-    phi_sm_path = _outpath(config, "phi_sm.blf1")
-    if (
-        manifest_path is not None
-        and os.path.exists(manifest_path)
-        and os.path.exists(phi_sm_path)
-    ):
-        manifest = io_mod.read_json(manifest_path)
-        family = load_family(config)
-        _check_reusable(config, family, manifest, phi_sm_path)
-        phi_sm = _load_field(config, family, "phi_sm.blf1")
+    if config.out is not None and all(os.path.exists(os.path.join(config.out, name))
+                                      for name in ("manifest.json", "phi_sm.blf1")):
+        family, manifest = _stored_run(config)
+        phi_sm = _stored(config, family, "phi_sm.blf1", {"manifest.json": manifest})
         # the hash proves only that the manifest names this file
         residuals = final_residuals(phi_sm, family)
     else:
@@ -333,7 +311,9 @@ def report_rows(config):
     functions ``construct`` and ``wannierize`` use; the Wannier rows only
     once ``wannierize`` has run.  The extension mismatch, the transport
     step and the smoothing ladder are reprinted from the manifest, as a
-    first ``stored`` row says.
+    first ``stored`` row says.  Every file read must match the sha256 the
+    manifest (or the Wannier report) lists, so those rows belong to the
+    frames that are measured.
     """
     if config.out is None:
         raise UsageError("report needs --out pointing at an artifact directory")
@@ -341,29 +321,23 @@ def report_rows(config):
     report_path = os.path.join(config.out, "report.txt")
     if os.path.exists(report_path):
         os.remove(report_path)
-    manifest_path = os.path.join(config.out, "manifest.json")
-    if not os.path.exists(manifest_path):
-        raise UsageError(
-            f"no manifest.json in {config.out!r}; run the construct "
-            "subcommand first"
-        )
-    manifest = io_mod.read_json(manifest_path)
-    family = load_family(config)
-    _check_config(config, family, manifest)
-    psi = _load_field(config, family, "psi.blf1", region="effective-cell")
-    phi = _load_field(config, family, "phi.blf1")
-    phi_sm = _load_field(config, family, "phi_sm.blf1")
-    residuals = final_residuals(phi_sm, family)
-    wannier = None
+    family, manifest = _stored_run(config)
+    by_manifest = {"manifest.json": manifest}
     wannier_path = os.path.join(config.out, "wannier_report.json")
-    if os.path.exists(wannier_path):
-        _check_wannier_report(config, manifest, io_mod.read_json(wannier_path))
-        _, wannier = _wannier_record(phi_sm, family, residuals)
+    by_wannier = ({"wannier_report.json": io_mod.read_json(wannier_path)}
+                  if os.path.exists(wannier_path) else {})
+    psi = _stored(config, family, "psi.blf1", by_manifest, region="effective-cell")
+    phi = _stored(config, family, "phi.blf1", by_manifest)
+    phi_sm = _stored(config, family, "phi_sm.blf1", dict(by_manifest, **by_wannier))
+    if by_wannier:
+        _stored(config, family, "wannier.wan1", by_wannier)
+    residuals = final_residuals(phi_sm, family)
+    wannier = _wannier_record(phi_sm, family, residuals)[1] if by_wannier else None
     record = dict(
         manifest,
         model=family.describe(),
         assumptions=verify_assumptions(family, grid_n=config.grid_n, tol=config.tol).as_dict(),
-        obstruction_symmetry_defects=_trim_obstruction_defects(psi, family, psi.geometry),
+        obstruction_symmetry_defects=_trim_obstruction_defects(psi, family),
         final_residuals=residuals,
     )
     table = [("stored", "extension mismatch, transport step and smoothing ladder "
@@ -373,7 +347,8 @@ def report_rows(config):
                                    sup_distance_total=sup_distance(phi_sm.data, phi.data))
         table += rows(record, wannier, config)
     except KeyError as exc:
-        raise UsageError(f"{manifest_path} has no {exc} record; rerun construct") from None
+        raise UsageError(f"manifest.json in {config.out!r} has no {exc} record; "
+                         "rerun construct") from None
     with open(report_path, "w") as fh:
         fh.write(format_rows(table) + "\n")
     return table

@@ -274,8 +274,13 @@ def periodic_smooth(field, family, epsilon):
             f"(orthonormality {ortho:.2e}, reflection {refl:.2e})"
         )
 
-    torus_k = geometry.torus_k()
-    data = family.twist(torus_k, np.asarray(field.data), inverse=True)
+    # ``twist`` keeps the frames where ``tau = 1``, so no ``k`` is built there
+    torus_k = geometry.torus_k() if family.tau is not None else None
+
+    def twist(index, frames, inverse=False):
+        return frames if torus_k is None else family.twist(torus_k[index], frames, inverse)
+
+    data = twist(Ellipsis, np.asarray(field.data), inverse=True)
 
     axes = tuple(range(d))
     coeffs = np.fft.fftn(data, axes=axes)
@@ -300,11 +305,11 @@ def periodic_smooth(field, family, epsilon):
             mult = mult * np.clip(2.0 - 2.0 * freqs / k, 0.0, 1.0).reshape(shape)
         damped = coeffs * mult.reshape(geometry.torus_shape + (1, 1))
         if not subgrid:
-            smoothed = family.twist(torus_k[slab], np.fft.ifftn(damped, axes=axes)[slab])
+            smoothed = twist(slab, np.fft.ifftn(damped, axes=axes)[slab])
             return _times(slab_frames, _overlap(slab_frames, smoothed))
         folded = damped.reshape(fold).sum(axis=tuple(range(0, 2 * d, 2)))
         smoothed = np.fft.ifftn(folded, axes=axes)[: n // 2 + 1] / 2**d
-        smoothed = family.twist(torus_k[sub], smoothed)
+        smoothed = twist(sub, smoothed)
         return _times(sub_frames, _overlap(sub_frames, smoothed))
 
     target = 0.9 * epsilon

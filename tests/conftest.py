@@ -5,7 +5,7 @@ import pytest
 
 import blochframe as bf
 from blochframe.face2d import FaceContext, build_face
-from blochframe.frames import input_frame
+from blochframe.frames import FrameField, input_frame
 from blochframe.linalg import unitary_phases
 from blochframe.models import ProjectorFamily
 
@@ -102,6 +102,11 @@ def loop_nodes(dom, loop_values):
     out = np.empty_like(loop_values)
     out[boundary_loop(dom)] = loop_values
     return out
+
+
+def copied(field):
+    """A frame field with its own copy of ``field``'s data and meta."""
+    return FrameField(field.geometry, field.region, field.data.copy(), dict(field.meta))
 
 
 def face_cell(family, geo):

@@ -21,6 +21,7 @@ from blochframe.certify import localization_report
 from blochframe.wannier import extend_symmetric
 
 from conftest import (
+    copied,
     face_cell,
     geodesic_distance,
     loop_nodes,
@@ -294,7 +295,7 @@ def test_criterion_8_smoothing_contract(h32, r32, d3_16):
     worst_sup = max(sups)
 
     _, result = h32
-    _, rep = symmetrize(result["phi_sm"].copy(), result["family"])
+    _, rep = symmetrize(copied(result["phi_sm"]), result["family"])
     idem = rep["max_shift"]
 
     rng = np.random.default_rng(804)
@@ -338,7 +339,7 @@ def test_criterion_9_negative_controls(haldane):
         refused = True
 
     geo = CellGeometry(2, 8)
-    bad = face_cell(haldane, geo).copy()
+    bad = face_cell(haldane, geo)
     bad.data[geo.cell_index((0, 8))] *= np.exp(0.3j)
     caught = None
     try:

@@ -299,9 +299,9 @@ def test_report_refuses_a_wannier_report_of_an_earlier_construct(tmp_path, capsy
     payload = _refused_report(tmp_path, capsys, "t2=0.15")
     assert payload["details"] == {
         "recorded": built_from,
-        "current": read_json(tmp_path / "manifest.json")["artifacts"]["phi_sm.blf1"],
+        "found": read_json(tmp_path / "manifest.json")["artifacts"]["phi_sm.blf1"],
     }
-    assert payload["details"]["recorded"] != payload["details"]["current"]
+    assert payload["details"]["recorded"] != payload["details"]["found"]
     assert _haldane("wannierize", tmp_path, "t2=0.15") == 0
     capsys.readouterr()
     assert _haldane("report", tmp_path, "t2=0.15") == 0
@@ -795,9 +795,13 @@ def test_report_refuses_a_manifest_without_a_record_it_reprints(ssh_artifacts, t
 
 def test_report_refuses_a_psi_of_another_region(tmp_path, capsys):
     """The obstruction defects read ``psi`` on the effective cell; a
-    full-torus frame in its place is refused, not indexed as a cell."""
+    full-torus frame in its place, under a rewritten sha256, is refused,
+    not indexed as a cell."""
     assert _haldane("construct", tmp_path) == 0
     shutil.copy(tmp_path / "phi_sm.blf1", tmp_path / "psi.blf1")
+    manifest = read_json(tmp_path / "manifest.json")
+    manifest["artifacts"]["psi.blf1"] = file_sha256(tmp_path / "psi.blf1")
+    write_json(tmp_path / "manifest.json", manifest)
     capsys.readouterr()
     code = _haldane("report", tmp_path)
     captured = capsys.readouterr()
@@ -806,3 +810,79 @@ def test_report_refuses_a_psi_of_another_region(tmp_path, capsys):
     payload = json.loads(captured.err)
     assert payload["error"] == "usage"
     assert "psi.blf1" in payload["message"] and "'effective-cell'" in payload["message"]
+
+
+@pytest.mark.parametrize("name, params", [
+    ("psi.blf1", ("t2=0.15",)),
+    ("phi.blf1", ("t2=0.15",)),
+    ("phi_sm.blf1", ("t2=0.15",)),
+    ("phi_sm.blf1", ("--epsilon", "0.02")),
+])
+def test_report_refuses_a_frame_file_of_another_run(name, params, tmp_path, capsys):
+    """Negative control: another run's frame file copied over ours, its
+    sha256 left as the manifest records it.  ``report`` used to measure
+    the residuals and the Wannier rows on it, reprint our smoothing
+    ladder beside them and pass."""
+    ours, other = tmp_path / "ours", tmp_path / "other"
+    for command in ("construct", "wannierize"):
+        assert _haldane(command, ours) == 0
+    if params[0] == "--epsilon":
+        argv = ["construct", "--model", "haldane", "--grid-n", "8", "--out", str(other)]
+        assert main([*argv, *params]) == 0
+    else:
+        assert _haldane("construct", other, *params) == 0
+    recorded = read_json(ours / "manifest.json")["artifacts"][name]
+    shutil.copyfile(other / name, ours / name)
+    assert file_sha256(ours / name) != recorded
+    capsys.readouterr()
+    code = _haldane("report", ours)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert not (ours / "report.txt").exists()
+    payload = json.loads(captured.err)
+    assert payload["error"] == "usage"
+    assert name in payload["message"] and "rerun construct" in payload["message"]
+    assert payload["details"] == {"recorded": recorded, "found": file_sha256(ours / name)}
+
+
+def _drop_artifacts(out):
+    manifest = read_json(out / "manifest.json")
+    del manifest["artifacts"]
+    write_json(out / "manifest.json", manifest)
+
+
+def _list_artifacts(out):
+    manifest = read_json(out / "manifest.json")
+    manifest["artifacts"] = sorted(manifest["artifacts"])
+    write_json(out / "manifest.json", manifest)
+
+
+@pytest.mark.parametrize("command, damage, details", [
+    ("wannierize", _drop_artifacts, {"recorded": None}),
+    ("report", _drop_artifacts, {"recorded": None}),
+    ("wannierize", _list_artifacts, {"recorded": None}),
+    ("report", _list_artifacts, {"recorded": None}),
+    ("report", lambda out: (out / "phi.blf1").unlink(), {"found": None}),
+])
+def test_a_file_its_manifest_does_not_vouch_for_is_refused(command, damage, details,
+                                                          ssh_artifacts, tmp_path, capsys):
+    """Negative control: a manifest without an ``artifacts`` dict lists no
+    sha256, so neither command reuses a stored frame under it; a listed
+    frame file that is gone is refused the same way."""
+    out = tmp_path / "run"
+    shutil.copytree(ssh_artifacts, out)
+    damage(out)
+    wan1 = file_sha256(out / "wannier.wan1")
+    capsys.readouterr()
+    code = main([command, "--model", "ssh", "--grid-n", "8", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    payload = json.loads(captured.err)
+    assert payload["error"] == "usage"
+    assert "rerun construct" in payload["message"]
+    assert details.items() <= payload["details"].items()
+    assert file_sha256(out / "wannier.wan1") == wan1
+    assert not (out / "report.txt").exists()

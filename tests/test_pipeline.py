@@ -22,7 +22,7 @@ from blochframe.pipeline import (
     run_wannierize,
 )
 
-from conftest import model_json, rotated, shifted_haldane, shifted_trs_3d
+from conftest import copied, model_json, rotated, shifted_haldane, shifted_trs_3d
 
 
 def test_runconfig_validation():
@@ -171,7 +171,7 @@ def test_final_residuals_of_a_construct(ssh_run):
 ])
 def test_final_residuals_catch_a_planted_defect(ssh_run, residual, plant):
     _, result = ssh_run
-    field = result["phi_sm"].copy()
+    field = copied(result["phi_sm"])
     field.data[1] = plant(field.data[1])
     assert final_residuals(field, result["family"])[residual] > 1e-8
 
@@ -316,8 +316,9 @@ def test_a_frame_read_builds_no_torus(tmp_path, monkeypatch):
     """The gap is measured where the torus is sampled, and every later
     ``grid_frames`` read compares the one point the sample keeps.  So
     ``construct`` and ``wannierize`` on haldane at grid_n 8 build the
-    torus's ``k`` three times: once for each of the two samples and once
-    for the smoothing; the six frame reads build none."""
+    torus's ``k`` twice, once for each of the two samples; the six frame
+    reads build none, and neither does the smoothing, whose ``twist`` is
+    the identity where ``tau = 1``."""
     config = RunConfig(model="haldane", grid_n=8, out=str(tmp_path / "out"))
     builds, samples = [], []
     real_torus_k, real_eigensystem = CellGeometry.torus_k, ProjectorFamily.eigensystem
@@ -334,7 +335,7 @@ def test_a_frame_read_builds_no_torus(tmp_path, monkeypatch):
     monkeypatch.setattr(ProjectorFamily, "eigensystem", eigensystem_spy)
     run_construct(config)
     run_wannierize(config)
-    assert builds == [8] * 3
+    assert builds == [8] * 2
     assert samples == [(9, 16)] * 2
 
 

@@ -31,6 +31,7 @@ from blochframe.smoothing import (
 from conftest import (
     act_ignoring_theta,
     antiunitary_oracle,
+    copied,
     geodesic_distance,
     gram_stack,
     lapack_projector,
@@ -122,7 +123,7 @@ def haldane_torus(haldane):
 
 
 def test_symmetrize_restores_reflection(rng, haldane, haldane_torus):
-    noisy = haldane_torus.copy()
+    noisy = copied(haldane_torus)
     shape = noisy.geometry.torus_shape
     u = np.array([
         scipy.linalg.expm(skew_hermitian(rng, noisy.m, scale=0.02))
@@ -146,7 +147,7 @@ def test_symmetrize_restores_reflection(rng, haldane, haldane_torus):
 
 
 def test_symmetrize_reports_distant_pairs(haldane, haldane_torus):
-    broken = haldane_torus.copy()
+    broken = copied(haldane_torus)
     g = (1, 2)
     broken.data[g] = broken.data[g] @ np.diag([np.exp(2.4j), *np.ones(broken.m - 1)])
     with pytest.raises(TooFarApart) as exc:
@@ -175,7 +176,7 @@ def test_periodic_smooth_usage_errors(haldane, haldane_torus):
 
 def _poisoned(field):
     """Copy of ``field`` with one NaN frame."""
-    out = field.copy()
+    out = copied(field)
     out.data[3, 5] = np.nan
     return out
 
@@ -199,7 +200,7 @@ def test_a_non_finite_frame_fails_every_frobenius_gate(haldane, haldane_torus, p
     times a zero in the products is NaN, which numpy reports as invalid.)"""
     clean = final_residuals(haldane_torus, haldane)
     assert max(clean.values()) < 1e-12
-    field = haldane_torus.copy()
+    field = copied(haldane_torus)
     field.data[3, 5, 1, 0] = poison
     with np.errstate(invalid="ignore"):
         residuals = final_residuals(field, haldane)
@@ -500,7 +501,7 @@ def _odd_point_flip(haldane, haldane_torus):
     """The field with its frames negated at one all-odd grid point and at
     its reflection partner: still orthonormal and symmetric, and unseen by
     the stride-2 subgrid."""
-    field = haldane_torus.copy()
+    field = copied(haldane_torus)
     g = (1, 3)
     partner = tuple(int(x) for x in np.mod(np.negative(g), field.geometry.n_side))
     assert all(x % 2 for x in g + partner)
@@ -639,7 +640,7 @@ def test_smooth_symmetric_is_the_symmetrized_full_torus_ladder(
     final, report = smooth_symmetric(field, family, epsilon)
     n = field.geometry.grid_n
     candidate = _reference_candidate(field, family, report["smoothing"]["cutoff"])
-    reference = field.copy()
+    reference = copied(field)
     reference.data = lowdin(candidate, rank_tol=RANK_FLOOR)
     symmetric, _ = symmetrize(reference, family)
     assert np.array_equal(final.data[1:n], reference.data[1:n])

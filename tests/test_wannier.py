@@ -22,7 +22,7 @@ from blochframe.wannier import (
     wannier_transform,
 )
 
-from conftest import face_cell, model_json, rotated_ssh, shifted_haldane, shifted_trs_3d
+from conftest import copied, face_cell, model_json, rotated_ssh, shifted_haldane, shifted_trs_3d
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +39,7 @@ def constructed_cell(family, geo):
     cells = []
 
     def capture(field, family, tol=1e-10):
-        cells.append(field.copy())
+        cells.append(copied(field))
         return extend_symmetric(field, family, tol)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -87,7 +87,7 @@ def test_extend_symmetric_needs_cell_region(haldane, haldane_cell):
 
 def test_extend_symmetric_reports_corrupted_vertex(haldane, haldane_cell):
     geo, cell = haldane_cell
-    broken = cell.copy()
+    broken = copied(cell)
     trim = (0, geo.grid_n)
     broken.data[geo.cell_index(trim)] *= np.exp(0.3j)
     with pytest.raises(BoundaryRelationViolated) as exc:
@@ -128,7 +128,7 @@ def test_extend_symmetric_refuses_a_nan_boundary_frame(haldane, haldane_cell):
     makes its boundary relations NaN, which is refused like one above
     ``tol``."""
     geo, cell = haldane_cell
-    broken = cell.copy()
+    broken = copied(cell)
     trim = (0, geo.grid_n)
     broken.data[geo.cell_index(trim)] = np.nan
     with pytest.raises(BoundaryRelationViolated) as exc:
