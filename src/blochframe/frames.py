@@ -48,24 +48,27 @@ def frobenius(a):
     return np.sqrt(np.einsum("...i,...i->...", parts, parts))
 
 
-def check_same_span(a, b, tol=1e-8):
+# Largest defect ``||b b^H a - a||`` of frames that span the same subspace.
+SPAN_TOL = 1e-8
+
+
+def check_same_span(a, b):
     """Raise :class:`SpanMismatch` unless ``a`` and ``b`` span the same subspace.
 
-    Takes frames or stacks ``(..., n, m)`` of them; the agreement is checked
-    through ``||b b^H a - a|| <= tol`` at every stack entry, so a NaN in
-    either frame fails it.
+    Takes frames or stacks ``(..., n, m)`` of them; ``||b b^H a - a||`` is
+    checked against :data:`SPAN_TOL` at every stack entry, so a NaN fails it.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     defect = float(np.max(frobenius(_times(b, _overlap(b, a)) - a), initial=0.0))
-    if not defect <= tol:
+    if not defect <= SPAN_TOL:
         raise SpanMismatch(
-            f"frames do not span the same subspace (defect {defect:.3e} > {tol:.1e})",
+            f"frames do not span the same subspace (defect {defect:.3e} > {SPAN_TOL:.1e})",
             defect=defect,
         )
 
 
-def unitary_between(a, b, tol=1e-8):
+def unitary_between(a, b):
     """Unitary ``u`` with ``a @ u ~= b`` for frames spanning the same subspace.
 
     Takes frames or stacks ``(..., n, m)`` of them.  The span agreement is
@@ -73,7 +76,7 @@ def unitary_between(a, b, tol=1e-8):
     exact unitarity.
     """
     a = np.asarray(a)
-    check_same_span(a, b, tol=tol)
+    check_same_span(a, b)
     return lowdin(np.swapaxes(a.conj(), -1, -2) @ np.asarray(b))
 
 

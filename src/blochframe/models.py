@@ -18,13 +18,14 @@ are exact identities that hold at every ``k``, not only on a grid: a
 lattice generator acts as ``tau_j H_R tau_j^-1 = exp(2 pi i R_j) H_R``,
 which gives ``P(k + e_j) = tau_j P(k) tau_j^-1``, and time reversal as
 ``C conj(H_R) C^-1 = H_R``, which gives ``theta P(k) theta^-1 = P(-k)``.
-Only the gap needs Bloch data.  A family samples its eigensystem on the
-torus grid once (:meth:`ProjectorFamily.torus_eigensystem` keeps the last
-grid's sample) and measures the gap there, keeping the sample's worst
-point with it: the gap floor of :func:`verify_assumptions` is that point,
-the gap gate of every read is a comparison with it, and the eigenframes
-the input frame is transported on and every projector a construction
-smooths and certifies with are read from that one sample.
+Only the gap needs Bloch data.  A family samples the torus grid once
+(:meth:`ProjectorFamily.torus_eigensystem` keeps the last grid's sample)
+and keeps two things, its occupied eigenframes and the worst point of the
+gap between bands ``m`` and ``m + 1``: the gap floor of
+:func:`verify_assumptions` is that point, the gap gate of every read is a
+comparison with it, and the eigenframes the input frame is transported on
+and every projector a construction smooths and certifies with are read
+from that one sample.
 The two symmetries also halve it: :meth:`ProjectorFamily.eigensystem`
 (closed form for two bands, ``eigh`` beyond) runs on the slab ``k_1 <=
 1/2`` only, and every other point is the time-reversed image of its
@@ -271,45 +272,44 @@ class ProjectorFamily:
         return hermitian_eigensystem(0.5 * (h + _dagger(h)))
 
     def torus_eigensystem(self, grid_n):
-        """All eigenvalues, and the eigenvectors of the lowest ``m`` bands,
-        on the stored torus ``CellGeometry(d, grid_n).torus_k()``.
+        """The occupied eigenframes ``(2 grid_n,) * d + (n, m)`` on the
+        stored torus ``CellGeometry(d, grid_n).torus_k()`` and the sample's
+        worst point, as ``(frames, edge)``.
 
         :meth:`eigensystem` runs once, on the slab ``g_1 <= grid_n``
         (``k_1 <= 1/2``).  Every point ``g`` with ``g_1 > grid_n`` is the
-        time-reversed image of its partner ``(-g) mod N`` in the slab: it
-        gets the partner's eigenvalues and the occupied frame
-        ``tau^(-lam) C conj(v(partner))`` of :meth:`reflect`,
+        time-reversed image of its partner ``(-g) mod N`` in the slab: its
+        frame is ``tau^(-lam) C conj(v(partner))`` of :meth:`reflect`,
         which spans ``P(k)`` by ``theta P(k) theta^-1 = P(-k)`` and the
-        lattice symmetry.  When those symmetries hold only up to the
-        residuals of :func:`verify_assumptions`, each mirrored eigenvalue is
-        off by at most ``time_reversal + d * periodicity`` (Weyl's
-        inequality), so the gap by twice that.
+        lattice symmetry.
+
+        ``edge`` is ``(k, below, above)``: the slab's smallest gap between
+        bands ``m`` and ``m + 1``, or else its first NaN gap, row-major, and
+        the two eigenvalues there.  The mirrored half repeats the slab's
+        gaps when the symmetries hold, so that is the torus's worst point;
+        when they hold only up to the residuals of
+        :func:`verify_assumptions`, each eigenvalue of a mirrored point is
+        within ``time_reversal + d * periodicity`` of its partner's (Weyl's
+        inequality), so its gap within twice that.
 
         Sampled on the first call for a ``grid_n`` and kept until another
         ``grid_n`` is asked for, so one command samples the torus once.
-        The gap is measured here too: the sample keeps its worst point,
-        the smallest gap or else the first NaN gap, as its ``k`` and the
-        eigenvalues ``below`` and ``above`` of bands ``m`` and ``m + 1``.
-        Nothing is gated here: :meth:`grid_frames` gates on that point at
+        Nothing is gated here: :meth:`grid_frames` gates on ``edge`` at
         every read, and :func:`verify_assumptions` reports it.
         """
         if self._torus_sample is None or self._torus_sample[0] != grid_n:
             torus_k = CellGeometry(self.d, grid_n).torus_k()
-            slab = slice(None, grid_n + 1)
-            evals, evecs = self.eigensystem(torus_k[slab])
-            # only the occupied frames are read, so only they are kept
-            values = np.empty(torus_k.shape[:-1] + (self.n,))
-            frames = np.empty(torus_k.shape[:-1] + (self.n, self.m), dtype=complex)
-            values[slab] = evals
-            frames[slab] = evecs[..., : self.m]
-            values[grid_n + 1:] = _at_partners(values[grid_n - 1:0:-1], range(1, self.d))
-            frames[grid_n + 1:] = self.reflect(frames, range(grid_n + 1, 2 * grid_n))
-            below, above = values[..., self.m - 1], values[..., self.m]
+            slab_k = torus_k[: grid_n + 1]
+            evals, evecs = self.eigensystem(slab_k)
+            below, above = evals[..., self.m - 1], evals[..., self.m]
             # argmin stops at the first NaN
             worst = np.unravel_index(np.argmin(above - below), below.shape)
-            edge = (tuple(torus_k[worst].tolist()), float(below[worst]), float(above[worst]))
-            self._torus_sample = (grid_n, (values, frames), edge)
-        return self._torus_sample[1]
+            edge = (tuple(slab_k[worst].tolist()), float(below[worst]), float(above[worst]))
+            frames = np.empty(torus_k.shape[:-1] + (self.n, self.m), dtype=complex)
+            frames[: grid_n + 1] = evecs[..., : self.m]
+            frames[grid_n + 1:] = self.reflect(frames, range(grid_n + 1, 2 * grid_n))
+            self._torus_sample = (grid_n, frames, edge)
+        return self._torus_sample[1:]
 
     def grid_frames(self, grid_n, g):
         """Occupied eigenframes ``(..., n, m)`` of the :meth:`torus_eigensystem`
@@ -329,8 +329,7 @@ class ProjectorFamily:
         ``k``, ``below`` and ``above`` when the gap is below it or NaN,
         whichever points ``g`` asks for.
         """
-        frame = self.torus_eigensystem(grid_n)[1]
-        k, below, above = self._torus_sample[2]
+        frame, (k, below, above) = self.torus_eigensystem(grid_n)
         if not above - below >= self.gap_tolerance:
             raise GapClosed(
                 f"spectral gap {above - below:.3e} below tolerance {self.gap_tolerance:.3e}",
@@ -410,8 +409,9 @@ class ProjectorFamily:
         slab, and the self-paired slices ``g_1 = 0`` and ``g_1 = grid_n``
         are ``reflect`` of themselves.
         """
-        big = frames.shape[0]
-        image = _at_partners(frames[[-g % big for g in rows]], range(1, self.d))
+        big, axes = frames.shape[0], tuple(range(1, self.d))
+        # the partners (-g) mod N along the other axes: a flip and a roll by one
+        image = np.roll(np.flip(frames[[-g % big for g in rows]], axes), 1, axes)
         # lam_1 = 0 only on the row g_1 = 0, which comes first if present
         zero = int(rows[0] == 0)
         for lam in product((0, -1), repeat=self.d):
@@ -500,13 +500,6 @@ class AssumptionReport:
         }
 
 
-def _at_partners(data, axes):
-    """``data`` read at ``(-g) mod N`` along ``axes``: a flip and a roll by
-    one along each of them."""
-    axes = tuple(axes)
-    return np.roll(np.flip(data, axes), 1, axes)
-
-
 def _coefficients(family):
     """Hopping vectors ``(N, d)`` and matrices ``(N, n, n)`` of the family."""
     vectors = np.array(list(family.hoppings), dtype=float).reshape(-1, family.d)
@@ -538,18 +531,16 @@ def verify_assumptions(family, grid_n=16, tol=1e-8):
     ``L = 2 pi sum_R |R| ||H_R||_2``, which bounds
     ``||H(k) - H(k')||_2 / |k - k'|``.  The gap floor is the gap at the
     worst point the family's :meth:`~ProjectorFamily.torus_eigensystem`
-    sample keeps (NaN if any gap is), the minimum over a sample whose half
-    ``k_1 > 1/2`` is mirrored from ``-k``: it is the torus
-    minimum when the symmetries hold, and within ``2 (time_reversal + d *
-    periodicity)`` of it otherwise (Weyl's inequality), when the report
-    fails on those residuals anyway.
+    sample keeps (NaN if any gap is), the minimum over its slab ``k_1 <=
+    1/2``: it is the torus minimum when the symmetries hold, and within
+    ``2 (time_reversal + d * periodicity)`` of it otherwise (Weyl's
+    inequality), when the report fails on those residuals anyway.
     Returns an :class:`AssumptionReport`; ``passed`` is False when any
     residual exceeds ``tol`` or the gap floor drops below the family's gap
     tolerance.  A closed gap is reported that way, never raised.
     """
     d = family.d
-    family.torus_eigensystem(grid_n)
-    _, below, above = family._torus_sample[2]
+    _, (_, below, above) = family.torus_eigensystem(grid_n)
     gap_floor = above - below
     vectors, blocks = _coefficients(family)
     c = family.theta_matrix()

@@ -54,6 +54,8 @@ class RunConfig:
     """Everything a pipeline run depends on.
 
     ``gap_tol`` overrides the model's own ``gap_tolerance`` when set.
+    The library never reads ``threads``: numpy fixes its thread pools when
+    it loads, so only the command line applies ``--threads``, before then.
     """
 
     model: str

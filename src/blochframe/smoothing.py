@@ -47,6 +47,7 @@ from .certify import reflection_defect, sup_distance
 from .errors import EpsilonInfeasible, ProjectionRankLoss, TooFarApart, UsageError
 from .frames import FrameField, _overlap, _times, check_same_span, frobenius
 from .linalg import RANK_FLOOR, gram_polar, lowdin
+from .models import _is_finite_real
 
 __all__ = [
     "MIDPOINT_LIMIT",
@@ -229,14 +230,16 @@ def periodic_smooth(field, family, epsilon):
     continues upward; if no cutoff succeeds the last rank failure is
     raised as :class:`ProjectionRankLoss`.
 
-    Each rung is decided in two steps:
+    Both steps that decide a rung read the smoothed field through one
+    strided path: at the points of the stride-``s`` subgrid it is exactly
+    the inverse FFT, ``1/s**d`` the size and divided by ``s**d``, of the
+    damped coefficients folded mod ``n_side / s`` (DFT aliasing), whose
+    rows ``0 .. grid_n / s`` are the slab's.  Stride 2 screens, stride 1
+    (the slab itself) decides:
 
-    * on the slab's points of the stride-2 subgrid.  The smoothed field at
-      the even grid points is exactly the inverse FFT, ``1/2**d`` the size
-      and divided by ``2**d``, of the damped coefficients folded mod
-      ``n_side / 2`` (DFT aliasing); its rows ``0 .. grid_n / 2`` are the
-      slab's.  A sup distance above the target, or a singular value below
-      the floor, at those points holds on the whole torus, so
+    * on the slab's points of the stride-2 subgrid.  A sup distance above
+      the target, or a singular value below the floor, at those points
+      holds on the whole torus, so
       :func:`_gram_screen` rejects such a rung there; its ``tried`` entry
       carries the subgrid value, a lower bound of the torus one, and
       ``"subgrid": true``.  The subgrid never accepts: the frame may be far
@@ -260,8 +263,8 @@ def periodic_smooth(field, family, epsilon):
     """
     if field.region != "full-torus":
         raise UsageError("periodic_smooth needs a full-torus field")
-    if epsilon <= 0:
-        raise UsageError("epsilon must be positive")
+    if not (_is_finite_real(epsilon) and epsilon > 0):
+        raise UsageError(f"epsilon must be positive and finite, got {epsilon!r}")
     geometry = field.geometry
     d = geometry.d
     big = geometry.n_side
@@ -286,31 +289,27 @@ def periodic_smooth(field, family, epsilon):
     coeffs = np.fft.fftn(data, axes=axes)
     freqs = np.abs(np.fft.fftfreq(big, d=1.0 / big)).astype(int)
 
-    # the slab g_1 <= grid_n, and its points on the stride-2 subgrid
+    # the slab g_1 <= grid_n (stride 1) and its points on the stride-2 subgrid
     n = geometry.grid_n
-    slab = (slice(None, n + 1),)
-    sub = (slice(None, n + 1, 2),) + (slice(None, None, 2),) * (d - 1)
+    strided = {s: (slice(None, n + 1, s),) + (slice(None, None, s),) * (d - 1) for s in (1, 2)}
     points = geometry.torus_points()
-    slab_frames = family.grid_frames(n, points[slab])
-    sub_frames = family.grid_frames(n, points[sub])
-    fold = (2, big // 2) * d + coeffs.shape[d:]
+    fibers = {s: family.grid_frames(n, points[at]) for s, at in strided.items()}
+    slab = strided[1]
 
-    def candidate_at(k, subgrid=False):
-        """The field smoothed at cutoff ``k`` and projected onto the fibers,
-        on the slab or, with ``subgrid``, at its even grid points."""
+    def candidate_at(k, stride=1):
+        """The field smoothed at cutoff ``k`` and projected onto the fibers
+        at the slab's points of the ``stride`` subgrid."""
         mult = np.ones(geometry.torus_shape)
         for j in range(d):
             shape = [1] * d
             shape[j] = big
             mult = mult * np.clip(2.0 - 2.0 * freqs / k, 0.0, 1.0).reshape(shape)
         damped = coeffs * mult.reshape(geometry.torus_shape + (1, 1))
-        if not subgrid:
-            smoothed = twist(slab, np.fft.ifftn(damped, axes=axes)[slab])
-            return _times(slab_frames, _overlap(slab_frames, smoothed))
+        fold = (stride, big // stride) * d + coeffs.shape[d:]
         folded = damped.reshape(fold).sum(axis=tuple(range(0, 2 * d, 2)))
-        smoothed = np.fft.ifftn(folded, axes=axes)[: n // 2 + 1] / 2**d
-        smoothed = twist(sub, smoothed)
-        return _times(sub_frames, _overlap(sub_frames, smoothed))
+        smoothed = np.fft.ifftn(folded, axes=axes)[: n // stride + 1] / stride**d
+        smoothed = twist(strided[stride], smoothed)
+        return _times(fibers[stride], _overlap(fibers[stride], smoothed))
 
     target = 0.9 * epsilon
     last = big - 1
@@ -318,7 +317,7 @@ def periodic_smooth(field, family, epsilon):
     k = 2
     while k <= last:
         entry = _gram_screen(
-            candidate_at(k, subgrid=True), field.data[sub], RANK_FLOOR, target
+            candidate_at(k, stride=2), field.data[strided[2]], RANK_FLOOR, target
         )
         if entry is not None:
             entry["subgrid"] = True

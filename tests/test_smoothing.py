@@ -174,6 +174,17 @@ def test_periodic_smooth_usage_errors(haldane, haldane_torus):
         periodic_smooth(raw, haldane, epsilon=0.1)
 
 
+@pytest.mark.parametrize("smooth", [periodic_smooth, smooth_symmetric])
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), 0.0, -1.0])
+def test_an_epsilon_not_positive_and_finite_is_a_usage_error(
+    smooth, epsilon, haldane, haldane_torus
+):
+    """The rule ``RunConfig`` applies: a NaN epsilon would climb the whole
+    ladder and report it infeasible, and an infinite one accept any rung."""
+    with pytest.raises(UsageError, match="positive and finite"):
+        smooth(haldane_torus, haldane, epsilon=epsilon)
+
+
 def _poisoned(field):
     """Copy of ``field`` with one NaN frame."""
     out = copied(field)

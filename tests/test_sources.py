@@ -14,7 +14,9 @@ and one other than ``certify.py`` that defines a certificate function
 keeps a second certificate beside the one ``report`` recomputes.  The
 gap gate has one home too: only ``ProjectorFamily.grid_frames`` raises
 ``GapClosed``, on the worst point the torus sample keeps, and no module
-but ``models.py`` reads that sample.
+but ``models.py`` reads that sample or calls ``torus_eigensystem``: the
+others take frames through ``grid_frames`` and the gap floor through
+``verify_assumptions``.
 """
 import ast
 import pathlib
@@ -157,3 +159,13 @@ def test_no_module_but_models_reads_the_torus_sample():
     reads = {path.name: re.findall(r"\b_torus_sample\b", path.read_text()) for path in SOURCES}
     assert reads.pop("models.py")
     assert {name: found for name, found in reads.items() if found} == {}
+
+
+def test_no_module_but_models_calls_torus_eigensystem():
+    calls = {
+        path.name: [f for f in _called_names(ast.parse(path.read_text()))
+                    if f == "torus_eigensystem"]
+        for path in SOURCES
+    }
+    assert calls.pop("models.py")
+    assert {name: found for name, found in calls.items() if found} == {}
