@@ -43,7 +43,7 @@ from .models import (
     load_model,
     verify_assumptions,
 )
-from .frames import FrameField, input_frame
+from .frames import FrameField, columns_frame, input_frame
 from .vertex import construct_1d
 from .face2d import construct_2d
 from .cell3d import construct_3d
@@ -84,6 +84,7 @@ __all__ = [
     "UsageError",
     "WannierSet",
     "builtin_model",
+    "columns_frame",
     "construct_1d",
     "construct_2d",
     "construct_3d",

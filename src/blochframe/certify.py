@@ -248,6 +248,11 @@ def rows(manifest, wannier_report, config):
                 for trim, defect in sorted(manifest["obstruction_symmetry_defects"].items())]
         out.append(_at_most("construction/extension mismatch",
                             manifest["extension_mismatch"], EXTENSION_BOUND))
+        source = manifest["input_frame"]
+        out.append(("construction/input frame",
+                    f"{source['path']} (columns {source['columns']})", None, None))
+        out.append(("construction/columns smallest singular value",
+                    source["smallest_singular_value"], None, None))
         out.append(("construction/transport step", manifest["transport_step_sup"], None, None))
         smoothing = manifest["smoothing"]
         ladder = smoothing["smoothing"]

@@ -87,7 +87,8 @@ class EpsilonInfeasible(BlochFrameError):
 
 
 class ProjectionRankLoss(BlochFrameError):
-    """Smoothed frame lost rank after reprojection onto the spectral subspace."""
+    """A frame projected onto the spectral subspace lost rank: a smoothed
+    frame after reprojection, or the selected columns of the input frame."""
 
     code = "projection-rank-loss"
 

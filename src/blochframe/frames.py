@@ -11,19 +11,31 @@ slot: residuals are maxima over every stored frame, so one NaN frame makes
 them NaN, and :func:`check_same_span` and the smoothing precondition refuse
 a NaN.
 
-:func:`input_frame` builds the raw field the construction starts from by
-discrete parallel transport.  It never forms an ``n x n`` projector: the
-frame is carried as the family's sampled eigenframes times an ``m x m``
-gauge, and each grid step multiplies the gauge by the polar factor of an
-``m x m`` link overlap between neighbouring eigenframes.
+Two functions build the field the construction starts from, both as the
+family's sampled eigenframes ``v`` times an ``m x m`` gauge, so neither
+forms an ``n x n`` projector nor runs an eigensolve:
+
+* :func:`columns_frame`, tried first, projects one fixed set of selected
+  columns, ``lowdin(P(k) D(k) X)`` (SCDM-k).  Its gauge at each point is
+  the polar factor of ``v^H D(k) X``.  With ``C conj(X) = X`` the frame is
+  already periodic up to ``tau`` and time-reversal symmetric, so its
+  obstruction unitaries are the identity, the construction barely moves
+  it, and on every built-in workload the smoothing ladder stops at its
+  first rung.  Where a column is orthogonal to the occupied space at some
+  grid point (a singular value below ``RANK_FLOOR``), it refuses with
+  :class:`ProjectionRankLoss`;
+* :func:`input_frame`, the fallback, transports a frame across the grid:
+  each step multiplies the gauge by the polar factor of an ``m x m`` link
+  overlap between neighbouring eigenframes.  Its frame is continuous but
+  not symmetric, which the construction repairs.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridTooCoarse, SpanMismatch
-from .linalg import RANK_FLOOR, lowdin
+from .errors import GridTooCoarse, ProjectionRankLoss, SpanMismatch
+from .linalg import RANK_FLOOR, gram_polar, lowdin
 
 __all__ = [
     "FrameField",
@@ -31,6 +43,7 @@ __all__ = [
     "unitary_between",
     "check_same_span",
     "input_frame",
+    "columns_frame",
 ]
 
 
@@ -249,6 +262,81 @@ def input_frame(family, geometry, region="effective-cell"):
         for axis, slab in enumerate(slabs)
     )
     return FrameField(geometry, region, psi, {"transport_step_sup": step_sup})
+
+
+def _pivoted_rows(a, m):
+    """The ``m`` rows of ``a`` that a greedy column-pivoted QR of ``a^H``
+    picks, in pick order: the row of largest residual norm, then every row
+    less its component along the picked one; ties go to the first row."""
+    rest = np.array(a, dtype=complex)
+    picks = []
+    for _ in range(m):
+        norms = np.sum(rest.real**2 + rest.imag**2, axis=1)
+        i = int(np.argmax(norms))
+        picks.append(i)
+        q = rest[i] / np.sqrt(norms[i])
+        rest -= np.outer(rest @ q.conj(), q)
+    return picks
+
+
+def columns_frame(family, geometry):
+    """Input frame of selected columns on the effective cell (SCDM-k:
+    Damle, Lin and Ying, J. Comput. Phys. 2017).
+
+    ``psi(k) = lowdin(P(k) D(k) X)`` for one fixed ``n x m`` matrix ``X``,
+    with the untwisting gauge ``D(k)`` of
+    :meth:`~blochframe.models.ProjectorFamily.twist`.  ``X = U Y``: ``U`` is
+    the :func:`~blochframe.vertex.symmetric_sqrt` of the conjugation
+    unitary ``C = U U^T`` (``act`` of the identity, so ``C conj(X) = X``),
+    and ``Y`` holds the ``m`` identity columns that a greedy column-pivoted
+    QR picks from the rows of ``U^H v(0)``, the occupied eigenframe at ``k =
+    0`` in that basis.  ``P D X`` is then periodic up to ``tau`` and, where
+    ``D(-k) = C conj(D(k)) C^-1``, time-reversal symmetric, so every
+    obstruction unitary of the frame is the identity and the construction
+    has nothing to wind.
+
+    ``P(k) D(k) X`` is ``v (v^H D(k) X)`` on the occupied eigenframes ``v``
+    of the family's torus sample, and its polar factor is ``v`` times that
+    of the ``m x m`` overlap ``v^H D(k) X``: no eigensolve runs.  Where the
+    overlap has a singular value below ``RANK_FLOOR`` at some cell point,
+    :class:`ProjectionRankLoss` names the worst point, its singular value
+    and the columns; no grid refines that away, since a column of ``X`` can
+    be orthogonal to ``P(k)`` at a ``k`` of every grid.
+
+    Returns the field; ``field.meta`` holds the picked ``columns``, the
+    ``smallest_singular_value`` of the overlaps over the cell and
+    ``transport_step_sup``, the largest frame distance between grid
+    neighbours of the cell along any axis.
+    """
+    from .vertex import symmetric_sqrt
+
+    points = geometry.cell_points()
+    frames = family.grid_frames(geometry.grid_n, points)
+    # U = 1 where theta is plain conjugation (C = 1): no n x n eigh runs there
+    u = np.eye(family.n) if family.theta is None else symmetric_sqrt(
+        family.act((0,) * family.d, np.eye(family.n), anti=True))[0]
+    origin = (0,) + (geometry.grid_n,) * (family.d - 1)
+    columns = _pivoted_rows(u.conj().T @ frames[origin], family.m)
+    x = u[:, columns]
+    overlap = _overlap(frames, family.twist(points / geometry.n_side, x))
+    # the Gram eigenvalues screen; an SVD measures a rank loss exactly
+    smallest = float(np.sqrt(max(np.min(gram_polar(overlap)[0]), 0.0)))
+    if not smallest >= RANK_FLOOR:
+        sing = np.linalg.svd(overlap, compute_uv=False)[..., -1]
+        worst = np.unravel_index(np.argmin(sing), sing.shape)
+        smallest = float(sing[worst])
+        point = tuple(int(g) for g in points[worst])
+        raise ProjectionRankLoss(
+            f"selected columns {columns} fall out of the fibers at grid point {point} "
+            f"(singular value {smallest:.3e} < {RANK_FLOOR})",
+            point=point, singular_value=smallest, columns=columns,
+        )
+    psi = _times(frames, lowdin(overlap))
+    step_sup = max(float(np.max(frobenius(np.diff(psi, axis=axis))))
+                   for axis in range(family.d))
+    meta = {"columns": columns, "smallest_singular_value": smallest,
+            "transport_step_sup": step_sup}
+    return FrameField(geometry, "effective-cell", psi, meta)
 
 
 def _rank_loss(links, axis, start, points):

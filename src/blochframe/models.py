@@ -54,7 +54,7 @@ from itertools import product
 import numpy as np
 
 from .cells import CellGeometry
-from .errors import AssumptionsFailed, GapClosed, ModelConfigError
+from .errors import AssumptionsFailed, GapClosed, ModelConfigError, UsageError
 from .linalg import hermitian_eigensystem, joint_eigenbasis
 
 __all__ = [
@@ -295,9 +295,13 @@ class ProjectorFamily:
         Sampled on the first call for a ``grid_n`` and kept until another
         ``grid_n`` is asked for, so one command samples the torus once.
         Nothing is gated here: :meth:`grid_frames` gates on ``edge`` at
-        every read, and :func:`verify_assumptions` reports it.
+        every read, and :func:`verify_assumptions` reports it.  A ``grid_n``
+        that is not an even integer of at least 2 raises :class:`UsageError`.
         """
         if self._torus_sample is None or self._torus_sample[0] != grid_n:
+            if not (_is_real(grid_n) and isinstance(grid_n, numbers.Integral)
+                    and grid_n >= 2 and grid_n % 2 == 0):
+                raise UsageError(f"grid_n must be an even integer >= 2, got {grid_n!r}")
             torus_k = CellGeometry(self.d, grid_n).torus_k()
             slab_k = torus_k[: grid_n + 1]
             evals, evecs = self.eigensystem(slab_k)

@@ -24,8 +24,8 @@ from .certify import (
     rows,
     sup_distance,
 )
-from .errors import UsageError
-from .frames import input_frame
+from .errors import ProjectionRankLoss, UsageError
+from .frames import columns_frame, input_frame
 from .models import (
     BUILTINS,
     _is_finite_real,
@@ -194,12 +194,29 @@ def run_verify(config):
 
 
 def run_construct(config):
-    """Full frame construction; returns a dict of fields and the manifest."""
+    """Full frame construction; returns a dict of fields and the manifest.
+
+    The input frame is :func:`~blochframe.frames.columns_frame`, or, when
+    its selected columns fall below the rank floor at some cell point,
+    the transport of :func:`~blochframe.frames.input_frame`.  The manifest
+    records the choice as ``input_frame``: its ``path`` (``"columns"`` or
+    ``"transport"``), the selected ``columns`` and their
+    ``smallest_singular_value`` over the cell, which is below the floor
+    exactly on the transport path.  ``transport_step_sup`` is the input
+    frame's largest step between grid neighbours on either path.
+    """
     t0 = time.monotonic()
     family = load_family(config)
     report = require_assumptions(family, grid_n=config.grid_n, tol=config.tol)
     geometry = CellGeometry(family.d, config.grid_n)
-    psi = input_frame(family, geometry)
+    try:
+        psi = columns_frame(family, geometry)
+        record = {"path": "columns", "columns": psi.meta["columns"],
+                  "smallest_singular_value": psi.meta["smallest_singular_value"]}
+    except ProjectionRankLoss as exc:
+        psi = input_frame(family, geometry)
+        record = {"path": "transport", "columns": exc.details["columns"],
+                  "smallest_singular_value": exc.details["singular_value"]}
     obstructions = _trim_obstruction_defects(psi, family)
 
     if family.d == 1:
@@ -219,6 +236,7 @@ def run_construct(config):
         "assumptions": report.as_dict(),
         "obstruction_symmetry_defects": obstructions,
         "construction": io_mod.jsonable(diag),
+        "input_frame": record,
         "transport_step_sup": psi.meta["transport_step_sup"],
         "extension_mismatch": phi.meta.get("extension_mismatch"),
         "smoothing": io_mod.jsonable(smooth_report),
@@ -311,9 +329,9 @@ def report_rows(config):
     Every row a torus field gives back is measured again on the stored
     ``psi``, ``phi`` and ``phi_sm`` and the reloaded model, with the
     functions ``construct`` and ``wannierize`` use; the Wannier rows only
-    once ``wannierize`` has run.  The extension mismatch, the transport
-    step and the smoothing ladder are reprinted from the manifest, as a
-    first ``stored`` row says.  Every file read must match the sha256 the
+    once ``wannierize`` has run.  The input frame's path, the extension
+    mismatch, the transport step and the smoothing ladder are reprinted
+    from the manifest, as a first ``stored`` row says.  Every file read must match the sha256 the
     manifest (or the Wannier report) lists, so those rows belong to the
     frames that are measured.
     """
@@ -342,8 +360,8 @@ def report_rows(config):
         obstruction_symmetry_defects=_trim_obstruction_defects(psi, family),
         final_residuals=residuals,
     )
-    table = [("stored", "extension mismatch, transport step and smoothing ladder "
-                        "are reprinted from manifest.json", None, None)]
+    table = [("stored", "input frame, extension mismatch, transport step and smoothing "
+                        "ladder are reprinted from manifest.json", None, None)]
     try:
         record["smoothing"] = dict(manifest["smoothing"],
                                    sup_distance_total=sup_distance(phi_sm.data, phi.data))

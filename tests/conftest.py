@@ -1,5 +1,7 @@
 """Shared fixtures and random-object generators for the test suite."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -289,6 +291,61 @@ def reversal_break_between_grid_points():
             {"R": [-16], "im": [[-0.2, 0], [0, 0.2]]},
         ],
     }
+
+
+def band_inversion(d=2):
+    """JSON config of a band-inversion model with real hoppings, whose
+    selected columns vanish on every grid, so ``construct`` takes the
+    transport.
+
+    In 2d ``H = (1.5 - cos 2 pi k_1 - cos 2 pi k_2) sz + sin 2 pi k_1 sy +
+    (cos 2 pi k_1 - cos 2 pi k_2) sx``, in 1d ``H = (0.5 - cos 2 pi k) sz +
+    sin 2 pi k sy``.  The occupied line is the first orbital at ``k = 0``
+    and the second at ``k = (1/2, ..., 1/2)``, two points of every grid, so
+    either identity column is orthogonal to it at one of them.
+    """
+    if d == 1:
+        hoppings = [
+            {"R": [0], "re": [[0.5, 0], [0, -0.5]]},
+            {"R": [1], "re": [[-0.5, -0.5], [0.5, 0.5]]},
+            {"R": [-1], "re": [[-0.5, 0.5], [-0.5, 0.5]]},
+        ]
+    else:
+        hoppings = [
+            {"R": [0, 0], "re": [[1.5, 0], [0, -1.5]]},
+            {"R": [1, 0], "re": [[-0.5, 0], [1, 0.5]]},
+            {"R": [-1, 0], "re": [[-0.5, 1], [0, 0.5]]},
+            {"R": [0, 1], "re": [[-0.5, -0.5], [-0.5, 0.5]]},
+            {"R": [0, -1], "re": [[-0.5, -0.5], [-0.5, 0.5]]},
+        ]
+    return {"dimension": d, "orbitals": 2, "rank": 1, "hoppings": hoppings,
+            "name": "band-inversion"}
+
+
+def direct_sum(a, b):
+    """JSON config of the block-diagonal sum of the real-hopping JSON
+    configs ``a`` and ``b`` of one dimension: orbitals and ranks add, and
+    the occupied space is the sum of the two blocks' wherever each block's
+    occupied bands lie below the other's empty ones."""
+    n = a["orbitals"] + b["orbitals"]
+    blocks = {}
+    for offset, cfg in ((0, a), (a["orbitals"], b)):
+        for item in cfg["hoppings"]:
+            mat = blocks.setdefault(tuple(item["R"]), np.zeros((n, n)))
+            size = cfg["orbitals"]
+            mat[offset:offset + size, offset:offset + size] = item["re"]
+    return {
+        "dimension": a["dimension"], "orbitals": n, "rank": a["rank"] + b["rank"],
+        "hoppings": [{"R": list(r), "re": mat.tolist()} for r, mat in blocks.items()],
+    }
+
+
+@pytest.fixture
+def band_inversion_file(tmp_path):
+    """The 2d :func:`band_inversion` model as a JSON file."""
+    path = tmp_path / "band-inversion.json"
+    path.write_text(json.dumps(band_inversion()))
+    return path
 
 
 @pytest.fixture

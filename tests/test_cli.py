@@ -16,7 +16,13 @@ from blochframe.io import file_sha256, load_frames, read_json, save_frames, writ
 from blochframe.linalg import RANK_FLOOR
 from blochframe.models import load_model
 
-from conftest import model_json, reversal_break_between_grid_points, shifted_haldane
+from conftest import (
+    band_inversion,
+    direct_sum,
+    model_json,
+    reversal_break_between_grid_points,
+    shifted_haldane,
+)
 from test_frames import _pointwise_input_frame
 
 HALF_PI = "1.5707963267948966"
@@ -97,16 +103,20 @@ def test_a_negative_seed_is_a_usage_error(capsys):
     assert json.loads(captured.err)["error"] == "usage"
 
 
-def test_construct_writes_three_frame_files_and_the_manifest(tmp_path, capsys):
+def test_construct_writes_three_frame_files_and_the_manifest(
+    band_inversion_file, tmp_path, capsys
+):
     """The manifest is the one record of a construct: no sidecar files, and
-    it keeps the input frame's transport step."""
+    it keeps the input frame's transport step (the band-inversion model's
+    selected columns vanish on the grid, so its construct transports)."""
     out = tmp_path / "run"
-    assert main(["construct", "--model", "ssh", "--grid-n", "4", "--out", str(out)]) == 0
+    assert main(["construct", "--model", str(band_inversion_file), "--grid-n", "4",
+                 "--out", str(out)]) == 0
     capsys.readouterr()
     assert sorted(os.listdir(out)) == [
         "manifest.json", "phi.blf1", "phi_sm.blf1", "psi.blf1"
     ]
-    psi = input_frame(blochframe.builtin_model("ssh"), CellGeometry(1, 4))
+    psi = input_frame(load_model(str(band_inversion_file)), CellGeometry(2, 4))
     manifest = read_json(out / "manifest.json")
     assert manifest["transport_step_sup"] == psi.meta["transport_step_sup"]
 
@@ -311,12 +321,15 @@ def test_report_refuses_a_wannier_report_of_an_earlier_construct(tmp_path, capsy
 def test_input_frame_rank_loss_exits_1_with_payload(tmp_path, capsys):
     """``H(k) = cos(4 pi k) sx + sin(4 pi k) sy`` turns its occupied line by
     a right angle between neighbours of a grid_n 2 transport, so the
-    projected frame loses its rank there."""
-    model = {
+    projected frame loses its rank there.  Summed with the 1d band-inversion
+    block, whose selected columns vanish at ``k = 1/2``, it is constructed
+    by that transport."""
+    chain = {
         "dimension": 1, "orbitals": 2, "rank": 1,
         "hoppings": [{"R": [2], "re": [[0, 0], [1, 0]]},
                      {"R": [-2], "re": [[0, 1], [0, 0]]}],
     }
+    model = direct_sum(chain, band_inversion(1))
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model))
     assert main(["verify-model", "--model", str(path), "--grid-n", "2"]) == 0
@@ -346,6 +359,11 @@ def rank_loss_2d(tmp_path):
     ``-1/2``) nearly cancel that turn (``-0.8`` against ``1``), while
     forward, and at ``k_1 = 0`` and ``1/2``, ``d_z >= 1`` keeps neighbours
     apart by at most a right angle.
+
+    The model is that field summed with the 2d band-inversion block, whose
+    selected columns vanish on the grid, so the construct transports; the
+    block's own transport steps keep singular values of at least 0.52 at
+    grid_n 2, so every step that loses rank is the field's.
     """
     def sz(x):
         return {"re": [[x, 0], [0, -x]]}
@@ -362,7 +380,7 @@ def rank_loss_2d(tmp_path):
         ],
     }
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(model))
+    path.write_text(json.dumps(direct_sum(model, band_inversion())))
     return path
 
 
@@ -609,13 +627,16 @@ def test_an_edited_json_model_is_another_configuration(tmp_path, capsys):
     assert not (out / "report.txt").exists()
 
 
-def test_report_counts_the_rungs_rejected_on_the_subgrid(tmp_path, capsys):
-    assert _haldane("construct", tmp_path) == 0
+def test_report_counts_the_rungs_rejected_on_the_subgrid(band_inversion_file, tmp_path,
+                                                        capsys):
+    """The band-inversion model's transported frame climbs the ladder."""
+    argv = ["--model", str(band_inversion_file), "--grid-n", "4", "--out", str(tmp_path)]
+    assert main(["construct", *argv]) == 0
     tried = read_json(tmp_path / "manifest.json")["smoothing"]["smoothing"]["tried"]
     on_subgrid = sum(1 for t in tried if t.get("subgrid"))
     assert 0 < on_subgrid < len(tried)
     capsys.readouterr()
-    assert _haldane("report", tmp_path) == 0
+    assert main(["report", *argv]) == 0
     text = capsys.readouterr().out
     block = text[text.index("smoothing:"):text.index("final residuals:")]
     assert (

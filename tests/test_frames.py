@@ -1,9 +1,16 @@
-"""Unit tests for frame fields and the transported input frame."""
+"""Unit tests for frame fields and the two input frames: the transport and
+the selected columns."""
+import importlib.util
+import json
+import os
+import sys
+
 import numpy as np
 import pytest
 
+from blochframe import vertex
 from blochframe.cells import CellGeometry
-from blochframe.errors import GridTooCoarse, SpanMismatch
+from blochframe.errors import GridTooCoarse, ProjectionRankLoss, SpanMismatch
 from blochframe.frames import (
     FrameField,
     _adjoint,
@@ -11,17 +18,21 @@ from blochframe.frames import (
     _overlap,
     _times,
     check_same_span,
+    columns_frame,
     frobenius,
     input_frame,
     unitary_between,
 )
 from blochframe.linalg import RANK_FLOOR, lowdin
-from blochframe.models import builtin_model
+from blochframe.models import builtin_model, load_model
 
 from conftest import (
+    antiunitary_oracle,
+    band_inversion,
     lapack_frames,
     lapack_projector,
     random_unitary,
+    rotated,
     shifted_haldane,
     shifted_trs_3d,
 )
@@ -295,3 +306,106 @@ def test_input_frame_matches_pointwise_transport(name, params, grid_n, region):
     got, want = _gathered(fld, oracle)
     assert np.max(np.abs(got - want)) < 1e-13
     assert fld.meta["transport_step_sup"] == pytest.approx(oracle_step_sup, abs=1e-13)
+
+
+# ----------------------------------------------------------------------
+# the selected-columns frame
+# ----------------------------------------------------------------------
+def _cell_reflection_defect(psi, family):
+    """Largest violation of ``Phi(k) = theta Phi(-k)`` at the cell points
+    whose partner ``-k`` is a cell point up to a lattice vector: the slices
+    ``k_1 = 0`` (partner ``(0, -k')``) and ``k_1 = 1/2`` (partner ``(1/2,
+    -k') - e_1``, so ``theta Phi(-k) = tau_1 theta Phi(1/2, -k')``)."""
+    geo, d = psi.geometry, family.d
+    worst = 0.0
+    for row, lam in ((0, (0,) * d), (geo.grid_n, (1,) + (0,) * (d - 1))):
+        frames = psi.data[row]
+        partner = np.flip(frames, axis=tuple(range(d - 1)))
+        image = family.act(lam, partner, anti=True)
+        worst = max(worst, float(np.max(frobenius(frames - image))))
+    return worst
+
+
+COLUMNS_CASES = {
+    "haldane": (lambda: builtin_model("haldane"), 8),
+    "trs-3d": (lambda: builtin_model("random-trs", d=3, n=4, m=2, seed=0), 4),
+    "rotated-haldane": (lambda: rotated(builtin_model("haldane")), 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLUMNS_CASES))
+def test_the_columns_frame_spans_p_and_keeps_time_reversal(case):
+    """``lowdin(P D X)`` with ``C conj(X) = X`` spans the projector of a
+    fresh LAPACK ``eigh``, is orthonormal, and obeys ``Phi(-k) = theta
+    Phi(k)`` to roundoff on the self-paired slices of the cell."""
+    make, grid_n = COLUMNS_CASES[case]
+    family = make()
+    geo = CellGeometry(family.d, grid_n)
+    psi = columns_frame(family, geo)
+    p = lapack_projector(family, geo.cell_points() / geo.n_side)
+    assert np.max(frobenius(p @ psi.data - psi.data)) <= 1e-14
+    assert psi.orthonormality_defect() <= 1e-14
+    assert _cell_reflection_defect(psi, family) <= 1e-14
+    assert psi.meta["smallest_singular_value"] >= RANK_FLOOR
+    steps = [np.max(frobenius(np.diff(psi.data, axis=j))) for j in range(family.d)]
+    assert psi.meta["transport_step_sup"] == max(steps)
+
+
+def test_columns_that_theta_does_not_fix_break_time_reversal(monkeypatch):
+    """Negative control: with ``i U`` in place of the square root ``U`` of
+    ``C = V V^T`` on ``rotated(haldane)``, the columns have ``C conj(X) =
+    -X``, and the frame misses the symmetry by 2 while keeping its rank."""
+    family = rotated(builtin_model("haldane"))
+    geo = CellGeometry(2, 8)
+    assert _cell_reflection_defect(columns_frame(family, geo), family) <= 1e-14
+    real = vertex.symmetric_sqrt
+
+    def times_i(c):
+        u, info = real(c)
+        return 1j * u, info
+
+    monkeypatch.setattr(vertex, "symmetric_sqrt", times_i)
+    assert _cell_reflection_defect(columns_frame(family, geo), family) > 1.0
+
+
+@pytest.mark.parametrize("grid_n", [2, 4, 8])
+def test_the_band_inversion_columns_lose_rank_with_a_json_safe_payload(grid_n):
+    """Both identity columns of the band-inversion model are orthogonal to
+    its occupied line at a point of every grid."""
+    family = load_model(band_inversion())
+    with pytest.raises(ProjectionRankLoss) as caught:
+        columns_frame(family, CellGeometry(2, grid_n))
+    details = caught.value.details
+    assert details["singular_value"] < 1e-15
+    assert json.loads(json.dumps(details)) == dict(details, point=list(details["point"]))
+
+
+def _twisted_2d(monkeypatch):
+    """The benchmark's twisted-2d model (seed 1), read from its workload
+    module without writing bytecode there."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return load_model(module.twisted_model(1))
+
+
+@pytest.mark.parametrize("case", ["twisted-2d", "shifted-haldane", "shifted-haldane-quarter",
+                                  "shifted-trs-3d", "rotated-shifted-haldane"])
+def test_the_untwisting_gauge_is_time_reversal_compatible(case, monkeypatch):
+    """``D(-k) = C conj(D(k)) C^-1`` wherever ``tau != 1``: the condition
+    under which ``P D X`` is time-reversal symmetric."""
+    family = {
+        "twisted-2d": lambda: _twisted_2d(monkeypatch),
+        "shifted-haldane": shifted_haldane,
+        "shifted-haldane-quarter": lambda: shifted_haldane(r2=(0.25, 0.25)),
+        "shifted-trs-3d": shifted_trs_3d,
+        "rotated-shifted-haldane": lambda: rotated(shifted_haldane(r2=(0.25, 0.25))),
+    }[case]()
+    k = np.random.default_rng(5).uniform(-1.5, 1.5, (40, family.d))
+    eye = np.broadcast_to(np.eye(family.n, dtype=complex), (len(k), family.n, family.n))
+    c = antiunitary_oracle(family, (0,) * family.d)
+    image = c @ np.conj(family.twist(k, eye)) @ c.conj().T
+    assert np.max(np.abs(family.twist(-k, eye) - image)) <= 1e-13

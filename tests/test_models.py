@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from blochframe.cells import CellGeometry
-from blochframe.errors import AssumptionsFailed, GapClosed, ModelConfigError
+from blochframe.errors import AssumptionsFailed, GapClosed, ModelConfigError, UsageError
 from blochframe.models import (
     BUILTINS,
     ProjectorFamily,
@@ -798,3 +798,17 @@ def test_the_mirrored_gap_of_a_reversal_broken_family_is_within_weyls_bound():
     direct = np.linalg.eigvalsh(family.hamiltonian(CellGeometry(2, 8).torus_k()))
     true_floor = float(np.min(direct[..., 1] - direct[..., 0]))
     assert abs(report.gap_floor - true_floor) <= 2 * report.time_reversal
+
+
+@pytest.mark.parametrize("grid_n", [0, 3, -2, 2.5])
+def test_a_bad_grid_n_is_a_usage_error_on_every_torus_read(grid_n):
+    """Negative control: the library's torus reads refuse a ``grid_n`` that
+    is not an even integer of at least 2 with a coded error, as the command
+    line does, never a raw ``ValueError``."""
+    family = builtin_model("haldane")
+    reads = [lambda: verify_assumptions(family, grid_n=grid_n),
+             lambda: family.torus_eigensystem(grid_n),
+             lambda: family.grid_frames(grid_n, np.zeros((1, 2), dtype=int))]
+    for read in reads:
+        with pytest.raises(UsageError, match="grid_n"):
+            read()

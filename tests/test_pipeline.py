@@ -11,7 +11,9 @@ from blochframe.cells import CellGeometry
 from blochframe.errors import AssumptionsFailed, EpsilonInfeasible, UsageError
 from blochframe.io import file_sha256, load_frames, read_json
 from blochframe.models import ProjectorFamily
-from blochframe.certify import final_residuals, rows
+from blochframe.certify import final_residuals, rows, verdict
+from blochframe.frames import input_frame
+from blochframe.linalg import RANK_FLOOR
 from blochframe.pipeline import (
     RunConfig,
     load_family,
@@ -23,6 +25,7 @@ from blochframe.pipeline import (
 )
 
 from conftest import copied, model_json, rotated, shifted_haldane, shifted_trs_3d
+from test_frames import _twisted_2d
 
 
 def test_runconfig_validation():
@@ -349,7 +352,7 @@ def test_a_twist_that_ignores_inverse_cannot_smooth(make, grid_n, tmp_path, monk
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model_json(make())))
     clean = run_construct(RunConfig(model=str(path), grid_n=grid_n, out=str(tmp_path / "clean")))
-    assert clean["manifest"]["smoothing"]["smoothing"]["cutoff"] == 7
+    assert clean["manifest"]["smoothing"]["smoothing"]["cutoff"] == 2
     real = ProjectorFamily.twist
     monkeypatch.setattr(ProjectorFamily, "twist",
                         lambda self, k, frames, inverse=False: real(self, k, frames))
@@ -461,11 +464,13 @@ def test_a_builtin_construct_fetches_each_symmetry_matrix_once(model, params, mo
     assert fetched == {"tau_power": family.d, "theta_matrix": 1}
 
 
-@pytest.mark.parametrize("grid_n, cutoff, resolved", [(8, 9, False), (32, 12, True)])
-def test_the_cutoff_is_reported_against_the_grid(tmp_path, grid_n, cutoff, resolved):
-    """Haldane's accepted cutoff leaves the Nyquist shell of ``n_side = 16``
-    untouched at grid_n 8 and zeroes it at grid_n 32 (``n_side = 64``)."""
-    config = RunConfig(model="haldane", grid_n=grid_n, out=str(tmp_path))
+@pytest.mark.parametrize("grid_n, cutoff, resolved", [(4, 5, False), (8, 7, True)])
+def test_the_cutoff_is_reported_against_the_grid(band_inversion_file, tmp_path, grid_n,
+                                                 cutoff, resolved):
+    """The band-inversion model's accepted cutoff, on its transported
+    frame, leaves the Nyquist shell of ``n_side = 8`` untouched at grid_n 4
+    and zeroes it at grid_n 8 (``n_side = 16``)."""
+    config = RunConfig(model=str(band_inversion_file), grid_n=grid_n, out=str(tmp_path / "run"))
     sm = run_construct(config)["manifest"]["smoothing"]["smoothing"]
     assert sm["cutoff"] == cutoff
     assert sm["cutoff_fraction"] == cutoff / (2 * grid_n)
@@ -494,3 +499,83 @@ def test_report_recomputes_every_stored_value_bit_for_bit(config, tmp_path):
     recomputed = report_rows(config)
     assert recomputed[0][0] == "stored"
     assert recomputed[1:] == stored
+
+
+# ----------------------------------------------------------------------
+# the input frame the construct starts from
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("config", [
+    RunConfig(model="haldane", grid_n=32),
+    RunConfig(model="random-trs", params={"d": 3, "n": 4, "m": 2, "seed": 0}, grid_n=8),
+], ids=["haldane-2d", "trs-3d"])
+def test_the_benchmark_inputs_take_the_columns_and_the_first_rung(config):
+    """The selected columns are symmetric and smooth, so the ladder accepts
+    its first rung, with every residual at roundoff."""
+    manifest = run_construct(config)["manifest"]
+    assert manifest["input_frame"]["path"] == "columns"
+    assert manifest["input_frame"]["smallest_singular_value"] >= RANK_FLOOR
+    ladder = manifest["smoothing"]["smoothing"]
+    assert (ladder["cutoff"], len(ladder["tried"]), ladder["nyquist_resolved"]) == (2, 1, True)
+    assert max(manifest["final_residuals"].values()) <= 1e-14
+    assert manifest["extension_mismatch"] <= 1e-10
+
+
+def test_the_band_inversion_model_falls_back_to_the_transport(band_inversion_file):
+    """Its columns lose rank on the grid, so the construct transports: the
+    manifest says so, with the columns' singular value, and ``psi`` is the
+    transport of a fresh family bit for bit."""
+    built = run_construct(RunConfig(model=str(band_inversion_file), grid_n=4))
+    record = built["manifest"]["input_frame"]
+    assert record["path"] == "transport"
+    assert record["smallest_singular_value"] < RANK_FLOOR
+    assert record["columns"] == [0]
+    fresh = input_frame(models.load_model(str(band_inversion_file)), CellGeometry(2, 4))
+    assert np.array_equal(built["psi"].data, fresh.data)
+    assert built["manifest"]["transport_step_sup"] == fresh.meta["transport_step_sup"]
+
+
+def test_a_random_trs_3d_input_the_transport_refused_constructs(tmp_path):
+    """random-trs d=3 n=4 m=2 with model seed 1 at grid_n 6 was refused with
+    ``grid-too-coarse`` on the transported frame; from the columns every
+    certificate holds."""
+    config = RunConfig(model="random-trs", params={"d": 3, "n": 4, "m": 2, "seed": 1},
+                       grid_n=6, out=str(tmp_path))
+    manifest = run_construct(config)["manifest"]
+    report = run_wannierize(config)["report"]
+    assert manifest["input_frame"]["path"] == "columns"
+    assert manifest["smoothing"]["smoothing"]["cutoff"] == 2
+    assert verdict(rows(manifest, report, config)) == []
+
+
+@pytest.mark.parametrize("case, grid_n", [
+    ("twisted-2d", 8), ("shifted-haldane", 8), ("shifted-trs-3d", 4),
+    ("rotated-haldane", 8), ("rotated-trs-3d", 4),
+])
+def test_every_certificate_holds_on_twisted_and_rotated_inputs(case, grid_n, tmp_path,
+                                                               monkeypatch):
+    """Nontrivial ``tau`` or ``theta``, on whichever path the construct takes."""
+    family = {
+        "twisted-2d": lambda: _twisted_2d(monkeypatch),
+        "shifted-haldane": shifted_haldane,
+        "shifted-trs-3d": shifted_trs_3d,
+        "rotated-haldane": lambda: rotated(models.builtin_model("haldane")),
+        "rotated-trs-3d": lambda: rotated(models.builtin_model("random-trs", d=3, n=4, m=2)),
+    }[case]()
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_json(family)))
+    config = RunConfig(model=str(path), grid_n=grid_n, out=str(tmp_path / "run"))
+    manifest = run_construct(config)["manifest"]
+    report = run_wannierize(config)["report"]
+    assert verdict(rows(manifest, report, config)) == []
+
+
+@pytest.mark.parametrize("path", ["columns", "transport"])
+def test_report_prints_the_input_frame_ungated(path, band_inversion_file, tmp_path):
+    model = "haldane" if path == "columns" else str(band_inversion_file)
+    config = RunConfig(model=model, grid_n=4, out=str(tmp_path / "run"))
+    record = run_construct(config)["manifest"]["input_frame"]
+    table = {name: row for name, *row in report_rows(config)}
+    assert table["construction/input frame"] == [
+        f"{path} (columns {record['columns']})", None, None]
+    assert table["construction/columns smallest singular value"] == [
+        record["smallest_singular_value"], None, None]

@@ -20,7 +20,7 @@ from blochframe import smoothing
 from blochframe.linalg import RANK_FLOOR, gram_polar, lowdin
 from blochframe.models import builtin_model
 from blochframe.certify import final_residuals, reflection_defect, sup_distance
-from blochframe.pipeline import RunConfig, run_construct
+from blochframe.pipeline import RunConfig
 from blochframe.smoothing import (
     frame_midpoint,
     periodic_smooth,
@@ -385,11 +385,11 @@ def _all_svd_ladder(field, family, epsilon, rank_floor=0.1):
 
 
 def _random_trs_phi(d, n, m, seed, grid_n):
-    config = RunConfig(
-        model="random-trs", params=dict(d=d, n=n, m=m, seed=seed), grid_n=grid_n
-    )
-    built = run_construct(config)
-    return built["family"], built["phi"]
+    """The field a construct builds from the transported input frame, whose
+    ladder climbs."""
+    family = builtin_model("random-trs", d=d, n=n, m=m, seed=seed)
+    construct = construct_2d if d == 2 else construct_3d
+    return family, construct(input_frame(family, CellGeometry(d, grid_n)), family)[0]
 
 
 def _rotated_phi(base, grid_n):

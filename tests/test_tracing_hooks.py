@@ -47,13 +47,17 @@ def test_the_tracer_installs_and_restores_every_wrap(monkeypatch):
     assert all(vars(owner)[attr] is original for owner, attr, original in saved)
 
 
-def test_the_pipeline_calls_every_wrapped_name_as_the_tracer_takes_it(monkeypatch, tmp_path):
+def test_the_pipeline_calls_every_wrapped_name_as_the_tracer_takes_it(
+    monkeypatch, tmp_path, band_inversion_file
+):
     """A construct and a wannierize under the installed tracer: the wrapper
     of ``input_frame`` takes ``(family, geometry, region=...)`` only, so a
     call through any other keyword fails here before it fails a traced
-    benchmark run."""
+    benchmark run.  The band-inversion model's selected columns vanish on
+    the grid, so its construct calls ``input_frame``."""
     tracer = _load_tracing(monkeypatch).Tracer(blochframe)
-    config = blochframe.RunConfig(model="ssh", grid_n=4, out=str(tmp_path))
+    config = blochframe.RunConfig(model=str(band_inversion_file), grid_n=4,
+                                  out=str(tmp_path / "run"))
     try:
         tracer.install()
         blochframe.pipeline.run_construct(config)
